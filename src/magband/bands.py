@@ -3,7 +3,9 @@
 A band function is the p-th eigenvalue of the fiber operator as a function of
 the momentum xi.  For nonnegative coupling the bands decrease strictly from
 +infinity to the Landau level 2p-1, which makes every threshold crossing
-unique and lets bisection do all the root finding.
+unique: any pair of points where lambda - E changes sign brackets it.
+Crossings are found by Newton's method on the Feynman-Hellmann slope, seeded
+from the leading law lambda ~ E_p + k_m/xi^2 and kept inside that bracket.
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ from .solver import (
     Grid,
     derivative_boundary_form,
     derivative_feynman_hellmann,
-    fiber_eigenvalues,
+    fiber_eigenvalues,  # not called here; perfbench/tracing.py wraps this binding
+    rayleigh_quotient,
     solve_fiber,
 )
 
 _BRACKET_LIMIT = float(2**30)
+_FLAT_SEED = 1.0  # k_m = 0 has no leading law to seed from
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,12 @@ class BandCurve:
 
 @dataclass(frozen=True)
 class CrossingResult:
-    """Solution xi of lambda_{m,p}(xi) = energy on a decreasing band."""
+    """Solution xi of lambda_{m,p}(xi) = energy on a decreasing band.
+
+    `slope` is the Feynman-Hellmann derivative at xi, and `residual` is
+    |lambda - energy| with lambda the Rayleigh quotient of the eigenvector at
+    xi (see `solver.rayleigh_quotient`), both on the crossing's grid.
+    """
 
     energy: float
     xi: float
@@ -151,12 +160,20 @@ def crossing(
     step: float = 1.0 / 240.0,
     base_radius: float = 12.0,
 ) -> CrossingResult:
-    """The unique xi with lambda_{m,p}(xi) = energy, by bracketed bisection.
+    """The unique xi with lambda_{m,p}(xi) = energy, by safeguarded Newton.
 
-    Works on the strictly decreasing regime k_m >= 0.  The bracket comes from
-    doubling away from xi = 0; the domain is then re-solved on a single grid
-    wide enough for the whole bracket (R >= xi + 10, fixed step), so the
-    bisected function is one fixed discrete eigenvalue branch.
+    Works on the strictly decreasing regime k_m >= 0.  The iteration starts
+    from the leading law lambda ~ E_p + k_m/xi^2, i.e. xi_0 = sqrt(k_m/(E - E_p))
+    (a fixed seed when k_m = 0), on one grid sized for it (R >= xi + 10, fixed
+    step).  Each iterate costs one eigenpair solve: lambda is the Rayleigh
+    quotient of the eigenvector (`rayleigh_quotient`), and the
+    Feynman-Hellmann moment is its exact xi-derivative, so Newton runs on the
+    discrete branch itself.  Signs of lambda - energy keep a bracket; a Newton
+    step that leaves it is replaced by bisection, or by a bounded expansion
+    while one side is still open.  An iterate beyond the grid's reach
+    rebuilds the grid and drops the bracket, which belonged to the old one.
+    The returned slope and residual |lambda - energy| are those of the last
+    iterate, with lambda measured as that Rayleigh quotient.
     """
     probe = ModelParams(n, m, 0.0)
     if probe.k < 0:
@@ -171,65 +188,41 @@ def crossing(
     if not (np.isfinite(tolerance) and tolerance > 0):
         raise ModelError(f"tolerance must be positive, got {tolerance!r}")
 
-    def value(x: float, grid: Grid) -> float:
-        return float(fiber_eigenvalues(ModelParams(n, m, x), grid, p)[p - 1])
-
-    # Bracket by doubling from 0; each probe uses a grid wide enough for it.
-    f0 = value(0.0, _crossing_grid(base_radius, step, 0.0)) - energy
-    if f0 > 0.0:
-        lo, hi = 0.0, 1.0
-        while value(hi, _crossing_grid(base_radius, step, hi)) - energy > 0.0:
-            lo, hi = hi, 2.0 * hi
-            if hi > _BRACKET_LIMIT:
-                raise BracketError(
-                    f"no sign change of lambda - {energy} for xi in [0, 2^30]"
-                )
-    else:
-        hi, lo = 0.0, -1.0
-        while value(lo, _crossing_grid(base_radius, step, lo)) - energy < 0.0:
-            hi, lo = lo, 2.0 * lo
-            if lo < -_BRACKET_LIMIT:
-                raise BracketError(
-                    f"no sign change of lambda - {energy} for xi in [-2^30, 0]"
-                )
-
-    grid = _crossing_grid(base_radius, step, max(hi, 0.0))
-    f_lo = value(lo, grid) - energy
-    f_hi = value(hi, grid) - energy
-    xi_star = None
-    if abs(f_lo) <= tolerance:
-        xi_star = lo
-    elif abs(f_hi) <= tolerance:
-        xi_star = hi
-    elif f_lo < 0.0 or f_hi > 0.0:
-        raise BracketError(
-            f"bracket [{lo}, {hi}] lost its sign change on the final grid"
-        )
-    if xi_star is None:
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            f_mid = value(mid, grid) - energy
-            if abs(f_mid) <= tolerance:
-                xi_star = mid
-                break
-            if f_mid > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        else:
-            raise ConvergenceError(
-                f"bisection did not reach |lambda - {energy}| <= {tolerance} "
-                f"within 60 iterations (bracket width {hi - lo:.3e})"
+    x = float(np.sqrt(probe.k / (energy - target))) if probe.k > 0 else _FLAT_SEED
+    grid, lo, hi = None, -np.inf, np.inf  # f > 0 at lo, f < 0 at hi
+    for _ in range(60):
+        if abs(x) > _BRACKET_LIMIT:
+            raise BracketError(f"no sign change of lambda - {energy} for |xi| <= 2^30")
+        wider = _crossing_grid(base_radius, step, x)
+        if grid is None or wider.intervals > grid.intervals:
+            grid, lo, hi = wider, -np.inf, np.inf
+        params = ModelParams(n, m, x)
+        pair = solve_fiber(params, grid, p)[p - 1]
+        f = rayleigh_quotient(params, pair, grid) - energy
+        slope = derivative_feynman_hellmann(params, pair, grid)
+        if abs(f) <= tolerance:
+            return CrossingResult(
+                energy=float(energy),
+                xi=x,
+                slope=slope,
+                coupling=probe.k,
+                residual=abs(f),
             )
-
-    params = ModelParams(n, m, xi_star)
-    pair = solve_fiber(params, grid, p)[p - 1]
-    return CrossingResult(
-        energy=float(energy),
-        xi=float(xi_star),
-        slope=derivative_feynman_hellmann(params, pair, grid),
-        coupling=probe.k,
-        residual=abs(pair.value - energy),
+        if f > 0.0:
+            lo = x
+        else:
+            hi = x
+        # The Newton step heads from x toward the root, i.e. toward the
+        # other end of the bracket, whatever the sign of f.
+        delta = -f / slope if slope < 0.0 else (np.inf if f > 0.0 else -np.inf)
+        if np.isfinite(lo) and np.isfinite(hi):
+            x = x + delta if lo < x + delta < hi else 0.5 * (lo + hi)
+        else:
+            reach = max(1.0, abs(x))  # at most a doubling toward an open side
+            x += min(max(delta, -reach), reach)
+    raise ConvergenceError(
+        f"Newton did not reach |lambda - {energy}| <= {tolerance} "
+        f"within 60 iterations (bracket [{lo:.6g}, {hi:.6g}])"
     )
 
 

@@ -128,8 +128,22 @@ def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
 
 
 def fiber_eigenvalues(params: ModelParams, grid: Grid, count: int) -> np.ndarray:
-    """Eigenvalues only; cheaper inside bisection loops."""
+    """Eigenvalues only; cheaper where no eigenvector is needed."""
     return lowest_eigenvalues(assemble(params, grid), count)
+
+
+def rayleigh_quotient(params: ModelParams, pair: EigenPair, grid: Grid) -> float:
+    """The discrete eigenvalue as the Rayleigh quotient of its eigenvector.
+
+    Difference form h * sum((u_{j+1} - u_j)/h)^2 + h * sum V u^2 with
+    u_0 = u_N = 0.  It is the same eigenvalue as the solver's, but smooth in
+    xi to rounding: the bisection value scatters by a few ulps of the matrix
+    norm, and k/h^2 on the first diagonal entry makes that norm large.
+    """
+    u = pair.vector
+    jumps = np.diff(u, prepend=0.0, append=0.0)
+    kinetic = np.sum(jumps**2) / grid.h
+    return float(kinetic + grid.h * np.sum(potential(params, grid.nodes) * u**2))
 
 
 def derivative_feynman_hellmann(params: ModelParams, pair: EigenPair, grid: Grid) -> float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import magband.solver
 from magband import (
     BracketError,
     Grid,
@@ -23,6 +24,8 @@ from magband import (
     turning_points,
 )
 from magband.bands import AgmonWeight
+
+import oracles
 
 SWEEP_GRID = Grid(16.0, 1200)
 
@@ -83,6 +86,77 @@ def test_crossing_hits_requested_energy():
     assert val == pytest.approx(2.0, abs=5e-7)
     # leading-order location sqrt(k/(E - E_1))
     assert res.xi == pytest.approx(np.sqrt(8.75), rel=0.1)
+
+
+def _count_eigensolves(monkeypatch) -> list:
+    """Record every tridiagonal eigensolve the package makes from now on."""
+    calls = []
+    original = magband.solver.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(magband.solver, "eigh_tridiagonal", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_crossing_seeded_newton_solve_count(monkeypatch, n):
+    # seeded from xi_0 = sqrt(k/(E - E_p)), Newton needs few solves, near to
+    # and far from the Landau level alike (E - E_p = 20 puts xi below 0)
+    calls = _count_eigensolves(monkeypatch)
+    for m in (0, 3, 10, 40, 80):
+        for p in (1, 2, 3):
+            for gap in (0.02, 1.0, 20.0):
+                before = len(calls)
+                res = crossing(n, m, p, landau_level(p) + gap)
+                assert res.residual <= 1e-8
+                assert len(calls) - before <= 8, (n, m, p, gap, len(calls) - before)
+
+
+def test_crossing_flat_band_solve_count(monkeypatch):
+    # k_m = 0 (n=4, m=0) has no leading law; the fixed seed still converges fast
+    calls = _count_eigensolves(monkeypatch)
+    for p in (1, 2, 3):
+        for gap in (0.02, 1.0, 20.0):
+            before = len(calls)
+            res = crossing(4, 0, p, landau_level(p) + gap)
+            assert res.coupling == 0.0
+            assert res.residual <= 1e-8
+            assert len(calls) - before <= 10, (p, gap, len(calls) - before)
+
+
+def test_crossing_where_bisection_eigenvalue_scatters():
+    # At m=40 on the default step the bisection eigenvalue scatters by up to
+    # ~1e-8 from xi to xi near xi = 46.6 (k/h^2 dominates the matrix norm),
+    # so a root finder on it saw the band jump; the Rayleigh quotient is
+    # smooth there.
+    res = crossing(5, 40, 1, 1.7744486609736805)
+    assert res.residual <= 1e-8
+    assert res.slope < 0
+    assert res.xi == pytest.approx(np.sqrt(res.coupling / (1.7744486609736805 - 1.0)), rel=0.05)
+
+
+@pytest.mark.parametrize(
+    "n,m,p,energy",
+    [
+        (5, 2, 1, 2.0),
+        (5, 0, 2, 3.02),  # just above E_2
+        (5, 3, 3, 6.0),
+        (4, 0, 1, 1.5),  # k_m = 0
+        (5, 1, 1, 21.0),  # far above E_1: xi < 0
+        (5, 40, 1, 1.7744486609736805),
+    ],
+)
+def test_crossing_matches_dense_oracle(n, m, p, energy):
+    step = 1.0 / 24.0
+    res = crossing(n, m, p, energy, step=step)
+    intervals = int(np.ceil(max(12.0, res.xi + 10.0) / step))
+    value = oracles.dense_fiber_eigenvalues(
+        res.coupling, res.xi, intervals * step, intervals, p
+    )[p - 1]
+    assert abs(value - energy) <= 1e-8 + 1e-10
 
 
 def test_crossing_validation():

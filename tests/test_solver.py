@@ -20,7 +20,7 @@ from magband import (
     refined_values,
     solve_fiber,
 )
-from magband.solver import assemble
+from magband.solver import assemble, rayleigh_quotient
 
 import oracles
 
@@ -100,6 +100,15 @@ def test_feynman_hellmann_matches_central_difference():
     up = fiber_eigenvalues(ModelParams(5, 2, 1.3 + d), grid, 2)[1]
     dn = fiber_eigenvalues(ModelParams(5, 2, 1.3 - d), grid, 2)[1]
     assert abs(fh - (up - dn) / (2 * d)) <= 1e-3 * abs(fh)
+
+
+def test_rayleigh_quotient_is_the_discrete_eigenvalue():
+    grid = Grid(14.0, 336)
+    for n, m, xi in [(5, 3, 2.5), (4, 0, -1.0), (6, 10, 9.0)]:
+        params = ModelParams(n, m, xi)
+        dense = oracles.dense_fiber_eigenvalues(params.k, xi, grid.radius, grid.intervals, 3)
+        for pair, ref in zip(solve_fiber(params, grid, 3), dense):
+            assert rayleigh_quotient(params, pair, grid) == pytest.approx(ref, abs=1e-10)
 
 
 @pytest.mark.parametrize("n,m", [(5, 1), (4, 0), (6, 3)])
