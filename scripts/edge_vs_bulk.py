@@ -9,34 +9,12 @@ current dies off like 1/sqrt(k_m); finally exhibits a unit packet with
 
 from __future__ import annotations
 
-import numpy as np
-
-from magband import (
-    Grid,
-    SpectralWindow,
-    bands_meeting_window,
-    bulk_decay_study,
-    current,
-    edge_bound,
-    sweep,
-    synthesize_state,
-    witness_small_current,
-)
+from magband import SpectralWindow, current_dichotomy
 
 WINDOW = SpectralWindow(1.5, 2.5)
-STEP = 1.0 / 120.0
 
-meeting = bands_meeting_window(5, WINDOW, 3, step=STEP)
-spans = list(meeting.preimages.values())
-lo = min(s[0] for s in spans) - 0.5
-hi = max(s[1] for s in spans) + 0.5
-intervals = int(np.ceil((hi + 10.0) / STEP))
-bands = sweep(5, range(4), [1], np.linspace(lo, hi, 480),
-              Grid(intervals * STEP, intervals), workers=4)
-
-packet = synthesize_state(5, WINDOW, [(m, 1, 1) for m in range(4)], step=STEP)
-report = current(packet, bands)
-c_minus = edge_bound(packet, bands)
+result = current_dichotomy(5, WINDOW, 3, [10, 20, 30], 1e-2, workers=4)
+report, c_minus = result.edge, result.c_minus
 print("edge packet (m = 0..3, p = 1):")
 print(f"  normalized current = {report.normalized:+.6f}")
 print(f"  guaranteed floor C^- = {c_minus:.6f}  "
@@ -44,7 +22,7 @@ print(f"  guaranteed floor C^- = {c_minus:.6f}  "
 
 print()
 print("single bulk modes beyond a cutoff M:")
-study = bulk_decay_study(5, WINDOW, [10, 20, 30], step=STEP)
+study = result.bulk
 for M, k, j in zip(study.m_cut, study.coupling, study.normalized_current):
     print(f"  M = {M:>2}: m = {M + 1:>2}, k_m = {k:7.2f}, "
           f"normalized current = {j:+.6f}")
@@ -52,5 +30,5 @@ print(f"  decay slope vs k_m: {study.slope:+.4f} +/- {study.slope_err:.4f} "
       f"(law: -1/2)")
 
 print()
-m, value = witness_small_current(5, WINDOW, 1e-2)
+m, value = result.witness
 print(f"witness: single mode at m = {m} carries |current| = {abs(value):.3e} <= 1e-2")

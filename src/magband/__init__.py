@@ -20,6 +20,7 @@ from .bands import (
     agmon_norm,
     agmon_weight,
     crossing,
+    refined_band,
     scaling_study,
     sweep,
 )
@@ -52,7 +53,6 @@ from .solver import (
     fiber_eigenvalues,
     lowest_eigenpairs,
     lowest_eigenvalues,
-    refine,
     refined_values,
     solve_fiber,
 )
@@ -61,6 +61,7 @@ from .transport import (
     bands_meeting_window,
     bulk_decay_study,
     current,
+    current_dichotomy,
     edge_bound,
     synthesize_state,
     witness_small_current,
@@ -92,6 +93,7 @@ __all__ = [
     "coupling_constant",
     "crossing",
     "current",
+    "current_dichotomy",
     "derivative_boundary_form",
     "derivative_feynman_hellmann",
     "edge_bound",
@@ -108,7 +110,7 @@ __all__ = [
     "potential",
     "potential_minimum",
     "radial_period",
-    "refine",
+    "refined_band",
     "refined_values",
     "remainder_rate",
     "scaling_study",

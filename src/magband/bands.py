@@ -24,10 +24,12 @@ from .solver import (
     derivative_feynman_hellmann,
     fiber_eigenvalues,  # not called here; perfbench/tracing.py wraps this binding
     rayleigh_quotient,
+    refined_values,
     solve_fiber,
 )
 
 _BRACKET_LIMIT = float(2**30)
+_MAX_INTERVALS = 2**22  # largest grid fixed_step_grid builds
 _FLAT_SEED = 1.0  # k_m = 0 has no leading law to seed from
 
 
@@ -144,9 +146,40 @@ def sweep(
     return curves
 
 
-def _crossing_grid(base_radius: float, step: float, xi: float) -> Grid:
+def refined_band(n: int, m: int, p: int, xi_samples, grid: Grid) -> tuple[BandCurve, float]:
+    """Band p sampled with Richardson values and fine-grid derivatives.
+
+    Values come from `refined_values` on (grid, grid.refined()); both slopes
+    are evaluated on the fine grid.  Returns the curve and the largest
+    Richardson error estimate over the samples.
+    """
+    xi = np.asarray(xi_samples, dtype=float)
+    fine = grid.refined()
+    values, errors, fh, bd = [], [], [], []
+    for x in xi:
+        params = ModelParams(n, m, float(x))
+        rv = refined_values(params, grid, p)[p - 1]
+        values.append(rv.value)
+        errors.append(rv.error)
+        pair = solve_fiber(params, fine, p)[p - 1]
+        fh.append(derivative_feynman_hellmann(params, pair, fine))
+        bd.append(derivative_boundary_form(params, pair, fine))
+    band = BandCurve(n, m, p, xi, np.array(values), np.array(fh), np.array(bd))
+    return band, float(max(errors))
+
+
+def fixed_step_grid(xi: float, step: float, base_radius: float = 0.0) -> Grid:
+    """Grid of step `step` whose radius reaches max(base_radius, xi + 10).
+
+    Raises ModelError instead of building more than 2^22 intervals.
+    """
     radius = max(base_radius, xi + 10.0)
     intervals = max(16, int(np.ceil(radius / step)))
+    if intervals > _MAX_INTERVALS:
+        raise ModelError(
+            f"a grid reaching xi={xi:.6g} at step {step:.6g} needs {intervals} "
+            f"intervals, above the limit of {_MAX_INTERVALS}"
+        )
     return Grid(intervals * step, intervals)
 
 
@@ -164,11 +197,12 @@ def crossing(
 
     Works on the strictly decreasing regime k_m >= 0.  The iteration starts
     from the leading law lambda ~ E_p + k_m/xi^2, i.e. xi_0 = sqrt(k_m/(E - E_p))
-    (a fixed seed when k_m = 0), on one grid sized for it (R >= xi + 10, fixed
-    step).  Each iterate costs one eigenpair solve: lambda is the Rayleigh
-    quotient of the eigenvector (`rayleigh_quotient`), and the
-    Feynman-Hellmann moment is its exact xi-derivative, so Newton runs on the
-    discrete branch itself.  Signs of lambda - energy keep a bracket; a Newton
+    (a fixed seed when k_m = 0), on one grid sized for it by `fixed_step_grid`
+    (R >= xi + 10, fixed step; an energy so close to E_p that this grid
+    would be too large is a ModelError).  Each iterate costs one eigenpair
+    solve: lambda is the Rayleigh quotient of the eigenvector
+    (`rayleigh_quotient`), and the Feynman-Hellmann moment is its exact
+    xi-derivative, so Newton runs on the discrete branch itself.  Signs of lambda - energy keep a bracket; a Newton
     step that leaves it is replaced by bisection, or by a bounded expansion
     while one side is still open.  An iterate beyond the grid's reach
     rebuilds the grid and drops the bracket, which belonged to the old one.
@@ -193,7 +227,7 @@ def crossing(
     for _ in range(60):
         if abs(x) > _BRACKET_LIMIT:
             raise BracketError(f"no sign change of lambda - {energy} for |xi| <= 2^30")
-        wider = _crossing_grid(base_radius, step, x)
+        wider = fixed_step_grid(x, step, base_radius)
         if grid is None or wider.intervals > grid.intervals:
             grid, lo, hi = wider, -np.inf, np.inf
         params = ModelParams(n, m, x)

@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Subcommands: sweep | scaling | asym | classical | current | convergence |
-acceptance.  Options resolve with precedence flags > config file > defaults;
+acceptance.  Each subcommand parses its options, calls one library pipeline,
+and reports; the pass/fail criteria it lists are the acceptance battery's own
+(`magband.acceptance`), so the two never disagree on a threshold.  Options
+resolve with precedence flags > config file > defaults;
 the config file is plain key=value lines ('#' starts a comment) using the
 flag names with underscores.  Exit codes: 0 success, 2 invalid input, 3
 numerical convergence failure (the acceptance runner returns 1 when a check
@@ -16,27 +19,25 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import acceptance as acceptance_mod
-from .asymptotics import (
-    BandCurve,
-    exponential_gap_check,
-    expansion_coefficients,
-    remainder_rate,
+from .acceptance import (
+    CheckResult,
+    classical_criteria,
+    dichotomy_criteria,
+    gap_profile_criteria,
+    remainder_criterion,
+    scaling_criteria,
 )
-from .bands import scaling_study, sweep
+from .asymptotics import exponential_gap_check, expansion_coefficients, remainder_rate
+from .bands import refined_band, scaling_study, sweep
 from .classical import ClassicalState, effective_velocity, integrate, radial_period
 from .errors import ConvergenceError, ModelError
 from .model import ModelParams, coupling_constant, landau_level
-from .solver import (
-    Grid,
-    derivative_boundary_form,
-    derivative_feynman_hellmann,
-    refined_values,
-    solve_fiber,
-)
+from .solver import Grid, refined_values
 from .tables import (
     CONVERGENCE_HEADER,
     SCALING_HEADER,
@@ -48,9 +49,7 @@ from .tables import (
     sweep_rows,
     trajectory_rows,
 )
-from .transport import SpectralWindow, bulk_decay_study, witness_small_current
-from .transport import bands_meeting_window, current as current_functional
-from .transport import edge_bound, synthesize_state
+from .transport import current_dichotomy
 
 
 # ---------------------------------------------------------------- value parsing
@@ -248,17 +247,21 @@ def _emit(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _report(config: dict, results: dict, checks: list[dict], path: str | None) -> None:
+def _check_entry(check: CheckResult) -> dict:
+    entry = {"name": check.name, "value": check.value, "bound": check.bound,
+             "pass": bool(check.passed)}
+    if check.detail:
+        entry["detail"] = check.detail
+    return entry
+
+
+def _report(config: dict, results: dict, checks: list[CheckResult], path: str | None) -> None:
     payload = {
         "config": _jsonable(config),
         "results": _jsonable(results),
-        "checks": _jsonable(checks),
+        "checks": _jsonable([_check_entry(c) for c in checks]),
     }
     _emit(json.dumps(payload, indent=2) + "\n", path)
-
-
-def _check(name: str, value, bound: str, passed: bool) -> dict:
-    return {"name": name, "value": value, "bound": bound, "pass": bool(passed)}
 
 
 # ---------------------------------------------------------------- subcommands
@@ -279,24 +282,16 @@ def cmd_scaling(cfg: dict) -> int:
     )
     if cfg["output"] is not None:
         _emit(render_csv(SCALING_HEADER, scaling_rows(study)), cfg["output"])
-    r_xi = float(np.max(study.xi_over_sqrtk) / np.min(study.xi_over_sqrtk))
-    r_sl = float(np.max(study.slope_times_sqrtk) / np.min(study.slope_times_sqrtk))
+    checks = scaling_criteria(study)
+    _, _, xi_spread, slope_spread = checks
     results = {
         "xi_slope": study.xi_regression,
         "xi_slope_stderr": study.xi_regression_err,
         "derivative_slope": study.slope_regression,
         "derivative_slope_stderr": study.slope_regression_err,
-        "xi_ratio_spread": r_xi,
-        "slope_ratio_spread": r_sl,
+        "xi_ratio_spread": xi_spread.value,
+        "slope_ratio_spread": slope_spread.value,
     }
-    checks = [
-        _check("xi-slope", study.xi_regression, "0.5 +/- 0.05",
-               abs(study.xi_regression - 0.5) <= 0.05),
-        _check("derivative-slope", study.slope_regression, "-0.5 +/- 0.1",
-               abs(study.slope_regression + 0.5) <= 0.1),
-        _check("xi-ratio-spread", r_xi, "<= 2", r_xi <= 2.0),
-        _check("slope-ratio-spread", r_sl, "<= 3", r_sl <= 3.0),
-    ]
     _report(cfg, results, checks, cfg["summary"])
     return 0
 
@@ -305,21 +300,9 @@ def cmd_asym(cfg: dict) -> int:
     n, m, p, order = cfg["n"], cfg["m"], cfg["p"], cfg["order"]
     coupling = float(coupling_constant(n, m))
     lo, hi = cfg["window"]
-    xi = np.linspace(lo, hi, cfg["samples"])
-    grid = Grid(cfg["radius"], cfg["intervals"])
-    fine = grid.refined()
-
-    values, errors, fh, bd = [], [], [], []
-    for x in xi:
-        params = ModelParams(n, m, float(x))
-        rv = refined_values(params, grid, p)[p - 1]
-        values.append(rv.value)
-        errors.append(rv.error)
-        pair = solve_fiber(params, fine, p)[p - 1]
-        fh.append(derivative_feynman_hellmann(params, pair, fine))
-        bd.append(derivative_boundary_form(params, pair, fine))
-    band = BandCurve(n, m, p, xi, np.array(values), np.array(fh), np.array(bd))
-    noise = float(max(errors))
+    band, noise = refined_band(
+        n, m, p, np.linspace(lo, hi, cfg["samples"]), Grid(cfg["radius"], cfg["intervals"])
+    )
 
     if coupling == 0.0:
         profile = exponential_gap_check(band, p, (lo, hi), error_estimate=noise)
@@ -331,13 +314,7 @@ def cmd_asym(cfg: dict) -> int:
             "profile": profile.profile,
             "indeterminate": profile.indeterminate,
         }
-        checks = [
-            _check("gap-positive", float(np.min(profile.gap)), "> 0", profile.positive),
-            _check("profile-spread", profile.ratio, "<= 2",
-                   bool(np.isfinite(profile.ratio)) and profile.ratio <= 2.0
-                   and not profile.indeterminate),
-        ]
-        _report(cfg, results, checks, cfg["summary"])
+        _report(cfg, results, gap_profile_criteria(profile), cfg["summary"])
         return 0
 
     basis = cfg["basis"] if cfg["basis"] is not None else p + 2 * order
@@ -362,14 +339,12 @@ def cmd_asym(cfg: dict) -> int:
     }
     checks = []
     if order >= 2:
-        checks.append(_check("alpha1", coeffs.alphas[0], "0 (to 1e-12)",
-                             abs(coeffs.alphas[0]) <= 1e-12))
-        checks.append(_check("alpha2", coeffs.alphas[1], "1 (to 1e-12)",
-                             abs(coeffs.alphas[1] - 1.0) <= 1e-12))
+        checks.append(CheckResult("alpha1", abs(coeffs.alphas[0]) <= 1e-12,
+                                  coeffs.alphas[0], "0 (to 1e-12)"))
+        checks.append(CheckResult("alpha2", abs(coeffs.alphas[1] - 1.0) <= 1e-12,
+                                  coeffs.alphas[1], "1 (to 1e-12)"))
     if report.slope is not None:
-        target = -(order + 1) + 0.5
-        checks.append(_check("remainder-slope", report.slope, f"<= {target}",
-                             report.slope <= target))
+        checks.append(remainder_criterion(report, order))
     _report(cfg, results, checks, cfg["summary"])
     return 0
 
@@ -398,49 +373,21 @@ def cmd_classical(cfg: dict) -> int:
         "vz_fit": velocity.fit,
         "vz_bound": velocity.bound,
     }
-    drift = max(traj.energy_drift, traj.sigma_drift, traj.c_drift)
-    deviation = abs(velocity.formula - velocity.fit) / max(abs(velocity.fit), 1e-6)
-    checks = [
-        _check("invariant-drift", drift, "<= 1e-8", drift <= 1e-8),
-        _check("vz-agreement", deviation, "<= 1%", deviation <= 0.01),
-        _check("vz-bound", max(abs(velocity.formula), abs(velocity.fit)),
-               f"<= {velocity.bound}",
-               max(abs(velocity.formula), abs(velocity.fit)) <= velocity.bound),
-    ]
-    _report(cfg, results, checks, cfg["summary"])
+    _report(cfg, results, classical_criteria(traj, velocity), cfg["summary"])
     return 0
 
 
 def cmd_current(cfg: dict) -> int:
-    window = SpectralWindow(*cfg["window"])
-    n, step = cfg["n"], cfg["step"]
-    meeting = bands_meeting_window(n, window, cfg["edge_m_max"], step=step)
-    p = meeting.band_indices[0]
-    spans = [meeting.preimages[(m, p)] for m in range(cfg["edge_m_max"] + 1)]
-    lo = min(s[0] for s in spans) - 0.5
-    hi = max(s[1] for s in spans) + 0.5
-    xi_grid = np.linspace(lo, hi, 480)
-    intervals = int(np.ceil((hi + 10.0) / step))
-    grid = Grid(intervals * step, intervals)
-    curves = sweep(
-        n, range(cfg["edge_m_max"] + 1), [p], xi_grid, grid, workers=cfg["workers"]
+    result = current_dichotomy(
+        cfg["n"], cfg["window"], cfg["edge_m_max"], cfg["cutoffs"], cfg["epsilon"],
+        step=cfg["step"], workers=cfg["workers"],
     )
-    packet = synthesize_state(
-        n, window, [(m, 1, p) for m in range(cfg["edge_m_max"] + 1)], step=step
-    )
-    edge_report = current_functional(packet, curves)
-    c_minus = edge_bound(packet, curves)
-
-    bulk = bulk_decay_study(n, window, cfg["cutoffs"], step=step)
-    mags = np.abs(bulk.normalized_current)
-    witness_m, witness_value = witness_small_current(
-        n, window, cfg["epsilon"], step=1.0 / 60.0
-    )
-
+    edge_report, bulk = result.edge, result.bulk
+    witness_m, witness_value = result.witness
     results = {
         "edge": {
             "normalized_current": edge_report.normalized,
-            "c_minus": c_minus,
+            "c_minus": result.c_minus,
             "contributions": {
                 f"m={m},j={j},p={q}": v
                 for (m, j, q), v in edge_report.contributions.items()
@@ -455,17 +402,7 @@ def cmd_current(cfg: dict) -> int:
         },
         "witness": {"m": witness_m, "normalized_current": witness_value},
     }
-    checks = [
-        _check("edge-lower-bound", abs(edge_report.normalized),
-               f">= C- = {c_minus}", abs(edge_report.normalized) >= c_minus > 0),
-        _check("bulk-decreasing", float(np.max(np.diff(mags))), "< 0",
-               bool(np.all(np.diff(mags) < 0))),
-        _check("bulk-slope", bulk.slope, "-0.5 +/- 0.15",
-               abs(bulk.slope + 0.5) <= 0.15),
-        _check("witness", abs(witness_value), f"<= {cfg['epsilon']}",
-               abs(witness_value) <= cfg["epsilon"]),
-    ]
-    _report(cfg, results, checks, cfg["summary"])
+    _report(cfg, results, dichotomy_criteria(result, cfg["epsilon"]), cfg["summary"])
     return 0
 
 
@@ -480,10 +417,8 @@ def cmd_convergence(cfg: dict) -> int:
         for p in sorted(set(cfg["p"])):
             rv = rows[p - 1]
             entries.append((m, p, cfg["xi"], rv))
-            checks.append(
-                _check(f"error(m={m},p={p})", rv.error, f"<= {cfg['bound']}",
-                       rv.error <= cfg["bound"])
-            )
+            checks.append(CheckResult(f"error(m={m},p={p})", rv.error <= cfg["bound"],
+                                      rv.error, f"<= {cfg['bound']}"))
     if cfg["output"] is not None:
         _emit(
             render_csv(CONVERGENCE_HEADER, convergence_rows(cfg["n"], entries)),
@@ -517,11 +452,7 @@ def cmd_acceptance(cfg: dict) -> int:
         results.append((name, result))
         print(f"[{name}] {result.line()}")
     if cfg["summary"] is not None:
-        checks = [
-            {"name": name, "value": res.value, "bound": res.bound,
-             "pass": res.passed, "detail": res.detail}
-            for name, res in results
-        ]
+        checks = [replace(res, name=name) for name, res in results]
         _report({"only": cfg["only"]}, {}, checks, cfg["summary"])
     return 0 if all(res.passed for _, res in results) else 1
 

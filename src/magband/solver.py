@@ -224,29 +224,12 @@ class RefinedValue:
     error: float
 
 
-def refine(params: ModelParams, grid_a: Grid, grid_b: Grid, p: int) -> RefinedValue:
-    """Richardson-extrapolated p-th eigenvalue from grids with N_B = 2 N_A.
-
-    The scheme is second order, so lambda_ext = (4 lambda_B - lambda_A)/3 and
-    |lambda_B - lambda_A|/3 estimates the fine-grid error.
-    """
-    if grid_a.radius != grid_b.radius:
-        raise ModelError("refinement grids must share the same radius")
-    if grid_b.intervals == grid_a.intervals:
-        raise ModelError("identical grids carry no refinement information")
-    if grid_b.intervals != 2 * grid_a.intervals:
-        raise ModelError(
-            f"refinement needs N_B = 2*N_A, got {grid_a.intervals} -> {grid_b.intervals}"
-        )
-    if not (isinstance(p, (int, np.integer)) and p >= 1):
-        raise ModelError(f"band index p must be an integer >= 1, got {p!r}")
-    coarse = float(fiber_eigenvalues(params, grid_a, p)[p - 1])
-    fine = float(fiber_eigenvalues(params, grid_b, p)[p - 1])
-    return RefinedValue(coarse, fine, (4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0)
-
-
 def refined_values(params: ModelParams, grid: Grid, count: int) -> list[RefinedValue]:
-    """Richardson extrapolation of the lowest `count` eigenvalues at once."""
+    """Richardson extrapolation of the lowest `count` eigenvalues at once.
+
+    Second order: from a on `grid` and b on `grid.refined()`, (4b - a)/3 is
+    the extrapolated value and |b - a|/3 estimates the fine-grid error.
+    """
     coarse = fiber_eigenvalues(params, grid, count)
     fine = fiber_eigenvalues(params, grid.refined(), count)
     return [

@@ -16,10 +16,16 @@ from math import ceil, floor
 
 import numpy as np
 
-from .bands import _loglog_slope, crossing, sweep
+from .bands import _loglog_slope, crossing, fixed_step_grid, sweep
 from .errors import ConvergenceError, MissingBandDataError, ModelError
 from .model import coupling_constant, harmonic_multiplicity
-from .solver import Grid
+
+# The current dichotomy pipeline: edge sweep density and padding, and the
+# grid step of the small-current witness.
+_EDGE_SAMPLES = 480
+_EDGE_PAD = 0.5
+_WITNESS_STEP = 1.0 / 60.0
+_PROFILE_SAMPLES = 801  # samples per bump profile
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,15 @@ def _as_window(window) -> SpectralWindow:
     return SpectralWindow(float(window[0]), float(window[1]))
 
 
+def _lowest_band(win: SpectralWindow) -> int:
+    """min P_I; a window below E_1 carries no current and is an error."""
+    if not win.band_indices:
+        raise ModelError(
+            f"no band meets the window ({win.lower}, {win.upper}); there is no current"
+        )
+    return win.band_indices[0]
+
+
 @dataclass(frozen=True)
 class WindowBands:
     """For each band p meeting the window, the preimage intervals per m."""
@@ -67,6 +82,13 @@ class WindowBands:
     window: SpectralWindow
     band_indices: list[int]
     preimages: dict  # (m, p) -> (xi_low, xi_high)
+
+
+def _preimage(n, m, p, win, tolerance, step) -> tuple[float, float]:
+    """(xi at the upper edge, xi at the lower edge) of a decreasing band."""
+    left = crossing(n, m, p, win.upper, tolerance, step=step)
+    right = crossing(n, m, p, win.lower, tolerance, step=step)
+    return left.xi, right.xi
 
 
 def bands_meeting_window(
@@ -87,12 +109,11 @@ def bands_meeting_window(
     win = _as_window(window)
     if not (isinstance(m_max, (int, np.integer)) and m_max >= 0):
         raise ModelError(f"m_max must be an integer >= 0, got {m_max!r}")
-    preimages = {}
-    for p in win.band_indices:
-        for m in range(m_max + 1):
-            left = crossing(n, m, p, win.upper, tolerance, step=step)
-            right = crossing(n, m, p, win.lower, tolerance, step=step)
-            preimages[(m, p)] = (left.xi, right.xi)
+    preimages = {
+        (m, p): _preimage(n, m, p, win, tolerance, step)
+        for p in win.band_indices
+        for m in range(m_max + 1)
+    }
     return WindowBands(n=n, window=win, band_indices=win.band_indices, preimages=preimages)
 
 
@@ -127,7 +148,7 @@ def synthesize_state(
     mode_set,
     *,
     width: float | None = None,
-    samples: int = 801,
+    samples: int = _PROFILE_SAMPLES,
     tolerance: float = 1e-8,
     step: float = 1.0 / 120.0,
 ) -> WavePacket:
@@ -138,6 +159,17 @@ def synthesize_state(
     sample; entries share the total norm equally.
     """
     win = _as_window(window)
+    return _bump_packet(
+        n, win, mode_set,
+        lambda m, p: _preimage(n, m, p, win, tolerance, step),
+        width=width, samples=samples,
+    )
+
+
+def _bump_packet(
+    n, win, mode_set, preimage, *, width=None, samples=_PROFILE_SAMPLES
+) -> WavePacket:
+    """The packet of `synthesize_state` on the intervals preimage(m, p)."""
     if n < 4:
         raise ModelError(f"transport analysis requires n >= 4, got n={n}")
     modes = [(int(m), int(j), int(p)) for (m, j, p) in mode_set]
@@ -162,9 +194,7 @@ def synthesize_state(
     entries = {}
     share = 1.0 / len(modes)
     for m, j, p in modes:
-        left = crossing(n, m, p, win.upper, tolerance, step=step)
-        right = crossing(n, m, p, win.lower, tolerance, step=step)
-        lo, hi = left.xi, right.xi
+        lo, hi = preimage(m, p)
         if not lo < hi:
             raise ModelError(f"degenerate preimage for (m={m}, p={p})")
         center = 0.5 * (lo + hi)
@@ -268,10 +298,7 @@ def _single_mode_current(
     prof = packet.entries[(m, 1, p)]
     pad = 0.05 * (prof.xi[-1] - prof.xi[0])
     xi_grid = np.linspace(prof.xi[0] - pad, prof.xi[-1] + pad, samples)
-    radius = xi_grid[-1] + 10.0
-    intervals = int(np.ceil(radius / step))
-    grid = Grid(intervals * step, intervals)
-    curves = sweep(n, [m], [p], xi_grid, grid)
+    curves = sweep(n, [m], [p], xi_grid, fixed_step_grid(xi_grid[-1], step))
     return current(packet, curves).normalized
 
 
@@ -314,11 +341,7 @@ def bulk_decay_study(
         raise ModelError("cutoff list must be strictly increasing")
     if cuts[0] < 0:
         raise ModelError(f"cutoffs must be >= 0, got {cuts[0]}")
-    if not win.band_indices:
-        raise ModelError(
-            f"no band meets the window ({win.lower}, {win.upper}); nothing to study"
-        )
-    p = win.band_indices[0]
+    p = _lowest_band(win)
     rows = []
     for M in cuts:
         value = _single_mode_current(
@@ -364,12 +387,7 @@ def witness_small_current(
         raise ModelError(f"transport analysis requires n >= 4, got n={n}")
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ModelError(f"epsilon must be positive, got {epsilon!r}")
-    if not win.band_indices:
-        raise ModelError(
-            f"no band meets the window ({win.lower}, {win.upper}); "
-            "every packet already has zero current"
-        )
-    p = win.band_indices[0]
+    p = _lowest_band(win)
     m = int(m_start)
     while m <= m_cap:
         value = _single_mode_current(
@@ -380,4 +398,54 @@ def witness_small_current(
         m *= 2
     raise ConvergenceError(
         f"no packet with |current| <= {epsilon} found for m up to {m_cap}"
+    )
+
+
+@dataclass(frozen=True)
+class CurrentDichotomy:
+    """Edge current with its floor C^-, bulk decay, and a small-current witness."""
+
+    edge: CurrentReport
+    c_minus: float
+    bulk: BulkDecayStudy
+    witness: tuple[int, float]  # (m, normalized current)
+
+
+def current_dichotomy(
+    n: int,
+    window,
+    edge_m_max: int,
+    cutoffs,
+    epsilon: float,
+    *,
+    step: float = 1.0 / 120.0,
+    workers: int = 1,
+) -> CurrentDichotomy:
+    """The edge/bulk current dichotomy for one window, end to end.
+
+    The edge packet puts one bump on each (m, 1, p), m = 0..edge_m_max, of the
+    lowest band p meeting the window, on the preimages `bands_meeting_window`
+    found; its current and C^- come from one sweep of those bands over the
+    preimages plus a margin.  The bulk study runs over `cutoffs` at the same
+    step; the witness has |current| <= epsilon.
+    """
+    win = _as_window(window)
+    p = _lowest_band(win)
+    meeting = bands_meeting_window(n, win, edge_m_max, step=step)
+    ms = range(edge_m_max + 1)
+    spans = [meeting.preimages[(m, p)] for m in ms]
+    lo = min(s[0] for s in spans) - _EDGE_PAD
+    hi = max(s[1] for s in spans) + _EDGE_PAD
+    curves = sweep(
+        n, ms, [p], np.linspace(lo, hi, _EDGE_SAMPLES), fixed_step_grid(hi, step),
+        workers=workers,
+    )
+    packet = _bump_packet(
+        n, win, [(m, 1, p) for m in ms], lambda m, q: meeting.preimages[(m, q)]
+    )
+    return CurrentDichotomy(
+        edge=current(packet, curves),
+        c_minus=edge_bound(packet, curves),
+        bulk=bulk_decay_study(n, win, cutoffs, step=step),
+        witness=witness_small_current(n, win, epsilon, step=_WITNESS_STEP),
     )

@@ -168,6 +168,18 @@ def test_crossing_validation():
         crossing(5, 1, 2, 2.0)  # E below the p=2 Landau level E_2 = 3
 
 
+@pytest.mark.parametrize("gap", [1e-15, 1e-9])
+def test_crossing_refuses_an_oversized_grid(monkeypatch, gap):
+    # E - E_p this small seeds xi ~ sqrt(k/gap): the grid reaching it would
+    # need far more than 2^22 intervals, so the request fails before a solve
+    calls = []
+    monkeypatch.setattr(magband.solver, "eigh_tridiagonal",
+                        lambda *a, **k: calls.append(a))
+    with pytest.raises(ModelError, match="intervals"):
+        crossing(5, 3, 1, 1.0 + gap)
+    assert calls == []
+
+
 def test_crossing_state_mass_localization():
     # the crossing eigenfunction concentrates near xi_m:
     # mass within C(eps) = sqrt(E/eps) of xi_m is at least 1 - eps

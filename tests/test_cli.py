@@ -164,6 +164,12 @@ def test_current_window_containing_landau_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_current_window_below_first_band_exits_2(capsys):
+    # a valid window below E_1 = 1: no band meets it
+    assert run_cli("current", "--window", "0.2:0.8") == 2
+    assert "no band meets the window" in capsys.readouterr().err
+
+
 def test_classical_summary_and_csv(tmp_path, capsys):
     csv_path = tmp_path / "traj.csv"
     code = run_cli("classical", "--t-max", "30", "--dt", "1e-3",
@@ -237,13 +243,18 @@ def test_asym_exponential_route(capsys):
     assert names["gap-positive"]
 
 
-def test_acceptance_single_check(capsys):
-    code = run_cli("acceptance", "--only", "01")
+def test_acceptance_single_check(capsys, tmp_path):
+    summary = tmp_path / "acceptance.json"
+    code = run_cli("acceptance", "--only", "01", "--summary", str(summary))
     out = capsys.readouterr().out
     lines = [l for l in out.strip().split("\n") if l]
     assert len(lines) == 1
     assert "01-exact-spectrum" in lines[0]
     assert code == (0 if "PASS" in lines[0] else 1)
+    (check,) = json.loads(summary.read_text())["checks"]
+    assert check["name"] == "01-exact-spectrum"
+    assert check["pass"] == (code == 0)
+    assert check["detail"] in lines[0]
 
 
 def test_console_script_entry():

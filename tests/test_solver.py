@@ -16,7 +16,6 @@ from magband import (
     fiber_eigenvalues,
     lowest_eigenpairs,
     potential_minimum,
-    refine,
     refined_values,
     solve_fiber,
 )
@@ -165,19 +164,10 @@ def test_boundary_exponent_sign_pattern_guard():
 def test_refine_richardson_beats_fine_grid():
     # quadratic convergence: extrapolation lands closer than either input
     params = ModelParams(4, 0, 0.0)
-    coarse = Grid(12.0, 600)
-    rv = refine(params, coarse, coarse.refined(), 1)
+    rv = refined_values(params, Grid(12.0, 600), 1)[0]
     exact = 3.0
     assert abs(rv.value - exact) < abs(rv.fine - exact) < abs(rv.coarse - exact)
     assert abs(rv.fine - exact) < rv.error  # estimate is conservative here
-
-
-def test_refine_rejects_mismatched_grids():
-    params = ModelParams(4, 0, 0.0)
-    with pytest.raises(ModelError):
-        refine(params, Grid(12.0, 600), Grid(14.0, 1200), 1)
-    with pytest.raises(ModelError):
-        refine(params, Grid(12.0, 600), Grid(12.0, 600), 1)
 
 
 def test_fourth_order_error_decay():

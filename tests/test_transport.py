@@ -2,23 +2,27 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
+import magband.transport
 from magband import (
-    Grid,
     MissingBandDataError,
     ModelError,
     SpectralWindow,
     bands_meeting_window,
     bulk_decay_study,
     current,
+    current_dichotomy,
     edge_bound,
     landau_level,
     sweep,
     synthesize_state,
     witness_small_current,
 )
+from magband.bands import fixed_step_grid
 
 WINDOW = (1.5, 2.5)
 STEP = 1.0 / 120.0
@@ -40,9 +44,7 @@ def edge_bands(meeting):
     spans = [meeting.preimages[(m, 1)] for m in (0, 1, 2)]
     lo = min(s[0] for s in spans) - 0.5
     hi = max(s[1] for s in spans) + 0.5
-    intervals = int(np.ceil((hi + 10.0) / STEP))
-    grid = Grid(intervals * STEP, intervals)
-    return sweep(5, [0, 1, 2], [1], np.linspace(lo, hi, 240), grid)
+    return sweep(5, [0, 1, 2], [1], np.linspace(lo, hi, 240), fixed_step_grid(hi, STEP))
 
 
 def test_window_validation_and_membership():
@@ -167,3 +169,23 @@ def test_witness_terminates_quickly_for_loose_epsilon():
     assert m == 8
     assert abs(value) <= 0.5
     assert value < 0
+
+
+def test_current_dichotomy_never_repeats_a_crossing(monkeypatch):
+    # the edge packet reuses the preimages bands_meeting_window found
+    keys = []
+    solve = magband.transport.crossing
+    signature = inspect.signature(solve)
+
+    def recording(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        keys.append(tuple(call.arguments[k] for k in ("n", "m", "p", "energy", "step")))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(magband.transport, "crossing", recording)
+    result = current_dichotomy(5, WINDOW, 1, [10, 20], 0.1)
+    assert len(keys) == len(set(keys))
+    assert {(m, p) for (_, m, p, _, _) in keys} >= {(0, 1), (1, 1)}
+    assert abs(result.edge.normalized) >= result.c_minus > 0
+    assert abs(result.witness[1]) <= 0.1
