@@ -19,7 +19,7 @@ HERE = pathlib.Path(__file__).resolve().parent
 
 xi = -1.0 + 0.05 * np.arange(141)
 grid = Grid(20.0, 4800)
-curves = sweep(5, range(7), range(1, 4), xi, grid, workers=4)
+curves = sweep(5, range(7), range(1, 4), xi, grid)
 
 out = HERE / "band_portrait.csv"
 out.write_text(render_csv(SWEEP_HEADER, sweep_rows(curves)))

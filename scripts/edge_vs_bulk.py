@@ -13,7 +13,7 @@ from magband import SpectralWindow, current_dichotomy
 
 WINDOW = SpectralWindow(1.5, 2.5)
 
-result = current_dichotomy(5, WINDOW, 3, [10, 20, 30], 1e-2, workers=4)
+result = current_dichotomy(5, WINDOW, 3, [10, 20, 30], 1e-2)
 report, c_minus = result.edge, result.c_minus
 print("edge packet (m = 0..3, p = 1):")
 print(f"  normalized current = {report.normalized:+.6f}")

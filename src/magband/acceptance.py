@@ -5,11 +5,11 @@ Every check re-derives its expected numbers from an independent route
 targets) and compares the package's output at a stated tolerance.  The runner
 reports one line per check; nothing here mutates package state.
 
-The criteria that the CLI reports as well (scaling laws, classical drift,
-current dichotomy, gap profile, remainder slope) are stated once, in the
-`*_criteria` / `remainder_criterion` functions: each returns one
-`CheckResult` per criterion, which the CLI lists in its JSON `checks` and
-the numbered check folds into its verdict.
+The criteria that the CLI reports as well (expansion coefficients, scaling
+laws, classical drift, current dichotomy, gap profile, remainder slope) are
+stated once, in the `*_criteria` / `remainder_criterion` functions: each
+returns one `CheckResult` per criterion, which the CLI lists in its JSON
+`checks` and the numbered check folds into its verdict.
 
 Check 7 (high-frequency window [1.0, 1.1]) fails by design of the model: the
 band value at xi = -10 is bounded below by the minimum of the potential,
@@ -20,7 +20,6 @@ its stated value rather than loosened; the check runs and reports honestly.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +62,8 @@ from .solver import (
 from .tables import SWEEP_HEADER, render_csv, sweep_rows
 from .transport import CurrentDichotomy, current_dichotomy
 
-_WORKERS = min(4, os.cpu_count() or 1)
+# alpha_1 = 0 and alpha_2 = 1 for every band and coupling: (exact value, tolerance)
+_ALPHA_EXACT = {"alpha1": (0.0, 1e-12), "alpha2": (1.0, 1e-12)}
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,14 @@ class CheckResult:
         if self.detail:
             text += f" ({self.detail})"
         return text
+
+
+def alpha_criteria(alphas) -> list[CheckResult]:
+    """The first two expansion coefficients take their exact values."""
+    return [
+        CheckResult(name, abs(alpha - exact) <= tol, alpha, f"{exact:g} (to {tol:g})")
+        for alpha, (name, (exact, tol)) in zip(alphas, _ALPHA_EXACT.items())
+    ]
 
 
 def scaling_criteria(study: ScalingStudy) -> list[CheckResult]:
@@ -167,7 +175,7 @@ def check_band_structure() -> CheckResult:
     """2. n=5 family: decrease, threshold gap, and the tail bound at xi=6."""
     grid = Grid(20.0, 4800)
     xi = -1.0 + 0.05 * np.arange(141)
-    curves = sweep(5, range(7), (1, 2, 3), xi, grid, workers=_WORKERS)
+    curves = sweep(5, range(7), (1, 2, 3), xi, grid)
     max_diff = max(float(np.max(np.diff(c.values))) for c in curves)
     min_gap = min(
         float(np.min(c.values - landau_level(c.p))) for c in curves
@@ -236,8 +244,10 @@ def check_expansion_coefficients() -> CheckResult:
             reference = _dense_alphas(p, k, 4, p + 16)
             exact = np.array([0.0, 1.0, 0.0, 1.5 * e_p])
             errs = {
-                "alpha1": abs(got[0]) / 1e-12,
-                "alpha2": abs(got[1] - 1.0) / 1e-12,
+                c.name: abs(c.value - exact) / tol
+                for c, (exact, tol) in zip(alpha_criteria(got), _ALPHA_EXACT.values())
+            }
+            errs |= {
                 "alpha3": abs(got[2]) / 1e-10,
                 "alpha4": abs(got[3] - 1.5 * e_p) / 1e-10,
                 "dense": float(np.max(np.abs(got - reference))) / 1e-10,
@@ -432,7 +442,7 @@ def check_classical_dynamics() -> CheckResult:
 
 def check_current_dichotomy() -> CheckResult:
     """12. Edge lower bound, bulk 1/sqrt(k) decay, and a small-current witness."""
-    result = current_dichotomy(5, (1.5, 2.5), 3, [10, 20, 30], 1e-2, workers=_WORKERS)
+    result = current_dichotomy(5, (1.5, 2.5), 3, [10, 20, 30], 1e-2)
     criteria = dichotomy_criteria(result, 1e-2)
     _, _, slope, _ = criteria
     witness_m, witness_value = result.witness
@@ -447,19 +457,24 @@ def check_current_dichotomy() -> CheckResult:
 
 
 def check_determinism() -> CheckResult:
-    """13. Sweep CSV bytes do not depend on the worker count."""
+    """13. Sweep CSV bytes: a repeated sweep and the single-m sweeps agree."""
     grid = Grid(12.0, 2880)
     xi = -1.0 + 0.25 * np.arange(17)
-    outputs = []
-    for workers in (1, 4, 8):
-        curves = sweep(5, range(3), (1, 2), xi, grid, workers=workers)
-        outputs.append(render_csv(SWEEP_HEADER, sweep_rows(curves)).encode())
+
+    def csv(curves) -> bytes:
+        return render_csv(SWEEP_HEADER, sweep_rows(curves)).encode()
+
+    outputs = [
+        csv(sweep(5, range(3), (1, 2), xi, grid)),
+        csv(sweep(5, range(3), (1, 2), xi, grid)),
+        csv([c for m in range(3) for c in sweep(5, [m], (1, 2), xi, grid)]),
+    ]
     passed = outputs[0] == outputs[1] == outputs[2]
     return CheckResult(
-        "worker determinism",
+        "sweep determinism",
         passed,
         float(len(outputs[0])),
-        "byte-identical CSV for workers 1, 4, 8",
+        "byte-identical CSV for m = 0..2: same call twice, and the single-m sweeps",
         f"{len(outputs[0])} bytes",
     )
 

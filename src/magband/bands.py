@@ -10,7 +10,6 @@ from the leading law lambda ~ E_p + k_m/xi^2 and kept inside that bracket.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,41 +61,10 @@ class CrossingResult:
     residual: float
 
 
-def _parallel_map(task, keys, workers: int) -> dict:
-    """Run `task` over `keys`, possibly concurrently; results keyed by input.
-
-    Aggregation by key keeps downstream output independent of completion
-    order.  On the first failure remaining work is cancelled and the error
-    propagates.
-    """
-    if workers <= 1:
-        return {key: task(key) for key in keys}
-    out = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(task, key): key for key in keys}
-        try:
-            for future in as_completed(futures):
-                out[futures[future]] = future.result()
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
-    return out
-
-
-def sweep(
-    n: int,
-    m_range,
-    p_range,
-    xi_samples,
-    grid: Grid,
-    *,
-    workers: int = 1,
-) -> list[BandCurve]:
+def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
     """Solve every (m, p) band over xi_samples; one fiber solve per (m, xi).
 
-    Output is ordered by (m, p) with xi ascending inside each curve, no matter
-    how the fiber solves were scheduled.
+    Output is ordered by (m, p) with xi ascending inside each curve.
     """
     ms = sorted(set(int(m) for m in m_range))
     ps = sorted(set(int(p) for p in p_range))
@@ -109,40 +77,25 @@ def sweep(
         raise ModelError("xi_samples must be a non-empty 1-d sequence")
     if np.any(np.diff(xi) < 0):
         raise ModelError("xi_samples must be sorted ascending")
-    if not (isinstance(workers, (int, np.integer)) and workers >= 1):
-        raise ModelError(f"worker count must be an integer >= 1, got {workers!r}")
     for m in ms:
         ModelParams(n, m, 0.0)  # validates (n, m) once up front
 
-    count = ps[-1]
-
-    def task(key):
-        m, x = key
-        params = ModelParams(n, m, x)
-        try:
-            pairs = solve_fiber(params, grid, count)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"fiber (m={m}, xi={x}): {exc}") from exc
-        return {
-            p: (
-                pairs[p - 1].value,
-                derivative_feynman_hellmann(params, pairs[p - 1], grid),
-                derivative_boundary_form(params, pairs[p - 1], grid),
-            )
-            for p in ps
-        }
-
-    keys = [(m, float(x)) for m in ms for x in xi]
-    results = _parallel_map(task, keys, workers)
-
     curves = []
     for m in ms:
-        per_xi = [results[(m, float(x))] for x in xi]
-        for p in ps:
-            values = np.array([row[p][0] for row in per_xi])
-            fh = np.array([row[p][1] for row in per_xi])
-            bd = np.array([row[p][2] for row in per_xi])
-            curves.append(BandCurve(n, m, p, xi.copy(), values, fh, bd))
+        values, fh, bd = (np.empty((len(ps), xi.size)) for _ in range(3))
+        for i, x in enumerate(xi.tolist()):
+            params = ModelParams(n, m, x)
+            try:
+                pairs = solve_fiber(params, grid, ps[-1])
+            except ConvergenceError as exc:
+                raise ConvergenceError(f"fiber (m={m}, xi={x}): {exc}") from exc
+            for j, p in enumerate(ps):
+                values[j, i] = pairs[p - 1].value
+                fh[j, i] = derivative_feynman_hellmann(params, pairs[p - 1], grid)
+                bd[j, i] = derivative_boundary_form(params, pairs[p - 1], grid)
+        curves.extend(
+            BandCurve(n, m, p, xi.copy(), values[j], fh[j], bd[j]) for j, p in enumerate(ps)
+        )
     return curves
 
 

@@ -10,8 +10,9 @@ flag names with underscores.  Exit codes: 0 success, 2 invalid input, 3
 numerical convergence failure (the acceptance runner returns 1 when a check
 fails).
 
-All numeric output goes through 17-significant-digit formatting, so repeated
-runs — at any worker count — produce byte-identical files.
+Every pipeline runs serially in a fixed order, and all numeric output goes
+through 17-significant-digit formatting, so repeated runs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from . import acceptance as acceptance_mod
 from .acceptance import (
     CheckResult,
+    alpha_criteria,
     classical_criteria,
     dichotomy_criteria,
     gap_profile_criteria,
@@ -121,7 +123,6 @@ _OPTIONS = {
         "xi": (_float_grid, "-1:5:0.05", "momentum samples start:stop:step"),
         "radius": (_float, "20", "grid radius R"),
         "intervals": (_int, "4800", "grid intervals N (step h = R/N)"),
-        "workers": (_int, "1", "concurrent fiber solves"),
         "output": (_str, None, "CSV path (default: stdout)"),
     },
     "scaling": {
@@ -166,7 +167,6 @@ _OPTIONS = {
         "cutoffs": (_int_list, "10,20,30", "bulk cutoffs M"),
         "epsilon": (_float, "1e-2", "witness target |current| <= epsilon"),
         "step": (_float, str(1.0 / 120.0), "grid step for band solves"),
-        "workers": (_int, "1", "concurrent fiber solves for the edge sweep"),
         "summary": (_str, None, "JSON path (default: stdout)"),
     },
     "convergence": {
@@ -268,9 +268,7 @@ def _report(config: dict, results: dict, checks: list[CheckResult], path: str | 
 
 def cmd_sweep(cfg: dict) -> int:
     grid = Grid(cfg["radius"], cfg["intervals"])
-    curves = sweep(
-        cfg["n"], cfg["m"], cfg["p"], cfg["xi"], grid, workers=cfg["workers"]
-    )
+    curves = sweep(cfg["n"], cfg["m"], cfg["p"], cfg["xi"], grid)
     _emit(render_csv(SWEEP_HEADER, sweep_rows(curves)), cfg["output"])
     return 0
 
@@ -337,12 +335,7 @@ def cmd_asym(cfg: dict) -> int:
         "remainder_indeterminate": report.indeterminate,
         "noise_floor": noise,
     }
-    checks = []
-    if order >= 2:
-        checks.append(CheckResult("alpha1", abs(coeffs.alphas[0]) <= 1e-12,
-                                  coeffs.alphas[0], "0 (to 1e-12)"))
-        checks.append(CheckResult("alpha2", abs(coeffs.alphas[1] - 1.0) <= 1e-12,
-                                  coeffs.alphas[1], "1 (to 1e-12)"))
+    checks = alpha_criteria(coeffs.alphas) if order >= 2 else []
     if report.slope is not None:
         checks.append(remainder_criterion(report, order))
     _report(cfg, results, checks, cfg["summary"])
@@ -380,7 +373,7 @@ def cmd_classical(cfg: dict) -> int:
 def cmd_current(cfg: dict) -> int:
     result = current_dichotomy(
         cfg["n"], cfg["window"], cfg["edge_m_max"], cfg["cutoffs"], cfg["epsilon"],
-        step=cfg["step"], workers=cfg["workers"],
+        step=cfg["step"],
     )
     edge_report, bulk = result.edge, result.bulk
     witness_m, witness_value = result.witness
@@ -408,13 +401,15 @@ def cmd_current(cfg: dict) -> int:
 
 def cmd_convergence(cfg: dict) -> int:
     grid = Grid(cfg["radius"], cfg["intervals"])
-    count = max(cfg["p"])
+    ps = sorted(set(cfg["p"]))
+    if not ps or ps[0] < 1:
+        raise ModelError(f"band indices must be integers >= 1, got {cfg['p']}")
     entries = []
     checks = []
     for m in sorted(set(cfg["m"])):
         params = ModelParams(cfg["n"], m, cfg["xi"])
-        rows = refined_values(params, grid, count)
-        for p in sorted(set(cfg["p"])):
+        rows = refined_values(params, grid, ps[-1])
+        for p in ps:
             rv = rows[p - 1]
             entries.append((m, p, cfg["xi"], rv))
             checks.append(CheckResult(f"error(m={m},p={p})", rv.error <= cfg["bound"],

@@ -74,6 +74,23 @@ def _lowest_band(win: SpectralWindow) -> int:
     return win.band_indices[0]
 
 
+def _cutoffs(m_cut_list) -> list[int]:
+    """Bulk cutoffs M as ints: non-empty, nonnegative, strictly increasing."""
+    cuts = [int(M) for M in m_cut_list]
+    if not cuts:
+        raise ModelError("cutoff list must be non-empty")
+    if any(b <= a for a, b in zip(cuts, cuts[1:])):
+        raise ModelError("cutoff list must be strictly increasing")
+    if cuts[0] < 0:
+        raise ModelError(f"cutoffs must be >= 0, got {cuts[0]}")
+    return cuts
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ModelError(f"epsilon must be positive, got {epsilon!r}")
+
+
 @dataclass(frozen=True)
 class WindowBands:
     """For each band p meeting the window, the preimage intervals per m."""
@@ -334,13 +351,7 @@ def bulk_decay_study(
     win = _as_window(window)
     if n < 4:
         raise ModelError(f"transport analysis requires n >= 4, got n={n}")
-    cuts = [int(M) for M in m_cut_list]
-    if not cuts:
-        raise ModelError("cutoff list must be non-empty")
-    if any(b <= a for a, b in zip(cuts, cuts[1:])):
-        raise ModelError("cutoff list must be strictly increasing")
-    if cuts[0] < 0:
-        raise ModelError(f"cutoffs must be >= 0, got {cuts[0]}")
+    cuts = _cutoffs(m_cut_list)
     p = _lowest_band(win)
     rows = []
     for M in cuts:
@@ -385,8 +396,7 @@ def witness_small_current(
     win = _as_window(window)
     if n < 4:
         raise ModelError(f"transport analysis requires n >= 4, got n={n}")
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise ModelError(f"epsilon must be positive, got {epsilon!r}")
+    _check_epsilon(epsilon)
     p = _lowest_band(win)
     m = int(m_start)
     while m <= m_cap:
@@ -419,7 +429,6 @@ def current_dichotomy(
     epsilon: float,
     *,
     step: float = 1.0 / 120.0,
-    workers: int = 1,
 ) -> CurrentDichotomy:
     """The edge/bulk current dichotomy for one window, end to end.
 
@@ -427,25 +436,27 @@ def current_dichotomy(
     lowest band p meeting the window, on the preimages `bands_meeting_window`
     found; its current and C^- come from one sweep of those bands over the
     preimages plus a margin.  The bulk study runs over `cutoffs` at the same
-    step; the witness has |current| <= epsilon.
+    step and needs at least two of them for its slope; the witness has
+    |current| <= epsilon.  Every input is checked before the first eigensolve.
     """
     win = _as_window(window)
     p = _lowest_band(win)
+    cuts = _cutoffs(cutoffs)
+    if len(cuts) < 2:
+        raise ModelError(f"the bulk decay slope needs at least two cutoffs, got {cuts}")
+    _check_epsilon(epsilon)
     meeting = bands_meeting_window(n, win, edge_m_max, step=step)
     ms = range(edge_m_max + 1)
     spans = [meeting.preimages[(m, p)] for m in ms]
     lo = min(s[0] for s in spans) - _EDGE_PAD
     hi = max(s[1] for s in spans) + _EDGE_PAD
-    curves = sweep(
-        n, ms, [p], np.linspace(lo, hi, _EDGE_SAMPLES), fixed_step_grid(hi, step),
-        workers=workers,
-    )
+    curves = sweep(n, ms, [p], np.linspace(lo, hi, _EDGE_SAMPLES), fixed_step_grid(hi, step))
     packet = _bump_packet(
         n, win, [(m, 1, p) for m in ms], lambda m, q: meeting.preimages[(m, q)]
     )
     return CurrentDichotomy(
         edge=current(packet, curves),
         c_minus=edge_bound(packet, curves),
-        bulk=bulk_decay_study(n, win, cutoffs, step=step),
+        bulk=bulk_decay_study(n, win, cuts, step=step),
         witness=witness_small_current(n, win, epsilon, step=_WITNESS_STEP),
     )

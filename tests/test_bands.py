@@ -45,17 +45,6 @@ def test_sweep_structure_and_monotonicity():
         assert np.allclose(c.slope_bd, c.slope_fh, rtol=2e-2, atol=1e-4)
 
 
-def test_sweep_worker_count_does_not_change_results():
-    xi = np.linspace(-1.0, 3.0, 9)
-    serial = sweep(5, [0, 1], [1, 2], xi, SWEEP_GRID, workers=1)
-    threaded = sweep(5, [0, 1], [1, 2], xi, SWEEP_GRID, workers=4)
-    for a, b in zip(serial, threaded):
-        assert (a.m, a.p) == (b.m, b.p)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.slope_fh, b.slope_fh)
-        assert np.array_equal(a.slope_bd, b.slope_bd)
-
-
 def test_sweep_validates_inputs():
     with pytest.raises(ModelError):
         sweep(5, [0], [1], np.array([1.0, 0.5]), SWEEP_GRID)  # not increasing

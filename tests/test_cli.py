@@ -112,10 +112,22 @@ def test_sweep_output_file_and_determinism(tmp_path, capsys):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ("sweep", "--m", "0..1", "--p", "1", "--xi", "0:1:0.25",
             "--radius", "12", "--intervals", "600")
-    assert run_cli(*args, "--workers", "1", "--output", str(out1)) == 0
-    assert run_cli(*args, "--workers", "4", "--output", str(out2)) == 0
+    assert run_cli(*args, "--output", str(out1)) == 0
+    assert run_cli(*args, "--output", str(out2)) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["sweep", "current"])
+def test_workers_option_is_refused(command, tmp_path, capsys):
+    # fibers are solved serially; there is no worker count to set
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--workers", "4")
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers=4\n")
+    assert run_cli(command, "--config", str(cfg)) == 2
+    assert "workers" in capsys.readouterr().err
 
 
 def test_config_file_precedence(tmp_path, capsys):
@@ -170,6 +182,19 @@ def test_current_window_below_first_band_exits_2(capsys):
     assert "no band meets the window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--cutoffs=10", "at least two cutoffs"),  # the bulk decay slope needs two
+    ("--epsilon=-1", "epsilon must be positive"),
+])
+def test_current_invalid_input_exits_2_before_solving(flag, message, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve before the input was checked")
+
+    monkeypatch.setattr("magband.solver.eigh_tridiagonal", no_solve)
+    assert run_cli("current", flag) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_classical_summary_and_csv(tmp_path, capsys):
     csv_path = tmp_path / "traj.csv"
     code = run_cli("classical", "--t-max", "30", "--dt", "1e-3",
@@ -203,6 +228,12 @@ def test_convergence_summary(tmp_path, capsys):
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == ",".join(CONVERGENCE_HEADER)
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("bands", ["0,1", "-1,3"])
+def test_convergence_band_index_below_1_exits_2(bands, capsys):
+    assert run_cli("convergence", "--m", "0", f"--p={bands}") == 2
+    assert "band indices" in capsys.readouterr().err
 
 
 def test_scaling_summary(capsys, tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -30,8 +31,24 @@ def _imports(path: Path) -> list[tuple[str, str]]:
 def test_script_imports_exist(script):
     names = _imports(script)
     assert names, f"{script.name} imports nothing from magband"
+    imported = {}
     for module, name in names:
-        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+        owner = importlib.import_module(module)
+        assert hasattr(owner, name), f"{module}.{name}"
+        imported[name] = getattr(owner, name)
+    # every call of an imported name binds its arguments to the real signature
+    for node in ast.walk(ast.parse(script.read_text(), filename=str(script))):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in imported):
+            continue
+        signature = inspect.signature(imported[node.func.id])
+        starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+        positional = [] if starred else [None] * len(node.args)
+        keywords = {kw.arg: None for kw in node.keywords if kw.arg is not None}
+        try:
+            signature.bind_partial(*positional, **keywords)
+        except TypeError as exc:
+            pytest.fail(f"{script.name}:{node.lineno}: {node.func.id}(...): {exc}")
 
 
 def test_scaling_landscape_runs():
