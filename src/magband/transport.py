@@ -4,7 +4,9 @@ A state localized in energy decomposes over band modes (m, j, p); the current
 functional is diagonal there, with density lambda'_{m,p}(xi) |phi(xi)|^2.  On
 decreasing bands every contribution is negative, bounded away from zero for
 low m (edge transport) and O(1/sqrt(k_m)) for high m (bulk suppression) —
-both regimes are evaluated here by direct quadrature against solved bands.
+both evaluated by 16-node Gauss-Legendre quadrature of the bump against
+lambda' solved at the nodes (`current` and `edge_bound` take a caller's own
+sweep).
 
 Everything assumes n >= 4, where no band attains its threshold.
 """
@@ -15,17 +17,30 @@ from dataclasses import dataclass
 from math import ceil, floor
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
-from .bands import _loglog_slope, crossing, fixed_step_grid, sweep
+from .bands import CrossingResult, _loglog_slope, crossing, fixed_step_grid, sweep
 from .errors import ConvergenceError, MissingBandDataError, ModelError
 from .model import coupling_constant, harmonic_multiplicity
 
-# The current dichotomy pipeline: edge sweep density and padding, and the
-# grid step of the small-current witness.
-_EDGE_SAMPLES = 480
-_EDGE_PAD = 0.5
-_WITNESS_STEP = 1.0 / 60.0
 _PROFILE_SAMPLES = 801  # samples per bump profile
+_SUPPORT = 0.495  # bump half-width over preimage length: support stays inside
+
+
+def _bump_quadrature(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes t_i and weights w_i (1 - t_i^2)^4 of the bump density
+    |phi|^2, summing to one (exact against lambda' of degree <= 2 count - 9).
+
+    Golub-Welsch on the LAPACK the fiber solves use: numpy's leggauss would
+    start numpy's own BLAS, for ~0.7 MiB more peak memory.
+    """
+    k = np.arange(1.0, count)
+    nodes, vectors = eigh_tridiagonal(np.zeros(count), k / np.sqrt(4.0 * k**2 - 1.0))
+    weights = vectors[0] ** 2 * (1.0 - nodes**2) ** 4
+    return nodes, weights / weights.sum()
+
+
+_NODES, _WEIGHTS = _bump_quadrature(16)
 
 
 @dataclass(frozen=True)
@@ -99,13 +114,12 @@ class WindowBands:
     window: SpectralWindow
     band_indices: list[int]
     preimages: dict  # (m, p) -> (xi_low, xi_high)
+    slopes: dict  # (m, p) -> (lambda' at xi_low, lambda' at xi_high)
 
 
-def _preimage(n, m, p, win, tolerance, step) -> tuple[float, float]:
-    """(xi at the upper edge, xi at the lower edge) of a decreasing band."""
-    left = crossing(n, m, p, win.upper, tolerance, step=step)
-    right = crossing(n, m, p, win.lower, tolerance, step=step)
-    return left.xi, right.xi
+def _preimage(n, m, p, win, tolerance, step) -> tuple[CrossingResult, CrossingResult]:
+    """The crossings at the upper and the lower edge of a decreasing band."""
+    return tuple(crossing(n, m, p, e, tolerance, step=step) for e in (win.upper, win.lower))
 
 
 def bands_meeting_window(
@@ -119,19 +133,26 @@ def bands_meeting_window(
     """Preimages lambda_{m,p}^{-1}(I) for all p meeting I and m <= m_max.
 
     On a decreasing band the preimage of (a, b) is the interval between the
-    crossing at b (left end) and the crossing at a (right end).
+    crossing at b (left end) and the crossing at a (right end); `slopes`
+    keeps the Feynman-Hellmann slope of each crossing.
     """
     if n < 4:
         raise ModelError(f"transport analysis requires n >= 4, got n={n}")
     win = _as_window(window)
     if not (isinstance(m_max, (int, np.integer)) and m_max >= 0):
         raise ModelError(f"m_max must be an integer >= 0, got {m_max!r}")
-    preimages = {
+    ends = {
         (m, p): _preimage(n, m, p, win, tolerance, step)
         for p in win.band_indices
         for m in range(m_max + 1)
     }
-    return WindowBands(n=n, window=win, band_indices=win.band_indices, preimages=preimages)
+    return WindowBands(
+        n=n,
+        window=win,
+        band_indices=win.band_indices,
+        preimages={key: (left.xi, right.xi) for key, (left, right) in ends.items()},
+        slopes={key: (left.slope, right.slope) for key, (left, right) in ends.items()},
+    )
 
 
 @dataclass(frozen=True)
@@ -176,17 +197,6 @@ def synthesize_state(
     sample; entries share the total norm equally.
     """
     win = _as_window(window)
-    return _bump_packet(
-        n, win, mode_set,
-        lambda m, p: _preimage(n, m, p, win, tolerance, step),
-        width=width, samples=samples,
-    )
-
-
-def _bump_packet(
-    n, win, mode_set, preimage, *, width=None, samples=_PROFILE_SAMPLES
-) -> WavePacket:
-    """The packet of `synthesize_state` on the intervals preimage(m, p)."""
     if n < 4:
         raise ModelError(f"transport analysis requires n >= 4, got n={n}")
     modes = [(int(m), int(j), int(p)) for (m, j, p) in mode_set]
@@ -207,18 +217,18 @@ def _bump_packet(
             )
     if samples < 16:
         raise ModelError(f"profile needs at least 16 samples, got {samples}")
+    if width is not None and not 0 < width:
+        raise ModelError(f"bump width must be positive, got {width!r}")
 
     entries = {}
     share = 1.0 / len(modes)
     for m, j, p in modes:
-        lo, hi = preimage(m, p)
+        lo, hi = (end.xi for end in _preimage(n, m, p, win, tolerance, step))
         if not lo < hi:
             raise ModelError(f"degenerate preimage for (m={m}, p={p})")
         center = 0.5 * (lo + hi)
-        half = 0.495 * (hi - lo)
+        half = _SUPPORT * (hi - lo)
         if width is not None:
-            if not 0 < width:
-                raise ModelError(f"bump width must be positive, got {width!r}")
             half = min(half, 0.5 * width)
         xi = np.linspace(center - half, center + half, samples)
         t = (xi - center) / half
@@ -275,8 +285,11 @@ def current(packet: WavePacket, bands) -> CurrentReport:
 def edge_bound(packet: WavePacket, bands) -> float:
     """C^- = min over the packet's bands of min |lambda'| inside the window.
 
-    Evaluated directly on the sampled sweep data; |normalized current| of any
-    unit packet supported on these bands is at least this value.
+    Evaluated directly on the caller's sampled sweep data, so it is a floor
+    at the sweep's resolution; |normalized current| of any unit packet
+    supported on these bands is at least this value.  `current_dichotomy`
+    does not sample: it takes the floor from the Gauss-Legendre nodes and
+    the crossing slopes at both window edges.
     """
     win = packet.window
     by_key = {(curve.m, curve.p): curve for curve in bands if curve.n == packet.n}
@@ -298,25 +311,22 @@ def edge_bound(packet: WavePacket, bands) -> float:
     return min(bounds)
 
 
+def _bump_current(n: int, m: int, p: int, span, step: float) -> tuple[float, np.ndarray]:
+    """Normalized current of the `synthesize_state` bump on the preimage `span`
+    of (m, p), and lambda'_FH at its Gauss-Legendre nodes (one sweep of them).
+    """
+    lo, hi = span
+    xi = 0.5 * (lo + hi) + _SUPPORT * (hi - lo) * _NODES
+    (curve,) = sweep(n, [m], [p], xi, fixed_step_grid(xi[-1], step))
+    return float(_WEIGHTS @ curve.slope_fh), curve.slope_fh
+
+
 def _single_mode_current(
-    n: int,
-    win: SpectralWindow,
-    m: int,
-    p: int,
-    *,
-    tolerance: float,
-    step: float,
-    samples: int,
+    n: int, win: SpectralWindow, m: int, p: int, *, tolerance: float, step: float
 ) -> float:
     """Normalized current of the unit bump packet on one (m, 1, p) band."""
-    packet = synthesize_state(
-        n, win, [(m, 1, p)], tolerance=tolerance, step=step, samples=samples
-    )
-    prof = packet.entries[(m, 1, p)]
-    pad = 0.05 * (prof.xi[-1] - prof.xi[0])
-    xi_grid = np.linspace(prof.xi[0] - pad, prof.xi[-1] + pad, samples)
-    curves = sweep(n, [m], [p], xi_grid, fixed_step_grid(xi_grid[-1], step))
-    return current(packet, curves).normalized
+    span = tuple(end.xi for end in _preimage(n, m, p, win, tolerance, step))
+    return _bump_current(n, m, p, span, step)[0]
 
 
 @dataclass(frozen=True)
@@ -340,7 +350,6 @@ def bulk_decay_study(
     *,
     tolerance: float = 1e-8,
     step: float = 1.0 / 120.0,
-    samples: int = 301,
 ) -> BulkDecayStudy:
     """Current of the first band beyond each cutoff M, across M.
 
@@ -355,9 +364,7 @@ def bulk_decay_study(
     p = _lowest_band(win)
     rows = []
     for M in cuts:
-        value = _single_mode_current(
-            n, win, M + 1, p, tolerance=tolerance, step=step, samples=samples
-        )
+        value = _single_mode_current(n, win, M + 1, p, tolerance=tolerance, step=step)
         rows.append((float(coupling_constant(n, M + 1)), value))
     coupling = np.array([row[0] for row in rows])
     cur = np.array([row[1] for row in rows])
@@ -385,13 +392,12 @@ def witness_small_current(
     m_cap: int = 4096,
     tolerance: float = 1e-8,
     step: float = 1.0 / 60.0,
-    samples: int = 301,
 ) -> tuple[int, float]:
     """Exhibit a unit packet whose |normalized current| <= epsilon.
 
-    Doubles the angular momentum of a single-mode packet until the current
-    drops below epsilon; returns (m, normalized current).  The 1/sqrt(k_m)
-    law guarantees termination for any positive epsilon.
+    Doubles the angular momentum of a single-mode packet from m_start >= 1
+    until the current drops below epsilon; returns (m, normalized current).
+    The 1/sqrt(k_m) law guarantees termination for any positive epsilon.
     """
     win = _as_window(window)
     if n < 4:
@@ -399,10 +405,12 @@ def witness_small_current(
     _check_epsilon(epsilon)
     p = _lowest_band(win)
     m = int(m_start)
+    if m < 1:
+        raise ModelError(f"m_start must be >= 1 for doubling to move, got {m_start!r}")
+    if m_cap < m:
+        raise ModelError(f"m_cap must be >= m_start = {m}, got {m_cap!r}")
     while m <= m_cap:
-        value = _single_mode_current(
-            n, win, m, p, tolerance=tolerance, step=step, samples=samples
-        )
+        value = _single_mode_current(n, win, m, p, tolerance=tolerance, step=step)
         if abs(value) <= epsilon:
             return m, value
         m *= 2
@@ -434,9 +442,10 @@ def current_dichotomy(
 
     The edge packet puts one bump on each (m, 1, p), m = 0..edge_m_max, of the
     lowest band p meeting the window, on the preimages `bands_meeting_window`
-    found; its current and C^- come from one sweep of those bands over the
-    preimages plus a margin.  The bulk study runs over `cutoffs` at the same
-    step and needs at least two of them for its slope; the witness has
+    found; its current is the mean of their Gauss-Legendre single-mode
+    currents, and C^- the least |lambda'| over the nodes and the crossing
+    slopes at both window edges.  The bulk study runs over `cutoffs` at the
+    same step and needs at least two of them for its slope; the witness has
     |current| <= epsilon.  Every input is checked before the first eigensolve.
     """
     win = _as_window(window)
@@ -446,17 +455,18 @@ def current_dichotomy(
         raise ModelError(f"the bulk decay slope needs at least two cutoffs, got {cuts}")
     _check_epsilon(epsilon)
     meeting = bands_meeting_window(n, win, edge_m_max, step=step)
-    ms = range(edge_m_max + 1)
-    spans = [meeting.preimages[(m, p)] for m in ms]
-    lo = min(s[0] for s in spans) - _EDGE_PAD
-    hi = max(s[1] for s in spans) + _EDGE_PAD
-    curves = sweep(n, ms, [p], np.linspace(lo, hi, _EDGE_SAMPLES), fixed_step_grid(hi, step))
-    packet = _bump_packet(
-        n, win, [(m, 1, p) for m in ms], lambda m, q: meeting.preimages[(m, q)]
+    share = 1.0 / (edge_m_max + 1)
+    contributions, floors = {}, []
+    for m in range(edge_m_max + 1):
+        value, slopes = _bump_current(n, m, p, meeting.preimages[(m, p)], step)
+        contributions[(m, 1, p)] = share * value
+        floors.append(np.min(np.abs([*slopes, *meeting.slopes[(m, p)]])))
+    edge = CurrentReport(
+        total=float(sum(contributions.values())), contributions=contributions, norm_squared=1.0
     )
     return CurrentDichotomy(
-        edge=current(packet, curves),
-        c_minus=edge_bound(packet, curves),
+        edge=edge,
+        c_minus=float(min(floors)),
         bulk=bulk_decay_study(n, win, cuts, step=step),
-        witness=witness_small_current(n, win, epsilon, step=_WITNESS_STEP),
+        witness=witness_small_current(n, win, epsilon),
     )

@@ -7,6 +7,7 @@ import inspect
 import numpy as np
 import pytest
 
+import magband.solver
 import magband.transport
 from magband import (
     MissingBandDataError,
@@ -31,6 +32,41 @@ STEP = 1.0 / 120.0
 @pytest.fixture(scope="module")
 def meeting():
     return bands_meeting_window(5, WINDOW, 2, step=STEP)
+
+
+@pytest.fixture(scope="module")
+def check12():
+    """current_dichotomy on check 12's input, and the eigensolves it made."""
+    calls = []
+    original = magband.solver.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(magband.solver, "eigh_tridiagonal", counted)
+        result = current_dichotomy(5, WINDOW, 3, [10, 20, 30], 1e-2)
+    return result, len(calls)
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Fail the test on any eigensolve: the input must be refused first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve before the input was checked")
+
+    monkeypatch.setattr(magband.solver, "eigh_tridiagonal", refuse)
+
+
+def _sampled_current(m, step):
+    """Single-mode current by the sampled rule on the public API: the default
+    bump profile, a 1201-sample sweep over its support plus 5 %, trapezoid."""
+    packet = synthesize_state(5, WINDOW, [(m, 1, 1)], step=step)
+    prof = packet.entries[(m, 1, 1)]
+    pad = 0.05 * (prof.xi[-1] - prof.xi[0])
+    xi = np.linspace(prof.xi[0] - pad, prof.xi[-1] + pad, 1201)
+    return current(packet, sweep(5, [m], [1], xi, fixed_step_grid(xi[-1], step))).normalized
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +143,11 @@ def test_synthesize_validation():
         synthesize_state(5, WINDOW, [], step=STEP)
 
 
+def test_synthesize_refuses_a_nonpositive_width_before_solving(no_solve):
+    with pytest.raises(ModelError, match="width"):
+        synthesize_state(5, WINDOW, [(0, 1, 1)], width=-1, step=STEP)
+
+
 def test_current_is_negative_and_bounded_below(edge_packet, edge_bands):
     report = current(edge_packet, edge_bands)
     assert report.norm_squared == pytest.approx(1.0, abs=1e-10)
@@ -153,7 +194,9 @@ def test_current_missing_band_errors(edge_packet, edge_bands):
 
 
 def test_bulk_decay(meeting):
-    study = bulk_decay_study(5, WINDOW, [4, 8], step=STEP, samples=121)
+    study = bulk_decay_study(5, WINDOW, [4, 8], step=STEP)
+    # Gauss-Legendre at the nodes agrees with the densely sampled rule
+    assert study.normalized_current[0] == pytest.approx(_sampled_current(5, STEP), rel=1e-5)
     mags = np.abs(study.normalized_current)
     assert np.all(np.diff(mags) < 0)
     # ~ 2 (E - E_p)^{3/2}-ish magnitude scaled by 1/sqrt(k); just the law
@@ -164,11 +207,21 @@ def test_bulk_decay(meeting):
 
 
 def test_witness_terminates_quickly_for_loose_epsilon():
-    m, value = witness_small_current(5, WINDOW, 0.5, m_start=8, step=STEP,
-                                     samples=121)
+    m, value = witness_small_current(5, WINDOW, 0.5, m_start=8, step=STEP)
     assert m == 8
     assert abs(value) <= 0.5
     assert value < 0
+    assert value == pytest.approx(_sampled_current(8, STEP), rel=1e-5)
+
+
+@pytest.mark.parametrize("m_start, m_cap, message", [
+    (0, 4096, "m_start"),  # doubling from 0 never moves
+    (-3, 4096, "m_start"),
+    (16, 8, "m_cap"),
+])
+def test_witness_refuses_a_bad_doubling_range_before_solving(no_solve, m_start, m_cap, message):
+    with pytest.raises(ModelError, match=message):
+        witness_small_current(5, WINDOW, 0.5, m_start=m_start, m_cap=m_cap)
 
 
 def test_current_dichotomy_never_repeats_a_crossing(monkeypatch):
@@ -189,3 +242,33 @@ def test_current_dichotomy_never_repeats_a_crossing(monkeypatch):
     assert {(m, p) for (_, m, p, _, _) in keys} >= {(0, 1), (1, 1)}
     assert abs(result.edge.normalized) >= result.c_minus > 0
     assert abs(result.witness[1]) <= 0.1
+
+
+def test_bump_quadrature_is_gauss_legendre():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    weights = weights * (1.0 - nodes**2) ** 4
+    assert np.allclose(magband.transport._NODES, nodes, rtol=0, atol=1e-14)
+    assert np.allclose(magband.transport._WEIGHTS, weights / weights.sum(), rtol=1e-12, atol=0)
+
+
+def test_current_dichotomy_solve_budget(check12):
+    # check 12's input: 16 Gauss-Legendre nodes per mode, no band sweeps
+    result, solves = check12
+    assert solves <= 400
+    assert abs(result.edge.normalized) >= result.c_minus > 0
+
+
+def test_c_minus_is_a_tight_floor_of_a_dense_sweep(check12):
+    # 400 samples per edge mode over its window preimage, at Chebyshev points
+    # that crowd toward both ends, where |lambda'| is least and greatest
+    result, _ = check12
+    meeting = bands_meeting_window(5, WINDOW, 3, step=STEP)
+    t = np.cos(np.pi * (np.arange(400) + 0.5) / 400)[::-1]
+    floor = np.inf
+    for m in range(4):
+        lo, hi = meeting.preimages[(m, 1)]
+        xi = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
+        (band,) = sweep(5, [m], [1], xi, fixed_step_grid(hi, STEP))
+        assert np.all(meeting.window.contains(band.values))
+        floor = min(floor, float(np.min(np.abs(band.slope_fh))))
+    assert (1.0 - 1e-3) * floor <= result.c_minus <= floor
