@@ -49,7 +49,7 @@ from .classical import (
     integrate,
 )
 from .errors import AgmonOverflowError
-from .model import ModelParams, coupling_constant, landau_level
+from .model import ModelParams, coupling_constant, landau_level, potential
 from .solver import (
     Grid,
     derivative_boundary_form,
@@ -342,10 +342,12 @@ def check_high_frequency() -> CheckResult:
     the most favorable m=0).  Reported honestly; see the module docstring.
     """
     grid = Grid(12.0, 4800)
-    ratios = []
+    ratios, floors = [], []
     for m in range(4):
-        rows = refined_values(ModelParams(5, m, -10.0), grid, 2)
+        params = ModelParams(5, m, -10.0)
+        rows = refined_values(params, grid, 2)
         ratios.extend(rows[p - 1].value / 100.0 for p in (1, 2))
+        floors.append(float(np.min(potential(params, grid.nodes))) / 100.0)
     lo, hi = min(ratios), max(ratios)
     passed = 1.0 <= lo and hi <= 1.1
     return CheckResult(
@@ -353,7 +355,8 @@ def check_high_frequency() -> CheckResult:
         passed,
         hi,
         "lambda/xi^2 in [1.0, 1.1]",
-        f"measured range [{lo:.4f}, {hi:.4f}]",
+        f"measured range [{lo:.4f}, {hi:.4f}]; variational floor min V/xi^2 = "
+        f"{min(floors):.4f} at m={int(np.argmin(floors))}",
     )
 
 

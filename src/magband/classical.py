@@ -46,15 +46,10 @@ class ClassicalState:
         return sqrt(self.x * self.x + self.y * self.y)
 
 
-def _rhs(x, y, z, vx, vy, vz):
-    # acceleration v x B with B = (-y/r, x/r, 0); the z-component is r-dot,
-    # which is what makes vz - r an invariant
-    r = sqrt(x * x + y * y)
-    if r < R_FLOOR:
-        raise AxisApproachError(
-            f"trajectory reached r={r:.3e} < {R_FLOOR}; the field model breaks down"
-        )
-    return (vx, vy, vz, -vz * x / r, -vz * y / r, (vx * x + vy * y) / r)
+def _axis_error(r: float) -> AxisApproachError:
+    return AxisApproachError(
+        f"trajectory reached r={r:.3e} < {R_FLOOR}; the field model breaks down"
+    )
 
 
 @dataclass(frozen=True)
@@ -117,8 +112,9 @@ class TrajectoryResult:
 def integrate(initial: ClassicalState, t_max: float, dt: float) -> TrajectoryResult:
     """Fixed-step RK4 from `initial`, sampling every step.
 
-    The derivative evaluations reject any excursion below r = 1e-6: the
-    inverse-r force is unresolvable there and invariants would silently decay.
+    The four stages are straight-line scalar code written into a preallocated
+    array.  Every stage rejects an excursion below r = 1e-6: the inverse-r
+    force is unresolvable there and invariants would silently decay.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ModelError(f"time step must be positive, got {dt!r}")
@@ -131,19 +127,49 @@ def integrate(initial: ClassicalState, t_max: float, dt: float) -> TrajectoryRes
 
     steps = int(round(t_max / dt))
     out = np.empty((steps + 1, 6))
-    y = (initial.x, initial.y, initial.z, initial.vx, initial.vy, initial.vz)
-    out[0] = y
+    x, y, z = initial.x, initial.y, initial.z
+    vx, vy, vz = initial.vx, initial.vy, initial.vz
+    out[0] = (x, y, z, vx, vy, vz)
     half = 0.5 * dt
     sixth = dt / 6.0
+    # Each stage evaluates the acceleration v x B with B = (-y/r, x/r, 0); its
+    # z-component is r-dot, which is what makes vz - r an invariant.  The
+    # velocity is the position derivative, and no force depends on z, so a
+    # stage carries only x, y and the velocity.
     for i in range(1, steps + 1):
-        k1 = _rhs(*y)
-        k2 = _rhs(*(y[j] + half * k1[j] for j in range(6)))
-        k3 = _rhs(*(y[j] + half * k2[j] for j in range(6)))
-        k4 = _rhs(*(y[j] + dt * k3[j] for j in range(6)))
-        y = tuple(
-            y[j] + sixth * (k1[j] + 2.0 * (k2[j] + k3[j]) + k4[j]) for j in range(6)
-        )
-        out[i] = y
+        r = sqrt(x * x + y * y)
+        if r < R_FLOOR:
+            raise _axis_error(r)
+        ax1, ay1, az1 = -vz * x / r, -vz * y / r, (vx * x + vy * y) / r
+
+        x2, y2 = x + half * vx, y + half * vy
+        vx2, vy2, vz2 = vx + half * ax1, vy + half * ay1, vz + half * az1
+        r = sqrt(x2 * x2 + y2 * y2)
+        if r < R_FLOOR:
+            raise _axis_error(r)
+        ax2, ay2, az2 = -vz2 * x2 / r, -vz2 * y2 / r, (vx2 * x2 + vy2 * y2) / r
+
+        x3, y3 = x + half * vx2, y + half * vy2
+        vx3, vy3, vz3 = vx + half * ax2, vy + half * ay2, vz + half * az2
+        r = sqrt(x3 * x3 + y3 * y3)
+        if r < R_FLOOR:
+            raise _axis_error(r)
+        ax3, ay3, az3 = -vz3 * x3 / r, -vz3 * y3 / r, (vx3 * x3 + vy3 * y3) / r
+
+        x4, y4 = x + dt * vx3, y + dt * vy3
+        vx4, vy4, vz4 = vx + dt * ax3, vy + dt * ay3, vz + dt * az3
+        r = sqrt(x4 * x4 + y4 * y4)
+        if r < R_FLOOR:
+            raise _axis_error(r)
+        ax4, ay4, az4 = -vz4 * x4 / r, -vz4 * y4 / r, (vx4 * x4 + vy4 * y4) / r
+
+        x = x + sixth * (vx + 2.0 * (vx2 + vx3) + vx4)
+        y = y + sixth * (vy + 2.0 * (vy2 + vy3) + vy4)
+        z = z + sixth * (vz + 2.0 * (vz2 + vz3) + vz4)
+        vx = vx + sixth * (ax1 + 2.0 * (ax2 + ax3) + ax4)
+        vy = vy + sixth * (ay1 + 2.0 * (ay2 + ay3) + ay4)
+        vz = vz + sixth * (az1 + 2.0 * (az2 + az3) + az4)
+        out[i] = (x, y, z, vx, vy, vz)
     times = initial.t + dt * np.arange(steps + 1)
     return TrajectoryResult(times=times, states=out, dt=float(dt))
 

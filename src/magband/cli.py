@@ -156,7 +156,7 @@ _OPTIONS = {
         "vz": (_float, "0.3", "initial vz"),
         "t_max": (_float, "200", "integration time"),
         "dt": (_float, "1e-3", "RK4 step"),
-        "stride": (_int, "100", "output every k-th sample (CSV only)"),
+        "stride": (_int, "100", "output every k-th sample, k >= 1 (CSV only)"),
         "output": (_str, None, "trajectory CSV path (omit to skip)"),
         "summary": (_str, None, "JSON path (default: stdout)"),
     },
@@ -343,6 +343,8 @@ def cmd_asym(cfg: dict) -> int:
 
 
 def cmd_classical(cfg: dict) -> int:
+    if cfg["stride"] < 1:
+        raise ModelError(f"stride must be >= 1, got {cfg['stride']}")
     initial = ClassicalState(
         cfg["x0"], cfg["y0"], cfg["z0"], cfg["vx"], cfg["vy"], cfg["vz"]
     )
@@ -350,8 +352,7 @@ def cmd_classical(cfg: dict) -> int:
     velocity = effective_velocity(traj)
     period = radial_period(traj)
     if cfg["output"] is not None:
-        stride = max(1, cfg["stride"])
-        rows = trajectory_rows(traj)[::stride]
+        rows = trajectory_rows(traj, cfg["stride"])
         _emit(render_csv(TRAJECTORY_HEADER, rows), cfg["output"])
     results = {
         "energy": float(traj.energy[0]),

@@ -61,7 +61,8 @@ def scaling_rows(study: ScalingStudy) -> list[tuple]:
     ]
 
 
-def trajectory_rows(traj: TrajectoryResult) -> list[tuple]:
+def trajectory_rows(traj: TrajectoryResult, stride: int = 1) -> list[tuple]:
+    """Rows of every `stride`-th sample, starting with the first."""
     return [
         (
             traj.times[i],
@@ -70,7 +71,7 @@ def trajectory_rows(traj: TrajectoryResult) -> list[tuple]:
             traj.sigma[i],
             traj.c_invariant[i],
         )
-        for i in range(traj.times.size)
+        for i in range(0, traj.times.size, stride)
     ]
 
 

@@ -25,6 +25,7 @@ from .model import coupling_constant, harmonic_multiplicity
 
 _PROFILE_SAMPLES = 801  # samples per bump profile
 _SUPPORT = 0.495  # bump half-width over preimage length: support stays inside
+_TOLERANCE = 1e-8  # default crossing tolerance on |lambda - E|
 
 
 def _bump_quadrature(count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -101,6 +102,16 @@ def _cutoffs(m_cut_list) -> list[int]:
     return cuts
 
 
+def _check_dimension(n: int) -> None:
+    if n < 4:
+        raise ModelError(f"transport analysis requires n >= 4, got n={n}")
+
+
+def _check_m_max(m_max: int) -> None:
+    if not (isinstance(m_max, (int, np.integer)) and m_max >= 0):
+        raise ModelError(f"m_max must be an integer >= 0, got {m_max!r}")
+
+
 def _check_epsilon(epsilon: float) -> None:
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ModelError(f"epsilon must be positive, got {epsilon!r}")
@@ -127,7 +138,7 @@ def bands_meeting_window(
     window,
     m_max: int,
     *,
-    tolerance: float = 1e-8,
+    tolerance: float = _TOLERANCE,
     step: float = 1.0 / 120.0,
 ) -> WindowBands:
     """Preimages lambda_{m,p}^{-1}(I) for all p meeting I and m <= m_max.
@@ -136,11 +147,9 @@ def bands_meeting_window(
     crossing at b (left end) and the crossing at a (right end); `slopes`
     keeps the Feynman-Hellmann slope of each crossing.
     """
-    if n < 4:
-        raise ModelError(f"transport analysis requires n >= 4, got n={n}")
+    _check_dimension(n)
     win = _as_window(window)
-    if not (isinstance(m_max, (int, np.integer)) and m_max >= 0):
-        raise ModelError(f"m_max must be an integer >= 0, got {m_max!r}")
+    _check_m_max(m_max)
     ends = {
         (m, p): _preimage(n, m, p, win, tolerance, step)
         for p in win.band_indices
@@ -187,7 +196,7 @@ def synthesize_state(
     *,
     width: float | None = None,
     samples: int = _PROFILE_SAMPLES,
-    tolerance: float = 1e-8,
+    tolerance: float = _TOLERANCE,
     step: float = 1.0 / 120.0,
 ) -> WavePacket:
     """Unit-norm packet of polynomial bumps, one per requested (m, j, p) mode.
@@ -197,8 +206,7 @@ def synthesize_state(
     sample; entries share the total norm equally.
     """
     win = _as_window(window)
-    if n < 4:
-        raise ModelError(f"transport analysis requires n >= 4, got n={n}")
+    _check_dimension(n)
     modes = [(int(m), int(j), int(p)) for (m, j, p) in mode_set]
     if not modes:
         raise ModelError("mode set must be non-empty")
@@ -348,7 +356,7 @@ def bulk_decay_study(
     window,
     m_cut_list,
     *,
-    tolerance: float = 1e-8,
+    tolerance: float = _TOLERANCE,
     step: float = 1.0 / 120.0,
 ) -> BulkDecayStudy:
     """Current of the first band beyond each cutoff M, across M.
@@ -358,8 +366,7 @@ def bulk_decay_study(
     k_{M+1} quantifies the 1/sqrt(k) suppression.
     """
     win = _as_window(window)
-    if n < 4:
-        raise ModelError(f"transport analysis requires n >= 4, got n={n}")
+    _check_dimension(n)
     cuts = _cutoffs(m_cut_list)
     p = _lowest_band(win)
     rows = []
@@ -390,7 +397,7 @@ def witness_small_current(
     *,
     m_start: int = 8,
     m_cap: int = 4096,
-    tolerance: float = 1e-8,
+    tolerance: float = _TOLERANCE,
     step: float = 1.0 / 60.0,
 ) -> tuple[int, float]:
     """Exhibit a unit packet whose |normalized current| <= epsilon.
@@ -400,8 +407,7 @@ def witness_small_current(
     The 1/sqrt(k_m) law guarantees termination for any positive epsilon.
     """
     win = _as_window(window)
-    if n < 4:
-        raise ModelError(f"transport analysis requires n >= 4, got n={n}")
+    _check_dimension(n)
     _check_epsilon(epsilon)
     p = _lowest_band(win)
     m = int(m_start)
@@ -441,8 +447,8 @@ def current_dichotomy(
     """The edge/bulk current dichotomy for one window, end to end.
 
     The edge packet puts one bump on each (m, 1, p), m = 0..edge_m_max, of the
-    lowest band p meeting the window, on the preimages `bands_meeting_window`
-    found; its current is the mean of their Gauss-Legendre single-mode
+    lowest band p meeting the window, on its window preimage (no higher band
+    is solved); its current is the mean of their Gauss-Legendre single-mode
     currents, and C^- the least |lambda'| over the nodes and the crossing
     slopes at both window edges.  The bulk study runs over `cutoffs` at the
     same step and needs at least two of them for its slope; the witness has
@@ -454,13 +460,15 @@ def current_dichotomy(
     if len(cuts) < 2:
         raise ModelError(f"the bulk decay slope needs at least two cutoffs, got {cuts}")
     _check_epsilon(epsilon)
-    meeting = bands_meeting_window(n, win, edge_m_max, step=step)
+    _check_dimension(n)
+    _check_m_max(edge_m_max)
     share = 1.0 / (edge_m_max + 1)
     contributions, floors = {}, []
     for m in range(edge_m_max + 1):
-        value, slopes = _bump_current(n, m, p, meeting.preimages[(m, p)], step)
+        ends = _preimage(n, m, p, win, _TOLERANCE, step)
+        value, slopes = _bump_current(n, m, p, tuple(end.xi for end in ends), step)
         contributions[(m, 1, p)] = share * value
-        floors.append(np.min(np.abs([*slopes, *meeting.slopes[(m, p)]])))
+        floors.append(np.min(np.abs([*slopes, *(end.slope for end in ends)])))
     edge = CurrentReport(
         total=float(sum(contributions.values())), contributions=contributions, norm_squared=1.0
     )

@@ -19,3 +19,10 @@ def test_acceptance(name, check):
     result = check()
     print(f"[{name}] {result.line()}")
     assert result.passed, result.line()
+
+
+def test_high_frequency_failure_reports_its_variational_floor():
+    # lambda >= min V, and min V / xi^2 already exceeds the envelope's 1.1
+    result = dict(ALL_CHECKS)["07-high-frequency"]()
+    assert not result.passed
+    assert "variational floor min V/xi^2 = 1.1283 at m=0" in result.detail

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import sqrt
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -107,11 +109,51 @@ def test_effective_velocity_consistency():
     assert v.bound == pytest.approx(traj.energy[0] ** 1.5 / abs(traj.sigma[0]))
 
 
-def test_axis_guard_in_rhs():
-    from magband.classical import _rhs
+def test_axis_guard_at_every_stage():
+    # one step toward the axis at vx = -1e-3 (no force: vz = 0): stage 2 sits
+    # at x0 - dt/2, stage 4 at x0 - dt; from 1.8e-6 only the stage-4 guard
+    # sees the floor
+    for x0, reported in [(1.2e-6, "r=7.000e-07"), (1.8e-6, "r=8.000e-07")]:
+        state = ClassicalState(x0, 0.0, 0.0, -1e-3, 0.0, 0.0)
+        with pytest.raises(AxisApproachError, match=reported):
+            integrate(state, 1e-3, 1e-3)
 
-    with pytest.raises(AxisApproachError):
-        _rhs(1e-9, 0.0, 0.0, -1.0, 0.0, 0.0)
+
+def _generator_rk4(initial, t_max, dt):
+    """Reference RK4 loop written with per-stage generator expressions."""
+
+    def rhs(x, y, z, vx, vy, vz):
+        r = sqrt(x * x + y * y)
+        return (vx, vy, vz, -vz * x / r, -vz * y / r, (vx * x + vy * y) / r)
+
+    steps = int(round(t_max / dt))
+    out = np.empty((steps + 1, 6))
+    y = (initial.x, initial.y, initial.z, initial.vx, initial.vy, initial.vz)
+    out[0] = y
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    for i in range(1, steps + 1):
+        k1 = rhs(*y)
+        k2 = rhs(*(y[j] + half * k1[j] for j in range(6)))
+        k3 = rhs(*(y[j] + half * k2[j] for j in range(6)))
+        k4 = rhs(*(y[j] + dt * k3[j] for j in range(6)))
+        y = tuple(
+            y[j] + sixth * (k1[j] + 2.0 * (k2[j] + k3[j]) + k4[j]) for j in range(6)
+        )
+        out[i] = y
+    return initial.t + dt * np.arange(steps + 1), out
+
+
+@pytest.mark.parametrize("initial", [
+    ClassicalState(1.2, 0.0, 0.0, 0.1, 0.5, 0.3),
+    ClassicalState(0.9, 0.0, 0.0, -0.6, 0.35, 0.7),
+    ClassicalState(1.5, 0.0, 0.0, 0.45, -0.2, -0.55, t=3.0),
+])
+def test_integrate_is_bit_identical_to_the_generator_loop(initial):
+    times, states = _generator_rk4(initial, 2.0, 1e-3)
+    traj = integrate(initial, 2.0, 1e-3)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, states)
 
 
 def test_axis_crossing_detected():

@@ -15,6 +15,7 @@ from magband.cli import _float_grid, _int_list, _pair, _read_config, main
 from magband.tables import (
     CONVERGENCE_HEADER,
     SWEEP_HEADER,
+    TRAJECTORY_HEADER,
     format_value,
     render_csv,
     trajectory_rows,
@@ -210,6 +211,30 @@ def test_classical_summary_and_csv(tmp_path, capsys):
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == "t,x,y,z,vx,vy,vz,E,sigma,c"
     assert len(lines) == 1 + 151  # 30001 samples, stride 200, plus header
+
+
+@pytest.mark.parametrize("stride", [1, 7, 100])
+def test_classical_csv_matches_format_then_stride(stride, tmp_path, capsys):
+    csv_path = tmp_path / "traj.csv"
+    assert run_cli("classical", "--t-max", "20", f"--stride={stride}",
+                   "--output", str(csv_path)) == 0
+    capsys.readouterr()
+    traj = integrate(ClassicalState(1.2, 0.0, 0.0, 0.1, 0.5, 0.3), 20.0, 1e-3)
+    expected = render_csv(TRAJECTORY_HEADER, trajectory_rows(traj)[::stride])
+    assert csv_path.read_text() == expected
+
+
+@pytest.mark.parametrize("stride", ["0", "-3"])
+def test_classical_stride_below_1_exits_2_before_integrating(stride, tmp_path,
+                                                             monkeypatch, capsys):
+    def no_integrate(*args, **kwargs):
+        raise AssertionError("integration before the stride was checked")
+
+    monkeypatch.setattr("magband.cli.integrate", no_integrate)
+    assert run_cli("classical", "--t-max", "20", f"--stride={stride}",
+                   "--output", str(tmp_path / "traj.csv")) == 2
+    assert "stride must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "traj.csv").exists()
 
 
 def test_convergence_summary(tmp_path, capsys):

@@ -224,8 +224,9 @@ def test_witness_refuses_a_bad_doubling_range_before_solving(no_solve, m_start, 
         witness_small_current(5, WINDOW, 0.5, m_start=m_start, m_cap=m_cap)
 
 
-def test_current_dichotomy_never_repeats_a_crossing(monkeypatch):
-    # the edge packet reuses the preimages bands_meeting_window found
+@pytest.fixture
+def crossing_keys(monkeypatch):
+    """(n, m, p, energy, step) of every crossing transport solves."""
     keys = []
     solve = magband.transport.crossing
     signature = inspect.signature(solve)
@@ -237,11 +238,26 @@ def test_current_dichotomy_never_repeats_a_crossing(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(magband.transport, "crossing", recording)
+    return keys
+
+
+def test_current_dichotomy_never_repeats_a_crossing(crossing_keys):
+    # each edge mode's two crossings feed both its bump current and C^-
     result = current_dichotomy(5, WINDOW, 1, [10, 20], 0.1)
-    assert len(keys) == len(set(keys))
-    assert {(m, p) for (_, m, p, _, _) in keys} >= {(0, 1), (1, 1)}
+    assert len(crossing_keys) == len(set(crossing_keys))
+    assert {(m, p) for (_, m, p, _, _) in crossing_keys} >= {(0, 1), (1, 1)}
     assert abs(result.edge.normalized) >= result.c_minus > 0
     assert abs(result.witness[1]) <= 0.1
+
+
+def test_current_dichotomy_solves_only_the_lowest_band(crossing_keys):
+    # (3.2, 3.8) meets bands 1 and 2; only band 1 carries the edge packet
+    window = SpectralWindow(3.2, 3.8)
+    assert window.band_indices == [1, 2]
+    result = current_dichotomy(5, window, 1, [10, 20], 0.1)
+    assert crossing_keys
+    assert {p for (_, _, p, _, _) in crossing_keys} == {1}
+    assert abs(result.edge.normalized) >= result.c_minus > 0
 
 
 def test_bump_quadrature_is_gauss_legendre():
