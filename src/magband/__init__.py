@@ -51,8 +51,6 @@ from .solver import (
     derivative_boundary_form,
     derivative_feynman_hellmann,
     fiber_eigenvalues,
-    lowest_eigenpairs,
-    lowest_eigenvalues,
     refined_values,
     solve_fiber,
 )
@@ -105,8 +103,6 @@ __all__ = [
     "harmonic_multiplicity",
     "integrate",
     "landau_level",
-    "lowest_eigenpairs",
-    "lowest_eigenvalues",
     "potential",
     "potential_minimum",
     "radial_period",

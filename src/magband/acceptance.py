@@ -32,6 +32,8 @@ from .asymptotics import (
     remainder_rate,
 )
 from .bands import (
+    CROSSING_BASE_RADIUS,
+    CROSSING_STEP,
     ScalingStudy,
     agmon_norm,
     agmon_weight,
@@ -382,7 +384,7 @@ def check_agmon_uniformity() -> CheckResult:
     try:
         for m in range(10, 41):
             result = crossing(5, m, 1, 2.0)
-            grid = fixed_step_grid(result.xi, 1.0 / 240.0, 12.0)
+            grid = fixed_step_grid(result.xi, CROSSING_STEP, CROSSING_BASE_RADIUS)
             params = ModelParams(5, m, result.xi)
             pair = solve_fiber(params, grid, 1)[0]
             weight = agmon_weight(params, 2.0, grid, alpha=2.0)
@@ -497,7 +499,3 @@ ALL_CHECKS = [
     ("12-current-dichotomy", check_current_dichotomy),
     ("13-determinism", check_determinism),
 ]
-
-
-def run_all() -> list[CheckResult]:
-    return [fn() for _, fn in ALL_CHECKS]

@@ -117,10 +117,6 @@ class ExpansionCoefficients:
     alphas: np.ndarray
     modes: list[HermiteVector] = field(repr=False)
 
-    @property
-    def spill(self) -> float:
-        return max(g.spill for g in self.modes)
-
 
 def expansion_coefficients(p: int, coupling: float, order: int, basis_size: int) -> ExpansionCoefficients:
     """Run the corrector recursion to the requested order.

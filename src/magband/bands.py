@@ -31,6 +31,10 @@ _BRACKET_LIMIT = float(2**30)
 _MAX_INTERVALS = 2**22  # largest grid fixed_step_grid builds
 _FLAT_SEED = 1.0  # k_m = 0 has no leading law to seed from
 
+CROSSING_TOLERANCE = 1e-8  # default bound on |lambda - energy| at a crossing
+CROSSING_STEP = 1.0 / 240.0  # default grid step of the crossing solves
+CROSSING_BASE_RADIUS = 12.0  # least radius of a crossing's grid
+
 
 @dataclass(frozen=True)
 class BandCurve:
@@ -61,6 +65,16 @@ class CrossingResult:
     residual: float
 
 
+def _xi_samples(xi_samples) -> np.ndarray:
+    """xi_samples as a float array: non-empty, 1-d and ascending."""
+    xi = np.asarray(xi_samples, dtype=float)
+    if xi.ndim != 1 or xi.size == 0:
+        raise ModelError("xi_samples must be a non-empty 1-d sequence")
+    if np.any(np.diff(xi) < 0):
+        raise ModelError("xi_samples must be sorted ascending")
+    return xi
+
+
 def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
     """Solve every (m, p) band over xi_samples; one fiber solve per (m, xi).
 
@@ -72,11 +86,7 @@ def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
         raise ModelError("sweep needs non-empty m and p ranges")
     if ps[0] < 1:
         raise ModelError(f"band indices must be >= 1, got {ps[0]}")
-    xi = np.asarray(xi_samples, dtype=float)
-    if xi.ndim != 1 or xi.size == 0:
-        raise ModelError("xi_samples must be a non-empty 1-d sequence")
-    if np.any(np.diff(xi) < 0):
-        raise ModelError("xi_samples must be sorted ascending")
+    xi = _xi_samples(xi_samples)
     for m in ms:
         ModelParams(n, m, 0.0)  # validates (n, m) once up front
 
@@ -106,7 +116,7 @@ def refined_band(n: int, m: int, p: int, xi_samples, grid: Grid) -> tuple[BandCu
     are evaluated on the fine grid.  Returns the curve and the largest
     Richardson error estimate over the samples.
     """
-    xi = np.asarray(xi_samples, dtype=float)
+    xi = _xi_samples(xi_samples)
     fine = grid.refined()
     values, errors, fh, bd = [], [], [], []
     for x in xi:
@@ -124,8 +134,10 @@ def refined_band(n: int, m: int, p: int, xi_samples, grid: Grid) -> tuple[BandCu
 def fixed_step_grid(xi: float, step: float, base_radius: float = 0.0) -> Grid:
     """Grid of step `step` whose radius reaches max(base_radius, xi + 10).
 
-    Raises ModelError instead of building more than 2^22 intervals.
+    Raises ModelError on a step that is not finite and positive, or past 2^22 intervals.
     """
+    if not (np.isfinite(step) and step > 0):
+        raise ModelError(f"grid step must be positive and finite, got {step!r}")
     radius = max(base_radius, xi + 10.0)
     intervals = max(16, int(np.ceil(radius / step)))
     if intervals > _MAX_INTERVALS:
@@ -141,10 +153,9 @@ def crossing(
     m: int,
     p: int,
     energy: float,
-    tolerance: float = 1e-8,
+    tolerance: float = CROSSING_TOLERANCE,
     *,
-    step: float = 1.0 / 240.0,
-    base_radius: float = 12.0,
+    step: float = CROSSING_STEP,
 ) -> CrossingResult:
     """The unique xi with lambda_{m,p}(xi) = energy, by safeguarded Newton.
 
@@ -180,7 +191,7 @@ def crossing(
     for _ in range(60):
         if abs(x) > _BRACKET_LIMIT:
             raise BracketError(f"no sign change of lambda - {energy} for |xi| <= 2^30")
-        wider = fixed_step_grid(x, step, base_radius)
+        wider = fixed_step_grid(x, step, CROSSING_BASE_RADIUS)
         if grid is None or wider.intervals > grid.intervals:
             grid, lo, hi = wider, -np.inf, np.inf
         params = ModelParams(n, m, x)
@@ -255,8 +266,8 @@ def scaling_study(
     energy: float,
     m_list,
     *,
-    tolerance: float = 1e-8,
-    step: float = 1.0 / 240.0,
+    tolerance: float = CROSSING_TOLERANCE,
+    step: float = CROSSING_STEP,
 ) -> ScalingStudy:
     """Crossing study over m_list at fixed energy; see ScalingStudy."""
     ms = sorted(set(int(m) for m in m_list))

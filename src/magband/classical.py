@@ -20,15 +20,6 @@ from .errors import AxisApproachError, ModelError
 R_FLOOR = 1e-6
 
 
-def field(position) -> tuple[float, float, float]:
-    """Unit-norm azimuthal field at a point off the axis."""
-    x, y = float(position[0]), float(position[1])
-    r = sqrt(x * x + y * y)
-    if r == 0.0:
-        raise ModelError("the field is singular on the axis r = 0")
-    return (-y / r, x / r, 0.0)
-
-
 @dataclass(frozen=True)
 class ClassicalState:
     """Phase-space point (position, velocity) at time t."""
@@ -97,13 +88,6 @@ class TrajectoryResult:
     def c_drift(self) -> float:
         speed = sqrt(self.energy[0])
         return self._drift(self.c_invariant, max(self.radius[0] + speed, 1e-12))
-
-    @property
-    def samples(self) -> list[ClassicalState]:
-        return [
-            ClassicalState(*row, t=float(t))
-            for t, row in zip(self.times, self.states)
-        ]
 
     def state(self, i: int) -> ClassicalState:
         return ClassicalState(*self.states[i], t=float(self.times[i]))
@@ -215,11 +199,12 @@ def radial_period(traj: TrajectoryResult) -> PeriodEstimate:
 
 @dataclass(frozen=True)
 class EffectiveVelocity:
-    """Axial drift: quadrature formula vs the fitted slope of z(t)."""
+    """Axial drift: quadrature formula vs the fitted slope of z(t), and the radial period."""
 
     formula: float
     fit: float
     bound: float
+    period: PeriodEstimate
 
 
 def effective_velocity(traj: TrajectoryResult) -> EffectiveVelocity:
@@ -243,4 +228,4 @@ def effective_velocity(traj: TrajectoryResult) -> EffectiveVelocity:
     fit = float(np.polyfit(traj.times, traj.states[:, 2], 1)[0])
     e0 = float(traj.energy[0])
     bound = e0**1.5 / abs(sigma0) if sigma0 != 0.0 else float("inf")
-    return EffectiveVelocity(formula=formula, fit=fit, bound=bound)
+    return EffectiveVelocity(formula=formula, fit=fit, bound=bound, period=period)

@@ -35,8 +35,8 @@ from .acceptance import (
     scaling_criteria,
 )
 from .asymptotics import exponential_gap_check, expansion_coefficients, remainder_rate
-from .bands import refined_band, scaling_study, sweep
-from .classical import ClassicalState, effective_velocity, integrate, radial_period
+from .bands import CROSSING_STEP, CROSSING_TOLERANCE, refined_band, scaling_study, sweep
+from .classical import ClassicalState, effective_velocity, integrate
 from .errors import ConvergenceError, ModelError
 from .model import ModelParams, coupling_constant, landau_level
 from .solver import Grid, refined_values
@@ -51,7 +51,7 @@ from .tables import (
     sweep_rows,
     trajectory_rows,
 )
-from .transport import current_dichotomy
+from .transport import TRANSPORT_STEP, current_dichotomy
 
 
 # ---------------------------------------------------------------- value parsing
@@ -130,8 +130,8 @@ _OPTIONS = {
         "p": (_int, "1", "band index"),
         "energy": (_float, "2.0", "crossing energy E (not a Landau level)"),
         "m": (_int_list, "5..40", "angular momenta (m >= 1)"),
-        "tolerance": (_float, "1e-8", "crossing tolerance on |lambda - E|"),
-        "step": (_float, str(1.0 / 240.0), "grid step h for the fiber solves"),
+        "tolerance": (_float, str(CROSSING_TOLERANCE), "crossing tolerance on |lambda - E|"),
+        "step": (_float, str(CROSSING_STEP), "grid step h for the fiber solves"),
         "output": (_str, None, "CSV path (omit to skip the CSV)"),
         "summary": (_str, None, "JSON path (default: stdout)"),
     },
@@ -166,7 +166,7 @@ _OPTIONS = {
         "edge_m_max": (_int, "3", "edge packet uses m = 0..edge_m_max"),
         "cutoffs": (_int_list, "10,20,30", "bulk cutoffs M"),
         "epsilon": (_float, "1e-2", "witness target |current| <= epsilon"),
-        "step": (_float, str(1.0 / 120.0), "grid step for band solves"),
+        "step": (_float, str(TRANSPORT_STEP), "grid step for band solves"),
         "summary": (_str, None, "JSON path (default: stdout)"),
     },
     "convergence": {
@@ -298,6 +298,8 @@ def cmd_asym(cfg: dict) -> int:
     n, m, p, order = cfg["n"], cfg["m"], cfg["p"], cfg["order"]
     coupling = float(coupling_constant(n, m))
     lo, hi = cfg["window"]
+    if cfg["samples"] < 3:
+        raise ModelError(f"the fits need at least 3 samples, got {cfg['samples']}")
     band, noise = refined_band(
         n, m, p, np.linspace(lo, hi, cfg["samples"]), Grid(cfg["radius"], cfg["intervals"])
     )
@@ -350,7 +352,6 @@ def cmd_classical(cfg: dict) -> int:
     )
     traj = integrate(initial, cfg["t_max"], cfg["dt"])
     velocity = effective_velocity(traj)
-    period = radial_period(traj)
     if cfg["output"] is not None:
         rows = trajectory_rows(traj, cfg["stride"])
         _emit(render_csv(TRAJECTORY_HEADER, rows), cfg["output"])
@@ -361,8 +362,8 @@ def cmd_classical(cfg: dict) -> int:
         "energy_drift": traj.energy_drift,
         "sigma_drift": traj.sigma_drift,
         "c_drift": traj.c_drift,
-        "radial_period": period.value,
-        "period_spread": period.spread,
+        "radial_period": velocity.period.value,
+        "period_spread": velocity.period.spread,
         "vz_formula": velocity.formula,
         "vz_fit": velocity.fit,
         "vz_bound": velocity.bound,

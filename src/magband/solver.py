@@ -50,15 +50,6 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class DiscreteOperator:
-    """Symmetric tridiagonal representation of one fiber."""
-
-    diagonal: np.ndarray
-    offdiagonal: np.ndarray
-    grid: Grid
-
-
-@dataclass(frozen=True)
 class EigenPair:
     """Eigenvalue with its grid eigenvector, normalized to h * sum(u^2) = 1."""
 
@@ -66,24 +57,25 @@ class EigenPair:
     vector: np.ndarray
 
 
-def assemble(params: ModelParams, grid: Grid) -> DiscreteOperator:
-    """Discretize -d^2/dr^2 + V_m(r, xi) on the grid interior."""
+def assemble(params: ModelParams, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of -d^2/dr^2 + V_m(r, xi) on the grid interior."""
     if params.k < -0.25:
         raise ModelError(f"coupling k_m={params.k} below the critical value -1/4")
     h = grid.h
     diagonal = 2.0 / h**2 + potential(params, grid.nodes)
     offdiagonal = np.full(grid.intervals - 2, -1.0 / h**2)
-    return DiscreteOperator(diagonal, offdiagonal, grid)
+    return diagonal, offdiagonal
 
 
-def _solve(op: DiscreteOperator, count: int, vectors: bool):
-    size = op.diagonal.size
+def _solve(params: ModelParams, grid: Grid, count: int, vectors: bool):
+    diagonal, offdiagonal = assemble(params, grid)
+    size = diagonal.size
     if not (isinstance(count, (int, np.integer)) and 1 <= count <= size):
         raise ModelError(f"eigenpair count must satisfy 1 <= count <= {size}, got {count!r}")
     try:
         return eigh_tridiagonal(
-            op.diagonal,
-            op.offdiagonal,
+            diagonal,
+            offdiagonal,
             eigvals_only=not vectors,
             select="i",
             select_range=(0, int(count) - 1),
@@ -95,21 +87,14 @@ def _solve(op: DiscreteOperator, count: int, vectors: bool):
         ) from exc
 
 
-def lowest_eigenvalues(op: DiscreteOperator, count: int) -> np.ndarray:
-    """The `count` smallest eigenvalues, ascending (no vectors)."""
-    return np.asarray(_solve(op, count, vectors=False), dtype=float)
-
-
-def lowest_eigenpairs(op: DiscreteOperator, grid: Grid, count: int) -> list[EigenPair]:
+def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
     """The `count` smallest eigenpairs, ascending, normalized and sign-fixed.
 
     Eigenvalues are simple (the fiber operator is a limit-point Sturm-Liouville
     problem), so the pairs are well defined; accuracy is the LAPACK bisection
     guarantee, a few ulps of the matrix norm.
     """
-    if grid is not op.grid and grid != op.grid:
-        raise ModelError("grid does not match the one the operator was assembled on")
-    values, vectors = _solve(op, count, vectors=True)
+    values, vectors = _solve(params, grid, count, vectors=True)
     vectors = vectors / np.sqrt(grid.h)
     # Sign: positive near the axis.  The first entries can be underflow-level
     # noise for strongly vanishing eigenfunctions, so key on the first entry
@@ -122,14 +107,9 @@ def lowest_eigenpairs(op: DiscreteOperator, grid: Grid, count: int) -> list[Eige
     return [EigenPair(float(values[i]), vectors[:, i]) for i in range(len(values))]
 
 
-def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
-    """Assemble and diagonalize in one call."""
-    return lowest_eigenpairs(assemble(params, grid), grid, count)
-
-
 def fiber_eigenvalues(params: ModelParams, grid: Grid, count: int) -> np.ndarray:
-    """Eigenvalues only; cheaper where no eigenvector is needed."""
-    return lowest_eigenvalues(assemble(params, grid), count)
+    """The `count` smallest eigenvalues, ascending, without eigenvectors."""
+    return np.asarray(_solve(params, grid, count, vectors=False), dtype=float)
 
 
 def rayleigh_quotient(params: ModelParams, pair: EigenPair, grid: Grid) -> float:

@@ -25,7 +25,9 @@ from .model import coupling_constant, harmonic_multiplicity
 
 _PROFILE_SAMPLES = 801  # samples per bump profile
 _SUPPORT = 0.495  # bump half-width over preimage length: support stays inside
-_TOLERANCE = 1e-8  # default crossing tolerance on |lambda - E|
+_WITNESS_MS = tuple(8 * 2**i for i in range(10))  # the witness's doubling search, 8..4096
+
+TRANSPORT_STEP = 1.0 / 120.0  # default grid step of the transport pipelines
 
 
 def _bump_quadrature(count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,12 +127,11 @@ class WindowBands:
     window: SpectralWindow
     band_indices: list[int]
     preimages: dict  # (m, p) -> (xi_low, xi_high)
-    slopes: dict  # (m, p) -> (lambda' at xi_low, lambda' at xi_high)
 
 
-def _preimage(n, m, p, win, tolerance, step) -> tuple[CrossingResult, CrossingResult]:
+def _preimage(n, m, p, win, step) -> tuple[CrossingResult, CrossingResult]:
     """The crossings at the upper and the lower edge of a decreasing band."""
-    return tuple(crossing(n, m, p, e, tolerance, step=step) for e in (win.upper, win.lower))
+    return tuple(crossing(n, m, p, e, step=step) for e in (win.upper, win.lower))
 
 
 def bands_meeting_window(
@@ -138,29 +139,25 @@ def bands_meeting_window(
     window,
     m_max: int,
     *,
-    tolerance: float = _TOLERANCE,
-    step: float = 1.0 / 120.0,
+    step: float = TRANSPORT_STEP,
 ) -> WindowBands:
     """Preimages lambda_{m,p}^{-1}(I) for all p meeting I and m <= m_max.
 
     On a decreasing band the preimage of (a, b) is the interval between the
-    crossing at b (left end) and the crossing at a (right end); `slopes`
-    keeps the Feynman-Hellmann slope of each crossing.
+    crossing at b (left end) and the crossing at a (right end).
     """
     _check_dimension(n)
     win = _as_window(window)
     _check_m_max(m_max)
-    ends = {
-        (m, p): _preimage(n, m, p, win, tolerance, step)
-        for p in win.band_indices
-        for m in range(m_max + 1)
-    }
     return WindowBands(
         n=n,
         window=win,
         band_indices=win.band_indices,
-        preimages={key: (left.xi, right.xi) for key, (left, right) in ends.items()},
-        slopes={key: (left.slope, right.slope) for key, (left, right) in ends.items()},
+        preimages={
+            (m, p): tuple(end.xi for end in _preimage(n, m, p, win, step))
+            for p in win.band_indices
+            for m in range(m_max + 1)
+        },
     )
 
 
@@ -194,10 +191,7 @@ def synthesize_state(
     window,
     mode_set,
     *,
-    width: float | None = None,
-    samples: int = _PROFILE_SAMPLES,
-    tolerance: float = _TOLERANCE,
-    step: float = 1.0 / 120.0,
+    step: float = TRANSPORT_STEP,
 ) -> WavePacket:
     """Unit-norm packet of polynomial bumps, one per requested (m, j, p) mode.
 
@@ -223,22 +217,16 @@ def synthesize_state(
             raise ModelError(
                 f"multiplicity index j={j} outside 1..{n_m} for (n={n}, m={m})"
             )
-    if samples < 16:
-        raise ModelError(f"profile needs at least 16 samples, got {samples}")
-    if width is not None and not 0 < width:
-        raise ModelError(f"bump width must be positive, got {width!r}")
 
     entries = {}
     share = 1.0 / len(modes)
     for m, j, p in modes:
-        lo, hi = (end.xi for end in _preimage(n, m, p, win, tolerance, step))
+        lo, hi = (end.xi for end in _preimage(n, m, p, win, step))
         if not lo < hi:
             raise ModelError(f"degenerate preimage for (m={m}, p={p})")
         center = 0.5 * (lo + hi)
         half = _SUPPORT * (hi - lo)
-        if width is not None:
-            half = min(half, 0.5 * width)
-        xi = np.linspace(center - half, center + half, samples)
+        xi = np.linspace(center - half, center + half, _PROFILE_SAMPLES)
         t = (xi - center) / half
         values = (1.0 - t**2) ** 2
         values *= np.sqrt(share / np.trapezoid(values**2, xi))
@@ -319,22 +307,17 @@ def edge_bound(packet: WavePacket, bands) -> float:
     return min(bounds)
 
 
-def _bump_current(n: int, m: int, p: int, span, step: float) -> tuple[float, np.ndarray]:
-    """Normalized current of the `synthesize_state` bump on the preimage `span`
-    of (m, p), and lambda'_FH at its Gauss-Legendre nodes (one sweep of them).
+def _bump_current(n: int, win: SpectralWindow, m: int, p: int, step: float) -> tuple[float, float]:
+    """Normalized current of the unit `synthesize_state` bump on the window
+    preimage of (m, p), and the least |lambda'| over its Gauss-Legendre nodes
+    (one sweep of them) and the crossing slopes at both window edges.
     """
-    lo, hi = span
+    ends = _preimage(n, m, p, win, step)
+    lo, hi = (end.xi for end in ends)
     xi = 0.5 * (lo + hi) + _SUPPORT * (hi - lo) * _NODES
     (curve,) = sweep(n, [m], [p], xi, fixed_step_grid(xi[-1], step))
-    return float(_WEIGHTS @ curve.slope_fh), curve.slope_fh
-
-
-def _single_mode_current(
-    n: int, win: SpectralWindow, m: int, p: int, *, tolerance: float, step: float
-) -> float:
-    """Normalized current of the unit bump packet on one (m, 1, p) band."""
-    span = tuple(end.xi for end in _preimage(n, m, p, win, tolerance, step))
-    return _bump_current(n, m, p, span, step)[0]
+    floor = np.min(np.abs([*curve.slope_fh, *(end.slope for end in ends)]))
+    return float(_WEIGHTS @ curve.slope_fh), float(floor)
 
 
 @dataclass(frozen=True)
@@ -356,8 +339,7 @@ def bulk_decay_study(
     window,
     m_cut_list,
     *,
-    tolerance: float = _TOLERANCE,
-    step: float = 1.0 / 120.0,
+    step: float = TRANSPORT_STEP,
 ) -> BulkDecayStudy:
     """Current of the first band beyond each cutoff M, across M.
 
@@ -369,12 +351,8 @@ def bulk_decay_study(
     _check_dimension(n)
     cuts = _cutoffs(m_cut_list)
     p = _lowest_band(win)
-    rows = []
-    for M in cuts:
-        value = _single_mode_current(n, win, M + 1, p, tolerance=tolerance, step=step)
-        rows.append((float(coupling_constant(n, M + 1)), value))
-    coupling = np.array([row[0] for row in rows])
-    cur = np.array([row[1] for row in rows])
+    coupling = np.array([float(coupling_constant(n, M + 1)) for M in cuts])
+    cur = np.array([_bump_current(n, win, M + 1, p, step)[0] for M in cuts])
     slope, err = (
         _loglog_slope(coupling, np.abs(cur)) if len(cuts) >= 2 else (float("nan"),) * 2
     )
@@ -395,33 +373,25 @@ def witness_small_current(
     window,
     epsilon: float,
     *,
-    m_start: int = 8,
-    m_cap: int = 4096,
-    tolerance: float = _TOLERANCE,
     step: float = 1.0 / 60.0,
 ) -> tuple[int, float]:
     """Exhibit a unit packet whose |normalized current| <= epsilon.
 
-    Doubles the angular momentum of a single-mode packet from m_start >= 1
-    until the current drops below epsilon; returns (m, normalized current).
-    The 1/sqrt(k_m) law guarantees termination for any positive epsilon.
+    Doubles the angular momentum of a single-mode packet from m = 8, up to
+    m = 4096, until the current drops below epsilon; returns (m, normalized
+    current).  The 1/sqrt(k_m) law guarantees termination for any positive
+    epsilon.
     """
     win = _as_window(window)
     _check_dimension(n)
     _check_epsilon(epsilon)
     p = _lowest_band(win)
-    m = int(m_start)
-    if m < 1:
-        raise ModelError(f"m_start must be >= 1 for doubling to move, got {m_start!r}")
-    if m_cap < m:
-        raise ModelError(f"m_cap must be >= m_start = {m}, got {m_cap!r}")
-    while m <= m_cap:
-        value = _single_mode_current(n, win, m, p, tolerance=tolerance, step=step)
+    for m in _WITNESS_MS:
+        value, _ = _bump_current(n, win, m, p, step)
         if abs(value) <= epsilon:
             return m, value
-        m *= 2
     raise ConvergenceError(
-        f"no packet with |current| <= {epsilon} found for m up to {m_cap}"
+        f"no packet with |current| <= {epsilon} found for m up to {_WITNESS_MS[-1]}"
     )
 
 
@@ -442,7 +412,7 @@ def current_dichotomy(
     cutoffs,
     epsilon: float,
     *,
-    step: float = 1.0 / 120.0,
+    step: float = TRANSPORT_STEP,
 ) -> CurrentDichotomy:
     """The edge/bulk current dichotomy for one window, end to end.
 
@@ -462,19 +432,15 @@ def current_dichotomy(
     _check_epsilon(epsilon)
     _check_dimension(n)
     _check_m_max(edge_m_max)
-    share = 1.0 / (edge_m_max + 1)
-    contributions, floors = {}, []
-    for m in range(edge_m_max + 1):
-        ends = _preimage(n, m, p, win, _TOLERANCE, step)
-        value, slopes = _bump_current(n, m, p, tuple(end.xi for end in ends), step)
-        contributions[(m, 1, p)] = share * value
-        floors.append(np.min(np.abs([*slopes, *(end.slope for end in ends)])))
+    bumps = [_bump_current(n, win, m, p, step) for m in range(edge_m_max + 1)]
+    share = 1.0 / len(bumps)
+    contributions = {(m, 1, p): share * value for m, (value, _) in enumerate(bumps)}
     edge = CurrentReport(
         total=float(sum(contributions.values())), contributions=contributions, norm_squared=1.0
     )
     return CurrentDichotomy(
         edge=edge,
-        c_minus=float(min(floors)),
+        c_minus=min(floor for _, floor in bumps),
         bulk=bulk_decay_study(n, win, cuts, step=step),
         witness=witness_small_current(n, win, epsilon),
     )

@@ -1,0 +1,78 @@
+"""The public API: the names magband exports and the parameters each takes.
+
+Pinned literally, so a parameter added to or removed from a public callable
+shows up here as a one-line diff.
+"""
+
+from __future__ import annotations
+
+import inspect
+
+import magband
+
+ERRORS = (
+    "AgmonOverflowError",
+    "AxisApproachError",
+    "BracketError",
+    "ConvergenceError",
+    "FredholmError",
+    "InsufficientBasisError",
+    "MissingBandDataError",
+    "ModelError",
+    "SignPatternError",
+)
+
+PARAMETERS = {
+    "BandCurve": ("n", "m", "p", "xi", "values", "slope_fh", "slope_bd"),
+    "ClassicalState": ("x", "y", "z", "vx", "vy", "vz", "t"),
+    "CrossingResult": ("energy", "xi", "slope", "coupling", "residual"),
+    "Grid": ("radius", "intervals"),
+    "ModelParams": ("n", "m", "xi"),
+    "SpectralWindow": ("lower", "upper"),
+    "agmon_norm": ("pair", "weight", "grid"),
+    "agmon_weight": ("params", "energy", "grid", "alpha"),
+    "bands_meeting_window": ("n", "window", "m_max", "step"),
+    "boundary_exponent": ("params", "pair", "grid", "fit_window"),
+    "bulk_decay_study": ("n", "window", "m_cut_list", "step"),
+    "coupling_constant": ("n", "m"),
+    "crossing": ("n", "m", "p", "energy", "tolerance", "step"),
+    "current": ("packet", "bands"),
+    "current_dichotomy": ("n", "window", "edge_m_max", "cutoffs", "epsilon", "step"),
+    "derivative_boundary_form": ("params", "pair", "grid"),
+    "derivative_feynman_hellmann": ("params", "pair", "grid"),
+    "edge_bound": ("packet", "bands"),
+    "effective_velocity": ("traj",),
+    "evaluate_expansion": ("coeffs", "xi"),
+    "expansion_coefficients": ("p", "coupling", "order", "basis_size"),
+    "exponential_gap_check": ("band", "p", "xi_window", "error_estimate"),
+    "fiber_eigenvalues": ("params", "grid", "count"),
+    "harmonic_multiplicity": ("n", "m"),
+    "integrate": ("initial", "t_max", "dt"),
+    "landau_level": ("p",),
+    "potential": ("params", "r"),
+    "potential_minimum": ("params",),
+    "radial_period": ("traj",),
+    "refined_band": ("n", "m", "p", "xi_samples", "grid"),
+    "refined_values": ("params", "grid", "count"),
+    "remainder_rate": ("band", "coeffs", "xi_window", "noise_floor"),
+    "scaling_study": ("n", "p", "energy", "m_list", "tolerance", "step"),
+    "solve_fiber": ("params", "grid", "count"),
+    "sweep": ("n", "m_range", "p_range", "xi_samples", "grid"),
+    "synthesize_state": ("n", "window", "mode_set", "step"),
+    "turning_points": ("params", "energy"),
+    "witness_small_current": ("n", "window", "epsilon", "step"),
+}
+
+
+def test_exported_names():
+    assert sorted(magband.__all__) == sorted((*ERRORS, *PARAMETERS))
+
+
+def test_errors_are_exceptions():
+    for name in ERRORS:
+        assert issubclass(getattr(magband, name), Exception), name
+
+
+def test_parameter_names():
+    for name, expected in PARAMETERS.items():
+        assert tuple(inspect.signature(getattr(magband, name)).parameters) == expected, name

@@ -18,6 +18,7 @@ from magband import (
     fiber_eigenvalues,
     landau_level,
     potential,
+    refined_band,
     scaling_study,
     solve_fiber,
     sweep,
@@ -294,3 +295,11 @@ def test_agmon_norm_overflow_guard():
                        np.full_like(w.values, 900.0), w.well)
     with pytest.raises(AgmonOverflowError):
         agmon_norm(pair, huge, grid)
+
+
+def test_refined_band_validates_samples():
+    grid = Grid(12.0, 600)
+    with pytest.raises(ModelError):
+        refined_band(5, 1, 1, [], grid)
+    with pytest.raises(ModelError):
+        refined_band(5, 1, 1, [2.0, 1.0], grid)  # not increasing

@@ -16,21 +16,11 @@ from magband import (
     integrate,
     radial_period,
 )
-from magband.classical import field
 
 import oracles
 
 
 STATE = ClassicalState(1.2, 0.0, 0.0, 0.1, 0.5, 0.3)
-
-
-def test_field_is_unit_azimuthal():
-    for pos in [(1.0, 0.0, 0.0), (0.3, -0.4, 2.0), (5.0, 12.0, -1.0)]:
-        bx, by, bz = field(pos)
-        assert bz == 0.0
-        assert np.hypot(bx, by) == pytest.approx(1.0)
-        # orthogonal to the cylindrical radius
-        assert pos[0] * bx + pos[1] * by == pytest.approx(0.0, abs=1e-15)
 
 
 def test_invariants_conserved():
@@ -75,7 +65,7 @@ def test_classical_mirror_identity():
     # rdot^2 + sigma^2/r^2 + (r - xi_c)^2 = E with xi_c = -(vz - r):
     # the classical twin of the quantum fiber potential
     traj = integrate(STATE, 30.0, 1e-3)
-    xs = traj.samples[::500]
+    xs = [traj.state(i) for i in range(0, len(traj.times), 500)]
     e0 = traj.energy[0]
     sigma0 = traj.sigma[0]
     xi_c = -(STATE.vz - STATE.r)

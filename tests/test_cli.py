@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from magband import Grid, ModelError, ModelParams, integrate, ClassicalState
+from magband import Grid, ModelError, ModelParams, integrate, ClassicalState, radial_period
 from magband.cli import _float_grid, _int_list, _pair, _read_config, main
 from magband.tables import (
     CONVERGENCE_HEADER,
@@ -194,6 +194,43 @@ def test_current_invalid_input_exits_2_before_solving(flag, message, monkeypatch
     monkeypatch.setattr("magband.solver.eigh_tridiagonal", no_solve)
     assert run_cli("current", flag) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command_line, message", [
+    ("scaling --m 5,6 --step=0", "grid step must be positive"),
+    ("scaling --m 5,6 --step=-0.01", "grid step must be positive"),
+    ("scaling --m 5,6 --step=nan", "grid step must be positive"),
+    ("current --step=0", "grid step must be positive"),
+    ("current --step=-0.01", "grid step must be positive"),
+    ("current --step=nan", "grid step must be positive"),
+    ("asym --samples=0", "at least 3 samples"),
+    ("asym --samples=-2", "at least 3 samples"),
+])
+def test_bad_grid_input_exits_2_before_solving(command_line, message, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve before the input was checked")
+
+    monkeypatch.setattr("magband.solver.eigh_tridiagonal", no_solve)
+    assert run_cli(*command_line.split()) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_classical_finds_the_radial_period_once(capsys):
+    # the report takes the period effective_velocity already found
+    code = radial_period.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(event)
+
+    sys.setprofile(profile)
+    try:
+        assert run_cli("classical", "--t-max", "30") == 0
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_classical_summary_and_csv(tmp_path, capsys):

@@ -14,7 +14,6 @@ from magband import (
     derivative_boundary_form,
     derivative_feynman_hellmann,
     fiber_eigenvalues,
-    lowest_eigenpairs,
     potential_minimum,
     refined_values,
     solve_fiber,
@@ -44,8 +43,8 @@ def test_grid_validation():
 def test_assemble_accepts_hardy_boundary_case():
     # k_m = -1/4 at (n, m) = (3, 0) sits exactly on the Hardy threshold and
     # must be accepted (the model cannot produce anything below it)
-    op = assemble(ModelParams(3, 0, 0.0), Grid(10.0, 200))
-    assert op.diagonal.shape == (199,)
+    diagonal, offdiagonal = assemble(ModelParams(3, 0, 0.0), Grid(10.0, 200))
+    assert diagonal.shape == (199,) and offdiagonal.shape == (198,)
 
 
 @pytest.mark.parametrize("n,m,xi", [(5, 1, 0.0), (5, 2, 2.5), (4, 0, -1.0)])
@@ -72,7 +71,7 @@ def test_eigenvalues_above_potential_minimum(n, m, xi):
 
 def test_eigenvector_normalization_and_sign():
     grid = Grid(12.0, 800)
-    pairs = lowest_eigenpairs(assemble(ModelParams(5, 1, 1.0), grid), grid, 3)
+    pairs = solve_fiber(ModelParams(5, 1, 1.0), grid, 3)
     for pair in pairs:
         assert grid.h * np.sum(pair.vector**2) == pytest.approx(1.0, rel=1e-12)
         lead = np.argmax(np.abs(pair.vector) > 1e-8 * np.max(np.abs(pair.vector)))
