@@ -30,7 +30,6 @@ from .errors import (
     AxisApproachError,
     BracketError,
     ConvergenceError,
-    FredholmError,
     InsufficientBasisError,
     MissingBandDataError,
     ModelError,
@@ -75,7 +74,6 @@ __all__ = [
     "ClassicalState",
     "ConvergenceError",
     "CrossingResult",
-    "FredholmError",
     "Grid",
     "InsufficientBasisError",
     "MissingBandDataError",

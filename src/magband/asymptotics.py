@@ -3,8 +3,8 @@
 Far from the axis the fiber operator is a harmonic oscillator centered at xi
 perturbed by the inverse-square term; expanding in 1/xi turns the eigenvalue
 problem into a triangular system over the oscillator eigenbasis.  Everything
-here is exact linear algebra on coefficient vectors — the only error source is
-basis truncation, which is tracked as "spill" and bounded by construction.
+here is exact linear algebra on coefficient arrays over Psi_1..Psi_Q; the
+basis bound in `expansion_coefficients` keeps the truncation edge out of reach.
 
 Conventions: 1-based Hermite functions Psi_1, Psi_2, ... normalized to unit
 L^2 norm (Psi_1 = pi^{-1/4} e^{-s^2/2}), with H0 Psi_q = (2q - 1) Psi_q and
@@ -18,88 +18,33 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bands import BandCurve
-from .errors import FredholmError, InsufficientBasisError, ModelError
+from .errors import InsufficientBasisError, ModelError
 
 
-@dataclass(frozen=True)
-class HermiteVector:
-    """Coefficients over Psi_1..Psi_Q plus accumulated truncation spill."""
-
-    coefficients: np.ndarray
-    spill: float = 0.0
-
-    @property
-    def size(self) -> int:
-        return self.coefficients.size
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coefficients))
-
-
-def basis_vector(q: int, size: int) -> HermiteVector:
-    """The unit vector Psi_q in a basis of the given size."""
-    if not 1 <= q <= size:
-        raise ModelError(f"basis index must satisfy 1 <= q <= {size}, got {q}")
-    c = np.zeros(size)
-    c[q - 1] = 1.0
-    return HermiteVector(c)
-
-
-def dot(u: HermiteVector, v: HermiteVector) -> float:
-    """L^2 inner product = Euclidean dot of coefficients (orthonormal basis)."""
-    return float(u.coefficients @ v.coefficients)
-
-
-def apply_s(v: HermiteVector) -> HermiteVector:
+def apply_s(c: np.ndarray) -> np.ndarray:
     """Multiplication by s in coefficient space (symmetric tridiagonal).
 
-    The coefficient pushed onto Psi_{Q+1} has no slot; its magnitude joins the
-    spill tally instead of being silently dropped.
+    The term pushed onto Psi_{Q+1} has no slot and is dropped; callers keep
+    their vectors clear of the last slot.
     """
-    c = v.coefficients
     q = c.size
     w = np.sqrt(np.arange(1, q) / 2.0)
     out = np.zeros_like(c)
     out[:-1] += w * c[1:]   # down term: sqrt((q-1)/2) Psi_{q-1}
     out[1:] += w * c[:-1]   # up term:   sqrt(q/2)     Psi_{q+1}
-    lost = abs(c[-1]) * np.sqrt(q / 2.0)
-    return HermiteVector(out, v.spill + float(lost))
+    return out
 
 
-def apply_A(q: int, v: HermiteVector) -> HermiteVector:
+def apply_A(q: int, c: np.ndarray) -> np.ndarray:
     """The interaction operator A_q = (q-1)(-s)^{q-2}, with A_1 = 0."""
     if not (isinstance(q, (int, np.integer)) and q >= 1):
         raise ModelError(f"operator index must be an integer >= 1, got {q!r}")
     if q == 1:
-        return HermiteVector(np.zeros_like(v.coefficients), v.spill)
-    out = v
+        return np.zeros_like(c)
+    out = c
     for _ in range(q - 2):
         out = apply_s(out)
-    scale = (q - 1) * (-1.0) ** (q - 2)
-    return HermiteVector(scale * out.coefficients, abs(scale) * out.spill)
-
-
-def solve_fredholm(p: int, rhs: HermiteVector) -> HermiteVector:
-    """Solve (H0 - E_p) g = -rhs with g orthogonal to Psi_p.
-
-    Diagonal resolvent: divide each coefficient by 2(q - p).  Solvability
-    requires rhs to carry no Psi_p component (up to 1e-10 relative).
-    """
-    if not 1 <= p <= rhs.size:
-        raise ModelError(f"band index must satisfy 1 <= p <= {rhs.size}, got {p}")
-    projection = rhs.coefficients[p - 1]
-    if abs(projection) > 1e-10 * rhs.norm:
-        raise FredholmError(
-            f"rhs has component {projection:.3e} on the kernel direction Psi_{p} "
-            f"(norm {rhs.norm:.3e}); the corrector equation is unsolvable"
-        )
-    q = np.arange(1, rhs.size + 1)
-    denom = 2.0 * (q - p)
-    denom[p - 1] = 1.0  # avoid 0/0; the slot is zeroed below
-    g = -rhs.coefficients / denom
-    g[p - 1] = 0.0
-    return HermiteVector(g, rhs.spill)
+    return (q - 1) * (-1.0) ** (q - 2) * out
 
 
 @dataclass(frozen=True)
@@ -107,24 +52,23 @@ class ExpansionCoefficients:
     """Coefficients alpha_1..alpha_N of the inverse-power eigenvalue series.
 
     The band expands as E_p + k_m * sum_q alpha_q / xi^q; modes holds the
-    corrector vectors g_0..g_N of the quasi-mode.
+    coefficient arrays of the corrector vectors g_0..g_N of the quasi-mode.
     """
 
     p: int
     coupling: float
     order: int
-    basis_size: int
     alphas: np.ndarray
-    modes: list[HermiteVector] = field(repr=False)
+    modes: list[np.ndarray] = field(repr=False)
 
 
 def expansion_coefficients(p: int, coupling: float, order: int, basis_size: int) -> ExpansionCoefficients:
     """Run the corrector recursion to the requested order.
 
-    Each step applies ladder operators at most `order` times to vectors
-    supported within distance `order` of Psi_p, so basis_size >= p + 2*order
-    guarantees nothing reaches the truncation edge; anything that does anyway
-    is a hard error, not a warning.
+    Every vector formed at order q, correctors included, lies within distance
+    q - 2 of Psi_p, so no ladder step reaches past Psi_{p+N-2}.  The bound
+    basis_size >= p + 2*order keeps the truncation edge out of reach, and the
+    result is exact up to rounding.
     """
     if not (isinstance(p, (int, np.integer)) and p >= 1):
         raise ModelError(f"band index must be an integer >= 1, got {p!r}")
@@ -138,34 +82,26 @@ def expansion_coefficients(p: int, coupling: float, order: int, basis_size: int)
             "truncation would contaminate the requested order"
         )
 
-    modes = [basis_vector(p, basis_size)]
+    e_p = np.zeros(basis_size)
+    e_p[p - 1] = 1.0
+    # resolvent of H0 - E_p off Psi_p: divide by 2(q - p), zero the p-th slot
+    denom = 2.0 * (np.arange(1, basis_size + 1) - p)
+    denom[p - 1] = 1.0
+    modes = [e_p]
     alphas = np.zeros(order)
     for q0 in range(1, order + 1):
-        total = apply_A(q0, modes[0])
-        acc = total.coefficients.copy()
-        spill = total.spill
+        acc = apply_A(q0, e_p)
         for q in range(1, q0):
-            term = apply_A(q, modes[q0 - q])
-            acc += term.coefficients - alphas[q - 1] * modes[q0 - q].coefficients
-            spill += term.spill
-        alphas[q0 - 1] = float(acc @ modes[0].coefficients)
-        rhs = HermiteVector(
-            coupling * (acc - alphas[q0 - 1] * modes[0].coefficients),
-            abs(coupling) * spill,
-        )
-        g = solve_fredholm(p, rhs)
-        if g.spill > 1e-14:
-            raise InsufficientBasisError(
-                f"truncation spill {g.spill:.3e} at order {q0} exceeds 1e-14; "
-                f"enlarge the basis beyond Q={basis_size}"
-            )
+            acc += apply_A(q, modes[q0 - q]) - alphas[q - 1] * modes[q0 - q]
+        alphas[q0 - 1] = float(acc @ e_p)
+        g = -(coupling * (acc - alphas[q0 - 1] * e_p)) / denom
+        g[p - 1] = 0.0
         modes.append(g)
 
     return ExpansionCoefficients(
         p=int(p),
         coupling=float(coupling),
         order=int(order),
-        basis_size=int(basis_size),
         alphas=alphas,
         modes=modes,
     )

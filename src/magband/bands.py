@@ -21,9 +21,9 @@ from .solver import (
     Grid,
     derivative_boundary_form,
     derivative_feynman_hellmann,
-    fiber_eigenvalues,  # not called here; perfbench/tracing.py wraps this binding
+    fiber_eigenvalues,
     rayleigh_quotient,
-    refined_values,
+    richardson,
     solve_fiber,
 )
 
@@ -112,19 +112,19 @@ def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
 def refined_band(n: int, m: int, p: int, xi_samples, grid: Grid) -> tuple[BandCurve, float]:
     """Band p sampled with Richardson values and fine-grid derivatives.
 
-    Values come from `refined_values` on (grid, grid.refined()); both slopes
-    are evaluated on the fine grid.  Returns the curve and the largest
-    Richardson error estimate over the samples.
+    The eigenpair on grid.refined() gives both slopes and, with the eigenvalue
+    on grid, the Richardson value (`solver.richardson`).  Returns the curve and
+    the largest Richardson error estimate over the samples.
     """
     xi = _xi_samples(xi_samples)
     fine = grid.refined()
     values, errors, fh, bd = [], [], [], []
     for x in xi:
         params = ModelParams(n, m, float(x))
-        rv = refined_values(params, grid, p)[p - 1]
+        pair = solve_fiber(params, fine, p)[p - 1]
+        rv = richardson(fiber_eigenvalues(params, grid, p)[p - 1], pair.value)
         values.append(rv.value)
         errors.append(rv.error)
-        pair = solve_fiber(params, fine, p)[p - 1]
         fh.append(derivative_feynman_hellmann(params, pair, fine))
         bd.append(derivative_boundary_form(params, pair, fine))
     band = BandCurve(n, m, p, xi, np.array(values), np.array(fh), np.array(bd))
@@ -275,6 +275,8 @@ def scaling_study(
         raise ModelError("scaling study needs a non-empty m list")
     if ms[0] < 1:
         raise ModelError(f"scaling study needs m >= 1, got m={ms[0]}")
+    if not np.isfinite(energy):
+        raise ModelError(f"energy must be finite, got {energy!r}")
     q = round((energy + 1.0) / 2.0)
     if q >= 1 and energy == float(landau_level(q)):
         raise ModelError(f"energy {energy} is a Landau level; crossings degenerate")

@@ -104,6 +104,9 @@ def integrate(initial: ClassicalState, t_max: float, dt: float) -> TrajectoryRes
         raise ModelError(f"time step must be positive, got {dt!r}")
     if not (np.isfinite(t_max) and t_max >= dt):
         raise ModelError(f"t_max must be at least one step, got {t_max!r}")
+    state = (initial.x, initial.y, initial.z, initial.vx, initial.vy, initial.vz)
+    if not np.all(np.isfinite(state)):
+        raise ModelError(f"initial state (x, y, z, vx, vy, vz) must be finite, got {state}")
     if initial.r <= R_FLOOR:
         raise ModelError(
             f"initial radius {initial.r:.3e} is at or below the floor {R_FLOOR}"

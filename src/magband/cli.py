@@ -402,6 +402,8 @@ def cmd_current(cfg: dict) -> int:
 
 
 def cmd_convergence(cfg: dict) -> int:
+    if not (np.isfinite(cfg["bound"]) and cfg["bound"] > 0):
+        raise ModelError(f"bound must be positive and finite, got {cfg['bound']!r}")
     grid = Grid(cfg["radius"], cfg["intervals"])
     ps = sorted(set(cfg["p"]))
     if not ps or ps[0] < 1:

@@ -23,11 +23,7 @@ class BracketError(ConvergenceError):
 
 
 class InsufficientBasisError(ConvergenceError):
-    """Hermite basis too small: truncation spill would contaminate the result."""
-
-
-class FredholmError(ConvergenceError):
-    """Solvability condition of the ladder recursion violated."""
+    """Hermite basis smaller than p + 2N, the size the expansion recursion needs."""
 
 
 class SignPatternError(ConvergenceError):

@@ -212,7 +212,9 @@ def refined_values(params: ModelParams, grid: Grid, count: int) -> list[RefinedV
     """
     coarse = fiber_eigenvalues(params, grid, count)
     fine = fiber_eigenvalues(params, grid.refined(), count)
-    return [
-        RefinedValue(float(a), float(b), float((4.0 * b - a) / 3.0), float(abs(b - a) / 3.0))
-        for a, b in zip(coarse, fine)
-    ]
+    return [richardson(a, b) for a, b in zip(coarse, fine)]
+
+
+def richardson(a: float, b: float) -> RefinedValue:
+    """(4b - a)/3 and |b - a|/3 from a on a grid and b on its refinement."""
+    return RefinedValue(float(a), float(b), float((4.0 * b - a) / 3.0), float(abs(b - a) / 3.0))

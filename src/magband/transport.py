@@ -55,7 +55,7 @@ class SpectralWindow:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
-            raise ModelError("window endpoints must be finite")
+            raise ModelError(f"window endpoints must be finite, got ({self.lower}, {self.upper})")
         if not self.lower < self.upper:
             raise ModelError(
                 f"window must satisfy lower < upper, got ({self.lower}, {self.upper})"

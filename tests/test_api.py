@@ -15,7 +15,6 @@ ERRORS = (
     "AxisApproachError",
     "BracketError",
     "ConvergenceError",
-    "FredholmError",
     "InsufficientBasisError",
     "MissingBandDataError",
     "ModelError",

@@ -19,6 +19,7 @@ from magband import (
     landau_level,
     potential,
     refined_band,
+    refined_values,
     scaling_study,
     solve_fiber,
     sweep,
@@ -303,3 +304,15 @@ def test_refined_band_validates_samples():
         refined_band(5, 1, 1, [], grid)
     with pytest.raises(ModelError):
         refined_band(5, 1, 1, [2.0, 1.0], grid)  # not increasing
+
+
+def test_refined_band_two_solves_per_sample(monkeypatch):
+    # the fine eigenpair gives both the Richardson value and the slopes
+    grid = Grid(20.0, 400)
+    xi = 1.0 + 0.5 * np.arange(15)
+    calls = _count_eigensolves(monkeypatch)
+    band, noise = refined_band(5, 1, 2, xi, grid)
+    assert len(calls) == 30
+    expected = [refined_values(ModelParams(5, 1, x), grid, 2)[1] for x in xi]
+    assert np.array_equal(band.values, [rv.value for rv in expected])
+    assert noise == max(rv.error for rv in expected)

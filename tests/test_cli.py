@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from magband import Grid, ModelError, ModelParams, integrate, ClassicalState, radial_period
-from magband.cli import _float_grid, _int_list, _pair, _read_config, main
+from magband.cli import _OPTIONS, _float, _float_grid, _int_list, _pair, _read_config, main
 from magband.tables import (
     CONVERGENCE_HEADER,
     SWEEP_HEADER,
@@ -205,6 +205,10 @@ def test_current_invalid_input_exits_2_before_solving(flag, message, monkeypatch
     ("current --step=nan", "grid step must be positive"),
     ("asym --samples=0", "at least 3 samples"),
     ("asym --samples=-2", "at least 3 samples"),
+    ("scaling --energy=inf", "energy must be finite"),
+    ("classical --vx=-inf", "initial state (x, y, z, vx, vy, vz) must be finite"),
+    ("convergence --bound=-1", "bound must be positive"),
+    ("convergence --bound=0", "bound must be positive"),
 ])
 def test_bad_grid_input_exits_2_before_solving(command_line, message, monkeypatch, capsys):
     def no_solve(*args, **kwargs):
@@ -213,6 +217,32 @@ def test_bad_grid_input_exits_2_before_solving(command_line, message, monkeypatc
     monkeypatch.setattr("magband.solver.eigh_tridiagonal", no_solve)
     assert run_cli(*command_line.split()) == 2
     assert message in capsys.readouterr().err
+
+
+_NUMBER_OPTIONS = [
+    (command, name, convert, default)
+    for command, table in _OPTIONS.items()
+    for name, (convert, default, _help) in table.items()
+    if convert in (_float, _pair)
+]
+
+
+@pytest.mark.parametrize(
+    "command, name, convert, default", _NUMBER_OPTIONS,
+    ids=[f"{command}-{name}" for command, name, _c, _d in _NUMBER_OPTIONS],
+)
+def test_nan_number_option_exits_2_naming_it(command, name, convert, default,
+                                              monkeypatch, capsys):
+    # an error line that names the value shows it was refused up front
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve before the input was checked")
+
+    monkeypatch.setattr("magband.solver.eigh_tridiagonal", no_solve)
+    value = "nan" if convert is _float else "nan:" + default.split(":")[1]
+    assert run_cli(command, f"--{name.replace('_', '-')}={value}") == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert any(line.startswith("error:") and "nan" in line for line in err.splitlines()), err
 
 
 def test_classical_finds_the_radial_period_once(capsys):
