@@ -19,6 +19,7 @@ from .model import ModelParams, landau_level, potential, turning_points
 from .solver import (
     EigenPair,
     Grid,
+    _continue_fiber,
     derivative_boundary_form,
     derivative_feynman_hellmann,
     fiber_eigenvalues,
@@ -76,7 +77,16 @@ def _xi_samples(xi_samples) -> np.ndarray:
 
 
 def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
-    """Solve every (m, p) band over xi_samples; one fiber solve per (m, xi).
+    """Solve every (m, p) band over xi_samples; one fiber eigensolve per (m, xi).
+
+    For each m the first xi is solved from scratch (`solve_fiber`); each later
+    one continues the previous sample's eigenpairs (`solver._continue_fiber`)
+    from the shifts lambda + lambda'_FH * dxi, and falls back to `solve_fiber`
+    when the continuation is not certified.  Every value is the Rayleigh
+    quotient of its eigenvector (`rayleigh_quotient`), so both kinds of sample
+    report the same quantity, free of bisection scatter; a value depends on
+    the previous sample only at the rounding level.  Samples of different m
+    never interact.
 
     Output is ordered by (m, p) with xi ascending inside each curve.
     """
@@ -93,15 +103,21 @@ def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
     curves = []
     for m in ms:
         values, fh, bd = (np.empty((len(ps), xi.size)) for _ in range(3))
+        pairs = None
         for i, x in enumerate(xi.tolist()):
             params = ModelParams(n, m, x)
-            try:
-                pairs = solve_fiber(params, grid, ps[-1])
-            except ConvergenceError as exc:
-                raise ConvergenceError(f"fiber (m={m}, xi={x}): {exc}") from exc
+            if pairs is not None:
+                pairs = _continue_fiber(params, grid, pairs, lam + slope * (x - xi[i - 1]))
+            if pairs is None:
+                try:
+                    pairs = solve_fiber(params, grid, ps[-1])
+                except ConvergenceError as exc:
+                    raise ConvergenceError(f"fiber (m={m}, xi={x}): {exc}") from exc
+            lam = np.array([rayleigh_quotient(params, pair, grid) for pair in pairs])
+            slope = np.array([derivative_feynman_hellmann(params, pair, grid) for pair in pairs])
             for j, p in enumerate(ps):
-                values[j, i] = pairs[p - 1].value
-                fh[j, i] = derivative_feynman_hellmann(params, pairs[p - 1], grid)
+                values[j, i] = lam[p - 1]
+                fh[j, i] = slope[p - 1]
                 bd[j, i] = derivative_boundary_form(params, pairs[p - 1], grid)
         curves.extend(
             BandCurve(n, m, p, xi.copy(), values[j], fh[j], bd[j]) for j, p in enumerate(ps)

@@ -90,8 +90,10 @@ def _float_grid(text: str) -> np.ndarray:
         if len(parts) != 3:
             raise ModelError(f"grid syntax is start:stop:step, got {text!r}")
         start, stop, step = (_float(p) for p in parts)
-        if not step > 0:
-            raise ModelError(f"grid step must be positive, got {step}")
+        if not (np.isfinite(start) and np.isfinite(stop)):
+            raise ModelError(f"grid start and stop must be finite, got {text!r}")
+        if not (np.isfinite(step) and step > 0):
+            raise ModelError(f"grid step must be positive and finite, got {step}")
         count = int(round((stop - start) / step))
         if abs(start + count * step - stop) > 1e-9 * max(1.0, abs(stop)):
             raise ModelError(f"step does not divide the range in {text!r}")
@@ -105,7 +107,10 @@ def _pair(text: str) -> tuple[float, float]:
     parts = text.replace(":", ",").split(",")
     if len(parts) != 2:
         raise ModelError(f"expected two numbers 'a:b', got {text!r}")
-    return _float(parts[0]), _float(parts[1])
+    pair = _float(parts[0]), _float(parts[1])
+    if not np.all(np.isfinite(pair)):
+        raise ModelError(f"expected two finite numbers 'a:b', got {text!r}")
+    return pair
 
 
 def _str(text: str) -> str:

@@ -6,6 +6,12 @@ axis r = 0 and the artificial wall r = R.  The discrete operator is symmetric
 tridiagonal, so the lowest eigenpairs come from LAPACK's Sturm-sequence
 bisection plus inverse iteration, which is deterministic for fixed input.
 
+A sweep continues them from one xi to the next instead (`_continue_fiber`):
+Rayleigh-quotient iteration from the previous eigenvectors, one tridiagonal LU
+solve per step, accepted only under a certificate of the band indices (the
+discrete oscillation theorem and a Sturm count) and otherwise replaced by
+the bisection solve (Parlett, The Symmetric Eigenvalue Problem, ch. 4 and 7).
+
 Eigenvectors are returned with the continuum normalization h * sum(u^2) = 1
 and sign fixed to be positive near the axis.
 """
@@ -16,10 +22,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal, lapack
 
 from .errors import ConvergenceError, ModelError, SignPatternError
 from .model import ModelParams, potential, turning_points
+
+_SIGNIFICANT = 1e-8  # entries below this fraction of a vector's peak carry no sign
+_RQI_STEPS = 8  # Rayleigh-quotient steps before a continuation gives up
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -97,14 +107,82 @@ def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
     values, vectors = _solve(params, grid, count, vectors=True)
     vectors = vectors / np.sqrt(grid.h)
     # Sign: positive near the axis.  The first entries can be underflow-level
-    # noise for strongly vanishing eigenfunctions, so key on the first entry
-    # that is non-negligible against the vector's peak.
-    thresholds = 1e-8 * np.max(np.abs(vectors), axis=0)
+    # noise for strongly vanishing eigenfunctions, so key on the first
+    # significant entry.
     for i in range(vectors.shape[1]):
-        lead = int(np.argmax(np.abs(vectors[:, i]) > thresholds[i]))
-        if vectors[lead, i] < 0.0:
+        if _significant(vectors[:, i])[0] < 0.0:
             vectors[:, i] = -vectors[:, i]
     return [EigenPair(float(values[i]), vectors[:, i]) for i in range(len(values))]
+
+
+def _significant(vector: np.ndarray) -> np.ndarray:
+    """The entries of `vector` above _SIGNIFICANT of its peak, in order."""
+    magnitude = np.abs(vector)
+    return vector[magnitude > _SIGNIFICANT * np.max(magnitude)]
+
+
+def _continue_fiber(
+    params: ModelParams, grid: Grid, previous: list[EigenPair], shifts
+) -> list[EigenPair] | None:
+    """The len(previous) smallest eigenpairs, continued from a nearby fiber.
+
+    Pair i runs Rayleigh-quotient iteration from previous[i].vector, starting
+    at shifts[i]: one tridiagonal LU solve (LAPACK dgttrf/dgttrs) per step,
+    until the residual ||T z - mu z|| falls to tol = 8 eps ||T||_1; one more
+    solve with the last factorization then polishes the vector.  Each value
+    is the matrix Rayleigh quotient mu, within tol of an eigenvalue.
+
+    The result is accepted only when it is certified to be the lowest
+    eigenpairs in order: the values ascend with gaps above 2 tol (so they
+    belong to distinct eigenvalues), vector i has i sign changes over its
+    significant entries (discrete oscillation theorem), and a Sturm count
+    (dstebz over a value range with an abstol so large that no bisection
+    runs) finds exactly len(previous) eigenvalues below the last value plus
+    2 tol.  Otherwise, and on any LAPACK failure, it returns None and the
+    caller solves the fiber from scratch.  Vectors are normalized and
+    sign-fixed as in `solve_fiber`.
+    """
+    diagonal, offdiagonal = assemble(params, grid)
+    radii = np.zeros_like(diagonal)
+    radii[:-1] += np.abs(offdiagonal)
+    radii[1:] += np.abs(offdiagonal)
+    tol = 8.0 * _EPS * float(np.max(np.abs(diagonal) + radii))
+    pairs = []
+    for pair, mu in zip(previous, shifts):
+        z, mu = pair.vector, float(mu)
+        for _ in range(_RQI_STEPS):
+            *factors, info = lapack.dgttrf(offdiagonal, diagonal - mu, offdiagonal)
+            if info != 0:
+                return None
+            z, info = lapack.dgttrs(*factors, z)
+            z /= np.linalg.norm(z)
+            residual = diagonal * z
+            residual[:-1] += offdiagonal * z[1:]
+            residual[1:] += offdiagonal * z[:-1]
+            mu = float(z @ residual)
+            residual -= mu * z
+            if np.linalg.norm(residual) <= tol:
+                break
+        else:
+            return None
+        z, info = lapack.dgttrs(*factors, z)
+        z /= np.linalg.norm(z) * np.sqrt(grid.h)
+        if info != 0 or not np.all(np.isfinite(z)):
+            return None
+        signs = np.signbit(_significant(z))
+        if np.count_nonzero(signs[1:] != signs[:-1]) != len(pairs):
+            return None
+        pairs.append(EigenPair(mu, -z if signs[0] else z))
+    values = [pair.value for pair in pairs]
+    if any(upper - lower <= 2.0 * tol for lower, upper in zip(values, values[1:])):
+        return None
+    lower_bound = float(np.min(diagonal - radii)) - 1.0
+    below, *_, info = lapack.dstebz(
+        diagonal, offdiagonal, 1, lower_bound, values[-1] + 2.0 * tol, 0, 0, 1e30, "B"
+    )
+    if info != 0 or below != len(pairs):
+        return None
+    return pairs
 
 
 def fiber_eigenvalues(params: ModelParams, grid: Grid, count: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import magband.bands
 import magband.solver
 from magband import (
     BracketError,
@@ -15,6 +16,8 @@ from magband import (
     agmon_norm,
     agmon_weight,
     crossing,
+    derivative_boundary_form,
+    derivative_feynman_hellmann,
     fiber_eigenvalues,
     landau_level,
     potential,
@@ -26,6 +29,7 @@ from magband import (
     turning_points,
 )
 from magband.bands import AgmonWeight
+from magband.solver import _continue_fiber, rayleigh_quotient
 
 import oracles
 
@@ -64,6 +68,96 @@ def test_sweep_high_frequency_regime():
     for c in curves:
         assert 1.0 <= c.values[0] / 900.0 <= 1.1
         assert abs(c.slope_fh[0] - 2 * (-30.0)) <= 0.1 * 60.0
+
+
+def test_sweep_continuation_matches_bisection_on_check_02(monkeypatch):
+    # check 02's sweep: the continued samples agree with a per-sample
+    # bisection solve, and nearly every sample is continued
+    grid = Grid(20.0, 4800)
+    xi = -1.0 + 0.05 * np.arange(141)
+    calls = _count_eigensolves(monkeypatch)
+    curves = sweep(5, range(7), (1, 2, 3), xi, grid)
+    assert len(calls) <= 50
+    for m in range(7):
+        for i in range(0, xi.size, 7):
+            params = ModelParams(5, m, xi[i])
+            pairs = solve_fiber(params, grid, 3)
+            for p in (1, 2, 3):
+                (c,) = [c for c in curves if (c.m, c.p) == (m, p)]
+                pair = pairs[p - 1]
+                assert abs(c.values[i] - pair.value) <= 1e-9
+                assert abs(c.slope_fh[i] - derivative_feynman_hellmann(params, pair, grid)) <= 1e-10
+                assert abs(c.slope_bd[i] - derivative_boundary_form(params, pair, grid)) <= 1e-10
+
+
+def test_sweep_value_depends_on_previous_sample_only_by_rounding():
+    grid = Grid(16.0, 1200)
+    alone = sweep(5, [3], (1, 2, 3), [1.0], grid)
+    for xi in ([0.0, 0.5, 1.0], [0.9, 1.0]):
+        continued = sweep(5, [3], (1, 2, 3), xi, grid)
+        for a, c in zip(alone, continued):
+            assert abs(c.values[-1] - a.values[0]) <= 1e-12 * a.values[0]
+            assert abs(c.slope_fh[-1] - a.slope_fh[0]) <= 1e-11
+
+
+def test_sweep_with_wide_steps_falls_back_to_bisection(monkeypatch):
+    # dxi >= 2 leaves the predicted shifts far off: uncertified steps fall
+    # back to solve_fiber, and the bands are still the bisection bands
+    grid = Grid(30.0, 3600)
+    xi = np.arange(-1.0, 12.0, 2.0)
+    solved = []
+    original = magband.bands.solve_fiber
+
+    def counted(params, *args):
+        solved.append(params.xi)
+        return original(params, *args)
+
+    monkeypatch.setattr(magband.bands, "solve_fiber", counted)
+    fallbacks = 0
+    for m in (0, 3, 6):
+        before = len(solved)
+        curves = sweep(5, [m], (1, 2, 3), xi, grid)
+        assert solved[before] == xi[0]
+        fallbacks += len(solved) - before - 1
+        for i, x in enumerate(xi):
+            pairs = original(ModelParams(5, m, x), grid, 3)
+            for c, pair in zip(curves, pairs):
+                assert abs(c.values[i] - pair.value) <= 1e-9
+    assert 1 <= fallbacks <= 3 * (xi.size - 1)
+
+
+def _continuation_seed(m: int, grid: Grid):
+    """Eigenpairs 1..4 at xi = 1 with their predicted shifts at xi = 1.05."""
+    before = ModelParams(5, m, 1.0)
+    pairs = solve_fiber(before, grid, 4)
+    shifts = [
+        rayleigh_quotient(before, pair, grid)
+        + 0.05 * derivative_feynman_hellmann(before, pair, grid)
+        for pair in pairs
+    ]
+    return ModelParams(5, m, 1.05), pairs, shifts
+
+
+def test_continuation_certifies_a_good_seed():
+    grid = Grid(20.0, 4800)
+    params, pairs, shifts = _continuation_seed(2, grid)
+    continued = _continue_fiber(params, grid, pairs[:3], shifts[:3])
+    assert continued is not None
+    for got, want in zip(continued, solve_fiber(params, grid, 3)):
+        assert abs(got.value - want.value) <= 1e-9
+        assert np.max(np.abs(got.vector - want.vector)) <= 1e-6 * np.max(np.abs(want.vector))
+
+
+@pytest.mark.parametrize("seed", ["band 2 for band 1", "bands 1 and 2 swapped", "shift near lambda_4"])
+def test_continuation_rejects_a_wrong_seed(seed):
+    # each seed converges to eigenpairs that are not the lowest three in order
+    grid = Grid(20.0, 4800)
+    params, pairs, shifts = _continuation_seed(2, grid)
+    order = {"band 2 for band 1": [1, 1, 2], "bands 1 and 2 swapped": [1, 0, 2]}.get(seed, [0, 1, 2])
+    previous, shifts = [pairs[i] for i in order], [shifts[i] for i in order]
+    if seed == "shift near lambda_4":
+        shifts[2] = solve_fiber(params, grid, 4)[3].value + 1e-7
+    assert _continue_fiber(params, grid, previous, shifts) is None
 
 
 def test_crossing_hits_requested_energy():

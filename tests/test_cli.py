@@ -47,6 +47,9 @@ def test_float_grid_forms():
         _float_grid("0:1:0.3")  # step does not divide
     with pytest.raises(ModelError):
         _float_grid("0:1:-0.5")
+    for text in ("0:inf:1", "nan:1:0.5", "-inf:0:1", "0:1:inf"):
+        with pytest.raises(ModelError, match="finite"):
+            _float_grid(text)  # refused before the count is rounded
 
 
 def test_pair_forms():
@@ -54,6 +57,9 @@ def test_pair_forms():
     assert _pair("1.5,2.5") == (1.5, 2.5)
     with pytest.raises(ModelError):
         _pair("1:2:3")
+    for text in ("8:inf", "-inf,1", "nan:2"):
+        with pytest.raises(ModelError, match="finite"):
+            _pair(text)
 
 
 def test_read_config(tmp_path):
@@ -209,6 +215,10 @@ def test_current_invalid_input_exits_2_before_solving(flag, message, monkeypatch
     ("classical --vx=-inf", "initial state (x, y, z, vx, vy, vz) must be finite"),
     ("convergence --bound=-1", "bound must be positive"),
     ("convergence --bound=0", "bound must be positive"),
+    ("sweep --xi 0:inf:1", "grid start and stop must be finite, got '0:inf:1'"),
+    ("sweep --xi nan:1:0.5", "grid start and stop must be finite, got 'nan:1:0.5'"),
+    ("asym --window 8:inf", "expected two finite numbers 'a:b', got '8:inf'"),
+    ("current --window=-inf:2", "expected two finite numbers 'a:b', got '-inf:2'"),
 ])
 def test_bad_grid_input_exits_2_before_solving(command_line, message, monkeypatch, capsys):
     def no_solve(*args, **kwargs):
@@ -223,7 +233,7 @@ _NUMBER_OPTIONS = [
     (command, name, convert, default)
     for command, table in _OPTIONS.items()
     for name, (convert, default, _help) in table.items()
-    if convert in (_float, _pair)
+    if convert in (_float, _pair, _float_grid)
 ]
 
 
@@ -238,7 +248,7 @@ def test_nan_number_option_exits_2_naming_it(command, name, convert, default,
         raise AssertionError("eigensolve before the input was checked")
 
     monkeypatch.setattr("magband.solver.eigh_tridiagonal", no_solve)
-    value = "nan" if convert is _float else "nan:" + default.split(":")[1]
+    value = "nan" if convert is _float else "nan:" + default.split(":", 1)[1]
     assert run_cli(command, f"--{name.replace('_', '-')}={value}") == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
