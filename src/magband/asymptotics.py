@@ -131,6 +131,29 @@ class RateReport:
     reason: str = ""
 
 
+def _remainder_window(coupling: float, xi_window) -> tuple[float, float]:
+    """xi_window as floats (lo, hi) with lo < hi and lo past the asymptotic
+    onset max(5, 2 sqrt(k_m)), or a ModelError."""
+    lo, hi = float(xi_window[0]), float(xi_window[1])
+    onset = max(5.0, 2.0 * np.sqrt(max(coupling, 0.0)))
+    if not lo < hi:
+        raise ModelError(f"empty xi window [{lo}, {hi}]")
+    if lo < onset:
+        raise ModelError(
+            f"window starts at xi={lo}, inside the pre-asymptotic region "
+            f"(needs xi >= {onset:.3g})"
+        )
+    return lo, hi
+
+
+def _gap_window(xi_window) -> tuple[float, float]:
+    """xi_window as floats (lo, hi) with 0 < lo < hi, or a ModelError."""
+    lo, hi = float(xi_window[0]), float(xi_window[1])
+    if not 0 < lo < hi:
+        raise ModelError(f"window must satisfy 0 < lo < hi, got [{lo}, {hi}]")
+    return lo, hi
+
+
 def remainder_rate(
     band: BandCurve,
     coeffs: ExpansionCoefficients,
@@ -145,15 +168,7 @@ def remainder_rate(
     residuals within 10x of it cannot witness a rate and yield an
     indeterminate report instead of a bogus slope.
     """
-    lo, hi = float(xi_window[0]), float(xi_window[1])
-    onset = max(5.0, 2.0 * np.sqrt(max(coeffs.coupling, 0.0)))
-    if not lo < hi:
-        raise ModelError(f"empty xi window [{lo}, {hi}]")
-    if lo < onset:
-        raise ModelError(
-            f"window starts at xi={lo}, inside the pre-asymptotic region "
-            f"(needs xi >= {onset:.3g})"
-        )
+    lo, hi = _remainder_window(coeffs.coupling, xi_window)
     mask = (band.xi >= lo) & (band.xi <= hi)
     if np.count_nonzero(mask) < 3:
         raise ModelError("window holds fewer than three band samples")
@@ -216,9 +231,7 @@ def exponential_gap_check(
         )
     if band.p != p:
         raise ModelError(f"band carries p={band.p}, check requested p={p}")
-    lo, hi = float(xi_window[0]), float(xi_window[1])
-    if not 0 < lo < hi:
-        raise ModelError(f"window must satisfy 0 < lo < hi, got [{lo}, {hi}]")
+    lo, hi = _gap_window(xi_window)
     mask = (band.xi >= lo) & (band.xi <= hi)
     if np.count_nonzero(mask) < 3:
         raise ModelError("window holds fewer than three band samples")

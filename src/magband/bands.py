@@ -6,11 +6,15 @@ the momentum xi.  For nonnegative coupling the bands decrease strictly from
 unique: any pair of points where lambda - E changes sign brackets it.
 Crossings are found by Newton's method on the Feynman-Hellmann slope, seeded
 from the leading law lambda ~ E_p + k_m/xi^2 and kept inside that bracket.
+
+`sweep` is the one band follower, continuing eigenpairs from one xi to the
+next; `refined_band` is the Richardson pair of two sweeps, on a grid and its
+refinement.  Every band value here is the Rayleigh quotient of an eigenvector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,14 +26,13 @@ from .solver import (
     _continue_fiber,
     derivative_boundary_form,
     derivative_feynman_hellmann,
-    fiber_eigenvalues,
+    fiber_eigenvalues,  # not called here; perfbench/tracing.py binds it
     rayleigh_quotient,
     richardson,
     solve_fiber,
 )
 
 _BRACKET_LIMIT = float(2**30)
-_MAX_INTERVALS = 2**22  # largest grid fixed_step_grid builds
 _FLAT_SEED = 1.0  # k_m = 0 has no leading law to seed from
 
 CROSSING_TOLERANCE = 1e-8  # default bound on |lambda - energy| at a crossing
@@ -128,39 +131,29 @@ def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
 def refined_band(n: int, m: int, p: int, xi_samples, grid: Grid) -> tuple[BandCurve, float]:
     """Band p sampled with Richardson values and fine-grid derivatives.
 
-    The eigenpair on grid.refined() gives both slopes and, with the eigenvalue
-    on grid, the Richardson value (`solver.richardson`).  Returns the curve and
-    the largest Richardson error estimate over the samples.
+    Two `sweep`s of the band, on grid and on grid.refined(), give the
+    Rayleigh-quotient values a and b of every sample; the curve carries the
+    Richardson values (4b - a)/3 (`solver.richardson`) and the fine sweep's
+    slopes.  Returns it with the largest Richardson error estimate |b - a|/3
+    over the samples.
     """
-    xi = _xi_samples(xi_samples)
-    fine = grid.refined()
-    values, errors, fh, bd = [], [], [], []
-    for x in xi:
-        params = ModelParams(n, m, float(x))
-        pair = solve_fiber(params, fine, p)[p - 1]
-        rv = richardson(fiber_eigenvalues(params, grid, p)[p - 1], pair.value)
-        values.append(rv.value)
-        errors.append(rv.error)
-        fh.append(derivative_feynman_hellmann(params, pair, fine))
-        bd.append(derivative_boundary_form(params, pair, fine))
-    band = BandCurve(n, m, p, xi, np.array(values), np.array(fh), np.array(bd))
-    return band, float(max(errors))
+    fine_grid = grid.refined()  # a grid too large to refine fails before any solve
+    (coarse,) = sweep(n, [m], [p], xi_samples, grid)
+    (fine,) = sweep(n, [m], [p], xi_samples, fine_grid)
+    rv = richardson(coarse.values, fine.values)
+    return replace(fine, values=rv.value), float(np.max(rv.error))
 
 
 def fixed_step_grid(xi: float, step: float, base_radius: float = 0.0) -> Grid:
     """Grid of step `step` whose radius reaches max(base_radius, xi + 10).
 
-    Raises ModelError on a step that is not finite and positive, or past 2^22 intervals.
+    Raises ModelError on a step that is not finite and positive, or on a grid
+    past `Grid`'s interval limit.
     """
     if not (np.isfinite(step) and step > 0):
         raise ModelError(f"grid step must be positive and finite, got {step!r}")
     radius = max(base_radius, xi + 10.0)
     intervals = max(16, int(np.ceil(radius / step)))
-    if intervals > _MAX_INTERVALS:
-        raise ModelError(
-            f"a grid reaching xi={xi:.6g} at step {step:.6g} needs {intervals} "
-            f"intervals, above the limit of {_MAX_INTERVALS}"
-        )
     return Grid(intervals * step, intervals)
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import AxisApproachError, ModelError
 
 R_FLOOR = 1e-6
+_MAX_SAMPLES = 2**25  # largest trajectory integrate stores: 1.5 GiB of states
 
 
 @dataclass(frozen=True)
@@ -98,12 +99,17 @@ def integrate(initial: ClassicalState, t_max: float, dt: float) -> TrajectoryRes
 
     The four stages are straight-line scalar code written into a preallocated
     array.  Every stage rejects an excursion below r = 1e-6: the inverse-r
-    force is unresolvable there and invariants would silently decay.
+    force is unresolvable there and invariants would silently decay.  More
+    than 2^25 samples is a ModelError, raised before anything is allocated.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ModelError(f"time step must be positive, got {dt!r}")
     if not (np.isfinite(t_max) and t_max >= dt):
         raise ModelError(f"t_max must be at least one step, got {t_max!r}")
+    if not t_max / dt <= _MAX_SAMPLES - 1:
+        raise ModelError(
+            f"t_max / dt = {t_max / dt:.6g} steps, above the limit of {_MAX_SAMPLES - 1}"
+        )
     state = (initial.x, initial.y, initial.z, initial.vx, initial.vy, initial.vz)
     if not np.all(np.isfinite(state)):
         raise ModelError(f"initial state (x, y, z, vx, vy, vz) must be finite, got {state}")

@@ -34,7 +34,13 @@ from .acceptance import (
     remainder_criterion,
     scaling_criteria,
 )
-from .asymptotics import exponential_gap_check, expansion_coefficients, remainder_rate
+from .asymptotics import (
+    _gap_window,
+    _remainder_window,
+    exponential_gap_check,
+    expansion_coefficients,
+    remainder_rate,
+)
 from .bands import CROSSING_STEP, CROSSING_TOLERANCE, refined_band, scaling_study, sweep
 from .classical import ClassicalState, effective_velocity, integrate
 from .errors import ConvergenceError, ModelError
@@ -51,7 +57,7 @@ from .tables import (
     sweep_rows,
     trajectory_rows,
 )
-from .transport import TRANSPORT_STEP, current_dichotomy
+from .transport import TRANSPORT_STEP, WITNESS_STEP, current_dichotomy
 
 
 # ---------------------------------------------------------------- value parsing
@@ -171,7 +177,9 @@ _OPTIONS = {
         "edge_m_max": (_int, "3", "edge packet uses m = 0..edge_m_max"),
         "cutoffs": (_int_list, "10,20,30", "bulk cutoffs M"),
         "epsilon": (_float, "1e-2", "witness target |current| <= epsilon"),
-        "step": (_float, str(TRANSPORT_STEP), "grid step for band solves"),
+        "step": (_float, str(TRANSPORT_STEP),
+                 f"grid step of the edge and bulk band solves; the witness uses "
+                 f"1/{round(1 / WITNESS_STEP)}"),
         "summary": (_str, None, "JSON path (default: stdout)"),
     },
     "convergence": {
@@ -305,11 +313,11 @@ def cmd_asym(cfg: dict) -> int:
     lo, hi = cfg["window"]
     if cfg["samples"] < 3:
         raise ModelError(f"the fits need at least 3 samples, got {cfg['samples']}")
-    band, noise = refined_band(
-        n, m, p, np.linspace(lo, hi, cfg["samples"]), Grid(cfg["radius"], cfg["intervals"])
-    )
-
+    xi, grid = np.linspace(lo, hi, cfg["samples"]), Grid(cfg["radius"], cfg["intervals"])
+    # each route checks its window, and runs the expansion, before the band solves
     if coupling == 0.0:
+        _gap_window((lo, hi))
+        band, noise = refined_band(n, m, p, xi, grid)
         profile = exponential_gap_check(band, p, (lo, hi), error_estimate=noise)
         results = {
             "coupling": 0.0,
@@ -325,6 +333,8 @@ def cmd_asym(cfg: dict) -> int:
     basis = cfg["basis"] if cfg["basis"] is not None else p + 2 * order
     coeffs = expansion_coefficients(p, coupling, order, basis)
     probe = expansion_coefficients(p, 2.0 * coupling, order, basis)
+    _remainder_window(coupling, (lo, hi))
+    band, noise = refined_band(n, m, p, xi, grid)
     sensitive = [
         q + 1
         for q in range(order)

@@ -30,11 +30,12 @@ from .model import ModelParams, potential, turning_points
 _SIGNIFICANT = 1e-8  # entries below this fraction of a vector's peak carry no sign
 _RQI_STEPS = 8  # Rayleigh-quotient steps before a continuation gives up
 _EPS = float(np.finfo(float).eps)
+_MAX_INTERVALS = 2**22  # largest grid; one vector on it takes 32 MiB
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid over (0, radius) with `intervals` panels of width h."""
+    """Uniform grid over (0, radius) with 16 to 2^22 `intervals` of width h."""
 
     radius: float
     intervals: int
@@ -42,6 +43,10 @@ class Grid:
     def __post_init__(self) -> None:
         if not (isinstance(self.intervals, (int, np.integer)) and self.intervals >= 16):
             raise ModelError(f"grid needs an integer interval count >= 16, got {self.intervals!r}")
+        if self.intervals > _MAX_INTERVALS:
+            raise ModelError(
+                f"a grid of {self.intervals} intervals is above the limit of {_MAX_INTERVALS}"
+            )
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise ModelError(f"grid radius must be positive and finite, got {self.radius!r}")
 
@@ -274,7 +279,7 @@ def boundary_exponent(
 
 @dataclass(frozen=True)
 class RefinedValue:
-    """Richardson extrapolation of one eigenvalue from an h, h/2 grid pair."""
+    """Richardson extrapolation from an h, h/2 grid pair, of one value or of arrays."""
 
     coarse: float
     fine: float
@@ -288,11 +293,11 @@ def refined_values(params: ModelParams, grid: Grid, count: int) -> list[RefinedV
     Second order: from a on `grid` and b on `grid.refined()`, (4b - a)/3 is
     the extrapolated value and |b - a|/3 estimates the fine-grid error.
     """
-    coarse = fiber_eigenvalues(params, grid, count)
-    fine = fiber_eigenvalues(params, grid.refined(), count)
+    coarse = fiber_eigenvalues(params, grid, count).tolist()
+    fine = fiber_eigenvalues(params, grid.refined(), count).tolist()
     return [richardson(a, b) for a, b in zip(coarse, fine)]
 
 
-def richardson(a: float, b: float) -> RefinedValue:
-    """(4b - a)/3 and |b - a|/3 from a on a grid and b on its refinement."""
-    return RefinedValue(float(a), float(b), float((4.0 * b - a) / 3.0), float(abs(b - a) / 3.0))
+def richardson(a, b) -> RefinedValue:
+    """(4b - a)/3 and |b - a|/3 from a on a grid and b on its refinement, elementwise."""
+    return RefinedValue(a, b, (4.0 * b - a) / 3.0, abs(b - a) / 3.0)

@@ -1,7 +1,7 @@
 """Row/CSV serialization shared by the CLI and the acceptance runner.
 
 Floats print with 17 significant digits — enough to round-trip binary64 — so
-identical computations serialize to identical bytes regardless of scheduling.
+identical computations serialize to identical bytes.
 """
 
 from __future__ import annotations

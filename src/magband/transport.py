@@ -28,6 +28,7 @@ _SUPPORT = 0.495  # bump half-width over preimage length: support stays inside
 _WITNESS_MS = tuple(8 * 2**i for i in range(10))  # the witness's doubling search, 8..4096
 
 TRANSPORT_STEP = 1.0 / 120.0  # default grid step of the transport pipelines
+WITNESS_STEP = 1.0 / 60.0  # grid step of the witness's solves
 
 
 def _bump_quadrature(count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -368,26 +369,20 @@ def bulk_decay_study(
     )
 
 
-def witness_small_current(
-    n: int,
-    window,
-    epsilon: float,
-    *,
-    step: float = 1.0 / 60.0,
-) -> tuple[int, float]:
+def witness_small_current(n: int, window, epsilon: float) -> tuple[int, float]:
     """Exhibit a unit packet whose |normalized current| <= epsilon.
 
     Doubles the angular momentum of a single-mode packet from m = 8, up to
     m = 4096, until the current drops below epsilon; returns (m, normalized
-    current).  The 1/sqrt(k_m) law guarantees termination for any positive
-    epsilon.
+    current).  Its solves use the grid step WITNESS_STEP.  The 1/sqrt(k_m)
+    law guarantees termination for any positive epsilon.
     """
     win = _as_window(window)
     _check_dimension(n)
     _check_epsilon(epsilon)
     p = _lowest_band(win)
     for m in _WITNESS_MS:
-        value, _ = _bump_current(n, win, m, p, step)
+        value, _ = _bump_current(n, win, m, p, WITNESS_STEP)
         if abs(value) <= epsilon:
             return m, value
     raise ConvergenceError(
@@ -421,8 +416,9 @@ def current_dichotomy(
     is solved); its current is the mean of their Gauss-Legendre single-mode
     currents, and C^- the least |lambda'| over the nodes and the crossing
     slopes at both window edges.  The bulk study runs over `cutoffs` at the
-    same step and needs at least two of them for its slope; the witness has
-    |current| <= epsilon.  Every input is checked before the first eigensolve.
+    same step and needs at least two of them for its slope; the witness, at
+    WITNESS_STEP, has |current| <= epsilon.  Every input is checked before the
+    first eigensolve.
     """
     win = _as_window(window)
     p = _lowest_band(win)

@@ -59,7 +59,7 @@ PARAMETERS = {
     "sweep": ("n", "m_range", "p_range", "xi_samples", "grid"),
     "synthesize_state": ("n", "window", "mode_set", "step"),
     "turning_points": ("params", "energy"),
-    "witness_small_current": ("n", "window", "epsilon", "step"),
+    "witness_small_current": ("n", "window", "epsilon"),
 }
 
 

@@ -22,7 +22,6 @@ from magband import (
     landau_level,
     potential,
     refined_band,
-    refined_values,
     scaling_study,
     solve_fiber,
     sweep,
@@ -400,13 +399,29 @@ def test_refined_band_validates_samples():
         refined_band(5, 1, 1, [2.0, 1.0], grid)  # not increasing
 
 
-def test_refined_band_two_solves_per_sample(monkeypatch):
-    # the fine eigenpair gives both the Richardson value and the slopes
+def test_refined_band_is_richardson_of_two_sweeps(monkeypatch):
+    # one sweep per grid: a bisection for the first sample, continuation after
     grid = Grid(20.0, 400)
     xi = 1.0 + 0.5 * np.arange(15)
     calls = _count_eigensolves(monkeypatch)
     band, noise = refined_band(5, 1, 2, xi, grid)
-    assert len(calls) == 30
-    expected = [refined_values(ModelParams(5, 1, x), grid, 2)[1] for x in xi]
-    assert np.array_equal(band.values, [rv.value for rv in expected])
-    assert noise == max(rv.error for rv in expected)
+    assert len(calls) == 2
+    k = float(oracles.coupling_reference(5, 1))
+    coarse, fine = (
+        np.array([oracles.dense_fiber_eigenvalues(k, x, 20.0, g, 2)[1] for x in xi])
+        for g in (400, 800)
+    )
+    assert np.max(np.abs(band.values - (4.0 * fine - coarse) / 3.0)) <= 1e-9
+    assert noise == pytest.approx(np.max(np.abs(fine - coarse)) / 3.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("n, m, xi, grid", [
+    (5, 1, 8.0 + 0.5 * np.arange(15), Grid(30.0, 7200)),
+    (4, 0, 2.5 + 0.1 * np.arange(11), Grid(12.0, 4800)),
+], ids=["check-04", "check-10"])
+def test_refined_band_bisects_twice_on_the_acceptance_inputs(monkeypatch, n, m, xi, grid):
+    # every later sample is continued, on both grids
+    calls = _count_eigensolves(monkeypatch)
+    band, noise = refined_band(n, m, 1, xi, grid)
+    assert len(calls) == 2
+    assert np.all(np.diff(band.values) < 0) and 0 < noise < 1e-6

@@ -161,6 +161,9 @@ def test_integrate_validation():
         integrate(STATE, 10.0, 0.0)
     with pytest.raises(ModelError):
         integrate(ClassicalState(0.0, 0.0, 0.0, 1.0, 0.0, 0.0), 1.0, 1e-3)
+    for t_max, dt in [(1e12, 1e-3), (2.0**25 * 1e-3, 1e-3), (1e300, 1e-300)]:
+        with pytest.raises(ModelError, match="above the limit"):
+            integrate(STATE, t_max, dt)  # past 2^25 samples, before allocating
 
 
 def test_radial_period_needs_enough_minima():

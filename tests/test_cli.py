@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import magband.solver
+
 from magband import Grid, ModelError, ModelParams, integrate, ClassicalState, radial_period
 from magband.cli import _OPTIONS, _float, _float_grid, _int_list, _pair, _read_config, main
 from magband.tables import (
@@ -219,6 +221,11 @@ def test_current_invalid_input_exits_2_before_solving(flag, message, monkeypatch
     ("sweep --xi nan:1:0.5", "grid start and stop must be finite, got 'nan:1:0.5'"),
     ("asym --window 8:inf", "expected two finite numbers 'a:b', got '8:inf'"),
     ("current --window=-inf:2", "expected two finite numbers 'a:b', got '-inf:2'"),
+    ("sweep --m 0 --p 1 --xi 0 --intervals 1000000000000", "above the limit of 4194304"),
+    ("convergence --m 0 --p 1 --intervals 1000000000000", "above the limit of 4194304"),
+    ("asym --intervals 1000000000000", "above the limit of 4194304"),
+    ("asym --intervals 4194304", "a grid of 8388608 intervals"),  # its refinement
+    ("classical --t-max 1e12", "steps, above the limit of 33554431"),
 ])
 def test_bad_grid_input_exits_2_before_solving(command_line, message, monkeypatch, capsys):
     def no_solve(*args, **kwargs):
@@ -227,6 +234,39 @@ def test_bad_grid_input_exits_2_before_solving(command_line, message, monkeypatc
     monkeypatch.setattr("magband.solver.eigh_tridiagonal", no_solve)
     assert run_cli(*command_line.split()) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command_line, code, message", [
+    ("asym --order -1", 2, "expansion order must be an integer >= 0"),
+    ("asym --basis 2", 3, "basis size 2 < p + 2N"),
+    ("asym --m 3 --window 5:8", 2, "inside the pre-asymptotic region"),
+    ("asym --window 8:8", 2, "empty xi window [8.0, 8.0]"),
+    ("asym --window 15:8", 2, "empty xi window [15.0, 8.0]"),
+    ("asym --n 4 --m 0 --window 0:1", 2, "window must satisfy 0 < lo < hi"),
+])
+def test_asym_bad_input_refused_before_solving(command_line, code, message,
+                                               monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve before the input was checked")
+
+    monkeypatch.setattr("magband.solver.eigh_tridiagonal", no_solve)
+    assert run_cli(*command_line.split()) == code
+    assert message in capsys.readouterr().err
+
+
+def test_asym_defaults_make_two_bisections(monkeypatch, capsys):
+    # one sweep on the grid and one on its refinement, each bisected once
+    calls = []
+    original = magband.solver.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(magband.solver, "eigh_tridiagonal", counted)
+    assert run_cli("asym") == 0
+    capsys.readouterr()
+    assert len(calls) == 2
 
 
 _NUMBER_OPTIONS = [

@@ -38,6 +38,11 @@ def test_grid_validation():
         Grid(-1.0, 600)
     with pytest.raises(ModelError):
         Grid(12.0, 8)
+    largest = Grid(12.0, 2**22)
+    with pytest.raises(ModelError, match="above the limit"):
+        Grid(12.0, 2**22 + 1)
+    with pytest.raises(ModelError, match="above the limit"):
+        largest.refined()
 
 
 def test_assemble_accepts_hardy_boundary_case():

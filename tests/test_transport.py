@@ -24,6 +24,7 @@ from magband import (
     witness_small_current,
 )
 from magband.bands import fixed_step_grid
+from magband.transport import WITNESS_STEP
 
 WINDOW = (1.5, 2.5)
 STEP = 1.0 / 120.0
@@ -189,11 +190,11 @@ def test_bulk_decay(meeting):
 
 
 def test_witness_terminates_quickly_for_loose_epsilon():
-    m, value = witness_small_current(5, WINDOW, 0.5, step=STEP)
+    m, value = witness_small_current(5, WINDOW, 0.5)
     assert m == 8
     assert abs(value) <= 0.5
     assert value < 0
-    assert value == pytest.approx(_sampled_current(8, STEP), rel=1e-5)
+    assert value == pytest.approx(_sampled_current(8, WITNESS_STEP), rel=1e-5)
 
 
 @pytest.fixture
