@@ -9,6 +9,7 @@ and edge/bulk current functionals built from the bands.
 from __future__ import annotations
 
 from .asymptotics import (
+    band_asymptotics,
     evaluate_expansion,
     expansion_coefficients,
     exponential_gap_check,
@@ -30,7 +31,6 @@ from .errors import (
     AxisApproachError,
     BracketError,
     ConvergenceError,
-    InsufficientBasisError,
     MissingBandDataError,
     ModelError,
     SignPatternError,
@@ -75,7 +75,6 @@ __all__ = [
     "ConvergenceError",
     "CrossingResult",
     "Grid",
-    "InsufficientBasisError",
     "MissingBandDataError",
     "ModelError",
     "ModelParams",
@@ -83,6 +82,7 @@ __all__ = [
     "SpectralWindow",
     "agmon_norm",
     "agmon_weight",
+    "band_asymptotics",
     "bands_meeting_window",
     "boundary_exponent",
     "bulk_decay_study",

@@ -24,13 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import (
-    GapProfile,
-    RateReport,
-    exponential_gap_check,
-    expansion_coefficients,
-    remainder_rate,
-)
+from .asymptotics import GapProfile, RateReport, band_asymptotics, expansion_coefficients
 from .bands import (
     CROSSING_BASE_RADIUS,
     CROSSING_STEP,
@@ -39,7 +33,6 @@ from .bands import (
     agmon_weight,
     crossing,
     fixed_step_grid,
-    refined_band,
     scaling_study,
     sweep,
 )
@@ -242,7 +235,7 @@ def check_expansion_coefficients() -> CheckResult:
     for p in (1, 2, 3):
         e_p = float(landau_level(p))
         for k in (0.75, 8.75):
-            got = expansion_coefficients(p, k, 4, p + 8).alphas
+            got = expansion_coefficients(p, k, 4).alphas
             reference = _dense_alphas(p, k, 4, p + 16)
             exact = np.array([0.0, 1.0, 0.0, 1.5 * e_p])
             errs = {
@@ -269,18 +262,15 @@ def check_expansion_coefficients() -> CheckResult:
 
 def check_leading_asymptotics() -> CheckResult:
     """4. k/xi^2 leading term at xi=15 and the N=2 remainder rate."""
-    k = float(coupling_constant(5, 1))
-    band, noise = refined_band(5, 1, 1, 8.0 + 0.5 * np.arange(15), Grid(30.0, 7200))
-    ratio = 15.0**2 * (band.values[-1] - 1.0) / k
-    coeffs = expansion_coefficients(1, k, 2, 16)
-    report = remainder_rate(band, coeffs, (8.0, 15.0), noise_floor=noise)
-    slope = remainder_criterion(report, 2)
+    run = band_asymptotics(5, 1, 1, 2, (8.0, 15.0), 15, Grid(30.0, 7200))
+    ratio = 15.0**2 * (run.band.values[-1] - 1.0) / run.coeffs.coupling
+    slope = remainder_criterion(run.report, 2)
     return CheckResult(
         "leading-order asymptotics",
         0.9 <= ratio <= 1.1 and slope.passed,
         ratio,
         f"ratio in [0.9, 1.1]; N=2 slope {slope.bound}",
-        f"remainder slope {report.slope if report.slope is not None else 'n/a'}",
+        f"remainder slope {run.report.slope if run.report.slope is not None else 'n/a'}",
     )
 
 
@@ -407,8 +397,7 @@ def check_agmon_uniformity() -> CheckResult:
 
 def check_exponential_regime() -> CheckResult:
     """10. k=0 gap closes like xi e^{-xi^2}: profile flat within 2x."""
-    band, noise = refined_band(4, 0, 1, 2.5 + 0.1 * np.arange(11), Grid(12.0, 4800))
-    report = exponential_gap_check(band, 1, (2.5, 3.5), error_estimate=noise)
+    report = band_asymptotics(4, 0, 1, 0, (2.5, 3.5), 11, Grid(12.0, 4800)).report
     positive, spread = gap_profile_criteria(report)
     return CheckResult(
         "exponential gap regime",

@@ -3,8 +3,8 @@
 Far from the axis the fiber operator is a harmonic oscillator centered at xi
 perturbed by the inverse-square term; expanding in 1/xi turns the eigenvalue
 problem into a triangular system over the oscillator eigenbasis.  Everything
-here is exact linear algebra on coefficient arrays over Psi_1..Psi_Q; the
-basis bound in `expansion_coefficients` keeps the truncation edge out of reach.
+here is exact linear algebra on coefficient arrays over Psi_1..Psi_{p+2N},
+a basis whose truncation edge the order-N recursion never reaches.
 
 Conventions: 1-based Hermite functions Psi_1, Psi_2, ... normalized to unit
 L^2 norm (Psi_1 = pi^{-1/4} e^{-s^2/2}), with H0 Psi_q = (2q - 1) Psi_q and
@@ -17,8 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bands import BandCurve
-from .errors import InsufficientBasisError, ModelError
+from .bands import BandCurve, refined_band
+from .errors import ModelError
+from .model import coupling_constant
+from .solver import Grid
+
+_MAX_SAMPLES = 2**22  # longest band a comparison samples; 32 MiB per array
 
 
 def apply_s(c: np.ndarray) -> np.ndarray:
@@ -52,7 +56,8 @@ class ExpansionCoefficients:
     """Coefficients alpha_1..alpha_N of the inverse-power eigenvalue series.
 
     The band expands as E_p + k_m * sum_q alpha_q / xi^q; modes holds the
-    coefficient arrays of the corrector vectors g_0..g_N of the quasi-mode.
+    corrector vectors g_0..g_N of the quasi-mode as coefficient arrays over
+    Psi_1..Psi_{p+2N}.
     """
 
     p: int
@@ -62,13 +67,13 @@ class ExpansionCoefficients:
     modes: list[np.ndarray] = field(repr=False)
 
 
-def expansion_coefficients(p: int, coupling: float, order: int, basis_size: int) -> ExpansionCoefficients:
-    """Run the corrector recursion to the requested order.
+def expansion_coefficients(p: int, coupling: float, order: int) -> ExpansionCoefficients:
+    """Run the corrector recursion to the requested order N.
 
     Every vector formed at order q, correctors included, lies within distance
-    q - 2 of Psi_p, so no ladder step reaches past Psi_{p+N-2}.  The bound
-    basis_size >= p + 2*order keeps the truncation edge out of reach, and the
-    result is exact up to rounding.
+    q - 2 of Psi_p, so no ladder step reaches past Psi_{p+N-2}.  The basis
+    Psi_1..Psi_{p+2N} keeps the truncation edge out of reach: the result is
+    exact up to rounding, and a larger basis gives the same numbers.
     """
     if not (isinstance(p, (int, np.integer)) and p >= 1):
         raise ModelError(f"band index must be an integer >= 1, got {p!r}")
@@ -76,12 +81,7 @@ def expansion_coefficients(p: int, coupling: float, order: int, basis_size: int)
         raise ModelError(f"expansion order must be an integer >= 0, got {order!r}")
     if not np.isfinite(coupling):
         raise ModelError(f"coupling must be finite, got {coupling!r}")
-    if basis_size < p + 2 * order:
-        raise InsufficientBasisError(
-            f"basis size {basis_size} < p + 2N = {p + 2 * order}; "
-            "truncation would contaminate the requested order"
-        )
-
+    basis_size = p + 2 * order
     e_p = np.zeros(basis_size)
     e_p[p - 1] = 1.0
     # resolvent of H0 - E_p off Psi_p: divide by 2(q - p), zero the p-th slot
@@ -117,18 +117,15 @@ def evaluate_expansion(coeffs: ExpansionCoefficients, xi: float) -> float:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Log-log regression of a remainder against xi, or why it was skipped.
+    """Log-log regression of a remainder against xi over `points` samples.
 
-    slope is None when the data sits at/below the numerical noise floor, in
-    which case `indeterminate` is set and `reason` says what happened.
+    slope is None, and `indeterminate` set, when the remainder sits at or
+    below the numerical noise floor.
     """
 
     slope: float | None
     points: int
-    max_residual: float
-    noise_floor: float
     indeterminate: bool
-    reason: str = ""
 
 
 def _remainder_window(coupling: float, xi_window) -> tuple[float, float]:
@@ -176,24 +173,10 @@ def remainder_rate(
     resid = np.abs(
         band.values[mask] - np.array([evaluate_expansion(coeffs, x) for x in xi])
     )
-    max_resid = float(np.max(resid))
-    if max_resid <= 10.0 * noise_floor or np.any(resid == 0.0):
-        return RateReport(
-            slope=None,
-            points=int(xi.size),
-            max_residual=max_resid,
-            noise_floor=float(noise_floor),
-            indeterminate=True,
-            reason="remainder at or below the numerical noise floor",
-        )
+    if np.max(resid) <= 10.0 * noise_floor or np.any(resid == 0.0):
+        return RateReport(slope=None, points=int(xi.size), indeterminate=True)
     slope, _ = np.polyfit(np.log(xi), np.log(resid), 1)
-    return RateReport(
-        slope=float(slope),
-        points=int(xi.size),
-        max_residual=max_resid,
-        noise_floor=float(noise_floor),
-        indeterminate=False,
-    )
+    return RateReport(slope=float(slope), points=int(xi.size), indeterminate=False)
 
 
 @dataclass(frozen=True)
@@ -206,7 +189,6 @@ class GapProfile:
     ratio: float
     positive: bool
     indeterminate: bool
-    reason: str = ""
 
 
 def exponential_gap_check(
@@ -243,10 +225,52 @@ def exponential_gap_check(
         return GapProfile(
             xi=xi, gap=gap, profile=profile, ratio=float("nan"),
             positive=positive, indeterminate=True,
-            reason="gap within 10x of the discretization error estimate",
         )
     ratio = float(np.max(profile) / np.min(profile)) if positive else float("inf")
     return GapProfile(
         xi=xi, gap=gap, profile=profile, ratio=ratio,
         positive=positive, indeterminate=False,
     )
+
+
+@dataclass(frozen=True)
+class BandAsymptotics:
+    """A band with its noise and the report of its regime.
+
+    report is a RateReport when k_m != 0 and a GapProfile when k_m = 0;
+    sensitive_orders lists the q whose alpha_q moves when k_m doubles.
+    """
+
+    coeffs: ExpansionCoefficients
+    sensitive_orders: tuple[int, ...]
+    band: BandCurve
+    noise: float
+    report: RateReport | GapProfile
+
+
+def band_asymptotics(
+    n: int, m: int, p: int, order: int, xi_window, samples: int, grid: Grid
+) -> BandAsymptotics:
+    """Band p of (n, m) at `samples` points spanning xi_window, against the
+    order-N expansion (k_m != 0) or the exponential gap (k_m = 0).
+
+    Every input is checked before `refined_band` solves the band on grid and
+    its refinement; its Richardson error is the report's noise floor.
+    """
+    coupling = float(coupling_constant(n, m))
+    if not (isinstance(samples, (int, np.integer)) and 3 <= samples <= _MAX_SAMPLES):
+        raise ModelError(
+            f"the fits need at least 3 samples and at most {_MAX_SAMPLES}, got {samples!r}"
+        )
+    coeffs = expansion_coefficients(p, coupling, order)
+    probe = expansion_coefficients(p, 2.0 * coupling, order)
+    sensitive = tuple(
+        q + 1 for q in range(order) if abs(coeffs.alphas[q] - probe.alphas[q]) > 1e-10
+    )
+    window = _gap_window(xi_window) if coupling == 0.0 else _remainder_window(coupling, xi_window)
+    band, noise = refined_band(n, m, p, np.linspace(*window, samples), grid)
+    if coupling == 0.0:
+        report = exponential_gap_check(band, p, window, error_estimate=noise)
+    else:
+        report = remainder_rate(band, coeffs, window, noise_floor=noise)
+    return BandAsymptotics(coeffs, sensitive, band, noise, report)

@@ -34,17 +34,11 @@ from .acceptance import (
     remainder_criterion,
     scaling_criteria,
 )
-from .asymptotics import (
-    _gap_window,
-    _remainder_window,
-    exponential_gap_check,
-    expansion_coefficients,
-    remainder_rate,
-)
-from .bands import CROSSING_STEP, CROSSING_TOLERANCE, refined_band, scaling_study, sweep
+from .asymptotics import band_asymptotics
+from .bands import CROSSING_STEP, CROSSING_TOLERANCE, scaling_study, sweep
 from .classical import ClassicalState, effective_velocity, integrate
 from .errors import ConvergenceError, ModelError
-from .model import ModelParams, coupling_constant, landau_level
+from .model import ModelParams, landau_level
 from .solver import Grid, refined_values
 from .tables import (
     CONVERGENCE_HEADER,
@@ -61,6 +55,9 @@ from .transport import TRANSPORT_STEP, WITNESS_STEP, current_dichotomy
 
 
 # ---------------------------------------------------------------- value parsing
+
+_MAX_ENTRIES = 2**22  # longest list a range option expands to; 32 MiB of floats
+
 
 def _int(text: str) -> int:
     try:
@@ -84,6 +81,10 @@ def _int_list(text: str) -> list[int]:
         lo, hi = _int(lo_text), _int(hi_text)
         if hi < lo:
             raise ModelError(f"empty integer range {text!r}")
+        if hi - lo + 1 > _MAX_ENTRIES:
+            raise ModelError(
+                f"range {text!r} has {hi - lo + 1} entries, above the limit of {_MAX_ENTRIES}"
+            )
         return list(range(lo, hi + 1))
     return [_int(part) for part in text.split(",") if part.strip() != ""]
 
@@ -100,7 +101,12 @@ def _float_grid(text: str) -> np.ndarray:
             raise ModelError(f"grid start and stop must be finite, got {text!r}")
         if not (np.isfinite(step) and step > 0):
             raise ModelError(f"grid step must be positive and finite, got {step}")
-        count = int(round((stop - start) / step))
+        ratio = (stop - start) / step
+        if ratio + 1 > _MAX_ENTRIES:
+            raise ModelError(
+                f"grid {text!r} has {ratio + 1:.0f} entries, above the limit of {_MAX_ENTRIES}"
+            )
+        count = int(round(ratio))
         if abs(start + count * step - stop) > 1e-9 * max(1.0, abs(stop)):
             raise ModelError(f"step does not divide the range in {text!r}")
         if count < 0:
@@ -151,7 +157,6 @@ _OPTIONS = {
         "m": (_int, "1", "angular momentum (fixes k_m; k_m=0 switches regime)"),
         "p": (_int, "1", "band index"),
         "order": (_int, "4", "expansion order N"),
-        "basis": (_int, None, "Hermite basis size (default p + 2N)"),
         "window": (_pair, "8:15", "xi window for the remainder regression"),
         "samples": (_int, "15", "band samples across the window"),
         "radius": (_float, "30", "grid radius for the band solves"),
@@ -308,53 +313,36 @@ def cmd_scaling(cfg: dict) -> int:
 
 
 def cmd_asym(cfg: dict) -> int:
-    n, m, p, order = cfg["n"], cfg["m"], cfg["p"], cfg["order"]
-    coupling = float(coupling_constant(n, m))
-    lo, hi = cfg["window"]
-    if cfg["samples"] < 3:
-        raise ModelError(f"the fits need at least 3 samples, got {cfg['samples']}")
-    xi, grid = np.linspace(lo, hi, cfg["samples"]), Grid(cfg["radius"], cfg["intervals"])
-    # each route checks its window, and runs the expansion, before the band solves
-    if coupling == 0.0:
-        _gap_window((lo, hi))
-        band, noise = refined_band(n, m, p, xi, grid)
-        profile = exponential_gap_check(band, p, (lo, hi), error_estimate=noise)
+    run = band_asymptotics(
+        cfg["n"], cfg["m"], cfg["p"], cfg["order"], cfg["window"], cfg["samples"],
+        Grid(cfg["radius"], cfg["intervals"]),
+    )
+    report = run.report
+    if run.coeffs.coupling == 0.0:
         results = {
             "coupling": 0.0,
             "regime": "exponential",
-            "xi": profile.xi,
-            "gap": profile.gap,
-            "profile": profile.profile,
-            "indeterminate": profile.indeterminate,
+            "xi": report.xi,
+            "gap": report.gap,
+            "profile": report.profile,
+            "indeterminate": report.indeterminate,
         }
-        _report(cfg, results, gap_profile_criteria(profile), cfg["summary"])
-        return 0
-
-    basis = cfg["basis"] if cfg["basis"] is not None else p + 2 * order
-    coeffs = expansion_coefficients(p, coupling, order, basis)
-    probe = expansion_coefficients(p, 2.0 * coupling, order, basis)
-    _remainder_window(coupling, (lo, hi))
-    band, noise = refined_band(n, m, p, xi, grid)
-    sensitive = [
-        q + 1
-        for q in range(order)
-        if abs(coeffs.alphas[q] - probe.alphas[q]) > 1e-10
-    ]
-    report = remainder_rate(band, coeffs, (lo, hi), noise_floor=noise)
-    results = {
-        "coupling": coupling,
-        "regime": "inverse-power",
-        "landau_level": landau_level(p),
-        "alphas": coeffs.alphas,
-        "coupling_sensitive_orders": sensitive,
-        "remainder_slope": report.slope,
-        "remainder_points": report.points,
-        "remainder_indeterminate": report.indeterminate,
-        "noise_floor": noise,
-    }
-    checks = alpha_criteria(coeffs.alphas) if order >= 2 else []
-    if report.slope is not None:
-        checks.append(remainder_criterion(report, order))
+        checks = gap_profile_criteria(report)
+    else:
+        results = {
+            "coupling": run.coeffs.coupling,
+            "regime": "inverse-power",
+            "landau_level": landau_level(cfg["p"]),
+            "alphas": run.coeffs.alphas,
+            "coupling_sensitive_orders": run.sensitive_orders,
+            "remainder_slope": report.slope,
+            "remainder_points": report.points,
+            "remainder_indeterminate": report.indeterminate,
+            "noise_floor": run.noise,
+        }
+        checks = alpha_criteria(run.coeffs.alphas) if cfg["order"] >= 2 else []
+        if report.slope is not None:
+            checks.append(remainder_criterion(report, cfg["order"]))
     _report(cfg, results, checks, cfg["summary"])
     return 0
 

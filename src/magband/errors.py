@@ -22,10 +22,6 @@ class BracketError(ConvergenceError):
     """Root bracketing failed within the allowed search range."""
 
 
-class InsufficientBasisError(ConvergenceError):
-    """Hermite basis smaller than p + 2N, the size the expansion recursion needs."""
-
-
 class SignPatternError(ConvergenceError):
     """Eigenvector data violates the sign structure required by a fit."""
 

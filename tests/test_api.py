@@ -1,21 +1,29 @@
 """The public API: the names magband exports and the parameters each takes.
 
 Pinned literally, so a parameter added to or removed from a public callable
-shows up here as a one-line diff.
+shows up here as a one-line diff.  The front ends (CLI, acceptance battery,
+scripts) reach the library through public names only.
 """
 
 from __future__ import annotations
 
+import ast
 import inspect
+from pathlib import Path
+
+import pytest
 
 import magband
+
+PACKAGE = Path(magband.__file__).resolve().parent
+FRONT_ENDS = [PACKAGE / "cli.py", PACKAGE / "acceptance.py",
+              *sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))]
 
 ERRORS = (
     "AgmonOverflowError",
     "AxisApproachError",
     "BracketError",
     "ConvergenceError",
-    "InsufficientBasisError",
     "MissingBandDataError",
     "ModelError",
     "SignPatternError",
@@ -30,6 +38,7 @@ PARAMETERS = {
     "SpectralWindow": ("lower", "upper"),
     "agmon_norm": ("pair", "weight", "grid"),
     "agmon_weight": ("params", "energy", "grid", "alpha"),
+    "band_asymptotics": ("n", "m", "p", "order", "xi_window", "samples", "grid"),
     "bands_meeting_window": ("n", "window", "m_max", "step"),
     "boundary_exponent": ("params", "pair", "grid", "fit_window"),
     "bulk_decay_study": ("n", "window", "m_cut_list", "step"),
@@ -42,7 +51,7 @@ PARAMETERS = {
     "edge_bound": ("packet", "bands"),
     "effective_velocity": ("traj",),
     "evaluate_expansion": ("coeffs", "xi"),
-    "expansion_coefficients": ("p", "coupling", "order", "basis_size"),
+    "expansion_coefficients": ("p", "coupling", "order"),
     "exponential_gap_check": ("band", "p", "xi_window", "error_estimate"),
     "fiber_eigenvalues": ("params", "grid", "count"),
     "harmonic_multiplicity": ("n", "m"),
@@ -75,3 +84,17 @@ def test_errors_are_exceptions():
 def test_parameter_names():
     for name, expected in PARAMETERS.items():
         assert tuple(inspect.signature(getattr(magband, name)).parameters) == expected, name
+
+
+@pytest.mark.parametrize("path", FRONT_ENDS, ids=[p.name for p in FRONT_ENDS])
+def test_front_ends_import_no_private_names(path):
+    # a pipeline a front end needs belongs in the library under a public name
+    private = [
+        f"{node.module or ''}.{alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "magband")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == [], f"{path.name} imports private names {private}"

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 import magband.solver
 
 from magband import Grid, ModelError, ModelParams, integrate, ClassicalState, radial_period
+from magband.acceptance import ALL_CHECKS
 from magband.cli import _OPTIONS, _float, _float_grid, _int_list, _pair, _read_config, main
 from magband.tables import (
     CONVERGENCE_HEADER,
@@ -169,12 +170,6 @@ def test_no_partial_output_on_failure(tmp_path, capsys):
     assert not target.exists()
 
 
-def test_convergence_exit_3_on_basis_error(capsys):
-    # insufficient Hermite basis is a numerical-failure condition
-    assert run_cli("asym", "--order", "4", "--basis", "5") == 3
-    assert "basis" in capsys.readouterr().err
-
-
 def test_scaling_below_landau_exits_2(capsys):
     assert run_cli("scaling", "--energy", "0.5", "--m", "5..6") == 2
     capsys.readouterr()
@@ -226,6 +221,11 @@ def test_current_invalid_input_exits_2_before_solving(flag, message, monkeypatch
     ("asym --intervals 1000000000000", "above the limit of 4194304"),
     ("asym --intervals 4194304", "a grid of 8388608 intervals"),  # its refinement
     ("classical --t-max 1e12", "steps, above the limit of 33554431"),
+    ("sweep --xi=0:1e13:1", "has 10000000000001 entries, above the limit of 4194304"),
+    ("asym --samples 10000000000000", "at most 4194304, got 10000000000000"),
+    ("scaling --m 5..10000000000000", "has 9999999999996 entries, above the limit of 4194304"),
+    ("convergence --m 0..10000000000000",
+     "has 10000000000001 entries, above the limit of 4194304"),
 ])
 def test_bad_grid_input_exits_2_before_solving(command_line, message, monkeypatch, capsys):
     def no_solve(*args, **kwargs):
@@ -238,7 +238,8 @@ def test_bad_grid_input_exits_2_before_solving(command_line, message, monkeypatc
 
 @pytest.mark.parametrize("command_line, code, message", [
     ("asym --order -1", 2, "expansion order must be an integer >= 0"),
-    ("asym --basis 2", 3, "basis size 2 < p + 2N"),
+    ("asym --n 4 --m 0 --window 2.5:3.5 --order -1", 2,
+     "expansion order must be an integer >= 0"),
     ("asym --m 3 --window 5:8", 2, "inside the pre-asymptotic region"),
     ("asym --window 8:8", 2, "empty xi window [8.0, 8.0]"),
     ("asym --window 15:8", 2, "empty xi window [15.0, 8.0]"),
@@ -414,6 +415,24 @@ def test_asym_exponential_route(capsys):
     assert min(res["gap"]) > 0
     names = {c["name"]: c["pass"] for c in report["checks"]}
     assert names["gap-positive"]
+
+
+def test_asym_reports_the_numbers_of_checks_04_and_10(capsys):
+    # the CLI and the acceptance battery run one pipeline, band_asymptotics
+    checks = dict(ALL_CHECKS)
+    assert run_cli("asym", "--n", "5", "--m", "1", "--p", "1", "--order", "2",
+                   "--window", "8:15", "--samples", "15",
+                   "--radius", "30", "--intervals", "7200") == 0
+    slope = json.loads(capsys.readouterr().out)["results"]["remainder_slope"]
+    assert slope == pytest.approx(-3.99685941541, abs=1e-10)
+    assert checks["04-leading-asymptotics"]().detail == f"remainder slope {slope}"
+
+    assert run_cli("asym", "--n", "4", "--m", "0", "--p", "1", "--order", "0",
+                   "--window", "2.5:3.5",
+                   "--samples", "11", "--radius", "12", "--intervals", "4800") == 0
+    spread = {c["name"]: c["value"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert spread["profile-spread"] == pytest.approx(1.05733, abs=1e-5)
+    assert checks["10-exponential-regime"]().value == spread["profile-spread"]
 
 
 def test_acceptance_single_check(capsys, tmp_path):
