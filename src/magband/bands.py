@@ -7,9 +7,10 @@ unique: any pair of points where lambda - E changes sign brackets it.
 Crossings are found by Newton's method on the Feynman-Hellmann slope, seeded
 from the leading law lambda ~ E_p + k_m/xi^2 and kept inside that bracket.
 
-`sweep` is the one band follower, continuing eigenpairs from one xi to the
-next; `refined_band` is the Richardson pair of two sweeps, on a grid and its
-refinement.  Every band value here is the Rayleigh quotient of an eigenvector.
+`sweep` and `crossing` both continue eigenpairs from one xi to the next, by
+sample or by Newton iterate; `refined_band` is the Richardson pair of two
+sweeps, on a grid and its refinement.  Every band value here is the Rayleigh
+quotient of an eigenvector.
 """
 
 from __future__ import annotations
@@ -172,15 +173,20 @@ def crossing(
     from the leading law lambda ~ E_p + k_m/xi^2, i.e. xi_0 = sqrt(k_m/(E - E_p))
     (a fixed seed when k_m = 0), on one grid sized for it by `fixed_step_grid`
     (R >= xi + 10, fixed step; an energy so close to E_p that this grid
-    would be too large is a ModelError).  Each iterate costs one eigenpair
-    solve: lambda is the Rayleigh quotient of the eigenvector
+    would be too large is a ModelError).  The first iterate bisects the
+    lowest p eigenpairs (`solve_fiber`); each later one continues the
+    previous iterate's pairs (`solver._continue_fiber`) from the shifts
+    lambda + lambda'_FH * dxi, and bisects again when the continuation is not
+    certified.  lambda is the Rayleigh quotient of pair p's eigenvector
     (`rayleigh_quotient`), and the Feynman-Hellmann moment is its exact
-    xi-derivative, so Newton runs on the discrete branch itself.  Signs of lambda - energy keep a bracket; a Newton
-    step that leaves it is replaced by bisection, or by a bounded expansion
-    while one side is still open.  An iterate beyond the grid's reach
-    rebuilds the grid and drops the bracket, which belonged to the old one.
-    The returned slope and residual |lambda - energy| are those of the last
-    iterate, with lambda measured as that Rayleigh quotient.
+    xi-derivative, so Newton runs on the discrete branch itself.  Signs of
+    lambda - energy keep a bracket; a Newton step that leaves it is replaced
+    by bisection, or by a bounded expansion while one side is still open.  An
+    iterate beyond the grid's reach rebuilds the grid with the same step and
+    drops the bracket, which belonged to the old one; the rebuilt grid only
+    appends nodes past the old wall, so the previous vectors continue there,
+    padded with zeros.  The returned slope and residual |lambda - energy| are
+    those of the last iterate, with lambda measured as that Rayleigh quotient.
     """
     probe = ModelParams(n, m, 0.0)
     if probe.k < 0:
@@ -197,6 +203,7 @@ def crossing(
 
     x = float(np.sqrt(probe.k / (energy - target))) if probe.k > 0 else _FLAT_SEED
     grid, lo, hi = None, -np.inf, np.inf  # f > 0 at lo, f < 0 at hi
+    pairs = None
     for _ in range(60):
         if abs(x) > _BRACKET_LIMIT:
             raise BracketError(f"no sign change of lambda - {energy} for |xi| <= 2^30")
@@ -204,9 +211,22 @@ def crossing(
         if grid is None or wider.intervals > grid.intervals:
             grid, lo, hi = wider, -np.inf, np.inf
         params = ModelParams(n, m, x)
-        pair = solve_fiber(params, grid, p)[p - 1]
-        f = rayleigh_quotient(params, pair, grid) - energy
-        slope = derivative_feynman_hellmann(params, pair, grid)
+        if pairs is not None:
+            # A rebuilt grid keeps the step and appends nodes past the old
+            # wall, where the previous vectors continue as zeros.
+            rows = grid.intervals - 1
+            previous = [
+                EigenPair(pair.value, np.pad(pair.vector, (0, rows - pair.vector.size)))
+                for pair in pairs
+            ]
+            pairs = _continue_fiber(params, grid, previous, lam + slopes * (x - x_prev))
+        if pairs is None:
+            pairs = solve_fiber(params, grid, p)
+        lam = np.array([rayleigh_quotient(params, pair, grid) for pair in pairs])
+        slopes = np.array([derivative_feynman_hellmann(params, pair, grid) for pair in pairs])
+        x_prev = x
+        f = float(lam[p - 1]) - energy
+        slope = float(slopes[p - 1])
         if abs(f) <= tolerance:
             return CrossingResult(
                 energy=float(energy),

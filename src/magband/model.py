@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -64,8 +65,9 @@ class ModelParams:
     def coupling(self) -> Fraction:
         return coupling_constant(self.n, self.m)
 
-    @property
+    @cached_property
     def k(self) -> float:
+        """float(coupling), computed once per instance."""
         return float(self.coupling)
 
 
@@ -129,7 +131,8 @@ def turning_points(params: ModelParams, energy: float) -> tuple[float, float]:
     """Solutions r_minus < r_plus of V_m(r) = E bracketing the well.
 
     Bisection on the two monotone branches on either side of r_min; the well
-    I_m is the interval (r_minus, r_plus).
+    I_m is the interval (r_minus, r_plus).  The bisection evaluates V in plain
+    floats with `potential`'s arithmetic, so the roots are the same bits.
     """
     profile = potential_minimum(params)
     if not energy > profile.v_min:
@@ -137,6 +140,10 @@ def turning_points(params: ModelParams, energy: float) -> tuple[float, float]:
             f"empty well: E={energy} is not above min V = {profile.v_min}"
         )
     k, xi = params.k, params.xi
+
+    def v(r: float) -> float:
+        return k / (r * r) + (r - xi) * (r - xi)
+
     if k == 0.0:
         # V = (r - xi)^2; the inner branch only reaches V(0+) = xi^2.
         if energy >= xi * xi:
@@ -152,29 +159,29 @@ def turning_points(params: ModelParams, energy: float) -> tuple[float, float]:
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            v = potential(params, mid) - energy
-            if abs(v) <= tol:
+            excess = v(mid) - energy
+            if abs(excess) <= tol:
                 return mid
-            if (v > 0.0) == increasing:
+            if (excess > 0.0) == increasing:
                 hi = mid
             else:
                 lo = mid
         mid = 0.5 * (lo + hi)
-        if abs(potential(params, mid) - energy) <= 1e-10 * max(1.0, abs(energy)):
+        if abs(v(mid) - energy) <= 1e-10 * max(1.0, abs(energy)):
             return mid
         raise ConvergenceError(
             f"turning point bisection stalled at r={mid} for k_m={k}, xi={xi}, E={energy}"
         )
 
     lo = profile.r_min
-    while potential(params, lo) <= energy:
+    while v(lo) <= energy:
         lo *= 0.5
         if lo < 1e-300:  # unreachable for k > 0: V ~ k/r^2 near 0
             raise ConvergenceError("failed to bracket the inner turning point")
     r_minus = bisect(lo, profile.r_min, increasing=False)
 
     hi = profile.r_min + 1.0
-    while potential(params, hi) <= energy:
+    while v(hi) <= energy:
         hi = profile.r_min + 2.0 * (hi - profile.r_min)
     r_plus = bisect(profile.r_min, hi, increasing=True)
     return r_minus, r_plus

@@ -159,6 +159,24 @@ def test_continuation_rejects_a_wrong_seed(seed):
     assert _continue_fiber(params, grid, previous, shifts) is None
 
 
+def test_continuation_above_the_blas_threading_size():
+    # check 12's m = 128 witness grid: 11 498 rows, where BLAS dot products
+    # run threaded; the continued value still matches bisection.  k/h^2 makes
+    # the bisection value scatter by ~1e-8 here, so compare Rayleigh quotients.
+    grid = Grid(11499 / 60.0, 11499)
+    before = ModelParams(5, 128, 150.0)
+    (pair,) = solve_fiber(before, grid, 1)
+    shift = rayleigh_quotient(before, pair, grid) + 0.05 * derivative_feynman_hellmann(
+        before, pair, grid
+    )
+    params = ModelParams(5, 128, 150.05)
+    (got,) = _continue_fiber(params, grid, [pair], [shift])
+    (want,) = solve_fiber(params, grid, 1)
+    value = rayleigh_quotient(params, want, grid)
+    assert abs(rayleigh_quotient(params, got, grid) - value) <= 1e-9
+    assert abs(got.value - value) <= 1e-9
+
+
 def test_crossing_hits_requested_energy():
     res = crossing(5, 2, 1, 2.0)
     assert res.coupling == pytest.approx(8.75)
@@ -209,6 +227,62 @@ def test_crossing_flat_band_solve_count(monkeypatch):
             assert res.coupling == 0.0
             assert res.residual <= 1e-8
             assert len(calls) - before <= 10, (p, gap, len(calls) - before)
+
+
+def _record_fiber_solves(monkeypatch) -> list:
+    """Record ("bisect" | "continue", grid intervals) for each crossing iterate."""
+    log = []
+    bisect, continue_ = magband.bands.solve_fiber, magband.bands._continue_fiber
+
+    def bisected(params, grid, count):
+        log.append(("bisect", grid.intervals))
+        return bisect(params, grid, count)
+
+    def continued(params, grid, previous, shifts):
+        log.append(("continue", grid.intervals))
+        return continue_(params, grid, previous, shifts)
+
+    monkeypatch.setattr(magband.bands, "solve_fiber", bisected)
+    monkeypatch.setattr(magband.bands, "_continue_fiber", continued)
+    return log
+
+
+@pytest.mark.parametrize("n,m,p,energy", [(5, 20, 1, 2.0), (5, 40, 2, 3.6)])
+def test_crossing_bisects_once_and_continues(monkeypatch, n, m, p, energy):
+    calls = _count_eigensolves(monkeypatch)
+    log = _record_fiber_solves(monkeypatch)
+    res = crossing(n, m, p, energy)
+    assert res.residual <= 1e-8
+    assert len(calls) == 1
+    assert log[0][0] == "bisect" and len(log) >= 2
+    assert all(kind == "continue" for kind, _ in log[1:])
+
+
+def test_crossing_continues_across_a_grown_grid(monkeypatch):
+    # the seed xi_0 = 0 at k_m = 0 lies on the base grid; Newton heads out and
+    # the grid grows between iterates, so the previous vectors continue padded
+    log = _record_fiber_solves(monkeypatch)
+    step = 1.0 / 24.0
+    res = crossing(5, 0, 2, 3.1, step=step)
+    sizes = [intervals for _, intervals in log]
+    assert [kind for kind, _ in log] == ["bisect"] + ["continue"] * (len(log) - 1)
+    assert any(b > a for a, b in zip(sizes, sizes[1:]))
+    value = oracles.dense_fiber_eigenvalues(
+        res.coupling, res.xi, sizes[-1] * step, sizes[-1], 2
+    )[1]
+    assert abs(value - 3.1) <= 1e-8 + 1e-10
+
+
+@pytest.mark.parametrize("n,m,p,energy", [(5, 20, 1, 2.0), (5, 40, 2, 3.6)])
+def test_crossing_without_continuation_bisects_every_iterate(monkeypatch, n, m, p, energy):
+    continued = crossing(n, m, p, energy)
+    log = _record_fiber_solves(monkeypatch)
+    monkeypatch.setattr(magband.bands, "_continue_fiber", lambda *args: None)
+    bisected = crossing(n, m, p, energy)
+    assert abs(bisected.xi - continued.xi) <= 1e-12
+    assert abs(bisected.residual - continued.residual) <= 1e-12
+    assert abs(bisected.slope - continued.slope) <= 1e-9 * abs(bisected.slope)
+    assert len(log) >= 2 and all(kind == "bisect" for kind, _ in log)
 
 
 def test_crossing_where_bisection_eigenvalue_scatters():

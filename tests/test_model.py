@@ -60,6 +60,24 @@ def test_params_validation():
     assert p.k == float(p.coupling) == 35.0 / 4.0
 
 
+def test_params_k_is_computed_once_and_leaves_identity_alone(monkeypatch):
+    import magband.model
+
+    made = []
+    original = magband.model.coupling_constant
+    monkeypatch.setattr(magband.model, "coupling_constant",
+                        lambda n, m: made.append((n, m)) or original(n, m))
+    for n, m in [(3, 0), (4, 0), (5, 2), (7, 40), (5, 4096)]:
+        read, fresh = ModelParams(n, m, 1.5), ModelParams(n, m, 1.5)
+        before = len(made)
+        assert read.k == read.k == float(Fraction((2 * m + n - 3) ** 2 - 1, 4))
+        assert len(made) - before == 1
+        # the cached float changes neither equality nor hash
+        assert read == fresh and hash(read) == hash(fresh)
+        assert read != ModelParams(n, m, 2.5)
+        assert {read: 1}[fresh] == 1
+
+
 def test_potential_values_and_domain():
     params = ModelParams(5, 1, 2.0)
     r = np.array([0.5, 1.0, 2.0])
@@ -100,6 +118,47 @@ def test_turning_points_against_quartic_roots(n, m, xi, energy):
     # and they really solve V = E
     assert potential(params, r_minus) == pytest.approx(energy, rel=1e-9)
     assert potential(params, r_plus) == pytest.approx(energy, rel=1e-9)
+
+
+def _turning_points_through_potential(params, energy):
+    """turning_points' brackets and bisection, evaluating V with `potential`."""
+
+    def bisect(lo, hi, increasing):
+        tol = 1e-12 * max(1.0, abs(energy))
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            excess = potential(params, mid) - energy
+            if abs(excess) <= tol:
+                return mid
+            if (excess > 0.0) == increasing:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+    r_min = potential_minimum(params).r_min
+    lo, hi = r_min, r_min + 1.0
+    while potential(params, lo) <= energy:
+        lo *= 0.5
+    while potential(params, hi) <= energy:
+        hi = r_min + 2.0 * (hi - r_min)
+    return bisect(lo, r_min, False), bisect(r_min, hi, True)
+
+
+@pytest.mark.parametrize("n,m", [(3, 1), (5, 1), (5, 20), (6, 128)])
+@pytest.mark.parametrize("xi", [-2.0, 3.7, 46.6])
+@pytest.mark.parametrize("gap", [1e-6, 0.4, 25.0])
+def test_turning_points_are_the_bits_of_a_potential_bisection(n, m, xi, gap):
+    # turning_points evaluates V in plain floats; its roots are those of the
+    # same bisection run on `potential`, bit for bit
+    params = ModelParams(n, m, xi)
+    energy = potential_minimum(params).v_min + gap
+    roots = turning_points(params, energy)
+    assert roots == _turning_points_through_potential(params, energy)
+    for root in roots:
+        assert abs(potential(params, root) - energy) <= 1e-10 * max(1.0, energy)
 
 
 def test_turning_points_empty_well():
