@@ -25,17 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import GapProfile, RateReport, band_asymptotics, expansion_coefficients
-from .bands import (
-    CROSSING_BASE_RADIUS,
-    CROSSING_STEP,
-    ScalingStudy,
-    agmon_norm,
-    agmon_weight,
-    crossing,
-    fixed_step_grid,
-    scaling_study,
-    sweep,
-)
+from .bands import ScalingStudy, agmon_norm, agmon_weight, crossing, scaling_study, sweep
 from .classical import (
     ClassicalState,
     EffectiveVelocity,
@@ -374,11 +364,8 @@ def check_agmon_uniformity() -> CheckResult:
     try:
         for m in range(10, 41):
             result = crossing(5, m, 1, 2.0)
-            grid = fixed_step_grid(result.xi, CROSSING_STEP, CROSSING_BASE_RADIUS)
-            params = ModelParams(5, m, result.xi)
-            pair = solve_fiber(params, grid, 1)[0]
-            weight = agmon_weight(params, 2.0, grid, alpha=2.0)
-            norms.append(agmon_norm(pair, weight, grid))
+            weight = agmon_weight(ModelParams(5, m, result.xi), 2.0, result.grid, alpha=2.0)
+            norms.append(agmon_norm(result.pair, weight, result.grid))
     except AgmonOverflowError as exc:
         return CheckResult(
             "Agmon uniformity", False, float("inf"), "max <= 4x median", str(exc)

@@ -7,15 +7,16 @@ unique: any pair of points where lambda - E changes sign brackets it.
 Crossings are found by Newton's method on the Feynman-Hellmann slope, seeded
 from the leading law lambda ~ E_p + k_m/xi^2 and kept inside that bracket.
 
-`sweep` and `crossing` both continue eigenpairs from one xi to the next, by
-sample or by Newton iterate; `refined_band` is the Richardson pair of two
-sweeps, on a grid and its refinement.  Every band value here is the Rayleigh
+`sweep` and `crossing` both follow eigenpairs from one xi to the next, by
+sample or by Newton iterate, through one step (`_follow`); `refined_band` is
+the Richardson pair of two sweeps, on a grid and its refinement.  Every band value here is the Rayleigh
 quotient of an eigenvector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +39,6 @@ _FLAT_SEED = 1.0  # k_m = 0 has no leading law to seed from
 
 CROSSING_TOLERANCE = 1e-8  # default bound on |lambda - energy| at a crossing
 CROSSING_STEP = 1.0 / 240.0  # default grid step of the crossing solves
-CROSSING_BASE_RADIUS = 12.0  # least radius of a crossing's grid
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,9 @@ class CrossingResult:
     """Solution xi of lambda_{m,p}(xi) = energy on a decreasing band.
 
     `slope` is the Feynman-Hellmann derivative at xi, and `residual` is
-    |lambda - energy| with lambda the Rayleigh quotient of the eigenvector at
-    xi (see `solver.rayleigh_quotient`), both on the crossing's grid.
+    |lambda - energy| with lambda the Rayleigh quotient of `pair`, the p-th
+    eigenpair at xi (see `solver.rayleigh_quotient`); all three are measured
+    on `grid`, the grid the crossing was solved on.
     """
 
     energy: float
@@ -68,6 +69,8 @@ class CrossingResult:
     slope: float
     coupling: float
     residual: float
+    pair: EigenPair = field(compare=False, repr=False)
+    grid: Grid = field(compare=False, repr=False)
 
 
 def _xi_samples(xi_samples) -> np.ndarray:
@@ -80,17 +83,54 @@ def _xi_samples(xi_samples) -> np.ndarray:
     return xi
 
 
+class _Fiber(NamedTuple):
+    """The lowest eigenpairs at xi with their Rayleigh quotients and slopes."""
+
+    xi: float
+    pairs: list[EigenPair]
+    values: np.ndarray
+    slopes: np.ndarray
+
+
+def _follow(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None) -> _Fiber:
+    """The `count` lowest eigenpairs at params.xi, followed from `previous`.
+
+    Continues the previous fiber's pairs (`solver._continue_fiber`) from the
+    shifts lambda + lambda'_FH * dxi, zero-padding their vectors when `grid`
+    has grown past the one they were solved on (a grid of the same step
+    whose extra nodes lie past the old wall).  With nothing to continue, or
+    when the continuation is not certified, it bisects (`solve_fiber`).
+    Values are the Rayleigh quotients of the vectors (`rayleigh_quotient`)
+    and slopes their Feynman-Hellmann moments, so both kinds of step report
+    the same quantities, free of bisection scatter.
+    """
+    pairs = None
+    if previous is not None:
+        pairs, rows = previous.pairs, grid.intervals - 1
+        if pairs[0].vector.size < rows:
+            pairs = [
+                EigenPair(pair.value, np.pad(pair.vector, (0, rows - pair.vector.size)))
+                for pair in pairs
+            ]
+        shifts = previous.values + previous.slopes * (params.xi - previous.xi)
+        pairs = _continue_fiber(params, grid, pairs, shifts)
+    if pairs is None:
+        try:
+            pairs = solve_fiber(params, grid, count)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"fiber (m={params.m}, xi={params.xi}): {exc}") from exc
+    values = np.array([rayleigh_quotient(params, pair, grid) for pair in pairs])
+    slopes = np.array([derivative_feynman_hellmann(params, pair, grid) for pair in pairs])
+    return _Fiber(params.xi, pairs, values, slopes)
+
+
 def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
     """Solve every (m, p) band over xi_samples; one fiber eigensolve per (m, xi).
 
-    For each m the first xi is solved from scratch (`solve_fiber`); each later
-    one continues the previous sample's eigenpairs (`solver._continue_fiber`)
-    from the shifts lambda + lambda'_FH * dxi, and falls back to `solve_fiber`
-    when the continuation is not certified.  Every value is the Rayleigh
-    quotient of its eigenvector (`rayleigh_quotient`), so both kinds of sample
-    report the same quantity, free of bisection scatter; a value depends on
-    the previous sample only at the rounding level.  Samples of different m
-    never interact.
+    For each m the first xi is bisected and each later one follows the
+    previous sample's eigenpairs (`_follow`), so every value is the Rayleigh
+    quotient of its eigenvector; a value depends on the previous sample only
+    at the rounding level.  Samples of different m never interact.
 
     Output is ordered by (m, p) with xi ascending inside each curve.
     """
@@ -107,22 +147,14 @@ def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
     curves = []
     for m in ms:
         values, fh, bd = (np.empty((len(ps), xi.size)) for _ in range(3))
-        pairs = None
+        fiber = None
         for i, x in enumerate(xi.tolist()):
             params = ModelParams(n, m, x)
-            if pairs is not None:
-                pairs = _continue_fiber(params, grid, pairs, lam + slope * (x - xi[i - 1]))
-            if pairs is None:
-                try:
-                    pairs = solve_fiber(params, grid, ps[-1])
-                except ConvergenceError as exc:
-                    raise ConvergenceError(f"fiber (m={m}, xi={x}): {exc}") from exc
-            lam = np.array([rayleigh_quotient(params, pair, grid) for pair in pairs])
-            slope = np.array([derivative_feynman_hellmann(params, pair, grid) for pair in pairs])
+            fiber = _follow(params, grid, ps[-1], fiber)
             for j, p in enumerate(ps):
-                values[j, i] = lam[p - 1]
-                fh[j, i] = slope[p - 1]
-                bd[j, i] = derivative_boundary_form(params, pairs[p - 1], grid)
+                values[j, i] = fiber.values[p - 1]
+                fh[j, i] = fiber.slopes[p - 1]
+                bd[j, i] = derivative_boundary_form(params, fiber.pairs[p - 1], grid)
         curves.extend(
             BandCurve(n, m, p, xi.copy(), values[j], fh[j], bd[j]) for j, p in enumerate(ps)
         )
@@ -145,15 +177,15 @@ def refined_band(n: int, m: int, p: int, xi_samples, grid: Grid) -> tuple[BandCu
     return replace(fine, values=rv.value), float(np.max(rv.error))
 
 
-def fixed_step_grid(xi: float, step: float, base_radius: float = 0.0) -> Grid:
-    """Grid of step `step` whose radius reaches max(base_radius, xi + 10).
+def fixed_step_grid(xi: float, step: float) -> Grid:
+    """Grid of step `step` whose radius reaches max(12, xi + 10).
 
     Raises ModelError on a step that is not finite and positive, or on a grid
     past `Grid`'s interval limit.
     """
     if not (np.isfinite(step) and step > 0):
         raise ModelError(f"grid step must be positive and finite, got {step!r}")
-    radius = max(base_radius, xi + 10.0)
+    radius = max(12.0, xi + 10.0)
     intervals = max(16, int(np.ceil(radius / step)))
     return Grid(intervals * step, intervals)
 
@@ -172,21 +204,17 @@ def crossing(
     Works on the strictly decreasing regime k_m >= 0.  The iteration starts
     from the leading law lambda ~ E_p + k_m/xi^2, i.e. xi_0 = sqrt(k_m/(E - E_p))
     (a fixed seed when k_m = 0), on one grid sized for it by `fixed_step_grid`
-    (R >= xi + 10, fixed step; an energy so close to E_p that this grid
-    would be too large is a ModelError).  The first iterate bisects the
-    lowest p eigenpairs (`solve_fiber`); each later one continues the
-    previous iterate's pairs (`solver._continue_fiber`) from the shifts
-    lambda + lambda'_FH * dxi, and bisects again when the continuation is not
-    certified.  lambda is the Rayleigh quotient of pair p's eigenvector
-    (`rayleigh_quotient`), and the Feynman-Hellmann moment is its exact
-    xi-derivative, so Newton runs on the discrete branch itself.  Signs of
-    lambda - energy keep a bracket; a Newton step that leaves it is replaced
-    by bisection, or by a bounded expansion while one side is still open.  An
-    iterate beyond the grid's reach rebuilds the grid with the same step and
-    drops the bracket, which belonged to the old one; the rebuilt grid only
-    appends nodes past the old wall, so the previous vectors continue there,
-    padded with zeros.  The returned slope and residual |lambda - energy| are
-    those of the last iterate, with lambda measured as that Rayleigh quotient.
+    (an energy so close to E_p that this grid would be too large is a
+    ModelError).  The first iterate bisects the lowest p eigenpairs; each
+    later one follows the previous iterate's pairs (`_follow`).  lambda is the
+    Rayleigh quotient of pair p's eigenvector, and the Feynman-Hellmann moment
+    is its exact xi-derivative, so Newton runs on the discrete branch itself.
+    Signs of lambda - energy keep a bracket; a Newton step that leaves it is
+    replaced by bisection, or by a bounded expansion while one side is still
+    open.  An iterate beyond the grid's reach rebuilds the grid with the same
+    step and drops the bracket, which belonged to the old one.  The result
+    carries the last iterate's eigenpair p and grid, with its slope and
+    residual |lambda - energy|.
     """
     probe = ModelParams(n, m, 0.0)
     if probe.k < 0:
@@ -203,30 +231,16 @@ def crossing(
 
     x = float(np.sqrt(probe.k / (energy - target))) if probe.k > 0 else _FLAT_SEED
     grid, lo, hi = None, -np.inf, np.inf  # f > 0 at lo, f < 0 at hi
-    pairs = None
+    fiber = None
     for _ in range(60):
         if abs(x) > _BRACKET_LIMIT:
             raise BracketError(f"no sign change of lambda - {energy} for |xi| <= 2^30")
-        wider = fixed_step_grid(x, step, CROSSING_BASE_RADIUS)
+        wider = fixed_step_grid(x, step)
         if grid is None or wider.intervals > grid.intervals:
             grid, lo, hi = wider, -np.inf, np.inf
-        params = ModelParams(n, m, x)
-        if pairs is not None:
-            # A rebuilt grid keeps the step and appends nodes past the old
-            # wall, where the previous vectors continue as zeros.
-            rows = grid.intervals - 1
-            previous = [
-                EigenPair(pair.value, np.pad(pair.vector, (0, rows - pair.vector.size)))
-                for pair in pairs
-            ]
-            pairs = _continue_fiber(params, grid, previous, lam + slopes * (x - x_prev))
-        if pairs is None:
-            pairs = solve_fiber(params, grid, p)
-        lam = np.array([rayleigh_quotient(params, pair, grid) for pair in pairs])
-        slopes = np.array([derivative_feynman_hellmann(params, pair, grid) for pair in pairs])
-        x_prev = x
-        f = float(lam[p - 1]) - energy
-        slope = float(slopes[p - 1])
+        fiber = _follow(ModelParams(n, m, x), grid, p, fiber)
+        f = float(fiber.values[p - 1]) - energy
+        slope = float(fiber.slopes[p - 1])
         if abs(f) <= tolerance:
             return CrossingResult(
                 energy=float(energy),
@@ -234,6 +248,8 @@ def crossing(
                 slope=slope,
                 coupling=probe.k,
                 residual=abs(f),
+                pair=fiber.pairs[p - 1],
+                grid=grid,
             )
         if f > 0.0:
             lo = x
@@ -345,7 +361,7 @@ class AgmonWeight:
     Phi is delta times the (V - E)_+ geodesic distance to the well interval,
     so it vanishes on the well, grows outward on both sides, and satisfies the
     eikonal identity |Phi'|^2 = delta^2 (V - E)_+ away from the turning
-    points.
+    points.  `grid` is the grid whose nodes carry the values.
     """
 
     delta: float
@@ -353,6 +369,7 @@ class AgmonWeight:
     energy: float
     values: np.ndarray
     well: tuple[float, float]
+    grid: Grid
 
 
 def agmon_weight(
@@ -397,6 +414,7 @@ def agmon_weight(
         energy=float(energy),
         values=phi,
         well=(float(r_minus), float(r_plus)),
+        grid=grid,
     )
 
 
@@ -405,10 +423,17 @@ def agmon_norm(pair: EigenPair, weight: AgmonWeight, grid: Grid) -> float:
 
     The weight can reach several hundred at the edge of the grid, so the sum
     of e^{2 Phi} u^2 is formed as a log-sum-exp; an unrepresentable result
-    raises instead of saturating to inf.
+    raises instead of saturating to inf.  The weight must have been built on
+    `grid` and the pair's vector must have one entry per node of it; anything
+    else is a ModelError.
     """
-    if weight.values.shape != grid.nodes.shape:
-        raise ModelError("weight was built on a different grid")
+    if weight.grid != grid:
+        raise ModelError(f"weight was built on {weight.grid}, not on {grid}")
+    if pair.vector.size != grid.intervals - 1:
+        raise ModelError(
+            f"eigenvector has {pair.vector.size} entries, but {grid} has "
+            f"{grid.intervals - 1} nodes"
+        )
     u = pair.vector
     mask = u != 0.0
     if not np.any(mask):

@@ -38,6 +38,25 @@ def dense_fiber_eigenvalues(k: float, xi: float, radius: float, intervals: int,
     return np.linalg.eigvalsh(mat)[:count]
 
 
+def bump_current_reference(k: float, lo: float, hi: float, p: int, radius: float,
+                           intervals: int, dxi: float = 1e-3) -> float:
+    """Normalized current of the unit bump on the band-p preimage [lo, hi].
+
+    The bump density is (1 - t^2)^4 on xi = mid + 0.495 (hi - lo) t, |t| < 1;
+    the current is its 16-node Gauss-Legendre sum against lambda', each slope
+    a centered difference of dense eigenvalues on the given grid.
+    """
+    t, w = np.polynomial.legendre.leggauss(16)
+    w = w * (1.0 - t**2) ** 4
+    nodes = 0.5 * (lo + hi) + 0.495 * (hi - lo) * t
+    slopes = [
+        (dense_fiber_eigenvalues(k, x + dxi, radius, intervals, p)[p - 1]
+         - dense_fiber_eigenvalues(k, x - dxi, radius, intervals, p)[p - 1]) / (2.0 * dxi)
+        for x in nodes
+    ]
+    return float(np.dot(w, slopes) / np.sum(w))
+
+
 def dense_alphas(p: int, k: float, order: int, size: int) -> np.ndarray:
     """Inverse-power eigenvalue coefficients by dense matrix recursion.
 

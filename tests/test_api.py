@@ -32,7 +32,7 @@ ERRORS = (
 PARAMETERS = {
     "BandCurve": ("n", "m", "p", "xi", "values", "slope_fh", "slope_bd"),
     "ClassicalState": ("x", "y", "z", "vx", "vy", "vz", "t"),
-    "CrossingResult": ("energy", "xi", "slope", "coupling", "residual"),
+    "CrossingResult": ("energy", "xi", "slope", "coupling", "residual", "pair", "grid"),
     "Grid": ("radius", "intervals"),
     "ModelParams": ("n", "m", "xi"),
     "SpectralWindow": ("lower", "upper"),

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import magband.acceptance
 import magband.bands
 import magband.solver
 from magband import (
     BracketError,
+    ConvergenceError,
     Grid,
     ModelError,
     ModelParams,
@@ -27,7 +31,6 @@ from magband import (
     sweep,
     turning_points,
 )
-from magband.bands import AgmonWeight
 from magband.solver import _continue_fiber, rayleigh_quotient
 
 import oracles
@@ -310,11 +313,35 @@ def test_crossing_where_bisection_eigenvalue_scatters():
 def test_crossing_matches_dense_oracle(n, m, p, energy):
     step = 1.0 / 24.0
     res = crossing(n, m, p, energy, step=step)
-    intervals = int(np.ceil(max(12.0, res.xi + 10.0) / step))
+    assert res.grid.h == pytest.approx(step, rel=1e-12)
+    assert res.grid.radius >= max(12.0, res.xi + 10.0)
     value = oracles.dense_fiber_eigenvalues(
-        res.coupling, res.xi, intervals * step, intervals, p
+        res.coupling, res.xi, res.grid.radius, res.grid.intervals, p
     )[p - 1]
     assert abs(value - energy) <= 1e-8 + 1e-10
+    # the eigenpair handed back is the p-th one at xi, on that grid
+    u = res.pair.vector
+    assert u.size == res.grid.intervals - 1
+    signs = np.signbit(u[np.abs(u) > 1e-8 * np.max(np.abs(u))])
+    assert np.count_nonzero(signs[1:] != signs[:-1]) == p - 1
+    quotient = rayleigh_quotient(ModelParams(n, m, res.xi), res.pair, res.grid)
+    assert abs(quotient - value) <= 1e-8 + 1e-10
+
+
+def test_crossing_names_the_fiber_when_its_bisection_fails(monkeypatch):
+    def failing(params, grid, count):
+        raise ConvergenceError("tridiagonal eigensolve failed")
+
+    monkeypatch.setattr(magband.bands, "solve_fiber", failing)
+    with pytest.raises(ConvergenceError, match=r"\(m=2, xi=[-0-9.e]+\): tridiagonal"):
+        crossing(5, 2, 1, 2.0)
+
+
+def test_agmon_check_reads_the_crossing_pair(monkeypatch):
+    # check 09 bisects each of its 31 crossings once and solves nothing more
+    calls = _count_eigensolves(monkeypatch)
+    assert magband.acceptance.check_agmon_uniformity().passed
+    assert len(calls) == 31
 
 
 def test_crossing_validation():
@@ -343,9 +370,7 @@ def test_crossing_state_mass_localization():
     # mass within C(eps) = sqrt(E/eps) of xi_m is at least 1 - eps
     energy, eps = 2.0, 0.1
     res = crossing(5, 4, 1, energy)
-    radius = res.xi + 10.0
-    grid = Grid(radius, int(radius * 240))
-    pair = solve_fiber(ModelParams(5, 4, res.xi), grid, 1)[0]
+    grid, pair = res.grid, res.pair
     r = grid.nodes
     u2 = pair.vector**2
     c_eps = np.sqrt(energy / eps)
@@ -459,10 +484,29 @@ def test_agmon_norm_overflow_guard():
 
     params, grid, w = agmon_setup(m=6, radius=25.0, intervals=1500)
     pair = solve_fiber(params, grid, 1)[0]
-    huge = AgmonWeight(w.delta, w.alpha, w.energy,
-                       np.full_like(w.values, 900.0), w.well)
+    huge = replace(w, values=np.full_like(w.values, 900.0))
     with pytest.raises(AgmonOverflowError):
         agmon_norm(pair, huge, grid)
+
+
+def test_agmon_norm_refuses_a_weight_from_another_grid():
+    # same node count would not catch it: the radii differ, so the weight's
+    # values sit at other r than the pair's entries
+    params = ModelParams(5, 10, 8.0)
+    grid = Grid(30.0, 4800)
+    pair = solve_fiber(params, grid, 1)[0]
+    weight = agmon_weight(params, 2.0, Grid(20.0, 4800))
+    with pytest.raises(ModelError, match="weight was built on"):
+        agmon_norm(pair, weight, grid)
+
+
+def test_agmon_norm_refuses_a_pair_from_another_grid():
+    params = ModelParams(5, 10, 8.0)
+    grid = Grid(20.0, 4800)
+    pair = solve_fiber(params, Grid(20.0, 2400), 1)[0]
+    weight = agmon_weight(params, 2.0, grid)
+    with pytest.raises(ModelError, match="2399 entries"):
+        agmon_norm(pair, weight, grid)
 
 
 def test_refined_band_validates_samples():

@@ -15,6 +15,7 @@ from magband import (
     SpectralWindow,
     bands_meeting_window,
     bulk_decay_study,
+    crossing,
     current,
     current_dichotomy,
     edge_bound,
@@ -24,7 +25,9 @@ from magband import (
     witness_small_current,
 )
 from magband.bands import fixed_step_grid
-from magband.transport import WITNESS_STEP
+from magband.transport import TRANSPORT_STEP, WITNESS_STEP
+
+import oracles
 
 WINDOW = (1.5, 2.5)
 STEP = 1.0 / 120.0
@@ -187,6 +190,18 @@ def test_bulk_decay(meeting):
         k = ((2 * (M + 1) + 2) ** 2 - 1) / 4.0
         assert val == pytest.approx(2.0 / np.sqrt(k), rel=0.5)
     assert study.slope == pytest.approx(-0.5, abs=0.2)
+
+
+def test_bulk_current_grid_reaches_past_the_well():
+    # Far above E_1 the band-1 preimage lies near xi = -9 (m=1) and -7.5
+    # (m=5), where a node grid of radius xi + 10 ends inside the well
+    # (r_+ = 1.03 at xi ~ -9) and the currents came out 1.7 % too small.
+    window = (101.2, 102.8)
+    study = bulk_decay_study(5, window, [0, 4])
+    for m, value in zip((1, 5), study.normalized_current):
+        upper, lower = (crossing(5, m, 1, e, step=TRANSPORT_STEP) for e in window[::-1])
+        want = oracles.bump_current_reference(upper.coupling, upper.xi, lower.xi, 1, 12.0, 360)
+        assert value == pytest.approx(want, rel=1e-3), m
 
 
 def test_witness_terminates_quickly_for_loose_epsilon():
