@@ -254,8 +254,10 @@ def band_asymptotics(
     """Band p of (n, m) at `samples` points spanning xi_window, against the
     order-N expansion (k_m != 0) or the exponential gap (k_m = 0).
 
-    Every input is checked before `refined_band` solves the band on grid and
-    its refinement; its Richardson error is the report's noise floor.
+    The inputs are checked before `refined_band` solves the band on grid and
+    its refinement, and the grid as each sample is solved: a grid that does
+    not admit a sample (`sweep`) is a ModelError.  The Richardson error is the
+    report's noise floor.
     """
     coupling = float(coupling_constant(n, m))
     if not (isinstance(samples, (int, np.integer)) and 3 <= samples <= _MAX_SAMPLES):

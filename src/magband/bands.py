@@ -25,10 +25,12 @@ from .model import ModelParams, landau_level, potential, turning_points
 from .solver import (
     EigenPair,
     Grid,
+    _admit,
     _continue_fiber,
     derivative_boundary_form,
     derivative_feynman_hellmann,
     fiber_eigenvalues,  # not called here; perfbench/tracing.py binds it
+    fixed_step_grid,
     rayleigh_quotient,
     richardson,
     solve_fiber,
@@ -130,7 +132,8 @@ def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
     For each m the first xi is bisected and each later one follows the
     previous sample's eigenpairs (`_follow`), so every value is the Rayleigh
     quotient of its eigenvector; a value depends on the previous sample only
-    at the rounding level.  Samples of different m never interact.
+    at the rounding level.  Samples of different m never interact.  A sample
+    whose top band `grid` does not admit (`solver._admit`) is a ModelError.
 
     Output is ordered by (m, p) with xi ascending inside each curve.
     """
@@ -151,6 +154,7 @@ def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
         for i, x in enumerate(xi.tolist()):
             params = ModelParams(n, m, x)
             fiber = _follow(params, grid, ps[-1], fiber)
+            _admit(params, grid, fiber.values[-1])
             for j, p in enumerate(ps):
                 values[j, i] = fiber.values[p - 1]
                 fh[j, i] = fiber.slopes[p - 1]
@@ -177,19 +181,6 @@ def refined_band(n: int, m: int, p: int, xi_samples, grid: Grid) -> tuple[BandCu
     return replace(fine, values=rv.value), float(np.max(rv.error))
 
 
-def fixed_step_grid(xi: float, step: float) -> Grid:
-    """Grid of step `step` whose radius reaches max(12, xi + 10).
-
-    Raises ModelError on a step that is not finite and positive, or on a grid
-    past `Grid`'s interval limit.
-    """
-    if not (np.isfinite(step) and step > 0):
-        raise ModelError(f"grid step must be positive and finite, got {step!r}")
-    radius = max(12.0, xi + 10.0)
-    intervals = max(16, int(np.ceil(radius / step)))
-    return Grid(intervals * step, intervals)
-
-
 def crossing(
     n: int,
     m: int,
@@ -203,18 +194,19 @@ def crossing(
 
     Works on the strictly decreasing regime k_m >= 0.  The iteration starts
     from the leading law lambda ~ E_p + k_m/xi^2, i.e. xi_0 = sqrt(k_m/(E - E_p))
-    (a fixed seed when k_m = 0), on one grid sized for it by `fixed_step_grid`
-    (an energy so close to E_p that this grid would be too large is a
-    ModelError).  The first iterate bisects the lowest p eigenpairs; each
-    later one follows the previous iterate's pairs (`_follow`).  lambda is the
-    Rayleigh quotient of pair p's eigenvector, and the Feynman-Hellmann moment
-    is its exact xi-derivative, so Newton runs on the discrete branch itself.
-    Signs of lambda - energy keep a bracket; a Newton step that leaves it is
-    replaced by bisection, or by a bounded expansion while one side is still
-    open.  An iterate beyond the grid's reach rebuilds the grid with the same
-    step and drops the bracket, which belonged to the old one.  The result
-    carries the last iterate's eigenpair p and grid, with its slope and
-    residual |lambda - energy|.
+    (a fixed seed when k_m = 0), on one grid that `solver.fixed_step_grid`
+    sizes to admit `energy` there (an energy so close to E_p that this grid
+    would be too large is a ModelError).  The first iterate bisects the lowest
+    p eigenpairs; each later one follows the previous iterate's pairs
+    (`_follow`).  lambda is the Rayleigh quotient of pair p's eigenvector, and
+    the Feynman-Hellmann moment is its exact xi-derivative, so Newton runs on
+    the discrete branch itself.  Signs of lambda - energy keep a bracket; a
+    Newton step that leaves it is replaced by bisection, or by a bounded
+    expansion while one side is still open.  An iterate the grid does not
+    admit `energy` at rebuilds the grid with the same step and drops the
+    bracket, which belonged to the old one.  The result carries the last
+    iterate's eigenpair p and grid, with its slope and residual
+    |lambda - energy|.
     """
     probe = ModelParams(n, m, 0.0)
     if probe.k < 0:
@@ -235,7 +227,7 @@ def crossing(
     for _ in range(60):
         if abs(x) > _BRACKET_LIMIT:
             raise BracketError(f"no sign change of lambda - {energy} for |xi| <= 2^30")
-        wider = fixed_step_grid(x, step)
+        wider = fixed_step_grid(x, energy, step)
         if grid is None or wider.intervals > grid.intervals:
             grid, lo, hi = wider, -np.inf, np.inf
         fiber = _follow(ModelParams(n, m, x), grid, p, fiber)

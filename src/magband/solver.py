@@ -19,6 +19,7 @@ and sign fixed to be positive near the axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,6 +33,7 @@ _SIGNIFICANT = 1e-8  # entries below this fraction of a vector's peak carry no s
 _RQI_STEPS = 8  # Rayleigh-quotient steps before a continuation gives up
 _EPS = float(np.finfo(float).eps)
 _MAX_INTERVALS = 2**22  # largest grid; one vector on it takes 32 MiB
+REACH = 14.0  # Agmon lengths from well to wall that a grid must reach; see `_admit`
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,59 @@ class Grid:
     def refined(self) -> "Grid":
         """Same radius, half the step."""
         return Grid(self.radius, 2 * self.intervals)
+
+
+def _reach(grid: Grid, xi: float, value: float) -> float:
+    """Agmon lengths from the well of `value` at momentum xi to the wall.
+
+    The integral of sqrt(s^2 - value) from s = sqrt(value) to R - xi, in
+    closed form: a lower bound of the Agmon distance from r_plus to R, since
+    V >= (r - xi)^2.
+    """
+    a, x = math.sqrt(value), grid.radius - xi
+    if not x > a:  # the wall is inside the well, or value is NaN
+        return 0.0
+    q = math.sqrt(x * x - a * a)
+    return 0.5 * (x * q - a * a * math.acosh(x / a))
+
+
+def _admitted_radius(xi: float, energy: float) -> float:
+    """A radius admitting every eigenvalue up to `energy` at xi: the wall lies
+    d = sqrt(2 REACH) past s = sqrt(energy), and the reach is >= d^2/2."""
+    return max(0.0, xi + math.sqrt(energy)) + math.sqrt(2.0 * REACH)
+
+
+def _admit(params: ModelParams, grid: Grid, value: float) -> None:
+    """The one grid rule: raise ModelError unless the wall of `grid` lies at
+    least REACH Agmon lengths (`_reach`) past the well of the eigenvalue `value`.
+
+    An eigenfunction decays like e^(-d) at Agmon distance d from its well
+    (Agmon, Lectures on Exponential Decay, 1982), so the wall moves `value`
+    by about e^(-2 REACH).  `value` is the computed eigenvalue: a wall too
+    close raises it (Dirichlet domain monotonicity) and so only shortens the
+    reach, and up to the O(h^2) of the differences a grid too short cannot
+    admit itself.
+    """
+    reach = _reach(grid, params.xi, value)
+    if not reach >= REACH:
+        raise ModelError(
+            f"fiber (n={params.n}, m={params.m}, xi={params.xi}): the wall of {grid} lies "
+            f"{reach:.4g} Agmon lengths past the well of lambda={value:.6g}, fewer than "
+            f"{REACH:g}; a radius of {_admitted_radius(params.xi, value):.6g} is admitted"
+        )
+
+
+def fixed_step_grid(xi: float, energy: float, step: float) -> Grid:
+    """Grid of step `step` admitting every eigenvalue up to `energy` at xi,
+    of radius `_admitted_radius` rounded up to whole steps.
+
+    Raises ModelError on a step that is not finite and positive, or on a grid
+    past `Grid`'s interval limit.
+    """
+    if not (math.isfinite(step) and step > 0):
+        raise ModelError(f"grid step must be positive and finite, got {step!r}")
+    intervals = max(16, math.ceil(_admitted_radius(xi, energy) / step))
+    return Grid(intervals * step, intervals)
 
 
 @dataclass(frozen=True)
@@ -304,9 +359,11 @@ def refined_values(params: ModelParams, grid: Grid, count: int) -> list[RefinedV
     """Richardson extrapolation of the lowest `count` eigenvalues at once.
 
     Second order: from a on `grid` and b on `grid.refined()`, (4b - a)/3 is
-    the extrapolated value and |b - a|/3 estimates the fine-grid error.
+    the extrapolated value and |b - a|/3 estimates the fine-grid error.  A
+    grid that does not admit the top coarse value (`_admit`) is a ModelError.
     """
     coarse = fiber_eigenvalues(params, grid, count).tolist()
+    _admit(params, grid, coarse[-1])
     fine = fiber_eigenvalues(params, grid.refined(), count).tolist()
     return [richardson(a, b) for a, b in zip(coarse, fine)]
 

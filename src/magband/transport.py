@@ -19,9 +19,10 @@ from math import ceil, floor
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .bands import CrossingResult, _loglog_slope, crossing, fixed_step_grid, sweep
+from .bands import CrossingResult, _loglog_slope, crossing, sweep
 from .errors import ConvergenceError, MissingBandDataError, ModelError
 from .model import coupling_constant, harmonic_multiplicity
+from .solver import fixed_step_grid
 
 _PROFILE_SAMPLES = 801  # samples per bump profile
 _SUPPORT = 0.495  # bump half-width over preimage length: support stays inside
@@ -316,7 +317,7 @@ def _bump_current(n: int, win: SpectralWindow, m: int, p: int, step: float) -> t
     ends = _preimage(n, m, p, win, step)
     lo, hi = (end.xi for end in ends)
     xi = 0.5 * (lo + hi) + _SUPPORT * (hi - lo) * _NODES
-    (curve,) = sweep(n, [m], [p], xi, fixed_step_grid(xi[-1], step))
+    (curve,) = sweep(n, [m], [p], xi, fixed_step_grid(xi[-1], win.upper, step))
     floor = np.min(np.abs([*curve.slope_fh, *(end.slope for end in ends)]))
     return float(_WEIGHTS @ curve.slope_fh), float(floor)
 

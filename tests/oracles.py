@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import minimize_scalar
 
 
@@ -36,6 +36,17 @@ def dense_fiber_eigenvalues(k: float, xi: float, radius: float, intervals: int,
     off = np.full(intervals - 2, -1.0 / h**2)
     mat += np.diag(off, 1) + np.diag(off, -1)
     return np.linalg.eigvalsh(mat)[:count]
+
+
+def agmon_reach_reference(xi: float, value: float, radius: float) -> float:
+    """Integral of sqrt((r - xi)^2 - value) from r = xi + sqrt(value) to the
+    wall at `radius`, by adaptive quadrature: the reach of the grid rule."""
+    start = xi + math.sqrt(value)
+    if radius <= start:
+        return 0.0
+    integral, _ = quad(lambda r: math.sqrt(max((r - xi) ** 2 - value, 0.0)), start, radius,
+                       epsabs=1e-12, epsrel=1e-12, limit=200)
+    return integral
 
 
 def bump_current_reference(k: float, lo: float, hi: float, p: int, radius: float,

@@ -31,7 +31,7 @@ from magband import (
     sweep,
     turning_points,
 )
-from magband.solver import _continue_fiber, rayleigh_quotient
+from magband.solver import REACH, _continue_fiber, rayleigh_quotient
 
 import oracles
 
@@ -60,6 +60,13 @@ def test_sweep_validates_inputs():
         sweep(5, [0], [], np.array([0.0, 1.0]), SWEEP_GRID)
     with pytest.raises(ModelError):
         sweep(5, [0], [0], np.array([0.0, 1.0]), SWEEP_GRID)  # p >= 1
+
+
+def test_sweep_refuses_a_grid_whose_wall_is_in_the_well():
+    # on Grid(20, 4800) the wall cuts the m=1 wells at xi = 19 and 25: the
+    # values were 1.479 and 36.46 with positive slopes, for a band near 1.01
+    with pytest.raises(ModelError, match=r"xi=19\.0\).* a radius of 26\.39\d* is admitted"):
+        sweep(5, [1], [1, 2], [19.0, 25.0], Grid(20.0, 4800))
 
 
 def test_sweep_high_frequency_regime():
@@ -314,9 +321,10 @@ def test_crossing_matches_dense_oracle(n, m, p, energy):
     step = 1.0 / 24.0
     res = crossing(n, m, p, energy, step=step)
     assert res.grid.h == pytest.approx(step, rel=1e-12)
-    assert res.grid.radius >= max(12.0, res.xi + 10.0)
+    assert oracles.agmon_reach_reference(res.xi, energy, res.grid.radius) >= REACH
+    # the same step with the wall 10 further out: the wall does not move the crossing
     value = oracles.dense_fiber_eigenvalues(
-        res.coupling, res.xi, res.grid.radius, res.grid.intervals, p
+        res.coupling, res.xi, res.grid.radius + 240 * step, res.grid.intervals + 240, p
     )[p - 1]
     assert abs(value - energy) <= 1e-8 + 1e-10
     # the eigenpair handed back is the p-th one at xi, on that grid

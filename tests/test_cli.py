@@ -236,6 +236,19 @@ def test_bad_grid_input_exits_2_before_solving(command_line, message, monkeypatc
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command_line, message", [
+    # each exited 0 with wrong numbers: positive slopes for a decreasing band,
+    # a PASS for 63.07 against the true 1.0021, a remainder slope of +24.17
+    ("sweep --m 1 --p 1..2 --xi 19,25", "a radius of 26.39"),
+    ("convergence --m 0 --p 1 --xi 19 --radius 12 --intervals 48000", "a radius of 32.23"),
+    ("asym --radius 12 --intervals 2880 --window 8:15", "a radius of 14.32"),
+])
+def test_inadmissible_grid_exits_2_naming_the_radius(command_line, message, capsys):
+    assert run_cli(*command_line.split()) == 2
+    err = capsys.readouterr().err
+    assert "Agmon lengths past the well" in err and message in err, err
+
+
 @pytest.mark.parametrize("command_line, code, message", [
     ("asym --order -1", 2, "expansion order must be an integer >= 0"),
     ("asym --n 4 --m 0 --window 2.5:3.5 --order -1", 2,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from magband import (
     Grid,
@@ -18,7 +19,7 @@ from magband import (
     refined_values,
     solve_fiber,
 )
-from magband.solver import assemble, rayleigh_quotient
+from magband.solver import REACH, _admit, assemble, fixed_step_grid, rayleigh_quotient
 
 import oracles
 
@@ -172,6 +173,42 @@ def test_refine_richardson_beats_fine_grid():
     exact = 3.0
     assert abs(rv.value - exact) < abs(rv.fine - exact) < abs(rv.coarse - exact)
     assert abs(rv.fine - exact) < rv.error  # estimate is conservative here
+
+
+def test_refined_values_refuses_an_inadmissible_grid():
+    # radius 12 at xi = 19 puts the wall inside the well: the coarse value is
+    # 63.0717 (true 1.0021) with an error estimate of 5.4e-8
+    with pytest.raises(ModelError, match=r"xi=19\.0\).* a radius of 32\.23\d* is admitted"):
+        refined_values(ModelParams(5, 0, 19.0), Grid(12.0, 48000), 1)
+
+
+@pytest.mark.parametrize("xi, value", [
+    (19.0, 4.4065),  # the defects the rule refuses
+    (19.0, 63.0717),
+    (8.0, 1.06),
+    (-9.0, 102.8),  # a transport node near xi = -9, where the window sets the wall
+    (0.0, 1.5),
+    (46.6, 1.7744),
+])
+def test_grid_rule_admits_exactly_at_the_oracle_reach(xi, value):
+    # the wall where the quadrature reach equals REACH, and 1e-6 to either side
+    start = xi + np.sqrt(value)
+    wall = brentq(lambda r: oracles.agmon_reach_reference(xi, value, r) - REACH,
+                  start, start + np.sqrt(2.0 * REACH) + 1.0, xtol=1e-13)
+    params = ModelParams(5, 1, xi)
+    _admit(params, Grid(wall * (1.0 + 1e-6), 4800), value)
+    with pytest.raises(ModelError, match="Agmon lengths"):
+        _admit(params, Grid(wall * (1.0 - 1e-6), 4800), value)
+
+
+@pytest.mark.parametrize("step", [1.0 / 24.0, 1.0 / 60.0, 1.0 / 120.0, 1.0 / 240.0])
+def test_fixed_step_grid_admits_its_own_grids(step):
+    for xi in np.concatenate([np.linspace(-20.0, 0.0, 9), np.linspace(25.0, 400.0, 16)]):
+        for energy in (1.0 + 1e-9, 1.5, 4.5, 20.0, 102.8, 200.0 - 1e-9):
+            grid = fixed_step_grid(float(xi), energy, step)
+            assert grid.h == pytest.approx(step, rel=1e-12)
+            assert oracles.agmon_reach_reference(xi, energy, grid.radius) >= REACH
+            _admit(ModelParams(5, 1, float(xi)), grid, energy)
 
 
 def test_fourth_order_error_decay():

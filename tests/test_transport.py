@@ -24,7 +24,7 @@ from magband import (
     synthesize_state,
     witness_small_current,
 )
-from magband.bands import fixed_step_grid
+from magband.solver import fixed_step_grid
 from magband.transport import TRANSPORT_STEP, WITNESS_STEP
 
 import oracles
@@ -61,7 +61,8 @@ def _sampled_current(m, step):
     prof = packet.entries[(m, 1, 1)]
     pad = 0.05 * (prof.xi[-1] - prof.xi[0])
     xi = np.linspace(prof.xi[0] - pad, prof.xi[-1] + pad, 1201)
-    return current(packet, sweep(5, [m], [1], xi, fixed_step_grid(xi[-1], step))).normalized
+    grid = fixed_step_grid(xi[-1], WINDOW[1], step)
+    return current(packet, sweep(5, [m], [1], xi, grid)).normalized
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +75,8 @@ def edge_bands(meeting):
     spans = [meeting.preimages[(m, 1)] for m in (0, 1, 2)]
     lo = min(s[0] for s in spans) - 0.5
     hi = max(s[1] for s in spans) + 0.5
-    return sweep(5, [0, 1, 2], [1], np.linspace(lo, hi, 240), fixed_step_grid(hi, STEP))
+    grid = fixed_step_grid(hi, WINDOW[1], STEP)
+    return sweep(5, [0, 1, 2], [1], np.linspace(lo, hi, 240), grid)
 
 
 def test_window_validation_and_membership():
@@ -272,7 +274,7 @@ def test_c_minus_is_a_tight_floor_of_a_dense_sweep(check12):
     for m in range(4):
         lo, hi = meeting.preimages[(m, 1)]
         xi = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
-        (band,) = sweep(5, [m], [1], xi, fixed_step_grid(hi, STEP))
+        (band,) = sweep(5, [m], [1], xi, fixed_step_grid(hi, WINDOW[1], STEP))
         assert np.all(meeting.window.contains(band.values))
         floor = min(floor, float(np.min(np.abs(band.slope_fh))))
     assert (1.0 - 1e-3) * floor <= result.c_minus <= floor
