@@ -27,11 +27,11 @@ from .solver import (
     Grid,
     _admit,
     _continue_fiber,
+    _rayleigh_quotient,
     derivative_boundary_form,
     derivative_feynman_hellmann,
     fiber_eigenvalues,  # not called here; perfbench/tracing.py binds it
     fixed_step_grid,
-    rayleigh_quotient,
     richardson,
     solve_fiber,
 )
@@ -101,11 +101,14 @@ def _follow(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None
     shifts lambda + lambda'_FH * dxi, zero-padding their vectors when `grid`
     has grown past the one they were solved on (a grid of the same step
     whose extra nodes lie past the old wall).  With nothing to continue, or
-    when the continuation is not certified, it bisects (`solve_fiber`).
+    when the continuation is not certified, it solves the fiber afresh
+    (`solve_fiber`, itself a nested solve).
     Values are the Rayleigh quotients of the vectors (`rayleigh_quotient`)
     and slopes their Feynman-Hellmann moments, so both kinds of step report
-    the same quantities, free of bisection scatter.
+    the same quantities, free of bisection scatter.  The potential is
+    evaluated once, for the continuation and every quotient.
     """
+    v = potential(params, grid.nodes)
     pairs = None
     if previous is not None:
         pairs, rows = previous.pairs, grid.intervals - 1
@@ -115,13 +118,13 @@ def _follow(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None
                 for pair in pairs
             ]
         shifts = previous.values + previous.slopes * (params.xi - previous.xi)
-        pairs = _continue_fiber(params, grid, pairs, shifts)
+        pairs = _continue_fiber(params, grid, pairs, shifts, v)
     if pairs is None:
         try:
             pairs = solve_fiber(params, grid, count)
         except ConvergenceError as exc:
             raise ConvergenceError(f"fiber (m={params.m}, xi={params.xi}): {exc}") from exc
-    values = np.array([rayleigh_quotient(params, pair, grid) for pair in pairs])
+    values = np.array([_rayleigh_quotient(pair, grid, v) for pair in pairs])
     slopes = np.array([derivative_feynman_hellmann(params, pair, grid) for pair in pairs])
     return _Fiber(params.xi, pairs, values, slopes)
 
@@ -129,11 +132,12 @@ def _follow(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None
 def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
     """Solve every (m, p) band over xi_samples; one fiber eigensolve per (m, xi).
 
-    For each m the first xi is bisected and each later one follows the
-    previous sample's eigenpairs (`_follow`), so every value is the Rayleigh
-    quotient of its eigenvector; a value depends on the previous sample only
-    at the rounding level.  Samples of different m never interact.  A sample
-    whose top band `grid` does not admit (`solver._admit`) is a ModelError.
+    For each m the first xi is solved afresh (`solve_fiber`) and each later
+    one follows the previous sample's eigenpairs (`_follow`), so every value
+    is the Rayleigh quotient of its eigenvector; a value depends on the
+    previous sample only at the rounding level.  Samples of different m never
+    interact.  A sample whose top band `grid` does not admit
+    (`solver._admit`) is a ModelError.
 
     Output is ordered by (m, p) with xi ascending inside each curve.
     """
@@ -196,15 +200,15 @@ def crossing(
     from the leading law lambda ~ E_p + k_m/xi^2, i.e. xi_0 = sqrt(k_m/(E - E_p))
     (a fixed seed when k_m = 0), on one grid that `solver.fixed_step_grid`
     sizes to admit `energy` there (an energy so close to E_p that this grid
-    would be too large is a ModelError).  The first iterate bisects the lowest
-    p eigenpairs; each later one follows the previous iterate's pairs
-    (`_follow`).  lambda is the Rayleigh quotient of pair p's eigenvector, and
-    the Feynman-Hellmann moment is its exact xi-derivative, so Newton runs on
-    the discrete branch itself.  Signs of lambda - energy keep a bracket; a
-    Newton step that leaves it is replaced by bisection, or by a bounded
-    expansion while one side is still open.  An iterate the grid does not
-    admit `energy` at rebuilds the grid with the same step and drops the
-    bracket, which belonged to the old one.  The result carries the last
+    would be too large is a ModelError).  The first iterate solves the lowest
+    p eigenpairs afresh (`solve_fiber`); each later one follows the previous
+    iterate's pairs (`_follow`).  lambda is the Rayleigh quotient of pair p's
+    eigenvector, and the Feynman-Hellmann moment is its exact xi-derivative,
+    so Newton runs on the discrete branch itself.  Signs of lambda - energy
+    keep a bracket; a Newton step that leaves it is replaced by bisection, or
+    by a bounded expansion while one side is still open.  An iterate the grid
+    does not admit `energy` at rebuilds the grid with the same step and drops
+    the bracket, which belonged to the old one.  The result carries the last
     iterate's eigenpair p and grid, with its slope and residual
     |lambda - energy|.
     """

@@ -2,16 +2,21 @@
 
 Second-order central differences on a uniform grid over (0, R) with Dirichlet
 conditions at both ends; the nodes r_j = j*h, j = 1..N-1, exclude the singular
-axis r = 0 and the artificial wall r = R.  The discrete operator is symmetric
-tridiagonal, so the lowest eigenpairs come from LAPACK's Sturm-sequence
-bisection plus inverse iteration, which is deterministic for fixed input.
+axis r = 0 and the artificial wall r = R.  The discrete operator T is
+symmetric tridiagonal.  Its lowest eigenpairs come from LAPACK's
+Sturm-sequence bisection plus inverse iteration on grids below 512 intervals
+(`fiber_eigenvalues` always bisects).  On larger grids `solve_fiber` is a
+nested solve: it solves the same fiber on a grid 8 times coarser, and
+continues the interpolated pairs onto the grid asked for (Brandt, Math. Comp.
+31, 1977).  Band sweeps and crossing iterations continue pairs from one xi to
+the next the same way.
 
-Band sweeps and crossing iterations continue them from one xi to the next
-instead (`_continue_fiber`): Rayleigh-quotient iteration from the previous
-eigenvectors, one tridiagonal LU solve per step, accepted only under a
-certificate of the band indices (the discrete oscillation theorem and a Sturm
-count) and otherwise replaced by the bisection solve (Parlett, The Symmetric
-Eigenvalue Problem, ch. 4 and 7).
+A continuation (`_continue_fiber`) is Rayleigh-quotient iteration, one
+tridiagonal LU solve per step, accepted only under a certificate of the band
+indices (the discrete oscillation theorem and a Sturm count) and otherwise
+replaced by the bisection solve (Parlett, The Symmetric Eigenvalue Problem,
+ch. 4 and 7).  Its value is a Rayleigh quotient of T within 8 eps ||T||_1 of
+an eigenvalue.  All of it is deterministic for fixed input.
 
 Eigenvectors are returned with the continuum normalization h * sum(u^2) = 1
 and sign fixed to be positive near the axis.
@@ -31,6 +36,8 @@ from .model import ModelParams, potential, turning_points
 
 _SIGNIFICANT = 1e-8  # entries below this fraction of a vector's peak carry no sign
 _RQI_STEPS = 8  # Rayleigh-quotient steps before a continuation gives up
+_NESTED_FLOOR = 512  # grids of fewer intervals are bisected directly
+_NESTED_FACTOR = 8  # a nested solve starts on a grid with 1/8 of the intervals
 _EPS = float(np.finfo(float).eps)
 _MAX_INTERVALS = 2**22  # largest grid; one vector on it takes 32 MiB
 REACH = 14.0  # Agmon lengths from well to wall that a grid must reach; see `_admit`
@@ -130,19 +137,29 @@ class EigenPair:
 
 def assemble(params: ModelParams, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of -d^2/dr^2 + V_m(r, xi) on the grid interior."""
+    return _assemble(params, grid, potential(params, grid.nodes))
+
+
+def _assemble(params: ModelParams, grid: Grid, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`assemble` from v, the potential on grid.nodes."""
     if params.k < -0.25:
         raise ModelError(f"coupling k_m={params.k} below the critical value -1/4")
     h = grid.h
-    diagonal = 2.0 / h**2 + potential(params, grid.nodes)
+    diagonal = 2.0 / h**2 + v
     offdiagonal = np.full(grid.intervals - 2, -1.0 / h**2)
     return diagonal, offdiagonal
 
 
-def _solve(params: ModelParams, grid: Grid, count: int, vectors: bool):
-    diagonal, offdiagonal = assemble(params, grid)
-    size = diagonal.size
+def _check_count(grid: Grid, count: int) -> None:
+    """ModelError unless 1 <= count <= the grid's row count."""
+    size = grid.intervals - 1
     if not (isinstance(count, (int, np.integer)) and 1 <= count <= size):
         raise ModelError(f"eigenpair count must satisfy 1 <= count <= {size}, got {count!r}")
+
+
+def _solve(params: ModelParams, grid: Grid, count: int, vectors: bool):
+    diagonal, offdiagonal = assemble(params, grid)
+    _check_count(grid, count)
     try:
         return eigh_tridiagonal(
             diagonal,
@@ -162,9 +179,38 @@ def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
     """The `count` smallest eigenpairs, ascending, normalized and sign-fixed.
 
     Eigenvalues are simple (the fiber operator is a limit-point Sturm-Liouville
-    problem), so the pairs are well defined; accuracy is the LAPACK bisection
-    guarantee, a few ulps of the matrix norm.
+    problem), so the pairs are well defined.  A nested solve: on a grid of
+    512 intervals or more whose coarse grid (same radius, 1/8 of the
+    intervals) holds `count` pairs, the fiber is solved there first, by this
+    function, and each coarse vector, interpolated linearly onto grid.nodes
+    with zeros at the axis and the wall, is continued onto `grid` from its
+    coarse value (`_continue_fiber`).  Each value is then a certified
+    Rayleigh quotient within 8 eps ||T||_1 of an eigenvalue.  Smaller grids,
+    a continuation that is not certified and a coarse solve that fails are
+    bisected (a few ulps of ||T||).  An invalid `count` is a ModelError
+    before any solve.
     """
+    _check_count(grid, count)
+    if grid.intervals >= _NESTED_FLOOR and grid.intervals // _NESTED_FACTOR - 1 >= count:
+        coarse = Grid(grid.radius, grid.intervals // _NESTED_FACTOR)
+        try:
+            start = solve_fiber(params, coarse, count)
+        except ConvergenceError:
+            start = None
+        if start is not None:
+            nodes = np.concatenate(([0.0], coarse.nodes, [grid.radius]))
+            interpolated = [
+                EigenPair(pair.value, np.interp(grid.nodes, nodes, np.pad(pair.vector, 1)))
+                for pair in start
+            ]
+            pairs = _continue_fiber(params, grid, interpolated, [pair.value for pair in start])
+            if pairs is not None:
+                return pairs
+    return _bisect_fiber(params, grid, count)
+
+
+def _bisect_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
+    """`solve_fiber` by bisection alone: accurate to a few ulps of ||T||."""
     values, vectors = _solve(params, grid, count, vectors=True)
     vectors = vectors / np.sqrt(grid.h)
     # Sign: positive near the axis.  The first entries can be underflow-level
@@ -195,9 +241,10 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _continue_fiber(
-    params: ModelParams, grid: Grid, previous: list[EigenPair], shifts
+    params: ModelParams, grid: Grid, previous: list[EigenPair], shifts, v=None
 ) -> list[EigenPair] | None:
-    """The len(previous) smallest eigenpairs, continued from a nearby fiber.
+    """The len(previous) smallest eigenpairs, continued from a nearby fiber
+    (or from a coarser grid), with v the potential on grid.nodes if known.
 
     Pair i runs Rayleigh-quotient iteration from previous[i].vector, starting
     at shifts[i]: one tridiagonal LU solve (LAPACK dgttrf/dgttrs) per step,
@@ -215,32 +262,21 @@ def _continue_fiber(
     caller solves the fiber from scratch.  Vectors are normalized and
     sign-fixed as in `solve_fiber`.
     """
-    diagonal, offdiagonal = assemble(params, grid)
+    if v is None:
+        v = potential(params, grid.nodes)
+    diagonal, offdiagonal = _assemble(params, grid, v)
     radii = np.zeros_like(diagonal)
     radii[:-1] += np.abs(offdiagonal)
     radii[1:] += np.abs(offdiagonal)
     tol = 8.0 * _EPS * float(np.max(np.abs(diagonal) + radii))
     pairs = []
     for pair, mu in zip(previous, shifts):
-        z, mu = pair.vector, float(mu)
-        for _ in range(_RQI_STEPS):
-            *factors, info = lapack.dgttrf(offdiagonal, diagonal - mu, offdiagonal)
-            if info != 0:
-                return None
-            z, info = lapack.dgttrs(*factors, z)
-            z /= np.sqrt(_dot(z, z))
-            residual = diagonal * z
-            residual[:-1] += offdiagonal * z[1:]
-            residual[1:] += offdiagonal * z[:-1]
-            mu = _dot(z, residual)
-            residual -= mu * z
-            if np.sqrt(_dot(residual, residual)) <= tol:
-                break
-        else:
+        found = _rayleigh_iteration(diagonal, offdiagonal, pair.vector, float(mu), tol)
+        if found is None:
             return None
-        z, info = lapack.dgttrs(*factors, z)
+        mu, z = found
         z /= np.sqrt(_dot(z, z) * grid.h)
-        if info != 0 or not np.all(np.isfinite(z)):
+        if not np.all(np.isfinite(z)):
             return None
         signs = np.signbit(_significant(z))
         if np.count_nonzero(signs[1:] != signs[:-1]) != len(pairs):
@@ -258,6 +294,33 @@ def _continue_fiber(
     return pairs
 
 
+def _rayleigh_iteration(diagonal, offdiagonal, z, mu, tol):
+    """(mu, z) after Rayleigh-quotient iteration on T from (mu, z) to a
+    residual of tol and one polishing solve, or None.
+
+    A function of its own so that its LU factors and residual are freed
+    before the caller's Sturm count, the largest allocation of a
+    continuation.
+    """
+    for _ in range(_RQI_STEPS):
+        *factors, info = lapack.dgttrf(offdiagonal, diagonal - mu, offdiagonal)
+        if info != 0:
+            return None
+        z, info = lapack.dgttrs(*factors, z)
+        z /= np.sqrt(_dot(z, z))
+        residual = diagonal * z
+        residual[:-1] += offdiagonal * z[1:]
+        residual[1:] += offdiagonal * z[:-1]
+        mu = _dot(z, residual)
+        residual -= mu * z
+        if np.sqrt(_dot(residual, residual)) <= tol:
+            break
+    else:
+        return None
+    z, info = lapack.dgttrs(*factors, z)
+    return None if info != 0 else (mu, z)
+
+
 def fiber_eigenvalues(params: ModelParams, grid: Grid, count: int) -> np.ndarray:
     """The `count` smallest eigenvalues, ascending, without eigenvectors."""
     return np.asarray(_solve(params, grid, count, vectors=False), dtype=float)
@@ -271,10 +334,15 @@ def rayleigh_quotient(params: ModelParams, pair: EigenPair, grid: Grid) -> float
     xi to rounding: the bisection value scatters by a few ulps of the matrix
     norm, and k/h^2 on the first diagonal entry makes that norm large.
     """
+    return _rayleigh_quotient(pair, grid, potential(params, grid.nodes))
+
+
+def _rayleigh_quotient(pair: EigenPair, grid: Grid, v: np.ndarray) -> float:
+    """`rayleigh_quotient` from v, the potential on grid.nodes."""
     u = pair.vector
     jumps = np.diff(u, prepend=0.0, append=0.0)
     kinetic = np.sum(jumps**2) / grid.h
-    return float(kinetic + grid.h * np.sum(potential(params, grid.nodes) * u**2))
+    return float(kinetic + grid.h * np.sum(v * u**2))
 
 
 def derivative_feynman_hellmann(params: ModelParams, pair: EigenPair, grid: Grid) -> float:

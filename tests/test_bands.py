@@ -109,6 +109,25 @@ def test_sweep_value_depends_on_previous_sample_only_by_rounding():
             assert abs(c.slope_fh[-1] - a.slope_fh[0]) <= 1e-11
 
 
+def test_follow_evaluates_the_potential_once_per_fiber(monkeypatch):
+    # one evaluation per followed sample serves its continuation and all three
+    # Rayleigh quotients; the first sample's nested solve adds one per grid
+    calls = []
+    for module in (magband.bands, magband.solver):
+        def counted(params, r, _original=module.potential):
+            calls.append(r.size)
+            return _original(params, r)
+
+        monkeypatch.setattr(module, "potential", counted)
+    xi = np.linspace(0.0, 2.0, 21)
+    sweep(5, [2], (1, 2, 3), xi, SWEEP_GRID)
+    assert len(calls) == xi.size + 2
+    # and the quotients are the public one's, to the bit
+    res = crossing(5, 2, 1, 2.0)
+    quotient = rayleigh_quotient(ModelParams(5, 2, res.xi), res.pair, res.grid)
+    assert abs(quotient - 2.0) == res.residual
+
+
 def test_sweep_with_wide_steps_falls_back_to_bisection(monkeypatch):
     # dxi >= 2 leaves the predicted shifts far off: uncertified steps fall
     # back to solve_fiber, and the bands are still the bisection bands
@@ -248,9 +267,9 @@ def _record_fiber_solves(monkeypatch) -> list:
         log.append(("bisect", grid.intervals))
         return bisect(params, grid, count)
 
-    def continued(params, grid, previous, shifts):
+    def continued(params, grid, previous, shifts, *potential):
         log.append(("continue", grid.intervals))
-        return continue_(params, grid, previous, shifts)
+        return continue_(params, grid, previous, shifts, *potential)
 
     monkeypatch.setattr(magband.bands, "solve_fiber", bisected)
     monkeypatch.setattr(magband.bands, "_continue_fiber", continued)

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import magband.solver
 from magband import (
     Grid,
     ModelError,
     ModelParams,
     SignPatternError,
     boundary_exponent,
+    crossing,
     derivative_boundary_form,
     derivative_feynman_hellmann,
     fiber_eigenvalues,
@@ -19,7 +21,14 @@ from magband import (
     refined_values,
     solve_fiber,
 )
-from magband.solver import REACH, _admit, assemble, fixed_step_grid, rayleigh_quotient
+from magband.solver import (
+    REACH,
+    _admit,
+    _bisect_fiber,
+    assemble,
+    fixed_step_grid,
+    rayleigh_quotient,
+)
 
 import oracles
 
@@ -221,3 +230,87 @@ def test_fourth_order_error_decay():
         errs.append(abs(val - exact))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.1)
+
+
+def _record_bisections(monkeypatch) -> list:
+    """Record the row count of every tridiagonal bisection from now on."""
+    sizes = []
+    original = magband.solver.eigh_tridiagonal
+
+    def recorded(diagonal, *args, **kwargs):
+        sizes.append(diagonal.size)
+        return original(diagonal, *args, **kwargs)
+
+    monkeypatch.setattr(magband.solver, "eigh_tridiagonal", recorded)
+    return sizes
+
+
+def _first_significant(vector: np.ndarray) -> float:
+    return vector[np.argmax(np.abs(vector) > 1e-8 * np.max(np.abs(vector)))]
+
+
+NESTED_CASES = [
+    # (n, m, xi, grid, count, dense oracle affordable)
+    (3, 0, 1.0, Grid(12.0, 960), 4, True),  # k = -1/4
+    (4, 0, -1.0, Grid(12.0, 960), 3, True),  # k = 0
+    (5, 0, 2.0, Grid(14.0, 1120), 2, True),
+    (5, 40, 45.0, fixed_step_grid(45.0, 16.0, 1.0 / 240.0), 4, False),
+    (5, 128, 150.0, Grid(11499 / 60.0, 11499), 1, False),  # check 12's witness grid
+]
+
+
+@pytest.mark.parametrize("n,m,xi,grid,count,dense", NESTED_CASES)
+def test_nested_solve_matches_bisection_and_the_dense_oracle(monkeypatch, n, m, xi, grid,
+                                                             count, dense):
+    params = ModelParams(n, m, xi)
+    sizes = _record_bisections(monkeypatch)
+    pairs = solve_fiber(params, grid, count)
+    assert len(pairs) == count and max(sizes) < 511  # the coarse grids were bisected
+    # every value within a few ulps of ||T||_1 of the bisection values
+    h, r = grid.h, grid.nodes
+    norm = float(np.max(np.abs(2.0 / h**2 + params.k / r**2 + (r - xi) ** 2))) + 2.0 / h**2
+    tol = 16.0 * np.finfo(float).eps * norm
+    values = np.array([pair.value for pair in pairs])
+    assert np.all(np.abs(values - fiber_eigenvalues(params, grid, count)) <= tol)
+    if dense:
+        ref = oracles.dense_fiber_eigenvalues(params.k, xi, grid.radius, grid.intervals, count)
+        assert np.all(np.abs(values - ref) <= tol)
+    # and every vector within 1e-6 of the bisection vector, positive near the axis
+    for got, want in zip(pairs, _bisect_fiber(params, grid, count)):
+        assert np.max(np.abs(got.vector - want.vector)) <= 1e-6 * np.max(np.abs(want.vector))
+        assert _first_significant(got.vector) > 0 and _first_significant(want.vector) > 0
+        assert grid.h * np.sum(got.vector**2) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_nested_solve_without_continuation_is_the_bisection(monkeypatch):
+    params, grid = ModelParams(5, 2, 1.5), Grid(16.0, 4096)
+    want = _bisect_fiber(params, grid, 3)
+    monkeypatch.setattr(magband.solver, "_continue_fiber", lambda *args: None)
+    got = solve_fiber(params, grid, 3)
+    for a, b in zip(got, want):
+        assert a.value == b.value
+        assert np.array_equal(a.vector, b.vector)
+
+
+@pytest.mark.parametrize("count", [0, 4096, 2.0])
+def test_nested_solve_checks_the_count_before_any_solve(monkeypatch, count):
+    calls = []
+    monkeypatch.setattr(magband.solver, "eigh_tridiagonal", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(magband.solver, "_continue_fiber", lambda *a: calls.append(a))
+    with pytest.raises(ModelError, match=r"1 <= count <= 4095"):
+        solve_fiber(ModelParams(5, 2, 1.5), Grid(16.0, 4096), count)
+    assert calls == []
+
+
+def test_crossing_bisects_no_large_matrix(monkeypatch):
+    # m = 40 on step 1/240: ~12 000 rows, bisected only below 512 intervals
+    sizes = _record_bisections(monkeypatch)
+    res = crossing(5, 40, 2, 3.6)
+    assert res.residual <= 1e-8
+    assert sizes and max(sizes) < 511
+
+
+def test_small_grid_is_bisected_directly(monkeypatch):
+    sizes = _record_bisections(monkeypatch)
+    solve_fiber(ModelParams(5, 1, 0.0), Grid(12.0, 480), 3)
+    assert sizes == [479]
