@@ -7,16 +7,15 @@ unique: any pair of points where lambda - E changes sign brackets it.
 Crossings are found by Newton's method on the Feynman-Hellmann slope, seeded
 from the leading law lambda ~ E_p + k_m/xi^2 and kept inside that bracket.
 
-`sweep` and `crossing` both follow eigenpairs from one xi to the next, by
-sample or by Newton iterate, through one step (`_follow`); `refined_band` is
-the Richardson pair of two sweeps, on a grid and its refinement.  Every band value here is the Rayleigh
-quotient of an eigenvector.
+`sweep` and `crossing` follow eigenpairs from one xi to the next, by sample
+or by Newton iterate, through the solver's fiber step (`solver._follow`);
+`refined_band` is the Richardson pair of two sweeps, on a grid and its
+refinement.  Every band value here is the Rayleigh quotient of an eigenvector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,14 +25,13 @@ from .solver import (
     EigenPair,
     Grid,
     _admit,
-    _continue_fiber,
-    _rayleigh_quotient,
+    _follow,
     derivative_boundary_form,
-    derivative_feynman_hellmann,
-    fiber_eigenvalues,  # not called here; perfbench/tracing.py binds it
+    derivative_feynman_hellmann,  # not called here; perfbench/tracing.py binds it
+    fiber_eigenvalues,  # likewise
     fixed_step_grid,
     richardson,
-    solve_fiber,
+    solve_fiber,  # likewise
 )
 
 _BRACKET_LIMIT = float(2**30)
@@ -85,55 +83,11 @@ def _xi_samples(xi_samples) -> np.ndarray:
     return xi
 
 
-class _Fiber(NamedTuple):
-    """The lowest eigenpairs at xi with their Rayleigh quotients and slopes."""
-
-    xi: float
-    pairs: list[EigenPair]
-    values: np.ndarray
-    slopes: np.ndarray
-
-
-def _follow(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None) -> _Fiber:
-    """The `count` lowest eigenpairs at params.xi, followed from `previous`.
-
-    Continues the previous fiber's pairs (`solver._continue_fiber`) from the
-    shifts lambda + lambda'_FH * dxi, zero-padding their vectors when `grid`
-    has grown past the one they were solved on (a grid of the same step
-    whose extra nodes lie past the old wall).  With nothing to continue, or
-    when the continuation is not certified, it solves the fiber afresh
-    (`solve_fiber`, itself a nested solve).
-    Values are the Rayleigh quotients of the vectors (`rayleigh_quotient`)
-    and slopes their Feynman-Hellmann moments, so both kinds of step report
-    the same quantities, free of bisection scatter.  The potential is
-    evaluated once, for the continuation and every quotient.
-    """
-    v = potential(params, grid.nodes)
-    pairs = None
-    if previous is not None:
-        pairs, rows = previous.pairs, grid.intervals - 1
-        if pairs[0].vector.size < rows:
-            pairs = [
-                EigenPair(pair.value, np.pad(pair.vector, (0, rows - pair.vector.size)))
-                for pair in pairs
-            ]
-        shifts = previous.values + previous.slopes * (params.xi - previous.xi)
-        pairs = _continue_fiber(params, grid, pairs, shifts, v)
-    if pairs is None:
-        try:
-            pairs = solve_fiber(params, grid, count)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"fiber (m={params.m}, xi={params.xi}): {exc}") from exc
-    values = np.array([_rayleigh_quotient(pair, grid, v) for pair in pairs])
-    slopes = np.array([derivative_feynman_hellmann(params, pair, grid) for pair in pairs])
-    return _Fiber(params.xi, pairs, values, slopes)
-
-
 def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
     """Solve every (m, p) band over xi_samples; one fiber eigensolve per (m, xi).
 
-    For each m the first xi is solved afresh (`solve_fiber`) and each later
-    one follows the previous sample's eigenpairs (`_follow`), so every value
+    For each m the fiber step (`solver._follow`) solves the first xi afresh
+    and continues each later one from the previous sample, so every value
     is the Rayleigh quotient of its eigenvector; a value depends on the
     previous sample only at the rounding level.  Samples of different m never
     interact.  A sample whose top band `grid` does not admit
@@ -200,17 +154,17 @@ def crossing(
     from the leading law lambda ~ E_p + k_m/xi^2, i.e. xi_0 = sqrt(k_m/(E - E_p))
     (a fixed seed when k_m = 0), on one grid that `solver.fixed_step_grid`
     sizes to admit `energy` there (an energy so close to E_p that this grid
-    would be too large is a ModelError).  The first iterate solves the lowest
-    p eigenpairs afresh (`solve_fiber`); each later one follows the previous
-    iterate's pairs (`_follow`).  lambda is the Rayleigh quotient of pair p's
-    eigenvector, and the Feynman-Hellmann moment is its exact xi-derivative,
-    so Newton runs on the discrete branch itself.  Signs of lambda - energy
-    keep a bracket; a Newton step that leaves it is replaced by bisection, or
-    by a bounded expansion while one side is still open.  An iterate the grid
-    does not admit `energy` at rebuilds the grid with the same step and drops
-    the bracket, which belonged to the old one.  The result carries the last
-    iterate's eigenpair p and grid, with its slope and residual
-    |lambda - energy|.
+    would be too large is a ModelError).  The fiber step (`solver._follow`)
+    solves the first iterate's lowest p eigenpairs afresh and continues each
+    later one from the previous iterate.  lambda is the Rayleigh quotient of
+    pair p's eigenvector, and the Feynman-Hellmann moment is its exact
+    xi-derivative, so Newton runs on the discrete branch itself.  Signs of
+    lambda - energy keep a bracket; a Newton step that leaves it is replaced
+    by bisection, or by a bounded expansion while one side is still open.  An
+    iterate the grid does not admit `energy` at rebuilds the grid with the
+    same step and drops the bracket, which belonged to the old one.  The
+    result carries the last iterate's eigenpair p and grid, with its slope
+    and residual |lambda - energy|.
     """
     probe = ModelParams(n, m, 0.0)
     if probe.k < 0:

@@ -408,12 +408,14 @@ def cmd_convergence(cfg: dict) -> int:
     if not (np.isfinite(cfg["bound"]) and cfg["bound"] > 0):
         raise ModelError(f"bound must be positive and finite, got {cfg['bound']!r}")
     grid = Grid(cfg["radius"], cfg["intervals"])
-    ps = sorted(set(cfg["p"]))
-    if not ps or ps[0] < 1:
+    ms, ps = sorted(set(cfg["m"])), sorted(set(cfg["p"]))
+    if not ms or not ps:
+        raise ModelError("convergence needs non-empty m and p ranges")
+    if ps[0] < 1:
         raise ModelError(f"band indices must be integers >= 1, got {cfg['p']}")
     entries = []
     checks = []
-    for m in sorted(set(cfg["m"])):
+    for m in ms:
         params = ModelParams(cfg["n"], m, cfg["xi"])
         rows = refined_values(params, grid, ps[-1])
         for p in ps:

@@ -3,20 +3,19 @@
 Second-order central differences on a uniform grid over (0, R) with Dirichlet
 conditions at both ends; the nodes r_j = j*h, j = 1..N-1, exclude the singular
 axis r = 0 and the artificial wall r = R.  The discrete operator T is
-symmetric tridiagonal.  Its lowest eigenpairs come from LAPACK's
-Sturm-sequence bisection plus inverse iteration on grids below 512 intervals
-(`fiber_eigenvalues` always bisects).  On larger grids `solve_fiber` is a
-nested solve: it solves the same fiber on a grid 8 times coarser, and
-continues the interpolated pairs onto the grid asked for (Brandt, Math. Comp.
-31, 1977).  Band sweeps and crossing iterations continue pairs from one xi to
-the next the same way.
+symmetric tridiagonal.  `solve_fiber`, `fiber_eigenvalues`, band sweeps and
+crossing iterations all solve it through one fiber step (`_follow`), which
+continues the pairs of the fiber at a nearby xi, or of the same fiber on a
+grid 8 times coarser (a nested solve; Brandt, Math. Comp. 31, 1977), and
+otherwise bisects (LAPACK's Sturm-sequence bisection plus inverse
+iteration), so bisection runs almost only on grids below 512 intervals.
 
 A continuation (`_continue_fiber`) is Rayleigh-quotient iteration, one
 tridiagonal LU solve per step, accepted only under a certificate of the band
-indices (the discrete oscillation theorem and a Sturm count) and otherwise
-replaced by the bisection solve (Parlett, The Symmetric Eigenvalue Problem,
-ch. 4 and 7).  Its value is a Rayleigh quotient of T within 8 eps ||T||_1 of
-an eigenvalue.  All of it is deterministic for fixed input.
+indices (the discrete oscillation theorem and a Sturm count) (Parlett, The
+Symmetric Eigenvalue Problem, ch. 4 and 7).  Its value is a Rayleigh quotient
+of T within 8 eps ||T||_1 of an eigenvalue.  All of it is deterministic for
+fixed input.
 
 Eigenvectors are returned with the continuum normalization h * sum(u^2) = 1
 and sign fixed to be positive near the axis.
@@ -59,6 +58,10 @@ class Grid:
             )
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise ModelError(f"grid radius must be positive and finite, got {self.radius!r}")
+        radius = float(self.radius)
+        h = radius / self.intervals  # the matrix needs 2/h^2 and R^2 as floats
+        if not (h * h > 0.0 and math.isfinite(2.0 / (h * h) + radius * radius)):
+            raise ModelError(f"grid radius {radius!r} puts 2/h^2 or R^2 outside the float range")
 
     @property
     def h(self) -> float:
@@ -157,69 +160,109 @@ def _check_count(grid: Grid, count: int) -> None:
         raise ModelError(f"eigenpair count must satisfy 1 <= count <= {size}, got {count!r}")
 
 
-def _solve(params: ModelParams, grid: Grid, count: int, vectors: bool):
-    diagonal, offdiagonal = assemble(params, grid)
+def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
+    """The `count` smallest eigenpairs, ascending, normalized and sign-fixed.
+
+    Eigenvalues are simple (the fiber operator is a limit-point Sturm-Liouville
+    problem), so the pairs are well defined.  They are the fiber step's
+    (`_follow`): on 512 intervals or more a nested solve, each value a
+    certified Rayleigh quotient within 8 eps ||T||_1 of an eigenvalue, and
+    otherwise a bisection (a few ulps of ||T||).
+    """
+    return _follow(params, grid, count, None).pairs
+
+
+def fiber_eigenvalues(params: ModelParams, grid: Grid, count: int) -> np.ndarray:
+    """The `count` smallest eigenvalues, ascending: the Rayleigh quotients
+    (`rayleigh_quotient`) of the fiber step's eigenvectors (`_follow`)."""
+    return _follow(params, grid, count, None).values
+
+
+class _Fiber:
+    """The lowest eigenpairs of one fiber on one grid, with v the potential on
+    its nodes.  Their Rayleigh quotients (`values`) and Feynman-Hellmann
+    slopes (`slopes`) are computed when first read."""
+
+    def __init__(self, params: ModelParams, grid: Grid, pairs: list[EigenPair], v: np.ndarray):
+        self.params, self.grid, self.pairs, self.v = params, grid, pairs, v
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return np.array([_rayleigh_quotient(pair, self.grid, self.v) for pair in self.pairs])
+
+    @cached_property
+    def slopes(self) -> np.ndarray:
+        return np.array(
+            [derivative_feynman_hellmann(self.params, pair, self.grid) for pair in self.pairs]
+        )
+
+
+def _follow(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None) -> _Fiber:
+    """The fiber step: the `count` lowest eigenpairs at params.xi on `grid`.
+
+    The one place that continues or bisects a fiber.  Each start of `_starts`
+    in turn is continued (`_continue_fiber`): its vectors carried onto
+    grid.nodes by linear interpolation, with zeros at the axis and past its
+    wall, from the shifts lambda + lambda' * dxi.  At dxi = 0 (a nested start)
+    lambda is the pairs' value, so no quotient or slope is computed.  With no
+    start left the grid is bisected (`_bisect_fiber`).  An invalid `count` is
+    a ModelError before any solve.
+    """
     _check_count(grid, count)
+    v = potential(params, grid.nodes)
+    for start in _starts(params, grid, count, previous):
+        vectors = [pair.vector for pair in start.pairs]
+        if start.grid != grid:  # on the same nodes the interpolation is the identity
+            nodes = np.concatenate(([0.0], start.grid.nodes, [start.grid.radius]))
+            vectors = [np.interp(grid.nodes, nodes, np.pad(u, 1)) for u in vectors]
+        dxi = params.xi - start.params.xi
+        shifts = start.values + start.slopes * dxi if dxi else [pair.value for pair in start.pairs]
+        pairs = _continue_fiber(params, grid, vectors, shifts, v)
+        if pairs is not None:
+            return _Fiber(params, grid, pairs, v)
+    return _Fiber(params, grid, _bisect_fiber(params, grid, count), v)
+
+
+def _starts(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None):
+    """The fibers `_follow` continues from: `previous`, the step at a nearby xi
+    (on the same grid or a grown grid of the same step), then, on 512
+    intervals or more, the same fiber on the grid with 1/8 of the intervals,
+    solved only when reached and skipped when that fails."""
+    if previous is not None:
+        yield previous
+    intervals = grid.intervals // _NESTED_FACTOR
+    if grid.intervals >= _NESTED_FLOOR and intervals - 1 >= count:
+        try:
+            start = _follow(params, Grid(grid.radius, intervals), count, None)
+        except ConvergenceError:
+            return
+        yield start
+
+
+def _bisect_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
+    """The fiber's pairs by LAPACK bisection and inverse iteration, to a few
+    ulps of ||T||.  A failure names the fiber."""
+    diagonal, offdiagonal = assemble(params, grid)
     try:
-        return eigh_tridiagonal(
+        values, vectors = eigh_tridiagonal(
             diagonal,
             offdiagonal,
-            eigvals_only=not vectors,
             select="i",
             select_range=(0, int(count) - 1),
             check_finite=False,
         )
     except LinAlgError as exc:
         raise ConvergenceError(
-            f"tridiagonal eigensolve failed for indices 0..{count - 1}: {exc}"
+            f"fiber (m={params.m}, xi={params.xi}): tridiagonal eigensolve failed "
+            f"for indices 0..{count - 1}: {exc}"
         ) from exc
-
-
-def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
-    """The `count` smallest eigenpairs, ascending, normalized and sign-fixed.
-
-    Eigenvalues are simple (the fiber operator is a limit-point Sturm-Liouville
-    problem), so the pairs are well defined.  A nested solve: on a grid of
-    512 intervals or more whose coarse grid (same radius, 1/8 of the
-    intervals) holds `count` pairs, the fiber is solved there first, by this
-    function, and each coarse vector, interpolated linearly onto grid.nodes
-    with zeros at the axis and the wall, is continued onto `grid` from its
-    coarse value (`_continue_fiber`).  Each value is then a certified
-    Rayleigh quotient within 8 eps ||T||_1 of an eigenvalue.  Smaller grids,
-    a continuation that is not certified and a coarse solve that fails are
-    bisected (a few ulps of ||T||).  An invalid `count` is a ModelError
-    before any solve.
-    """
-    _check_count(grid, count)
-    if grid.intervals >= _NESTED_FLOOR and grid.intervals // _NESTED_FACTOR - 1 >= count:
-        coarse = Grid(grid.radius, grid.intervals // _NESTED_FACTOR)
-        try:
-            start = solve_fiber(params, coarse, count)
-        except ConvergenceError:
-            start = None
-        if start is not None:
-            nodes = np.concatenate(([0.0], coarse.nodes, [grid.radius]))
-            interpolated = [
-                EigenPair(pair.value, np.interp(grid.nodes, nodes, np.pad(pair.vector, 1)))
-                for pair in start
-            ]
-            pairs = _continue_fiber(params, grid, interpolated, [pair.value for pair in start])
-            if pairs is not None:
-                return pairs
-    return _bisect_fiber(params, grid, count)
-
-
-def _bisect_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
-    """`solve_fiber` by bisection alone: accurate to a few ulps of ||T||."""
-    values, vectors = _solve(params, grid, count, vectors=True)
-    vectors = vectors / np.sqrt(grid.h)
     # Sign: positive near the axis.  The first entries can be underflow-level
     # noise for strongly vanishing eigenfunctions, so key on the first
     # significant entry.
-    for i in range(vectors.shape[1]):
-        if _significant(vectors[:, i])[0] < 0.0:
-            vectors[:, i] = -vectors[:, i]
-    return [EigenPair(float(values[i]), vectors[:, i]) for i in range(len(values))]
+    return [
+        EigenPair(float(value), -u if _significant(u)[0] < 0.0 else u)
+        for value, u in zip(values, (vectors / np.sqrt(grid.h)).T)
+    ]
 
 
 def _significant(vector: np.ndarray) -> np.ndarray:
@@ -241,13 +284,13 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _continue_fiber(
-    params: ModelParams, grid: Grid, previous: list[EigenPair], shifts, v=None
+    params: ModelParams, grid: Grid, vectors: list[np.ndarray], shifts, v: np.ndarray
 ) -> list[EigenPair] | None:
-    """The len(previous) smallest eigenpairs, continued from a nearby fiber
-    (or from a coarser grid), with v the potential on grid.nodes if known.
+    """The len(vectors) smallest eigenpairs, continued from start vectors on
+    grid.nodes, with v the potential on grid.nodes.
 
-    Pair i runs Rayleigh-quotient iteration from previous[i].vector, starting
-    at shifts[i]: one tridiagonal LU solve (LAPACK dgttrf/dgttrs) per step,
+    Pair i runs Rayleigh-quotient iteration from vectors[i], starting at
+    shifts[i]: one tridiagonal LU solve (LAPACK dgttrf/dgttrs) per step,
     until the residual ||T z - mu z|| falls to tol = 8 eps ||T||_1; one more
     solve with the last factorization then polishes the vector.  Each value
     is the matrix Rayleigh quotient mu, within tol of an eigenvalue.
@@ -257,21 +300,18 @@ def _continue_fiber(
     belong to distinct eigenvalues), vector i has i sign changes over its
     significant entries (discrete oscillation theorem), and a Sturm count
     (dstebz over a value range with an abstol so large that no bisection
-    runs) finds exactly len(previous) eigenvalues below the last value plus
-    2 tol.  Otherwise, and on any LAPACK failure, it returns None and the
-    caller solves the fiber from scratch.  Vectors are normalized and
-    sign-fixed as in `solve_fiber`.
+    runs) finds exactly len(vectors) eigenvalues below the last value plus
+    2 tol.  Otherwise, and on any LAPACK failure, it returns None.  Vectors
+    are normalized and sign-fixed as in `solve_fiber`.
     """
-    if v is None:
-        v = potential(params, grid.nodes)
     diagonal, offdiagonal = _assemble(params, grid, v)
     radii = np.zeros_like(diagonal)
     radii[:-1] += np.abs(offdiagonal)
     radii[1:] += np.abs(offdiagonal)
     tol = 8.0 * _EPS * float(np.max(np.abs(diagonal) + radii))
     pairs = []
-    for pair, mu in zip(previous, shifts):
-        found = _rayleigh_iteration(diagonal, offdiagonal, pair.vector, float(mu), tol)
+    for z, mu in zip(vectors, shifts):
+        found = _rayleigh_iteration(diagonal, offdiagonal, z, float(mu), tol)
         if found is None:
             return None
         mu, z = found
@@ -319,11 +359,6 @@ def _rayleigh_iteration(diagonal, offdiagonal, z, mu, tol):
         return None
     z, info = lapack.dgttrs(*factors, z)
     return None if info != 0 else (mu, z)
-
-
-def fiber_eigenvalues(params: ModelParams, grid: Grid, count: int) -> np.ndarray:
-    """The `count` smallest eigenvalues, ascending, without eigenvectors."""
-    return np.asarray(_solve(params, grid, count, vectors=False), dtype=float)
 
 
 def rayleigh_quotient(params: ModelParams, pair: EigenPair, grid: Grid) -> float:

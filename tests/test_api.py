@@ -8,6 +8,7 @@ scripts) reach the library through public names only.
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -98,3 +99,23 @@ def test_front_ends_import_no_private_names(path):
         if alias.name.startswith("_")
     ]
     assert private == [], f"{path.name} imports private names {private}"
+
+
+def test_benchmark_bindings_resolve():
+    # perfbench/tracing.py wraps these (module, attribute) pairs; a binding
+    # renamed away would silently drop its span from every benchmark run
+    tracing = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    (bindings,) = [
+        node.value
+        for node in ast.parse(tracing.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "BINDINGS" for target in node.targets)
+    ]
+    pairs = [(entry.elts[0].value, entry.elts[1].value) for entry in bindings.elts]
+    assert pairs
+    missing = [
+        f"{module}.{attribute}"
+        for module, attribute in pairs
+        if not hasattr(importlib.import_module(module), attribute)
+    ]
+    assert missing == []

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import LinAlgError
 
 import magband.acceptance
 import magband.bands
@@ -22,7 +23,6 @@ from magband import (
     crossing,
     derivative_boundary_form,
     derivative_feynman_hellmann,
-    fiber_eigenvalues,
     landau_level,
     potential,
     refined_band,
@@ -31,7 +31,7 @@ from magband import (
     sweep,
     turning_points,
 )
-from magband.solver import REACH, _continue_fiber, rayleigh_quotient
+from magband.solver import REACH, _bisect_fiber, _continue_fiber, rayleigh_quotient
 
 import oracles
 
@@ -90,7 +90,7 @@ def test_sweep_continuation_matches_bisection_on_check_02(monkeypatch):
     for m in range(7):
         for i in range(0, xi.size, 7):
             params = ModelParams(5, m, xi[i])
-            pairs = solve_fiber(params, grid, 3)
+            pairs = _bisect_fiber(params, grid, 3)
             for p in (1, 2, 3):
                 (c,) = [c for c in curves if (c.m, c.p) == (m, p)]
                 pair = pairs[p - 1]
@@ -130,25 +130,19 @@ def test_follow_evaluates_the_potential_once_per_fiber(monkeypatch):
 
 def test_sweep_with_wide_steps_falls_back_to_bisection(monkeypatch):
     # dxi >= 2 leaves the predicted shifts far off: uncertified steps fall
-    # back to solve_fiber, and the bands are still the bisection bands
+    # back to a nested solve, bisected on its coarse grid, and the bands are
+    # still the bisection bands
     grid = Grid(30.0, 3600)
     xi = np.arange(-1.0, 12.0, 2.0)
-    solved = []
-    original = magband.bands.solve_fiber
-
-    def counted(params, *args):
-        solved.append(params.xi)
-        return original(params, *args)
-
-    monkeypatch.setattr(magband.bands, "solve_fiber", counted)
+    log = _record_fiber_solves(monkeypatch)
     fallbacks = 0
     for m in (0, 3, 6):
-        before = len(solved)
+        before = len(log)
         curves = sweep(5, [m], (1, 2, 3), xi, grid)
-        assert solved[before] == xi[0]
-        fallbacks += len(solved) - before - 1
+        assert log[before] == ("bisect", grid.intervals // 8)
+        fallbacks += [kind for kind, _ in log[before:]].count("bisect") - 1
         for i, x in enumerate(xi):
-            pairs = original(ModelParams(5, m, x), grid, 3)
+            pairs = _bisect_fiber(ModelParams(5, m, x), grid, 3)
             for c, pair in zip(curves, pairs):
                 assert abs(c.values[i] - pair.value) <= 1e-9
     assert 1 <= fallbacks <= 3 * (xi.size - 1)
@@ -157,7 +151,7 @@ def test_sweep_with_wide_steps_falls_back_to_bisection(monkeypatch):
 def _continuation_seed(m: int, grid: Grid):
     """Eigenpairs 1..4 at xi = 1 with their predicted shifts at xi = 1.05."""
     before = ModelParams(5, m, 1.0)
-    pairs = solve_fiber(before, grid, 4)
+    pairs = _bisect_fiber(before, grid, 4)
     shifts = [
         rayleigh_quotient(before, pair, grid)
         + 0.05 * derivative_feynman_hellmann(before, pair, grid)
@@ -166,12 +160,19 @@ def _continuation_seed(m: int, grid: Grid):
     return ModelParams(5, m, 1.05), pairs, shifts
 
 
+def _continue(params: ModelParams, grid: Grid, pairs, shifts):
+    """`_continue_fiber` from the vectors of `pairs`, on the same grid."""
+    return _continue_fiber(
+        params, grid, [pair.vector for pair in pairs], shifts, potential(params, grid.nodes)
+    )
+
+
 def test_continuation_certifies_a_good_seed():
     grid = Grid(20.0, 4800)
     params, pairs, shifts = _continuation_seed(2, grid)
-    continued = _continue_fiber(params, grid, pairs[:3], shifts[:3])
+    continued = _continue(params, grid, pairs[:3], shifts[:3])
     assert continued is not None
-    for got, want in zip(continued, solve_fiber(params, grid, 3)):
+    for got, want in zip(continued, _bisect_fiber(params, grid, 3)):
         assert abs(got.value - want.value) <= 1e-9
         assert np.max(np.abs(got.vector - want.vector)) <= 1e-6 * np.max(np.abs(want.vector))
 
@@ -184,8 +185,8 @@ def test_continuation_rejects_a_wrong_seed(seed):
     order = {"band 2 for band 1": [1, 1, 2], "bands 1 and 2 swapped": [1, 0, 2]}.get(seed, [0, 1, 2])
     previous, shifts = [pairs[i] for i in order], [shifts[i] for i in order]
     if seed == "shift near lambda_4":
-        shifts[2] = solve_fiber(params, grid, 4)[3].value + 1e-7
-    assert _continue_fiber(params, grid, previous, shifts) is None
+        shifts[2] = _bisect_fiber(params, grid, 4)[3].value + 1e-7
+    assert _continue(params, grid, previous, shifts) is None
 
 
 def test_continuation_above_the_blas_threading_size():
@@ -199,8 +200,8 @@ def test_continuation_above_the_blas_threading_size():
         before, pair, grid
     )
     params = ModelParams(5, 128, 150.05)
-    (got,) = _continue_fiber(params, grid, [pair], [shift])
-    (want,) = solve_fiber(params, grid, 1)
+    (got,) = _continue(params, grid, [pair], [shift])
+    (want,) = _bisect_fiber(params, grid, 1)
     value = rayleigh_quotient(params, want, grid)
     assert abs(rayleigh_quotient(params, got, grid) - value) <= 1e-9
     assert abs(got.value - value) <= 1e-9
@@ -213,7 +214,7 @@ def test_crossing_hits_requested_energy():
     assert res.slope < 0
     # independent re-solve at the reported momentum
     grid = Grid(res.xi + 10.0, int((res.xi + 10.0) * 240))
-    val = fiber_eigenvalues(ModelParams(5, 2, res.xi), grid, 1)[0]
+    val = _bisect_fiber(ModelParams(5, 2, res.xi), grid, 1)[0].value
     assert val == pytest.approx(2.0, abs=5e-7)
     # leading-order location sqrt(k/(E - E_1))
     assert res.xi == pytest.approx(np.sqrt(8.75), rel=0.1)
@@ -259,20 +260,21 @@ def test_crossing_flat_band_solve_count(monkeypatch):
 
 
 def _record_fiber_solves(monkeypatch) -> list:
-    """Record ("bisect" | "continue", grid intervals) for each crossing iterate."""
+    """Record ("bisect" | "continue", grid intervals) for each solve of the
+    fiber step, nested ones included."""
     log = []
-    bisect, continue_ = magband.bands.solve_fiber, magband.bands._continue_fiber
+    bisect, continue_ = magband.solver._bisect_fiber, magband.solver._continue_fiber
 
     def bisected(params, grid, count):
         log.append(("bisect", grid.intervals))
         return bisect(params, grid, count)
 
-    def continued(params, grid, previous, shifts, *potential):
+    def continued(params, grid, *args):
         log.append(("continue", grid.intervals))
-        return continue_(params, grid, previous, shifts, *potential)
+        return continue_(params, grid, *args)
 
-    monkeypatch.setattr(magband.bands, "solve_fiber", bisected)
-    monkeypatch.setattr(magband.bands, "_continue_fiber", continued)
+    monkeypatch.setattr(magband.solver, "_bisect_fiber", bisected)
+    monkeypatch.setattr(magband.solver, "_continue_fiber", continued)
     return log
 
 
@@ -289,7 +291,8 @@ def test_crossing_bisects_once_and_continues(monkeypatch, n, m, p, energy):
 
 def test_crossing_continues_across_a_grown_grid(monkeypatch):
     # the seed xi_0 = 0 at k_m = 0 lies on the base grid; Newton heads out and
-    # the grid grows between iterates, so the previous vectors continue padded
+    # the grid grows between iterates, so the previous vectors continue
+    # interpolated, with zeros past the old wall
     log = _record_fiber_solves(monkeypatch)
     step = 1.0 / 24.0
     res = crossing(5, 0, 2, 3.1, step=step)
@@ -306,7 +309,7 @@ def test_crossing_continues_across_a_grown_grid(monkeypatch):
 def test_crossing_without_continuation_bisects_every_iterate(monkeypatch, n, m, p, energy):
     continued = crossing(n, m, p, energy)
     log = _record_fiber_solves(monkeypatch)
-    monkeypatch.setattr(magband.bands, "_continue_fiber", lambda *args: None)
+    monkeypatch.setattr(magband.solver, "_continue_fiber", lambda *args: None)
     bisected = crossing(n, m, p, energy)
     assert abs(bisected.xi - continued.xi) <= 1e-12
     assert abs(bisected.residual - continued.residual) <= 1e-12
@@ -356,10 +359,10 @@ def test_crossing_matches_dense_oracle(n, m, p, energy):
 
 
 def test_crossing_names_the_fiber_when_its_bisection_fails(monkeypatch):
-    def failing(params, grid, count):
-        raise ConvergenceError("tridiagonal eigensolve failed")
+    def failing(*args, **kwargs):
+        raise LinAlgError("eigenvalues failed to converge")
 
-    monkeypatch.setattr(magband.bands, "solve_fiber", failing)
+    monkeypatch.setattr(magband.solver, "eigh_tridiagonal", failing)
     with pytest.raises(ConvergenceError, match=r"\(m=2, xi=[-0-9.e]+\): tridiagonal"):
         crossing(5, 2, 1, 2.0)
 

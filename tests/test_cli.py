@@ -226,6 +226,9 @@ def test_current_invalid_input_exits_2_before_solving(flag, message, monkeypatch
     ("scaling --m 5..10000000000000", "has 9999999999996 entries, above the limit of 4194304"),
     ("convergence --m 0..10000000000000",
      "has 10000000000001 entries, above the limit of 4194304"),
+    # 2/h^2 overflowed (OverflowError) or divided by zero (ZeroDivisionError), exit 1
+    ("sweep --m 0 --p 1 --xi 0 --radius 1e308 --intervals 16", "outside the float range"),
+    ("sweep --m 0 --p 1 --xi 0 --radius 1e-300 --intervals 16", "outside the float range"),
 ])
 def test_bad_grid_input_exits_2_before_solving(command_line, message, monkeypatch, capsys):
     def no_solve(*args, **kwargs):
@@ -234,6 +237,19 @@ def test_bad_grid_input_exits_2_before_solving(command_line, message, monkeypatc
     monkeypatch.setattr("magband.solver.eigh_tridiagonal", no_solve)
     assert run_cli(*command_line.split()) == 2
     assert message in capsys.readouterr().err
+
+
+def test_convergence_refuses_an_empty_m_range(tmp_path, monkeypatch, capsys):
+    # exited 0 with no entries and no checks
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve before the input was checked")
+
+    monkeypatch.setattr("magband.solver.eigh_tridiagonal", no_solve)
+    config = tmp_path / "empty.cfg"
+    config.write_text("m=\n", encoding="utf-8")
+    for argv in (("convergence", "--m", ","), ("convergence", "--config", str(config))):
+        assert run_cli(*argv) == 2
+        assert "convergence needs non-empty m and p ranges" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command_line, message", [

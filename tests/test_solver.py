@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 from scipy.optimize import brentq
 
 import magband.solver
 from magband import (
+    ConvergenceError,
     Grid,
     ModelError,
     ModelParams,
@@ -53,6 +55,13 @@ def test_grid_validation():
         Grid(12.0, 2**22 + 1)
     with pytest.raises(ModelError, match="above the limit"):
         largest.refined()
+    # on 16 intervals 2/h^2 or R^2 is not a finite float
+    for radius in (1e308, 1e300, 1e-300, 1e-160):
+        with pytest.raises(ModelError, match="outside the float range"):
+            Grid(radius, 16)
+    for radius in (1e150, 1e-150):
+        diagonal, offdiagonal = assemble(ModelParams(5, 1, 0.0), Grid(radius, 16))
+        assert np.all(np.isfinite(diagonal)) and np.all(np.isfinite(offdiagonal))
 
 
 def test_assemble_accepts_hardy_boundary_case():
@@ -271,12 +280,13 @@ def test_nested_solve_matches_bisection_and_the_dense_oracle(monkeypatch, n, m, 
     norm = float(np.max(np.abs(2.0 / h**2 + params.k / r**2 + (r - xi) ** 2))) + 2.0 / h**2
     tol = 16.0 * np.finfo(float).eps * norm
     values = np.array([pair.value for pair in pairs])
-    assert np.all(np.abs(values - fiber_eigenvalues(params, grid, count)) <= tol)
+    bisected = _bisect_fiber(params, grid, count)
+    assert np.all(np.abs(values - [pair.value for pair in bisected]) <= tol)
     if dense:
         ref = oracles.dense_fiber_eigenvalues(params.k, xi, grid.radius, grid.intervals, count)
         assert np.all(np.abs(values - ref) <= tol)
     # and every vector within 1e-6 of the bisection vector, positive near the axis
-    for got, want in zip(pairs, _bisect_fiber(params, grid, count)):
+    for got, want in zip(pairs, bisected):
         assert np.max(np.abs(got.vector - want.vector)) <= 1e-6 * np.max(np.abs(want.vector))
         assert _first_significant(got.vector) > 0 and _first_significant(want.vector) > 0
         assert grid.h * np.sum(got.vector**2) == pytest.approx(1.0, rel=1e-12)
@@ -308,6 +318,29 @@ def test_crossing_bisects_no_large_matrix(monkeypatch):
     res = crossing(5, 40, 2, 3.6)
     assert res.residual <= 1e-8
     assert sizes and max(sizes) < 511
+
+
+def test_fiber_eigenvalues_bisect_no_large_matrix(monkeypatch):
+    # the values are the Rayleigh quotients of the nested solve's vectors
+    params, grid = ModelParams(5, 1, 1.0), Grid(12.0, 1024)
+    sizes = _record_bisections(monkeypatch)
+    values = fiber_eigenvalues(params, grid, 3)
+    assert sizes and max(sizes) < 511
+    h, r = grid.h, grid.nodes
+    norm = float(np.max(np.abs(2.0 / h**2 + params.k / r**2 + (r - 1.0) ** 2))) + 2.0 / h**2
+    ref = oracles.dense_fiber_eigenvalues(params.k, 1.0, grid.radius, grid.intervals, 3)
+    assert np.all(np.abs(values - ref) <= 16.0 * np.finfo(float).eps * norm)
+
+
+@pytest.mark.parametrize("solve", [solve_fiber, fiber_eigenvalues])
+def test_failed_bisection_names_its_fiber(monkeypatch, solve):
+    def failing(*args, **kwargs):
+        raise LinAlgError("eigenvalues failed to converge")
+
+    monkeypatch.setattr(magband.solver, "eigh_tridiagonal", failing)
+    for grid in (Grid(12.0, 480), Grid(12.0, 4800)):  # bisected directly, nested
+        with pytest.raises(ConvergenceError, match=r"^fiber \(m=3, xi=1\.5\): tridiagonal"):
+            solve(ModelParams(5, 3, 1.5), grid, 2)
 
 
 def test_small_grid_is_bisected_directly(monkeypatch):
