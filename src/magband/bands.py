@@ -91,7 +91,9 @@ def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
     is the Rayleigh quotient of its eigenvector; a value depends on the
     previous sample only at the rounding level.  Samples of different m never
     interact.  A sample whose top band `grid` does not admit
-    (`solver._admit`) is a ModelError.
+    (`solver._admit`) is a ModelError, and so, before any solve, is a grid
+    that admits no value at the largest xi: every eigenvalue exceeds
+    min V >= 0 when k_m >= 0, and the rule's reach falls as the value grows.
 
     Output is ordered by (m, p) with xi ascending inside each curve.
     """
@@ -102,8 +104,8 @@ def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
     if ps[0] < 1:
         raise ModelError(f"band indices must be >= 1, got {ps[0]}")
     xi = _xi_samples(xi_samples)
-    for m in ms:
-        ModelParams(n, m, 0.0)  # validates (n, m) once up front
+    for m in ms:  # validates (n, m) and the grid at value 0 once up front
+        _admit(ModelParams(n, m, float(xi[-1])), grid, 0.0)
 
     curves = []
     for m in ms:
@@ -375,7 +377,10 @@ def agmon_norm(pair: EigenPair, weight: AgmonWeight, grid: Grid) -> float:
     of e^{2 Phi} u^2 is formed as a log-sum-exp; an unrepresentable result
     raises instead of saturating to inf.  The weight must have been built on
     `grid` and the pair's vector must have one entry per node of it; anything
-    else is a ModelError.
+    else is a ModelError.  A continued vector is exactly zero on the rows
+    outside its continuation's window (`solver._window`), far from the well,
+    so those rows add nothing; where delta >= 1 the weight outgrows the
+    eigenfunction's decay, and the norm depends on how far that tail reaches.
     """
     if weight.grid != grid:
         raise ModelError(f"weight was built on {weight.grid}, not on {grid}")

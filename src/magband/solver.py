@@ -13,9 +13,19 @@ iteration), so bisection runs almost only on grids below 512 intervals.
 A continuation (`_continue_fiber`) is Rayleigh-quotient iteration, one
 tridiagonal LU solve per step, accepted only under a certificate of the band
 indices (the discrete oscillation theorem and a Sturm count) (Parlett, The
-Symmetric Eigenvalue Problem, ch. 4 and 7).  Its value is a Rayleigh quotient
-of T within 8 eps ||T||_1 of an eigenvalue.  All of it is deterministic for
-fixed input.
+Symmetric Eigenvalue Problem, ch. 4 and 7).  It runs on a window of rows
+(`_window`): those where a start vector exceeds _WINDOW of its peak, widened
+by |dxi| plus one unit of r, since an eigenfunction decays like e^(-d) at
+Agmon distance d from its well.  The iteration factors only the window's
+block of T, but stops on the residual of the zero-padded vector on the full
+T, the window's residual plus the leaks |z|/h^2 of its trimmed ends.  So its
+value is still a Rayleigh quotient of T within 8 eps ||T||_1 of an
+eigenvalue.  The Sturm count runs on the window too when V lies above the
+count's bound on every row outside it: there the window, with 1/h^2 taken
+from each trimmed end's diagonal, has at least as many eigenvalues below the
+bound as T (Haynsworth inertia additivity; see `_count_below`), and the
+certified values account for at least as many.  The vectors are zero outside
+the window.  All of it is deterministic for fixed input.
 
 Eigenvectors are returned with the continuum normalization h * sum(u^2) = 1
 and sign fixed to be positive near the axis.
@@ -34,6 +44,11 @@ from .errors import ConvergenceError, ModelError, SignPatternError
 from .model import ModelParams, potential, turning_points
 
 _SIGNIFICANT = 1e-8  # entries below this fraction of a vector's peak carry no sign
+# Rows where no start vector reaches this fraction of its peak lie outside a
+# continuation's window (`_window`).  A unit vector's entry z at a trimmed end
+# leaks |z|/h^2 into the full-grid residual, and tol = 8 eps ||T||_1 >= 32 eps/h^2,
+# so a start vector's edge leaks at most 1.5e-4 of tol.
+_WINDOW = 1e-18
 _RQI_STEPS = 8  # Rayleigh-quotient steps before a continuation gives up
 _NESTED_FLOOR = 512  # grids of fewer intervals are bisected directly
 _NESTED_FACTOR = 8  # a nested solve starts on a grid with 1/8 of the intervals
@@ -82,13 +97,13 @@ def _reach(grid: Grid, xi: float, value: float) -> float:
 
     The integral of sqrt(s^2 - value) from s = sqrt(value) to R - xi, in
     closed form: a lower bound of the Agmon distance from r_plus to R, since
-    V >= (r - xi)^2.
+    V >= (r - xi)^2.  At value 0 it is its limit (R - xi)^2/2.
     """
     a, x = math.sqrt(value), grid.radius - xi
     if not x > a:  # the wall is inside the well, or value is NaN
         return 0.0
     q = math.sqrt(x * x - a * a)
-    return 0.5 * (x * q - a * a * math.acosh(x / a))
+    return 0.5 * (x * q - (a * a * math.acosh(x / a) if a else 0.0))
 
 
 def _admitted_radius(xi: float, energy: float) -> float:
@@ -201,12 +216,13 @@ def _follow(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None
     """The fiber step: the `count` lowest eigenpairs at params.xi on `grid`.
 
     The one place that continues or bisects a fiber.  Each start of `_starts`
-    in turn is continued (`_continue_fiber`): its vectors carried onto
-    grid.nodes by linear interpolation, with zeros at the axis and past its
-    wall, from the shifts lambda + lambda' * dxi.  At dxi = 0 (a nested start)
-    lambda is the pairs' value, so no quotient or slope is computed.  With no
-    start left the grid is bisected (`_bisect_fiber`).  An invalid `count` is
-    a ModelError before any solve.
+    in turn is continued (`_continue_fiber`) on the rows its vectors occupy
+    (`_window`): the vectors carried onto grid.nodes by linear interpolation,
+    with zeros at the axis and past its wall, from the shifts
+    lambda + lambda' * dxi.  At dxi = 0 (a nested start) lambda is the pairs'
+    value, so no quotient or slope is computed.  With no start left the grid
+    is bisected (`_bisect_fiber`).  An invalid `count` is a ModelError before
+    any solve.
     """
     _check_count(grid, count)
     v = potential(params, grid.nodes)
@@ -217,10 +233,29 @@ def _follow(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None
             vectors = [np.interp(grid.nodes, nodes, np.pad(u, 1)) for u in vectors]
         dxi = params.xi - start.params.xi
         shifts = start.values + start.slopes * dxi if dxi else [pair.value for pair in start.pairs]
-        pairs = _continue_fiber(params, grid, vectors, shifts, v)
+        window = _window(grid, vectors, abs(dxi))
+        pairs = _continue_fiber(params, grid, vectors, shifts, v, window)
         if pairs is not None:
             return _Fiber(params, grid, pairs, v)
     return _Fiber(params, grid, _bisect_fiber(params, grid, count), v)
+
+
+def _window(grid: Grid, vectors: list[np.ndarray], dxi: float) -> slice:
+    """The rows a continuation from `vectors` works on, |dxi| away in xi.
+
+    Every row where some vector exceeds _WINDOW of its own peak, widened on
+    each side by |dxi| plus one unit of r, as the well moves with xi, and by
+    at least two rows (LAPACK's tridiagonal LU takes three rows or more).
+    """
+    size = grid.intervals - 1
+    lo, hi = size, 0
+    for u in vectors:
+        magnitude = np.abs(u)
+        occupied = magnitude > _WINDOW * magnitude.max()
+        lo = min(lo, int(occupied.argmax()))
+        hi = max(hi, size - int(occupied[::-1].argmax()))
+    margin = max(2, math.ceil((dxi + 1.0) / grid.h))
+    return slice(max(0, lo - margin), min(size, hi + margin))
 
 
 def _starts(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None):
@@ -284,34 +319,54 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _continue_fiber(
-    params: ModelParams, grid: Grid, vectors: list[np.ndarray], shifts, v: np.ndarray
+    params: ModelParams,
+    grid: Grid,
+    vectors: list[np.ndarray],
+    shifts,
+    v: np.ndarray,
+    window: slice,
 ) -> list[EigenPair] | None:
     """The len(vectors) smallest eigenpairs, continued from start vectors on
-    grid.nodes, with v the potential on grid.nodes.
+    grid.nodes on the rows `window` = [a, b), with v the potential on
+    grid.nodes.
 
     Pair i runs Rayleigh-quotient iteration from vectors[i], starting at
-    shifts[i]: one tridiagonal LU solve (LAPACK dgttrf/dgttrs) per step,
-    until the residual ||T z - mu z|| falls to tol = 8 eps ||T||_1; one more
-    solve with the last factorization then polishes the vector.  Each value
-    is the matrix Rayleigh quotient mu, within tol of an eigenvalue.
+    shifts[i], on the principal submatrix T[a:b, a:b]: one tridiagonal LU
+    solve (LAPACK dgttrf/dgttrs) per step, until the residual of the
+    zero-padded vector z on the full T falls to tol = 8 eps ||T||_1.  That
+    residual is the window's ||T z - mu z|| with the two leak terms |z_a|/h^2
+    and |z_(b-1)|/h^2 of a trimmed end added in quadrature, so each value is
+    the Rayleigh quotient mu of the padded vector on T, within tol of an
+    eigenvalue of T.  One more solve with the last factorization then
+    polishes the vector; it stays zero outside the window.
 
     The result is accepted only when it is certified to be the lowest
     eigenpairs in order: the values ascend with gaps above 2 tol (so they
-    belong to distinct eigenvalues), vector i has i sign changes over its
-    significant entries (discrete oscillation theorem), and a Sturm count
-    (dstebz over a value range with an abstol so large that no bisection
-    runs) finds exactly len(vectors) eigenvalues below the last value plus
-    2 tol.  Otherwise, and on any LAPACK failure, it returns None.  Vectors
+    belong to distinct eigenvalues of T, all below sigma = last value +
+    2 tol), vector i has i sign changes over its significant entries
+    (discrete oscillation theorem), and a Sturm count (`_count_below`) bounds
+    the eigenvalues of T below sigma by len(vectors): on the window, with
+    1/h^2 taken from each trimmed end's diagonal, where V >= sigma outside
+    it (an upper bound by Haynsworth inertia additivity), and on the full T
+    otherwise.  The certified values bound that number from below, so it is
+    exact.  Otherwise, and on any LAPACK failure, it returns None.  Vectors
     are normalized and sign-fixed as in `solve_fiber`.
     """
     diagonal, offdiagonal = _assemble(params, grid, v)
-    radii = np.zeros_like(diagonal)
-    radii[:-1] += np.abs(offdiagonal)
-    radii[1:] += np.abs(offdiagonal)
-    tol = 8.0 * _EPS * float(np.max(np.abs(diagonal) + radii))
+    coupling = -float(offdiagonal[0])
+    norm = max(  # ||T||_1: interior columns hold two off-diagonal entries, end columns one
+        float(np.max(np.abs(diagonal[1:-1]))) + 2.0 * coupling,
+        abs(float(diagonal[0])) + coupling,
+        abs(float(diagonal[-1])) + coupling,
+    )
+    tol = 8.0 * _EPS * norm
+    a, b = window.start, window.stop
+    leaks = (coupling if a > 0 else 0.0, coupling if b < diagonal.size else 0.0)
     pairs = []
-    for z, mu in zip(vectors, shifts):
-        found = _rayleigh_iteration(diagonal, offdiagonal, z, float(mu), tol)
+    for u, mu in zip(vectors, shifts):
+        found = _rayleigh_iteration(
+            diagonal[a:b], offdiagonal[a : b - 1], u[a:b], float(mu), tol, leaks
+        )
         if found is None:
             return None
         mu, z = found
@@ -321,22 +376,53 @@ def _continue_fiber(
         signs = np.signbit(_significant(z))
         if np.count_nonzero(signs[1:] != signs[:-1]) != len(pairs):
             return None
-        pairs.append(EigenPair(mu, -z if signs[0] else z))
+        vector = np.zeros_like(diagonal)
+        vector[window] = -z if signs[0] else z
+        pairs.append(EigenPair(mu, vector))
     values = [pair.value for pair in pairs]
     if any(upper - lower <= 2.0 * tol for lower, upper in zip(values, values[1:])):
         return None
-    lower_bound = float(np.min(diagonal - radii)) - 1.0
-    below, *_, info = lapack.dstebz(
-        diagonal, offdiagonal, 1, lower_bound, values[-1] + 2.0 * tol, 0, 0, 1e30, "B"
-    )
-    if info != 0 or below != len(pairs):
+    if _count_below(diagonal, offdiagonal, v, values[-1] + 2.0 * tol, window) != len(pairs):
         return None
     return pairs
 
 
-def _rayleigh_iteration(diagonal, offdiagonal, z, mu, tol):
-    """(mu, z) after Rayleigh-quotient iteration on T from (mu, z) to a
-    residual of tol and one polishing solve, or None.
+def _count_below(
+    diagonal: np.ndarray, offdiagonal: np.ndarray, v: np.ndarray, sigma: float, window: slice
+) -> int | None:
+    """An upper bound of the number of eigenvalues of T below sigma, exact on
+    the full matrix; None on a LAPACK failure.
+
+    When V >= sigma on every row outside `window` = [a, b), the count is that
+    of the window matrix T[a:b, a:b] with 1/h^2 subtracted from its diagonal
+    at each trimmed end.  There the outer blocks of T - sigma are the
+    Dirichlet difference Laplacian plus V - sigma >= 0, so positive definite,
+    and by Haynsworth's inertia additivity T - sigma has as many negative
+    eigenvalues as their Schur complement: the window block minus
+    (1/h^4) (block^-1)_corner at each trimmed end.  That corner lies in
+    (0, h^2), since the block dominates the Laplacian, whose corner inverse
+    is h^2 k/(k + 1) on k rows; subtracting the whole 1/h^2 can only add
+    negative eigenvalues.  Where V < sigma outside the window the full T is
+    counted.  The count is one LAPACK Sturm count (dstebz over a value range
+    from a Gershgorin floor, with an abstol so large that no bisection runs).
+    """
+    a, b = window.start, window.stop
+    coupling = -float(offdiagonal[0])
+    if min(v[:a].min(initial=np.inf), v[b:].min(initial=np.inf)) >= sigma:
+        ends = (coupling if a > 0 else 0.0, coupling if b < diagonal.size else 0.0)
+        diagonal, offdiagonal = diagonal[a:b].copy(), offdiagonal[a : b - 1]
+        diagonal[0] -= ends[0]
+        diagonal[-1] -= ends[1]
+    floor = float(np.min(diagonal)) - 2.0 * coupling - 1.0
+    below, *_, info = lapack.dstebz(diagonal, offdiagonal, 1, floor, sigma, 0, 0, 1e30, "B")
+    return below if info == 0 else None
+
+
+def _rayleigh_iteration(diagonal, offdiagonal, z, mu, tol, leaks):
+    """(mu, z) after Rayleigh-quotient iteration on the window matrix from
+    (mu, z) to a full-grid residual of tol and one polishing solve, or None.
+    `leaks` are the couplings of the window's first and last rows to the
+    rows outside it, 0 at an end of the grid.
 
     A function of its own so that its LU factors and residual are freed
     before the caller's Sturm count, the largest allocation of a
@@ -353,7 +439,8 @@ def _rayleigh_iteration(diagonal, offdiagonal, z, mu, tol):
         residual[1:] += offdiagonal * z[:-1]
         mu = _dot(z, residual)
         residual -= mu * z
-        if np.sqrt(_dot(residual, residual)) <= tol:
+        leak = (leaks[0] * z[0]) ** 2 + (leaks[1] * z[-1]) ** 2
+        if np.sqrt(_dot(residual, residual) + leak) <= tol:
             break
     else:
         return None
@@ -427,7 +514,10 @@ def boundary_exponent(
     Least-squares slope of log u against log r over the first `fit_window`
     nodes.  The window must sit strictly inside the classically forbidden
     inner region r < r_minus, where the eigenfunction is monotone and
-    sign-definite; otherwise the fit is meaningless.
+    sign-definite; otherwise the fit is meaningless.  A continued vector is
+    exactly zero on rows outside its continuation's window, where it fell
+    below _WINDOW of its peak (near the axis at large nu), and there the fit
+    raises SignPatternError.
     """
     if not (isinstance(fit_window, (int, np.integer)) and 3 <= fit_window <= grid.intervals - 1):
         raise ModelError(f"fit_window must be an integer in [3, N-1], got {fit_window!r}")
@@ -463,8 +553,10 @@ def refined_values(params: ModelParams, grid: Grid, count: int) -> list[RefinedV
 
     Second order: from a on `grid` and b on `grid.refined()`, (4b - a)/3 is
     the extrapolated value and |b - a|/3 estimates the fine-grid error.  A
-    grid that does not admit the top coarse value (`_admit`) is a ModelError.
+    grid that does not admit the top coarse value (`_admit`), or that admits
+    no value at all (value 0, before any solve), is a ModelError.
     """
+    _admit(params, grid, 0.0)
     coarse = fiber_eigenvalues(params, grid, count).tolist()
     _admit(params, grid, coarse[-1])
     fine = fiber_eigenvalues(params, grid.refined(), count).tolist()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +32,13 @@ from magband import (
     sweep,
     turning_points,
 )
-from magband.solver import REACH, _bisect_fiber, _continue_fiber, rayleigh_quotient
+from magband.solver import (
+    REACH,
+    _bisect_fiber,
+    _continue_fiber,
+    _window,
+    rayleigh_quotient,
+)
 
 import oracles
 
@@ -62,11 +69,21 @@ def test_sweep_validates_inputs():
         sweep(5, [0], [0], np.array([0.0, 1.0]), SWEEP_GRID)  # p >= 1
 
 
-def test_sweep_refuses_a_grid_whose_wall_is_in_the_well():
+def test_sweep_refuses_a_grid_whose_wall_is_in_the_well(monkeypatch):
     # on Grid(20, 4800) the wall cuts the m=1 wells at xi = 19 and 25: the
-    # values were 1.479 and 36.46 with positive slopes, for a band near 1.01
-    with pytest.raises(ModelError, match=r"xi=19\.0\).* a radius of 26\.39\d* is admitted"):
+    # values were 1.479 and 36.46 with positive slopes, for a band near 1.01.
+    # The wall is too close even at value 0, so no sample is solved.
+    monkeypatch.setattr(magband.bands, "_follow", None)
+    with pytest.raises(ModelError, match=r"xi=25\.0\).* a radius of 30\.29\d* is admitted"):
         sweep(5, [1], [1, 2], [19.0, 25.0], Grid(20.0, 4800))
+
+
+def test_sweep_refuses_a_band_the_grid_does_not_admit():
+    # at xi = 14.2 on Grid(20, 4800) the wall lies 16.8 Agmon lengths past
+    # the well of value 0, but fewer than REACH past that of band 2 (~3.0):
+    # the sample is solved, then refused
+    with pytest.raises(ModelError, match=r"xi=14\.2\).* past the well of lambda=3\.0"):
+        sweep(5, [1], [1, 2], [13.0, 14.2], Grid(20.0, 4800))
 
 
 def test_sweep_high_frequency_regime():
@@ -134,7 +151,7 @@ def test_sweep_with_wide_steps_falls_back_to_bisection(monkeypatch):
     # still the bisection bands
     grid = Grid(30.0, 3600)
     xi = np.arange(-1.0, 12.0, 2.0)
-    log = _record_fiber_solves(monkeypatch)
+    log, _ = _record_fiber_solves(monkeypatch)
     fallbacks = 0
     for m in (0, 3, 6):
         before = len(log)
@@ -161,9 +178,11 @@ def _continuation_seed(m: int, grid: Grid):
 
 
 def _continue(params: ModelParams, grid: Grid, pairs, shifts):
-    """`_continue_fiber` from the vectors of `pairs`, on the same grid."""
+    """`_continue_fiber` from the vectors of `pairs`, 0.05 away in xi on the
+    same grid, on the window the fiber step would take."""
+    vectors = [pair.vector for pair in pairs]
     return _continue_fiber(
-        params, grid, [pair.vector for pair in pairs], shifts, potential(params, grid.nodes)
+        params, grid, vectors, shifts, potential(params, grid.nodes), _window(grid, vectors, 0.05)
     )
 
 
@@ -259,11 +278,15 @@ def test_crossing_flat_band_solve_count(monkeypatch):
             assert len(calls) - before <= 10, (p, gap, len(calls) - before)
 
 
-def _record_fiber_solves(monkeypatch) -> list:
+def _record_fiber_solves(monkeypatch) -> tuple[list, dict]:
     """Record ("bisect" | "continue", grid intervals) for each solve of the
-    fiber step, nested ones included."""
-    log = []
+    fiber step, nested ones included, and count the rows of the
+    continuations' LU factorizations and Sturm counts (through
+    `magband.solver.lapack`): "lu" and "sturm", against "lu_grid" and
+    "sturm_grid", the rows the same calls take on the whole grid."""
+    log, rows = [], dict.fromkeys(("lu", "lu_grid", "sturm", "sturm_grid"), 0)
     bisect, continue_ = magband.solver._bisect_fiber, magband.solver._continue_fiber
+    lapack = magband.solver.lapack
 
     def bisected(params, grid, count):
         log.append(("bisect", grid.intervals))
@@ -273,15 +296,38 @@ def _record_fiber_solves(monkeypatch) -> list:
         log.append(("continue", grid.intervals))
         return continue_(params, grid, *args)
 
+    def counted(routine, kind, diagonal_arg):
+        def call(*args, **kwargs):
+            rows[kind] += args[diagonal_arg].size
+            rows[kind + "_grid"] += log[-1][1] - 1  # the continuation running now
+            return routine(*args, **kwargs)
+
+        return call
+
     monkeypatch.setattr(magband.solver, "_bisect_fiber", bisected)
     monkeypatch.setattr(magband.solver, "_continue_fiber", continued)
-    return log
+    monkeypatch.setattr(magband.solver, "lapack", SimpleNamespace(
+        dgttrf=counted(lapack.dgttrf, "lu", 1),  # dgttrf(dl, d, du)
+        dgttrs=lapack.dgttrs,
+        dstebz=counted(lapack.dstebz, "sturm", 0),  # dstebz(d, e, ...)
+    ))
+    return log, rows
+
+
+def test_check_09_continuations_work_on_the_rows_the_mode_occupies(monkeypatch):
+    # m = 10..40 at E = 2: the wells sit far from the axis, and the window
+    # leaves out the rows between the axis and the well
+    log, rows = _record_fiber_solves(monkeypatch)
+    assert magband.acceptance.check_agmon_uniformity().passed
+    assert sum(kind == "continue" for kind, _ in log) >= 31
+    assert 0 < rows["lu"] <= 0.6 * rows["lu_grid"]
+    assert 0 < rows["sturm"] <= 0.6 * rows["sturm_grid"]
 
 
 @pytest.mark.parametrize("n,m,p,energy", [(5, 20, 1, 2.0), (5, 40, 2, 3.6)])
 def test_crossing_bisects_once_and_continues(monkeypatch, n, m, p, energy):
     calls = _count_eigensolves(monkeypatch)
-    log = _record_fiber_solves(monkeypatch)
+    log, _ = _record_fiber_solves(monkeypatch)
     res = crossing(n, m, p, energy)
     assert res.residual <= 1e-8
     assert len(calls) == 1
@@ -293,7 +339,7 @@ def test_crossing_continues_across_a_grown_grid(monkeypatch):
     # the seed xi_0 = 0 at k_m = 0 lies on the base grid; Newton heads out and
     # the grid grows between iterates, so the previous vectors continue
     # interpolated, with zeros past the old wall
-    log = _record_fiber_solves(monkeypatch)
+    log, _ = _record_fiber_solves(monkeypatch)
     step = 1.0 / 24.0
     res = crossing(5, 0, 2, 3.1, step=step)
     sizes = [intervals for _, intervals in log]
@@ -308,7 +354,7 @@ def test_crossing_continues_across_a_grown_grid(monkeypatch):
 @pytest.mark.parametrize("n,m,p,energy", [(5, 20, 1, 2.0), (5, 40, 2, 3.6)])
 def test_crossing_without_continuation_bisects_every_iterate(monkeypatch, n, m, p, energy):
     continued = crossing(n, m, p, energy)
-    log = _record_fiber_solves(monkeypatch)
+    log, _ = _record_fiber_solves(monkeypatch)
     monkeypatch.setattr(magband.solver, "_continue_fiber", lambda *args: None)
     bisected = crossing(n, m, p, energy)
     assert abs(bisected.xi - continued.xi) <= 1e-12

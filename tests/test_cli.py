@@ -229,6 +229,9 @@ def test_current_invalid_input_exits_2_before_solving(flag, message, monkeypatch
     # 2/h^2 overflowed (OverflowError) or divided by zero (ZeroDivisionError), exit 1
     ("sweep --m 0 --p 1 --xi 0 --radius 1e308 --intervals 16", "outside the float range"),
     ("sweep --m 0 --p 1 --xi 0 --radius 1e-300 --intervals 16", "outside the float range"),
+    # the wall too close at value 0 (exit 3 from LAPACK's bisection)
+    ("sweep --m 0 --p 1 --xi 0 --radius 1e-150 --intervals 16",
+     "Agmon lengths past the well of lambda=0, fewer than 14; a radius of 5.2915 is admitted"),
 ])
 def test_bad_grid_input_exits_2_before_solving(command_line, message, monkeypatch, capsys):
     def no_solve(*args, **kwargs):
@@ -254,12 +257,19 @@ def test_convergence_refuses_an_empty_m_range(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("command_line, message", [
     # each exited 0 with wrong numbers: positive slopes for a decreasing band,
-    # a PASS for 63.07 against the true 1.0021, a remainder slope of +24.17
-    ("sweep --m 1 --p 1..2 --xi 19,25", "a radius of 26.39"),
-    ("convergence --m 0 --p 1 --xi 19 --radius 12 --intervals 48000", "a radius of 32.23"),
-    ("asym --radius 12 --intervals 2880 --window 8:15", "a radius of 14.32"),
+    # a PASS for 63.07 against the true 1.0021, a remainder slope of +24.17;
+    # each wall is too close even at value 0, so each is refused before any
+    # solve, naming the radius xi + sqrt(2 REACH) at the largest xi
+    ("sweep --m 1 --p 1..2 --xi 19,25", "a radius of 30.29"),
+    ("convergence --m 0 --p 1 --xi 19 --radius 12 --intervals 48000", "a radius of 24.29"),
+    ("asym --radius 12 --intervals 2880 --window 8:15", "a radius of 20.29"),
 ])
-def test_inadmissible_grid_exits_2_naming_the_radius(command_line, message, capsys):
+def test_inadmissible_grid_exits_2_naming_the_radius(command_line, message, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve before the grid was admitted")
+
+    monkeypatch.setattr("magband.solver.eigh_tridiagonal", no_solve)
+    monkeypatch.setattr("magband.solver._continue_fiber", no_solve)
     assert run_cli(*command_line.split()) == 2
     err = capsys.readouterr().err
     assert "Agmon lengths past the well" in err and message in err, err

@@ -27,8 +27,13 @@ from magband.solver import (
     REACH,
     _admit,
     _bisect_fiber,
+    _continue_fiber,
+    _count_below,
+    _reach,
+    _window,
     assemble,
     fixed_step_grid,
+    potential,
     rayleigh_quotient,
 )
 
@@ -164,6 +169,19 @@ def test_boundary_exponent_recovers_indicial_root():
         assert slope == pytest.approx(expected, rel=0.05)
 
 
+def test_boundary_exponent_refuses_a_vector_that_vanishes_near_the_axis():
+    # at m = 32 (nu = 33.5) u(r)/max u falls below 1e-18 well inside the fit
+    # window, so the continuation leaves those rows out and they hold exact
+    # zeros; the full-grid vector's entries there were noise, which fitted
+    # 23.25
+    grid = Grid(16.0, 8000)
+    params = ModelParams(5, 32, 1.5)
+    pair = solve_fiber(params, grid, 1)[0]
+    assert pair.vector[0] == 0.0
+    with pytest.raises(SignPatternError):
+        boundary_exponent(params, pair, grid, 40)
+
+
 def test_boundary_exponent_window_validation():
     grid = Grid(12.0, 600)
     params = ModelParams(5, 1, 1.5)
@@ -193,10 +211,12 @@ def test_refine_richardson_beats_fine_grid():
     assert abs(rv.fine - exact) < rv.error  # estimate is conservative here
 
 
-def test_refined_values_refuses_an_inadmissible_grid():
-    # radius 12 at xi = 19 puts the wall inside the well: the coarse value is
-    # 63.0717 (true 1.0021) with an error estimate of 5.4e-8
-    with pytest.raises(ModelError, match=r"xi=19\.0\).* a radius of 32\.23\d* is admitted"):
+def test_refined_values_refuses_an_inadmissible_grid(monkeypatch):
+    # radius 12 at xi = 19 puts the wall inside the well: the coarse value was
+    # 63.0717 (true 1.0021) with an error estimate of 5.4e-8.  The wall is too
+    # close even at value 0, so the grid is refused before any solve.
+    monkeypatch.setattr(magband.solver, "_follow", None)
+    with pytest.raises(ModelError, match=r"xi=19\.0\).* a radius of 24\.29\d* is admitted"):
         refined_values(ModelParams(5, 0, 19.0), Grid(12.0, 48000), 1)
 
 
@@ -217,6 +237,14 @@ def test_grid_rule_admits_exactly_at_the_oracle_reach(xi, value):
     _admit(params, Grid(wall * (1.0 + 1e-6), 4800), value)
     with pytest.raises(ModelError, match="Agmon lengths"):
         _admit(params, Grid(wall * (1.0 - 1e-6), 4800), value)
+
+
+@pytest.mark.parametrize("xi, radius", [(0.0, 1e-150), (0.0, 5.0), (-3.0, 12.0), (19.0, 24.0),
+                                         (19.0, 12.0)])
+def test_reach_at_value_zero_is_its_limit(xi, radius):
+    # (R - xi)^2 / 2, the integral of |r - xi| from the well at xi to the wall
+    reach = _reach(Grid(radius, 16), xi, 0.0)
+    assert reach == pytest.approx(oracles.agmon_reach_reference(xi, 0.0, radius), rel=1e-10)
 
 
 @pytest.mark.parametrize("step", [1.0 / 24.0, 1.0 / 60.0, 1.0 / 120.0, 1.0 / 240.0])
@@ -347,3 +375,148 @@ def test_small_grid_is_bisected_directly(monkeypatch):
     sizes = _record_bisections(monkeypatch)
     solve_fiber(ModelParams(5, 1, 0.0), Grid(12.0, 480), 3)
     assert sizes == [479]
+
+
+def _grid_matrix(params: ModelParams, grid: Grid):
+    """Diagonal, potential and ||T||_1 of the grid matrix T (off-diagonal
+    -1/h^2), from its formula."""
+    h, r = grid.h, grid.nodes
+    v = params.k / r**2 + (r - params.xi) ** 2
+    diagonal = 2.0 / h**2 + v
+    couplings = np.full(diagonal.size, 2.0 / h**2)
+    couplings[[0, -1]] = 1.0 / h**2
+    return diagonal, v, float(np.max(np.abs(diagonal) + couplings))
+
+
+def _full_residual(diagonal: np.ndarray, h: float, pair) -> float:
+    """||T u - lambda u|| / ||u|| on the whole grid."""
+    u = pair.vector
+    tu = diagonal * u
+    tu[:-1] -= u[1:] / h**2
+    tu[1:] -= u[:-1] / h**2
+    return float(np.linalg.norm(tu - pair.value * u) / np.linalg.norm(u))
+
+
+M40_CROSSING = 41.003025466444605  # band 1 of m = 40 meets E = 2 here (check 09)
+
+
+@pytest.mark.parametrize("step, dense", [(1.0 / 240.0, False), (1.0 / 24.0, True)])
+def test_windowed_continuation_at_m_40(monkeypatch, step, dense):
+    params, grid = ModelParams(5, 40, M40_CROSSING), fixed_step_grid(M40_CROSSING, 2.0, step)
+    windows = []
+    continue_ = magband.solver._continue_fiber
+
+    def recorded(params, grid, vectors, shifts, v, window):
+        windows.append((grid.intervals, window))
+        return continue_(params, grid, vectors, shifts, v, window)
+
+    monkeypatch.setattr(magband.solver, "_continue_fiber", recorded)
+    pairs = solve_fiber(params, grid, 2)
+    intervals, window = windows[-1]
+    rows = grid.intervals - 1
+    assert intervals == grid.intervals and window.stop - window.start < rows / 2
+    diagonal, _, norm = _grid_matrix(params, grid)
+    tol = 8.0 * np.finfo(float).eps * norm
+    values = np.array([pair.value for pair in pairs])
+    bisected = [pair.value for pair in _bisect_fiber(params, grid, 2)]
+    assert np.all(np.abs(values - bisected) <= tol)
+    if dense:
+        ref = oracles.dense_fiber_eigenvalues(params.k, params.xi, grid.radius, grid.intervals, 2)
+        assert np.all(np.abs(values - ref) <= tol)
+    outside = np.ones(rows, dtype=bool)
+    outside[window] = False
+    for pair in pairs:
+        assert np.all(pair.vector[outside] == 0.0)
+        assert _full_residual(diagonal, grid.h, pair) <= tol
+
+
+def test_continuation_from_a_vector_off_the_well_is_none_or_right():
+    params, grid = ModelParams(5, 40, M40_CROSSING), fixed_step_grid(M40_CROSSING, 2.0, 1 / 24)
+    r = grid.nodes
+    v = potential(params, r)
+    (want,) = _bisect_fiber(params, grid, 1)
+    tol = 8.0 * np.finfo(float).eps * _grid_matrix(params, grid)[2]
+    outcomes = set()
+    for center in (3.0, 10.0, 20.0, 30.0, 36.0, 46.5):
+        for width in (0.5, 2.0):
+            start = np.exp(-0.5 * ((r - center) / width) ** 2)
+            for shift in (want.value, want.value + 0.5, 10.0):
+                got = _continue_fiber(params, grid, [start], [shift], v, _window(grid, [start], 0.0))
+                outcomes.add(got is None)
+                if got is not None:
+                    assert abs(got[0].value - want.value) <= tol
+                    assert np.max(np.abs(got[0].vector - want.vector)) <= 1e-6 * np.max(want.vector)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("cut", [1e-3, 1e-6, 1e-10, 1e-14, 1e-18])
+def test_continuation_on_a_window_too_narrow_is_none_or_right(cut):
+    # the window of rows where the eigenvector exceeds `cut` of its peak: the
+    # leaks at its ends keep the full-grid residual above tolerance unless
+    # the vector has decayed there
+    params, grid = ModelParams(5, 40, M40_CROSSING), fixed_step_grid(M40_CROSSING, 2.0, 1 / 24)
+    (want,) = _bisect_fiber(params, grid, 1)
+    diagonal, v, norm = _grid_matrix(params, grid)
+    tol = 8.0 * np.finfo(float).eps * norm
+    rows = np.flatnonzero(np.abs(want.vector) > cut * np.max(np.abs(want.vector)))
+    window = slice(int(rows[0]), int(rows[-1]) + 1)
+    got = _continue_fiber(params, grid, [want.vector], [want.value], v, window)
+    if cut > 1e-10:
+        assert got is None
+    if got is not None:
+        assert abs(got[0].value - want.value) <= tol
+        assert _full_residual(diagonal, grid.h, got[0]) <= tol
+
+
+def _dense_count(params: ModelParams, grid: Grid, sigma: float) -> int:
+    values = oracles.dense_fiber_eigenvalues(
+        params.k, params.xi, grid.radius, grid.intervals, grid.intervals - 1
+    )
+    return int(np.count_nonzero(values < sigma))
+
+
+@pytest.mark.parametrize("n,m,xi", [(5, 10, 6.0), (5, 40, 41.0), (4, 0, 3.0)])
+def test_windowed_sturm_count_matches_the_dense_count(n, m, xi):
+    params = ModelParams(n, m, xi)
+    grid = fixed_step_grid(xi, 12.0, 1.0 / 16.0)
+    diagonal, v, _ = _grid_matrix(params, grid)
+    offdiagonal = np.full(diagonal.size - 1, -1.0 / grid.h**2)
+    values = oracles.dense_fiber_eigenvalues(params.k, xi, grid.radius, grid.intervals, 5)
+    for lower, upper in zip(values, values[1:]):
+        sigma = 0.5 * (lower + upper)
+        want = _dense_count(params, grid, sigma)
+        # a window past the classically allowed rows: the count is exact
+        rows = np.flatnonzero(v < sigma + 40.0)
+        window = slice(int(rows[0]), int(rows[-1]) + 1)
+        assert np.all(np.delete(v, np.arange(diagonal.size)[window]) >= sigma)
+        assert _count_below(diagonal, offdiagonal, v, sigma, window) == want
+    for value in values:
+        # just above an eigenvalue, on the allowed rows alone: the window
+        # matrix without its end corrections has that eigenvalue above sigma,
+        # and with them the count is still an upper bound
+        sigma = value + 1e-6
+        rows = np.flatnonzero(v < sigma)
+        window = slice(int(rows[0]), int(rows[-1]) + 1)
+        assert _count_below(diagonal, offdiagonal, v, sigma, window) >= _dense_count(
+            params, grid, sigma
+        )
+
+
+def test_sturm_count_with_the_potential_below_sigma_outside_counts_the_full_grid():
+    # (3, 0) has V -> -infinity at the axis, so a window that trims the axis
+    # side leaves V < sigma outside; here the window misses the well, and its
+    # own matrix has no eigenvalue below sigma
+    params, grid = ModelParams(3, 0, 2.0), Grid(12.0, 240)
+    diagonal, v, _ = _grid_matrix(params, grid)
+    offdiagonal = np.full(diagonal.size - 1, -1.0 / grid.h**2)
+    values = oracles.dense_fiber_eigenvalues(params.k, 2.0, grid.radius, grid.intervals, 3)
+    sigma = 0.5 * (values[1] + values[2])
+    window = slice(int(np.searchsorted(grid.nodes, 8.0)), diagonal.size)
+    coupling = np.full(diagonal[window].size - 1, -1.0 / grid.h**2)
+    inner = np.linalg.eigvalsh(
+        np.diag(diagonal[window]) + np.diag(coupling, 1) + np.diag(coupling, -1)
+    )
+    assert np.count_nonzero(inner < sigma) == 0 and np.min(v[: window.start]) < sigma
+    assert _count_below(diagonal, offdiagonal, v, sigma, window) == 2 == _dense_count(
+        params, grid, sigma
+    )
