@@ -19,7 +19,7 @@ import numpy as np
 
 from .bands import BandCurve, refined_band
 from .errors import ModelError
-from .model import coupling_constant
+from .model import _integer, coupling_constant
 from .solver import Grid
 
 _MAX_SAMPLES = 2**22  # longest band a comparison samples; 32 MiB per array
@@ -41,9 +41,7 @@ def apply_s(c: np.ndarray) -> np.ndarray:
 
 def apply_A(q: int, c: np.ndarray) -> np.ndarray:
     """The interaction operator A_q = (q-1)(-s)^{q-2}, with A_1 = 0."""
-    if not (isinstance(q, (int, np.integer)) and q >= 1):
-        raise ModelError(f"operator index must be an integer >= 1, got {q!r}")
-    if q == 1:
+    if _integer(q, "operator index q", 1) == 1:
         return np.zeros_like(c)
     out = c
     for _ in range(q - 2):
@@ -75,10 +73,7 @@ def expansion_coefficients(p: int, coupling: float, order: int) -> ExpansionCoef
     Psi_1..Psi_{p+2N} keeps the truncation edge out of reach: the result is
     exact up to rounding, and a larger basis gives the same numbers.
     """
-    if not (isinstance(p, (int, np.integer)) and p >= 1):
-        raise ModelError(f"band index must be an integer >= 1, got {p!r}")
-    if not (isinstance(order, (int, np.integer)) and order >= 0):
-        raise ModelError(f"expansion order must be an integer >= 0, got {order!r}")
+    p, order = _integer(p, "band index p", 1), _integer(order, "expansion order", 0)
     if not np.isfinite(coupling):
         raise ModelError(f"coupling must be finite, got {coupling!r}")
     basis_size = p + 2 * order
@@ -99,9 +94,9 @@ def expansion_coefficients(p: int, coupling: float, order: int) -> ExpansionCoef
         modes.append(g)
 
     return ExpansionCoefficients(
-        p=int(p),
+        p=p,
         coupling=float(coupling),
-        order=int(order),
+        order=order,
         alphas=alphas,
         modes=modes,
     )
@@ -193,7 +188,6 @@ class GapProfile:
 
 def exponential_gap_check(
     band: BandCurve,
-    p: int,
     xi_window: tuple[float, float],
     *,
     error_estimate: float = 0.0,
@@ -202,21 +196,20 @@ def exponential_gap_check(
 
     With k_m = 0 the inverse-power series is empty and the gap to the Landau
     level closes like xi^{2p-1} e^{-xi^2}; near-constancy of the compensated
-    profile over the window is the checkable signature.  The band values must
-    resolve the gap: samples within 10x of error_estimate mark the report
-    indeterminate.
+    profile over the window is the checkable signature, with p = band.p.  The
+    band values must resolve the gap: samples within 10x of error_estimate
+    mark the report indeterminate.
     """
     if (band.n, band.m) != (4, 0):
         raise ModelError(
             f"the exponential regime is the k_m=0 case (n=4, m=0); "
             f"got (n={band.n}, m={band.m})"
         )
-    if band.p != p:
-        raise ModelError(f"band carries p={band.p}, check requested p={p}")
     lo, hi = _gap_window(xi_window)
     mask = (band.xi >= lo) & (band.xi <= hi)
     if np.count_nonzero(mask) < 3:
         raise ModelError("window holds fewer than three band samples")
+    p = band.p
     xi = band.xi[mask]
     gap = band.values[mask] - float(2 * p - 1)
     profile = np.exp(xi**2) * gap / xi ** (2 * p - 1)
@@ -260,10 +253,7 @@ def band_asymptotics(
     report's noise floor.
     """
     coupling = float(coupling_constant(n, m))
-    if not (isinstance(samples, (int, np.integer)) and 3 <= samples <= _MAX_SAMPLES):
-        raise ModelError(
-            f"the fits need at least 3 samples and at most {_MAX_SAMPLES}, got {samples!r}"
-        )
+    samples = _integer(samples, "samples", 3, _MAX_SAMPLES)
     coeffs = expansion_coefficients(p, coupling, order)
     probe = expansion_coefficients(p, 2.0 * coupling, order)
     sensitive = tuple(
@@ -272,7 +262,7 @@ def band_asymptotics(
     window = _gap_window(xi_window) if coupling == 0.0 else _remainder_window(coupling, xi_window)
     band, noise = refined_band(n, m, p, np.linspace(*window, samples), grid)
     if coupling == 0.0:
-        report = exponential_gap_check(band, p, window, error_estimate=noise)
+        report = exponential_gap_check(band, window, error_estimate=noise)
     else:
         report = remainder_rate(band, coeffs, window, noise_floor=noise)
     return BandAsymptotics(coeffs, sensitive, band, noise, report)

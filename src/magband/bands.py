@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import AgmonOverflowError, BracketError, ConvergenceError, ModelError
-from .model import ModelParams, landau_level, potential, turning_points
+from .model import ModelParams, _integers, landau_level, potential, turning_points
 from .solver import (
     EigenPair,
     Grid,
@@ -95,14 +95,11 @@ def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
     that admits no value at the largest xi: every eigenvalue exceeds
     min V >= 0 when k_m >= 0, and the rule's reach falls as the value grows.
 
+    m_range and p_range count as their distinct entries, each an integer
+    (m >= 0, p >= 1); a fractional one is a ModelError before any solve.
     Output is ordered by (m, p) with xi ascending inside each curve.
     """
-    ms = sorted(set(int(m) for m in m_range))
-    ps = sorted(set(int(p) for p in p_range))
-    if not ms or not ps:
-        raise ModelError("sweep needs non-empty m and p ranges")
-    if ps[0] < 1:
-        raise ModelError(f"band indices must be >= 1, got {ps[0]}")
+    ms, ps = _integers(m_range, "angular number m", 0), _integers(p_range, "band index p", 1)
     xi = _xi_samples(xi_samples)
     for m in ms:  # validates (n, m) and the grid at value 0 once up front
         _admit(ModelParams(n, m, float(xi[-1])), grid, 0.0)
@@ -266,27 +263,23 @@ def scaling_study(
     tolerance: float = CROSSING_TOLERANCE,
     step: float = CROSSING_STEP,
 ) -> ScalingStudy:
-    """Crossing study over m_list at fixed energy; see ScalingStudy."""
-    ms = sorted(set(int(m) for m in m_list))
-    if not ms:
-        raise ModelError("scaling study needs a non-empty m list")
-    if ms[0] < 1:
-        raise ModelError(f"scaling study needs m >= 1, got m={ms[0]}")
+    """Crossing study over m_list at fixed energy; see ScalingStudy.
+
+    Every m is an integer >= 1 and at least two are >= 5; `crossing` checks
+    the energy, which only has to exceed E_p, before its first solve.
+    """
+    ms = _integers(m_list, "angular number m", 1)
     if not np.isfinite(energy):
         raise ModelError(f"energy must be finite, got {energy!r}")
-    q = round((energy + 1.0) / 2.0)
-    if q >= 1 and energy == float(landau_level(q)):
-        raise ModelError(f"energy {energy} is a Landau level; crossings degenerate")
-
-    rows = [crossing(n, m, p, energy, tolerance, step=step) for m in ms]
     m_arr = np.array(ms, dtype=int)
-    k_arr = np.array([r.coupling for r in rows])
-    xi_arr = np.array([r.xi for r in rows])
-    sl_arr = np.array([r.slope for r in rows])
-
     fit = m_arr >= 5
     if np.count_nonzero(fit) < 2:
         raise ModelError("regression needs at least two entries with m >= 5")
+
+    rows = [crossing(n, m, p, energy, tolerance, step=step) for m in ms]
+    k_arr = np.array([r.coupling for r in rows])
+    xi_arr = np.array([r.xi for r in rows])
+    sl_arr = np.array([r.slope for r in rows])
     xi_slope, xi_err = _loglog_slope(k_arr[fit], xi_arr[fit])
     der_slope, der_err = _loglog_slope(k_arr[fit], np.abs(sl_arr[fit]))
 

@@ -145,7 +145,7 @@ _OPTIONS = {
     "scaling": {
         "n": (_int, "5", "ambient dimension"),
         "p": (_int, "1", "band index"),
-        "energy": (_float, "2.0", "crossing energy E (not a Landau level)"),
+        "energy": (_float, "2.0", "crossing energy E, above E_p"),
         "m": (_int_list, "5..40", "angular momenta (m >= 1)"),
         "tolerance": (_float, str(CROSSING_TOLERANCE), "crossing tolerance on |lambda - E|"),
         "step": (_float, str(CROSSING_STEP), "grid step h for the fiber solves"),

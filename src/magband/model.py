@@ -21,13 +21,39 @@ import numpy as np
 from .errors import ConvergenceError, ModelError
 
 
+def _integer(value, what: str, least: int, most: int | None = None) -> int:
+    """The one rule for an index or count the API takes: `value` as an int
+    when it is a Python or numpy integer with least <= value (<= most), and
+    otherwise a ModelError naming `what`, the bounds and the value.  A
+    fractional value is refused, never truncated.  `what` names an index
+    ("band index p") or, when `most` bounds it, the things counted
+    ("samples")."""
+    if not (
+        isinstance(value, (int, np.integer)) and least <= value and (most is None or value <= most)
+    ):
+        if most is None:
+            rule = f"{what} must be an integer >= {least}"
+        else:
+            rule = f"need an integer count: at least {least} {what} and at most {most}"
+        raise ModelError(f"{rule}, got {value!r}")
+    return int(value)
+
+
+def _integers(values, what: str, least: int) -> list[int]:
+    """The distinct entries of the sequence `values` in ascending order, each
+    checked by `_integer`; a ModelError when there is none or `values` is not
+    a sequence."""
+    if not np.iterable(values):
+        raise ModelError(f"{what} must be a list of integers, got {values!r}")
+    entries = sorted({_integer(value, what, least) for value in values})
+    if not entries:
+        raise ModelError(f"need at least one {what}, got none")
+    return entries
+
+
 def _validate_nm(n: int, m: int) -> None:
-    if not isinstance(n, (int, np.integer)) or not isinstance(m, (int, np.integer)):
-        raise ModelError(f"n and m must be integers, got n={n!r}, m={m!r}")
-    if n < 3:
-        raise ModelError(f"dimension n must be >= 3, got {n}")
-    if m < 0:
-        raise ModelError(f"angular number m must be >= 0, got {m}")
+    _integer(n, "dimension n", 3)
+    _integer(m, "angular number m", 0)
 
 
 def coupling_constant(n: int, m: int) -> Fraction:
@@ -43,9 +69,7 @@ def coupling_constant(n: int, m: int) -> Fraction:
 
 def landau_level(p: int) -> int:
     """Threshold energy E_p = 2p - 1 of the p-th band, p >= 1."""
-    if not isinstance(p, (int, np.integer)) or p < 1:
-        raise ModelError(f"band index p must be an integer >= 1, got {p!r}")
-    return 2 * int(p) - 1
+    return 2 * _integer(p, "band index p", 1) - 1
 
 
 @dataclass(frozen=True)

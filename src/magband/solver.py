@@ -20,12 +20,13 @@ Agmon distance d from its well.  The iteration factors only the window's
 block of T, but stops on the residual of the zero-padded vector on the full
 T, the window's residual plus the leaks |z|/h^2 of its trimmed ends.  So its
 value is still a Rayleigh quotient of T within 8 eps ||T||_1 of an
-eigenvalue.  The Sturm count runs on the window too when V lies above the
-count's bound on every row outside it: there the window, with 1/h^2 taken
-from each trimmed end's diagonal, has at least as many eigenvalues below the
-bound as T (Haynsworth inertia additivity; see `_count_below`), and the
-certified values account for at least as many.  The vectors are zero outside
-the window.  All of it is deterministic for fixed input.
+eigenvalue.  The Sturm count runs on the window too, each side trimmed,
+with 1/h^2 taken from its end's diagonal, where V lies above the count's
+bound on every row beyond it, and extended to the grid's end otherwise: the
+rows counted have at least as many eigenvalues below the bound as T
+(Haynsworth inertia additivity; see `_count_below`), and the certified values
+account for at least as many.  The vectors are zero outside the window.  All
+of it is deterministic for fixed input.
 
 Eigenvectors are returned with the continuum normalization h * sum(u^2) = 1
 and sign fixed to be positive near the axis.
@@ -41,7 +42,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal, lapack
 
 from .errors import ConvergenceError, ModelError, SignPatternError
-from .model import ModelParams, potential, turning_points
+from .model import ModelParams, _integer, potential, turning_points
 
 _SIGNIFICANT = 1e-8  # entries below this fraction of a vector's peak carry no sign
 # Rows where no start vector reaches this fraction of its peak lie outside a
@@ -65,9 +66,7 @@ class Grid:
     intervals: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.intervals, (int, np.integer)) and self.intervals >= 16):
-            raise ModelError(f"grid needs an integer interval count >= 16, got {self.intervals!r}")
-        if self.intervals > _MAX_INTERVALS:
+        if _integer(self.intervals, "grid intervals", 16) > _MAX_INTERVALS:
             raise ModelError(
                 f"a grid of {self.intervals} intervals is above the limit of {_MAX_INTERVALS}"
             )
@@ -168,13 +167,6 @@ def _assemble(params: ModelParams, grid: Grid, v: np.ndarray) -> tuple[np.ndarra
     return diagonal, offdiagonal
 
 
-def _check_count(grid: Grid, count: int) -> None:
-    """ModelError unless 1 <= count <= the grid's row count."""
-    size = grid.intervals - 1
-    if not (isinstance(count, (int, np.integer)) and 1 <= count <= size):
-        raise ModelError(f"eigenpair count must satisfy 1 <= count <= {size}, got {count!r}")
-
-
 def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
     """The `count` smallest eigenpairs, ascending, normalized and sign-fixed.
 
@@ -224,7 +216,7 @@ def _follow(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None
     is bisected (`_bisect_fiber`).  An invalid `count` is a ModelError before
     any solve.
     """
-    _check_count(grid, count)
+    count = _integer(count, "eigenpairs", 1, grid.intervals - 1)
     v = potential(params, grid.nodes)
     for start in _starts(params, grid, count, previous):
         vectors = [pair.vector for pair in start.pairs]
@@ -283,7 +275,7 @@ def _bisect_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair
             diagonal,
             offdiagonal,
             select="i",
-            select_range=(0, int(count) - 1),
+            select_range=(0, count - 1),
             check_finite=False,
         )
     except LinAlgError as exc:
@@ -345,12 +337,13 @@ def _continue_fiber(
     belong to distinct eigenvalues of T, all below sigma = last value +
     2 tol), vector i has i sign changes over its significant entries
     (discrete oscillation theorem), and a Sturm count (`_count_below`) bounds
-    the eigenvalues of T below sigma by len(vectors): on the window, with
-    1/h^2 taken from each trimmed end's diagonal, where V >= sigma outside
-    it (an upper bound by Haynsworth inertia additivity), and on the full T
-    otherwise.  The certified values bound that number from below, so it is
-    exact.  Otherwise, and on any LAPACK failure, it returns None.  Vectors
-    are normalized and sign-fixed as in `solve_fiber`.
+    the eigenvalues of T below sigma by len(vectors): on the window, each
+    side trimmed with 1/h^2 taken from its end's diagonal where V >= sigma
+    on every row beyond it, and extended to the grid's end otherwise (an
+    upper bound by Haynsworth inertia additivity).  The certified values
+    bound that number from below, so it is exact.  Otherwise, and on any
+    LAPACK failure, it returns None.  Vectors are normalized and sign-fixed
+    as in `solve_fiber`.
     """
     diagonal, offdiagonal = _assemble(params, grid, v)
     coupling = -float(offdiagonal[0])
@@ -393,26 +386,30 @@ def _count_below(
     """An upper bound of the number of eigenvalues of T below sigma, exact on
     the full matrix; None on a LAPACK failure.
 
-    When V >= sigma on every row outside `window` = [a, b), the count is that
-    of the window matrix T[a:b, a:b] with 1/h^2 subtracted from its diagonal
-    at each trimmed end.  There the outer blocks of T - sigma are the
-    Dirichlet difference Laplacian plus V - sigma >= 0, so positive definite,
-    and by Haynsworth's inertia additivity T - sigma has as many negative
-    eigenvalues as their Schur complement: the window block minus
-    (1/h^4) (block^-1)_corner at each trimmed end.  That corner lies in
-    (0, h^2), since the block dominates the Laplacian, whose corner inverse
-    is h^2 k/(k + 1) on k rows; subtracting the whole 1/h^2 can only add
-    negative eigenvalues.  Where V < sigma outside the window the full T is
-    counted.  The count is one LAPACK Sturm count (dstebz over a value range
-    from a Gershgorin floor, with an abstol so large that no bisection runs).
+    Each side of `window` = [a, b) is decided alone: a side whose outer rows
+    hold some V < sigma extends to the grid's end, and otherwise it is
+    trimmed, with 1/h^2 subtracted from the diagonal of its end row.  The
+    full T is the case a = 0, b = N.  A trimmed outer block of T - sigma is the Dirichlet difference
+    Laplacian plus V - sigma >= 0, so positive definite, and by Haynsworth's
+    inertia additivity T - sigma has as many negative eigenvalues as their
+    Schur complement: the kept block minus (1/h^4) (block^-1)_corner at each
+    trimmed end.  That corner lies in (0, h^2), since the block dominates the
+    Laplacian, whose corner inverse is h^2 k/(k + 1) on k rows; subtracting
+    the whole 1/h^2 can only add negative eigenvalues.  The count is one
+    LAPACK Sturm count (dstebz over a value range from a Gershgorin floor,
+    with an abstol so large that no bisection runs).
     """
-    a, b = window.start, window.stop
+    a, b, size = window.start, window.stop, diagonal.size
+    if v[:a].min(initial=np.inf) < sigma:
+        a = 0
+    if v[b:].min(initial=np.inf) < sigma:
+        b = size
     coupling = -float(offdiagonal[0])
-    if min(v[:a].min(initial=np.inf), v[b:].min(initial=np.inf)) >= sigma:
-        ends = (coupling if a > 0 else 0.0, coupling if b < diagonal.size else 0.0)
-        diagonal, offdiagonal = diagonal[a:b].copy(), offdiagonal[a : b - 1]
-        diagonal[0] -= ends[0]
-        diagonal[-1] -= ends[1]
+    diagonal, offdiagonal = diagonal[a:b].copy(), offdiagonal[a : b - 1]
+    if a > 0:
+        diagonal[0] -= coupling
+    if b < size:
+        diagonal[-1] -= coupling
     floor = float(np.min(diagonal)) - 2.0 * coupling - 1.0
     below, *_, info = lapack.dstebz(diagonal, offdiagonal, 1, floor, sigma, 0, 0, 1e30, "B")
     return below if info == 0 else None
@@ -519,8 +516,7 @@ def boundary_exponent(
     below _WINDOW of its peak (near the axis at large nu), and there the fit
     raises SignPatternError.
     """
-    if not (isinstance(fit_window, (int, np.integer)) and 3 <= fit_window <= grid.intervals - 1):
-        raise ModelError(f"fit_window must be an integer in [3, N-1], got {fit_window!r}")
+    fit_window = _integer(fit_window, "fit_window nodes", 3, grid.intervals - 1)
     r_minus, _ = turning_points(params, pair.value)
     r = grid.nodes[:fit_window]
     if r[-1] >= r_minus:

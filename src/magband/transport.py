@@ -21,7 +21,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .bands import CrossingResult, _loglog_slope, crossing, sweep
 from .errors import ConvergenceError, MissingBandDataError, ModelError
-from .model import coupling_constant, harmonic_multiplicity
+from .model import _integer, _integers, coupling_constant, harmonic_multiplicity
 from .solver import fixed_step_grid
 
 _PROFILE_SAMPLES = 801  # samples per bump profile
@@ -94,26 +94,9 @@ def _lowest_band(win: SpectralWindow) -> int:
     return win.band_indices[0]
 
 
-def _cutoffs(m_cut_list) -> list[int]:
-    """Bulk cutoffs M as ints: non-empty, nonnegative, strictly increasing."""
-    cuts = [int(M) for M in m_cut_list]
-    if not cuts:
-        raise ModelError("cutoff list must be non-empty")
-    if any(b <= a for a, b in zip(cuts, cuts[1:])):
-        raise ModelError("cutoff list must be strictly increasing")
-    if cuts[0] < 0:
-        raise ModelError(f"cutoffs must be >= 0, got {cuts[0]}")
-    return cuts
-
-
 def _check_dimension(n: int) -> None:
     if n < 4:
         raise ModelError(f"transport analysis requires n >= 4, got n={n}")
-
-
-def _check_m_max(m_max: int) -> None:
-    if not (isinstance(m_max, (int, np.integer)) and m_max >= 0):
-        raise ModelError(f"m_max must be an integer >= 0, got {m_max!r}")
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -150,7 +133,7 @@ def bands_meeting_window(
     """
     _check_dimension(n)
     win = _as_window(window)
-    _check_m_max(m_max)
+    m_max = _integer(m_max, "m_max", 0)
     return WindowBands(
         n=n,
         window=win,
@@ -203,7 +186,11 @@ def synthesize_state(
     """
     win = _as_window(window)
     _check_dimension(n)
-    modes = [(int(m), int(j), int(p)) for (m, j, p) in mode_set]
+    modes = [
+        (_integer(m, "angular number m", 0), _integer(j, "multiplicity index j", 1),
+         _integer(p, "band index p", 1))
+        for m, j, p in mode_set
+    ]
     if not modes:
         raise ModelError("mode set must be non-empty")
     if len(set(modes)) != len(modes):
@@ -343,7 +330,8 @@ def bulk_decay_study(
     *,
     step: float = TRANSPORT_STEP,
 ) -> BulkDecayStudy:
-    """Current of the first band beyond each cutoff M, across M.
+    """Current of the first band beyond each cutoff M, across the distinct
+    integers M >= 0 of m_cut_list in ascending order.
 
     The mode is (m = M + 1, j = 1, p = min P_I): the lowest bulk band a
     cutoff at M lets through.  The regression slope of |current| against
@@ -351,7 +339,7 @@ def bulk_decay_study(
     """
     win = _as_window(window)
     _check_dimension(n)
-    cuts = _cutoffs(m_cut_list)
+    cuts = _integers(m_cut_list, "cutoff", 0)
     p = _lowest_band(win)
     coupling = np.array([float(coupling_constant(n, M + 1)) for M in cuts])
     cur = np.array([_bump_current(n, win, M + 1, p, step)[0] for M in cuts])
@@ -423,12 +411,12 @@ def current_dichotomy(
     """
     win = _as_window(window)
     p = _lowest_band(win)
-    cuts = _cutoffs(cutoffs)
+    cuts = _integers(cutoffs, "cutoff", 0)
     if len(cuts) < 2:
         raise ModelError(f"the bulk decay slope needs at least two cutoffs, got {cuts}")
     _check_epsilon(epsilon)
     _check_dimension(n)
-    _check_m_max(edge_m_max)
+    edge_m_max = _integer(edge_m_max, "edge_m_max", 0)
     bumps = [_bump_current(n, win, m, p, step) for m in range(edge_m_max + 1)]
     share = 1.0 / len(bumps)
     contributions = {(m, 1, p): share * value for m, (value, _) in enumerate(bumps)}

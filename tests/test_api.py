@@ -2,7 +2,9 @@
 
 Pinned literally, so a parameter added to or removed from a public callable
 shows up here as a one-line diff.  The front ends (CLI, acceptance battery,
-scripts) reach the library through public names only.
+scripts) reach the library through public names only.  Every index and count
+the API takes follows one integer rule, stated in `model`: a fractional
+value is a ModelError before any fiber step, never truncated.
 """
 
 from __future__ import annotations
@@ -12,9 +14,12 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import magband
+import magband.bands
+import magband.solver
 
 PACKAGE = Path(magband.__file__).resolve().parent
 FRONT_ENDS = [PACKAGE / "cli.py", PACKAGE / "acceptance.py",
@@ -53,7 +58,7 @@ PARAMETERS = {
     "effective_velocity": ("traj",),
     "evaluate_expansion": ("coeffs", "xi"),
     "expansion_coefficients": ("p", "coupling", "order"),
-    "exponential_gap_check": ("band", "p", "xi_window", "error_estimate"),
+    "exponential_gap_check": ("band", "xi_window", "error_estimate"),
     "fiber_eigenvalues": ("params", "grid", "count"),
     "harmonic_multiplicity": ("n", "m"),
     "integrate": ("initial", "t_max", "dt"),
@@ -119,3 +124,80 @@ def test_benchmark_bindings_resolve():
         if not hasattr(importlib.import_module(module), attribute)
     ]
     assert missing == []
+
+
+def test_integer_arguments_are_checked_in_model():
+    # the integer rule is model._integer; no other module restates it
+    def states_the_rule(node):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
+            return False
+        kinds = node.args[1] if len(node.args) == 2 else None
+        return isinstance(kinds, ast.Tuple) and {ast.unparse(kind) for kind in kinds.elts} == {
+            "int", "np.integer"
+        }
+
+    stating = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if any(states_the_rule(node) for node in ast.walk(ast.parse(path.read_text("utf-8"))))
+    )
+    assert stating == ["model.py"]
+
+
+WINDOW = (1.5, 2.5)
+GRID = magband.Grid(12.0, 600)
+
+
+# One call per public entry point and index or count, with that entry `bad`.
+ENTRY_POINT_CALLS = {
+    "sweep-m": lambda bad: magband.sweep(5, [bad], [1], [0.0, 0.5], GRID),
+    "sweep-p": lambda bad: magband.sweep(5, [0, 1], [1, bad], [0.0, 0.5], GRID),
+    "refined_band-m": lambda bad: magband.refined_band(5, bad, 1, [0.0, 0.5], GRID),
+    "refined_band-p": lambda bad: magband.refined_band(5, 1, bad, [0.0, 0.5], GRID),
+    "crossing-m": lambda bad: magband.crossing(5, bad, 1, 2.0),
+    "crossing-p": lambda bad: magband.crossing(5, 1, bad, 4.0),
+    "scaling_study-m": lambda bad: magband.scaling_study(5, 1, 2.0, [5, 6, bad]),
+    "scaling_study-p": lambda bad: magband.scaling_study(5, bad, 4.0, [5, 6]),
+    "bulk_decay_study-cutoff": lambda bad: magband.bulk_decay_study(5, WINDOW, [bad, 10]),
+    "current_dichotomy-edge_m_max":
+        lambda bad: magband.current_dichotomy(5, WINDOW, bad, [10, 20], 1e-2),
+    "current_dichotomy-cutoff":
+        lambda bad: magband.current_dichotomy(5, WINDOW, 2, [10, bad], 1e-2),
+    "synthesize_state-m": lambda bad: magband.synthesize_state(5, WINDOW, [(bad, 1, 1)]),
+    "synthesize_state-j": lambda bad: magband.synthesize_state(5, WINDOW, [(0, bad, 1)]),
+    "synthesize_state-p": lambda bad: magband.synthesize_state(5, WINDOW, [(0, 1, bad)]),
+    "bands_meeting_window-m_max": lambda bad: magband.bands_meeting_window(5, WINDOW, bad),
+    "band_asymptotics-order":
+        lambda bad: magband.band_asymptotics(5, 1, 1, bad, (8.0, 15.0), 9, GRID),
+    "band_asymptotics-samples":
+        lambda bad: magband.band_asymptotics(5, 1, 1, 2, (8.0, 15.0), bad, GRID),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, np.float64(2.0)], ids=["1.5", "float64(2.0)"])
+@pytest.mark.parametrize("call", ENTRY_POINT_CALLS)
+def test_a_fractional_index_is_refused_before_any_fiber_step(monkeypatch, bad, call):
+    def no_fiber_step(*args):
+        raise AssertionError("a fiber step ran before the input was checked")
+
+    monkeypatch.setattr(magband.solver, "_follow", no_fiber_step)
+    monkeypatch.setattr(magband.bands, "_follow", no_fiber_step)
+    with pytest.raises(magband.ModelError, match=r"integer.*, got (np\.float64\()?[12]\.[05]"):
+        ENTRY_POINT_CALLS[call](bad)
+
+
+def test_numpy_integers_give_the_same_answers_as_python_ints():
+    xi = np.linspace(0.0, 1.0, 5)
+    for got, want in zip(
+        magband.sweep(5, np.arange(3), np.arange(1, 3), xi, GRID),
+        magband.sweep(5, [0, 1, 2], [1, 2], xi, GRID),
+        strict=True,
+    ):
+        assert (type(got.m), type(got.p)) == (int, int)
+        assert (got.m, got.p) == (want.m, want.p)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.slope_fh, want.slope_fh)
+    step = 1.0 / 60.0
+    got = magband.scaling_study(5, np.int64(1), 2.0, np.arange(5, 7), step=step)
+    want = magband.scaling_study(5, 1, 2.0, [5, 6], step=step)
+    assert np.array_equal(got.xi, want.xi) and np.array_equal(got.slope, want.slope)

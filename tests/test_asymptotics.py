@@ -164,11 +164,11 @@ def test_exponential_gap_profile():
     gap = 2.3 * xi * np.exp(-(xi**2))
     values = 1.0 + gap
     band = BandCurve(4, 0, 1, xi, values, np.zeros_like(xi), np.zeros_like(xi))
-    prof = exponential_gap_check(band, 1, (2.5, 3.5))
+    prof = exponential_gap_check(band, (2.5, 3.5))
     assert prof.positive and not prof.indeterminate
     assert prof.ratio == pytest.approx(1.0, abs=1e-9)
 
-    noisy = exponential_gap_check(band, 1, (2.5, 3.5), error_estimate=1.0)
+    noisy = exponential_gap_check(band, (2.5, 3.5), error_estimate=1.0)
     assert noisy.indeterminate
 
 
@@ -177,4 +177,4 @@ def test_exponential_gap_requires_zero_coupling_pair():
     band = BandCurve(5, 1, 1, xi, 1.0 + np.exp(-(xi**2)),
                      np.zeros_like(xi), np.zeros_like(xi))
     with pytest.raises(ModelError):
-        exponential_gap_check(band, 1, (2.5, 3.5))
+        exponential_gap_check(band, (2.5, 3.5))

@@ -469,13 +469,23 @@ def test_scaling_study_small():
     assert spread <= 2.0
 
 
-def test_scaling_study_validation():
-    with pytest.raises(ModelError):
-        scaling_study(5, 1, 3.0, [5, 6])  # Landau level
+def test_scaling_study_validation(monkeypatch):
+    # E = E_2 is a Landau level, but not band 1's: its crossings are crossing's
+    study = scaling_study(5, 1, 3.0, [5, 6])
+    assert study.xi[0] == crossing(5, 5, 1, 3.0).xi
+    monkeypatch.setattr(magband.bands, "_follow", _no_fiber_step)
     with pytest.raises(ModelError):
         scaling_study(5, 1, 2.0, [0, 1])  # m >= 1 and >= 2 fit points >= 5
+    with pytest.raises(ModelError, match="two entries with m >= 5"):
+        scaling_study(5, 1, 2.0, [1, 2, 3, 4, 5])
     with pytest.raises(ModelError):
         scaling_study(5, 1, 2.0, [])
+    with pytest.raises(ModelError, match="E_p=3.0"):
+        scaling_study(5, 2, 3.0, [5, 6])  # E must exceed band 2's E_2
+
+
+def _no_fiber_step(*args):
+    raise AssertionError("a fiber step ran before the input was checked")
 
 
 # ----------------------------------------------------------------- Agmon

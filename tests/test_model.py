@@ -19,6 +19,8 @@ from magband import (
     turning_points,
 )
 
+from magband.model import _integer, _integers
+
 import oracles
 
 
@@ -51,11 +53,27 @@ def test_landau_levels_odd_integers(p):
     assert landau_level(p) == 2 * p - 1
 
 
+def test_integer_rule():
+    for value in (3, np.int64(3), np.uint8(3)):
+        assert type(_integer(value, "count", 1, 4)) is int and _integer(value, "count", 1, 4) == 3
+    for value in (1.5, np.float64(2.0), "2", None, 0, 5):
+        with pytest.raises(ModelError, match=r"at least 1 widgets and at most 4, got "):
+            _integer(value, "widgets", 1, 4)
+    with pytest.raises(ModelError, match=r"^band index p must be an integer >= 1, got 2\.0$"):
+        _integer(2.0, "band index p", 1)
+    assert _integers(np.array([3, 1, 3, 2]), "m", 0) == [1, 2, 3]
+    for values in ([], 3, [1, 2.5], np.arange(3.0)):
+        with pytest.raises(ModelError, match=r"\bm\b"):
+            _integers(values, "m", 0)
+
+
 def test_params_validation():
     with pytest.raises(ModelError):
         ModelParams(2, 0, 0.0)
     with pytest.raises(ModelError):
         ModelParams(5, -1, 0.0)
+    with pytest.raises(ModelError, match="angular number m must be an integer >= 0, got 1.7"):
+        ModelParams(5, 1.7, 0.0)
     p = ModelParams(5, 2, 1.5)
     assert p.k == float(p.coupling) == 35.0 / 4.0
 

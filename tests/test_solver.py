@@ -335,7 +335,7 @@ def test_nested_solve_checks_the_count_before_any_solve(monkeypatch, count):
     calls = []
     monkeypatch.setattr(magband.solver, "eigh_tridiagonal", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(magband.solver, "_continue_fiber", lambda *a: calls.append(a))
-    with pytest.raises(ModelError, match=r"1 <= count <= 4095"):
+    with pytest.raises(ModelError, match=r"at least 1 eigenpairs and at most 4095, got "):
         solve_fiber(ModelParams(5, 2, 1.5), Grid(16.0, 4096), count)
     assert calls == []
 
@@ -520,3 +520,27 @@ def test_sturm_count_with_the_potential_below_sigma_outside_counts_the_full_grid
     assert _count_below(diagonal, offdiagonal, v, sigma, window) == 2 == _dense_count(
         params, grid, sigma
     )
+
+
+def test_sturm_count_extends_only_the_side_with_the_potential_below_sigma(monkeypatch):
+    # (3, 0) has V -> -infinity at the axis: the axis side of the window
+    # extends to r = 0, while the wall side, where V >= sigma, stays trimmed
+    params, grid = ModelParams(3, 0, 2.0), Grid(12.0, 240)
+    diagonal, v, _ = _grid_matrix(params, grid)
+    offdiagonal = np.full(diagonal.size - 1, -1.0 / grid.h**2)
+    values = oracles.dense_fiber_eigenvalues(params.k, 2.0, grid.radius, grid.intervals, 3)
+    sigma = 0.5 * (values[1] + values[2])
+    window = slice(int(np.searchsorted(grid.nodes, 1.0)), int(np.searchsorted(grid.nodes, 8.0)))
+    assert np.min(v[: window.start]) < sigma <= np.min(v[window.stop :])
+    sizes = []
+    original = magband.solver.lapack.dstebz
+
+    def recorded(diagonal, *args):
+        sizes.append(diagonal.size)
+        return original(diagonal, *args)
+
+    monkeypatch.setattr(magband.solver.lapack, "dstebz", recorded)
+    assert _count_below(diagonal, offdiagonal, v, sigma, window) == 2 == _dense_count(
+        params, grid, sigma
+    )
+    assert sizes == [window.stop]
