@@ -87,11 +87,12 @@ def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
     """Solve every (m, p) band over xi_samples; one fiber eigensolve per (m, xi).
 
     For each m the fiber step (`solver._follow`) solves the first xi afresh
-    and continues each later one from the previous sample, so every value
-    is the Rayleigh quotient of its eigenvector; a value depends on the
-    previous sample only at the rounding level.  Samples of different m never
-    interact.  A sample whose top band `grid` does not admit
-    (`solver._admit`) is a ModelError, and so, before any solve, is a grid
+    and continues each later one from the previous sample, from the third
+    on by a second-order start extrapolated from the two samples before it,
+    so every value is the Rayleigh quotient of its eigenvector; a value
+    depends on those samples only at the rounding level.  Samples of
+    different m never interact.  A sample whose top band `grid` does not
+    admit (`solver._admit`) is a ModelError, and so, before any solve, is a grid
     that admits no value at the largest xi: every eigenvalue exceeds
     min V >= 0 when k_m >= 0, and the rule's reach falls as the value grows.
 

@@ -411,8 +411,8 @@ def cmd_convergence(cfg: dict) -> int:
     ms, ps = sorted(set(cfg["m"])), sorted(set(cfg["p"]))
     if not ms or not ps:
         raise ModelError("convergence needs non-empty m and p ranges")
-    if ps[0] < 1:
-        raise ModelError(f"band indices must be integers >= 1, got {cfg['p']}")
+    for p in ps:
+        landau_level(p)  # the library's rule for a band index, before any solve
     entries = []
     checks = []
     for m in ms:

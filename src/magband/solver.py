@@ -28,6 +28,13 @@ rows counted have at least as many eigenvalues below the bound as T
 account for at least as many.  The vectors are zero outside the window.  All
 of it is deterministic for fixed input.
 
+A fiber followed across two samples on one grid starts from a second-order
+prediction (`_starts`): its vectors extrapolated linearly from the two
+samples before it, at Hermite quadratic shifts from their values and
+slopes, so a sample of a dense sweep takes one step.  The start changes the
+number of steps, never the certificate, so a value depends on the samples
+before it only at the rounding level.
+
 Eigenvectors are returned with the continuum normalization h * sum(u^2) = 1
 and sign fixed to be positive near the axis.
 """
@@ -188,10 +195,20 @@ def fiber_eigenvalues(params: ModelParams, grid: Grid, count: int) -> np.ndarray
 class _Fiber:
     """The lowest eigenpairs of one fiber on one grid, with v the potential on
     its nodes.  Their Rayleigh quotients (`values`) and Feynman-Hellmann
-    slopes (`slopes`) are computed when first read."""
+    slopes (`slopes`) are computed when first read.  `before` is the xi,
+    vectors and slopes of the fiber this one was continued from on the same
+    grid at another xi, kept as plain arrays so that no chain of fibers
+    builds up, and None otherwise."""
 
-    def __init__(self, params: ModelParams, grid: Grid, pairs: list[EigenPair], v: np.ndarray):
-        self.params, self.grid, self.pairs, self.v = params, grid, pairs, v
+    def __init__(
+        self,
+        params: ModelParams,
+        grid: Grid,
+        pairs: list[EigenPair],
+        v: np.ndarray,
+        before: tuple[float, list[np.ndarray], np.ndarray] | None = None,
+    ):
+        self.params, self.grid, self.pairs, self.v, self.before = params, grid, pairs, v, before
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -209,26 +226,24 @@ def _follow(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None
 
     The one place that continues or bisects a fiber.  Each start of `_starts`
     in turn is continued (`_continue_fiber`) on the rows its vectors occupy
-    (`_window`): the vectors carried onto grid.nodes by linear interpolation,
-    with zeros at the axis and past its wall, from the shifts
-    lambda + lambda' * dxi.  At dxi = 0 (a nested start) lambda is the pairs'
-    value, so no quotient or slope is computed.  With no start left the grid
-    is bisected (`_bisect_fiber`).  An invalid `count` is a ModelError before
-    any solve.
+    (`_window`); with no start left the grid is bisected (`_bisect_fiber`).
+    A fiber continued from `previous` on the same grid keeps that sample's xi,
+    vectors and slopes, so the next step can start from a second-order
+    extrapolation; a start changes the number of steps, not the certified
+    pairs, so a value depends on the samples before it only at the rounding
+    level.  An invalid `count` is a ModelError before any solve.
     """
     count = _integer(count, "eigenpairs", 1, grid.intervals - 1)
     v = potential(params, grid.nodes)
-    for start in _starts(params, grid, count, previous):
-        vectors = [pair.vector for pair in start.pairs]
-        if start.grid != grid:  # on the same nodes the interpolation is the identity
-            nodes = np.concatenate(([0.0], start.grid.nodes, [start.grid.radius]))
-            vectors = [np.interp(grid.nodes, nodes, np.pad(u, 1)) for u in vectors]
+    for start, vectors, shifts in _starts(params, grid, count, previous):
         dxi = params.xi - start.params.xi
-        shifts = start.values + start.slopes * dxi if dxi else [pair.value for pair in start.pairs]
         window = _window(grid, vectors, abs(dxi))
         pairs = _continue_fiber(params, grid, vectors, shifts, v, window)
         if pairs is not None:
-            return _Fiber(params, grid, pairs, v)
+            before = None
+            if dxi and start.grid == grid:
+                before = (start.params.xi, [pair.vector for pair in start.pairs], start.slopes)
+            return _Fiber(params, grid, pairs, v, before)
     return _Fiber(params, grid, _bisect_fiber(params, grid, count), v)
 
 
@@ -251,19 +266,55 @@ def _window(grid: Grid, vectors: list[np.ndarray], dxi: float) -> slice:
 
 
 def _starts(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None):
-    """The fibers `_follow` continues from: `previous`, the step at a nearby xi
-    (on the same grid or a grown grid of the same step), then, on 512
-    intervals or more, the same fiber on the grid with 1/8 of the intervals,
-    solved only when reached and skipped when that fails."""
+    """(fiber, vectors, shifts) for `_follow` to continue from, in turn, the
+    vectors on grid.nodes (`_onto`).
+
+    From `previous`, the step at a nearby xi, dxi away (on the same grid or a
+    grown grid of the same step): first, when it keeps the sample before it
+    (`_Fiber.before`, dxi0 further back) and dxi != 0, the second-order start
+    u1 + (u1 - u0) dxi/dxi0 at the Hermite shifts
+    lambda1 + lambda1' dxi + (lambda1' - lambda0') dxi^2 / (2 dxi0), with
+    which a dense sweep's sample takes one Rayleigh step; then its own
+    vectors at the first-order shifts lambda + lambda' dxi (its values at
+    dxi = 0, where no quotient or slope is computed).  Then, on 512 intervals or more, the same
+    fiber on the grid with 1/8 of the intervals at its values, solved only
+    when reached and skipped when that fails.
+    """
     if previous is not None:
-        yield previous
+        dxi = params.xi - previous.params.xi
+        vectors = [pair.vector for pair in previous.pairs]
+        if previous.before is not None and dxi:
+            xi0, vectors0, slopes0 = previous.before
+            dxi0 = previous.params.xi - xi0
+            slopes, ratio = previous.slopes, dxi / dxi0
+            extrapolated = [u + (u - u0) * ratio for u, u0 in zip(vectors, vectors0)]
+            shifts = previous.values + slopes * dxi + 0.5 * (slopes - slopes0) / dxi0 * dxi**2
+            yield previous, _onto(grid, previous.grid, extrapolated), shifts
+        if dxi:
+            shifts = previous.values + previous.slopes * dxi
+        else:
+            shifts = [pair.value for pair in previous.pairs]
+        yield previous, _onto(grid, previous.grid, vectors), shifts
     intervals = grid.intervals // _NESTED_FACTOR
     if grid.intervals >= _NESTED_FLOOR and intervals - 1 >= count:
         try:
             start = _follow(params, Grid(grid.radius, intervals), count, None)
         except ConvergenceError:
             return
-        yield start
+        yield (
+            start,
+            _onto(grid, start.grid, [pair.vector for pair in start.pairs]),
+            [pair.value for pair in start.pairs],
+        )
+
+
+def _onto(grid: Grid, source: Grid, vectors: list[np.ndarray]) -> list[np.ndarray]:
+    """`vectors` on source.nodes carried onto grid.nodes by linear
+    interpolation, with zeros at the axis and past the wall of `source`."""
+    if source == grid:  # on the same nodes the interpolation is the identity
+        return vectors
+    nodes = np.concatenate(([0.0], source.nodes, [source.radius]))
+    return [np.interp(grid.nodes, nodes, np.pad(u, 1)) for u in vectors]
 
 
 def _bisect_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
@@ -459,9 +510,11 @@ def rayleigh_quotient(params: ModelParams, pair: EigenPair, grid: Grid) -> float
 def _rayleigh_quotient(pair: EigenPair, grid: Grid, v: np.ndarray) -> float:
     """`rayleigh_quotient` from v, the potential on grid.nodes."""
     u = pair.vector
-    jumps = np.diff(u, prepend=0.0, append=0.0)
-    kinetic = np.sum(jumps**2) / grid.h
-    return float(kinetic + grid.h * np.sum(v * u**2))
+    jumps = np.empty(u.size + 1)
+    jumps[0], jumps[-1] = u[0], -u[-1]
+    np.subtract(u[1:], u[:-1], out=jumps[1:-1])
+    kinetic = (jumps**2).sum() / grid.h
+    return float(kinetic + grid.h * (v * u**2).sum())
 
 
 def derivative_feynman_hellmann(params: ModelParams, pair: EigenPair, grid: Grid) -> float:
@@ -473,7 +526,7 @@ def derivative_feynman_hellmann(params: ModelParams, pair: EigenPair, grid: Grid
     precision.
     """
     r = grid.nodes
-    return float(-2.0 * grid.h * np.sum((r - params.xi) * pair.vector**2))
+    return float(-2.0 * grid.h * ((r - params.xi) * pair.vector**2).sum())
 
 
 def derivative_boundary_form(params: ModelParams, pair: EigenPair, grid: Grid) -> float:
@@ -496,11 +549,11 @@ def derivative_boundary_form(params: ModelParams, pair: EigenPair, grid: Grid) -
     if params.n == 3 and params.m == 0:
         y = u[:3] ** 2 / r[:3]
         k_axis = 3.0 * y[0] - 3.0 * y[1] + y[2]
-        integral = grid.h * np.sum((u**2 / r - k_axis) / r**2)
+        integral = grid.h * ((u**2 / r - k_axis) / r**2).sum()
         return float(-integral + k_axis / grid.radius)
     if params.k == 0.0:
         return float(-((u[0] / grid.h) ** 2))
-    return float(-2.0 * params.k * grid.h * np.sum(u**2 / r**3))
+    return float(-2.0 * params.k * grid.h * (u**2 / r**3).sum())
 
 
 def boundary_exponent(

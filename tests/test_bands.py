@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -36,6 +38,7 @@ from magband.solver import (
     REACH,
     _bisect_fiber,
     _continue_fiber,
+    _follow,
     _window,
     rayleigh_quotient,
 )
@@ -124,6 +127,67 @@ def test_sweep_value_depends_on_previous_sample_only_by_rounding():
         for a, c in zip(alone, continued):
             assert abs(c.values[-1] - a.values[0]) <= 1e-12 * a.values[0]
             assert abs(c.slope_fh[-1] - a.slope_fh[0]) <= 1e-11
+
+
+def _assert_matches_fresh_solves(curve, grid: Grid):
+    """Each sample of `curve` against a sweep of that xi alone, to rounding."""
+    for i, x in enumerate(curve.xi):
+        (alone,) = sweep(curve.n, [curve.m], [curve.p], [x], grid)
+        assert abs(curve.values[i] - alone.values[0]) <= 1e-12 * alone.values[0], x
+        assert abs(curve.slope_fh[i] - alone.slope_fh[0]) <= 1e-11, x
+
+
+def test_dense_sweep_takes_one_rayleigh_step_per_sample(monkeypatch):
+    # from the third sample on, the start extrapolated from the two samples
+    # before it needs one tridiagonal LU factorization (two at first order)
+    grid = Grid(15.0, 1800)
+    xi = 0.5 + np.arange(201) / 80.0
+    factorizations = []
+    lapack = magband.solver.lapack
+
+    def dgttrf(*args, **kwargs):
+        factorizations[-1] += 1
+        return lapack.dgttrf(*args, **kwargs)
+
+    def sample(*args, _follow=magband.bands._follow):
+        factorizations.append(0)
+        return _follow(*args)
+
+    monkeypatch.setattr(magband.solver, "lapack", SimpleNamespace(
+        dgttrf=dgttrf, dgttrs=lapack.dgttrs, dstebz=lapack.dstebz
+    ))
+    monkeypatch.setattr(magband.bands, "_follow", sample)
+    (curve,) = sweep(5, [1], [1], xi, grid)
+    assert factorizations[2:] == [1] * (xi.size - 2)
+    monkeypatch.undo()
+    _assert_matches_fresh_solves(curve, grid)
+
+
+@pytest.mark.parametrize("xi", [
+    [0.5, 0.6, 0.7, 0.7, 0.8, 0.9, 1.0],  # a repeated xi (dxi = 0)
+    [0.5, 0.51, 0.6, 0.61, 0.9, 0.95, 1.6, 1.61],  # uneven spacing
+])
+def test_second_order_start_keeps_values_to_rounding(xi):
+    grid = Grid(15.0, 1800)
+    (curve,) = sweep(5, [1], [1], xi, grid)
+    _assert_matches_fresh_solves(curve, grid)
+
+
+def test_followed_fibers_keep_no_chain():
+    # each fiber keeps the sample before it as plain arrays, not as a fiber
+    grid = Grid(15.0, 1800)
+    f0 = _follow(ModelParams(5, 1, 0.5), grid, 2, None)
+    f1 = _follow(ModelParams(5, 1, 0.55), grid, 2, f0)
+    f2 = _follow(ModelParams(5, 1, 0.6), grid, 2, f1)
+    assert f0.before is None and f1.before is not None and f2.before is not None
+    refs = weakref.ref(f0), weakref.ref(f1)
+    del f0
+    gc.collect()
+    assert refs[0]() is None
+    del f1
+    gc.collect()
+    assert refs[1]() is None
+    assert f2.before[0] == 0.55
 
 
 def test_follow_evaluates_the_potential_once_per_fiber(monkeypatch):

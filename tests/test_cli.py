@@ -413,9 +413,17 @@ def test_convergence_summary(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bands", ["0,1", "-1,3"])
-def test_convergence_band_index_below_1_exits_2(bands, capsys):
-    assert run_cli("convergence", "--m", "0", f"--p={bands}") == 2
-    assert "band indices" in capsys.readouterr().err
+def test_convergence_band_index_below_1_exits_2(bands, monkeypatch, capsys):
+    # convergence stated its own rule ("band indices must be integers >= 1");
+    # it and sweep now refuse with the library's one message, before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve before the input was checked")
+
+    monkeypatch.setattr("magband.solver.eigh_tridiagonal", no_solve)
+    message = f"band index p must be an integer >= 1, got {bands.split(',')[0]}"
+    for command in ("convergence", "sweep"):
+        assert run_cli(command, "--m", "0", f"--p={bands}") == 2
+        assert message in capsys.readouterr().err
 
 
 def test_scaling_summary(capsys, tmp_path):
