@@ -60,6 +60,7 @@ from .transport import (
     current,
     current_dichotomy,
     edge_bound,
+    edge_current,
     synthesize_state,
     witness_small_current,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "derivative_boundary_form",
     "derivative_feynman_hellmann",
     "edge_bound",
+    "edge_current",
     "effective_velocity",
     "evaluate_expansion",
     "expansion_coefficients",

@@ -5,10 +5,12 @@ conditions at both ends; the nodes r_j = j*h, j = 1..N-1, exclude the singular
 axis r = 0 and the artificial wall r = R.  The discrete operator T is
 symmetric tridiagonal.  `solve_fiber`, `fiber_eigenvalues`, band sweeps and
 crossing iterations all solve it through one fiber step (`_follow`), which
-continues the pairs of the fiber at a nearby xi, or of the same fiber on a
-grid 8 times coarser (a nested solve; Brandt, Math. Comp. 31, 1977), and
-otherwise bisects (LAPACK's Sturm-sequence bisection plus inverse
-iteration), so bisection runs almost only on grids below 512 intervals.
+continues the pairs of the fiber at a nearby xi, or the eigenpairs of the
+harmonic well that V turns into near its minimum (closed-form Hermite
+functions, `_harmonic`), or, as a fallback, of the same fiber on a grid 8
+times coarser (a nested solve; Brandt, Math. Comp. 31, 1977), and otherwise
+bisects (LAPACK's Sturm-sequence bisection plus inverse iteration), so
+bisection runs almost only on grids below 512 intervals.
 
 A continuation (`_continue_fiber`) is Rayleigh-quotient iteration, one
 tridiagonal LU solve per step, accepted only under a certificate of the band
@@ -49,7 +51,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal, lapack
 
 from .errors import ConvergenceError, ModelError, SignPatternError
-from .model import ModelParams, _integer, potential, turning_points
+from .model import ModelParams, _integer, potential, potential_minimum, turning_points
 
 _SIGNIFICANT = 1e-8  # entries below this fraction of a vector's peak carry no sign
 # Rows where no start vector reaches this fraction of its peak lie outside a
@@ -179,8 +181,9 @@ def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
 
     Eigenvalues are simple (the fiber operator is a limit-point Sturm-Liouville
     problem), so the pairs are well defined.  They are the fiber step's
-    (`_follow`): on 512 intervals or more a nested solve, each value a
-    certified Rayleigh quotient within 8 eps ||T||_1 of an eigenvalue, and
+    (`_follow`): continued from the closed-form start of the harmonic well,
+    or failing that on 512 intervals or more from a nested solve, each value
+    a certified Rayleigh quotient within 8 eps ||T||_1 of an eigenvalue, and
     otherwise a bisection (a few ulps of ||T||).
     """
     return _follow(params, grid, count, None).pairs
@@ -188,7 +191,9 @@ def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
 
 def fiber_eigenvalues(params: ModelParams, grid: Grid, count: int) -> np.ndarray:
     """The `count` smallest eigenvalues, ascending: the Rayleigh quotients
-    (`rayleigh_quotient`) of the fiber step's eigenvectors (`_follow`)."""
+    (`rayleigh_quotient`) of the fiber step's eigenvectors (`_follow`),
+    continued from the harmonic well's closed-form start, or from a nested
+    solve as its fallback, or bisected, as in `solve_fiber`."""
     return _follow(params, grid, count, None).values
 
 
@@ -225,35 +230,26 @@ def _follow(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None
     """The fiber step: the `count` lowest eigenpairs at params.xi on `grid`.
 
     The one place that continues or bisects a fiber.  Each start of `_starts`
-    in turn is continued (`_continue_fiber`) on the rows its vectors occupy
-    (`_window`); with no start left the grid is bisected (`_bisect_fiber`).
-    A fiber continued from `previous` on the same grid keeps that sample's xi,
-    vectors and slopes, so the next step can start from a second-order
-    extrapolation; a start changes the number of steps, not the certified
-    pairs, so a value depends on the samples before it only at the rounding
-    level.  An invalid `count` is a ModelError before any solve.
+    in turn is continued (`_continue_fiber`) on its window of rows; with no
+    start left the grid is bisected (`_bisect_fiber`).  A fiber continued
+    from `previous` on the same grid keeps that sample's xi, vectors and
+    slopes, so the next step can start from a second-order extrapolation; a
+    start changes the number of steps, not the certified pairs, so a value
+    depends on the start only at the rounding level.  An invalid `count` is a
+    ModelError before any solve.
     """
     count = _integer(count, "eigenpairs", 1, grid.intervals - 1)
     v = potential(params, grid.nodes)
-    for start, vectors, shifts in _starts(params, grid, count, previous):
-        dxi = params.xi - start.params.xi
-        window = _window(grid, vectors, abs(dxi))
+    for vectors, shifts, window, before in _starts(params, grid, count, previous, v):
         pairs = _continue_fiber(params, grid, vectors, shifts, v, window)
         if pairs is not None:
-            before = None
-            if dxi and start.grid == grid:
-                before = (start.params.xi, [pair.vector for pair in start.pairs], start.slopes)
             return _Fiber(params, grid, pairs, v, before)
     return _Fiber(params, grid, _bisect_fiber(params, grid, count), v)
 
 
 def _window(grid: Grid, vectors: list[np.ndarray], dxi: float) -> slice:
-    """The rows a continuation from `vectors` works on, |dxi| away in xi.
-
-    Every row where some vector exceeds _WINDOW of its own peak, widened on
-    each side by |dxi| plus one unit of r, as the well moves with xi, and by
-    at least two rows (LAPACK's tridiagonal LU takes three rows or more).
-    """
+    """The rows a continuation from `vectors` works on, |dxi| away in xi:
+    every row where some vector exceeds _WINDOW of its own peak, `_widened`."""
     size = grid.intervals - 1
     lo, hi = size, 0
     for u in vectors:
@@ -261,13 +257,22 @@ def _window(grid: Grid, vectors: list[np.ndarray], dxi: float) -> slice:
         occupied = magnitude > _WINDOW * magnitude.max()
         lo = min(lo, int(occupied.argmax()))
         hi = max(hi, size - int(occupied[::-1].argmax()))
+    return _widened(grid, lo, hi, dxi)
+
+
+def _widened(grid: Grid, lo: int, hi: int, dxi: float) -> slice:
+    """Rows [lo, hi) widened on each side by |dxi| plus one unit of r, as the
+    well moves with xi, and by at least two rows (LAPACK's tridiagonal LU
+    takes three rows or more)."""
     margin = max(2, math.ceil((dxi + 1.0) / grid.h))
-    return slice(max(0, lo - margin), min(size, hi + margin))
+    return slice(max(0, lo - margin), min(grid.intervals - 1, hi + margin))
 
 
-def _starts(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None):
-    """(fiber, vectors, shifts) for `_follow` to continue from, in turn, the
-    vectors on grid.nodes (`_onto`).
+def _starts(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None, v: np.ndarray):
+    """(vectors, shifts, window, before) for `_follow` to continue from, in
+    turn: start vectors on grid.nodes, their shifts, the rows to work on and
+    the `_Fiber.before` of a fiber continued from them.  v is the potential on
+    grid.nodes.
 
     From `previous`, the step at a nearby xi, dxi away (on the same grid or a
     grown grid of the same step): first, when it keeps the sample before it
@@ -276,36 +281,154 @@ def _starts(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None
     lambda1 + lambda1' dxi + (lambda1' - lambda0') dxi^2 / (2 dxi0), with
     which a dense sweep's sample takes one Rayleigh step; then its own
     vectors at the first-order shifts lambda + lambda' dxi (its values at
-    dxi = 0, where no quotient or slope is computed).  Then, on 512 intervals or more, the same
-    fiber on the grid with 1/8 of the intervals at its values, solved only
-    when reached and skipped when that fails.
+    dxi = 0, where no quotient or slope is computed).  The closed-form start
+    of the harmonic well (`_harmonic`) comes first with no `previous`.  After
+    a `previous` that keeps no sample before it, it comes first when the
+    first-order start's residual (`_residual`) is at least w, the bound its
+    own gate sets, and second otherwise; after any other `previous` it
+    comes after that fiber's starts.  It is built only when reached, or
+    when the first-order start fails that bound.  Last, as a fallback on
+    512 intervals or more, the same fiber on the grid with 1/8 of the
+    intervals at its values (a nested solve), solved only when reached and
+    skipped when that fails.
     """
-    if previous is not None:
+    if previous is None:
+        closed = _harmonic(params, grid, count, v)
+    else:
         dxi = params.xi - previous.params.xi
         vectors = [pair.vector for pair in previous.pairs]
+        before = None
+        if dxi and previous.grid == grid:
+            before = (previous.params.xi, vectors, previous.slopes)
         if previous.before is not None and dxi:
             xi0, vectors0, slopes0 = previous.before
             dxi0 = previous.params.xi - xi0
             slopes, ratio = previous.slopes, dxi / dxi0
-            extrapolated = [u + (u - u0) * ratio for u, u0 in zip(vectors, vectors0)]
+            extrapolated = _onto(
+                grid, previous.grid, [u + (u - u0) * ratio for u, u0 in zip(vectors, vectors0)]
+            )
             shifts = previous.values + slopes * dxi + 0.5 * (slopes - slopes0) / dxi0 * dxi**2
-            yield previous, _onto(grid, previous.grid, extrapolated), shifts
+            yield extrapolated, shifts, _window(grid, extrapolated, abs(dxi)), before
         if dxi:
             shifts = previous.values + previous.slopes * dxi
         else:
             shifts = [pair.value for pair in previous.pairs]
-        yield previous, _onto(grid, previous.grid, vectors), shifts
+        vectors = _onto(grid, previous.grid, vectors)
+        window = _window(grid, vectors, abs(dxi))
+        leads = False
+        if previous.before is None:
+            rival = _residual(grid, v, window, [u[window] for u in vectors], shifts)
+            # k >= 0 wherever there is a well, so w >= 1 and a residual below 1
+            # keeps the lead without looking the well up
+            well = _well(params) if rival >= 1.0 else None
+            leads = well is not None and rival >= well[2]
+        if leads:
+            closed = _harmonic(params, grid, count, v)
+            if closed is not None:
+                yield closed
+        yield vectors, shifts, window, before
+        closed = None if leads else _harmonic(params, grid, count, v)
+    if closed is not None:
+        yield closed
     intervals = grid.intervals // _NESTED_FACTOR
     if grid.intervals >= _NESTED_FLOOR and intervals - 1 >= count:
         try:
             start = _follow(params, Grid(grid.radius, intervals), count, None)
         except ConvergenceError:
             return
-        yield (
-            start,
-            _onto(grid, start.grid, [pair.vector for pair in start.pairs]),
-            [pair.value for pair in start.pairs],
-        )
+        vectors = _onto(grid, start.grid, [pair.vector for pair in start.pairs])
+        yield vectors, [pair.value for pair in start.pairs], _window(grid, vectors, 0.0), None
+
+
+def _well(params: ModelParams) -> tuple[float, float, float] | None:
+    """(r0, V(r0), w) of the harmonic well V ~ V(r0) + w^2 (r - r0)^2 near
+    the minimum r0 of V (`potential_minimum`), with w^2 = V''(r0)/2 =
+    1 + 3 k/r0^4; None where V has no interior minimum (k < 0, or k = 0 with
+    xi <= 0) or the minimum is not found."""
+    try:
+        profile = potential_minimum(params)
+    except (ModelError, ConvergenceError):
+        return None
+    return profile.r_min, profile.v_min, math.sqrt(1.0 + 3.0 * params.k / profile.r_min**4)
+
+
+def _harmonic(params: ModelParams, grid: Grid, count: int, v: np.ndarray):
+    """The closed-form start (vectors, shifts, window, None), or None; v is
+    the potential on grid.nodes.
+
+    The eigenpairs of the harmonic well (`_well`) are V(r0) + (2j + 1) w
+    with the Hermite functions psi_j(sqrt(w) (r - r0)), j < count, from
+    their three-term recurrence.  They are evaluated only where psi_0's
+    Gaussian exceeds _WINDOW, widened by psi_(count-1)'s turning point,
+    sqrt(2 count - 1) (beyond a turning point x_t a Hermite function falls
+    at least like e^(-(x - x_t)^2 / 2)), and cut on the axis side where the
+    Agmon distance from the well of the top shift, in the true V, exceeds
+    ln(1/_WINDOW): there k/r^2 makes V steeper than its harmonic model, and
+    a Gaussian tail left there would outlive the few Rayleigh steps as noise
+    far above the eigenvector (past r0, V'' falls, V lies below its model
+    and needs no cut).  So the start costs O(window), not O(N).  It is
+    offered only when every vector's residual (`_residual`, the leak at a
+    trimmed end included) is below w, half the oscillator's level spacing;
+    where `_well` finds no well there is no start.
+    """
+    well = _well(params)
+    if well is None:
+        return None
+    r0, v0, w = well
+    shifts = [v0 + (2 * j + 1) * w for j in range(count)]
+    reach = (math.sqrt(-2.0 * math.log(_WINDOW)) + math.sqrt(2 * count - 1)) / math.sqrt(w)
+    h, size = grid.h, grid.intervals - 1
+    lo, hi = max(0, math.floor((r0 - reach) / h)), min(size, math.ceil((r0 + reach) / h) - 1)
+    if hi - lo <= count:
+        return None
+    centre = min(max(lo, round(r0 / h) - 1), hi - 1)  # the row nearest r0
+    inward = v[lo : centre + 1][::-1] - shifts[-1]  # Agmon distance / h, from r0 inward
+    np.cumsum(np.sqrt(np.maximum(inward, 0.0, out=inward), out=inward), out=inward)
+    lo = centre + 1 - int(np.searchsorted(inward, -math.log(_WINDOW) / h))
+    if hi - lo <= count:
+        return None
+    # The first row's residual of psi_0, over a bound of ||psi_0|| (a Gaussian
+    # summed on nodes s apart is at most 1 + sqrt(pi)/s), bounds its gate
+    # residual from below: a well at the axis fails there before any array.
+    s, coupling = math.sqrt(w) * h, 1.0 / h**2
+    z0, z1 = (math.exp(-0.5 * ((node - r0 / h) * s) ** 2) for node in (lo + 1, lo + 2))
+    row = (v[lo] + (2.0 * coupling - shifts[0])) * z0 - coupling * z1
+    if row * row + (coupling * z0) ** 2 * (lo > 0) >= w * w * (1.0 + math.sqrt(math.pi) / s):
+        return None
+    x = np.arange(lo + 1.0, hi + 1.0)
+    x -= r0 / h
+    x *= s
+    psi = [0.0, np.exp(x * x * -0.5)]  # psi_(-1) = 0 and psi_0
+    for j in range(count):  # the gate turns most starts away at psi_0
+        if j:
+            psi.append(math.sqrt(2.0 / j) * x * psi[-1] - math.sqrt((j - 1) / j) * psi[-2])
+        if not _residual(grid, v, slice(lo, hi), psi[-1:], shifts[j : j + 1]) < w:
+            return None
+    vectors = [np.zeros(size) for _ in range(count)]
+    for vector, values in zip(vectors, psi[1:]):
+        vector[lo:hi] = values
+    return vectors, shifts, _widened(grid, lo, hi, 0.0), None
+
+
+def _residual(grid: Grid, v: np.ndarray, rows: slice, vectors: list[np.ndarray], shifts) -> float:
+    """The largest ||(T - mu) z|| / ||z|| on the full grid matrix T, over
+    start vectors z given on `rows` and zero outside them, and their shifts
+    mu: the rows' residual with the leaks |z|/h^2 of a trimmed end, as in
+    `_continue_fiber`.  v is the potential on grid.nodes."""
+    coupling = 1.0 / grid.h**2
+    a, b = rows.start, rows.stop
+    largest = 0.0
+    for z, mu in zip(vectors, shifts):
+        residual = v[a:b] + (2.0 * coupling - mu)
+        residual *= z
+        residual[:-1] -= coupling * z[1:]
+        residual[1:] -= coupling * z[:-1]
+        leak = (coupling * z[0]) ** 2 * (a > 0) + (coupling * z[-1]) ** 2 * (b < v.size)
+        norm = _dot(z, z)
+        if not norm:
+            return math.inf
+        largest = max(largest, math.sqrt((_dot(residual, residual) + leak) / norm))
+    return largest
 
 
 def _onto(grid: Grid, source: Grid, vectors: list[np.ndarray]) -> list[np.ndarray]:

@@ -379,6 +379,35 @@ def witness_small_current(n: int, window, epsilon: float) -> tuple[int, float]:
     )
 
 
+def edge_current(
+    n: int,
+    window,
+    m_max: int,
+    *,
+    step: float = TRANSPORT_STEP,
+) -> tuple[CurrentReport, float]:
+    """The edge packet's current and its floor C^-, for one window.
+
+    The packet puts one bump on each (m, 1, p), m = 0..m_max, of the lowest
+    band p meeting the window, on its window preimage (no higher band is
+    solved); its current is the mean of their Gauss-Legendre single-mode
+    currents, and C^- the least |lambda'| over the nodes and the crossing
+    slopes at both window edges.  Every input is checked before the first
+    eigensolve.
+    """
+    win = _as_window(window)
+    p = _lowest_band(win)
+    _check_dimension(n)
+    m_max = _integer(m_max, "m_max", 0)
+    bumps = [_bump_current(n, win, m, p, step) for m in range(m_max + 1)]
+    share = 1.0 / len(bumps)
+    contributions = {(m, 1, p): share * value for m, (value, _) in enumerate(bumps)}
+    edge = CurrentReport(
+        total=float(sum(contributions.values())), contributions=contributions, norm_squared=1.0
+    )
+    return edge, min(floor for _, floor in bumps)
+
+
 @dataclass(frozen=True)
 class CurrentDichotomy:
     """Edge current with its floor C^-, bulk decay, and a small-current witness."""
@@ -400,32 +429,23 @@ def current_dichotomy(
 ) -> CurrentDichotomy:
     """The edge/bulk current dichotomy for one window, end to end.
 
-    The edge packet puts one bump on each (m, 1, p), m = 0..edge_m_max, of the
-    lowest band p meeting the window, on its window preimage (no higher band
-    is solved); its current is the mean of their Gauss-Legendre single-mode
-    currents, and C^- the least |lambda'| over the nodes and the crossing
-    slopes at both window edges.  The bulk study runs over `cutoffs` at the
-    same step and needs at least two of them for its slope; the witness, at
+    The edge current and its floor C^- are `edge_current`'s on
+    m = 0..edge_m_max.  The bulk study runs over `cutoffs` at the same step
+    and needs at least two of them for its slope; the witness, at
     WITNESS_STEP, has |current| <= epsilon.  Every input is checked before the
     first eigensolve.
     """
     win = _as_window(window)
-    p = _lowest_band(win)
+    _lowest_band(win)
     cuts = _integers(cutoffs, "cutoff", 0)
     if len(cuts) < 2:
         raise ModelError(f"the bulk decay slope needs at least two cutoffs, got {cuts}")
     _check_epsilon(epsilon)
     _check_dimension(n)
-    edge_m_max = _integer(edge_m_max, "edge_m_max", 0)
-    bumps = [_bump_current(n, win, m, p, step) for m in range(edge_m_max + 1)]
-    share = 1.0 / len(bumps)
-    contributions = {(m, 1, p): share * value for m, (value, _) in enumerate(bumps)}
-    edge = CurrentReport(
-        total=float(sum(contributions.values())), contributions=contributions, norm_squared=1.0
-    )
+    edge, c_minus = edge_current(n, win, _integer(edge_m_max, "edge_m_max", 0), step=step)
     return CurrentDichotomy(
         edge=edge,
-        c_minus=min(floor for _, floor in bumps),
+        c_minus=c_minus,
         bulk=bulk_decay_study(n, win, cuts, step=step),
         witness=witness_small_current(n, win, epsilon),
     )

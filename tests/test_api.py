@@ -55,6 +55,7 @@ PARAMETERS = {
     "derivative_boundary_form": ("params", "pair", "grid"),
     "derivative_feynman_hellmann": ("params", "pair", "grid"),
     "edge_bound": ("packet", "bands"),
+    "edge_current": ("n", "window", "m_max", "step"),
     "effective_velocity": ("traj",),
     "evaluate_expansion": ("coeffs", "xi"),
     "expansion_coefficients": ("p", "coupling", "order"),
@@ -161,6 +162,7 @@ ENTRY_POINT_CALLS = {
     "bulk_decay_study-cutoff": lambda bad: magband.bulk_decay_study(5, WINDOW, [bad, 10]),
     "current_dichotomy-edge_m_max":
         lambda bad: magband.current_dichotomy(5, WINDOW, bad, [10, 20], 1e-2),
+    "edge_current-m_max": lambda bad: magband.edge_current(5, WINDOW, bad),
     "current_dichotomy-cutoff":
         lambda bad: magband.current_dichotomy(5, WINDOW, 2, [10, bad], 1e-2),
     "synthesize_state-m": lambda bad: magband.synthesize_state(5, WINDOW, [(bad, 1, 1)]),

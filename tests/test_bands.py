@@ -389,14 +389,17 @@ def test_check_09_continuations_work_on_the_rows_the_mode_occupies(monkeypatch):
 
 
 @pytest.mark.parametrize("n,m,p,energy", [(5, 20, 1, 2.0), (5, 40, 2, 3.6)])
-def test_crossing_bisects_once_and_continues(monkeypatch, n, m, p, energy):
+def test_crossing_bisects_nothing_and_continues(monkeypatch, n, m, p, energy):
+    # the first iterate continues from the closed-form start of its harmonic
+    # well, and every later one from the iterates before it: no matrix is
+    # bisected and no nested solve (a call of solver._follow) runs
     calls = _count_eigensolves(monkeypatch)
     log, _ = _record_fiber_solves(monkeypatch)
+    monkeypatch.setattr(magband.solver, "_follow", None)
     res = crossing(n, m, p, energy)
     assert res.residual <= 1e-8
-    assert len(calls) == 1
-    assert log[0][0] == "bisect" and len(log) >= 2
-    assert all(kind == "continue" for kind, _ in log[1:])
+    assert len(calls) == 0
+    assert len(log) >= 2 and all(kind == "continue" for kind, _ in log)
 
 
 def test_crossing_continues_across_a_grown_grid(monkeypatch):
@@ -478,10 +481,20 @@ def test_crossing_names_the_fiber_when_its_bisection_fails(monkeypatch):
 
 
 def test_agmon_check_reads_the_crossing_pair(monkeypatch):
-    # check 09 bisects each of its 31 crossings once and solves nothing more
+    # check 09 starts one fresh fiber for each of its 31 crossings and solves
+    # nothing more: no bisection, no nested solve and no second solve of the
+    # crossing pair (`solve_fiber` and the nested solve call solver._follow)
     calls = _count_eigensolves(monkeypatch)
+    fresh = []
+
+    def follow(params, grid, count, previous, _follow=magband.bands._follow):
+        fresh.append(previous is None)
+        return _follow(params, grid, count, previous)
+
+    monkeypatch.setattr(magband.bands, "_follow", follow)
+    monkeypatch.setattr(magband.solver, "_follow", None)
     assert magband.acceptance.check_agmon_uniformity().passed
-    assert len(calls) == 31
+    assert len(calls) == 0 and sum(fresh) == 31
 
 
 def test_crossing_validation():
@@ -687,9 +700,14 @@ def test_refined_band_is_richardson_of_two_sweeps(monkeypatch):
     (5, 1, 8.0 + 0.5 * np.arange(15), Grid(30.0, 7200)),
     (4, 0, 2.5 + 0.1 * np.arange(11), Grid(12.0, 4800)),
 ], ids=["check-04", "check-10"])
-def test_refined_band_bisects_twice_on_the_acceptance_inputs(monkeypatch, n, m, xi, grid):
-    # every later sample is continued, on both grids
-    calls = _count_eigensolves(monkeypatch)
+def test_refined_band_continues_every_sample_on_the_acceptance_inputs(monkeypatch, n, m, xi, grid):
+    # every sample is continued at its first attempt on both grids: the first
+    # from its harmonic well or a nested solve, the later ones from the samples
+    # before them; only a nested solve's coarse grid below 512 intervals is
+    # bisected
+    log, _ = _record_fiber_solves(monkeypatch)
     band, noise = refined_band(n, m, 1, xi, grid)
-    assert len(calls) == 2
+    sizes = (grid.intervals, 2 * grid.intervals)
+    assert [kind for kind, size in log if size in sizes] == ["continue"] * (2 * xi.size)
+    assert all(size < 512 for kind, size in log if kind == "bisect")
     assert np.all(np.diff(band.values) < 0) and 0 < noise < 1e-6

@@ -294,19 +294,25 @@ def test_asym_bad_input_refused_before_solving(command_line, code, message,
     assert message in capsys.readouterr().err
 
 
-def test_asym_defaults_make_two_bisections(monkeypatch, capsys):
-    # one sweep on the grid and one on its refinement, each bisected once
-    calls = []
+def test_asym_defaults_start_two_fibers(monkeypatch, capsys):
+    # one sweep on the grid and one on its refinement, each starting one fresh
+    # fiber, from its harmonic well, and bisecting nothing
+    calls, fresh = [], []
     original = magband.solver.eigh_tridiagonal
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
+    def follow(params, grid, count, previous, _follow=magband.bands._follow):
+        fresh.append(previous is None)
+        return _follow(params, grid, count, previous)
+
     monkeypatch.setattr(magband.solver, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(magband.bands, "_follow", follow)
     assert run_cli("asym") == 0
     capsys.readouterr()
-    assert len(calls) == 2
+    assert len(calls) == 0 and sum(fresh) == 2
 
 
 _NUMBER_OPTIONS = [

@@ -22,6 +22,7 @@ from magband import (
     potential_minimum,
     refined_values,
     solve_fiber,
+    sweep,
 )
 from magband.solver import (
     REACH,
@@ -29,6 +30,7 @@ from magband.solver import (
     _bisect_fiber,
     _continue_fiber,
     _count_below,
+    _harmonic,
     _reach,
     _window,
     assemble,
@@ -36,6 +38,8 @@ from magband.solver import (
     potential,
     rayleigh_quotient,
 )
+
+from magband.transport import _NODES, _SUPPORT, WITNESS_STEP
 
 import oracles
 
@@ -296,28 +300,134 @@ NESTED_CASES = [
 ]
 
 
-@pytest.mark.parametrize("n,m,xi,grid,count,dense", NESTED_CASES)
-def test_nested_solve_matches_bisection_and_the_dense_oracle(monkeypatch, n, m, xi, grid,
-                                                             count, dense):
-    params = ModelParams(n, m, xi)
-    sizes = _record_bisections(monkeypatch)
-    pairs = solve_fiber(params, grid, count)
-    assert len(pairs) == count and max(sizes) < 511  # the coarse grids were bisected
-    # every value within a few ulps of ||T||_1 of the bisection values
+def _assert_bisection_pairs(params: ModelParams, grid: Grid, pairs, dense: bool) -> None:
+    """`pairs` are the bisection's: every value within a few ulps of ||T||_1
+    of the bisection values (and of the dense oracle's, when `dense`), every
+    vector within 1e-6 of the bisection vector, positive near the axis."""
+    count = len(pairs)
     h, r = grid.h, grid.nodes
-    norm = float(np.max(np.abs(2.0 / h**2 + params.k / r**2 + (r - xi) ** 2))) + 2.0 / h**2
+    norm = float(np.max(np.abs(2.0 / h**2 + params.k / r**2 + (r - params.xi) ** 2))) + 2.0 / h**2
     tol = 16.0 * np.finfo(float).eps * norm
     values = np.array([pair.value for pair in pairs])
     bisected = _bisect_fiber(params, grid, count)
     assert np.all(np.abs(values - [pair.value for pair in bisected]) <= tol)
     if dense:
-        ref = oracles.dense_fiber_eigenvalues(params.k, xi, grid.radius, grid.intervals, count)
+        ref = oracles.dense_fiber_eigenvalues(
+            params.k, params.xi, grid.radius, grid.intervals, count
+        )
         assert np.all(np.abs(values - ref) <= tol)
-    # and every vector within 1e-6 of the bisection vector, positive near the axis
     for got, want in zip(pairs, bisected):
         assert np.max(np.abs(got.vector - want.vector)) <= 1e-6 * np.max(np.abs(want.vector))
         assert _first_significant(got.vector) > 0 and _first_significant(want.vector) > 0
         assert grid.h * np.sum(got.vector**2) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,m,xi,grid,count,dense", NESTED_CASES)
+def test_nested_solve_matches_bisection_and_the_dense_oracle(monkeypatch, n, m, xi, grid,
+                                                             count, dense):
+    # the fallback for a fiber whose closed-form start is turned away
+    monkeypatch.setattr(magband.solver, "_harmonic", lambda *args: None)
+    params = ModelParams(n, m, xi)
+    sizes = _record_bisections(monkeypatch)
+    pairs = solve_fiber(params, grid, count)
+    assert len(pairs) == count and max(sizes) < 511  # the coarse grids were bisected
+    _assert_bisection_pairs(params, grid, pairs, dense)
+
+
+def _record_continuations(monkeypatch) -> list:
+    """Record (grid intervals, certified) for every continuation from now on."""
+    log = []
+    continue_ = magband.solver._continue_fiber
+
+    def recorded(params, grid, *args):
+        pairs = continue_(params, grid, *args)
+        log.append((grid.intervals, pairs is not None))
+        return pairs
+
+    monkeypatch.setattr(magband.solver, "_continue_fiber", recorded)
+    return log
+
+
+CLOSED_FORM_CASES = [
+    # (n, m, xi, grid, count, dense oracle affordable)
+    (4, 0, 5.0, Grid(16.0, 960), 2, True),  # k = 0: the well is the oscillator's
+    (5, 10, 8.0, Grid(20.0, 1200), 3, True),
+    (5, 40, 45.0, fixed_step_grid(45.0, 16.0, 1.0 / 240.0), 4, False),
+    (5, 128, 150.0, Grid(11499 / 60.0, 11499), 1, False),  # check 12's witness grid
+]
+
+
+@pytest.mark.parametrize("n,m,xi,grid,count,dense", CLOSED_FORM_CASES)
+def test_closed_form_start_matches_bisection_and_the_dense_oracle(monkeypatch, n, m, xi, grid,
+                                                                  count, dense):
+    # one continuation, on the grid itself, from the harmonic well's Hermite
+    # functions: no nested solve and no bisection
+    params = ModelParams(n, m, xi)
+    sizes = _record_bisections(monkeypatch)
+    log = _record_continuations(monkeypatch)
+    pairs = solve_fiber(params, grid, count)
+    assert sizes == [] and log == [(grid.intervals, True)]
+    _assert_bisection_pairs(params, grid, pairs, dense)
+
+
+@pytest.mark.parametrize("m", [128, 256])
+def test_closed_form_start_carries_the_witness_sweep(monkeypatch, m):
+    # check 12's witness sweeps the 16 Gauss nodes of band 1 on its window
+    # preimage, up to 6 or more apart at these m: there the previous node's
+    # vectors barely overlap the next one's, their residual exceeds w, and
+    # the closed-form start goes first, so no continuation fails and
+    # nothing is bisected
+    window = (1.5, 2.5)
+    lo, hi = (crossing(5, m, 1, e, step=WITNESS_STEP).xi for e in window[::-1])
+    xi = 0.5 * (lo + hi) + _SUPPORT * (hi - lo) * _NODES
+    grid = fixed_step_grid(xi[-1], window[1], WITNESS_STEP)
+    assert np.min(np.diff(xi)) < 6.0 < np.max(np.diff(xi))
+    sizes = _record_bisections(monkeypatch)
+    log = _record_continuations(monkeypatch)
+    (curve,) = sweep(5, [m], [1], xi, grid)
+    assert sizes == [] and all(certified for _, certified in log)
+    for x, value in zip(xi, curve.values):
+        params = ModelParams(5, m, float(x))
+        (want,) = _bisect_fiber(params, grid, 1)
+        h, r = grid.h, grid.nodes
+        norm = float(np.max(np.abs(2.0 / h**2 + params.k / r**2 + (r - x) ** 2))) + 2.0 / h**2
+        assert abs(value - want.value) <= 16.0 * np.finfo(float).eps * norm
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("xi", [-3.0, 0.0, 1.0])
+def test_a_closed_form_start_turned_away_still_gives_the_bisection_pairs(monkeypatch, m, xi):
+    # the well touches the axis, and the Hermite functions' residual exceeds
+    # w: the fiber is solved through the nested start instead
+    params, grid = ModelParams(5, m, xi), Grid(20.0, 4800)
+    assert _harmonic(params, grid, 3, potential(params, grid.nodes)) is None
+    log = _record_continuations(monkeypatch)
+    pairs = solve_fiber(params, grid, 3)
+    assert log[-1] == (grid.intervals, True) and len(log) >= 2
+    _assert_bisection_pairs(params, grid, pairs, False)
+
+
+@pytest.mark.parametrize(
+    "n,m,xi", [(3, 0, -1.0), (3, 0, 0.0), (3, 0, 1.0), (4, 0, -1.0), (4, 0, 0.0)]
+)
+def test_closed_form_start_is_skipped_where_v_has_no_interior_minimum(n, m, xi):
+    # k = -1/4, or k = 0 with xi <= 0: potential_minimum refuses the fiber,
+    # and the step goes on to the nested start without raising
+    params, grid = ModelParams(n, m, xi), Grid(12.0, 960)
+    with pytest.raises(ModelError):
+        potential_minimum(params)
+    assert _harmonic(params, grid, 3, potential(params, grid.nodes)) is None
+    _assert_bisection_pairs(params, grid, solve_fiber(params, grid, 3), True)
+
+
+def test_closed_form_start_is_skipped_when_potential_minimum_fails(monkeypatch):
+    def failing(params):
+        raise ConvergenceError("potential_minimum: Newton residual above tolerance")
+
+    monkeypatch.setattr(magband.solver, "potential_minimum", failing)
+    params, grid = ModelParams(5, 10, 8.0), Grid(20.0, 1200)
+    assert _harmonic(params, grid, 3, potential(params, grid.nodes)) is None
+    _assert_bisection_pairs(params, grid, solve_fiber(params, grid, 3), True)
 
 
 def test_nested_solve_without_continuation_is_the_bisection(monkeypatch):
@@ -341,11 +451,12 @@ def test_nested_solve_checks_the_count_before_any_solve(monkeypatch, count):
 
 
 def test_crossing_bisects_no_large_matrix(monkeypatch):
-    # m = 40 on step 1/240: ~12 000 rows, bisected only below 512 intervals
+    # m = 40 on step 1/240: ~12 000 rows; the first iterate starts from its
+    # harmonic well, so no matrix is bisected, not even a nested solve's
     sizes = _record_bisections(monkeypatch)
     res = crossing(5, 40, 2, 3.6)
     assert res.residual <= 1e-8
-    assert sizes and max(sizes) < 511
+    assert sizes == []
 
 
 def test_fiber_eigenvalues_bisect_no_large_matrix(monkeypatch):

@@ -19,6 +19,7 @@ from magband import (
     current,
     current_dichotomy,
     edge_bound,
+    edge_current,
     landau_level,
     sweep,
     synthesize_state,
@@ -262,6 +263,16 @@ def test_current_dichotomy_solve_budget(check12):
     result, solves = check12
     assert solves <= 400
     assert abs(result.edge.normalized) >= result.c_minus > 0
+
+
+def test_edge_current_is_the_dichotomys_edge(check12):
+    # the same numbers, bit for bit, as the pipeline's edge report and C^-
+    result, _ = check12
+    edge, c_minus = edge_current(5, WINDOW, 3)
+    assert edge.contributions == result.edge.contributions
+    assert (edge.total, edge.norm_squared, c_minus) == (
+        result.edge.total, result.edge.norm_squared, result.c_minus
+    )
 
 
 def test_c_minus_is_a_tight_floor_of_a_dense_sweep(check12):
