@@ -21,7 +21,7 @@ from .bands import (
     agmon_norm,
     agmon_weight,
     crossing,
-    refined_band,
+    refined_sweep,
     scaling_study,
     sweep,
 )
@@ -50,7 +50,6 @@ from .solver import (
     derivative_boundary_form,
     derivative_feynman_hellmann,
     fiber_eigenvalues,
-    refined_values,
     solve_fiber,
 )
 from .transport import (
@@ -106,8 +105,7 @@ __all__ = [
     "potential",
     "potential_minimum",
     "radial_period",
-    "refined_band",
-    "refined_values",
+    "refined_sweep",
     "remainder_rate",
     "scaling_study",
     "solve_fiber",

@@ -6,10 +6,11 @@ targets) and compares the package's output at a stated tolerance.  The runner
 reports one line per check; nothing here mutates package state.
 
 The criteria that the CLI reports as well (expansion coefficients, scaling
-laws, classical drift, current dichotomy, gap profile, remainder slope) are
-stated once, in the `*_criteria` / `remainder_criterion` functions: each
-returns one `CheckResult` per criterion, which the CLI lists in its JSON
-`checks` and the numbered check folds into its verdict.
+laws, classical drift, current dichotomy, gap profile, remainder slope,
+Richardson error) are stated once, in the `*_criteria` / `remainder_criterion`
+functions: each returns one `CheckResult` per criterion, which the CLI lists
+in its JSON `checks` and a numbered check, where there is one, folds into its
+verdict.  The CLI builds no `CheckResult` of its own.
 
 Check 7 (high-frequency window [1.0, 1.1]) fails by design of the model: the
 band value at xi = -10 is bounded below by the minimum of the potential,
@@ -25,7 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import GapProfile, RateReport, band_asymptotics, expansion_coefficients
-from .bands import ScalingStudy, agmon_norm, agmon_weight, crossing, scaling_study, sweep
+from .bands import (
+    BandCurve,
+    ScalingStudy,
+    agmon_norm,
+    agmon_weight,
+    crossing,
+    refined_sweep,
+    scaling_study,
+    sweep,
+)
 from .classical import (
     ClassicalState,
     EffectiveVelocity,
@@ -37,11 +47,11 @@ from .errors import AgmonOverflowError
 from .model import ModelParams, coupling_constant, landau_level, potential
 from .solver import (
     Grid,
+    RefinedValue,
     derivative_boundary_form,
     derivative_feynman_hellmann,
     boundary_exponent,
     fiber_eigenvalues,
-    refined_values,
     solve_fiber,
 )
 from .tables import SWEEP_HEADER, render_csv, sweep_rows
@@ -135,16 +145,28 @@ def remainder_criterion(report: RateReport, order: int) -> CheckResult:
     return CheckResult("remainder-slope", slope <= target, slope, f"<= {target}")
 
 
+def convergence_criteria(
+    refined: list[tuple[BandCurve, RefinedValue]], bound: float
+) -> list[CheckResult]:
+    """Each band of `refined_sweep`: its largest Richardson error is at most bound."""
+    checks = []
+    for band, rv in refined:
+        error = float(np.max(rv.error))
+        checks.append(CheckResult(f"error(m={band.m},p={band.p})", error <= bound, error,
+                                  f"<= {bound}"))
+    return checks
+
+
 def check_exact_spectrum() -> CheckResult:
     """1. Richardson-refined xi=0 eigenvalues against the closed form."""
     worst = 0.0
     where = ""
     grid = Grid(12.0, 4800)
     for n, m in [(4, 0), (5, 0), (5, 2), (3, 1)]:
-        rows = refined_values(ModelParams(n, m, 0.0), grid, 3)
-        for p in (1, 2, 3):
+        for band, rv in refined_sweep(n, [m], (1, 2, 3), [0.0], grid):
+            p = band.p
             exact = 4.0 * (p - 1) + abs(2 * m + n - 3) + 2.0
-            rel = abs(rows[p - 1].value - exact) / exact
+            rel = abs(rv.value[0] - exact) / exact
             if rel > worst:
                 worst, where = rel, f"(n={n}, m={m}, p={p})"
     return CheckResult(
@@ -324,12 +346,10 @@ def check_high_frequency() -> CheckResult:
     the most favorable m=0).  Reported honestly; see the module docstring.
     """
     grid = Grid(12.0, 4800)
-    ratios, floors = [], []
-    for m in range(4):
-        params = ModelParams(5, m, -10.0)
-        rows = refined_values(params, grid, 2)
-        ratios.extend(rows[p - 1].value / 100.0 for p in (1, 2))
-        floors.append(float(np.min(potential(params, grid.nodes))) / 100.0)
+    ratios = [rv.value[0] / 100.0 for _, rv in refined_sweep(5, range(4), (1, 2), [-10.0], grid)]
+    floors = [
+        float(np.min(potential(ModelParams(5, m, -10.0), grid.nodes))) / 100.0 for m in range(4)
+    ]
     lo, hi = min(ratios), max(ratios)
     passed = 1.0 <= lo and hi <= 1.1
     return CheckResult(

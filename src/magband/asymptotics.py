@@ -6,6 +6,10 @@ problem into a triangular system over the oscillator eigenbasis.  Everything
 here is exact linear algebra on coefficient arrays over Psi_1..Psi_{p+2N},
 a basis whose truncation edge the order-N recursion never reaches.
 
+`band_asymptotics` sets a band against its expansion: the band comes from
+`bands.refined_sweep`, the library's one Richardson pipeline, and its
+largest error estimate is the noise floor of the comparison.
+
 Conventions: 1-based Hermite functions Psi_1, Psi_2, ... normalized to unit
 L^2 norm (Psi_1 = pi^{-1/4} e^{-s^2/2}), with H0 Psi_q = (2q - 1) Psi_q and
 the ladder identity s Psi_q = sqrt((q-1)/2) Psi_{q-1} + sqrt(q/2) Psi_{q+1}.
@@ -13,16 +17,17 @@ the ladder identity s Psi_q = sqrt((q-1)/2) Psi_{q-1} + sqrt(q/2) Psi_{q+1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bands import BandCurve, refined_band
+from .bands import BandCurve, refined_sweep
 from .errors import ModelError
 from .model import _integer, coupling_constant
 from .solver import Grid
 
 _MAX_SAMPLES = 2**22  # longest band a comparison samples; 32 MiB per array
+_NOISE_MARGIN = 10.0  # a remainder or gap within this factor of the noise witnesses nothing
 
 
 def apply_s(c: np.ndarray) -> np.ndarray:
@@ -157,8 +162,8 @@ def remainder_rate(
 
     The window must sit in the asymptotic regime xi >= max(5, 2 sqrt(k_m)).
     Pass the discretization-error estimate of the band values as noise_floor;
-    residuals within 10x of it cannot witness a rate and yield an
-    indeterminate report instead of a bogus slope.
+    residuals within _NOISE_MARGIN times it cannot witness a rate and yield
+    an indeterminate report instead of a bogus slope.
     """
     lo, hi = _remainder_window(coeffs.coupling, xi_window)
     mask = (band.xi >= lo) & (band.xi <= hi)
@@ -168,7 +173,7 @@ def remainder_rate(
     resid = np.abs(
         band.values[mask] - np.array([evaluate_expansion(coeffs, x) for x in xi])
     )
-    if np.max(resid) <= 10.0 * noise_floor or np.any(resid == 0.0):
+    if np.max(resid) <= _NOISE_MARGIN * noise_floor or np.any(resid == 0.0):
         return RateReport(slope=None, points=int(xi.size), indeterminate=True)
     slope, _ = np.polyfit(np.log(xi), np.log(resid), 1)
     return RateReport(slope=float(slope), points=int(xi.size), indeterminate=False)
@@ -197,8 +202,8 @@ def exponential_gap_check(
     With k_m = 0 the inverse-power series is empty and the gap to the Landau
     level closes like xi^{2p-1} e^{-xi^2}; near-constancy of the compensated
     profile over the window is the checkable signature, with p = band.p.  The
-    band values must resolve the gap: samples within 10x of error_estimate
-    mark the report indeterminate.
+    band values must resolve the gap: samples within _NOISE_MARGIN times
+    error_estimate mark the report indeterminate.
     """
     if (band.n, band.m) != (4, 0):
         raise ModelError(
@@ -214,7 +219,7 @@ def exponential_gap_check(
     gap = band.values[mask] - float(2 * p - 1)
     profile = np.exp(xi**2) * gap / xi ** (2 * p - 1)
     positive = bool(np.all(gap > 0.0))
-    if np.min(np.abs(gap)) <= 10.0 * error_estimate:
+    if np.min(np.abs(gap)) <= _NOISE_MARGIN * error_estimate:
         return GapProfile(
             xi=xi, gap=gap, profile=profile, ratio=float("nan"),
             positive=positive, indeterminate=True,
@@ -247,10 +252,11 @@ def band_asymptotics(
     """Band p of (n, m) at `samples` points spanning xi_window, against the
     order-N expansion (k_m != 0) or the exponential gap (k_m = 0).
 
-    The inputs are checked before `refined_band` solves the band on grid and
+    The inputs are checked before `refined_sweep` solves the band on grid and
     its refinement, and the grid as each sample is solved: a grid that does
-    not admit a sample (`sweep`) is a ModelError.  The Richardson error is the
-    report's noise floor.
+    not admit a sample (`sweep`) is a ModelError.  The band carries the
+    Richardson values and the fine sweep's slopes, and the largest Richardson
+    error is the report's noise floor.
     """
     coupling = float(coupling_constant(n, m))
     samples = _integer(samples, "samples", 3, _MAX_SAMPLES)
@@ -260,7 +266,8 @@ def band_asymptotics(
         q + 1 for q in range(order) if abs(coeffs.alphas[q] - probe.alphas[q]) > 1e-10
     )
     window = _gap_window(xi_window) if coupling == 0.0 else _remainder_window(coupling, xi_window)
-    band, noise = refined_band(n, m, p, np.linspace(*window, samples), grid)
+    ((fine, refined),) = refined_sweep(n, [m], [p], np.linspace(*window, samples), grid)
+    band, noise = replace(fine, values=refined.value), float(np.max(refined.error))
     if coupling == 0.0:
         report = exponential_gap_check(band, window, error_estimate=noise)
     else:

@@ -9,13 +9,14 @@ from the leading law lambda ~ E_p + k_m/xi^2 and kept inside that bracket.
 
 `sweep` and `crossing` follow eigenpairs from one xi to the next, by sample
 or by Newton iterate, through the solver's fiber step (`solver._follow`);
-`refined_band` is the Richardson pair of two sweeps, on a grid and its
-refinement.  Every band value here is the Rayleigh quotient of an eigenvector.
+`refined_sweep` pairs the sweeps on a grid and on its refinement in
+Richardson records, the one pipeline behind every refined value.  Every
+band value here is the Rayleigh quotient of an eigenvector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .model import ModelParams, _integers, landau_level, potential, turning_poin
 from .solver import (
     EigenPair,
     Grid,
+    RefinedValue,
     _admit,
     _follow,
     derivative_boundary_form,
@@ -123,20 +125,22 @@ def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
     return curves
 
 
-def refined_band(n: int, m: int, p: int, xi_samples, grid: Grid) -> tuple[BandCurve, float]:
-    """Band p sampled with Richardson values and fine-grid derivatives.
+def refined_sweep(
+    n: int, m_range, p_range, xi_samples, grid: Grid
+) -> list[tuple[BandCurve, RefinedValue]]:
+    """Every (m, p) band of `sweep` on grid and on grid.refined(), paired up.
 
-    Two `sweep`s of the band, on grid and on grid.refined(), give the
-    Rayleigh-quotient values a and b of every sample; the curve carries the
-    Richardson values (4b - a)/3 (`solver.richardson`) and the fine sweep's
-    slopes.  Returns it with the largest Richardson error estimate |b - a|/3
-    over the samples.
+    Each entry is the fine sweep's curve with the Richardson record
+    (`solver.richardson`) of its values: b on the fine grid and a on grid
+    give the extrapolated values (4b - a)/3 and the error estimates
+    |b - a|/3, elementwise over the samples.  The refined grid is built
+    first, so a grid too large to refine fails before any solve; each sweep
+    applies the input and grid rules of `sweep`.
     """
-    fine_grid = grid.refined()  # a grid too large to refine fails before any solve
-    (coarse,) = sweep(n, [m], [p], xi_samples, grid)
-    (fine,) = sweep(n, [m], [p], xi_samples, fine_grid)
-    rv = richardson(coarse.values, fine.values)
-    return replace(fine, values=rv.value), float(np.max(rv.error))
+    fine_grid = grid.refined()
+    coarse = sweep(n, m_range, p_range, xi_samples, grid)
+    fine = sweep(n, m_range, p_range, xi_samples, fine_grid)
+    return [(b, richardson(a.values, b.values)) for a, b in zip(coarse, fine)]
 
 
 def crossing(

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: sweep | scaling | asym | classical | current | convergence |
-acceptance.  Each subcommand parses its options, calls one library pipeline,
+acceptance.  Each subcommand parses its options, calls one library pipeline
+(`convergence`: the Richardson pipeline `bands.refined_sweep` at one xi),
 and reports; the pass/fail criteria it lists are the acceptance battery's own
 (`magband.acceptance`), so the two never disagree on a threshold.  Options
 resolve with precedence flags > config file > defaults;
@@ -29,17 +30,18 @@ from .acceptance import (
     CheckResult,
     alpha_criteria,
     classical_criteria,
+    convergence_criteria,
     dichotomy_criteria,
     gap_profile_criteria,
     remainder_criterion,
     scaling_criteria,
 )
 from .asymptotics import band_asymptotics
-from .bands import CROSSING_STEP, CROSSING_TOLERANCE, scaling_study, sweep
+from .bands import CROSSING_STEP, CROSSING_TOLERANCE, refined_sweep, scaling_study, sweep
 from .classical import ClassicalState, effective_velocity, integrate
 from .errors import ConvergenceError, ModelError
-from .model import ModelParams, landau_level
-from .solver import Grid, refined_values
+from .model import landau_level
+from .solver import Grid
 from .tables import (
     CONVERGENCE_HEADER,
     SCALING_HEADER,
@@ -408,34 +410,13 @@ def cmd_convergence(cfg: dict) -> int:
     if not (np.isfinite(cfg["bound"]) and cfg["bound"] > 0):
         raise ModelError(f"bound must be positive and finite, got {cfg['bound']!r}")
     grid = Grid(cfg["radius"], cfg["intervals"])
-    ms, ps = sorted(set(cfg["m"])), sorted(set(cfg["p"]))
-    if not ms or not ps:
-        raise ModelError("convergence needs non-empty m and p ranges")
-    for p in ps:
-        landau_level(p)  # the library's rule for a band index, before any solve
-    entries = []
-    checks = []
-    for m in ms:
-        params = ModelParams(cfg["n"], m, cfg["xi"])
-        rows = refined_values(params, grid, ps[-1])
-        for p in ps:
-            rv = rows[p - 1]
-            entries.append((m, p, cfg["xi"], rv))
-            checks.append(CheckResult(f"error(m={m},p={p})", rv.error <= cfg["bound"],
-                                      rv.error, f"<= {cfg['bound']}"))
+    refined = refined_sweep(cfg["n"], cfg["m"], cfg["p"], [cfg["xi"]], grid)
+    rows = convergence_rows(refined)
     if cfg["output"] is not None:
-        _emit(
-            render_csv(CONVERGENCE_HEADER, convergence_rows(cfg["n"], entries)),
-            cfg["output"],
-        )
-    results = {
-        "entries": [
-            {"m": m, "p": p, "xi": xi, "coarse": rv.coarse, "fine": rv.fine,
-             "richardson": rv.value, "error_estimate": rv.error}
-            for (m, p, xi, rv) in entries
-        ]
-    }
-    _report(cfg, results, checks, cfg["summary"])
+        _emit(render_csv(CONVERGENCE_HEADER, rows), cfg["output"])
+    keys = ("m", "p", "xi", "coarse", "fine", "richardson", "error_estimate")
+    results = {"entries": [dict(zip(keys, row[1:])) for row in rows]}
+    _report(cfg, results, convergence_criteria(refined, cfg["bound"]), cfg["summary"])
     return 0
 
 

@@ -163,13 +163,11 @@ class EigenPair:
 
 def assemble(params: ModelParams, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of -d^2/dr^2 + V_m(r, xi) on the grid interior."""
-    return _assemble(params, grid, potential(params, grid.nodes))
+    return _assemble(grid, potential(params, grid.nodes))
 
 
-def _assemble(params: ModelParams, grid: Grid, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _assemble(grid: Grid, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`assemble` from v, the potential on grid.nodes."""
-    if params.k < -0.25:
-        raise ModelError(f"coupling k_m={params.k} below the critical value -1/4")
     h = grid.h
     diagonal = 2.0 / h**2 + v
     offdiagonal = np.full(grid.intervals - 2, -1.0 / h**2)
@@ -519,7 +517,7 @@ def _continue_fiber(
     LAPACK failure, it returns None.  Vectors are normalized and sign-fixed
     as in `solve_fiber`.
     """
-    diagonal, offdiagonal = _assemble(params, grid, v)
+    diagonal, offdiagonal = _assemble(grid, v)
     coupling = -float(offdiagonal[0])
     norm = max(  # ||T||_1: interior columns hold two off-diagonal entries, end columns one
         float(np.max(np.abs(diagonal[1:-1]))) + 2.0 * coupling,
@@ -712,27 +710,12 @@ def boundary_exponent(
 
 @dataclass(frozen=True)
 class RefinedValue:
-    """Richardson extrapolation from an h, h/2 grid pair, of one value or of arrays."""
+    """Richardson extrapolation from an h, h/2 grid pair, elementwise over arrays."""
 
-    coarse: float
-    fine: float
-    value: float
-    error: float
-
-
-def refined_values(params: ModelParams, grid: Grid, count: int) -> list[RefinedValue]:
-    """Richardson extrapolation of the lowest `count` eigenvalues at once.
-
-    Second order: from a on `grid` and b on `grid.refined()`, (4b - a)/3 is
-    the extrapolated value and |b - a|/3 estimates the fine-grid error.  A
-    grid that does not admit the top coarse value (`_admit`), or that admits
-    no value at all (value 0, before any solve), is a ModelError.
-    """
-    _admit(params, grid, 0.0)
-    coarse = fiber_eigenvalues(params, grid, count).tolist()
-    _admit(params, grid, coarse[-1])
-    fine = fiber_eigenvalues(params, grid.refined(), count).tolist()
-    return [richardson(a, b) for a, b in zip(coarse, fine)]
+    coarse: np.ndarray
+    fine: np.ndarray
+    value: np.ndarray
+    error: np.ndarray
 
 
 def richardson(a, b) -> RefinedValue:

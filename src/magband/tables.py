@@ -75,9 +75,10 @@ def trajectory_rows(traj: TrajectoryResult, stride: int = 1) -> list[tuple]:
     ]
 
 
-def convergence_rows(n: int, entries: list[tuple[int, int, float, RefinedValue]]) -> list[tuple]:
-    """entries: (m, p, xi, refined) tuples, already in output order."""
+def convergence_rows(refined: list[tuple[BandCurve, RefinedValue]]) -> list[tuple]:
+    """Flatten `refined_sweep`'s bands to (n,m,p,xi,...) rows in its order."""
     return [
-        (n, m, p, xi, rv.coarse, rv.fine, rv.value, rv.error)
-        for (m, p, xi, rv) in entries
+        (curve.n, curve.m, curve.p, *entry)
+        for curve, rv in refined
+        for entry in zip(curve.xi, rv.coarse, rv.fine, rv.value, rv.error)
     ]

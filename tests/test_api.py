@@ -67,8 +67,7 @@ PARAMETERS = {
     "potential": ("params", "r"),
     "potential_minimum": ("params",),
     "radial_period": ("traj",),
-    "refined_band": ("n", "m", "p", "xi_samples", "grid"),
-    "refined_values": ("params", "grid", "count"),
+    "refined_sweep": ("n", "m_range", "p_range", "xi_samples", "grid"),
     "remainder_rate": ("band", "coeffs", "xi_window", "noise_floor"),
     "scaling_study": ("n", "p", "energy", "m_list", "tolerance", "step"),
     "solve_fiber": ("params", "grid", "count"),
@@ -127,6 +126,18 @@ def test_benchmark_bindings_resolve():
     assert missing == []
 
 
+def test_cli_builds_no_check_of_its_own():
+    # a criterion the CLI lists is the acceptance battery's (`*_criteria`)
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    calls = [
+        node.lineno
+        for node in ast.walk(cli)
+        if isinstance(node, ast.Call)
+        and "CheckResult" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert calls == [], f"cli.py calls CheckResult on lines {calls}"
+
+
 def test_integer_arguments_are_checked_in_model():
     # the integer rule is model._integer; no other module restates it
     def states_the_rule(node):
@@ -153,8 +164,8 @@ GRID = magband.Grid(12.0, 600)
 ENTRY_POINT_CALLS = {
     "sweep-m": lambda bad: magband.sweep(5, [bad], [1], [0.0, 0.5], GRID),
     "sweep-p": lambda bad: magband.sweep(5, [0, 1], [1, bad], [0.0, 0.5], GRID),
-    "refined_band-m": lambda bad: magband.refined_band(5, bad, 1, [0.0, 0.5], GRID),
-    "refined_band-p": lambda bad: magband.refined_band(5, 1, bad, [0.0, 0.5], GRID),
+    "refined_sweep-m": lambda bad: magband.refined_sweep(5, [bad], [1], [0.0, 0.5], GRID),
+    "refined_sweep-p": lambda bad: magband.refined_sweep(5, [0, 1], [1, bad], [0.0, 0.5], GRID),
     "crossing-m": lambda bad: magband.crossing(5, bad, 1, 2.0),
     "crossing-p": lambda bad: magband.crossing(5, 1, bad, 4.0),
     "scaling_study-m": lambda bad: magband.scaling_study(5, 1, 2.0, [5, 6, bad]),

@@ -28,7 +28,7 @@ from magband import (
     derivative_feynman_hellmann,
     landau_level,
     potential,
-    refined_band,
+    refined_sweep,
     scaling_study,
     solve_fiber,
     sweep,
@@ -675,25 +675,32 @@ def test_agmon_norm_refuses_a_pair_from_another_grid():
 def test_refined_band_validates_samples():
     grid = Grid(12.0, 600)
     with pytest.raises(ModelError):
-        refined_band(5, 1, 1, [], grid)
+        refined_sweep(5, [1], [1], [], grid)
     with pytest.raises(ModelError):
-        refined_band(5, 1, 1, [2.0, 1.0], grid)  # not increasing
+        refined_sweep(5, [1], [1], [2.0, 1.0], grid)  # not increasing
 
 
 def test_refined_band_is_richardson_of_two_sweeps(monkeypatch):
-    # one sweep per grid: a bisection for the first sample, continuation after
+    # one sweep per grid: a bisection for each m's first sample, continuation
+    # after; entries come in (m, p) order, each the fine curve with its
+    # Richardson record
     grid = Grid(20.0, 400)
     xi = 1.0 + 0.5 * np.arange(15)
     calls = _count_eigensolves(monkeypatch)
-    band, noise = refined_band(5, 1, 2, xi, grid)
-    assert len(calls) == 2
-    k = float(oracles.coupling_reference(5, 1))
-    coarse, fine = (
-        np.array([oracles.dense_fiber_eigenvalues(k, x, 20.0, g, 2)[1] for x in xi])
-        for g in (400, 800)
-    )
-    assert np.max(np.abs(band.values - (4.0 * fine - coarse) / 3.0)) <= 1e-9
-    assert noise == pytest.approx(np.max(np.abs(fine - coarse)) / 3.0, rel=1e-6)
+    refined = refined_sweep(5, [2, 1], [2, 1], xi, grid)
+    assert len(calls) == 2 * 2
+    assert [(band.m, band.p) for band, _ in refined] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    for m in (1, 2):
+        k = float(oracles.coupling_reference(5, m))
+        coarse, fine = (
+            np.array([oracles.dense_fiber_eigenvalues(k, x, 20.0, g, 2) for x in xi]).T
+            for g in (400, 800)
+        )
+        for band, rv in refined[2 * (m - 1):2 * m]:
+            a, b = coarse[band.p - 1], fine[band.p - 1]
+            assert np.array_equal(band.xi, xi) and np.array_equal(band.values, rv.fine)
+            assert np.max(np.abs(rv.value - (4.0 * b - a) / 3.0)) <= 1e-9
+            assert np.max(rv.error) == pytest.approx(np.max(np.abs(b - a)) / 3.0, rel=1e-6)
 
 
 @pytest.mark.parametrize("n, m, xi, grid", [
@@ -706,8 +713,8 @@ def test_refined_band_continues_every_sample_on_the_acceptance_inputs(monkeypatc
     # before them; only a nested solve's coarse grid below 512 intervals is
     # bisected
     log, _ = _record_fiber_solves(monkeypatch)
-    band, noise = refined_band(n, m, 1, xi, grid)
+    ((_, rv),) = refined_sweep(n, [m], [1], xi, grid)
     sizes = (grid.intervals, 2 * grid.intervals)
     assert [kind for kind, size in log if size in sizes] == ["continue"] * (2 * xi.size)
     assert all(size < 512 for kind, size in log if kind == "bisect")
-    assert np.all(np.diff(band.values) < 0) and 0 < noise < 1e-6
+    assert np.all(np.diff(rv.value) < 0) and 0 < np.max(rv.error) < 1e-6

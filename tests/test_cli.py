@@ -218,6 +218,8 @@ def test_current_invalid_input_exits_2_before_solving(flag, message, monkeypatch
     ("current --window=-inf:2", "expected two finite numbers 'a:b', got '-inf:2'"),
     ("sweep --m 0 --p 1 --xi 0 --intervals 1000000000000", "above the limit of 4194304"),
     ("convergence --m 0 --p 1 --intervals 1000000000000", "above the limit of 4194304"),
+    # solved a 4194303-row fiber before it refused the refinement
+    ("convergence --m 0 --p 1 --intervals 4194304", "a grid of 8388608 intervals"),
     ("asym --intervals 1000000000000", "above the limit of 4194304"),
     ("asym --intervals 4194304", "a grid of 8388608 intervals"),  # its refinement
     ("classical --t-max 1e12", "steps, above the limit of 33554431"),
@@ -238,21 +240,27 @@ def test_bad_grid_input_exits_2_before_solving(command_line, message, monkeypatc
         raise AssertionError("eigensolve before the input was checked")
 
     monkeypatch.setattr("magband.solver.eigh_tridiagonal", no_solve)
+    monkeypatch.setattr("magband.solver._follow", no_solve)
+    monkeypatch.setattr("magband.bands._follow", no_solve)
     assert run_cli(*command_line.split()) == 2
     assert message in capsys.readouterr().err
 
 
 def test_convergence_refuses_an_empty_m_range(tmp_path, monkeypatch, capsys):
-    # exited 0 with no entries and no checks
+    # convergence exited 0 with no entries and no checks, then stated its own
+    # rule; it and sweep now refuse with the library's one message, before
+    # any solve
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve before the input was checked")
 
     monkeypatch.setattr("magband.solver.eigh_tridiagonal", no_solve)
+    monkeypatch.setattr("magband.bands._follow", no_solve)
     config = tmp_path / "empty.cfg"
     config.write_text("m=\n", encoding="utf-8")
-    for argv in (("convergence", "--m", ","), ("convergence", "--config", str(config))):
-        assert run_cli(*argv) == 2
-        assert "convergence needs non-empty m and p ranges" in capsys.readouterr().err
+    for command in ("convergence", "sweep"):
+        for argv in ((command, "--m", ","), (command, "--config", str(config))):
+            assert run_cli(*argv) == 2
+            assert "need at least one angular number m, got none" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command_line, message", [

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import LinAlgError
 from scipy.optimize import brentq
 
+import magband.bands
 import magband.solver
 from magband import (
     ConvergenceError,
@@ -20,7 +21,7 @@ from magband import (
     derivative_feynman_hellmann,
     fiber_eigenvalues,
     potential_minimum,
-    refined_values,
+    refined_sweep,
     solve_fiber,
     sweep,
 )
@@ -115,10 +116,9 @@ def test_xi_zero_closed_form_under_refinement():
     # at xi=0 the levels are known in closed form; refinement must converge to them
     grid = Grid(12.0, 1200)
     for n, m in [(4, 0), (5, 1)]:
-        rows = refined_values(ModelParams(n, m, 0.0), grid, 2)
-        for p, rv in enumerate(rows, start=1):
-            assert rv.value == pytest.approx(oracles.exact_level(n, m, p), rel=2e-6)
-            assert rv.error < 1e-3
+        for band, rv in refined_sweep(n, [m], [1, 2], [0.0], grid):
+            assert rv.value[0] == pytest.approx(oracles.exact_level(n, m, band.p), rel=2e-6)
+            assert rv.error[0] < 1e-3
 
 
 def test_feynman_hellmann_matches_central_difference():
@@ -208,11 +208,11 @@ def test_boundary_exponent_sign_pattern_guard():
 
 def test_refine_richardson_beats_fine_grid():
     # quadratic convergence: extrapolation lands closer than either input
-    params = ModelParams(4, 0, 0.0)
-    rv = refined_values(params, Grid(12.0, 600), 1)[0]
+    ((_, rv),) = refined_sweep(4, [0], [1], [0.0], Grid(12.0, 600))
+    (coarse,), (fine,), (value,), (error,) = rv.coarse, rv.fine, rv.value, rv.error
     exact = 3.0
-    assert abs(rv.value - exact) < abs(rv.fine - exact) < abs(rv.coarse - exact)
-    assert abs(rv.fine - exact) < rv.error  # estimate is conservative here
+    assert abs(value - exact) < abs(fine - exact) < abs(coarse - exact)
+    assert abs(fine - exact) < error  # estimate is conservative here
 
 
 def test_refined_values_refuses_an_inadmissible_grid(monkeypatch):
@@ -220,8 +220,9 @@ def test_refined_values_refuses_an_inadmissible_grid(monkeypatch):
     # 63.0717 (true 1.0021) with an error estimate of 5.4e-8.  The wall is too
     # close even at value 0, so the grid is refused before any solve.
     monkeypatch.setattr(magband.solver, "_follow", None)
+    monkeypatch.setattr(magband.bands, "_follow", None)
     with pytest.raises(ModelError, match=r"xi=19\.0\).* a radius of 24\.29\d* is admitted"):
-        refined_values(ModelParams(5, 0, 19.0), Grid(12.0, 48000), 1)
+        refined_sweep(5, [0], [1], [19.0], Grid(12.0, 48000))
 
 
 @pytest.mark.parametrize("xi, value", [
