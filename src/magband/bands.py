@@ -76,10 +76,12 @@ class CrossingResult:
 
 
 def _xi_samples(xi_samples) -> np.ndarray:
-    """xi_samples as a float array: non-empty, 1-d and ascending."""
+    """xi_samples as a float array: non-empty, 1-d, finite and ascending."""
     xi = np.asarray(xi_samples, dtype=float)
     if xi.ndim != 1 or xi.size == 0:
         raise ModelError("xi_samples must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(xi)):
+        raise ModelError(f"xi_samples must be finite, got {float(xi[~np.isfinite(xi)][0])!r}")
     if np.any(np.diff(xi) < 0):
         raise ModelError("xi_samples must be sorted ascending")
     return xi
@@ -322,6 +324,16 @@ class AgmonWeight:
     grid: Grid
 
 
+def _outward(r: np.ndarray, g: np.ndarray, turning: float) -> np.ndarray:
+    """Cumulative trapezoids of g over the nodes r, ordered outward from the
+    turning point: the partial cell from it first, where the integrand is 0,
+    then node to node."""
+    steps = np.concatenate(
+        [0.5 * np.abs(r[:1] - turning) * g[:1], 0.5 * np.abs(np.diff(r)) * (g[1:] + g[:-1])]
+    )
+    return np.cumsum(steps)
+
+
 def agmon_weight(
     params: ModelParams, energy: float, grid: Grid, alpha: float = 2.0
 ) -> AgmonWeight:
@@ -337,26 +349,9 @@ def agmon_weight(
     g = delta * np.sqrt(np.clip(potential(params, r) - energy, 0.0, None))
     phi = np.zeros_like(r)
 
-    right = np.nonzero(r > r_plus)[0]
-    if right.size:
-        first = right[0]
-        # partial cell from the exact turning point, where the integrand is 0
-        steps = np.concatenate(
-            [[0.5 * (r[first] - r_plus) * g[first]],
-             0.5 * np.diff(r[right]) * (g[right][1:] + g[right][:-1])]
-        )
-        phi[right] = np.cumsum(steps)
-
-    left = np.nonzero(r < r_minus)[0]
-    if left.size:
-        last = left[-1]
-        # cells walk outward, i.e. toward smaller r: partial cell at r_minus
-        # first, then node-to-node trapezoids; cumulate in that direction.
-        steps = np.concatenate(
-            [[0.5 * (r_minus - r[last]) * g[last]],
-             0.5 * np.diff(r[left])[::-1] * (g[left][:-1] + g[left][1:])[::-1]]
-        )
-        phi[left] = np.cumsum(steps)[::-1]
+    right, left = r > r_plus, r < r_minus
+    phi[right] = _outward(r[right], g[right], r_plus)
+    phi[left] = _outward(r[left][::-1], g[left][::-1], r_minus)[::-1]
 
     return AgmonWeight(
         delta=float(delta),

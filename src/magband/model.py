@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import ConvergenceError, ModelError
 
+_EPS = float(np.finfo(float).eps)
+
 
 def _integer(value, what: str, least: int, most: int | None = None) -> int:
     """The one rule for an index or count the API takes: `value` as an int
@@ -113,6 +115,11 @@ def potential(params: ModelParams, r):
     return out if out.ndim else float(out)
 
 
+def _potential_at(params: ModelParams, r: float) -> float:
+    """`potential` at one float r > 0 in plain float arithmetic: the same bits."""
+    return params.k / (r * r) + (r - params.xi) * (r - params.xi)
+
+
 def potential_minimum(params: ModelParams) -> PotentialProfile:
     """Unique minimum of V_m over (0, inf).
 
@@ -140,7 +147,7 @@ def potential_minimum(params: ModelParams) -> PotentialProfile:
         if abs(fr) < 1e-12:
             break
         step = fr / (r * r * (4.0 * r - 3.0 * xi))
-        if abs(step) <= 4.0 * np.finfo(float).eps * abs(r):
+        if abs(step) <= 4.0 * _EPS * abs(r):
             break  # at machine resolution; accept if the scaled residual is met
         r -= step
     if abs(f(r)) > 1e-12 * scale:
@@ -148,26 +155,24 @@ def potential_minimum(params: ModelParams) -> PotentialProfile:
             f"potential_minimum: Newton residual {f(r):.3e} above tolerance "
             f"for k_m={k}, xi={xi}"
         )
-    return PotentialProfile(params, r, potential(params, r))
+    return PotentialProfile(params, r, float(_potential_at(params, r)))
 
 
 def turning_points(params: ModelParams, energy: float) -> tuple[float, float]:
     """Solutions r_minus < r_plus of V_m(r) = E bracketing the well.
 
     Bisection on the two monotone branches on either side of r_min; the well
-    I_m is the interval (r_minus, r_plus).  The bisection evaluates V in plain
-    floats with `potential`'s arithmetic, so the roots are the same bits.
+    I_m is the interval (r_minus, r_plus).  The bisection evaluates V with
+    `_potential_at`.  A non-finite energy is a ModelError.
     """
+    if not math.isfinite(energy):
+        raise ModelError(f"energy must be finite, got {energy!r}")
     profile = potential_minimum(params)
     if not energy > profile.v_min:
         raise ModelError(
             f"empty well: E={energy} is not above min V = {profile.v_min}"
         )
     k, xi = params.k, params.xi
-
-    def v(r: float) -> float:
-        return k / (r * r) + (r - xi) * (r - xi)
-
     if k == 0.0:
         # V = (r - xi)^2; the inner branch only reaches V(0+) = xi^2.
         if energy >= xi * xi:
@@ -183,7 +188,7 @@ def turning_points(params: ModelParams, energy: float) -> tuple[float, float]:
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            excess = v(mid) - energy
+            excess = _potential_at(params, mid) - energy
             if abs(excess) <= tol:
                 return mid
             if (excess > 0.0) == increasing:
@@ -191,21 +196,21 @@ def turning_points(params: ModelParams, energy: float) -> tuple[float, float]:
             else:
                 lo = mid
         mid = 0.5 * (lo + hi)
-        if abs(v(mid) - energy) <= 1e-10 * max(1.0, abs(energy)):
+        if abs(_potential_at(params, mid) - energy) <= 1e-10 * max(1.0, abs(energy)):
             return mid
         raise ConvergenceError(
             f"turning point bisection stalled at r={mid} for k_m={k}, xi={xi}, E={energy}"
         )
 
     lo = profile.r_min
-    while v(lo) <= energy:
+    while _potential_at(params, lo) <= energy:
         lo *= 0.5
         if lo < 1e-300:  # unreachable for k > 0: V ~ k/r^2 near 0
             raise ConvergenceError("failed to bracket the inner turning point")
     r_minus = bisect(lo, profile.r_min, increasing=False)
 
     hi = profile.r_min + 1.0
-    while v(hi) <= energy:
+    while _potential_at(params, hi) <= energy:
         hi = profile.r_min + 2.0 * (hi - profile.r_min)
     r_plus = bisect(profile.r_min, hi, increasing=True)
     return r_minus, r_plus

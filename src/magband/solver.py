@@ -5,12 +5,13 @@ conditions at both ends; the nodes r_j = j*h, j = 1..N-1, exclude the singular
 axis r = 0 and the artificial wall r = R.  The discrete operator T is
 symmetric tridiagonal.  `solve_fiber`, `fiber_eigenvalues`, band sweeps and
 crossing iterations all solve it through one fiber step (`_follow`), which
-continues the pairs of the fiber at a nearby xi, or the eigenpairs of the
-harmonic well that V turns into near its minimum (closed-form Hermite
-functions, `_harmonic`), or, as a fallback, of the same fiber on a grid 8
-times coarser (a nested solve; Brandt, Math. Comp. 31, 1977), and otherwise
-bisects (LAPACK's Sturm-sequence bisection plus inverse iteration), so
-bisection runs almost only on grids below 512 intervals.
+continues at most one start per source in the order `_starts` states (the
+closed-form Hermite functions of the harmonic well that V turns into near
+its minimum, when they lead; the pairs of the fiber at a nearby xi; the
+same fiber on a grid 8 times coarser, a nested solve: Brandt, Math. Comp.
+31, 1977), and otherwise bisects (LAPACK's Sturm-sequence bisection plus
+inverse iteration), so bisection runs almost only on grids below 512
+intervals.
 
 A continuation (`_continue_fiber`) is Rayleigh-quotient iteration, one
 tridiagonal LU solve per step, accepted only under a certificate of the band
@@ -30,12 +31,8 @@ rows counted have at least as many eigenvalues below the bound as T
 account for at least as many.  The vectors are zero outside the window.  All
 of it is deterministic for fixed input.
 
-A fiber followed across two samples on one grid starts from a second-order
-prediction (`_starts`): its vectors extrapolated linearly from the two
-samples before it, at Hermite quadratic shifts from their values and
-slopes, so a sample of a dense sweep takes one step.  The start changes the
-number of steps, never the certificate, so a value depends on the samples
-before it only at the rounding level.
+A start changes the number of steps, never the certificate, so a value
+depends on its start only at the rounding level.
 
 Eigenvectors are returned with the continuum normalization h * sum(u^2) = 1
 and sign fixed to be positive near the axis.
@@ -179,10 +176,9 @@ def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
 
     Eigenvalues are simple (the fiber operator is a limit-point Sturm-Liouville
     problem), so the pairs are well defined.  They are the fiber step's
-    (`_follow`): continued from the closed-form start of the harmonic well,
-    or failing that on 512 intervals or more from a nested solve, each value
-    a certified Rayleigh quotient within 8 eps ||T||_1 of an eigenvalue, and
-    otherwise a bisection (a few ulps of ||T||).
+    (`_follow`), continued from the first start of `_starts` that is
+    certified, each value a Rayleigh quotient within 8 eps ||T||_1 of an
+    eigenvalue, and otherwise bisected (a few ulps of ||T||).
     """
     return _follow(params, grid, count, None).pairs
 
@@ -190,8 +186,7 @@ def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
 def fiber_eigenvalues(params: ModelParams, grid: Grid, count: int) -> np.ndarray:
     """The `count` smallest eigenvalues, ascending: the Rayleigh quotients
     (`rayleigh_quotient`) of the fiber step's eigenvectors (`_follow`),
-    continued from the harmonic well's closed-form start, or from a nested
-    solve as its fallback, or bisected, as in `solve_fiber`."""
+    continued from a start of `_starts` or bisected, as in `solve_fiber`."""
     return _follow(params, grid, count, None).values
 
 
@@ -231,10 +226,8 @@ def _follow(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None
     in turn is continued (`_continue_fiber`) on its window of rows; with no
     start left the grid is bisected (`_bisect_fiber`).  A fiber continued
     from `previous` on the same grid keeps that sample's xi, vectors and
-    slopes, so the next step can start from a second-order extrapolation; a
-    start changes the number of steps, not the certified pairs, so a value
-    depends on the start only at the rounding level.  An invalid `count` is a
-    ModelError before any solve.
+    slopes, so the next step can start from a second-order extrapolation.
+    An invalid `count` is a ModelError before any solve.
     """
     count = _integer(count, "eigenpairs", 1, grid.intervals - 1)
     v = potential(params, grid.nodes)
@@ -270,72 +263,63 @@ def _starts(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None
     """(vectors, shifts, window, before) for `_follow` to continue from, in
     turn: start vectors on grid.nodes, their shifts, the rows to work on and
     the `_Fiber.before` of a fiber continued from them.  v is the potential on
-    grid.nodes.
+    grid.nodes.  Each source is offered at most once, in this order:
 
-    From `previous`, the step at a nearby xi, dxi away (on the same grid or a
-    grown grid of the same step): first, when it keeps the sample before it
-    (`_Fiber.before`, dxi0 further back) and dxi != 0, the second-order start
-    u1 + (u1 - u0) dxi/dxi0 at the Hermite shifts
-    lambda1 + lambda1' dxi + (lambda1' - lambda0') dxi^2 / (2 dxi0), with
-    which a dense sweep's sample takes one Rayleigh step; then its own
-    vectors at the first-order shifts lambda + lambda' dxi (its values at
-    dxi = 0, where no quotient or slope is computed).  The closed-form start
-    of the harmonic well (`_harmonic`) comes first with no `previous`.  After
-    a `previous` that keeps no sample before it, it comes first when the
-    first-order start's residual (`_residual`) is at least w, the bound its
-    own gate sets, and second otherwise; after any other `previous` it
-    comes after that fiber's starts.  It is built only when reached, or
-    when the first-order start fails that bound.  Last, as a fallback on
-    512 intervals or more, the same fiber on the grid with 1/8 of the
-    intervals at its values (a nested solve), solved only when reached and
-    skipped when that fails.
+    1. the closed-form start of the harmonic well (`_harmonic`), only when it
+       leads: with no `previous`, or after a `previous` that keeps no sample
+       before it when the residual (`_residual`) of its start is at least w,
+       the bound the closed form's own gate sets;
+    2. the start from `previous`, the step at a nearby xi, dxi away (on the
+       same grid or a grown grid of the same step): its vectors u1 at the
+       shifts lambda1 + lambda1' dxi, or, when it keeps the sample before it
+       (`_Fiber.before`, dxi0 further back), the second-order start
+       u1 + (u1 - u0) dxi/dxi0 at the Hermite shifts
+       lambda1 + lambda1' dxi + (lambda1' - lambda0') dxi^2 / (2 dxi0), with
+       which a dense sweep's sample takes one Rayleigh step (a repeated xi is
+       the same formula at dxi = 0);
+    3. on 512 intervals or more, the same fiber on the grid with 1/8 of the
+       intervals at its values (a nested solve), solved only when reached
+       and skipped when that fails.
+
+    The well (`_well`) is looked up at most once.
     """
     if previous is None:
-        closed = _harmonic(params, grid, count, v)
+        well, start = _well(params), None
     else:
         dxi = params.xi - previous.params.xi
         vectors = [pair.vector for pair in previous.pairs]
         before = None
         if dxi and previous.grid == grid:
             before = (previous.params.xi, vectors, previous.slopes)
-        if previous.before is not None and dxi:
+        shifts = previous.values + previous.slopes * dxi
+        if previous.before is not None:
             xi0, vectors0, slopes0 = previous.before
             dxi0 = previous.params.xi - xi0
-            slopes, ratio = previous.slopes, dxi / dxi0
-            extrapolated = _onto(
-                grid, previous.grid, [u + (u - u0) * ratio for u, u0 in zip(vectors, vectors0)]
-            )
-            shifts = previous.values + slopes * dxi + 0.5 * (slopes - slopes0) / dxi0 * dxi**2
-            yield extrapolated, shifts, _window(grid, extrapolated, abs(dxi)), before
-        if dxi:
-            shifts = previous.values + previous.slopes * dxi
-        else:
-            shifts = [pair.value for pair in previous.pairs]
+            vectors = [u + (u - u0) * (dxi / dxi0) for u, u0 in zip(vectors, vectors0)]
+            shifts += 0.5 * (previous.slopes - slopes0) / dxi0 * dxi**2
         vectors = _onto(grid, previous.grid, vectors)
         window = _window(grid, vectors, abs(dxi))
-        leads = False
+        start, well = (vectors, shifts, window, before), None
         if previous.before is None:
             rival = _residual(grid, v, window, [u[window] for u in vectors], shifts)
             # k >= 0 wherever there is a well, so w >= 1 and a residual below 1
             # keeps the lead without looking the well up
             well = _well(params) if rival >= 1.0 else None
-            leads = well is not None and rival >= well[2]
-        if leads:
-            closed = _harmonic(params, grid, count, v)
-            if closed is not None:
-                yield closed
-        yield vectors, shifts, window, before
-        closed = None if leads else _harmonic(params, grid, count, v)
+            if well is not None and rival < well[2]:
+                well = None
+    closed = _harmonic(grid, count, v, well)
     if closed is not None:
         yield closed
+    if start is not None:
+        yield start
     intervals = grid.intervals // _NESTED_FACTOR
     if grid.intervals >= _NESTED_FLOOR and intervals - 1 >= count:
         try:
-            start = _follow(params, Grid(grid.radius, intervals), count, None)
+            nested = _follow(params, Grid(grid.radius, intervals), count, None)
         except ConvergenceError:
             return
-        vectors = _onto(grid, start.grid, [pair.vector for pair in start.pairs])
-        yield vectors, [pair.value for pair in start.pairs], _window(grid, vectors, 0.0), None
+        vectors = _onto(grid, nested.grid, [pair.vector for pair in nested.pairs])
+        yield vectors, [pair.value for pair in nested.pairs], _window(grid, vectors, 0.0), None
 
 
 def _well(params: ModelParams) -> tuple[float, float, float] | None:
@@ -350,11 +334,11 @@ def _well(params: ModelParams) -> tuple[float, float, float] | None:
     return profile.r_min, profile.v_min, math.sqrt(1.0 + 3.0 * params.k / profile.r_min**4)
 
 
-def _harmonic(params: ModelParams, grid: Grid, count: int, v: np.ndarray):
-    """The closed-form start (vectors, shifts, window, None), or None; v is
-    the potential on grid.nodes.
+def _harmonic(grid: Grid, count: int, v: np.ndarray, well: tuple[float, float, float] | None):
+    """The closed-form start (vectors, shifts, window, None) from `well`, the
+    (r0, V(r0), w) of `_well`, or None; v is the potential on grid.nodes.
 
-    The eigenpairs of the harmonic well (`_well`) are V(r0) + (2j + 1) w
+    The eigenpairs of the harmonic well are V(r0) + (2j + 1) w
     with the Hermite functions psi_j(sqrt(w) (r - r0)), j < count, from
     their three-term recurrence.  They are evaluated only where psi_0's
     Gaussian exceeds _WINDOW, widened by psi_(count-1)'s turning point,
@@ -369,7 +353,6 @@ def _harmonic(params: ModelParams, grid: Grid, count: int, v: np.ndarray):
     trimmed end included) is below w, half the oscillator's level spacing;
     where `_well` finds no well there is no start.
     """
-    well = _well(params)
     if well is None:
         return None
     r0, v0, w = well

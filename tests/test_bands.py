@@ -72,6 +72,16 @@ def test_sweep_validates_inputs():
         sweep(5, [0], [0], np.array([0.0, 1.0]), SWEEP_GRID)  # p >= 1
 
 
+@pytest.mark.parametrize("xi", [[0.0, np.nan, -1.0, 1.0], [0.0, np.inf], [-np.inf, 0.0], [np.nan]])
+def test_sweeps_refuse_non_finite_samples_before_any_fiber_step(monkeypatch, xi):
+    # [0, nan, -1, 1] passed the ascending check, and its NaN was refused
+    # only after the first sample's fiber step
+    monkeypatch.setattr(magband.bands, "_follow", _no_fiber_step)
+    for run in (sweep, refined_sweep):
+        with pytest.raises(ModelError, match="xi_samples must be finite"):
+            run(5, [1], [1], xi, SWEEP_GRID)
+
+
 def test_sweep_refuses_a_grid_whose_wall_is_in_the_well(monkeypatch):
     # on Grid(20, 4800) the wall cuts the m=1 wells at xi = 19 and 25: the
     # values were 1.479 and 36.46 with positive slopes, for a band near 1.01.

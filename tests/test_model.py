@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from magband import (
+    Grid,
     ModelParams,
     ModelError,
+    agmon_weight,
     coupling_constant,
     harmonic_multiplicity,
     landau_level,
@@ -118,6 +120,14 @@ def test_potential_minimum_against_scalar_search(n, m, xi):
     assert prof.v_min == pytest.approx(v_ref, rel=1e-10)
 
 
+@pytest.mark.parametrize("n,m,xi", [(3, 1, -2.0), (5, 1, 0.0), (5, 20, 46.6), (6, 128, 3.7),
+                                    (4, 0, 3.0)])
+def test_potential_minimum_value_is_the_bits_of_potential(n, m, xi):
+    params = ModelParams(n, m, xi)
+    prof = potential_minimum(params)
+    assert prof.v_min == potential(params, prof.r_min)
+
+
 def test_potential_minimum_k_zero():
     prof = potential_minimum(ModelParams(4, 0, 3.0))
     assert prof.r_min == 3.0 and prof.v_min == 0.0
@@ -184,6 +194,16 @@ def test_turning_points_empty_well():
     v_min = potential_minimum(params).v_min
     with pytest.raises(ModelError):
         turning_points(params, v_min - 0.1)
+
+
+@pytest.mark.parametrize("energy", [np.inf, -np.inf, np.nan])
+def test_turning_points_refuse_a_non_finite_energy(energy):
+    # inf raised ZeroDivisionError: the inner bracket halved r until r*r was 0
+    params = ModelParams(5, 2, 1.0)
+    with pytest.raises(ModelError, match="energy must be finite"):
+        turning_points(params, energy)
+    with pytest.raises(ModelError, match="energy must be finite"):
+        agmon_weight(params, energy, Grid(20.0, 800))
 
 
 def test_harmonic_multiplicity_low_dimensions():

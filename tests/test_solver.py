@@ -31,8 +31,10 @@ from magband.solver import (
     _bisect_fiber,
     _continue_fiber,
     _count_below,
+    _follow,
     _harmonic,
     _reach,
+    _well,
     _window,
     assemble,
     fixed_step_grid,
@@ -401,7 +403,7 @@ def test_a_closed_form_start_turned_away_still_gives_the_bisection_pairs(monkeyp
     # the well touches the axis, and the Hermite functions' residual exceeds
     # w: the fiber is solved through the nested start instead
     params, grid = ModelParams(5, m, xi), Grid(20.0, 4800)
-    assert _harmonic(params, grid, 3, potential(params, grid.nodes)) is None
+    assert _harmonic(grid, 3, potential(params, grid.nodes), _well(params)) is None
     log = _record_continuations(monkeypatch)
     pairs = solve_fiber(params, grid, 3)
     assert log[-1] == (grid.intervals, True) and len(log) >= 2
@@ -417,7 +419,7 @@ def test_closed_form_start_is_skipped_where_v_has_no_interior_minimum(n, m, xi):
     params, grid = ModelParams(n, m, xi), Grid(12.0, 960)
     with pytest.raises(ModelError):
         potential_minimum(params)
-    assert _harmonic(params, grid, 3, potential(params, grid.nodes)) is None
+    assert _harmonic(grid, 3, potential(params, grid.nodes), _well(params)) is None
     _assert_bisection_pairs(params, grid, solve_fiber(params, grid, 3), True)
 
 
@@ -427,8 +429,24 @@ def test_closed_form_start_is_skipped_when_potential_minimum_fails(monkeypatch):
 
     monkeypatch.setattr(magband.solver, "potential_minimum", failing)
     params, grid = ModelParams(5, 10, 8.0), Grid(20.0, 1200)
-    assert _harmonic(params, grid, 3, potential(params, grid.nodes)) is None
+    assert _harmonic(grid, 3, potential(params, grid.nodes), _well(params)) is None
     _assert_bisection_pairs(params, grid, solve_fiber(params, grid, 3), True)
+
+
+def test_a_failed_previous_fiber_start_goes_straight_to_the_nested_solve(monkeypatch):
+    # the samples before xi = 8 lie 5.95 away: their second-order start
+    # fails, and the step retries neither it at first order nor the closed
+    # form, which would pass its gate here, but solves the fiber on 150
+    # intervals and continues from that
+    grid, params = Grid(20.0, 1200), ModelParams(5, 10, 8.0)
+    previous = _follow(ModelParams(5, 10, 2.0), grid, 3, None)
+    previous = _follow(ModelParams(5, 10, 2.05), grid, 3, previous)
+    assert _harmonic(grid, 3, potential(params, grid.nodes), _well(params)) is not None
+    log = _record_continuations(monkeypatch)
+    pairs = _follow(params, grid, 3, previous).pairs
+    assert log[0] == (1200, False) and log[-1] == (1200, True)
+    assert all(intervals == 150 for intervals, _ in log[1:-1])
+    _assert_bisection_pairs(params, grid, pairs, True)
 
 
 def test_nested_solve_without_continuation_is_the_bisection(monkeypatch):
