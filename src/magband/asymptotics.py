@@ -23,7 +23,7 @@ import numpy as np
 
 from .bands import BandCurve, refined_sweep
 from .errors import ModelError
-from .model import _integer, coupling_constant
+from .model import _integer, _real, coupling_constant
 from .solver import Grid
 
 _MAX_SAMPLES = 2**22  # longest band a comparison samples; 32 MiB per array
@@ -79,8 +79,7 @@ def expansion_coefficients(p: int, coupling: float, order: int) -> ExpansionCoef
     exact up to rounding, and a larger basis gives the same numbers.
     """
     p, order = _integer(p, "band index p", 1), _integer(order, "expansion order", 0)
-    if not np.isfinite(coupling):
-        raise ModelError(f"coupling must be finite, got {coupling!r}")
+    coupling = _real(coupling, "coupling")
     basis_size = p + 2 * order
     e_p = np.zeros(basis_size)
     e_p[p - 1] = 1.0
@@ -100,7 +99,7 @@ def expansion_coefficients(p: int, coupling: float, order: int) -> ExpansionCoef
 
     return ExpansionCoefficients(
         p=p,
-        coupling=float(coupling),
+        coupling=coupling,
         order=order,
         alphas=alphas,
         modes=modes,
@@ -108,11 +107,14 @@ def expansion_coefficients(p: int, coupling: float, order: int) -> ExpansionCoef
 
 
 def evaluate_expansion(coeffs: ExpansionCoefficients, xi: float) -> float:
-    """Partial sum E_p + k_m * sum_{q<=N} alpha_q / xi^q at one xi > 0."""
-    if not (np.isfinite(xi) and xi > 0):
-        raise ModelError(f"the expansion is asymptotic for xi > 0, got {xi!r}")
-    powers = xi ** -np.arange(1, coeffs.order + 1)
-    return float(2 * coeffs.p - 1 + coeffs.coupling * (coeffs.alphas @ powers))
+    """Partial sum E_p + k_m * sum_{q<=N} alpha_q / xi^q at one xi > 0, if finite."""
+    xi = _real(xi, "expansion point xi", above=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = xi ** -np.arange(1, coeffs.order + 1)
+        value = float(2 * coeffs.p - 1 + coeffs.coupling * (coeffs.alphas @ powers))
+    if not np.isfinite(value):
+        raise ModelError(f"the order-{coeffs.order} partial sum at xi={xi!r} is not finite")
+    return value
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ class RateReport:
 def _remainder_window(coupling: float, xi_window) -> tuple[float, float]:
     """xi_window as floats (lo, hi) with lo < hi and lo past the asymptotic
     onset max(5, 2 sqrt(k_m)), or a ModelError."""
-    lo, hi = float(xi_window[0]), float(xi_window[1])
+    lo, hi = _real(xi_window[0], "xi window start"), _real(xi_window[1], "xi window end")
     onset = max(5.0, 2.0 * np.sqrt(max(coupling, 0.0)))
     if not lo < hi:
         raise ModelError(f"empty xi window [{lo}, {hi}]")
@@ -145,7 +147,7 @@ def _remainder_window(coupling: float, xi_window) -> tuple[float, float]:
 
 def _gap_window(xi_window) -> tuple[float, float]:
     """xi_window as floats (lo, hi) with 0 < lo < hi, or a ModelError."""
-    lo, hi = float(xi_window[0]), float(xi_window[1])
+    lo, hi = _real(xi_window[0], "xi window start"), _real(xi_window[1], "xi window end")
     if not 0 < lo < hi:
         raise ModelError(f"window must satisfy 0 < lo < hi, got [{lo}, {hi}]")
     return lo, hi
@@ -165,6 +167,7 @@ def remainder_rate(
     residuals within _NOISE_MARGIN times it cannot witness a rate and yield
     an indeterminate report instead of a bogus slope.
     """
+    noise_floor = _real(noise_floor, "noise_floor")
     lo, hi = _remainder_window(coeffs.coupling, xi_window)
     mask = (band.xi >= lo) & (band.xi <= hi)
     if np.count_nonzero(mask) < 3:
@@ -210,6 +213,7 @@ def exponential_gap_check(
             f"the exponential regime is the k_m=0 case (n=4, m=0); "
             f"got (n={band.n}, m={band.m})"
         )
+    error_estimate = _real(error_estimate, "error_estimate")
     lo, hi = _gap_window(xi_window)
     mask = (band.xi >= lo) & (band.xi <= hi)
     if np.count_nonzero(mask) < 3:

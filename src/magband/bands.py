@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AgmonOverflowError, BracketError, ConvergenceError, ModelError
-from .model import ModelParams, _integers, landau_level, potential, turning_points
+from .model import ModelParams, _integers, _real, landau_level, potential, turning_points
 from .solver import (
     EigenPair,
     Grid,
@@ -77,7 +77,10 @@ class CrossingResult:
 
 def _xi_samples(xi_samples) -> np.ndarray:
     """xi_samples as a float array: non-empty, 1-d, finite and ascending."""
-    xi = np.asarray(xi_samples, dtype=float)
+    try:
+        xi = np.asarray(xi_samples, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"xi_samples must be real numbers: {exc}") from None
     if xi.ndim != 1 or xi.size == 0:
         raise ModelError("xi_samples must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(xi)):
@@ -178,12 +181,8 @@ def crossing(
             f"crossing requires nonnegative coupling, got k_m={probe.k} for (n={n}, m={m})"
         )
     target = float(landau_level(p))
-    if not (np.isfinite(energy) and energy > target):
-        raise ModelError(
-            f"energy must exceed the Landau level E_p={target}, got {energy!r}"
-        )
-    if not (np.isfinite(tolerance) and tolerance > 0):
-        raise ModelError(f"tolerance must be positive, got {tolerance!r}")
+    energy = _real(energy, f"energy (Landau level E_p={target})", above=target)
+    tolerance = _real(tolerance, "tolerance", above=0.0)
 
     x = float(np.sqrt(probe.k / (energy - target))) if probe.k > 0 else _FLAT_SEED
     grid, lo, hi = None, -np.inf, np.inf  # f > 0 at lo, f < 0 at hi
@@ -199,7 +198,7 @@ def crossing(
         slope = float(fiber.slopes[p - 1])
         if abs(f) <= tolerance:
             return CrossingResult(
-                energy=float(energy),
+                energy=energy,
                 xi=x,
                 slope=slope,
                 coupling=probe.k,
@@ -276,8 +275,7 @@ def scaling_study(
     the energy, which only has to exceed E_p, before its first solve.
     """
     ms = _integers(m_list, "angular number m", 1)
-    if not np.isfinite(energy):
-        raise ModelError(f"energy must be finite, got {energy!r}")
+    energy = _real(energy, "energy")
     m_arr = np.array(ms, dtype=int)
     fit = m_arr >= 5
     if np.count_nonzero(fit) < 2:
@@ -291,7 +289,7 @@ def scaling_study(
     der_slope, der_err = _loglog_slope(k_arr[fit], np.abs(sl_arr[fit]))
 
     return ScalingStudy(
-        energy=float(energy),
+        energy=energy,
         p=int(p),
         m=m_arr,
         coupling=k_arr,
@@ -338,8 +336,7 @@ def agmon_weight(
     params: ModelParams, energy: float, grid: Grid, alpha: float = 2.0
 ) -> AgmonWeight:
     """Cumulative-trapezoid Agmon weight with delta = alpha / sqrt(k_m)."""
-    if not (np.isfinite(alpha) and alpha > 1.5):
-        raise ModelError(f"alpha must exceed 3/2, got {alpha!r}")
+    alpha, energy = _real(alpha, "alpha", above=1.5), _real(energy, "energy")
     if params.k <= 0:
         raise ModelError(f"Agmon scaling needs k_m > 0, got k_m={params.k}")
     r_minus, r_plus = turning_points(params, energy)  # rejects an empty well
@@ -355,8 +352,8 @@ def agmon_weight(
 
     return AgmonWeight(
         delta=float(delta),
-        alpha=float(alpha),
-        energy=float(energy),
+        alpha=alpha,
+        energy=energy,
         values=phi,
         well=(float(r_minus), float(r_plus)),
         grid=grid,

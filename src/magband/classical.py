@@ -16,6 +16,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import AxisApproachError, ModelError
+from .model import _real
 
 R_FLOOR = 1e-6
 _MAX_SAMPLES = 2**25  # largest trajectory integrate stores: 1.5 GiB of states
@@ -102,26 +103,22 @@ def integrate(initial: ClassicalState, t_max: float, dt: float) -> TrajectoryRes
     force is unresolvable there and invariants would silently decay.  More
     than 2^25 samples is a ModelError, raised before anything is allocated.
     """
-    if not (np.isfinite(dt) and dt > 0):
-        raise ModelError(f"time step must be positive, got {dt!r}")
-    if not (np.isfinite(t_max) and t_max >= dt):
+    dt, t_max = _real(dt, "time step", above=0.0), _real(t_max, "t_max")
+    if not t_max >= dt:
         raise ModelError(f"t_max must be at least one step, got {t_max!r}")
     if not t_max / dt <= _MAX_SAMPLES - 1:
         raise ModelError(
             f"t_max / dt = {t_max / dt:.6g} steps, above the limit of {_MAX_SAMPLES - 1}"
         )
     state = (initial.x, initial.y, initial.z, initial.vx, initial.vy, initial.vz)
-    if not np.all(np.isfinite(state)):
-        raise ModelError(f"initial state (x, y, z, vx, vy, vz) must be finite, got {state}")
-    if initial.r <= R_FLOOR:
-        raise ModelError(
-            f"initial radius {initial.r:.3e} is at or below the floor {R_FLOOR}"
-        )
+    x, y, z, vx, vy, vz = (_real(c, "initial state (x, y, z, vx, vy, vz)") for c in state)
+    t0 = _real(initial.t, "initial time t")
+    r = sqrt(x * x + y * y)
+    if r <= R_FLOOR:
+        raise ModelError(f"initial radius {r:.3e} is at or below the floor {R_FLOOR}")
 
     steps = int(round(t_max / dt))
     out = np.empty((steps + 1, 6))
-    x, y, z = initial.x, initial.y, initial.z
-    vx, vy, vz = initial.vx, initial.vy, initial.vz
     out[0] = (x, y, z, vx, vy, vz)
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -163,8 +160,8 @@ def integrate(initial: ClassicalState, t_max: float, dt: float) -> TrajectoryRes
         vy = vy + sixth * (ay1 + 2.0 * (ay2 + ay3) + ay4)
         vz = vz + sixth * (az1 + 2.0 * (az2 + az3) + az4)
         out[i] = (x, y, z, vx, vy, vz)
-    times = initial.t + dt * np.arange(steps + 1)
-    return TrajectoryResult(times=times, states=out, dt=float(dt))
+    times = t0 + dt * np.arange(steps + 1)
+    return TrajectoryResult(times=times, states=out, dt=dt)
 
 
 @dataclass(frozen=True)

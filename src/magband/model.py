@@ -12,6 +12,7 @@ root-finding on the potential; no discretization happens here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -39,6 +40,20 @@ def _integer(value, what: str, least: int, most: int | None = None) -> int:
             rule = f"need an integer count: at least {least} {what} and at most {most}"
         raise ModelError(f"{rule}, got {value!r}")
     return int(value)
+
+
+def _real(value, what: str, above: float | None = None) -> float:
+    """The one rule for a real the API takes: a Python, numpy or Fraction
+    real, finite and > `above` when given, as a float; otherwise a ModelError
+    naming `what`, the rule and the value.  A string is refused, never parsed."""
+    try:
+        number = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int or Fraction past the float range
+        number = math.inf
+    if not (math.isfinite(number) and (above is None or number > above)):
+        rule = {None: "finite", 0: "positive and finite"}.get(above, f"finite and above {above!r}")
+        raise ModelError(f"{what} must be {rule}, got {value!r}")
+    return number
 
 
 def _integers(values, what: str, least: int) -> list[int]:
@@ -84,8 +99,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         _validate_nm(self.n, self.m)
-        if not math.isfinite(self.xi):
-            raise ModelError(f"momentum xi must be finite, got {self.xi!r}")
+        object.__setattr__(self, "xi", _real(self.xi, "momentum xi"))
 
     @property
     def coupling(self) -> Fraction:
@@ -109,7 +123,7 @@ class PotentialProfile:
 def potential(params: ModelParams, r):
     """V_m(r, xi) = k_m/r^2 + (r - xi)^2 for r > 0 (scalar or array)."""
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0):
+    if not np.all(r_arr > 0.0):  # NaN too
         raise ModelError("potential is only defined for r > 0")
     out = params.k / r_arr**2 + (r_arr - params.xi) ** 2
     return out if out.ndim else float(out)
@@ -165,8 +179,7 @@ def turning_points(params: ModelParams, energy: float) -> tuple[float, float]:
     I_m is the interval (r_minus, r_plus).  The bisection evaluates V with
     `_potential_at`.  A non-finite energy is a ModelError.
     """
-    if not math.isfinite(energy):
-        raise ModelError(f"energy must be finite, got {energy!r}")
+    energy = _real(energy, "energy")
     profile = potential_minimum(params)
     if not energy > profile.v_min:
         raise ModelError(

@@ -48,7 +48,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal, lapack
 
 from .errors import ConvergenceError, ModelError, SignPatternError
-from .model import ModelParams, _integer, potential, potential_minimum, turning_points
+from .model import ModelParams, _integer, _real, potential, potential_minimum, turning_points
 
 _SIGNIFICANT = 1e-8  # entries below this fraction of a vector's peak carry no sign
 # Rows where no start vector reaches this fraction of its peak lie outside a
@@ -76,9 +76,8 @@ class Grid:
             raise ModelError(
                 f"a grid of {self.intervals} intervals is above the limit of {_MAX_INTERVALS}"
             )
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise ModelError(f"grid radius must be positive and finite, got {self.radius!r}")
-        radius = float(self.radius)
+        radius = _real(self.radius, "grid radius", above=0.0)
+        object.__setattr__(self, "radius", radius)
         h = radius / self.intervals  # the matrix needs 2/h^2 and R^2 as floats
         if not (h * h > 0.0 and math.isfinite(2.0 / (h * h) + radius * radius)):
             raise ModelError(f"grid radius {radius!r} puts 2/h^2 or R^2 outside the float range")
@@ -144,8 +143,7 @@ def fixed_step_grid(xi: float, energy: float, step: float) -> Grid:
     Raises ModelError on a step that is not finite and positive, or on a grid
     past `Grid`'s interval limit.
     """
-    if not (math.isfinite(step) and step > 0):
-        raise ModelError(f"grid step must be positive and finite, got {step!r}")
+    step = _real(step, "grid step", above=0.0)
     intervals = max(16, math.ceil(_admitted_radius(xi, energy) / step))
     return Grid(intervals * step, intervals)
 
@@ -160,15 +158,14 @@ class EigenPair:
 
 def assemble(params: ModelParams, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of -d^2/dr^2 + V_m(r, xi) on the grid interior."""
-    return _assemble(grid, potential(params, grid.nodes))
+    return _block(grid, potential(params, grid.nodes), slice(None))
 
 
-def _assemble(grid: Grid, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`assemble` from v, the potential on grid.nodes."""
-    h = grid.h
-    diagonal = 2.0 / h**2 + v
-    offdiagonal = np.full(grid.intervals - 2, -1.0 / h**2)
-    return diagonal, offdiagonal
+def _block(grid: Grid, v: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the block T[rows, rows] of `assemble`'s
+    matrix, from v, the potential on grid.nodes."""
+    diagonal = 2.0 / grid.h**2 + v[rows]
+    return diagonal, np.full(diagonal.size - 1, -1.0 / grid.h**2)
 
 
 def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
@@ -232,7 +229,7 @@ def _follow(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None
     count = _integer(count, "eigenpairs", 1, grid.intervals - 1)
     v = potential(params, grid.nodes)
     for vectors, shifts, window, before in _starts(params, grid, count, previous, v):
-        pairs = _continue_fiber(params, grid, vectors, shifts, v, window)
+        pairs = _continue_fiber(grid, vectors, shifts, v, window)
         if pairs is not None:
             return _Fiber(params, grid, pairs, v, before)
     return _Fiber(params, grid, _bisect_fiber(params, grid, count), v)
@@ -466,7 +463,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _continue_fiber(
-    params: ModelParams,
     grid: Grid,
     vectors: list[np.ndarray],
     shifts,
@@ -500,21 +496,22 @@ def _continue_fiber(
     LAPACK failure, it returns None.  Vectors are normalized and sign-fixed
     as in `solve_fiber`.
     """
-    diagonal, offdiagonal = _assemble(grid, v)
-    coupling = -float(offdiagonal[0])
-    norm = max(  # ||T||_1: interior columns hold two off-diagonal entries, end columns one
-        float(np.max(np.abs(diagonal[1:-1]))) + 2.0 * coupling,
-        abs(float(diagonal[0])) + coupling,
-        abs(float(diagonal[-1])) + coupling,
+    # ||T||_1: interior columns hold two off-diagonal entries, end columns one.  Each
+    # diagonal entry is >= 1.75/h^2 > 0 (k >= -1/4, r >= h); rounding is monotone, so
+    # the largest is 2/h^2 + max V, with no full-length temporary
+    coupling, lift = 1.0 / grid.h**2, 2.0 / grid.h**2
+    norm = max(
+        lift + float(v[1:-1].max()) + 2.0 * coupling,
+        lift + float(v[0]) + coupling,
+        lift + float(v[-1]) + coupling,
     )
     tol = 8.0 * _EPS * norm
     a, b = window.start, window.stop
-    leaks = (coupling if a > 0 else 0.0, coupling if b < diagonal.size else 0.0)
+    leaks = (coupling if a > 0 else 0.0, coupling if b < v.size else 0.0)
+    diagonal, offdiagonal = _block(grid, v, window)
     pairs = []
     for u, mu in zip(vectors, shifts):
-        found = _rayleigh_iteration(
-            diagonal[a:b], offdiagonal[a : b - 1], u[a:b], float(mu), tol, leaks
-        )
+        found = _rayleigh_iteration(diagonal, offdiagonal, u[a:b], float(mu), tol, leaks)
         if found is None:
             return None
         mu, z = found
@@ -524,22 +521,20 @@ def _continue_fiber(
         signs = np.signbit(_significant(z))
         if np.count_nonzero(signs[1:] != signs[:-1]) != len(pairs):
             return None
-        vector = np.zeros_like(diagonal)
+        vector = np.zeros_like(v)
         vector[window] = -z if signs[0] else z
         pairs.append(EigenPair(mu, vector))
     values = [pair.value for pair in pairs]
     if any(upper - lower <= 2.0 * tol for lower, upper in zip(values, values[1:])):
         return None
-    if _count_below(diagonal, offdiagonal, v, values[-1] + 2.0 * tol, window) != len(pairs):
+    if _count_below(grid, v, values[-1] + 2.0 * tol, window) != len(pairs):
         return None
     return pairs
 
 
-def _count_below(
-    diagonal: np.ndarray, offdiagonal: np.ndarray, v: np.ndarray, sigma: float, window: slice
-) -> int | None:
+def _count_below(grid: Grid, v: np.ndarray, sigma: float, window: slice) -> int | None:
     """An upper bound of the number of eigenvalues of T below sigma, exact on
-    the full matrix; None on a LAPACK failure.
+    the full matrix, from v on grid.nodes; None on a LAPACK failure.
 
     Each side of `window` = [a, b) is decided alone: a side whose outer rows
     hold some V < sigma extends to the grid's end, and otherwise it is
@@ -554,13 +549,13 @@ def _count_below(
     LAPACK Sturm count (dstebz over a value range from a Gershgorin floor,
     with an abstol so large that no bisection runs).
     """
-    a, b, size = window.start, window.stop, diagonal.size
+    a, b, size = window.start, window.stop, v.size
     if v[:a].min(initial=np.inf) < sigma:
         a = 0
     if v[b:].min(initial=np.inf) < sigma:
         b = size
-    coupling = -float(offdiagonal[0])
-    diagonal, offdiagonal = diagonal[a:b].copy(), offdiagonal[a : b - 1]
+    coupling = 1.0 / grid.h**2
+    diagonal, offdiagonal = _block(grid, v, slice(a, b))
     if a > 0:
         diagonal[0] -= coupling
     if b < size:

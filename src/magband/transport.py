@@ -21,7 +21,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .bands import CrossingResult, _loglog_slope, crossing, sweep
 from .errors import ConvergenceError, MissingBandDataError, ModelError
-from .model import _integer, _integers, coupling_constant, harmonic_multiplicity
+from .model import _integer, _integers, _real, coupling_constant, harmonic_multiplicity
 from .solver import fixed_step_grid
 
 _PROFILE_SAMPLES = 801  # samples per bump profile
@@ -56,12 +56,8 @@ class SpectralWindow:
     upper: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
-            raise ModelError(f"window endpoints must be finite, got ({self.lower}, {self.upper})")
-        if not self.lower < self.upper:
-            raise ModelError(
-                f"window must satisfy lower < upper, got ({self.lower}, {self.upper})"
-            )
+        object.__setattr__(self, "lower", _real(self.lower, "window lower end"))
+        object.__setattr__(self, "upper", _real(self.upper, "window upper end", above=self.lower))
         q_min = max(1, ceil((self.lower + 1.0) / 2.0))
         q_max = floor((self.upper + 1.0) / 2.0)
         if q_max >= q_min:
@@ -82,7 +78,7 @@ class SpectralWindow:
 def _as_window(window) -> SpectralWindow:
     if isinstance(window, SpectralWindow):
         return window
-    return SpectralWindow(float(window[0]), float(window[1]))
+    return SpectralWindow(window[0], window[1])
 
 
 def _lowest_band(win: SpectralWindow) -> int:
@@ -97,11 +93,6 @@ def _lowest_band(win: SpectralWindow) -> int:
 def _check_dimension(n: int) -> None:
     if n < 4:
         raise ModelError(f"transport analysis requires n >= 4, got n={n}")
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise ModelError(f"epsilon must be positive, got {epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -368,7 +359,7 @@ def witness_small_current(n: int, window, epsilon: float) -> tuple[int, float]:
     """
     win = _as_window(window)
     _check_dimension(n)
-    _check_epsilon(epsilon)
+    epsilon = _real(epsilon, "epsilon", above=0.0)
     p = _lowest_band(win)
     for m in _WITNESS_MS:
         value, _ = _bump_current(n, win, m, p, WITNESS_STEP)
@@ -440,7 +431,7 @@ def current_dichotomy(
     cuts = _integers(cutoffs, "cutoff", 0)
     if len(cuts) < 2:
         raise ModelError(f"the bulk decay slope needs at least two cutoffs, got {cuts}")
-    _check_epsilon(epsilon)
+    epsilon = _real(epsilon, "epsilon", above=0.0)
     _check_dimension(n)
     edge, c_minus = edge_current(n, win, _integer(edge_m_max, "edge_m_max", 0), step=step)
     return CurrentDichotomy(

@@ -4,7 +4,9 @@ Pinned literally, so a parameter added to or removed from a public callable
 shows up here as a one-line diff.  The front ends (CLI, acceptance battery,
 scripts) reach the library through public names only.  Every index and count
 the API takes follows one integer rule, stated in `model`: a fractional
-value is a ModelError before any fiber step, never truncated.
+value is a ModelError before any fiber step, never truncated.  Every real
+follows one real rule, stated beside it: a non-finite value, a string or
+None is a ModelError before any fiber step, never parsed.
 """
 
 from __future__ import annotations
@@ -156,6 +158,40 @@ def test_integer_arguments_are_checked_in_model():
     assert stating == ["model.py"]
 
 
+def _restates_finiteness(tree) -> bool:
+    """An isfinite call (math's or numpy's) on a parameter of its function
+    or on a field of `self`: the finiteness rule stated on a scalar input."""
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        arguments = function.args
+        names = {arg.arg for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs}
+        for node in ast.walk(function):
+            if not (isinstance(node, ast.Call) and node.args and "isfinite" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)
+            )):
+                continue
+            checked = node.args[0]
+            if isinstance(checked, ast.Name) and checked.id in names:
+                return True
+            if isinstance(checked, ast.Attribute) and getattr(checked.value, "id", None) == "self":
+                return True
+    return False
+
+
+def test_real_arguments_are_checked_in_model():
+    # the real rule is model._real; no other library module restates it
+    for stated in ("def f(step):\n    return math.isfinite(step)",
+                   "def __post_init__(self):\n    return np.isfinite(self.radius)"):
+        assert _restates_finiteness(ast.parse(stated))
+    stating = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if path not in FRONT_ENDS and _restates_finiteness(ast.parse(path.read_text("utf-8")))
+    )
+    assert stating == []
+
+
 WINDOW = (1.5, 2.5)
 GRID = magband.Grid(12.0, 600)
 
@@ -197,6 +233,75 @@ def test_a_fractional_index_is_refused_before_any_fiber_step(monkeypatch, bad, c
     monkeypatch.setattr(magband.bands, "_follow", no_fiber_step)
     with pytest.raises(magband.ModelError, match=r"integer.*, got (np\.float64\()?[12]\.[05]"):
         ENTRY_POINT_CALLS[call](bad)
+
+
+_BAND = magband.BandCurve(5, 1, 1, np.linspace(8.0, 15.0, 5), np.full(5, 1.01),
+                          np.zeros(5), np.zeros(5))
+_FLAT_BAND = magband.BandCurve(4, 0, 1, np.linspace(2.5, 3.5, 5), np.full(5, 1.001),
+                               np.zeros(5), np.zeros(5))
+_COEFFS = magband.expansion_coefficients(1, 0.75, 4)
+_STATE = (1.0, 0.0, 0.0, 0.1, 0.5, 0.2)
+
+# One call per public entry point and real parameter, with that parameter `bad`.
+REAL_PARAMETER_CALLS = {
+    "ModelParams-xi": lambda bad: magband.ModelParams(5, 1, bad),
+    "turning_points-energy":
+        lambda bad: magband.turning_points(magband.ModelParams(5, 1, 1.0), bad),
+    "Grid-radius": lambda bad: magband.Grid(bad, 600),
+    "crossing-energy": lambda bad: magband.crossing(5, 1, 1, bad),
+    "crossing-tolerance": lambda bad: magband.crossing(5, 1, 1, 2.0, bad),
+    "crossing-step": lambda bad: magband.crossing(5, 1, 1, 2.0, step=bad),
+    "scaling_study-energy": lambda bad: magband.scaling_study(5, 1, bad, [5, 6]),
+    "scaling_study-step": lambda bad: magband.scaling_study(5, 1, 2.0, [5, 6], step=bad),
+    "agmon_weight-energy":
+        lambda bad: magband.agmon_weight(magband.ModelParams(5, 1, 1.0), bad, GRID),
+    "agmon_weight-alpha":
+        lambda bad: magband.agmon_weight(magband.ModelParams(5, 1, 1.0), 2.0, GRID, alpha=bad),
+    "expansion_coefficients-coupling": lambda bad: magband.expansion_coefficients(1, bad, 4),
+    "evaluate_expansion-xi": lambda bad: magband.evaluate_expansion(_COEFFS, bad),
+    "remainder_rate-window-lo": lambda bad: magband.remainder_rate(_BAND, _COEFFS, (bad, 15.0)),
+    "remainder_rate-window-hi": lambda bad: magband.remainder_rate(_BAND, _COEFFS, (8.0, bad)),
+    "remainder_rate-noise_floor":
+        lambda bad: magband.remainder_rate(_BAND, _COEFFS, (8.0, 15.0), noise_floor=bad),
+    "exponential_gap_check-window":
+        lambda bad: magband.exponential_gap_check(_FLAT_BAND, (bad, 3.5)),
+    "exponential_gap_check-error_estimate":
+        lambda bad: magband.exponential_gap_check(_FLAT_BAND, (2.5, 3.5), error_estimate=bad),
+    "band_asymptotics-window":
+        lambda bad: magband.band_asymptotics(5, 1, 1, 2, (bad, 15.0), 9, GRID),
+    "band_asymptotics-flat-window":
+        lambda bad: magband.band_asymptotics(4, 0, 1, 2, (2.5, bad), 9, GRID),
+    "SpectralWindow-lower": lambda bad: magband.SpectralWindow(bad, 2.5),
+    "SpectralWindow-upper": lambda bad: magband.SpectralWindow(1.5, bad),
+    "edge_current-window": lambda bad: magband.edge_current(5, (bad, 2.5), 1),
+    "bands_meeting_window-step":
+        lambda bad: magband.bands_meeting_window(5, WINDOW, 1, step=bad),
+    "witness_small_current-epsilon": lambda bad: magband.witness_small_current(5, WINDOW, bad),
+    "current_dichotomy-epsilon":
+        lambda bad: magband.current_dichotomy(5, WINDOW, 2, [10, 20], bad),
+    "integrate-dt": lambda bad: magband.integrate(magband.ClassicalState(*_STATE), 1.0, bad),
+    "integrate-t_max": lambda bad: magband.integrate(magband.ClassicalState(*_STATE), bad, 1e-3),
+    "integrate-x":
+        lambda bad: magband.integrate(magband.ClassicalState(bad, *_STATE[1:]), 1.0, 1e-3),
+    "integrate-vz":
+        lambda bad: magband.integrate(magband.ClassicalState(*_STATE[:5], bad), 1.0, 1e-3),
+    "integrate-t":
+        lambda bad: magband.integrate(magband.ClassicalState(*_STATE, t=bad), 1.0, 1e-3),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "2.0", None],
+                         ids=["nan", "inf", "-inf", "str", "None"])
+@pytest.mark.parametrize("call", REAL_PARAMETER_CALLS)
+def test_a_non_finite_or_non_numeric_real_is_refused_before_any_fiber_step(monkeypatch, bad, call):
+    def no_fiber_step(*args):
+        raise AssertionError("a fiber step ran before the input was checked")
+
+    monkeypatch.setattr(magband.solver, "_follow", no_fiber_step)
+    monkeypatch.setattr(magband.bands, "_follow", no_fiber_step)
+    refused = r"must be .*finite.*, got (nan|-?inf|'2\.0'|None)$"
+    with pytest.raises(magband.ModelError, match=refused):
+        REAL_PARAMETER_CALLS[call](bad)
 
 
 def test_numpy_integers_give_the_same_answers_as_python_ints():

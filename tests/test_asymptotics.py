@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from magband import (
     ModelError,
+    coupling_constant,
     evaluate_expansion,
     expansion_coefficients,
     exponential_gap_check,
@@ -117,6 +118,18 @@ def test_evaluate_expansion_values():
         evaluate_expansion(coeffs, 0.0)
     with pytest.raises(ModelError):
         evaluate_expansion(coeffs, -3.0)
+    # xi^-2 overflows to inf and alpha_1 = 0 makes 0 * inf: the sum was NaN,
+    # with only a RuntimeWarning
+    with pytest.raises(ModelError, match="partial sum at xi=1e-300 is not finite"):
+        evaluate_expansion(expansion_coefficients(1, 0.75, 4), 1e-300)
+
+
+def test_expansion_takes_the_exact_coupling():
+    # the library's own Fraction coupling raised TypeError
+    exact, rounded = (expansion_coefficients(1, k, 4) for k in (coupling_constant(5, 1), 3.75))
+    assert exact.coupling == rounded.coupling and type(exact.coupling) is float
+    assert np.array_equal(exact.alphas, rounded.alphas)
+    assert all(np.array_equal(a, b) for a, b in zip(exact.modes, rounded.modes, strict=True))
 
 
 # -------------------------------------------------------- remainder diagnostics

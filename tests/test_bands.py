@@ -82,6 +82,15 @@ def test_sweeps_refuse_non_finite_samples_before_any_fiber_step(monkeypatch, xi)
             run(5, [1], [1], xi, SWEEP_GRID)
 
 
+@pytest.mark.parametrize("xi", [["a"], [0.0, 1j], [[0.0], [1.0, 2.0]]])
+def test_sweeps_refuse_non_numeric_samples_before_any_fiber_step(monkeypatch, xi):
+    # np.asarray raised a plain ValueError or TypeError (exit 1 from the CLI)
+    monkeypatch.setattr(magband.bands, "_follow", _no_fiber_step)
+    for run in (sweep, refined_sweep):
+        with pytest.raises(ModelError, match="xi_samples must be real numbers"):
+            run(5, [1], [1], xi, SWEEP_GRID)
+
+
 def test_sweep_refuses_a_grid_whose_wall_is_in_the_well(monkeypatch):
     # on Grid(20, 4800) the wall cuts the m=1 wells at xi = 19 and 25: the
     # values were 1.479 and 36.46 with positive slopes, for a band near 1.01.
@@ -256,7 +265,7 @@ def _continue(params: ModelParams, grid: Grid, pairs, shifts):
     same grid, on the window the fiber step would take."""
     vectors = [pair.vector for pair in pairs]
     return _continue_fiber(
-        params, grid, vectors, shifts, potential(params, grid.nodes), _window(grid, vectors, 0.05)
+        grid, vectors, shifts, potential(params, grid.nodes), _window(grid, vectors, 0.05)
     )
 
 
@@ -366,9 +375,9 @@ def _record_fiber_solves(monkeypatch) -> tuple[list, dict]:
         log.append(("bisect", grid.intervals))
         return bisect(params, grid, count)
 
-    def continued(params, grid, *args):
+    def continued(grid, *args):
         log.append(("continue", grid.intervals))
-        return continue_(params, grid, *args)
+        return continue_(grid, *args)
 
     def counted(routine, kind, diagonal_arg):
         def call(*args, **kwargs):

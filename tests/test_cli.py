@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -511,10 +513,14 @@ def test_acceptance_single_check(capsys, tmp_path):
 
 
 def test_console_script_entry():
+    # the subprocess finds the package on its PYTHONPATH, not on pytest's path
+    src = str(Path(magband.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "magband.cli", "sweep", "--m", "0", "--p", "1",
          "--xi", "0:0:1", "--radius", "12", "--intervals", "600"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith(",".join(SWEEP_HEADER))

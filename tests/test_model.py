@@ -21,7 +21,7 @@ from magband import (
     turning_points,
 )
 
-from magband.model import _integer, _integers
+from magband.model import _integer, _integers, _real
 
 import oracles
 
@@ -69,6 +69,21 @@ def test_integer_rule():
             _integers(values, "m", 0)
 
 
+def test_real_rule():
+    for value in (2.5, np.float64(2.5), np.float32(2.5), Fraction(5, 2)):
+        assert type(_real(value, "width")) is float and _real(value, "width", above=0) == 2.5
+    assert _real(3, "width", above=2.5) == 3.0 and _real(True, "width") == 1.0
+    for value in (np.nan, np.inf, -np.inf, 10**400, "2.0", None, 1 + 0j):
+        with pytest.raises(ModelError, match=r"^width must be finite, got "):
+            _real(value, "width")
+    with pytest.raises(ModelError, match=r"^width must be positive and finite, got 0\.0$"):
+        _real(0.0, "width", above=0.0)
+    with pytest.raises(ModelError, match=r"^width must be finite and above 1\.5, got 1\.5$"):
+        _real(1.5, "width", above=1.5)
+    # a validated dataclass field is stored as the float the rule returns
+    assert type(ModelParams(5, 1, Fraction(1, 2)).xi) is float
+
+
 def test_params_validation():
     with pytest.raises(ModelError):
         ModelParams(2, 0, 0.0)
@@ -107,6 +122,10 @@ def test_potential_values_and_domain():
         potential(params, 0.0)
     with pytest.raises(ModelError):
         potential(params, np.array([1.0, -0.5]))
+    # NaN passed the r <= 0 test and came back as a value
+    for r in (np.nan, np.array([1.0, np.nan])):
+        with pytest.raises(ModelError, match="only defined for r > 0"):
+            potential(params, r)
 
 
 @pytest.mark.parametrize("n,m,xi", [(5, 1, 0.0), (5, 1, 4.0), (4, 2, -3.0),

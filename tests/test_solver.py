@@ -342,8 +342,8 @@ def _record_continuations(monkeypatch) -> list:
     log = []
     continue_ = magband.solver._continue_fiber
 
-    def recorded(params, grid, *args):
-        pairs = continue_(params, grid, *args)
+    def recorded(grid, *args):
+        pairs = continue_(grid, *args)
         log.append((grid.intervals, pairs is not None))
         return pairs
 
@@ -536,9 +536,9 @@ def test_windowed_continuation_at_m_40(monkeypatch, step, dense):
     windows = []
     continue_ = magband.solver._continue_fiber
 
-    def recorded(params, grid, vectors, shifts, v, window):
+    def recorded(grid, vectors, shifts, v, window):
         windows.append((grid.intervals, window))
-        return continue_(params, grid, vectors, shifts, v, window)
+        return continue_(grid, vectors, shifts, v, window)
 
     monkeypatch.setattr(magband.solver, "_continue_fiber", recorded)
     pairs = solve_fiber(params, grid, 2)
@@ -571,7 +571,7 @@ def test_continuation_from_a_vector_off_the_well_is_none_or_right():
         for width in (0.5, 2.0):
             start = np.exp(-0.5 * ((r - center) / width) ** 2)
             for shift in (want.value, want.value + 0.5, 10.0):
-                got = _continue_fiber(params, grid, [start], [shift], v, _window(grid, [start], 0.0))
+                got = _continue_fiber(grid, [start], [shift], v, _window(grid, [start], 0.0))
                 outcomes.add(got is None)
                 if got is not None:
                     assert abs(got[0].value - want.value) <= tol
@@ -590,7 +590,7 @@ def test_continuation_on_a_window_too_narrow_is_none_or_right(cut):
     tol = 8.0 * np.finfo(float).eps * norm
     rows = np.flatnonzero(np.abs(want.vector) > cut * np.max(np.abs(want.vector)))
     window = slice(int(rows[0]), int(rows[-1]) + 1)
-    got = _continue_fiber(params, grid, [want.vector], [want.value], v, window)
+    got = _continue_fiber(grid, [want.vector], [want.value], v, window)
     if cut > 1e-10:
         assert got is None
     if got is not None:
@@ -610,7 +610,6 @@ def test_windowed_sturm_count_matches_the_dense_count(n, m, xi):
     params = ModelParams(n, m, xi)
     grid = fixed_step_grid(xi, 12.0, 1.0 / 16.0)
     diagonal, v, _ = _grid_matrix(params, grid)
-    offdiagonal = np.full(diagonal.size - 1, -1.0 / grid.h**2)
     values = oracles.dense_fiber_eigenvalues(params.k, xi, grid.radius, grid.intervals, 5)
     for lower, upper in zip(values, values[1:]):
         sigma = 0.5 * (lower + upper)
@@ -619,7 +618,7 @@ def test_windowed_sturm_count_matches_the_dense_count(n, m, xi):
         rows = np.flatnonzero(v < sigma + 40.0)
         window = slice(int(rows[0]), int(rows[-1]) + 1)
         assert np.all(np.delete(v, np.arange(diagonal.size)[window]) >= sigma)
-        assert _count_below(diagonal, offdiagonal, v, sigma, window) == want
+        assert _count_below(grid, v, sigma, window) == want
     for value in values:
         # just above an eigenvalue, on the allowed rows alone: the window
         # matrix without its end corrections has that eigenvalue above sigma,
@@ -627,9 +626,7 @@ def test_windowed_sturm_count_matches_the_dense_count(n, m, xi):
         sigma = value + 1e-6
         rows = np.flatnonzero(v < sigma)
         window = slice(int(rows[0]), int(rows[-1]) + 1)
-        assert _count_below(diagonal, offdiagonal, v, sigma, window) >= _dense_count(
-            params, grid, sigma
-        )
+        assert _count_below(grid, v, sigma, window) >= _dense_count(params, grid, sigma)
 
 
 def test_sturm_count_with_the_potential_below_sigma_outside_counts_the_full_grid():
@@ -638,7 +635,6 @@ def test_sturm_count_with_the_potential_below_sigma_outside_counts_the_full_grid
     # own matrix has no eigenvalue below sigma
     params, grid = ModelParams(3, 0, 2.0), Grid(12.0, 240)
     diagonal, v, _ = _grid_matrix(params, grid)
-    offdiagonal = np.full(diagonal.size - 1, -1.0 / grid.h**2)
     values = oracles.dense_fiber_eigenvalues(params.k, 2.0, grid.radius, grid.intervals, 3)
     sigma = 0.5 * (values[1] + values[2])
     window = slice(int(np.searchsorted(grid.nodes, 8.0)), diagonal.size)
@@ -647,17 +643,14 @@ def test_sturm_count_with_the_potential_below_sigma_outside_counts_the_full_grid
         np.diag(diagonal[window]) + np.diag(coupling, 1) + np.diag(coupling, -1)
     )
     assert np.count_nonzero(inner < sigma) == 0 and np.min(v[: window.start]) < sigma
-    assert _count_below(diagonal, offdiagonal, v, sigma, window) == 2 == _dense_count(
-        params, grid, sigma
-    )
+    assert _count_below(grid, v, sigma, window) == 2 == _dense_count(params, grid, sigma)
 
 
 def test_sturm_count_extends_only_the_side_with_the_potential_below_sigma(monkeypatch):
     # (3, 0) has V -> -infinity at the axis: the axis side of the window
     # extends to r = 0, while the wall side, where V >= sigma, stays trimmed
     params, grid = ModelParams(3, 0, 2.0), Grid(12.0, 240)
-    diagonal, v, _ = _grid_matrix(params, grid)
-    offdiagonal = np.full(diagonal.size - 1, -1.0 / grid.h**2)
+    _, v, _ = _grid_matrix(params, grid)
     values = oracles.dense_fiber_eigenvalues(params.k, 2.0, grid.radius, grid.intervals, 3)
     sigma = 0.5 * (values[1] + values[2])
     window = slice(int(np.searchsorted(grid.nodes, 1.0)), int(np.searchsorted(grid.nodes, 8.0)))
@@ -670,7 +663,5 @@ def test_sturm_count_extends_only_the_side_with_the_potential_below_sigma(monkey
         return original(diagonal, *args)
 
     monkeypatch.setattr(magband.solver.lapack, "dstebz", recorded)
-    assert _count_below(diagonal, offdiagonal, v, sigma, window) == 2 == _dense_count(
-        params, grid, sigma
-    )
+    assert _count_below(grid, v, sigma, window) == 2 == _dense_count(params, grid, sigma)
     assert sizes == [window.stop]
