@@ -23,7 +23,7 @@ import numpy as np
 
 from .bands import BandCurve, refined_sweep
 from .errors import ModelError
-from .model import _integer, _real, coupling_constant
+from .model import _integer, _interval, _real, coupling_constant
 from .solver import Grid
 
 _MAX_SAMPLES = 2**22  # longest band a comparison samples; 32 MiB per array
@@ -133,10 +133,8 @@ class RateReport:
 def _remainder_window(coupling: float, xi_window) -> tuple[float, float]:
     """xi_window as floats (lo, hi) with lo < hi and lo past the asymptotic
     onset max(5, 2 sqrt(k_m)), or a ModelError."""
-    lo, hi = _real(xi_window[0], "xi window start"), _real(xi_window[1], "xi window end")
+    lo, hi = _interval(xi_window, "xi window")
     onset = max(5.0, 2.0 * np.sqrt(max(coupling, 0.0)))
-    if not lo < hi:
-        raise ModelError(f"empty xi window [{lo}, {hi}]")
     if lo < onset:
         raise ModelError(
             f"window starts at xi={lo}, inside the pre-asymptotic region "
@@ -147,8 +145,8 @@ def _remainder_window(coupling: float, xi_window) -> tuple[float, float]:
 
 def _gap_window(xi_window) -> tuple[float, float]:
     """xi_window as floats (lo, hi) with 0 < lo < hi, or a ModelError."""
-    lo, hi = _real(xi_window[0], "xi window start"), _real(xi_window[1], "xi window end")
-    if not 0 < lo < hi:
+    lo, hi = _interval(xi_window, "xi window")
+    if not lo > 0:
         raise ModelError(f"window must satisfy 0 < lo < hi, got [{lo}, {hi}]")
     return lo, hi
 

@@ -28,8 +28,8 @@ from .solver import (
     RefinedValue,
     _admit,
     _follow,
-    derivative_boundary_form,
-    derivative_feynman_hellmann,  # not called here; perfbench/tracing.py binds it
+    derivative_boundary_form,  # not called here; perfbench/tracing.py binds it
+    derivative_feynman_hellmann,  # likewise
     fiber_eigenvalues,  # likewise
     fixed_step_grid,
     richardson,
@@ -123,7 +123,7 @@ def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
             for j, p in enumerate(ps):
                 values[j, i] = fiber.values[p - 1]
                 fh[j, i] = fiber.slopes[p - 1]
-                bd[j, i] = derivative_boundary_form(params, fiber.pairs[p - 1], grid)
+                bd[j, i] = fiber.boundary_slopes[p - 1]
         curves.extend(
             BandCurve(n, m, p, xi.copy(), values[j], fh[j], bd[j]) for j, p in enumerate(ps)
         )

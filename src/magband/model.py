@@ -15,7 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -56,6 +56,21 @@ def _real(value, what: str, above: float | None = None) -> float:
     return number
 
 
+def _interval(value, what: str) -> tuple[float, float]:
+    """The one rule for a window the API takes: exactly two reals, each
+    passing `_real`, the second above the first, as floats (lo, hi);
+    otherwise a ModelError naming `what` and the value.  A container of
+    another length is refused, never cut to two."""
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):
+        raise ModelError(f"{what} must be two reals (lower, upper), got {value!r}") from None
+    lo, hi = _real(lo, f"{what} lower end"), _real(hi, f"{what} upper end")
+    if not lo < hi:
+        raise ModelError(f"empty {what} [{lo}, {hi}]")
+    return lo, hi
+
+
 def _integers(values, what: str, least: int) -> list[int]:
     """The distinct entries of the sequence `values` in ascending order, each
     checked by `_integer`; a ModelError when there is none or `values` is not
@@ -84,6 +99,12 @@ def coupling_constant(n: int, m: int) -> Fraction:
     return Fraction(w * w - 1, 4)
 
 
+@cache
+def _float_coupling(n: int, m: int) -> float:
+    """float(coupling_constant(n, m)), computed once per (n, m)."""
+    return float(coupling_constant(n, m))
+
+
 def landau_level(p: int) -> int:
     """Threshold energy E_p = 2p - 1 of the p-th band, p >= 1."""
     return 2 * _integer(p, "band index p", 1) - 1
@@ -107,8 +128,8 @@ class ModelParams:
 
     @cached_property
     def k(self) -> float:
-        """float(coupling), computed once per instance."""
-        return float(self.coupling)
+        """float(coupling), from a cache per (n, m)."""
+        return _float_coupling(self.n, self.m)
 
 
 @dataclass(frozen=True)
@@ -122,7 +143,10 @@ class PotentialProfile:
 
 def potential(params: ModelParams, r):
     """V_m(r, xi) = k_m/r^2 + (r - xi)^2 for r > 0 (scalar or array)."""
-    r_arr = np.asarray(r, dtype=float)
+    try:
+        r_arr = np.asarray(r, dtype=float)
+    except (TypeError, ValueError):
+        raise ModelError(f"potential is only defined for real r > 0, got {r!r}") from None
     if not np.all(r_arr > 0.0):  # NaN too
         raise ModelError("potential is only defined for r > 0")
     out = params.k / r_arr**2 + (r_arr - params.xi) ** 2

@@ -15,7 +15,7 @@ intervals.
 
 A continuation (`_continue_fiber`) is Rayleigh-quotient iteration, one
 tridiagonal LU solve per step, accepted only under a certificate of the band
-indices (the discrete oscillation theorem and a Sturm count) (Parlett, The
+indices (the discrete oscillation theorem and an inertia count) (Parlett, The
 Symmetric Eigenvalue Problem, ch. 4 and 7).  It runs on a window of rows
 (`_window`): those where a start vector exceeds _WINDOW of its peak, widened
 by |dxi| plus one unit of r, since an eigenfunction decays like e^(-d) at
@@ -23,13 +23,12 @@ Agmon distance d from its well.  The iteration factors only the window's
 block of T, but stops on the residual of the zero-padded vector on the full
 T, the window's residual plus the leaks |z|/h^2 of its trimmed ends.  So its
 value is still a Rayleigh quotient of T within 8 eps ||T||_1 of an
-eigenvalue.  The Sturm count runs on the window too, each side trimmed,
-with 1/h^2 taken from its end's diagonal, where V lies above the count's
-bound on every row beyond it, and extended to the grid's end otherwise: the
-rows counted have at least as many eigenvalues below the bound as T
-(Haynsworth inertia additivity; see `_count_below`), and the certified values
-account for at least as many.  The vectors are zero outside the window.  All
-of it is deterministic for fixed input.
+eigenvalue.  The inertia count (`_count_below`) bounds from above the number
+of eigenvalues of T below the top certified value, by one LDL^T pass over
+the window's block, or the block extended to the grid's end on a side where
+V falls below that bound; the certified values account for at least as many.
+The vectors are zero outside the window.  All of it is deterministic for
+fixed input.
 
 A start changes the number of steps, never the certificate, so a value
 depends on its start only at the rounding level.
@@ -188,32 +187,44 @@ def fiber_eigenvalues(params: ModelParams, grid: Grid, count: int) -> np.ndarray
 
 
 class _Fiber:
-    """The lowest eigenpairs of one fiber on one grid, with v the potential on
-    its nodes.  Their Rayleigh quotients (`values`) and Feynman-Hellmann
-    slopes (`slopes`) are computed when first read.  `before` is the xi,
-    vectors and slopes of the fiber this one was continued from on the same
-    grid at another xi, kept as plain arrays so that no chain of fibers
-    builds up, and None otherwise."""
+    """The lowest eigenpairs of one fiber on one grid, with `centrifugal` the
+    xi-independent part k/r^2 of the potential on its nodes.  Their Rayleigh quotients (`values`), Feynman-Hellmann slopes (`slopes`)
+    and boundary-form slopes (`boundary_slopes`) are computed together
+    (`_moments`) when first read.  `before` is the xi, vectors and slopes of
+    the fiber this one was continued from on the same grid at another xi,
+    kept as plain arrays so that no chain of fibers builds up, and None
+    otherwise."""
 
     def __init__(
         self,
         params: ModelParams,
         grid: Grid,
         pairs: list[EigenPair],
-        v: np.ndarray,
+        centrifugal: np.ndarray,
         before: tuple[float, list[np.ndarray], np.ndarray] | None = None,
     ):
-        self.params, self.grid, self.pairs, self.v, self.before = params, grid, pairs, v, before
+        self.params, self.grid, self.pairs = params, grid, pairs
+        self.centrifugal, self.before = centrifugal, before
 
     @cached_property
+    def moments(self) -> list[np.ndarray]:
+        """[values, slopes, boundary_slopes], each with one entry per pair."""
+        per_pair = [
+            _moments(self.params, self.grid, pair.vector, self.centrifugal) for pair in self.pairs
+        ]
+        return [np.array(column) for column in zip(*per_pair)]
+
+    @property
     def values(self) -> np.ndarray:
-        return np.array([_rayleigh_quotient(pair, self.grid, self.v) for pair in self.pairs])
+        return self.moments[0]
 
-    @cached_property
+    @property
     def slopes(self) -> np.ndarray:
-        return np.array(
-            [derivative_feynman_hellmann(self.params, pair, self.grid) for pair in self.pairs]
-        )
+        return self.moments[1]
+
+    @property
+    def boundary_slopes(self) -> np.ndarray:
+        return self.moments[2]
 
 
 def _follow(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None) -> _Fiber:
@@ -223,16 +234,21 @@ def _follow(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None
     in turn is continued (`_continue_fiber`) on its window of rows; with no
     start left the grid is bisected (`_bisect_fiber`).  A fiber continued
     from `previous` on the same grid keeps that sample's xi, vectors and
-    slopes, so the next step can start from a second-order extrapolation.
+    slopes, so the next step can start from a second-order extrapolation,
+    and takes over its k/r^2, which does not depend on xi.
     An invalid `count` is a ModelError before any solve.
     """
     count = _integer(count, "eigenpairs", 1, grid.intervals - 1)
-    v = potential(params, grid.nodes)
+    if previous is not None and previous.grid == grid and previous.params.k == params.k:
+        centrifugal = previous.centrifugal
+    else:
+        centrifugal = params.k / grid.nodes**2
+    v = centrifugal + (grid.nodes - params.xi) ** 2  # potential(params, grid.nodes), bit for bit
     for vectors, shifts, window, before in _starts(params, grid, count, previous, v):
         pairs = _continue_fiber(grid, vectors, shifts, v, window)
         if pairs is not None:
-            return _Fiber(params, grid, pairs, v, before)
-    return _Fiber(params, grid, _bisect_fiber(params, grid, count), v)
+            return _Fiber(params, grid, pairs, centrifugal, before)
+    return _Fiber(params, grid, _bisect_fiber(params, grid, count), centrifugal)
 
 
 def _window(grid: Grid, vectors: list[np.ndarray], dxi: float) -> slice:
@@ -487,14 +503,11 @@ def _continue_fiber(
     eigenpairs in order: the values ascend with gaps above 2 tol (so they
     belong to distinct eigenvalues of T, all below sigma = last value +
     2 tol), vector i has i sign changes over its significant entries
-    (discrete oscillation theorem), and a Sturm count (`_count_below`) bounds
-    the eigenvalues of T below sigma by len(vectors): on the window, each
-    side trimmed with 1/h^2 taken from its end's diagonal where V >= sigma
-    on every row beyond it, and extended to the grid's end otherwise (an
-    upper bound by Haynsworth inertia additivity).  The certified values
-    bound that number from below, so it is exact.  Otherwise, and on any
-    LAPACK failure, it returns None.  Vectors are normalized and sign-fixed
-    as in `solve_fiber`.
+    (discrete oscillation theorem), and the inertia count `_count_below`, an
+    upper bound of the number of eigenvalues of T below sigma, is
+    len(vectors).  The certified values bound that number from below, so it
+    is exact.  Otherwise, and on any LAPACK failure, it returns None.
+    Vectors are normalized and sign-fixed as in `solve_fiber`.
     """
     # ||T||_1: interior columns hold two off-diagonal entries, end columns one.  Each
     # diagonal entry is >= 1.75/h^2 > 0 (k >= -1/4, r >= h); rounding is monotone, so
@@ -515,9 +528,10 @@ def _continue_fiber(
         if found is None:
             return None
         mu, z = found
-        z /= np.sqrt(_dot(z, z) * grid.h)
-        if not np.all(np.isfinite(z)):
+        norm = _dot(z, z)
+        if not (math.isfinite(norm) and norm > 0.0):  # a non-finite entry makes it so
             return None
+        z /= math.sqrt(norm * grid.h)
         signs = np.signbit(_significant(z))
         if np.count_nonzero(signs[1:] != signs[:-1]) != len(pairs):
             return None
@@ -539,15 +553,23 @@ def _count_below(grid: Grid, v: np.ndarray, sigma: float, window: slice) -> int 
     Each side of `window` = [a, b) is decided alone: a side whose outer rows
     hold some V < sigma extends to the grid's end, and otherwise it is
     trimmed, with 1/h^2 subtracted from the diagonal of its end row.  The
-    full T is the case a = 0, b = N.  A trimmed outer block of T - sigma is the Dirichlet difference
-    Laplacian plus V - sigma >= 0, so positive definite, and by Haynsworth's
-    inertia additivity T - sigma has as many negative eigenvalues as their
-    Schur complement: the kept block minus (1/h^4) (block^-1)_corner at each
-    trimmed end.  That corner lies in (0, h^2), since the block dominates the
-    Laplacian, whose corner inverse is h^2 k/(k + 1) on k rows; subtracting
-    the whole 1/h^2 can only add negative eigenvalues.  The count is one
-    LAPACK Sturm count (dstebz over a value range from a Gershgorin floor,
-    with an abstol so large that no bisection runs).
+    full T is the case a = 0, b = N.  A trimmed outer block of T - sigma is
+    the Dirichlet difference Laplacian plus V - sigma >= 0, so positive
+    definite, and by Haynsworth's inertia additivity T - sigma has as many
+    negative eigenvalues as their Schur complement: the kept block minus
+    (1/h^4) (block^-1)_corner at each trimmed end.  That corner lies in
+    (0, h^2), since the block dominates the Laplacian, whose corner inverse
+    is h^2 k/(k + 1) on k rows; subtracting the whole 1/h^2 can only add
+    negative eigenvalues.
+
+    The count is one LDL^T pass (LAPACK dpttrf) over that block B - sigma:
+    each pivot <= 0 removes its row, and the factorization restarts on the
+    row after it (on one row or none, without LAPACK).  What is left is a
+    principal submatrix of B - sigma with positive pivots, so positive
+    definite, and by Cauchy interlacing B has at most as many eigenvalues
+    <= sigma as rows were removed (Parlett, ch. 10).  Its pivots run the
+    Sturm recurrence and share its backward stability (Kahan, Stanford
+    CS41, 1966).
     """
     a, b, size = window.start, window.stop, v.size
     if v[:a].min(initial=np.inf) < sigma:
@@ -555,14 +577,19 @@ def _count_below(grid: Grid, v: np.ndarray, sigma: float, window: slice) -> int 
     if v[b:].min(initial=np.inf) < sigma:
         b = size
     coupling = 1.0 / grid.h**2
-    diagonal, offdiagonal = _block(grid, v, slice(a, b))
+    diagonal = v[a:b] + (2.0 * coupling - sigma)
+    offdiagonal = np.full(diagonal.size - 1, -coupling)
     if a > 0:
         diagonal[0] -= coupling
     if b < size:
         diagonal[-1] -= coupling
-    floor = float(np.min(diagonal)) - 2.0 * coupling - 1.0
-    below, *_, info = lapack.dstebz(diagonal, offdiagonal, 1, floor, sigma, 0, 0, 1e30, "B")
-    return below if info == 0 else None
+    removed = start = 0
+    while diagonal.size - start > 1:  # f2py refuses an empty off-diagonal
+        *_, info = lapack.dpttrf(diagonal[start:], offdiagonal[start:])
+        if info <= 0:
+            return removed if info == 0 else None
+        removed, start = removed + 1, start + info  # drop the row of the pivot <= 0
+    return removed + int(diagonal.size - start == 1 and diagonal[start] <= 0.0)
 
 
 def _rayleigh_iteration(diagonal, offdiagonal, z, mu, tol, leaks):
@@ -572,7 +599,7 @@ def _rayleigh_iteration(diagonal, offdiagonal, z, mu, tol, leaks):
     rows outside it, 0 at an end of the grid.
 
     A function of its own so that its LU factors and residual are freed
-    before the caller's Sturm count, the largest allocation of a
+    before the caller's inertia count, the largest allocation of a
     continuation.
     """
     for _ in range(_RQI_STEPS):
@@ -603,17 +630,7 @@ def rayleigh_quotient(params: ModelParams, pair: EigenPair, grid: Grid) -> float
     xi to rounding: the bisection value scatters by a few ulps of the matrix
     norm, and k/h^2 on the first diagonal entry makes that norm large.
     """
-    return _rayleigh_quotient(pair, grid, potential(params, grid.nodes))
-
-
-def _rayleigh_quotient(pair: EigenPair, grid: Grid, v: np.ndarray) -> float:
-    """`rayleigh_quotient` from v, the potential on grid.nodes."""
-    u = pair.vector
-    jumps = np.empty(u.size + 1)
-    jumps[0], jumps[-1] = u[0], -u[-1]
-    np.subtract(u[1:], u[:-1], out=jumps[1:-1])
-    kinetic = (jumps**2).sum() / grid.h
-    return float(kinetic + grid.h * (v * u**2).sum())
+    return _moments(params, grid, pair.vector, params.k / grid.nodes**2)[0]
 
 
 def derivative_feynman_hellmann(params: ModelParams, pair: EigenPair, grid: Grid) -> float:
@@ -624,8 +641,7 @@ def derivative_feynman_hellmann(params: ModelParams, pair: EigenPair, grid: Grid
     against centered differences of the solved eigenvalue to near machine
     precision.
     """
-    r = grid.nodes
-    return float(-2.0 * grid.h * ((r - params.xi) * pair.vector**2).sum())
+    return _moments(params, grid, pair.vector, params.k / grid.nodes**2)[1]
 
 
 def derivative_boundary_form(params: ModelParams, pair: EigenPair, grid: Grid) -> float:
@@ -643,16 +659,44 @@ def derivative_boundary_form(params: ModelParams, pair: EigenPair, grid: Grid) -
       u(r_1)/h.
     * otherwise: -2 k integral u^2/r^3 dr.
     """
-    r = grid.nodes
-    u = pair.vector
+    return _moments(params, grid, pair.vector, params.k / grid.nodes**2)[2]
+
+
+def _moments(
+    params: ModelParams, grid: Grid, u: np.ndarray, centrifugal: np.ndarray
+) -> tuple[float, float, float]:
+    """(`rayleigh_quotient`, `derivative_feynman_hellmann`,
+    `derivative_boundary_form`) of the grid vector u, from one u^2, with
+    centrifugal = k/r^2 on grid.nodes.
+
+    Each is a pairwise sum (numpy's .sum()) over the rows where u is
+    nonzero, which it finds itself, so every caller gets the same bits; a
+    continued vector is zero outside its window.  At (n, m) = (3, 0) the
+    rows are the whole grid, since there the boundary form's integrand has
+    a tail past the vector's support.
+    """
     if params.n == 3 and params.m == 0:
-        y = u[:3] ** 2 / r[:3]
+        lo, hi = 0, u.size
+    else:
+        nonzero = u != 0.0
+        lo, hi = int(nonzero.argmax()), u.size - int(nonzero[::-1].argmax())
+    h, z, r = grid.h, u[lo:hi], grid.nodes[lo:hi]
+    jumps = np.empty(z.size + 1)  # u is zero past both ends of the rows
+    jumps[0], jumps[-1] = z[0], -z[-1]
+    np.subtract(z[1:], z[:-1], out=jumps[1:-1])
+    square, offset = z * z, r - params.xi
+    v = centrifugal[lo:hi] + offset * offset  # the bits of `potential` on the rows
+    value = (jumps * jumps).sum() / h + h * (v * square).sum()
+    slope = -2.0 * h * (offset * square).sum()
+    if params.n == 3 and params.m == 0:
+        y = square[:3] / r[:3]
         k_axis = 3.0 * y[0] - 3.0 * y[1] + y[2]
-        integral = grid.h * ((u**2 / r - k_axis) / r**2).sum()
-        return float(-integral + k_axis / grid.radius)
-    if params.k == 0.0:
-        return float(-((u[0] / grid.h) ** 2))
-    return float(-2.0 * params.k * grid.h * (u**2 / r**3).sum())
+        boundary = -h * ((square / r - k_axis) / r**2).sum() + k_axis / grid.radius
+    elif params.k == 0.0:
+        boundary = -((u[0] / h) ** 2)
+    else:
+        boundary = -2.0 * h * (square * centrifugal[lo:hi] / r).sum()
+    return float(value), float(slope), float(boundary)
 
 
 def boundary_exponent(

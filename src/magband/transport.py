@@ -21,7 +21,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .bands import CrossingResult, _loglog_slope, crossing, sweep
 from .errors import ConvergenceError, MissingBandDataError, ModelError
-from .model import _integer, _integers, _real, coupling_constant, harmonic_multiplicity
+from .model import _integer, _integers, _interval, _real, coupling_constant, harmonic_multiplicity
 from .solver import fixed_step_grid
 
 _PROFILE_SAMPLES = 801  # samples per bump profile
@@ -56,8 +56,9 @@ class SpectralWindow:
     upper: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lower", _real(self.lower, "window lower end"))
-        object.__setattr__(self, "upper", _real(self.upper, "window upper end", above=self.lower))
+        lower, upper = _interval((self.lower, self.upper), "window")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
         q_min = max(1, ceil((self.lower + 1.0) / 2.0))
         q_max = floor((self.upper + 1.0) / 2.0)
         if q_max >= q_min:
@@ -78,7 +79,7 @@ class SpectralWindow:
 def _as_window(window) -> SpectralWindow:
     if isinstance(window, SpectralWindow):
         return window
-    return SpectralWindow(window[0], window[1])
+    return SpectralWindow(*_interval(window, "window"))
 
 
 def _lowest_band(win: SpectralWindow) -> int:

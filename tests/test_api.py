@@ -179,15 +179,39 @@ def _restates_finiteness(tree) -> bool:
     return False
 
 
+def _restates_the_pair_rule(tree) -> bool:
+    """A window parameter of its function indexed by a constant (window[0]):
+    the pair rule stated on a window input."""
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        arguments = function.args
+        names = {arg.arg for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs}
+        for node in ast.walk(function):
+            if (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in names
+                and "window" in node.value.id
+                and isinstance(node.slice, ast.Constant)
+            ):
+                return True
+    return False
+
+
 def test_real_arguments_are_checked_in_model():
-    # the real rule is model._real; no other library module restates it
+    # the real rule is model._real, and the pair rule for windows
+    # model._interval; no other library module restates either
     for stated in ("def f(step):\n    return math.isfinite(step)",
                    "def __post_init__(self):\n    return np.isfinite(self.radius)"):
         assert _restates_finiteness(ast.parse(stated))
+    assert _restates_the_pair_rule(ast.parse("def f(xi_window):\n    return xi_window[1]"))
     stating = sorted(
         path.name
         for path in PACKAGE.glob("*.py")
-        if path not in FRONT_ENDS and _restates_finiteness(ast.parse(path.read_text("utf-8")))
+        if path not in FRONT_ENDS
+        and any(restates(ast.parse(path.read_text("utf-8")))
+                for restates in (_restates_finiteness, _restates_the_pair_rule))
     )
     assert stating == []
 
@@ -302,6 +326,37 @@ def test_a_non_finite_or_non_numeric_real_is_refused_before_any_fiber_step(monke
     refused = r"must be .*finite.*, got (nan|-?inf|'2\.0'|None)$"
     with pytest.raises(magband.ModelError, match=refused):
         REAL_PARAMETER_CALLS[call](bad)
+
+
+# One call per public entry point that takes a window, with that window `bad`.
+WINDOW_CALLS = {
+    "band_asymptotics": lambda bad: magband.band_asymptotics(5, 1, 1, 2, bad, 9, GRID),
+    "band_asymptotics-flat": lambda bad: magband.band_asymptotics(4, 0, 1, 2, bad, 9, GRID),
+    "remainder_rate": lambda bad: magband.remainder_rate(_BAND, _COEFFS, bad),
+    "exponential_gap_check": lambda bad: magband.exponential_gap_check(_FLAT_BAND, bad),
+    "edge_current": lambda bad: magband.edge_current(5, bad, 1),
+    "bands_meeting_window": lambda bad: magband.bands_meeting_window(5, bad, 1),
+    "bulk_decay_study": lambda bad: magband.bulk_decay_study(5, bad, [10]),
+    "current_dichotomy": lambda bad: magband.current_dichotomy(5, bad, 2, [10, 20], 1e-2),
+    "witness_small_current": lambda bad: magband.witness_small_current(5, bad, 1e-2),
+    "synthesize_state": lambda bad: magband.synthesize_state(5, bad, [(0, 1, 1)]),
+}
+
+
+@pytest.mark.parametrize("bad", [(8.0,), None, 8.0, (8.0, 9.0, 15.0), (15.0, 8.0)],
+                         ids=["one", "None", "scalar", "three", "descending"])
+@pytest.mark.parametrize("call", WINDOW_CALLS)
+def test_a_window_that_is_not_two_ascending_reals_is_refused_before_any_fiber_step(
+    monkeypatch, bad, call
+):
+    def no_fiber_step(*args):
+        raise AssertionError("a fiber step ran before the input was checked")
+
+    monkeypatch.setattr(magband.solver, "_follow", no_fiber_step)
+    monkeypatch.setattr(magband.bands, "_follow", no_fiber_step)
+    refused = r"window (must be two reals \(lower, upper\), got .*|\[15\.0, 8\.0\])$"
+    with pytest.raises(magband.ModelError, match=refused):
+        WINDOW_CALLS[call](bad)
 
 
 def test_numpy_integers_give_the_same_answers_as_python_ints():

@@ -173,7 +173,7 @@ def test_dense_sweep_takes_one_rayleigh_step_per_sample(monkeypatch):
         return _follow(*args)
 
     monkeypatch.setattr(magband.solver, "lapack", SimpleNamespace(
-        dgttrf=dgttrf, dgttrs=lapack.dgttrs, dstebz=lapack.dstebz
+        dgttrf=dgttrf, dgttrs=lapack.dgttrs, dpttrf=lapack.dpttrf
     ))
     monkeypatch.setattr(magband.bands, "_follow", sample)
     (curve,) = sweep(5, [1], [1], xi, grid)
@@ -210,8 +210,10 @@ def test_followed_fibers_keep_no_chain():
 
 
 def test_follow_evaluates_the_potential_once_per_fiber(monkeypatch):
-    # one evaluation per followed sample serves its continuation and all three
-    # Rayleigh quotients; the first sample's nested solve adds one per grid
+    # each followed sample builds V once, for its continuation and all three
+    # pairs' moments, from the k/r^2 its chain built once on the grid, the
+    # bits of `potential`; only the first sample's nested solve bisects, and
+    # bisection assembles T through `potential`
     calls = []
     for module in (magband.bands, magband.solver):
         def counted(params, r, _original=module.potential):
@@ -221,7 +223,15 @@ def test_follow_evaluates_the_potential_once_per_fiber(monkeypatch):
         monkeypatch.setattr(module, "potential", counted)
     xi = np.linspace(0.0, 2.0, 21)
     sweep(5, [2], (1, 2, 3), xi, SWEEP_GRID)
-    assert len(calls) == xi.size + 2
+    assert calls == [SWEEP_GRID.intervals // 8 - 1]
+    monkeypatch.undo()
+    fiber, nodes = None, SWEEP_GRID.nodes
+    for x in xi[:3]:
+        params = ModelParams(5, 2, x)
+        chain = fiber
+        fiber = _follow(params, SWEEP_GRID, 3, chain)
+        assert chain is None or fiber.centrifugal is chain.centrifugal
+        assert np.array_equal(fiber.centrifugal + (nodes - x) ** 2, potential(params, nodes))
     # and the quotients are the public one's, to the bit
     res = crossing(5, 2, 1, 2.0)
     quotient = rayleigh_quotient(ModelParams(5, 2, res.xi), res.pair, res.grid)
@@ -364,10 +374,11 @@ def test_crossing_flat_band_solve_count(monkeypatch):
 def _record_fiber_solves(monkeypatch) -> tuple[list, dict]:
     """Record ("bisect" | "continue", grid intervals) for each solve of the
     fiber step, nested ones included, and count the rows of the
-    continuations' LU factorizations and Sturm counts (through
-    `magband.solver.lapack`): "lu" and "sturm", against "lu_grid" and
-    "sturm_grid", the rows the same calls take on the whole grid."""
-    log, rows = [], dict.fromkeys(("lu", "lu_grid", "sturm", "sturm_grid"), 0)
+    continuations' LU factorizations and the LDL^T factorizations of their
+    inertia counts (through `magband.solver.lapack`): "lu" and "inertia",
+    against "lu_grid" and "inertia_grid", the rows the same calls take on
+    the whole grid."""
+    log, rows = [], dict.fromkeys(("lu", "lu_grid", "inertia", "inertia_grid"), 0)
     bisect, continue_ = magband.solver._bisect_fiber, magband.solver._continue_fiber
     lapack = magband.solver.lapack
 
@@ -392,7 +403,7 @@ def _record_fiber_solves(monkeypatch) -> tuple[list, dict]:
     monkeypatch.setattr(magband.solver, "lapack", SimpleNamespace(
         dgttrf=counted(lapack.dgttrf, "lu", 1),  # dgttrf(dl, d, du)
         dgttrs=lapack.dgttrs,
-        dstebz=counted(lapack.dstebz, "sturm", 0),  # dstebz(d, e, ...)
+        dpttrf=counted(lapack.dpttrf, "inertia", 0),  # dpttrf(d, e)
     ))
     return log, rows
 
@@ -404,7 +415,7 @@ def test_check_09_continuations_work_on_the_rows_the_mode_occupies(monkeypatch):
     assert magband.acceptance.check_agmon_uniformity().passed
     assert sum(kind == "continue" for kind, _ in log) >= 31
     assert 0 < rows["lu"] <= 0.6 * rows["lu_grid"]
-    assert 0 < rows["sturm"] <= 0.6 * rows["sturm_grid"]
+    assert 0 < rows["inertia"] <= 0.6 * rows["inertia_grid"]
 
 
 @pytest.mark.parametrize("n,m,p,energy", [(5, 20, 1, 2.0), (5, 40, 2, 3.6)])

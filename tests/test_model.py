@@ -102,10 +102,13 @@ def test_params_k_is_computed_once_and_leaves_identity_alone(monkeypatch):
     original = magband.model.coupling_constant
     monkeypatch.setattr(magband.model, "coupling_constant",
                         lambda n, m: made.append((n, m)) or original(n, m))
+    magband.model._float_coupling.cache_clear()
     for n, m in [(3, 0), (4, 0), (5, 2), (7, 40), (5, 4096)]:
         read, fresh = ModelParams(n, m, 1.5), ModelParams(n, m, 1.5)
         before = len(made)
         assert read.k == read.k == float(Fraction((2 * m + n - 3) ** 2 - 1, 4))
+        # once per (n, m), not once per instance
+        assert fresh.k == read.k and ModelParams(n, m, 2.5).k == read.k
         assert len(made) - before == 1
         # the cached float changes neither equality nor hash
         assert read == fresh and hash(read) == hash(fresh)
@@ -126,6 +129,9 @@ def test_potential_values_and_domain():
     for r in (np.nan, np.array([1.0, np.nan])):
         with pytest.raises(ModelError, match="only defined for r > 0"):
             potential(params, r)
+    # a string reached numpy's ValueError
+    with pytest.raises(ModelError, match=r"only defined for real r > 0, got 'a'$"):
+        potential(params, "a")
 
 
 @pytest.mark.parametrize("n,m,xi", [(5, 1, 0.0), (5, 1, 4.0), (4, 2, -3.0),

@@ -605,8 +605,22 @@ def _dense_count(params: ModelParams, grid: Grid, sigma: float) -> int:
     return int(np.count_nonzero(values < sigma))
 
 
-@pytest.mark.parametrize("n,m,xi", [(5, 10, 6.0), (5, 40, 41.0), (4, 0, 3.0)])
-def test_windowed_sturm_count_matches_the_dense_count(n, m, xi):
+def _record_inertia_passes(monkeypatch) -> list[tuple[int, int]]:
+    """(rows, info) of each LDL^T factorization (dpttrf) the count runs."""
+    calls, original = [], magband.solver.lapack.dpttrf
+
+    def recorded(diagonal, *args):
+        *factors, info = original(diagonal, *args)
+        calls.append((diagonal.size, info))
+        return (*factors, info)
+
+    monkeypatch.setattr(magband.solver.lapack, "dpttrf", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("n,m,xi,left", [(5, 10, 6.0, 1), (5, 40, 41.0, 1), (4, 0, 3.0, 0)],
+                         ids=["5-10-6.0", "5-40-41.0", "4-0-3.0"])
+def test_windowed_sturm_count_matches_the_dense_count(monkeypatch, n, m, xi, left):
     params = ModelParams(n, m, xi)
     grid = fixed_step_grid(xi, 12.0, 1.0 / 16.0)
     diagonal, v, _ = _grid_matrix(params, grid)
@@ -619,6 +633,7 @@ def test_windowed_sturm_count_matches_the_dense_count(n, m, xi):
         window = slice(int(rows[0]), int(rows[-1]) + 1)
         assert np.all(np.delete(v, np.arange(diagonal.size)[window]) >= sigma)
         assert _count_below(grid, v, sigma, window) == want
+    calls = _record_inertia_passes(monkeypatch)
     for value in values:
         # just above an eigenvalue, on the allowed rows alone: the window
         # matrix without its end corrections has that eigenvalue above sigma,
@@ -627,6 +642,19 @@ def test_windowed_sturm_count_matches_the_dense_count(n, m, xi):
         rows = np.flatnonzero(v < sigma)
         window = slice(int(rows[0]), int(rows[-1]) + 1)
         assert _count_below(grid, v, sigma, window) >= _dense_count(params, grid, sigma)
+    # there some pivot <= 0 falls on the block's last row or the one before,
+    # so that the pass restarts on no row or on one, which LAPACK never sees
+    assert left in {size - info for size, info in calls if info > 0}
+    for j, value in enumerate(values):
+        # just above an eigenvalue on the whole grid: the count is exact
+        sigma = value + 1e-6
+        assert _count_below(grid, v, sigma, slice(0, v.size)) == j + 1
+        assert _dense_count(params, grid, sigma) == j + 1
+    # above the whole spectrum every row is removed, the last one without LAPACK
+    top = oracles.dense_fiber_eigenvalues(
+        params.k, xi, grid.radius, grid.intervals, grid.intervals - 1
+    )[-1]
+    assert _count_below(grid, v, top + 1.0, slice(0, v.size)) == v.size
 
 
 def test_sturm_count_with_the_potential_below_sigma_outside_counts_the_full_grid():
@@ -655,13 +683,9 @@ def test_sturm_count_extends_only_the_side_with_the_potential_below_sigma(monkey
     sigma = 0.5 * (values[1] + values[2])
     window = slice(int(np.searchsorted(grid.nodes, 1.0)), int(np.searchsorted(grid.nodes, 8.0)))
     assert np.min(v[: window.start]) < sigma <= np.min(v[window.stop :])
-    sizes = []
-    original = magband.solver.lapack.dstebz
-
-    def recorded(diagonal, *args):
-        sizes.append(diagonal.size)
-        return original(diagonal, *args)
-
-    monkeypatch.setattr(magband.solver.lapack, "dstebz", recorded)
+    calls = _record_inertia_passes(monkeypatch)
     assert _count_below(grid, v, sigma, window) == 2 == _dense_count(params, grid, sigma)
-    assert sizes == [window.stop]
+    # the pass starts on rows [0, window.stop) and restarts past each of the
+    # two rows it removes
+    assert calls[0][0] == window.stop and len(calls) <= 3
+    assert all(size == rows - info for (rows, info), (size, _) in zip(calls, calls[1:]))
