@@ -3,15 +3,15 @@
 Second-order central differences on a uniform grid over (0, R) with Dirichlet
 conditions at both ends; the nodes r_j = j*h, j = 1..N-1, exclude the singular
 axis r = 0 and the artificial wall r = R.  The discrete operator T is
-symmetric tridiagonal.  `solve_fiber`, `fiber_eigenvalues`, band sweeps and
-crossing iterations all solve it through one fiber step (`_follow`), which
-continues at most one start per source in the order `_starts` states (the
-closed-form Hermite functions of the harmonic well that V turns into near
-its minimum, when they lead; the pairs of the fiber at a nearby xi; the
-same fiber on a grid 8 times coarser, a nested solve: Brandt, Math. Comp.
-31, 1977), and otherwise bisects (LAPACK's Sturm-sequence bisection plus
-inverse iteration), so bisection runs almost only on grids below 512
-intervals.
+symmetric tridiagonal, stated once, in `_block`.  `solve_fiber`,
+`fiber_eigenvalues`, band sweeps and crossing iterations all solve it
+through one fiber step (`_follow`), which continues at most one start per
+source in the order `_starts` states (the closed-form Hermite functions of
+the harmonic well that V turns into near its minimum, when they lead; the
+pairs of the fiber at a nearby xi; the same fiber on a grid 8 times
+coarser, a nested solve: Brandt, Math. Comp. 31, 1977), and otherwise
+bisects (LAPACK's Sturm-sequence bisection plus inverse iteration), so
+bisection runs almost only on grids below 512 intervals.
 
 A continuation (`_continue_fiber`) is Rayleigh-quotient iteration, one
 tridiagonal LU solve per step, accepted only under a certificate of the band
@@ -157,14 +157,28 @@ class EigenPair:
 
 def assemble(params: ModelParams, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of -d^2/dr^2 + V_m(r, xi) on the grid interior."""
-    return _block(grid, potential(params, grid.nodes), slice(None))
+    return _block(grid, potential(params, grid.nodes), slice(0, grid.intervals - 1))[:2]
 
 
-def _block(grid: Grid, v: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the block T[rows, rows] of `assemble`'s
-    matrix, from v, the potential on grid.nodes."""
-    diagonal = 2.0 / grid.h**2 + v[rows]
-    return diagonal, np.full(diagonal.size - 1, -1.0 / grid.h**2)
+def _block(grid: Grid, v: np.ndarray, rows: slice, shift=0.0):
+    """The one statement of T: (diagonal, off-diagonal, leaks) of the block
+    T[rows, rows] - shift, from v, the potential on grid.nodes.  The leaks
+    couple its first and last rows to the rows outside it: 1/h^2 on a side
+    trimmed from the grid, 0 at the grid's end."""
+    coupling = 1.0 / grid.h**2
+    diagonal = v[rows] + (2.0 * coupling - shift)
+    leaks = (coupling if rows.start > 0 else 0.0, coupling if rows.stop < v.size else 0.0)
+    return diagonal, np.full(diagonal.size - 1, -coupling), leaks
+
+
+def _one_norm(grid: Grid, v: np.ndarray) -> float:
+    """||T||_1 from v, the potential on grid.nodes.  Interior columns hold two
+    off-diagonal entries, end columns one.  Each diagonal entry is >= 1.75/h^2
+    > 0 (k >= -1/4, r >= h); rounding is monotone, so the largest is 2/h^2 +
+    max V, with no full-length temporary."""
+    coupling, lift = 1.0 / grid.h**2, 2.0 / grid.h**2
+    ends = lift + max(float(v[0]), float(v[-1])) + coupling
+    return max(lift + float(v[1:-1].max()) + 2.0 * coupling, ends)
 
 
 def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
@@ -381,17 +395,9 @@ def _harmonic(grid: Grid, count: int, v: np.ndarray, well: tuple[float, float, f
     lo = centre + 1 - int(np.searchsorted(inward, -math.log(_WINDOW) / h))
     if hi - lo <= count:
         return None
-    # The first row's residual of psi_0, over a bound of ||psi_0|| (a Gaussian
-    # summed on nodes s apart is at most 1 + sqrt(pi)/s), bounds its gate
-    # residual from below: a well at the axis fails there before any array.
-    s, coupling = math.sqrt(w) * h, 1.0 / h**2
-    z0, z1 = (math.exp(-0.5 * ((node - r0 / h) * s) ** 2) for node in (lo + 1, lo + 2))
-    row = (v[lo] + (2.0 * coupling - shifts[0])) * z0 - coupling * z1
-    if row * row + (coupling * z0) ** 2 * (lo > 0) >= w * w * (1.0 + math.sqrt(math.pi) / s):
-        return None
     x = np.arange(lo + 1.0, hi + 1.0)
     x -= r0 / h
-    x *= s
+    x *= math.sqrt(w) * h
     psi = [0.0, np.exp(x * x * -0.5)]  # psi_(-1) = 0 and psi_0
     for j in range(count):  # the gate turns most starts away at psi_0
         if j:
@@ -407,22 +413,30 @@ def _harmonic(grid: Grid, count: int, v: np.ndarray, well: tuple[float, float, f
 def _residual(grid: Grid, v: np.ndarray, rows: slice, vectors: list[np.ndarray], shifts) -> float:
     """The largest ||(T - mu) z|| / ||z|| on the full grid matrix T, over
     start vectors z given on `rows` and zero outside them, and their shifts
-    mu: the rows' residual with the leaks |z|/h^2 of a trimmed end, as in
-    `_continue_fiber`.  v is the potential on grid.nodes."""
-    coupling = 1.0 / grid.h**2
-    a, b = rows.start, rows.stop
+    mu (`_squared_residual`).  v is the potential on grid.nodes."""
     largest = 0.0
     for z, mu in zip(vectors, shifts):
-        residual = v[a:b] + (2.0 * coupling - mu)
-        residual *= z
-        residual[:-1] -= coupling * z[1:]
-        residual[1:] -= coupling * z[:-1]
-        leak = (coupling * z[0]) ** 2 * (a > 0) + (coupling * z[-1]) ** 2 * (b < v.size)
         norm = _dot(z, z)
         if not norm:
             return math.inf
-        largest = max(largest, math.sqrt((_dot(residual, residual) + leak) / norm))
+        _, squared = _squared_residual(_block(grid, v, rows, mu), z)
+        largest = max(largest, math.sqrt(squared / norm))
     return largest
+
+
+def _squared_residual(block, z: np.ndarray, rayleigh: bool = False) -> tuple[float, float]:
+    """(mu, ||(T - mu) z||^2), T less the shift of the block B (`_block`) that
+    z is given on: B's residual plus z's end entries times their leaks,
+    squared.  mu is 0, or with `rayleigh` the quotient z . B z of a unit z."""
+    diagonal, offdiagonal, leaks = block
+    residual = diagonal * z
+    residual[:-1] += offdiagonal * z[1:]
+    residual[1:] += offdiagonal * z[:-1]
+    mu = 0.0
+    if rayleigh:
+        mu = _dot(z, residual)
+        residual -= mu * z
+    return mu, _dot(residual, residual) + ((leaks[0] * z[0]) ** 2 + (leaks[1] * z[-1]) ** 2)
 
 
 def _onto(grid: Grid, source: Grid, vectors: list[np.ndarray]) -> list[np.ndarray]:
@@ -493,8 +507,8 @@ def _continue_fiber(
     shifts[i], on the principal submatrix T[a:b, a:b]: one tridiagonal LU
     solve (LAPACK dgttrf/dgttrs) per step, until the residual of the
     zero-padded vector z on the full T falls to tol = 8 eps ||T||_1.  That
-    residual is the window's ||T z - mu z|| with the two leak terms |z_a|/h^2
-    and |z_(b-1)|/h^2 of a trimmed end added in quadrature, so each value is
+    residual (`_squared_residual`) is the window's ||T z - mu z|| with the
+    leaks of its end entries added in quadrature, so each value is
     the Rayleigh quotient mu of the padded vector on T, within tol of an
     eigenvalue of T.  One more solve with the last factorization then
     polishes the vector; it stays zero outside the window.
@@ -509,22 +523,11 @@ def _continue_fiber(
     is exact.  Otherwise, and on any LAPACK failure, it returns None.
     Vectors are normalized and sign-fixed as in `solve_fiber`.
     """
-    # ||T||_1: interior columns hold two off-diagonal entries, end columns one.  Each
-    # diagonal entry is >= 1.75/h^2 > 0 (k >= -1/4, r >= h); rounding is monotone, so
-    # the largest is 2/h^2 + max V, with no full-length temporary
-    coupling, lift = 1.0 / grid.h**2, 2.0 / grid.h**2
-    norm = max(
-        lift + float(v[1:-1].max()) + 2.0 * coupling,
-        lift + float(v[0]) + coupling,
-        lift + float(v[-1]) + coupling,
-    )
-    tol = 8.0 * _EPS * norm
-    a, b = window.start, window.stop
-    leaks = (coupling if a > 0 else 0.0, coupling if b < v.size else 0.0)
-    diagonal, offdiagonal = _block(grid, v, window)
+    tol = 8.0 * _EPS * _one_norm(grid, v)
+    block = _block(grid, v, window)
     pairs = []
     for u, mu in zip(vectors, shifts):
-        found = _rayleigh_iteration(diagonal, offdiagonal, u[a:b], float(mu), tol, leaks)
+        found = _rayleigh_iteration(block, u[window], float(mu), tol)
         if found is None:
             return None
         mu, z = found
@@ -552,7 +555,7 @@ def _count_below(grid: Grid, v: np.ndarray, sigma: float, window: slice) -> int 
 
     Each side of `window` = [a, b) is decided alone: a side whose outer rows
     hold some V < sigma extends to the grid's end, and otherwise it is
-    trimmed, with 1/h^2 subtracted from the diagonal of its end row.  The
+    trimmed, with its leak (`_block`) subtracted from its end row.  The
     full T is the case a = 0, b = N.  A trimmed outer block of T - sigma is
     the Dirichlet difference Laplacian plus V - sigma >= 0, so positive
     definite, and by Haynsworth's inertia additivity T - sigma has as many
@@ -576,13 +579,9 @@ def _count_below(grid: Grid, v: np.ndarray, sigma: float, window: slice) -> int 
         a = 0
     if v[b:].min(initial=np.inf) < sigma:
         b = size
-    coupling = 1.0 / grid.h**2
-    diagonal = v[a:b] + (2.0 * coupling - sigma)
-    offdiagonal = np.full(diagonal.size - 1, -coupling)
-    if a > 0:
-        diagonal[0] -= coupling
-    if b < size:
-        diagonal[-1] -= coupling
+    diagonal, offdiagonal, leaks = _block(grid, v, slice(a, b), sigma)
+    diagonal[0] -= leaks[0]
+    diagonal[-1] -= leaks[1]
     removed = start = 0
     while diagonal.size - start > 1:  # f2py refuses an empty off-diagonal
         *_, info = lapack.dpttrf(diagonal[start:], offdiagonal[start:])
@@ -592,29 +591,22 @@ def _count_below(grid: Grid, v: np.ndarray, sigma: float, window: slice) -> int 
     return removed + int(diagonal.size - start == 1 and diagonal[start] <= 0.0)
 
 
-def _rayleigh_iteration(diagonal, offdiagonal, z, mu, tol, leaks):
-    """(mu, z) after Rayleigh-quotient iteration on the window matrix from
+def _rayleigh_iteration(block, z, mu, tol):
+    """(mu, z) after Rayleigh-quotient iteration on `block` (`_block`) from
     (mu, z) to a full-grid residual of tol and one polishing solve, or None.
-    `leaks` are the couplings of the window's first and last rows to the
-    rows outside it, 0 at an end of the grid.
 
-    A function of its own so that its LU factors and residual are freed
-    before the caller's inertia count, the largest allocation of a
-    continuation.
+    A function of its own so that its LU factors are freed before the
+    caller's inertia count, the largest allocation of a continuation.
     """
+    diagonal, offdiagonal, _ = block
     for _ in range(_RQI_STEPS):
         *factors, info = lapack.dgttrf(offdiagonal, diagonal - mu, offdiagonal)
         if info != 0:
             return None
         z, info = lapack.dgttrs(*factors, z)
         z /= np.sqrt(_dot(z, z))
-        residual = diagonal * z
-        residual[:-1] += offdiagonal * z[1:]
-        residual[1:] += offdiagonal * z[:-1]
-        mu = _dot(z, residual)
-        residual -= mu * z
-        leak = (leaks[0] * z[0]) ** 2 + (leaks[1] * z[-1]) ** 2
-        if np.sqrt(_dot(residual, residual) + leak) <= tol:
+        mu, squared = _squared_residual(block, z, rayleigh=True)
+        if np.sqrt(squared) <= tol:
             break
     else:
         return None

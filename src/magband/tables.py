@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from .bands import BandCurve, ScalingStudy
 from .classical import TrajectoryResult
+from .model import _integer
 from .solver import RefinedValue
 
 SWEEP_HEADER = ("n", "m", "p", "xi", "lambda", "lambda_prime_fh", "lambda_prime_bd")
@@ -71,7 +72,7 @@ def trajectory_rows(traj: TrajectoryResult, stride: int = 1) -> list[tuple]:
             traj.sigma[i],
             traj.c_invariant[i],
         )
-        for i in range(0, traj.times.size, stride)
+        for i in range(0, traj.times.size, _integer(stride, "stride", 1))
     ]
 
 

@@ -178,10 +178,14 @@ def synthesize_state(
     """
     win = _as_window(window)
     _check_dimension(n)
+    try:
+        triples = [(m, j, p) for m, j, p in mode_set]
+    except (TypeError, ValueError):  # not iterable, or a mode that is not a triple
+        raise ModelError(f"mode set must hold (m, j, p) triples, got {mode_set!r}") from None
     modes = [
         (_integer(m, "angular number m", 0), _integer(j, "multiplicity index j", 1),
          _integer(p, "band index p", 1))
-        for m, j, p in mode_set
+        for m, j, p in triples
     ]
     if not modes:
         raise ModelError("mode set must be non-empty")

@@ -22,6 +22,7 @@ import pytest
 import magband
 import magband.bands
 import magband.solver
+import magband.transport
 
 PACKAGE = Path(magband.__file__).resolve().parent
 FRONT_ENDS = [PACKAGE / "cli.py", PACKAGE / "acceptance.py",
@@ -216,6 +217,33 @@ def test_real_arguments_are_checked_in_model():
     assert stating == []
 
 
+def _squares_the_grid_step(node) -> bool:
+    """h**n, or h * h, with h a name or an attribute (grid.h)."""
+    def is_h(operand):
+        return getattr(operand, "id", getattr(operand, "attr", None)) == "h"
+
+    if not isinstance(node, ast.BinOp):
+        return False
+    if isinstance(node.op, ast.Pow):
+        return is_h(node.left)
+    return isinstance(node.op, ast.Mult) and is_h(node.left) and is_h(node.right)
+
+
+def test_the_grid_matrix_is_stated_once_in_block():
+    # T's entries (2/h^2 + V, -1/h^2 and the leaks 1/h^2) are solver._block's;
+    # beside it only the ||T||_1 bound and Grid's float-range check square h
+    for stated in ("c = 1.0 / grid.h**2", "c = 1.0 / (h * h)"):
+        assert any(_squares_the_grid_step(node) for node in ast.walk(ast.parse(stated)))
+    tree = ast.parse((PACKAGE / "solver.py").read_text(encoding="utf-8"))
+    squaring = sorted(
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        and any(_squares_the_grid_step(node) for node in ast.walk(function))
+    )
+    assert squaring == ["__post_init__", "_block", "_one_norm"]
+
+
 WINDOW = (1.5, 2.5)
 GRID = magband.Grid(12.0, 600)
 
@@ -357,6 +385,19 @@ def test_a_window_that_is_not_two_ascending_reals_is_refused_before_any_fiber_st
     refused = r"window (must be two reals \(lower, upper\), got .*|\[15\.0, 8\.0\])$"
     with pytest.raises(magband.ModelError, match=refused):
         WINDOW_CALLS[call](bad)
+
+
+@pytest.mark.parametrize("bad", [None, 5, [(0, 1)], [(0, 1, 1, 2)], "abc", [None]],
+                         ids=["None", "scalar", "pair", "four", "str", "None-mode"])
+def test_a_mode_set_that_is_not_triples_is_refused_before_any_crossing(monkeypatch, bad):
+    def no_crossing(*args, **kwargs):
+        raise AssertionError("a crossing ran before the mode set was checked")
+
+    monkeypatch.setattr(magband.transport, "crossing", no_crossing)
+    monkeypatch.setattr(magband.solver, "_follow", no_crossing)
+    refused = r"^mode set must hold \(m, j, p\) triples, got "
+    with pytest.raises(magband.ModelError, match=refused):
+        magband.synthesize_state(5, WINDOW, bad)
 
 
 def test_numpy_integers_give_the_same_answers_as_python_ints():

@@ -95,6 +95,14 @@ def test_trajectory_rows_columns():
     assert text.startswith("t,x\n")
 
 
+@pytest.mark.parametrize("stride", [0, 2.5, -1], ids=["0", "2.5", "-1"])
+def test_trajectory_rows_take_the_stride_by_the_integer_rule(stride):
+    traj = integrate(ClassicalState(1.2, 0.0, 0.0, 0.1, 0.5, 0.3), 0.01, 1e-3)
+    with pytest.raises(ModelError, match=rf"^stride must be an integer >= 1, got {stride}$"):
+        trajectory_rows(traj, stride)
+    assert trajectory_rows(traj, np.int64(3)) == trajectory_rows(traj)[::3]
+
+
 # -------------------------------------------------------------- subcommands
 
 def run_cli(*argv):

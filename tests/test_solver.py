@@ -27,6 +27,7 @@ from magband import (
 )
 from magband.solver import (
     REACH,
+    EigenPair,
     _admit,
     _bisect_fiber,
     _continue_fiber,
@@ -34,6 +35,7 @@ from magband.solver import (
     _follow,
     _harmonic,
     _reach,
+    _residual,
     _well,
     _window,
     assemble,
@@ -525,6 +527,22 @@ def _full_residual(diagonal: np.ndarray, h: float, pair) -> float:
     tu[:-1] -= u[1:] / h**2
     tu[1:] -= u[:-1] / h**2
     return float(np.linalg.norm(tu - pair.value * u) / np.linalg.norm(u))
+
+
+@pytest.mark.parametrize("start,stop", [(0, 100), (140, 239), (60, 180), (0, 239)],
+                         ids=["axis", "wall", "inside", "whole"])
+def test_residual_is_the_full_grid_residual_of_the_zero_padded_vector(start, stop):
+    # the leaks 1/h^2 of a trimmed end count, and there is none at the grid's end
+    params, grid = ModelParams(5, 2, 3.0), Grid(12.0, 240)
+    diagonal, v, _ = _grid_matrix(params, grid)
+    rows = slice(start, stop)
+    wide = np.exp(-(((grid.nodes[rows] - 6.0) / 2.0) ** 2))  # 0.1 of its peak at r = 3, 9
+    noise = np.random.default_rng(29).standard_normal(stop - start)
+    for z, mu in ((wide, 20.0), (noise, 7.5), (wide + 1e-3 * noise, 15.0)):
+        padded = np.zeros(v.size)
+        padded[rows] = z
+        want = _full_residual(diagonal, grid.h, EigenPair(mu, padded))
+        assert abs(_residual(grid, v, rows, [z], [mu]) - want) <= 1e-12 * want
 
 
 M40_CROSSING = 41.003025466444605  # band 1 of m = 40 meets E = 2 here (check 09)
