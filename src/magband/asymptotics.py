@@ -151,6 +151,15 @@ def _gap_window(xi_window) -> tuple[float, float]:
     return lo, hi
 
 
+def _window_samples(band: BandCurve, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The xi and values of the band's samples in [lo, hi]; fewer than three
+    is a ModelError."""
+    mask = (band.xi >= lo) & (band.xi <= hi)
+    if np.count_nonzero(mask) < 3:
+        raise ModelError("window holds fewer than three band samples")
+    return band.xi[mask], band.values[mask]
+
+
 def remainder_rate(
     band: BandCurve,
     coeffs: ExpansionCoefficients,
@@ -166,14 +175,8 @@ def remainder_rate(
     an indeterminate report instead of a bogus slope.
     """
     noise_floor = _real(noise_floor, "noise_floor")
-    lo, hi = _remainder_window(coeffs.coupling, xi_window)
-    mask = (band.xi >= lo) & (band.xi <= hi)
-    if np.count_nonzero(mask) < 3:
-        raise ModelError("window holds fewer than three band samples")
-    xi = band.xi[mask]
-    resid = np.abs(
-        band.values[mask] - np.array([evaluate_expansion(coeffs, x) for x in xi])
-    )
+    xi, values = _window_samples(band, *_remainder_window(coeffs.coupling, xi_window))
+    resid = np.abs(values - np.array([evaluate_expansion(coeffs, x) for x in xi]))
     if np.max(resid) <= _NOISE_MARGIN * noise_floor or np.any(resid == 0.0):
         return RateReport(slope=None, points=int(xi.size), indeterminate=True)
     slope, _ = np.polyfit(np.log(xi), np.log(resid), 1)
@@ -212,25 +215,17 @@ def exponential_gap_check(
             f"got (n={band.n}, m={band.m})"
         )
     error_estimate = _real(error_estimate, "error_estimate")
-    lo, hi = _gap_window(xi_window)
-    mask = (band.xi >= lo) & (band.xi <= hi)
-    if np.count_nonzero(mask) < 3:
-        raise ModelError("window holds fewer than three band samples")
+    xi, values = _window_samples(band, *_gap_window(xi_window))
     p = band.p
-    xi = band.xi[mask]
-    gap = band.values[mask] - float(2 * p - 1)
+    gap = values - float(2 * p - 1)
     profile = np.exp(xi**2) * gap / xi ** (2 * p - 1)
     positive = bool(np.all(gap > 0.0))
-    if np.min(np.abs(gap)) <= _NOISE_MARGIN * error_estimate:
-        return GapProfile(
-            xi=xi, gap=gap, profile=profile, ratio=float("nan"),
-            positive=positive, indeterminate=True,
-        )
-    ratio = float(np.max(profile) / np.min(profile)) if positive else float("inf")
-    return GapProfile(
-        xi=xi, gap=gap, profile=profile, ratio=ratio,
-        positive=positive, indeterminate=False,
-    )
+    indeterminate = bool(np.min(np.abs(gap)) <= _NOISE_MARGIN * error_estimate)
+    if indeterminate:
+        ratio = float("nan")
+    else:
+        ratio = float(np.max(profile) / np.min(profile)) if positive else float("inf")
+    return GapProfile(xi, gap, profile, ratio, positive, indeterminate)
 
 
 @dataclass(frozen=True)

@@ -112,7 +112,7 @@ def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
     for m in ms:  # validates (n, m) and the grid at value 0 once up front
         _admit(ModelParams(n, m, float(xi[-1])), grid, 0.0)
 
-    curves = []
+    curves, rows = [], np.array(ps) - 1
     for m in ms:
         values, fh, bd = (np.empty((len(ps), xi.size)) for _ in range(3))
         fiber = None
@@ -120,10 +120,9 @@ def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
             params = ModelParams(n, m, x)
             fiber = _follow(params, grid, ps[-1], fiber)
             _admit(params, grid, fiber.values[-1])
-            for j, p in enumerate(ps):
-                values[j, i] = fiber.values[p - 1]
-                fh[j, i] = fiber.slopes[p - 1]
-                bd[j, i] = fiber.boundary_slopes[p - 1]
+            values[:, i] = fiber.values[rows]
+            fh[:, i] = fiber.slopes[rows]
+            bd[:, i] = fiber.boundary_slopes[rows]
         curves.extend(
             BandCurve(n, m, p, xi.copy(), values[j], fh[j], bd[j]) for j, p in enumerate(ps)
         )

@@ -40,7 +40,7 @@ and sign fixed to be positive near the axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -200,45 +200,25 @@ def fiber_eigenvalues(params: ModelParams, grid: Grid, count: int) -> np.ndarray
     return _follow(params, grid, count, None).values
 
 
+@dataclass(frozen=True)
 class _Fiber:
-    """The lowest eigenpairs of one fiber on one grid, with `centrifugal` the
-    xi-independent part k/r^2 of the potential on its nodes.  Their Rayleigh quotients (`values`), Feynman-Hellmann slopes (`slopes`)
-    and boundary-form slopes (`boundary_slopes`) are computed together
-    (`_moments`) when first read.  `before` is the xi, vectors and slopes of
-    the fiber this one was continued from on the same grid at another xi,
-    kept as plain arrays so that no chain of fibers builds up, and None
-    otherwise."""
+    """The record of one fiber step (`_follow`): the lowest eigenpairs of one
+    fiber on one grid, with `centrifugal` the xi-independent part k/r^2 of
+    the potential on its nodes, and their Rayleigh quotients (`values`),
+    Feynman-Hellmann slopes (`slopes`) and boundary-form slopes
+    (`boundary_slopes`), one `_moments` per pair, computed when the step
+    builds the record.  `before` is the record this one was continued from
+    on the same grid at another xi, with its own `before` dropped so that no
+    chain of records builds up, and None otherwise."""
 
-    def __init__(
-        self,
-        params: ModelParams,
-        grid: Grid,
-        pairs: list[EigenPair],
-        centrifugal: np.ndarray,
-        before: tuple[float, list[np.ndarray], np.ndarray] | None = None,
-    ):
-        self.params, self.grid, self.pairs = params, grid, pairs
-        self.centrifugal, self.before = centrifugal, before
-
-    @cached_property
-    def moments(self) -> list[np.ndarray]:
-        """[values, slopes, boundary_slopes], each with one entry per pair."""
-        per_pair = [
-            _moments(self.params, self.grid, pair.vector, self.centrifugal) for pair in self.pairs
-        ]
-        return [np.array(column) for column in zip(*per_pair)]
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.moments[0]
-
-    @property
-    def slopes(self) -> np.ndarray:
-        return self.moments[1]
-
-    @property
-    def boundary_slopes(self) -> np.ndarray:
-        return self.moments[2]
+    params: ModelParams
+    grid: Grid
+    pairs: list[EigenPair]
+    centrifugal: np.ndarray
+    values: np.ndarray
+    slopes: np.ndarray
+    boundary_slopes: np.ndarray
+    before: _Fiber | None
 
 
 def _follow(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None) -> _Fiber:
@@ -247,9 +227,9 @@ def _follow(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None
     The one place that continues or bisects a fiber.  Each start of `_starts`
     in turn is continued (`_continue_fiber`) on its window of rows; with no
     start left the grid is bisected (`_bisect_fiber`).  A fiber continued
-    from `previous` on the same grid keeps that sample's xi, vectors and
-    slopes, so the next step can start from a second-order extrapolation,
-    and takes over its k/r^2, which does not depend on xi.
+    from `previous` on the same grid keeps that record as its `before`, so
+    the next step can start from a second-order extrapolation, and takes
+    over its k/r^2, which does not depend on xi.
     An invalid `count` is a ModelError before any solve.
     """
     count = _integer(count, "eigenpairs", 1, grid.intervals - 1)
@@ -261,8 +241,12 @@ def _follow(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None
     for vectors, shifts, window, before in _starts(params, grid, count, previous, v):
         pairs = _continue_fiber(grid, vectors, shifts, v, window)
         if pairs is not None:
-            return _Fiber(params, grid, pairs, centrifugal, before)
-    return _Fiber(params, grid, _bisect_fiber(params, grid, count), centrifugal)
+            break
+    else:
+        pairs, before = _bisect_fiber(params, grid, count), None
+    moments = [_moments(params, grid, pair.vector, centrifugal) for pair in pairs]
+    values, slopes, boundary_slopes = (np.array(column) for column in zip(*moments))
+    return _Fiber(params, grid, pairs, centrifugal, values, slopes, boundary_slopes, before)
 
 
 def _window(grid: Grid, vectors: list[np.ndarray], dxi: float) -> slice:
@@ -289,16 +273,18 @@ def _widened(grid: Grid, lo: int, hi: int, dxi: float) -> slice:
 def _starts(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None, v: np.ndarray):
     """(vectors, shifts, window, before) for `_follow` to continue from, in
     turn: start vectors on grid.nodes, their shifts, the rows to work on and
-    the `_Fiber.before` of a fiber continued from them.  v is the potential on
-    grid.nodes.  Each source is offered at most once, in this order:
+    the `_Fiber.before` of a fiber continued from them (`previous` without
+    its own `before` when both lie on one grid at distinct xi, else None).
+    v is the potential on grid.nodes.  Each source is offered at most once,
+    in this order:
 
     1. the closed-form start of the harmonic well (`_harmonic`), only when it
-       leads: with no `previous`, or after a `previous` that keeps no sample
-       before it when the residual (`_residual`) of its start is at least w,
-       the bound the closed form's own gate sets;
+       leads: with no `previous`, or after a `previous` that keeps no record
+       before it when the largest residual (`_residual`) of its start is at
+       least w, the bound the closed form's own gate sets;
     2. the start from `previous`, the step at a nearby xi, dxi away (on the
        same grid or a grown grid of the same step): its vectors u1 at the
-       shifts lambda1 + lambda1' dxi, or, when it keeps the sample before it
+       shifts lambda1 + lambda1' dxi, or, when it keeps the record before it
        (`_Fiber.before`, dxi0 further back), the second-order start
        u1 + (u1 - u0) dxi/dxi0 at the Hermite shifts
        lambda1 + lambda1' dxi + (lambda1' - lambda0') dxi^2 / (2 dxi0), with
@@ -314,21 +300,23 @@ def _starts(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None
         well, start = _well(params), None
     else:
         dxi = params.xi - previous.params.xi
+        before = replace(previous, before=None) if dxi and previous.grid == grid else None
         vectors = [pair.vector for pair in previous.pairs]
-        before = None
-        if dxi and previous.grid == grid:
-            before = (previous.params.xi, vectors, previous.slopes)
         shifts = previous.values + previous.slopes * dxi
-        if previous.before is not None:
-            xi0, vectors0, slopes0 = previous.before
-            dxi0 = previous.params.xi - xi0
-            vectors = [u + (u - u0) * (dxi / dxi0) for u, u0 in zip(vectors, vectors0)]
-            shifts += 0.5 * (previous.slopes - slopes0) / dxi0 * dxi**2
+        back = previous.before
+        if back is not None:
+            dxi0 = previous.params.xi - back.params.xi
+            vectors = [
+                u + (u - pair.vector) * (dxi / dxi0) for u, pair in zip(vectors, back.pairs)
+            ]
+            shifts += 0.5 * (previous.slopes - back.slopes) / dxi0 * dxi**2
         vectors = _onto(grid, previous.grid, vectors)
         window = _window(grid, vectors, abs(dxi))
         start, well = (vectors, shifts, window, before), None
-        if previous.before is None:
-            rival = _residual(grid, v, window, [u[window] for u in vectors], shifts)
+        if back is None:
+            rival = max(
+                _residual(grid, v, window, u[window], mu) for u, mu in zip(vectors, shifts)
+            )
             # k >= 0 wherever there is a well, so w >= 1 and a residual below 1
             # keeps the lead without looking the well up
             well = _well(params) if rival >= 1.0 else None
@@ -402,7 +390,7 @@ def _harmonic(grid: Grid, count: int, v: np.ndarray, well: tuple[float, float, f
     for j in range(count):  # the gate turns most starts away at psi_0
         if j:
             psi.append(math.sqrt(2.0 / j) * x * psi[-1] - math.sqrt((j - 1) / j) * psi[-2])
-        if not _residual(grid, v, slice(lo, hi), psi[-1:], shifts[j : j + 1]) < w:
+        if not _residual(grid, v, slice(lo, hi), psi[-1], shifts[j]) < w:
             return None
     vectors = [np.zeros(size) for _ in range(count)]
     for vector, values in zip(vectors, psi[1:]):
@@ -410,18 +398,15 @@ def _harmonic(grid: Grid, count: int, v: np.ndarray, well: tuple[float, float, f
     return vectors, shifts, _widened(grid, lo, hi, 0.0), None
 
 
-def _residual(grid: Grid, v: np.ndarray, rows: slice, vectors: list[np.ndarray], shifts) -> float:
-    """The largest ||(T - mu) z|| / ||z|| on the full grid matrix T, over
-    start vectors z given on `rows` and zero outside them, and their shifts
-    mu (`_squared_residual`).  v is the potential on grid.nodes."""
-    largest = 0.0
-    for z, mu in zip(vectors, shifts):
-        norm = _dot(z, z)
-        if not norm:
-            return math.inf
-        _, squared = _squared_residual(_block(grid, v, rows, mu), z)
-        largest = max(largest, math.sqrt(squared / norm))
-    return largest
+def _residual(grid: Grid, v: np.ndarray, rows: slice, z: np.ndarray, mu) -> float:
+    """||(T - mu) z|| / ||z|| on the full grid matrix T, for a start vector z
+    given on `rows` and zero outside them (`_squared_residual`).  v is the
+    potential on grid.nodes."""
+    norm = _dot(z, z)
+    if not norm:
+        return math.inf
+    _, squared = _squared_residual(_block(grid, v, rows, mu), z)
+    return math.sqrt(squared / norm)
 
 
 def _squared_residual(block, z: np.ndarray, rayleigh: bool = False) -> tuple[float, float]:

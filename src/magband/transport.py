@@ -73,7 +73,7 @@ class SpectralWindow:
     @property
     def band_indices(self) -> list[int]:
         """P_I: bands whose range meets the window, i.e. E_p < sup."""
-        return [p for p in range(1, max(1, ceil((self.upper + 1.0) / 2.0))) if 2 * p - 1 < self.upper]
+        return list(range(1, ceil((self.upper + 1.0) / 2.0)))
 
 
 def _as_window(window) -> SpectralWindow:
@@ -232,6 +232,17 @@ class CurrentReport:
         return self.total / self.norm_squared
 
 
+def _curves(packet: WavePacket, bands, keys):
+    """The caller's curve of each band (m, p) of `keys` at the packet's n, in
+    turn; the first one it lacks is a MissingBandDataError."""
+    by_key = {(curve.m, curve.p): curve for curve in bands if curve.n == packet.n}
+    for m, p in keys:
+        curve = by_key.get((m, p))
+        if curve is None:
+            raise MissingBandDataError(f"no band data for (m={m}, p={p}) at n={packet.n}")
+        yield curve
+
+
 def current(packet: WavePacket, bands) -> CurrentReport:
     """Quadrature of lambda' |phi|^2 per entry against sampled band data.
 
@@ -239,14 +250,9 @@ def current(packet: WavePacket, bands) -> CurrentReport:
     band that is absent or does not cover a profile's support is a hard error
     naming the hole.
     """
-    by_key = {(curve.m, curve.p): curve for curve in bands if curve.n == packet.n}
     contributions = {}
-    for (m, j, p), prof in packet.entries.items():
-        curve = by_key.get((m, p))
-        if curve is None:
-            raise MissingBandDataError(
-                f"no band data for (m={m}, p={p}) at n={packet.n}"
-            )
+    curves = _curves(packet, bands, [(m, p) for m, _, p in packet.entries])
+    for ((m, j, p), prof), curve in zip(packet.entries.items(), curves):
         if curve.xi[0] > prof.xi[0] or curve.xi[-1] < prof.xi[-1]:
             raise MissingBandDataError(
                 f"band (m={m}, p={p}) covers xi in [{curve.xi[0]:.4g}, "
@@ -273,15 +279,9 @@ def edge_bound(packet: WavePacket, bands) -> float:
     the crossing slopes at both window edges.
     """
     win = packet.window
-    by_key = {(curve.m, curve.p): curve for curve in bands if curve.n == packet.n}
     used = sorted(set((m, p) for (m, _, p) in packet.entries))
     bounds = []
-    for m, p in used:
-        curve = by_key.get((m, p))
-        if curve is None:
-            raise MissingBandDataError(
-                f"no band data for (m={m}, p={p}) at n={packet.n}"
-            )
+    for (m, p), curve in zip(used, _curves(packet, bands, used)):
         mask = win.contains(curve.values)
         if not np.any(mask):
             raise MissingBandDataError(

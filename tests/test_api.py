@@ -244,6 +244,29 @@ def test_the_grid_matrix_is_stated_once_in_block():
     assert squaring == ["__post_init__", "_block", "_one_norm"]
 
 
+
+def test_the_moments_are_computed_only_where_a_fiber_step_builds_its_record():
+    # solver._moments fills the record in `_follow`; beside it only the three
+    # public moment functions call it, in any module
+    calling = sorted(
+        f"{path.stem}.{function.name}"
+        for path in PACKAGE.glob("*.py")
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(function, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_moments"
+            for node in ast.walk(function)
+        )
+    )
+    assert calling == [
+        "solver._follow",
+        "solver.derivative_boundary_form",
+        "solver.derivative_feynman_hellmann",
+        "solver.rayleigh_quotient",
+    ]
+
+
 WINDOW = (1.5, 2.5)
 GRID = magband.Grid(12.0, 600)
 

@@ -192,8 +192,20 @@ def test_second_order_start_keeps_values_to_rounding(xi):
     _assert_matches_fresh_solves(curve, grid)
 
 
+def test_a_band_set_with_a_gap_sweeps_the_rows_of_the_full_set():
+    # each sample's column is filled from the fiber step's record by the
+    # band indices, p = 1 and p = 3 here, not by their positions
+    xi = np.linspace(0.0, 2.0, 11)
+    full = sweep(5, [2], (1, 2, 3), xi, SWEEP_GRID)
+    gapped = sweep(5, [2], [3, 1], xi, SWEEP_GRID)
+    assert [curve.p for curve in gapped] == [1, 3]
+    for got, want in zip(gapped, (full[0], full[2])):
+        for name in ("xi", "values", "slope_fh", "slope_bd"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
 def test_followed_fibers_keep_no_chain():
-    # each fiber keeps the sample before it as plain arrays, not as a fiber
+    # each fiber keeps the record before it without that record's own before
     grid = Grid(15.0, 1800)
     f0 = _follow(ModelParams(5, 1, 0.5), grid, 2, None)
     f1 = _follow(ModelParams(5, 1, 0.55), grid, 2, f0)
@@ -206,7 +218,7 @@ def test_followed_fibers_keep_no_chain():
     del f1
     gc.collect()
     assert refs[1]() is None
-    assert f2.before[0] == 0.55
+    assert f2.before.params.xi == 0.55 and f2.before.before is None
 
 
 def test_follow_evaluates_the_potential_once_per_fiber(monkeypatch):

@@ -451,6 +451,49 @@ def test_a_failed_previous_fiber_start_goes_straight_to_the_nested_solve(monkeyp
     _assert_bisection_pairs(params, grid, pairs, True)
 
 
+def _fiber_from(source: str, monkeypatch):
+    """A fiber step's record taken from the start `source`, with a check of
+    the solves the step ran to get it."""
+    sizes, log = _record_bisections(monkeypatch), _record_continuations(monkeypatch)
+    if source == "bisection":  # below 512 intervals, with no start
+        fiber = _follow(ModelParams(5, 1, 0.0), Grid(12.0, 480), 3, None)
+        assert sizes == [479] and log == []
+        return fiber
+    if source == "nested":
+        monkeypatch.setattr(magband.solver, "_harmonic", lambda *args: None)
+        fiber = _follow(ModelParams(5, 0, 2.0), Grid(14.0, 1120), 2, None)
+        assert sizes == [139] and log == [(1120, True)] and fiber.before is None
+        return fiber
+    grid, steps = Grid(20.0, 1200), ("closed form", "first order", "second order").index(source)
+    fiber = _follow(ModelParams(5, 10, 8.0), grid, 3, None)
+    for x in (8.05, 8.1)[:steps]:
+        previous = fiber
+        fiber = _follow(ModelParams(5, 10, x), grid, 3, previous)
+        # a record continued from the step before keeps it, without its before
+        assert fiber.before.params.xi == previous.params.xi and fiber.before.before is None
+        assert fiber.before.pairs is previous.pairs
+    assert sizes == [] and log == [(1200, True)] * (steps + 1)
+    assert (fiber.before is None) == (source == "closed form")
+    return fiber
+
+
+@pytest.mark.parametrize(
+    "source", ["closed form", "first order", "second order", "nested", "bisection"]
+)
+def test_a_fiber_record_holds_the_public_moments_of_its_pairs(monkeypatch, source):
+    # the record's arrays are filled when the step builds it, and are the
+    # three public moments of its pairs, bit for bit
+    fiber = _fiber_from(source, monkeypatch)
+    params, grid = fiber.params, fiber.grid
+    for name, moment in (
+        ("values", rayleigh_quotient),
+        ("slopes", derivative_feynman_hellmann),
+        ("boundary_slopes", derivative_boundary_form),
+    ):
+        want = np.array([moment(params, pair, grid) for pair in fiber.pairs])
+        assert getattr(fiber, name).tobytes() == want.tobytes()
+
+
 def test_nested_solve_without_continuation_is_the_bisection(monkeypatch):
     params, grid = ModelParams(5, 2, 1.5), Grid(16.0, 4096)
     want = _bisect_fiber(params, grid, 3)
@@ -542,7 +585,7 @@ def test_residual_is_the_full_grid_residual_of_the_zero_padded_vector(start, sto
         padded = np.zeros(v.size)
         padded[rows] = z
         want = _full_residual(diagonal, grid.h, EigenPair(mu, padded))
-        assert abs(_residual(grid, v, rows, [z], [mu]) - want) <= 1e-12 * want
+        assert abs(_residual(grid, v, rows, z, mu) - want) <= 1e-12 * want
 
 
 M40_CROSSING = 41.003025466444605  # band 1 of m = 40 meets E = 2 here (check 09)

@@ -94,6 +94,15 @@ def test_window_validation_and_membership():
     assert wide.band_indices == [1, 2]
 
 
+def test_band_indices_are_the_bands_below_the_upper_end():
+    # P_I = {p : E_p = 2p - 1 < upper}, for windows between every two levels
+    # up to 59, from just above the lower level to just below the upper one
+    for level in range(-1, 58, 2):
+        for lo, hi in ((1e-12, 2.0 - 1e-12), (0.25, 0.5), (1.5, 1.75), (1.0, 1.0 + 1e-9)):
+            win = SpectralWindow(level + lo, level + hi)
+            assert win.band_indices == [p for p in range(1, 60) if 2 * p - 1 < win.upper]
+
+
 def test_bands_meeting_window_preimages(meeting):
     assert meeting.band_indices == [1]
     assert set(meeting.preimages) == {(0, 1), (1, 1), (2, 1)}
