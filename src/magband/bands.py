@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AgmonOverflowError, BracketError, ConvergenceError, ModelError
-from .model import ModelParams, _integers, _real, landau_level, potential, turning_points
+from .model import ModelParams, _integers, _real, _reals, landau_level, potential, turning_points
 from .solver import (
     EigenPair,
     Grid,
@@ -76,15 +76,10 @@ class CrossingResult:
 
 
 def _xi_samples(xi_samples) -> np.ndarray:
-    """xi_samples as a float array: non-empty, 1-d, finite and ascending."""
-    try:
-        xi = np.asarray(xi_samples, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelError(f"xi_samples must be real numbers: {exc}") from None
+    """xi_samples as a float array: reals (`_reals`), non-empty, 1-d and ascending."""
+    xi = _reals(xi_samples, "xi_samples")
     if xi.ndim != 1 or xi.size == 0:
         raise ModelError("xi_samples must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(xi)):
-        raise ModelError(f"xi_samples must be finite, got {float(xi[~np.isfinite(xi)][0])!r}")
     if np.any(np.diff(xi) < 0):
         raise ModelError("xi_samples must be sorted ascending")
     return xi

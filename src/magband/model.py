@@ -56,6 +56,24 @@ def _real(value, what: str, above: float | None = None) -> float:
     return number
 
 
+def _reals(values, what: str, above: float | None = None) -> np.ndarray:
+    """`_real` for each entry of the array `values`, as a float array of its
+    shape: one vectorized pass over an integer or float array, and otherwise
+    `_real` entry by entry, so a string, bytes or complex entry (or a ragged
+    row) is refused and named, never parsed or cut to its real part."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged list
+        array = None
+    if array is None or array.dtype.kind not in "iuf":
+        entries = np.asarray(values, dtype=object)  # as given: ["a", 1.0] holds no "1.0"
+        return np.reshape([_real(e, what, above) for e in entries.ravel().tolist()], entries.shape)
+    admitted = np.isfinite(array) if above is None else np.isfinite(array) & (array > above)
+    if not admitted.all():
+        _real(array[~admitted][0].item(), what, above)  # refuses the first such entry
+    return array.astype(float, copy=False)
+
+
 def _interval(value, what: str) -> tuple[float, float]:
     """The one rule for a window the API takes: exactly two reals, each
     passing `_real`, the second above the first, as floats (lo, hi);
@@ -142,13 +160,9 @@ class PotentialProfile:
 
 
 def potential(params: ModelParams, r):
-    """V_m(r, xi) = k_m/r^2 + (r - xi)^2 for r > 0 (scalar or array)."""
-    try:
-        r_arr = np.asarray(r, dtype=float)
-    except (TypeError, ValueError):
-        raise ModelError(f"potential is only defined for real r > 0, got {r!r}") from None
-    if not np.all(r_arr > 0.0):  # NaN too
-        raise ModelError("potential is only defined for r > 0")
+    """V_m(r, xi) = k_m/r^2 + (r - xi)^2 for r > 0 (scalar or array); each r
+    passes the real rule (`_reals`)."""
+    r_arr = _reals(r, "radius r", above=0.0)
     out = params.k / r_arr**2 + (r_arr - params.xi) ** 2
     return out if out.ndim else float(out)
 

@@ -188,16 +188,22 @@ def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
     problem), so the pairs are well defined.  They are the fiber step's
     (`_follow`), continued from the first start of `_starts` that is
     certified, each value a Rayleigh quotient within 8 eps ||T||_1 of an
-    eigenvalue, and otherwise bisected (a few ulps of ||T||).
+    eigenvalue, and otherwise bisected (a few ulps of ||T||).  A grid that
+    does not admit the top value (`_admit`) is a ModelError, as in `sweep`.
     """
-    return _follow(params, grid, count, None).pairs
+    fiber = _follow(params, grid, count, None)
+    _admit(params, grid, fiber.values[-1])
+    return fiber.pairs
 
 
 def fiber_eigenvalues(params: ModelParams, grid: Grid, count: int) -> np.ndarray:
     """The `count` smallest eigenvalues, ascending: the Rayleigh quotients
     (`rayleigh_quotient`) of the fiber step's eigenvectors (`_follow`),
-    continued from a start of `_starts` or bisected, as in `solve_fiber`."""
-    return _follow(params, grid, count, None).values
+    continued from a start of `_starts` or bisected, and admitted by the grid,
+    as in `solve_fiber`."""
+    fiber = _follow(params, grid, count, None)
+    _admit(params, grid, fiber.values[-1])
+    return fiber.values
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,9 @@ from scipy.linalg import eigh_tridiagonal
 
 from .bands import CrossingResult, _loglog_slope, crossing, sweep
 from .errors import ConvergenceError, MissingBandDataError, ModelError
-from .model import _integer, _integers, _interval, _real, coupling_constant, harmonic_multiplicity
+from .model import (
+    _integer, _integers, _interval, _real, coupling_constant, harmonic_multiplicity, landau_level,
+)
 from .solver import fixed_step_grid
 
 _PROFILE_SAMPLES = 801  # samples per bump profile
@@ -83,17 +85,18 @@ def _as_window(window) -> SpectralWindow:
 
 
 def _lowest_band(win: SpectralWindow) -> int:
-    """min P_I; a window below E_1 carries no current and is an error."""
-    if not win.band_indices:
+    """min P_I = 1: the bands fall from +inf to E_p, so band 1 meets every
+    window above E_1; a window below E_1 carries no current and is an error."""
+    if not win.upper > landau_level(1):
         raise ModelError(
             f"no band meets the window ({win.lower}, {win.upper}); there is no current"
         )
-    return win.band_indices[0]
+    return 1
 
 
 def _check_dimension(n: int) -> None:
-    if n < 4:
-        raise ModelError(f"transport analysis requires n >= 4, got n={n}")
+    """Transport assumes n >= 4, where no band attains its threshold."""
+    _integer(n, "dimension n", 4)
 
 
 @dataclass(frozen=True)
@@ -191,11 +194,10 @@ def synthesize_state(
         raise ModelError("mode set must be non-empty")
     if len(set(modes)) != len(modes):
         raise ModelError("duplicate (m, j, p) entries in mode set")
-    allowed = set(win.band_indices)
     for m, j, p in modes:
-        if p not in allowed:
+        if not landau_level(p) < win.upper:  # p is in P_I
             raise ModelError(
-                f"band p={p} does not meet the window (P_I = {sorted(allowed)})"
+                f"band p={p} does not meet the window: E_p = {landau_level(p)} >= {win.upper}"
             )
         n_m = harmonic_multiplicity(n, m)
         if not 1 <= j <= n_m:

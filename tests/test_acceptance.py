@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from magband import AgmonOverflowError
 from magband.acceptance import ALL_CHECKS
 
 
@@ -26,3 +27,16 @@ def test_high_frequency_failure_reports_its_variational_floor():
     result = dict(ALL_CHECKS)["07-high-frequency"]()
     assert not result.passed
     assert "variational floor min V/xi^2 = 1.1283 at m=0" in result.detail
+    # the verdict lists its criteria, and names the one that failed
+    assert result.bound == "lowest >= 1.0; highest <= 1.1"
+    assert result.detail.endswith("; failed: highest")
+
+
+def test_agmon_overflow_fails_check_09_with_its_message(monkeypatch):
+    def overflow(*args):
+        raise AgmonOverflowError("weight overflows")
+
+    monkeypatch.setattr("magband.acceptance.agmon_norm", overflow)
+    result = dict(ALL_CHECKS)["09-agmon-uniformity"]()
+    assert (result.passed, result.value) == (False, float("inf"))
+    assert result.detail == "weight overflows; failed: max-norm, max/median"

@@ -129,16 +129,35 @@ def test_benchmark_bindings_resolve():
     assert missing == []
 
 
+def _builds_a_check(node) -> bool:
+    return isinstance(node, ast.Call) and "CheckResult" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    )
+
+
 def test_cli_builds_no_check_of_its_own():
     # a criterion the CLI lists is the acceptance battery's (`*_criteria`)
     cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
-    calls = [
-        node.lineno
-        for node in ast.walk(cli)
-        if isinstance(node, ast.Call)
-        and "CheckResult" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-    ]
+    calls = [node.lineno for node in ast.walk(cli) if _builds_a_check(node)]
     assert calls == [], f"cli.py calls CheckResult on lines {calls}"
+
+
+def test_every_verdict_is_built_by_the_three_acceptance_helpers():
+    # _criterion and _near derive a verdict and its bound text from one stated
+    # threshold, and _fold a numbered check's verdict from its criteria; no
+    # other code in the package, at module level or in a function, builds one
+    builders, calls = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += sum(map(_builds_a_check, ast.walk(tree)))
+        builders += [
+            f"{path.stem}.{function.name}"
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            and any(map(_builds_a_check, ast.walk(function)))
+        ]
+    assert sorted(builders) == ["acceptance._criterion", "acceptance._fold", "acceptance._near"]
+    assert calls == 3
 
 
 def test_integer_arguments_are_checked_in_model():
@@ -291,6 +310,12 @@ ENTRY_POINT_CALLS = {
     "synthesize_state-j": lambda bad: magband.synthesize_state(5, WINDOW, [(0, bad, 1)]),
     "synthesize_state-p": lambda bad: magband.synthesize_state(5, WINDOW, [(0, 1, bad)]),
     "bands_meeting_window-m_max": lambda bad: magband.bands_meeting_window(5, WINDOW, bad),
+    "bands_meeting_window-n": lambda bad: magband.bands_meeting_window(bad, WINDOW, 1),
+    "synthesize_state-n": lambda bad: magband.synthesize_state(bad, WINDOW, [(0, 1, 1)]),
+    "edge_current-n": lambda bad: magband.edge_current(bad, WINDOW, 1),
+    "bulk_decay_study-n": lambda bad: magband.bulk_decay_study(bad, WINDOW, [10, 20]),
+    "witness_small_current-n": lambda bad: magband.witness_small_current(bad, WINDOW, 1e-2),
+    "current_dichotomy-n": lambda bad: magband.current_dichotomy(bad, WINDOW, 2, [10, 20], 1e-2),
     "band_asymptotics-order":
         lambda bad: magband.band_asymptotics(5, 1, 1, bad, (8.0, 15.0), 9, GRID),
     "band_asymptotics-samples":
@@ -323,6 +348,9 @@ REAL_PARAMETER_CALLS = {
     "turning_points-energy":
         lambda bad: magband.turning_points(magband.ModelParams(5, 1, 1.0), bad),
     "Grid-radius": lambda bad: magband.Grid(bad, 600),
+    "potential-r": lambda bad: magband.potential(magband.ModelParams(5, 1, 1.0), [1.0, bad]),
+    "sweep-xi_samples": lambda bad: magband.sweep(5, [1], [1], [0.0, bad], GRID),
+    "refined_sweep-xi_samples": lambda bad: magband.refined_sweep(5, [1], [1], [0.0, bad], GRID),
     "crossing-energy": lambda bad: magband.crossing(5, 1, 1, bad),
     "crossing-tolerance": lambda bad: magband.crossing(5, 1, 1, 2.0, bad),
     "crossing-step": lambda bad: magband.crossing(5, 1, 1, 2.0, step=bad),
@@ -377,6 +405,26 @@ def test_a_non_finite_or_non_numeric_real_is_refused_before_any_fiber_step(monke
     refused = r"must be .*finite.*, got (nan|-?inf|'2\.0'|None)$"
     with pytest.raises(magband.ModelError, match=refused):
         REAL_PARAMETER_CALLS[call](bad)
+
+
+# One call per public entry point that takes an array of reals, with that array `bad`.
+ARRAY_CALLS = {
+    "potential-r": lambda bad: magband.potential(magband.ModelParams(5, 1, 1.0), bad),
+    "sweep-xi_samples": lambda bad: magband.sweep(5, [1], [1], bad, GRID),
+    "refined_sweep-xi_samples": lambda bad: magband.refined_sweep(5, [1], [1], bad, GRID),
+}
+
+
+@pytest.mark.parametrize("bad", [[1.0, 0.5 + 1j], np.array([0.5 + 1j])], ids=["list", "array"])
+@pytest.mark.parametrize("call", ARRAY_CALLS)
+def test_a_complex_entry_is_refused_not_cut_to_its_real_part(monkeypatch, bad, call):
+    # np.asarray(..., dtype=float) kept the 0.5 of 0.5 + 1j, with a warning only
+    def no_fiber_step(*args):
+        raise AssertionError("a fiber step ran before the input was checked")
+
+    monkeypatch.setattr(magband.bands, "_follow", no_fiber_step)
+    with pytest.raises(magband.ModelError, match=r"must be .*finite, got \(0\.5\+1j\)$"):
+        ARRAY_CALLS[call](bad)
 
 
 # One call per public entry point that takes a window, with that window `bad`.

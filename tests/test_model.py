@@ -127,10 +127,10 @@ def test_potential_values_and_domain():
         potential(params, np.array([1.0, -0.5]))
     # NaN passed the r <= 0 test and came back as a value
     for r in (np.nan, np.array([1.0, np.nan])):
-        with pytest.raises(ModelError, match="only defined for r > 0"):
+        with pytest.raises(ModelError, match="radius r must be positive and finite, got nan$"):
             potential(params, r)
     # a string reached numpy's ValueError
-    with pytest.raises(ModelError, match=r"only defined for real r > 0, got 'a'$"):
+    with pytest.raises(ModelError, match=r"radius r must be positive and finite, got 'a'$"):
         potential(params, "a")
 
 

@@ -138,12 +138,26 @@ def test_feynman_hellmann_matches_central_difference():
 
 
 def test_rayleigh_quotient_is_the_discrete_eigenvalue():
-    grid = Grid(14.0, 336)
+    grid = Grid(17.0, 408)  # the step of Grid(14, 336), which does not admit xi = 9
     for n, m, xi in [(5, 3, 2.5), (4, 0, -1.0), (6, 10, 9.0)]:
         params = ModelParams(n, m, xi)
         dense = oracles.dense_fiber_eigenvalues(params.k, xi, grid.radius, grid.intervals, 3)
         for pair, ref in zip(solve_fiber(params, grid, 3), dense):
             assert rayleigh_quotient(params, pair, grid) == pytest.approx(ref, abs=1e-10)
+
+
+@pytest.mark.parametrize("solve", [solve_fiber, fiber_eigenvalues])
+def test_single_fiber_solves_refuse_the_grid_sweep_refuses(solve):
+    # both skipped the grid rule: on Grid(20, 4800) the m=0 fiber at xi = 19
+    # gave [1.47, 4.40, 7.56] for bands near [1, 3, 5]
+    grid = Grid(20.0, 4800)
+    with pytest.raises(ModelError, match=r"xi=14\.2\).* past the well of lambda=3\.0") as swept:
+        sweep(5, [1], [1, 2], [14.2], grid)
+    with pytest.raises(ModelError) as solved:
+        solve(ModelParams(5, 1, 14.2), grid, 2)
+    assert str(solved.value) == str(swept.value)
+    with pytest.raises(ModelError, match=r"xi=19\.0\).* a radius of 2\d\.\d+ is admitted$"):
+        solve(ModelParams(5, 0, 19.0), grid, 3)
 
 
 @pytest.mark.parametrize("n,m", [(5, 1), (4, 0), (6, 3)])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,24 @@ def test_window_monotonicity(meeting):
 def test_bands_meeting_window_requires_transport_dimension():
     with pytest.raises(ModelError):
         bands_meeting_window(3, WINDOW, 2, step=STEP)
+    # "5" < 4 raised TypeError
+    with pytest.raises(ModelError, match=r"dimension n must be an integer >= 4, got '5'$"):
+        bulk_decay_study("5", WINDOW, [10, 20])
+
+
+def test_a_band_above_a_high_window_is_refused_in_constant_memory():
+    # the refusal built (and printed) the list of the 10^6 bands below the
+    # window: 86 MiB at its peak
+    window = SpectralWindow(2e6 + 1.2, 2e6 + 2.8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelError, match=r"band p=1000002 does not meet the window"):
+            synthesize_state(5, window, [(0, 1, 1_000_002)])
+        assert magband.transport._lowest_band(window) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_packet_parseval(edge_packet, meeting):
