@@ -24,7 +24,7 @@ import numpy as np
 from .bands import BandCurve, refined_sweep
 from .errors import ModelError
 from .model import _integer, _interval, _real, coupling_constant
-from .solver import Grid
+from .solver import Grid, _loglog_slope
 
 _MAX_SAMPLES = 2**22  # longest band a comparison samples; 32 MiB per array
 _NOISE_MARGIN = 10.0  # a remainder or gap within this factor of the noise witnesses nothing
@@ -179,8 +179,8 @@ def remainder_rate(
     resid = np.abs(values - np.array([evaluate_expansion(coeffs, x) for x in xi]))
     if np.max(resid) <= _NOISE_MARGIN * noise_floor or np.any(resid == 0.0):
         return RateReport(slope=None, points=int(xi.size), indeterminate=True)
-    slope, _ = np.polyfit(np.log(xi), np.log(resid), 1)
-    return RateReport(slope=float(slope), points=int(xi.size), indeterminate=False)
+    slope, _ = _loglog_slope(xi, resid)
+    return RateReport(slope=slope, points=int(xi.size), indeterminate=False)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .solver import (
     RefinedValue,
     _admit,
     _follow,
+    _loglog_slope,
     derivative_boundary_form,  # not called here; perfbench/tracing.py binds it
     derivative_feynman_hellmann,  # likewise
     fiber_eigenvalues,  # likewise
@@ -216,19 +217,6 @@ def crossing(
         f"Newton did not reach |lambda - {energy}| <= {tolerance} "
         f"within 60 iterations (bracket [{lo:.6g}, {hi:.6g}])"
     )
-
-
-def _loglog_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """OLS slope and its standard error for log y against log x."""
-    lx, ly = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    dof = lx.size - 2
-    if dof > 0:
-        stderr = float(np.sqrt(np.sum(resid**2) / dof / np.sum((lx - lx.mean()) ** 2)))
-    else:
-        stderr = float("nan")
-    return float(slope), stderr
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,13 @@ and reports; the pass/fail criteria it lists are the acceptance battery's own
 (`magband.acceptance`), so the two never disagree on a threshold.  Options
 resolve with precedence flags > config file > defaults;
 the config file is plain key=value lines ('#' starts a comment) using the
-flag names with underscores.  Exit codes: 0 success, 2 invalid input, 3
-numerical convergence failure (the acceptance runner returns 1 when a check
-fails).
+flag names with underscores.  Exit codes: 0 success, 1 when a criterion that
+the run lists fails (every report subcommand and `acceptance`, one rule in
+`_status`), 2 invalid input, 3 numerical convergence failure.
 
-Every pipeline runs serially in a fixed order, and all numeric output goes
-through 17-significant-digit formatting, so repeated runs produce
-byte-identical files.
+Every pipeline runs serially in a fixed order.  CSV numbers go through
+17-significant-digit formatting and JSON floats through Python's shortest
+round-trip repr, so repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -245,18 +245,11 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
+def _plain(value):
+    """`json.dumps` hook: a numpy array or scalar as Python lists and numbers."""
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -275,13 +268,17 @@ def _check_entry(check: CheckResult) -> dict:
     return entry
 
 
-def _report(config: dict, results: dict, checks: list[CheckResult], path: str | None) -> None:
-    payload = {
-        "config": _jsonable(config),
-        "results": _jsonable(results),
-        "checks": _jsonable([_check_entry(c) for c in checks]),
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", path)
+def _status(checks: list[CheckResult]) -> int:
+    """The exit rule: 0 when every listed criterion passes, 1 otherwise."""
+    return 0 if all(c.passed for c in checks) else 1
+
+
+def _report(config: dict, results: dict, checks: list[CheckResult], path: str | None) -> int:
+    """Write the JSON report and return the run's exit status."""
+    payload = {"config": config, "results": results,
+               "checks": [_check_entry(c) for c in checks]}
+    _emit(json.dumps(payload, indent=2, default=_plain) + "\n", path)
+    return _status(checks)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -310,8 +307,7 @@ def cmd_scaling(cfg: dict) -> int:
         "xi_ratio_spread": xi_spread.value,
         "slope_ratio_spread": slope_spread.value,
     }
-    _report(cfg, results, checks, cfg["summary"])
-    return 0
+    return _report(cfg, results, checks, cfg["summary"])
 
 
 def cmd_asym(cfg: dict) -> int:
@@ -342,11 +338,8 @@ def cmd_asym(cfg: dict) -> int:
             "remainder_indeterminate": report.indeterminate,
             "noise_floor": run.noise,
         }
-        checks = alpha_criteria(run.coeffs.alphas) if cfg["order"] >= 2 else []
-        if report.slope is not None:
-            checks.append(remainder_criterion(report, cfg["order"]))
-    _report(cfg, results, checks, cfg["summary"])
-    return 0
+        checks = alpha_criteria(run.coeffs.alphas) + [remainder_criterion(report, cfg["order"])]
+    return _report(cfg, results, checks, cfg["summary"])
 
 
 def cmd_classical(cfg: dict) -> int:
@@ -373,8 +366,7 @@ def cmd_classical(cfg: dict) -> int:
         "vz_fit": velocity.fit,
         "vz_bound": velocity.bound,
     }
-    _report(cfg, results, classical_criteria(traj, velocity), cfg["summary"])
-    return 0
+    return _report(cfg, results, classical_criteria(traj, velocity), cfg["summary"])
 
 
 def cmd_current(cfg: dict) -> int:
@@ -402,8 +394,7 @@ def cmd_current(cfg: dict) -> int:
         },
         "witness": {"m": witness_m, "normalized_current": witness_value},
     }
-    _report(cfg, results, dichotomy_criteria(result, cfg["epsilon"]), cfg["summary"])
-    return 0
+    return _report(cfg, results, dichotomy_criteria(result, cfg["epsilon"]), cfg["summary"])
 
 
 def cmd_convergence(cfg: dict) -> int:
@@ -416,8 +407,7 @@ def cmd_convergence(cfg: dict) -> int:
         _emit(render_csv(CONVERGENCE_HEADER, rows), cfg["output"])
     keys = ("m", "p", "xi", "coarse", "fine", "richardson", "error_estimate")
     results = {"entries": [dict(zip(keys, row[1:])) for row in rows]}
-    _report(cfg, results, convergence_criteria(refined, cfg["bound"]), cfg["summary"])
-    return 0
+    return _report(cfg, results, convergence_criteria(refined, cfg["bound"]), cfg["summary"])
 
 
 def cmd_acceptance(cfg: dict) -> int:
@@ -431,15 +421,14 @@ def cmd_acceptance(cfg: dict) -> int:
         ]
         if not selected:
             raise ModelError(f"no acceptance check matches {cfg['only']!r}")
-    results = []
+    checks = []
     for name, fn in selected:
         result = fn()
-        results.append((name, result))
         print(f"[{name}] {result.line()}")
-    if cfg["summary"] is not None:
-        checks = [replace(res, name=name) for name, res in results]
-        _report({"only": cfg["only"]}, {}, checks, cfg["summary"])
-    return 0 if all(res.passed for _, res in results) else 1
+        checks.append(replace(result, name=name))
+    if cfg["summary"] is None:
+        return _status(checks)
+    return _report({"only": cfg["only"]}, {}, checks, cfg["summary"])
 
 
 _COMMANDS = {

@@ -709,8 +709,7 @@ def boundary_exponent(
             "eigenvector is not strictly positive over the fit window; "
             "the boundary exponent fit needs sign-definite data"
         )
-    slope, _ = np.polyfit(np.log(r), np.log(u), 1)
-    return float(slope)
+    return _loglog_slope(r, u)[0]
 
 
 @dataclass(frozen=True)
@@ -721,6 +720,19 @@ class RefinedValue:
     fine: np.ndarray
     value: np.ndarray
     error: np.ndarray
+
+
+def _loglog_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """OLS slope and its standard error for log y against log x."""
+    lx, ly = np.log(x), np.log(y)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    resid = ly - (slope * lx + intercept)
+    dof = lx.size - 2
+    if dof > 0:
+        stderr = float(np.sqrt(np.sum(resid**2) / dof / np.sum((lx - lx.mean()) ** 2)))
+    else:
+        stderr = float("nan")
+    return float(slope), stderr
 
 
 def richardson(a, b) -> RefinedValue:

@@ -19,12 +19,12 @@ from math import ceil, floor
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .bands import CrossingResult, _loglog_slope, crossing, sweep
+from .bands import CrossingResult, crossing, sweep
 from .errors import ConvergenceError, MissingBandDataError, ModelError
 from .model import (
     _integer, _integers, _interval, _real, coupling_constant, harmonic_multiplicity, landau_level,
 )
-from .solver import fixed_step_grid
+from .solver import _loglog_slope, fixed_step_grid
 
 _PROFILE_SAMPLES = 801  # samples per bump profile
 _SUPPORT = 0.495  # bump half-width over preimage length: support stays inside

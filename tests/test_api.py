@@ -142,6 +142,31 @@ def test_cli_builds_no_check_of_its_own():
     assert calls == [], f"cli.py calls CheckResult on lines {calls}"
 
 
+def test_every_cli_report_returns_its_exit_status():
+    # the exit rule is _report's (0 when every listed criterion passes, 1
+    # otherwise): a subcommand that reports returns what _report gives, never
+    # a literal status of its own
+    def calls_report(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_report"
+
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    reporting, stray = [], []
+    for function in cli.body:
+        if not (isinstance(function, ast.FunctionDef) and function.name.startswith("cmd_")
+                and any(map(calls_report, ast.walk(function)))):
+            continue
+        reporting.append(function.name)
+        returns = [node for node in ast.walk(function) if isinstance(node, ast.Return)]
+        returned = [node.value for node in returns]
+        stray += [f"{function.name}:{node.lineno}" for node in ast.walk(function)
+                  if calls_report(node) and not any(node is value for value in returned)]
+        stray += [f"{function.name}:{node.lineno}" for node in returns
+                  if isinstance(node.value, ast.Constant)]
+    assert reporting == ["cmd_scaling", "cmd_asym", "cmd_classical", "cmd_current",
+                         "cmd_convergence", "cmd_acceptance"]
+    assert stray == []
+
+
 def test_every_verdict_is_built_by_the_three_acceptance_helpers():
     # _criterion and _near derive a verdict and its bound text from one stated
     # threshold, and _fold a numbered check's verdict from its criteria; no
@@ -284,6 +309,22 @@ def test_the_moments_are_computed_only_where_a_fiber_step_builds_its_record():
         "solver.derivative_feynman_hellmann",
         "solver.rayleigh_quotient",
     ]
+
+
+def test_the_log_log_fit_is_stated_once():
+    # every fitted power law (scaling, bulk decay, remainder rate, boundary
+    # exponent) is solver._loglog_slope; the one other fit is z(t), linear
+    fitting = sorted(
+        f"{path.stem}.{function.name}"
+        for path in PACKAGE.glob("*.py")
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(function, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "polyfit"
+            for node in ast.walk(function)
+        )
+    )
+    assert fitting == ["classical.effective_velocity", "solver._loglog_slope"]
 
 
 WINDOW = (1.5, 2.5)

@@ -436,6 +436,16 @@ def test_convergence_summary(tmp_path, capsys):
     assert len(lines) == 5
 
 
+def test_default_convergence_exits_1_naming_its_failing_bands(capsys):
+    # the default grid does not reach the default bound on the upper bands
+    assert run_cli("convergence") == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    failed = [c["name"] for c in checks if not c["pass"]]
+    assert len(checks) == 12
+    assert failed == [f"error(m={m},p={p})" for m, p in
+                      [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]]
+
+
 @pytest.mark.parametrize("bands", ["0,1", "-1,3"])
 def test_convergence_band_index_below_1_exits_2(bands, monkeypatch, capsys):
     # convergence stated its own rule ("band indices must be integers >= 1");
@@ -504,6 +514,25 @@ def test_asym_reports_the_numbers_of_checks_04_and_10(capsys):
     spread = {c["name"]: c["value"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert spread["profile-spread"] == pytest.approx(1.05733, abs=1e-5)
     assert checks["10-exponential-regime"]().value == spread["profile-spread"]
+
+
+def test_asym_indeterminate_remainder_fails_as_in_check_04(capsys):
+    # the residuals sit in the noise, so no rate is witnessed: the remainder
+    # criterion is listed with a NaN slope and fails, and the run exits 1
+    assert run_cli("asym", "--order", "6", "--window", "12:15", "--samples", "5",
+                   "--radius", "30", "--intervals", "2400") == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["remainder_indeterminate"]
+    checks = {c["name"]: c for c in report["checks"]}
+    assert list(checks) == ["alpha1", "alpha2", "remainder-slope"]
+    assert np.isnan(checks["remainder-slope"]["value"])
+    assert not checks["remainder-slope"]["pass"]
+
+
+def test_asym_order_1_lists_alpha1(capsys):
+    assert run_cli("asym", "--order", "1") == 0
+    checks = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    assert checks == ["alpha1", "remainder-slope"]
 
 
 def test_acceptance_single_check(capsys, tmp_path):
