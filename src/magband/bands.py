@@ -5,7 +5,8 @@ the momentum xi.  For nonnegative coupling the bands decrease strictly from
 +infinity to the Landau level 2p-1, which makes every threshold crossing
 unique: any pair of points where lambda - E changes sign brackets it.
 Crossings are found by Newton's method on the Feynman-Hellmann slope, seeded
-from the leading law lambda ~ E_p + k_m/xi^2 and kept inside that bracket.
+from the two-term large-k law of the crossing (`_seed`) and kept inside that
+bracket.
 
 `sweep` and `crossing` follow eigenpairs from one xi to the next, by sample
 or by Newton iterate, through the solver's fiber step (`solver._follow`);
@@ -38,10 +39,24 @@ from .solver import (
 )
 
 _BRACKET_LIMIT = float(2**30)
-_FLAT_SEED = 1.0  # k_m = 0 has no leading law to seed from
+_FLAT_SEED = 1.0  # k_m = 0 has no large-k law to seed from
 
 CROSSING_TOLERANCE = 1e-8  # default bound on |lambda - energy| at a crossing
 CROSSING_STEP = 1.0 / 240.0  # default grid step of the crossing solves
+
+
+def _seed(k: float, level: float, delta: float) -> float:
+    """Newton's start for lambda = E_p + delta (E_p = level): the two-term
+    large-k law xi = sqrt(k/delta) * [1 + (3 E_p delta/2 - delta^2)/(2k)], from
+    lambda ~ E_p + 1/s^2 + (3 E_p/(2 s^4) - 1/s^6)/k at xi = sqrt(k) s.  Where
+    the correction factor leaves [1/2, 2] (small k, large delta) the leading
+    law sqrt(k/delta) is kept; k = 0 takes `_FLAT_SEED`.
+    """
+    if k <= 0:
+        return _FLAT_SEED
+    lead = float(np.sqrt(k / delta))
+    factor = 1.0 + (1.5 * level * delta - delta * delta) / (2.0 * k)
+    return lead * factor if 0.5 <= factor <= 2.0 else lead
 
 
 @dataclass(frozen=True)
@@ -155,8 +170,9 @@ def crossing(
     """The unique xi with lambda_{m,p}(xi) = energy, by safeguarded Newton.
 
     Works on the strictly decreasing regime k_m >= 0.  The iteration starts
-    from the leading law lambda ~ E_p + k_m/xi^2, i.e. xi_0 = sqrt(k_m/(E - E_p))
-    (a fixed seed when k_m = 0), on one grid that `solver.fixed_step_grid`
+    from the two-term large-k law of the crossing (`_seed`; the leading law
+    sqrt(k_m/(E - E_p)) where its correction factor leaves [1/2, 2], a fixed
+    seed when k_m = 0), on one grid that `solver.fixed_step_grid`
     sizes to admit `energy` there (an energy so close to E_p that this grid
     would be too large is a ModelError).  The fiber step (`solver._follow`)
     solves the first iterate's lowest p eigenpairs afresh and continues each
@@ -179,7 +195,7 @@ def crossing(
     energy = _real(energy, f"energy (Landau level E_p={target})", above=target)
     tolerance = _real(tolerance, "tolerance", above=0.0)
 
-    x = float(np.sqrt(probe.k / (energy - target))) if probe.k > 0 else _FLAT_SEED
+    x = _seed(probe.k, target, energy - target)
     grid, lo, hi = None, -np.inf, np.inf  # f > 0 at lo, f < 0 at hi
     fiber = None
     for _ in range(60):

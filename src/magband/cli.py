@@ -261,7 +261,9 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _check_entry(check: CheckResult) -> dict:
-    entry = {"name": check.name, "value": check.value, "bound": check.bound,
+    """One check as strict JSON: a non-finite value is written as null."""
+    value = check.value if np.isfinite(check.value) else None
+    entry = {"name": check.name, "value": value, "bound": check.bound,
              "pass": bool(check.passed)}
     if check.detail:
         entry["detail"] = check.detail

@@ -168,3 +168,19 @@ def reference_trajectory(state0, t_eval, rtol: float = 1e-12):
     if not sol.success:
         raise AssertionError(f"reference integration failed: {sol.message}")
     return sol.y
+
+
+def crossing_law(k: float, p: int, energy: float) -> tuple[float, float]:
+    """(xi, lambda'(xi)) at lambda_{m,p}(xi) = energy by the two-term large-k law.
+
+    With s = xi/sqrt(k), lambda = E_p + 1/s^2 + (3 E_p/(2 s^4) - 1/s^6)/k
+    + O(k^-2) (E_p = 2p - 1); solved at lambda = energy to first order in 1/k,
+    with delta = energy - E_p.
+    """
+    level = 2.0 * p - 1.0
+    delta = energy - level
+    xi = math.sqrt(k / delta) * (1.0 + (1.5 * level * delta - delta**2) / (2.0 * k))
+    slope = -(2.0 * delta**1.5 / math.sqrt(k)) * (
+        1.0 + (0.75 * level * delta - 1.5 * delta**2) / k
+    )
+    return xi, slope

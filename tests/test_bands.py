@@ -358,30 +358,73 @@ def _count_eigensolves(monkeypatch) -> list:
     return calls
 
 
+def _count_fiber_steps(monkeypatch) -> list:
+    """Record every fiber step (`solver._follow` call) the band drivers make
+    from now on; nested solves inside a step are not counted."""
+    steps = []
+
+    def counted(*args, _follow=magband.bands._follow):
+        steps.append(1)
+        return _follow(*args)
+
+    monkeypatch.setattr(magband.bands, "_follow", counted)
+    return steps
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_crossing_seeded_newton_solve_count(monkeypatch, n):
-    # seeded from xi_0 = sqrt(k/(E - E_p)), Newton needs few solves, near to
-    # and far from the Landau level alike (E - E_p = 20 puts xi below 0)
-    calls = _count_eigensolves(monkeypatch)
+    # seeded from the two-term large-k law, Newton needs few fiber steps, near
+    # to and far from the Landau level alike (E - E_p = 20 puts xi below 0,
+    # where the seed falls back to the leading law sqrt(k/(E - E_p)))
+    steps = _count_fiber_steps(monkeypatch)
     for m in (0, 3, 10, 40, 80):
         for p in (1, 2, 3):
             for gap in (0.02, 1.0, 20.0):
-                before = len(calls)
+                before = len(steps)
                 res = crossing(n, m, p, landau_level(p) + gap)
                 assert res.residual <= 1e-8
-                assert len(calls) - before <= 8, (n, m, p, gap, len(calls) - before)
+                assert len(steps) - before <= 8, (n, m, p, gap, len(steps) - before)
+
+
+def test_check_09_crossings_take_few_fiber_steps(monkeypatch):
+    # check 09's 31 crossings: 93 fiber steps from the leading law, 62 from
+    # the two-term seed
+    steps = _count_fiber_steps(monkeypatch)
+    for m in range(10, 41):
+        assert crossing(5, m, 1, 2.0).residual <= 1e-8
+    assert len(steps) <= 64
+
+
+def test_check_08_scaling_study_takes_few_fiber_steps(monkeypatch):
+    # 109 fiber steps from the leading law, 73 from the two-term seed
+    steps = _count_fiber_steps(monkeypatch)
+    scaling_study(5, 1, 2.0, range(5, 41))
+    assert len(steps) <= 75
+
+
+@pytest.mark.parametrize("m", [20, 40, 80])
+@pytest.mark.parametrize("p,energy", [(1, 2.0), (2, 3.5)])
+def test_crossing_follows_the_two_term_large_k_law(m, p, energy):
+    # the law's remainder is O(k^-2); the grid's offset from the operator
+    # moves xi by ~1e-6/|lambda'| (~1e-5 relative here)
+    k = float(oracles.coupling_reference(5, m))
+    xi, slope = oracles.crossing_law(k, p, energy)
+    res = crossing(5, m, p, energy)
+    budget = 4.0 / k**2 + 2e-5
+    assert abs(res.xi / xi - 1.0) <= budget
+    assert abs(res.slope / slope - 1.0) <= budget
 
 
 def test_crossing_flat_band_solve_count(monkeypatch):
-    # k_m = 0 (n=4, m=0) has no leading law; the fixed seed still converges fast
-    calls = _count_eigensolves(monkeypatch)
+    # k_m = 0 (n=4, m=0) has no large-k law; the fixed seed still converges fast
+    steps = _count_fiber_steps(monkeypatch)
     for p in (1, 2, 3):
         for gap in (0.02, 1.0, 20.0):
-            before = len(calls)
+            before = len(steps)
             res = crossing(4, 0, p, landau_level(p) + gap)
             assert res.coupling == 0.0
             assert res.residual <= 1e-8
-            assert len(calls) - before <= 10, (p, gap, len(calls) - before)
+            assert len(steps) - before <= 10, (p, gap, len(steps) - before)
 
 
 def _record_fiber_solves(monkeypatch) -> tuple[list, dict]:
@@ -446,12 +489,12 @@ def test_crossing_bisects_nothing_and_continues(monkeypatch, n, m, p, energy):
 
 
 def test_crossing_continues_across_a_grown_grid(monkeypatch):
-    # the seed xi_0 = 0 at k_m = 0 lies on the base grid; Newton heads out and
-    # the grid grows between iterates, so the previous vectors continue
-    # interpolated, with zeros past the old wall
+    # the fixed seed xi_0 = 1 at k_m = 0 lies on the base grid; Newton heads
+    # out and the grid grows between iterates, so the previous vectors
+    # continue interpolated, with zeros past the old wall
     log, _ = _record_fiber_solves(monkeypatch)
     step = 1.0 / 24.0
-    res = crossing(5, 0, 2, 3.1, step=step)
+    res = crossing(4, 0, 2, 3.1, step=step)
     sizes = [intervals for _, intervals in log]
     assert [kind for kind, _ in log] == ["bisect"] + ["continue"] * (len(log) - 1)
     assert any(b > a for a, b in zip(sizes, sizes[1:]))

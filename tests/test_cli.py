@@ -518,14 +518,19 @@ def test_asym_reports_the_numbers_of_checks_04_and_10(capsys):
 
 def test_asym_indeterminate_remainder_fails_as_in_check_04(capsys):
     # the residuals sit in the noise, so no rate is witnessed: the remainder
-    # criterion is listed with a NaN slope and fails, and the run exits 1
+    # criterion is listed with a NaN slope and fails, and the run exits 1;
+    # the report stays strict JSON, with the NaN written as null
     assert run_cli("asym", "--order", "6", "--window", "12:15", "--samples", "5",
                    "--radius", "30", "--intervals", "2400") == 1
-    report = json.loads(capsys.readouterr().out)
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=refuse)
     assert report["results"]["remainder_indeterminate"]
     checks = {c["name"]: c for c in report["checks"]}
     assert list(checks) == ["alpha1", "alpha2", "remainder-slope"]
-    assert np.isnan(checks["remainder-slope"]["value"])
+    assert checks["remainder-slope"]["value"] is None
     assert not checks["remainder-slope"]["pass"]
 
 
