@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
+from struct import Struct
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .model import _real
 
 R_FLOOR = 1e-6
 _MAX_SAMPLES = 2**25  # largest trajectory integrate stores: 1.5 GiB of states
+_ROW = Struct("6d")  # one sample x, y, z, vx, vy, vz as native doubles (float64)
 
 
 @dataclass(frozen=True)
@@ -98,10 +100,13 @@ class TrajectoryResult:
 def integrate(initial: ClassicalState, t_max: float, dt: float) -> TrajectoryResult:
     """Fixed-step RK4 from `initial`, sampling every step.
 
-    The four stages are straight-line scalar code written into a preallocated
-    array.  Every stage rejects an excursion below r = 1e-6: the inverse-r
-    force is unresolvable there and invariants would silently decay.  More
-    than 2^25 samples is a ModelError, raised before anything is allocated.
+    The four stages are straight-line scalar code.  Each step is stored with
+    one `struct.pack_into` of its six native doubles at its row's byte offset
+    in the preallocated C-contiguous (steps + 1, 6) float64 array, about a
+    quarter of the cost of a numpy row assignment.  Every stage rejects an
+    excursion below r = 1e-6: the inverse-r force is unresolvable there and
+    invariants would silently decay.  More than 2^25 samples is a ModelError,
+    raised before anything is allocated.
     """
     dt, t_max = _real(dt, "time step", above=0.0), _real(t_max, "t_max")
     if not t_max >= dt:
@@ -126,7 +131,9 @@ def integrate(initial: ClassicalState, t_max: float, dt: float) -> TrajectoryRes
     # z-component is r-dot, which is what makes vz - r an invariant.  The
     # velocity is the position derivative, and no force depends on z, so a
     # stage carries only x, y and the velocity.
-    for i in range(1, steps + 1):
+    rows = out.data.cast("B")
+    store = _ROW.pack_into
+    for offset in range(_ROW.size, _ROW.size * (steps + 1), _ROW.size):
         r = sqrt(x * x + y * y)
         if r < R_FLOOR:
             raise _axis_error(r)
@@ -159,7 +166,7 @@ def integrate(initial: ClassicalState, t_max: float, dt: float) -> TrajectoryRes
         vx = vx + sixth * (ax1 + 2.0 * (ax2 + ax3) + ax4)
         vy = vy + sixth * (ay1 + 2.0 * (ay2 + ay3) + ay4)
         vz = vz + sixth * (az1 + 2.0 * (az2 + az3) + az4)
-        out[i] = (x, y, z, vx, vy, vz)
+        store(rows, offset, x, y, z, vx, vy, vz)
     times = t0 + dt * np.arange(steps + 1)
     return TrajectoryResult(times=times, states=out, dt=dt)
 

@@ -327,6 +327,24 @@ def test_the_log_log_fit_is_stated_once():
     assert fitting == ["classical.effective_velocity", "solver._loglog_slope"]
 
 
+def test_the_rk4_step_loop_stores_without_numpy():
+    # a numpy row assignment cost about a quarter of each RK4 step; the loop
+    # stores each step with one struct write and makes no numpy call
+    tree = ast.parse((PACKAGE / "classical.py").read_text(encoding="utf-8"))
+    integrate = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "integrate")
+    loop = next(node for node in ast.walk(integrate) if isinstance(node, ast.For))
+
+    def stray(node):
+        if isinstance(node, ast.Assign):
+            return any(isinstance(target, ast.Subscript) for target in node.targets)
+        if isinstance(node, ast.AugAssign):
+            return isinstance(node.target, ast.Subscript)
+        return isinstance(node, ast.Call) and ast.unparse(node.func).startswith("np.")
+
+    assert [ast.unparse(node) for node in ast.walk(loop) if stray(node)] == []
+
+
 WINDOW = (1.5, 2.5)
 GRID = magband.Grid(12.0, 600)
 

@@ -144,6 +144,16 @@ def test_integrate_is_bit_identical_to_the_generator_loop(initial):
     traj = integrate(initial, 2.0, 1e-3)
     assert np.array_equal(traj.times, times)
     assert np.array_equal(traj.states, states)
+    # one step, a t_max that rounds to 2000 steps, and the classical-drift
+    # length, so a skipped or misplaced first or last row shows
+    for t_max, steps in [(1e-3, 1), (2.0004, 2000), (20.0, 20000)]:
+        times, states = _generator_rk4(initial, t_max, 1e-3)
+        traj = integrate(initial, t_max, 1e-3)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states)
+        assert traj.states.shape == (steps + 1, 6)
+        assert traj.states.dtype == np.float64
+        assert traj.states.flags.c_contiguous and traj.states.flags.writeable
 
 
 def test_axis_crossing_detected():
