@@ -125,15 +125,14 @@ def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
 
     curves, rows = [], np.array(ps) - 1
     for m in ms:
-        values, fh, bd = (np.empty((len(ps), xi.size)) for _ in range(3))
+        table = np.empty((3, len(ps), xi.size))  # values, FH and boundary slopes
         fiber = None
         for i, x in enumerate(xi.tolist()):
             params = ModelParams(n, m, x)
             fiber = _follow(params, grid, ps[-1], fiber)
             _admit(params, grid, fiber.values[-1])
-            values[:, i] = fiber.values[rows]
-            fh[:, i] = fiber.slopes[rows]
-            bd[:, i] = fiber.boundary_slopes[rows]
+            table[:, :, i] = fiber.moments[:, rows]
+        values, fh, bd = table
         curves.extend(
             BandCurve(n, m, p, xi.copy(), values[j], fh[j], bd[j]) for j, p in enumerate(ps)
         )

@@ -3,15 +3,16 @@
 Second-order central differences on a uniform grid over (0, R) with Dirichlet
 conditions at both ends; the nodes r_j = j*h, j = 1..N-1, exclude the singular
 axis r = 0 and the artificial wall r = R.  The discrete operator T is
-symmetric tridiagonal, stated once, in `_block`.  `solve_fiber`,
-`fiber_eigenvalues`, band sweeps and crossing iterations all solve it
-through one fiber step (`_follow`), which continues at most one start per
-source in the order `_starts` states (the closed-form Hermite functions of
-the harmonic well that V turns into near its minimum, when they lead; the
-pairs of the fiber at a nearby xi; the same fiber on a grid 8 times
-coarser, a nested solve: Brandt, Math. Comp. 31, 1977), and otherwise
-bisects (LAPACK's Sturm-sequence bisection plus inverse iteration), so
-bisection runs almost only on grids below 512 intervals.
+symmetric tridiagonal, stated once, in `_block`, whose off-diagonal is a
+view of one read-only array of couplings per grid (`_couplings`).
+`solve_fiber`, `fiber_eigenvalues`, band sweeps and crossing iterations all
+solve it through one fiber step (`_follow`), which continues at most one
+start per source in the order `_starts` states (the closed-form Hermite
+functions of the harmonic well that V turns into near its minimum, when
+they lead; the pairs of the fiber at a nearby xi; the same fiber on a grid
+8 times coarser, a nested solve: Brandt, Math. Comp. 31, 1977), and
+otherwise bisects (LAPACK's Sturm-sequence bisection plus inverse
+iteration), so bisection runs almost only on grids below 512 intervals.
 
 A continuation (`_continue_fiber`) is Rayleigh-quotient iteration, one
 tridiagonal LU solve per step, accepted only under a certificate of the band
@@ -27,8 +28,9 @@ eigenvalue.  The inertia count (`_count_below`) bounds from above the number
 of eigenvalues of T below the top certified value, by one LDL^T pass over
 the window's block, or the block extended to the grid's end on a side where
 V falls below that bound; the certified values account for at least as many.
-The vectors are zero outside the window.  All of it is deterministic for
-fixed input.
+The vectors are zero outside the window.  The first vector's sign test
+reads only its largest and smallest entries (`_negative_lobe`).  All of it
+is deterministic for fixed input.
 
 A start changes the number of steps, never the certificate, so a value
 depends on its start only at the rounding level.
@@ -40,8 +42,8 @@ and sign fixed to be positive near the axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal, lapack
@@ -164,11 +166,21 @@ def _block(grid: Grid, v: np.ndarray, rows: slice, shift=0.0):
     """The one statement of T: (diagonal, off-diagonal, leaks) of the block
     T[rows, rows] - shift, from v, the potential on grid.nodes.  The leaks
     couple its first and last rows to the rows outside it: 1/h^2 on a side
-    trimmed from the grid, 0 at the grid's end."""
+    trimmed from the grid, 0 at the grid's end.  The off-diagonal is a
+    read-only view of the grid's one array of couplings (`_couplings`)."""
     coupling = 1.0 / grid.h**2
     diagonal = v[rows] + (2.0 * coupling - shift)
     leaks = (coupling if rows.start > 0 else 0.0, coupling if rows.stop < v.size else 0.0)
-    return diagonal, np.full(diagonal.size - 1, -coupling), leaks
+    return diagonal, _couplings(-coupling, v.size - 1)[: diagonal.size - 1], leaks
+
+
+@lru_cache(maxsize=2)  # a fiber step's grid and the grid of its nested solve
+def _couplings(coupling: float, size: int) -> np.ndarray:
+    """`size` entries `coupling`, read-only: the off-diagonal that `_block`
+    slices, built once per grid.  LAPACK gets it only as an input it copies."""
+    couplings = np.full(size, coupling)
+    couplings.flags.writeable = False
+    return couplings
 
 
 def _one_norm(grid: Grid, v: np.ndarray) -> float:
@@ -189,11 +201,12 @@ def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
     (`_follow`), continued from the first start of `_starts` that is
     certified, each value a Rayleigh quotient within 8 eps ||T||_1 of an
     eigenvalue, and otherwise bisected (a few ulps of ||T||).  A grid that
-    does not admit the top value (`_admit`) is a ModelError, as in `sweep`.
+    does not admit the top pair's quotient (`rayleigh_quotient`, `_admit`) is
+    a ModelError, as in `sweep`; the step computes no other moment.
     """
-    fiber = _follow(params, grid, count, None)
-    _admit(params, grid, fiber.values[-1])
-    return fiber.pairs
+    pairs = _follow(params, grid, count, None, moments=False).pairs
+    _admit(params, grid, rayleigh_quotient(params, pairs[-1], grid))
+    return pairs
 
 
 def fiber_eigenvalues(params: ModelParams, grid: Grid, count: int) -> np.ndarray:
@@ -210,24 +223,37 @@ def fiber_eigenvalues(params: ModelParams, grid: Grid, count: int) -> np.ndarray
 class _Fiber:
     """The record of one fiber step (`_follow`): the lowest eigenpairs of one
     fiber on one grid, with `centrifugal` the xi-independent part k/r^2 of
-    the potential on its nodes, and their Rayleigh quotients (`values`),
-    Feynman-Hellmann slopes (`slopes`) and boundary-form slopes
-    (`boundary_slopes`), one `_moments` per pair, computed when the step
-    builds the record.  `before` is the record this one was continued from
-    on the same grid at another xi, with its own `before` dropped so that no
+    the potential on its nodes, and `moments`, the (3, pairs) array of their
+    Rayleigh quotients (`values`), Feynman-Hellmann slopes (`slopes`) and
+    boundary-form slopes (`boundary_slopes`), one `_moments` per pair,
+    computed when the step builds the record (None when its caller reads
+    only the pairs).  `before` is the record this one was continued from on
+    the same grid at another xi, with its own `before` dropped so that no
     chain of records builds up, and None otherwise."""
 
     params: ModelParams
     grid: Grid
     pairs: list[EigenPair]
     centrifugal: np.ndarray
-    values: np.ndarray
-    slopes: np.ndarray
-    boundary_slopes: np.ndarray
+    moments: np.ndarray | None
     before: _Fiber | None
 
+    @property
+    def values(self) -> np.ndarray:
+        return self.moments[0]
 
-def _follow(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None) -> _Fiber:
+    @property
+    def slopes(self) -> np.ndarray:
+        return self.moments[1]
+
+    @property
+    def boundary_slopes(self) -> np.ndarray:
+        return self.moments[2]
+
+
+def _follow(
+    params: ModelParams, grid: Grid, count: int, previous: _Fiber | None, moments: bool = True
+) -> _Fiber:
     """The fiber step: the `count` lowest eigenpairs at params.xi on `grid`.
 
     The one place that continues or bisects a fiber.  Each start of `_starts`
@@ -235,7 +261,8 @@ def _follow(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None
     start left the grid is bisected (`_bisect_fiber`).  A fiber continued
     from `previous` on the same grid keeps that record as its `before`, so
     the next step can start from a second-order extrapolation, and takes
-    over its k/r^2, which does not depend on xi.
+    over its k/r^2, which does not depend on xi.  Without `moments` the
+    record holds the pairs only, for a caller that reads nothing else.
     An invalid `count` is a ModelError before any solve.
     """
     count = _integer(count, "eigenpairs", 1, grid.intervals - 1)
@@ -243,16 +270,20 @@ def _follow(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None
         centrifugal = previous.centrifugal
     else:
         centrifugal = params.k / grid.nodes**2
-    v = centrifugal + (grid.nodes - params.xi) ** 2  # potential(params, grid.nodes), bit for bit
+    v = grid.nodes - params.xi  # potential(params, grid.nodes), bit for bit
+    np.square(v, out=v)
+    v += centrifugal
     for vectors, shifts, window, before in _starts(params, grid, count, previous, v):
         pairs = _continue_fiber(grid, vectors, shifts, v, window)
         if pairs is not None:
             break
     else:
-        pairs, before = _bisect_fiber(params, grid, count), None
-    moments = [_moments(params, grid, pair.vector, centrifugal) for pair in pairs]
-    values, slopes, boundary_slopes = (np.array(column) for column in zip(*moments))
-    return _Fiber(params, grid, pairs, centrifugal, values, slopes, boundary_slopes, before)
+        pairs, window, before = _bisect_fiber(params, grid, count), None, None
+    table = None
+    if moments:
+        columns = [_moments(params, grid, pair.vector, centrifugal, v, window) for pair in pairs]
+        table = np.array(list(zip(*columns)))  # one row per moment
+    return _Fiber(params, grid, pairs, centrifugal, table, before)
 
 
 def _window(grid: Grid, vectors: list[np.ndarray], dxi: float) -> slice:
@@ -306,16 +337,25 @@ def _starts(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None
         well, start = _well(params), None
     else:
         dxi = params.xi - previous.params.xi
-        before = replace(previous, before=None) if dxi and previous.grid == grid else None
+        before = None
+        if dxi and previous.grid == grid:
+            before = _Fiber(
+                previous.params, previous.grid, previous.pairs, previous.centrifugal,
+                previous.moments, None,
+            )
         vectors = [pair.vector for pair in previous.pairs]
-        shifts = previous.values + previous.slopes * dxi
+        slopes = previous.slopes.tolist()
+        shifts = [value + slope * dxi for value, slope in zip(previous.values.tolist(), slopes)]
         back = previous.before
         if back is not None:
             dxi0 = previous.params.xi - back.params.xi
             vectors = [
                 u + (u - pair.vector) * (dxi / dxi0) for u, pair in zip(vectors, back.pairs)
             ]
-            shifts += 0.5 * (previous.slopes - back.slopes) / dxi0 * dxi**2
+            shifts = [  # Python floats, in the order of the array expression they replace
+                shift + 0.5 * (slope - slope0) / dxi0 * dxi**2
+                for shift, slope, slope0 in zip(shifts, slopes, back.slopes.tolist())
+            ]
         vectors = _onto(grid, previous.grid, vectors)
         window = _window(grid, vectors, abs(dxi))
         start, well = (vectors, shifts, window, before), None
@@ -336,7 +376,7 @@ def _starts(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None
     intervals = grid.intervals // _NESTED_FACTOR
     if grid.intervals >= _NESTED_FLOOR and intervals - 1 >= count:
         try:
-            nested = _follow(params, Grid(grid.radius, intervals), count, None)
+            nested = _follow(params, Grid(grid.radius, intervals), count, None, moments=False)
         except ConvergenceError:
             return
         vectors = _onto(grid, nested.grid, [pair.vector for pair in nested.pairs])
@@ -418,15 +458,17 @@ def _residual(grid: Grid, v: np.ndarray, rows: slice, z: np.ndarray, mu) -> floa
 def _squared_residual(block, z: np.ndarray, rayleigh: bool = False) -> tuple[float, float]:
     """(mu, ||(T - mu) z||^2), T less the shift of the block B (`_block`) that
     z is given on: B's residual plus z's end entries times their leaks,
-    squared.  mu is 0, or with `rayleigh` the quotient z . B z of a unit z."""
+    squared.  mu is 0, or with `rayleigh` the quotient z . B z of a unit z.
+    B's couplings are one constant c, so c z gives both off-diagonal terms."""
     diagonal, offdiagonal, leaks = block
     residual = diagonal * z
-    residual[:-1] += offdiagonal * z[1:]
-    residual[1:] += offdiagonal * z[:-1]
+    coupled = offdiagonal[0] * z
+    residual[:-1] += coupled[1:]
+    residual[1:] += coupled[:-1]
     mu = 0.0
     if rayleigh:
         mu = _dot(z, residual)
-        residual -= mu * z
+        residual -= np.multiply(z, mu, out=coupled)
     return mu, _dot(residual, residual) + ((leaks[0] * z[0]) ** 2 + (leaks[1] * z[-1]) ** 2)
 
 
@@ -471,6 +513,19 @@ def _significant(vector: np.ndarray) -> np.ndarray:
     return vector[magnitude > _SIGNIFICANT * np.max(magnitude)]
 
 
+def _negative_lobe(vector: np.ndarray) -> bool | None:
+    """Whether the entries of a nonzero `vector` above _SIGNIFICANT of its
+    peak (`_significant`) are all negative (True) or all positive (False),
+    and None when they change sign.  They hold no sign change exactly when
+    the vector's largest and smallest entries are not both significant, so
+    two reductions decide it."""
+    top, bottom = float(vector.max()), -float(vector.min())
+    floor = _SIGNIFICANT * max(top, bottom)
+    if top > floor:
+        return None if bottom > floor else False
+    return True
+
+
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """a . b by numpy's own loop, not BLAS.
 
@@ -508,17 +563,18 @@ def _continue_fiber(
     eigenpairs in order: the values ascend with gaps above 2 tol (so they
     belong to distinct eigenvalues of T, all below sigma = last value +
     2 tol), vector i has i sign changes over its significant entries
-    (discrete oscillation theorem), and the inertia count `_count_below`, an
-    upper bound of the number of eigenvalues of T below sigma, is
-    len(vectors).  The certified values bound that number from below, so it
-    is exact.  Otherwise, and on any LAPACK failure, it returns None.
-    Vectors are normalized and sign-fixed as in `solve_fiber`.
+    (discrete oscillation theorem; for vector 0, `_negative_lobe`), and the
+    inertia count `_count_below`, an upper bound of the number of
+    eigenvalues of T below sigma, is len(vectors).  The certified values
+    bound that number from below, so it is exact.  Otherwise, and on any
+    LAPACK failure, it returns None.  Vectors are normalized and sign-fixed
+    as in `solve_fiber`.
     """
     tol = 8.0 * _EPS * _one_norm(grid, v)
     block = _block(grid, v, window)
     pairs = []
     for u, mu in zip(vectors, shifts):
-        found = _rayleigh_iteration(block, u[window], float(mu), tol)
+        found = _rayleigh_iteration(block, u[window], mu, tol)
         if found is None:
             return None
         mu, z = found
@@ -526,11 +582,20 @@ def _continue_fiber(
         if not (math.isfinite(norm) and norm > 0.0):  # a non-finite entry makes it so
             return None
         z /= math.sqrt(norm * grid.h)
-        signs = np.signbit(_significant(z))
-        if np.count_nonzero(signs[1:] != signs[:-1]) != len(pairs):
-            return None
-        vector = np.zeros_like(v)
-        vector[window] = -z if signs[0] else z
+        if pairs:
+            signs = np.signbit(_significant(z))
+            if np.count_nonzero(signs[1:] != signs[:-1]) != len(pairs):
+                return None
+            negative = signs[0]
+        else:
+            negative = _negative_lobe(z)
+            if negative is None:
+                return None
+        vector = np.zeros(v.size)
+        if negative:
+            np.negative(z, out=vector[window])
+        else:
+            vector[window] = z
         pairs.append(EigenPair(mu, vector))
     values = [pair.value for pair in pairs]
     if any(upper - lower <= 2.0 * tol for lower, upper in zip(values, values[1:])):
@@ -566,9 +631,9 @@ def _count_below(grid: Grid, v: np.ndarray, sigma: float, window: slice) -> int 
     CS41, 1966).
     """
     a, b, size = window.start, window.stop, v.size
-    if v[:a].min(initial=np.inf) < sigma:
+    if a and v[:a].min() < sigma:
         a = 0
-    if v[b:].min(initial=np.inf) < sigma:
+    if b < size and v[b:].min() < sigma:
         b = size
     diagonal, offdiagonal, leaks = _block(grid, v, slice(a, b), sigma)
     diagonal[0] -= leaks[0]
@@ -590,18 +655,18 @@ def _rayleigh_iteration(block, z, mu, tol):
     caller's inertia count, the largest allocation of a continuation.
     """
     diagonal, offdiagonal, _ = block
-    for _ in range(_RQI_STEPS):
-        *factors, info = lapack.dgttrf(offdiagonal, diagonal - mu, offdiagonal)
+    for step in range(_RQI_STEPS):
+        *factors, info = lapack.dgttrf(offdiagonal, diagonal - mu, offdiagonal, overwrite_d=1)
         if info != 0:
             return None
-        z, info = lapack.dgttrs(*factors, z)
-        z /= np.sqrt(_dot(z, z))
+        z, info = lapack.dgttrs(*factors, z, overwrite_b=step > 0)  # the start is the caller's
+        z /= math.sqrt(_dot(z, z))
         mu, squared = _squared_residual(block, z, rayleigh=True)
-        if np.sqrt(squared) <= tol:
+        if math.sqrt(squared) <= tol:
             break
     else:
         return None
-    z, info = lapack.dgttrs(*factors, z)
+    z, info = lapack.dgttrs(*factors, z, overwrite_b=1)
     return None if info != 0 else (mu, z)
 
 
@@ -646,20 +711,29 @@ def derivative_boundary_form(params: ModelParams, pair: EigenPair, grid: Grid) -
 
 
 def _moments(
-    params: ModelParams, grid: Grid, u: np.ndarray, centrifugal: np.ndarray
+    params: ModelParams,
+    grid: Grid,
+    u: np.ndarray,
+    centrifugal: np.ndarray,
+    v: np.ndarray | None = None,
+    window: slice | None = None,
 ) -> tuple[float, float, float]:
     """(`rayleigh_quotient`, `derivative_feynman_hellmann`,
     `derivative_boundary_form`) of the grid vector u, from one u^2, with
-    centrifugal = k/r^2 on grid.nodes.
+    centrifugal = k/r^2 on grid.nodes and v, when given, the potential
+    centrifugal + (r - xi)^2 on them (otherwise built on the rows).
 
     Each is a pairwise sum (numpy's .sum()) over the rows where u is
-    nonzero, which it finds itself, so every caller gets the same bits; a
-    continued vector is zero outside its window.  At (n, m) = (3, 0) the
-    rows are the whole grid, since there the boundary form's integrand has
-    a tail past the vector's support.
+    nonzero, so every caller gets the same bits: the rows of `window` when u
+    is nonzero at both its ends (a continued vector is zero outside its
+    window), and otherwise the rows it finds itself.  At (n, m) = (3, 0)
+    the rows are the whole grid, since there the boundary form's integrand
+    has a tail past the vector's support.
     """
     if params.n == 3 and params.m == 0:
         lo, hi = 0, u.size
+    elif window is not None and u[window.start] and u[window.stop - 1]:
+        lo, hi = window.start, window.stop
     else:
         nonzero = u != 0.0
         lo, hi = int(nonzero.argmax()), u.size - int(nonzero[::-1].argmax())
@@ -668,7 +742,8 @@ def _moments(
     jumps[0], jumps[-1] = z[0], -z[-1]
     np.subtract(z[1:], z[:-1], out=jumps[1:-1])
     square, offset = z * z, r - params.xi
-    v = centrifugal[lo:hi] + offset * offset  # the bits of `potential` on the rows
+    # the bits of `potential` on the rows
+    v = centrifugal[lo:hi] + offset * offset if v is None else v[lo:hi]
     value = (jumps * jumps).sum() / h + h * (v * square).sum()
     slope = -2.0 * h * (offset * square).sum()
     if params.n == 3 and params.m == 0:

@@ -183,6 +183,37 @@ def test_dense_sweep_takes_one_rayleigh_step_per_sample(monkeypatch):
     _assert_matches_fresh_solves(curve, grid)
 
 
+def test_a_dense_one_band_sweep_makes_one_lu_step_per_sample(monkeypatch):
+    # a guard on start quality and window that holds on any machine: (5, 1)
+    # at 80 samples per unit of xi takes at most 1.2 LU factorizations
+    # (dgttrf) per sample, and only the first sample's nested solve bisects
+    events = []
+    lapack, bisect = magband.solver.lapack, magband.solver.eigh_tridiagonal
+
+    def dgttrf(*args, **kwargs):
+        events.append("lu")
+        return lapack.dgttrf(*args, **kwargs)
+
+    def bisected(*args, **kwargs):
+        events.append("bisect")
+        return bisect(*args, **kwargs)
+
+    def sample(*args, _follow=magband.bands._follow):
+        events.append("sample")
+        return _follow(*args)
+
+    monkeypatch.setattr(magband.solver, "lapack", SimpleNamespace(
+        dgttrf=dgttrf, dgttrs=lapack.dgttrs, dpttrf=lapack.dpttrf
+    ))
+    monkeypatch.setattr(magband.solver, "eigh_tridiagonal", bisected)
+    monkeypatch.setattr(magband.bands, "_follow", sample)
+    xi = np.linspace(0.5, 4.5, 320)
+    sweep(5, [1], [1], xi, Grid(14.5, 1740))
+    assert events.count("sample") == xi.size
+    assert events.count("lu") <= 1.2 * xi.size
+    assert "bisect" not in events[events.index("sample", 1):]
+
+
 @pytest.mark.parametrize("xi", [
     [0.5, 0.6, 0.7, 0.7, 0.8, 0.9, 1.0],  # a repeated xi (dxi = 0)
     [0.5, 0.51, 0.6, 0.61, 0.9, 0.95, 1.6, 1.61],  # uneven spacing

@@ -34,8 +34,10 @@ from magband.solver import (
     _count_below,
     _follow,
     _harmonic,
+    _negative_lobe,
     _reach,
     _residual,
+    _significant,
     _well,
     _window,
     assemble,
@@ -671,6 +673,95 @@ def test_continuation_on_a_window_too_narrow_is_none_or_right(cut):
     if got is not None:
         assert abs(got[0].value - want.value) <= tol
         assert _full_residual(diagonal, grid.h, got[0]) <= tol
+
+
+def _sign_changes_oracle(z: np.ndarray) -> bool | None:
+    """The sign certificate by counting: None when the entries above the
+    significance threshold change sign, else whether the first is negative."""
+    signs = np.signbit(_significant(z))
+    return None if np.count_nonzero(signs[1:] != signs[:-1]) else bool(signs[0])
+
+
+def _lobe(sign: float, rng) -> np.ndarray:
+    """One smooth lobe of one sign with peak magnitude 1, and in the zero
+    tails around it noise of both signs below the significance threshold."""
+    z = np.zeros(400)
+    z[100:300] = sign * np.exp(-0.5 * np.linspace(-4.0, 4.0, 200) ** 2)
+    noise = rng.uniform(-1.0, 1.0, 200) * 9e-9  # below 1e-8 of the peak
+    z[:100], z[300:] = noise[:100], noise[100:]
+    return z
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_pair_zero_sign_certificate_matches_the_sign_change_count(sign):
+    # the max/min predicate of pair 0 against the count over `_significant`
+    rng = np.random.default_rng(7)
+    z = _lobe(sign, rng)
+    assert np.any(z > 0.0) and np.any(z < 0.0)
+    cases = [z]  # sub-threshold noise of both signs around the lobe
+    opposite = z.copy()  # and one significant opposite lobe in its tail
+    opposite[30:34] = -sign * np.array([1e-7, 3e-7, 3e-7, 1e-7])
+    cases.append(opposite)
+    threshold = magband.solver._SIGNIFICANT
+    for peak in (1.0, 3.0, 0.7):  # an opposite entry at the threshold ratio, and one ulp past it
+        at = np.zeros(50)
+        at[20] = sign * peak
+        at[40] = -sign * (threshold * peak)
+        past = at.copy()
+        past[40] = -sign * np.nextafter(threshold * peak, np.inf)
+        cases += [at, past]
+    want = [_sign_changes_oracle(case) for case in cases]
+    assert want == [sign < 0, None] + [sign < 0, None] * 3
+    assert [_negative_lobe(case) for case in cases] == want
+    assert all(_negative_lobe(case) is verdict for case, verdict in zip(cases, want))
+
+
+def test_continuation_refuses_a_start_with_a_significant_node():
+    # one pair continued from the second eigenpair converges to it, and its
+    # node fails the certificate of pair 0
+    params, grid = ModelParams(5, 1, 1.0), Grid(14.0, 1120)
+    pairs = _bisect_fiber(params, grid, 2)
+    v = potential(params, grid.nodes)
+    window = _window(grid, [pairs[1].vector], 0.0)
+    assert _sign_changes_oracle(pairs[1].vector) is None
+    assert _continue_fiber(grid, [pairs[1].vector], [pairs[1].value], v, window) is None
+    # the same start is certified as the second of two pairs
+    got = _continue_fiber(grid, [p.vector for p in pairs], [p.value for p in pairs], v, window)
+    assert got is not None and [_sign_changes_oracle(p.vector) for p in got] == [False, None]
+
+
+def test_solve_fiber_computes_only_the_quotient_it_admits_on(monkeypatch):
+    # neither the nested coarse solve nor `solve_fiber` reads the moments of
+    # its pairs: one `_moments` call, the top pair's `rayleigh_quotient`
+    calls, moments = [], magband.solver._moments
+
+    def counted(params, grid, u, *args):
+        calls.append(grid.intervals)
+        return moments(params, grid, u, *args)
+
+    monkeypatch.setattr(magband.solver, "_moments", counted)
+    params, grid = ModelParams(5, 2, 1.5), Grid(16.0, 4096)
+    pairs = solve_fiber(params, grid, 3)
+    assert calls == [grid.intervals]
+    monkeypatch.undo()
+    assert fiber_eigenvalues(params, grid, 3)[-1] == rayleigh_quotient(params, pairs[-1], grid)
+
+
+@pytest.mark.parametrize("grid", [Grid(12.0, 480), Grid(14.0, 1120)])
+def test_the_shared_off_diagonal_cannot_be_written(grid):
+    # `assemble` hands out a view of the grid's one array of couplings: a
+    # write into it raises, and the next solve on that grid keeps its bits
+    params = ModelParams(5, 1, 1.0)
+    want = solve_fiber(params, grid, 2)
+    _, offdiagonal = assemble(params, grid)
+    assert np.all(offdiagonal == -1.0 / grid.h**2)
+    with pytest.raises(ValueError):
+        offdiagonal[:] = 0.0
+    with pytest.raises(ValueError):
+        offdiagonal[0] = 1.0
+    got = solve_fiber(params, grid, 2)
+    for a, b in zip(got, want):
+        assert a.value == b.value and a.vector.tobytes() == b.vector.tobytes()
 
 
 def _dense_count(params: ModelParams, grid: Grid, sigma: float) -> int:
