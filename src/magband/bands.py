@@ -9,7 +9,8 @@ from the two-term large-k law of the crossing (`_seed`) and kept inside that
 bracket.
 
 `sweep` and `crossing` follow eigenpairs from one xi to the next, by sample
-or by Newton iterate, through the solver's fiber step (`solver._follow`);
+or by Newton iterate, through the solver's fiber step (`solver._follow`)
+of one grid-matrix record (`solver._Operator`) per m or crossing grid;
 `refined_sweep` pairs the sweeps on a grid and on its refinement in
 Richardson records, the one pipeline behind every refined value.  Every
 band value here is the Rayleigh quotient of an eigenvector.
@@ -29,6 +30,7 @@ from .solver import (
     RefinedValue,
     _admit,
     _follow,
+    _Operator,
     _loglog_slope,
     derivative_boundary_form,  # not called here; perfbench/tracing.py binds it
     derivative_feynman_hellmann,  # likewise
@@ -120,21 +122,21 @@ def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
     """
     ms, ps = _integers(m_range, "angular number m", 0), _integers(p_range, "band index p", 1)
     xi = _xi_samples(xi_samples)
-    for m in ms:  # validates (n, m) and the grid at value 0 once up front
-        _admit(ModelParams(n, m, float(xi[-1])), grid, 0.0)
+    chains = [ModelParams(n, m, float(xi[-1])) for m in ms]
+    for params in chains:  # validates (n, m) and the grid at value 0 once up front
+        _admit(params, grid, 0.0)
 
     curves, rows = [], np.array(ps) - 1
-    for m in ms:
+    for params in chains:
         table = np.empty((3, len(ps), xi.size))  # values, FH and boundary slopes
-        fiber = None
+        operator, fiber = _Operator(params, grid), None
         for i, x in enumerate(xi.tolist()):
-            params = ModelParams(n, m, x)
-            fiber = _follow(params, grid, ps[-1], fiber)
-            _admit(params, grid, fiber.values[-1])
+            fiber = _follow(operator, x, ps[-1], fiber)
+            _admit(params, grid, fiber.values[-1], x)
             table[:, :, i] = fiber.moments[:, rows]
         values, fh, bd = table
         curves.extend(
-            BandCurve(n, m, p, xi.copy(), values[j], fh[j], bd[j]) for j, p in enumerate(ps)
+            BandCurve(n, params.m, p, xi.copy(), values[j], fh[j], bd[j]) for j, p in enumerate(ps)
         )
     return curves
 
@@ -202,8 +204,8 @@ def crossing(
             raise BracketError(f"no sign change of lambda - {energy} for |xi| <= 2^30")
         wider = fixed_step_grid(x, energy, step)
         if grid is None or wider.intervals > grid.intervals:
-            grid, lo, hi = wider, -np.inf, np.inf
-        fiber = _follow(ModelParams(n, m, x), grid, p, fiber)
+            grid, lo, hi, operator = wider, -np.inf, np.inf, _Operator(probe, wider)
+        fiber = _follow(operator, x, p, fiber)
         f = float(fiber.values[p - 1]) - energy
         slope = float(fiber.slopes[p - 1])
         if abs(f) <= tolerance:

@@ -167,9 +167,9 @@ def potential(params: ModelParams, r):
     return out if out.ndim else float(out)
 
 
-def _potential_at(params: ModelParams, r: float) -> float:
+def _potential_at(k: float, xi: float, r: float) -> float:
     """`potential` at one float r > 0 in plain float arithmetic: the same bits."""
-    return params.k / (r * r) + (r - params.xi) * (r - params.xi)
+    return k / (r * r) + (r - xi) * (r - xi)
 
 
 def potential_minimum(params: ModelParams) -> PotentialProfile:
@@ -180,14 +180,18 @@ def potential_minimum(params: ModelParams) -> PotentialProfile:
     is monotone (f is increasing and convex on r > 3*xi/4), so no damping is
     needed.  Requires k_m > 0, or k_m = 0 with xi > 0 (pure parabola).
     """
-    k, xi = params.k, params.xi
+    return PotentialProfile(params, *_potential_minimum(params.k, params.xi))
+
+
+def _potential_minimum(k: float, xi: float) -> tuple[float, float]:
+    """(r_min, V(r_min)) of `potential_minimum`, from the coupling k and xi alone."""
     if not (k > 0.0 or (k == 0.0 and xi > 0.0)):
         raise ModelError(
             f"potential has no interior minimum for k_m={k}, xi={xi}; "
             "need k_m > 0, or k_m = 0 with xi > 0"
         )
     if k == 0.0:
-        return PotentialProfile(params, float(xi), 0.0)
+        return float(xi), 0.0
 
     def f(r: float) -> float:
         return r**3 * (r - xi) - k
@@ -207,7 +211,7 @@ def potential_minimum(params: ModelParams) -> PotentialProfile:
             f"potential_minimum: Newton residual {f(r):.3e} above tolerance "
             f"for k_m={k}, xi={xi}"
         )
-    return PotentialProfile(params, r, float(_potential_at(params, r)))
+    return r, float(_potential_at(k, xi, r))
 
 
 def turning_points(params: ModelParams, energy: float) -> tuple[float, float]:
@@ -239,7 +243,7 @@ def turning_points(params: ModelParams, energy: float) -> tuple[float, float]:
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            excess = _potential_at(params, mid) - energy
+            excess = _potential_at(k, xi, mid) - energy
             if abs(excess) <= tol:
                 return mid
             if (excess > 0.0) == increasing:
@@ -247,21 +251,21 @@ def turning_points(params: ModelParams, energy: float) -> tuple[float, float]:
             else:
                 lo = mid
         mid = 0.5 * (lo + hi)
-        if abs(_potential_at(params, mid) - energy) <= 1e-10 * max(1.0, abs(energy)):
+        if abs(_potential_at(k, xi, mid) - energy) <= 1e-10 * max(1.0, abs(energy)):
             return mid
         raise ConvergenceError(
             f"turning point bisection stalled at r={mid} for k_m={k}, xi={xi}, E={energy}"
         )
 
     lo = profile.r_min
-    while _potential_at(params, lo) <= energy:
+    while _potential_at(k, xi, lo) <= energy:
         lo *= 0.5
         if lo < 1e-300:  # unreachable for k > 0: V ~ k/r^2 near 0
             raise ConvergenceError("failed to bracket the inner turning point")
     r_minus = bisect(lo, profile.r_min, increasing=False)
 
     hi = profile.r_min + 1.0
-    while _potential_at(params, hi) <= energy:
+    while _potential_at(k, xi, hi) <= energy:
         hi = profile.r_min + 2.0 * (hi - profile.r_min)
     r_plus = bisect(profile.r_min, hi, increasing=True)
     return r_minus, r_plus

@@ -3,34 +3,28 @@
 Second-order central differences on a uniform grid over (0, R) with Dirichlet
 conditions at both ends; the nodes r_j = j*h, j = 1..N-1, exclude the singular
 axis r = 0 and the artificial wall r = R.  The discrete operator T is
-symmetric tridiagonal, stated once, in `_block`, whose off-diagonal is a
-view of one read-only array of couplings per grid (`_couplings`).
-`solve_fiber`, `fiber_eigenvalues`, band sweeps and crossing iterations all
-solve it through one fiber step (`_follow`), which continues at most one
-start per source in the order `_starts` states (the closed-form Hermite
-functions of the harmonic well that V turns into near its minimum, when
-they lead; the pairs of the fiber at a nearby xi; the same fiber on a grid
-8 times coarser, a nested solve: Brandt, Math. Comp. 31, 1977), and
+symmetric tridiagonal, stated once, in the record `_Operator` of a fiber's
+coupling k on a grid, built once per followed chain.  `solve_fiber`,
+`fiber_eigenvalues`, band sweeps and crossing iterations all solve it
+through one fiber step (`_follow`) of a record at one xi, which continues at
+most one start per source in the order `_starts` states (the closed-form
+Hermite functions of the harmonic well that V turns into near its minimum,
+when they lead; the pairs of the fiber at a nearby xi; the same fiber on a
+grid 8 times coarser, a nested solve: Brandt, Math. Comp. 31, 1977), and
 otherwise bisects (LAPACK's Sturm-sequence bisection plus inverse
 iteration), so bisection runs almost only on grids below 512 intervals.
 
 A continuation (`_continue_fiber`) is Rayleigh-quotient iteration, one
-tridiagonal LU solve per step, accepted only under a certificate of the band
-indices (the discrete oscillation theorem and an inertia count) (Parlett, The
-Symmetric Eigenvalue Problem, ch. 4 and 7).  It runs on a window of rows
-(`_window`): those where a start vector exceeds _WINDOW of its peak, widened
-by |dxi| plus one unit of r, since an eigenfunction decays like e^(-d) at
-Agmon distance d from its well.  The iteration factors only the window's
-block of T, but stops on the residual of the zero-padded vector on the full
-T, the window's residual plus the leaks |z|/h^2 of its trimmed ends.  So its
-value is still a Rayleigh quotient of T within 8 eps ||T||_1 of an
-eigenvalue.  The inertia count (`_count_below`) bounds from above the number
-of eigenvalues of T below the top certified value, by one LDL^T pass over
-the window's block, or the block extended to the grid's end on a side where
-V falls below that bound; the certified values account for at least as many.
-The vectors are zero outside the window.  The first vector's sign test
-reads only its largest and smallest entries (`_negative_lobe`).  All of it
-is deterministic for fixed input.
+tridiagonal LU solve per step, on a window of rows (`_window`), accepted
+only under a certificate of the band indices: the discrete oscillation
+theorem and an inertia count (`_Operator.count_below`) (Parlett, The
+Symmetric Eigenvalue Problem, ch. 4 and 7).  The window holds the rows where
+a start vector exceeds _WINDOW of its peak, widened by |dxi| plus one unit
+of r, since an eigenfunction decays like e^(-d) at Agmon distance d from its
+well; the vectors are zero outside it.  The iteration stops on the residual
+of the zero-padded vector on the full T, so each value is a Rayleigh
+quotient of T within 8 eps ||T||_1 of an eigenvalue.  All of it is
+deterministic for fixed input.
 
 A start changes the number of steps, never the certificate, so a value
 depends on its start only at the rounding level.
@@ -42,14 +36,14 @@ and sign fixed to be positive near the axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal, lapack
 
 from .errors import ConvergenceError, ModelError, SignPatternError
-from .model import ModelParams, _integer, _real, potential, potential_minimum, turning_points
+from .model import ModelParams, _integer, _potential_minimum, _real, potential, turning_points
 
 _SIGNIFICANT = 1e-8  # entries below this fraction of a vector's peak carry no sign
 # Rows where no start vector reaches this fraction of its peak lie outside a
@@ -117,9 +111,9 @@ def _admitted_radius(xi: float, energy: float) -> float:
     return max(0.0, xi + math.sqrt(energy)) + math.sqrt(2.0 * REACH)
 
 
-def _admit(params: ModelParams, grid: Grid, value: float) -> None:
+def _admit(params: ModelParams, grid: Grid, value: float, xi: float | None = None) -> None:
     """The one grid rule: raise ModelError unless the wall of `grid` lies at
-    least REACH Agmon lengths (`_reach`) past the well of the eigenvalue `value`.
+    least REACH Agmon lengths (`_reach`) past the well of `value` at xi (params.xi if None).
 
     An eigenfunction decays like e^(-d) at Agmon distance d from its well
     (Agmon, Lectures on Exponential Decay, 1982), so the wall moves `value`
@@ -128,12 +122,13 @@ def _admit(params: ModelParams, grid: Grid, value: float) -> None:
     reach, and up to the O(h^2) of the differences a grid too short cannot
     admit itself.
     """
-    reach = _reach(grid, params.xi, value)
+    xi = params.xi if xi is None else xi
+    reach = _reach(grid, xi, value)
     if not reach >= REACH:
         raise ModelError(
-            f"fiber (n={params.n}, m={params.m}, xi={params.xi}): the wall of {grid} lies "
+            f"fiber (n={params.n}, m={params.m}, xi={xi}): the wall of {grid} lies "
             f"{reach:.4g} Agmon lengths past the well of lambda={value:.6g}, fewer than "
-            f"{REACH:g}; a radius of {_admitted_radius(params.xi, value):.6g} is admitted"
+            f"{REACH:g}; a radius of {_admitted_radius(xi, value):.6g} is admitted"
         )
 
 
@@ -159,38 +154,156 @@ class EigenPair:
 
 def assemble(params: ModelParams, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of -d^2/dr^2 + V_m(r, xi) on the grid interior."""
-    return _block(grid, potential(params, grid.nodes), slice(0, grid.intervals - 1))[:2]
+    v = potential(params, grid.nodes)
+    return _Operator(params, grid).block(v, slice(0, grid.intervals - 1))[:2]
 
 
-def _block(grid: Grid, v: np.ndarray, rows: slice, shift=0.0):
-    """The one statement of T: (diagonal, off-diagonal, leaks) of the block
-    T[rows, rows] - shift, from v, the potential on grid.nodes.  The leaks
-    couple its first and last rows to the rows outside it: 1/h^2 on a side
-    trimmed from the grid, 0 at the grid's end.  The off-diagonal is a
-    read-only view of the grid's one array of couplings (`_couplings`)."""
-    coupling = 1.0 / grid.h**2
-    diagonal = v[rows] + (2.0 * coupling - shift)
-    leaks = (coupling if rows.start > 0 else 0.0, coupling if rows.stop < v.size else 0.0)
-    return diagonal, _couplings(-coupling, v.size - 1)[: diagonal.size - 1], leaks
+@dataclass(frozen=True)
+class _Operator:
+    """The grid matrix T of the fiber `params` on `grid`, whose methods are
+    the only statement of T's shape: the diagonal 2/h^2 + V, one coupling
+    -1/h^2 between neighbouring rows and unit mass.  T depends on params
+    only through k and on xi only through V (`potential`); params also
+    names the fiber for bisection (`_bisect_fiber`).  A followed chain
+    builds one record, so its k/r^2 and off-diagonal are built once."""
 
+    params: ModelParams
+    grid: Grid
 
-@lru_cache(maxsize=2)  # a fiber step's grid and the grid of its nested solve
-def _couplings(coupling: float, size: int) -> np.ndarray:
-    """`size` entries `coupling`, read-only: the off-diagonal that `_block`
-    slices, built once per grid.  LAPACK gets it only as an input it copies."""
-    couplings = np.full(size, coupling)
-    couplings.flags.writeable = False
-    return couplings
+    @cached_property
+    def coupling(self) -> float:
+        return 1.0 / self.grid.h**2
 
+    @cached_property
+    def centrifugal(self) -> np.ndarray:
+        """k/r^2 on grid.nodes, the part of V that does not depend on xi."""
+        return self.params.k / self.grid.nodes**2
 
-def _one_norm(grid: Grid, v: np.ndarray) -> float:
-    """||T||_1 from v, the potential on grid.nodes.  Interior columns hold two
-    off-diagonal entries, end columns one.  Each diagonal entry is >= 1.75/h^2
-    > 0 (k >= -1/4, r >= h); rounding is monotone, so the largest is 2/h^2 +
-    max V, with no full-length temporary."""
-    coupling, lift = 1.0 / grid.h**2, 2.0 / grid.h**2
-    ends = lift + max(float(v[0]), float(v[-1])) + coupling
-    return max(lift + float(v[1:-1].max()) + 2.0 * coupling, ends)
+    @cached_property
+    def offdiagonal(self) -> np.ndarray:
+        offdiagonal = np.full(self.grid.intervals - 2, -self.coupling)
+        offdiagonal.flags.writeable = False  # `block` hands out views; LAPACK copies it
+        return offdiagonal
+
+    def potential(self, xi: float) -> np.ndarray:
+        """V on grid.nodes at xi, the bits of `potential`."""
+        v = self.grid.nodes - xi
+        np.square(v, out=v)
+        v += self.centrifugal
+        return v
+
+    def block(self, v: np.ndarray, rows: slice, shift=0.0):
+        """(diagonal, off-diagonal, leaks) of the block T[rows, rows] - shift,
+        from v, the potential on grid.nodes.  The leaks couple its first and
+        last rows to the rows outside it: 1/h^2 on a side trimmed from the
+        grid, 0 at the grid's end."""
+        coupling = self.coupling
+        diagonal = v[rows] + (2.0 * coupling - shift)
+        leaks = (coupling if rows.start > 0 else 0.0, coupling if rows.stop < v.size else 0.0)
+        return diagonal, self.offdiagonal[: diagonal.size - 1], leaks
+
+    def one_norm(self, v: np.ndarray) -> float:
+        """||T||_1 from v, the potential on grid.nodes.  Interior columns hold
+        two off-diagonal entries, end columns one.  Each diagonal entry is
+        >= 1.75/h^2 > 0 (k >= -1/4, r >= h); rounding is monotone, so the
+        largest is 2/h^2 + max V, with no full-length temporary."""
+        coupling, lift = self.coupling, 2.0 / self.grid.h**2
+        ends = lift + max(float(v[0]), float(v[-1])) + coupling
+        return max(lift + float(v[1:-1].max()) + 2.0 * coupling, ends)
+
+    def squared_residual(self, block, z: np.ndarray, rayleigh: bool = False):
+        """(mu, ||(T - mu) z||^2), T less the shift of the block B (`block`)
+        that z is given on: B's residual plus z's end entries times their
+        leaks, squared.  mu is 0, or with `rayleigh` the quotient z . B z of a
+        unit z.  One product gives both off-diagonal terms (equal couplings)."""
+        diagonal, _, leaks = block
+        residual = diagonal * z
+        coupled = -self.coupling * z
+        residual[:-1] += coupled[1:]
+        residual[1:] += coupled[:-1]
+        mu = 0.0
+        if rayleigh:
+            mu = _dot(z, residual)
+            residual -= np.multiply(z, mu, out=coupled)
+        return mu, _dot(residual, residual) + ((leaks[0] * z[0]) ** 2 + (leaks[1] * z[-1]) ** 2)
+
+    def count_below(self, v: np.ndarray, sigma: float, window: slice) -> int | None:
+        """An upper bound of the number of eigenvalues of T below sigma, exact
+        on the full matrix, from v on grid.nodes; None on a LAPACK failure.
+
+        Each side of `window` = [a, b) (the full T: a = 0, b = N) is decided
+        alone: a side whose outer rows hold some V < sigma extends to the
+        grid's end, and otherwise it is trimmed, with its leak (`block`)
+        subtracted from its end row.  A trimmed outer block of T - sigma is
+        the Dirichlet difference Laplacian plus V - sigma >= 0, so positive
+        definite, and by Haynsworth's inertia additivity T - sigma has as many
+        negative eigenvalues as their Schur complement: the kept block minus
+        (1/h^4) (block^-1)_corner at each trimmed end, a corner in (0, h^2),
+        as the block dominates the Laplacian, whose corner inverse is
+        h^2 k/(k + 1) on k rows.  So subtracting 1/h^2 only adds negatives.
+
+        The count is one LDL^T pass (LAPACK dpttrf) over that block B - sigma:
+        each pivot <= 0 removes its row, and the factorization restarts after
+        it (on one row or none, without LAPACK).  The rest is positive
+        definite, so by Cauchy interlacing B has at most as many eigenvalues
+        <= sigma as rows were removed (Parlett, ch. 10).  The pivots run the
+        Sturm recurrence, backward stable (Kahan, Stanford CS41, 1966).
+        """
+        a, b, size = window.start, window.stop, v.size
+        if a and v[:a].min() < sigma:
+            a = 0
+        if b < size and v[b:].min() < sigma:
+            b = size
+        diagonal, offdiagonal, leaks = self.block(v, slice(a, b), sigma)
+        diagonal[0] -= leaks[0]
+        diagonal[-1] -= leaks[1]
+        removed = start = 0
+        while diagonal.size - start > 1:  # f2py refuses an empty off-diagonal
+            *_, info = lapack.dpttrf(diagonal[start:], offdiagonal[start:])
+            if info <= 0:
+                return removed if info == 0 else None
+            removed, start = removed + 1, start + info  # drop the row of the pivot <= 0
+        return removed + int(diagonal.size - start == 1 and diagonal[start] <= 0.0)
+
+    def moments(self, u: np.ndarray, xi: float, v=None, window=None) -> tuple[float, float, float]:
+        """(`rayleigh_quotient`, `derivative_feynman_hellmann`,
+        `derivative_boundary_form`) of the grid vector u at xi, from one u^2,
+        with v, when given, the potential on grid.nodes (otherwise built on
+        the rows).
+
+        Each is a pairwise sum (numpy's .sum()) over the rows where u is
+        nonzero, so every caller gets the same bits: the rows of `window` when
+        u is nonzero at both its ends (a continued vector is zero outside its
+        window), and otherwise the rows it finds itself.  At k = -1/4, which
+        is (n, m) = (3, 0) alone, the rows are the whole grid, since there the
+        boundary form's integrand has a tail past the vector's support.
+        """
+        k, grid = self.params.k, self.grid
+        if k == -0.25:
+            lo, hi = 0, u.size
+        elif window is not None and u[window.start] and u[window.stop - 1]:
+            lo, hi = window.start, window.stop
+        else:
+            nonzero = u != 0.0
+            lo, hi = int(nonzero.argmax()), u.size - int(nonzero[::-1].argmax())
+        h, z, r = grid.h, u[lo:hi], grid.nodes[lo:hi]
+        jumps = np.empty(z.size + 1)  # u is zero past both ends of the rows
+        jumps[0], jumps[-1] = z[0], -z[-1]
+        np.subtract(z[1:], z[:-1], out=jumps[1:-1])
+        square, offset = z * z, r - xi
+        # the bits of `potential` on the rows
+        v = self.centrifugal[lo:hi] + offset * offset if v is None else v[lo:hi]
+        value = (jumps * jumps).sum() / h + h * (v * square).sum()
+        slope = -2.0 * h * (offset * square).sum()
+        if k == -0.25:
+            y = square[:3] / r[:3]
+            k_axis = 3.0 * y[0] - 3.0 * y[1] + y[2]
+            boundary = -h * ((square / r - k_axis) / r**2).sum() + k_axis / grid.radius
+        elif k == 0.0:
+            boundary = -((u[0] / h) ** 2)
+        else:
+            boundary = -2.0 * h * (square * self.centrifugal[lo:hi] / r).sum()
+        return float(value), float(slope), float(boundary)
 
 
 def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
@@ -204,7 +317,7 @@ def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
     does not admit the top pair's quotient (`rayleigh_quotient`, `_admit`) is
     a ModelError, as in `sweep`; the step computes no other moment.
     """
-    pairs = _follow(params, grid, count, None, moments=False).pairs
+    pairs = _follow(_Operator(params, grid), params.xi, count, None, moments=False).pairs
     _admit(params, grid, rayleigh_quotient(params, pairs[-1], grid))
     return pairs
 
@@ -214,27 +327,25 @@ def fiber_eigenvalues(params: ModelParams, grid: Grid, count: int) -> np.ndarray
     (`rayleigh_quotient`) of the fiber step's eigenvectors (`_follow`),
     continued from a start of `_starts` or bisected, and admitted by the grid,
     as in `solve_fiber`."""
-    fiber = _follow(params, grid, count, None)
+    fiber = _follow(_Operator(params, grid), params.xi, count, None)
     _admit(params, grid, fiber.values[-1])
     return fiber.values
 
 
 @dataclass(frozen=True)
 class _Fiber:
-    """The record of one fiber step (`_follow`): the lowest eigenpairs of one
-    fiber on one grid, with `centrifugal` the xi-independent part k/r^2 of
-    the potential on its nodes, and `moments`, the (3, pairs) array of their
+    """The record of one fiber step (`_follow`): the lowest eigenpairs of the
+    fiber `operator` at `xi`, with `moments`, the (3, pairs) array of their
     Rayleigh quotients (`values`), Feynman-Hellmann slopes (`slopes`) and
-    boundary-form slopes (`boundary_slopes`), one `_moments` per pair,
-    computed when the step builds the record (None when its caller reads
-    only the pairs).  `before` is the record this one was continued from on
-    the same grid at another xi, with its own `before` dropped so that no
-    chain of records builds up, and None otherwise."""
+    boundary-form slopes (`boundary_slopes`), one `_Operator.moments` per
+    pair, computed when the step builds the record (None when its caller
+    reads only the pairs).  `before` is the record this one was continued
+    from on the same grid at another xi, with its own `before` dropped so
+    that no chain of records builds up, and None otherwise."""
 
-    params: ModelParams
-    grid: Grid
+    operator: _Operator
+    xi: float
     pairs: list[EigenPair]
-    centrifugal: np.ndarray
     moments: np.ndarray | None
     before: _Fiber | None
 
@@ -252,38 +363,32 @@ class _Fiber:
 
 
 def _follow(
-    params: ModelParams, grid: Grid, count: int, previous: _Fiber | None, moments: bool = True
+    operator: _Operator, xi: float, count: int, previous: _Fiber | None, moments: bool = True
 ) -> _Fiber:
-    """The fiber step: the `count` lowest eigenpairs at params.xi on `grid`.
+    """The fiber step: the `count` lowest eigenpairs of `operator` at xi.
 
     The one place that continues or bisects a fiber.  Each start of `_starts`
     in turn is continued (`_continue_fiber`) on its window of rows; with no
     start left the grid is bisected (`_bisect_fiber`).  A fiber continued
     from `previous` on the same grid keeps that record as its `before`, so
-    the next step can start from a second-order extrapolation, and takes
-    over its k/r^2, which does not depend on xi.  Without `moments` the
-    record holds the pairs only, for a caller that reads nothing else.
-    An invalid `count` is a ModelError before any solve.
+    the next step can start from a second-order extrapolation.  Without
+    `moments` the record holds the pairs only, for a caller that reads
+    nothing else.  An invalid `count` is a ModelError before any solve.
     """
-    count = _integer(count, "eigenpairs", 1, grid.intervals - 1)
-    if previous is not None and previous.grid == grid and previous.params.k == params.k:
-        centrifugal = previous.centrifugal
-    else:
-        centrifugal = params.k / grid.nodes**2
-    v = grid.nodes - params.xi  # potential(params, grid.nodes), bit for bit
-    np.square(v, out=v)
-    v += centrifugal
-    for vectors, shifts, window, before in _starts(params, grid, count, previous, v):
-        pairs = _continue_fiber(grid, vectors, shifts, v, window)
+    count = _integer(count, "eigenpairs", 1, operator.grid.intervals - 1)
+    v = operator.potential(xi)
+    for vectors, shifts, window, before in _starts(operator, xi, count, previous, v):
+        pairs = _continue_fiber(operator, vectors, shifts, v, window)
         if pairs is not None:
             break
     else:
-        pairs, window, before = _bisect_fiber(params, grid, count), None, None
+        params = replace(operator.params, xi=xi)  # names the fiber; V depends on k alone
+        pairs, window, before = _bisect_fiber(params, operator.grid, count), None, None
     table = None
     if moments:
-        columns = [_moments(params, grid, pair.vector, centrifugal, v, window) for pair in pairs]
+        columns = [operator.moments(pair.vector, xi, v, window) for pair in pairs]
         table = np.array(list(zip(*columns)))  # one row per moment
-    return _Fiber(params, grid, pairs, centrifugal, table, before)
+    return _Fiber(operator, xi, pairs, table, before)
 
 
 def _window(grid: Grid, vectors: list[np.ndarray], dxi: float) -> slice:
@@ -307,13 +412,13 @@ def _widened(grid: Grid, lo: int, hi: int, dxi: float) -> slice:
     return slice(max(0, lo - margin), min(grid.intervals - 1, hi + margin))
 
 
-def _starts(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None, v: np.ndarray):
-    """(vectors, shifts, window, before) for `_follow` to continue from, in
-    turn: start vectors on grid.nodes, their shifts, the rows to work on and
-    the `_Fiber.before` of a fiber continued from them (`previous` without
-    its own `before` when both lie on one grid at distinct xi, else None).
-    v is the potential on grid.nodes.  Each source is offered at most once,
-    in this order:
+def _starts(operator: _Operator, xi: float, count: int, previous: _Fiber | None, v: np.ndarray):
+    """(vectors, shifts, window, before) for `_follow` to continue from at
+    xi, in turn: start vectors on grid.nodes, their shifts, the rows to work
+    on and the `_Fiber.before` of a fiber continued from them (`previous`
+    without its own `before` when both lie on one grid at distinct xi, else
+    None).  v is the potential on the nodes of operator.grid.  Each source
+    is offered at most once, in this order:
 
     1. the closed-form start of the harmonic well (`_harmonic`), only when it
        leads: with no `previous`, or after a `previous` that keeps no record
@@ -333,22 +438,20 @@ def _starts(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None
 
     The well (`_well`) is looked up at most once.
     """
+    grid, k = operator.grid, operator.params.k
     if previous is None:
-        well, start = _well(params), None
+        well, start = _well(k, xi), None
     else:
-        dxi = params.xi - previous.params.xi
+        dxi = xi - previous.xi
         before = None
-        if dxi and previous.grid == grid:
-            before = _Fiber(
-                previous.params, previous.grid, previous.pairs, previous.centrifugal,
-                previous.moments, None,
-            )
+        if dxi and previous.operator.grid == grid:
+            before = _Fiber(previous.operator, previous.xi, previous.pairs, previous.moments, None)
         vectors = [pair.vector for pair in previous.pairs]
         slopes = previous.slopes.tolist()
         shifts = [value + slope * dxi for value, slope in zip(previous.values.tolist(), slopes)]
         back = previous.before
         if back is not None:
-            dxi0 = previous.params.xi - back.params.xi
+            dxi0 = previous.xi - back.xi
             vectors = [
                 u + (u - pair.vector) * (dxi / dxi0) for u, pair in zip(vectors, back.pairs)
             ]
@@ -356,19 +459,19 @@ def _starts(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None
                 shift + 0.5 * (slope - slope0) / dxi0 * dxi**2
                 for shift, slope, slope0 in zip(shifts, slopes, back.slopes.tolist())
             ]
-        vectors = _onto(grid, previous.grid, vectors)
+        vectors = _onto(grid, previous.operator.grid, vectors)
         window = _window(grid, vectors, abs(dxi))
         start, well = (vectors, shifts, window, before), None
         if back is None:
             rival = max(
-                _residual(grid, v, window, u[window], mu) for u, mu in zip(vectors, shifts)
+                _residual(operator, v, window, u[window], mu) for u, mu in zip(vectors, shifts)
             )
             # k >= 0 wherever there is a well, so w >= 1 and a residual below 1
             # keeps the lead without looking the well up
-            well = _well(params) if rival >= 1.0 else None
+            well = _well(k, xi) if rival >= 1.0 else None
             if well is not None and rival < well[2]:
                 well = None
-    closed = _harmonic(grid, count, v, well)
+    closed = _harmonic(operator, count, v, well)
     if closed is not None:
         yield closed
     if start is not None:
@@ -376,26 +479,27 @@ def _starts(params: ModelParams, grid: Grid, count: int, previous: _Fiber | None
     intervals = grid.intervals // _NESTED_FACTOR
     if grid.intervals >= _NESTED_FLOOR and intervals - 1 >= count:
         try:
-            nested = _follow(params, Grid(grid.radius, intervals), count, None, moments=False)
+            coarse = _Operator(operator.params, Grid(grid.radius, intervals))
+            nested = _follow(coarse, xi, count, None, moments=False)
         except ConvergenceError:
             return
-        vectors = _onto(grid, nested.grid, [pair.vector for pair in nested.pairs])
+        vectors = _onto(grid, coarse.grid, [pair.vector for pair in nested.pairs])
         yield vectors, [pair.value for pair in nested.pairs], _window(grid, vectors, 0.0), None
 
 
-def _well(params: ModelParams) -> tuple[float, float, float] | None:
+def _well(k: float, xi: float) -> tuple[float, float, float] | None:
     """(r0, V(r0), w) of the harmonic well V ~ V(r0) + w^2 (r - r0)^2 near
-    the minimum r0 of V (`potential_minimum`), with w^2 = V''(r0)/2 =
-    1 + 3 k/r0^4; None where V has no interior minimum (k < 0, or k = 0 with
-    xi <= 0) or the minimum is not found."""
+    the minimum r0 of V (`potential_minimum` at k, xi), with w^2 = V''(r0)/2
+    = 1 + 3 k/r0^4; None where V has no interior minimum (k < 0, or k = 0
+    with xi <= 0) or the minimum is not found."""
     try:
-        profile = potential_minimum(params)
+        r0, v0 = _potential_minimum(k, xi)
     except (ModelError, ConvergenceError):
         return None
-    return profile.r_min, profile.v_min, math.sqrt(1.0 + 3.0 * params.k / profile.r_min**4)
+    return r0, v0, math.sqrt(1.0 + 3.0 * k / r0**4)
 
 
-def _harmonic(grid: Grid, count: int, v: np.ndarray, well: tuple[float, float, float] | None):
+def _harmonic(operator: _Operator, count: int, v: np.ndarray, well):
     """The closed-form start (vectors, shifts, window, None) from `well`, the
     (r0, V(r0), w) of `_well`, or None; v is the potential on grid.nodes.
 
@@ -419,7 +523,7 @@ def _harmonic(grid: Grid, count: int, v: np.ndarray, well: tuple[float, float, f
     r0, v0, w = well
     shifts = [v0 + (2 * j + 1) * w for j in range(count)]
     reach = (math.sqrt(-2.0 * math.log(_WINDOW)) + math.sqrt(2 * count - 1)) / math.sqrt(w)
-    h, size = grid.h, grid.intervals - 1
+    h, size = operator.grid.h, operator.grid.intervals - 1
     lo, hi = max(0, math.floor((r0 - reach) / h)), min(size, math.ceil((r0 + reach) / h) - 1)
     if hi - lo <= count:
         return None
@@ -436,40 +540,23 @@ def _harmonic(grid: Grid, count: int, v: np.ndarray, well: tuple[float, float, f
     for j in range(count):  # the gate turns most starts away at psi_0
         if j:
             psi.append(math.sqrt(2.0 / j) * x * psi[-1] - math.sqrt((j - 1) / j) * psi[-2])
-        if not _residual(grid, v, slice(lo, hi), psi[-1], shifts[j]) < w:
+        if not _residual(operator, v, slice(lo, hi), psi[-1], shifts[j]) < w:
             return None
     vectors = [np.zeros(size) for _ in range(count)]
     for vector, values in zip(vectors, psi[1:]):
         vector[lo:hi] = values
-    return vectors, shifts, _widened(grid, lo, hi, 0.0), None
+    return vectors, shifts, _widened(operator.grid, lo, hi, 0.0), None
 
 
-def _residual(grid: Grid, v: np.ndarray, rows: slice, z: np.ndarray, mu) -> float:
+def _residual(operator: _Operator, v: np.ndarray, rows: slice, z: np.ndarray, mu) -> float:
     """||(T - mu) z|| / ||z|| on the full grid matrix T, for a start vector z
-    given on `rows` and zero outside them (`_squared_residual`).  v is the
-    potential on grid.nodes."""
+    given on `rows` and zero outside them (`_Operator.squared_residual`).
+    v is the potential on grid.nodes."""
     norm = _dot(z, z)
     if not norm:
         return math.inf
-    _, squared = _squared_residual(_block(grid, v, rows, mu), z)
+    _, squared = operator.squared_residual(operator.block(v, rows, mu), z)
     return math.sqrt(squared / norm)
-
-
-def _squared_residual(block, z: np.ndarray, rayleigh: bool = False) -> tuple[float, float]:
-    """(mu, ||(T - mu) z||^2), T less the shift of the block B (`_block`) that
-    z is given on: B's residual plus z's end entries times their leaks,
-    squared.  mu is 0, or with `rayleigh` the quotient z . B z of a unit z.
-    B's couplings are one constant c, so c z gives both off-diagonal terms."""
-    diagonal, offdiagonal, leaks = block
-    residual = diagonal * z
-    coupled = offdiagonal[0] * z
-    residual[:-1] += coupled[1:]
-    residual[1:] += coupled[:-1]
-    mu = 0.0
-    if rayleigh:
-        mu = _dot(z, residual)
-        residual -= np.multiply(z, mu, out=coupled)
-    return mu, _dot(residual, residual) + ((leaks[0] * z[0]) ** 2 + (leaks[1] * z[-1]) ** 2)
 
 
 def _onto(grid: Grid, source: Grid, vectors: list[np.ndarray]) -> list[np.ndarray]:
@@ -539,22 +626,18 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _continue_fiber(
-    grid: Grid,
-    vectors: list[np.ndarray],
-    shifts,
-    v: np.ndarray,
-    window: slice,
+    operator: _Operator, vectors: list[np.ndarray], shifts, v: np.ndarray, window: slice
 ) -> list[EigenPair] | None:
-    """The len(vectors) smallest eigenpairs, continued from start vectors on
-    grid.nodes on the rows `window` = [a, b), with v the potential on
-    grid.nodes.
+    """The len(vectors) smallest eigenpairs of `operator`, continued from
+    start vectors on grid.nodes on the rows `window` = [a, b), with v the
+    potential on grid.nodes.
 
     Pair i runs Rayleigh-quotient iteration from vectors[i], starting at
     shifts[i], on the principal submatrix T[a:b, a:b]: one tridiagonal LU
     solve (LAPACK dgttrf/dgttrs) per step, until the residual of the
     zero-padded vector z on the full T falls to tol = 8 eps ||T||_1.  That
-    residual (`_squared_residual`) is the window's ||T z - mu z|| with the
-    leaks of its end entries added in quadrature, so each value is
+    residual (`_Operator.squared_residual`) is the window's ||T z - mu z||
+    with the leaks of its end entries added in quadrature, so each value is
     the Rayleigh quotient mu of the padded vector on T, within tol of an
     eigenvalue of T.  One more solve with the last factorization then
     polishes the vector; it stays zero outside the window.
@@ -564,24 +647,24 @@ def _continue_fiber(
     belong to distinct eigenvalues of T, all below sigma = last value +
     2 tol), vector i has i sign changes over its significant entries
     (discrete oscillation theorem; for vector 0, `_negative_lobe`), and the
-    inertia count `_count_below`, an upper bound of the number of
+    inertia count `_Operator.count_below`, an upper bound of the number of
     eigenvalues of T below sigma, is len(vectors).  The certified values
     bound that number from below, so it is exact.  Otherwise, and on any
     LAPACK failure, it returns None.  Vectors are normalized and sign-fixed
     as in `solve_fiber`.
     """
-    tol = 8.0 * _EPS * _one_norm(grid, v)
-    block = _block(grid, v, window)
+    tol = 8.0 * _EPS * operator.one_norm(v)
+    block = operator.block(v, window)
     pairs = []
     for u, mu in zip(vectors, shifts):
-        found = _rayleigh_iteration(block, u[window], mu, tol)
+        found = _rayleigh_iteration(operator, block, u[window], mu, tol)
         if found is None:
             return None
         mu, z = found
         norm = _dot(z, z)
         if not (math.isfinite(norm) and norm > 0.0):  # a non-finite entry makes it so
             return None
-        z /= math.sqrt(norm * grid.h)
+        z /= math.sqrt(norm * operator.grid.h)
         if pairs:
             signs = np.signbit(_significant(z))
             if np.count_nonzero(signs[1:] != signs[:-1]) != len(pairs):
@@ -600,55 +683,13 @@ def _continue_fiber(
     values = [pair.value for pair in pairs]
     if any(upper - lower <= 2.0 * tol for lower, upper in zip(values, values[1:])):
         return None
-    if _count_below(grid, v, values[-1] + 2.0 * tol, window) != len(pairs):
+    if operator.count_below(v, values[-1] + 2.0 * tol, window) != len(pairs):
         return None
     return pairs
 
 
-def _count_below(grid: Grid, v: np.ndarray, sigma: float, window: slice) -> int | None:
-    """An upper bound of the number of eigenvalues of T below sigma, exact on
-    the full matrix, from v on grid.nodes; None on a LAPACK failure.
-
-    Each side of `window` = [a, b) is decided alone: a side whose outer rows
-    hold some V < sigma extends to the grid's end, and otherwise it is
-    trimmed, with its leak (`_block`) subtracted from its end row.  The
-    full T is the case a = 0, b = N.  A trimmed outer block of T - sigma is
-    the Dirichlet difference Laplacian plus V - sigma >= 0, so positive
-    definite, and by Haynsworth's inertia additivity T - sigma has as many
-    negative eigenvalues as their Schur complement: the kept block minus
-    (1/h^4) (block^-1)_corner at each trimmed end.  That corner lies in
-    (0, h^2), since the block dominates the Laplacian, whose corner inverse
-    is h^2 k/(k + 1) on k rows; subtracting the whole 1/h^2 can only add
-    negative eigenvalues.
-
-    The count is one LDL^T pass (LAPACK dpttrf) over that block B - sigma:
-    each pivot <= 0 removes its row, and the factorization restarts on the
-    row after it (on one row or none, without LAPACK).  What is left is a
-    principal submatrix of B - sigma with positive pivots, so positive
-    definite, and by Cauchy interlacing B has at most as many eigenvalues
-    <= sigma as rows were removed (Parlett, ch. 10).  Its pivots run the
-    Sturm recurrence and share its backward stability (Kahan, Stanford
-    CS41, 1966).
-    """
-    a, b, size = window.start, window.stop, v.size
-    if a and v[:a].min() < sigma:
-        a = 0
-    if b < size and v[b:].min() < sigma:
-        b = size
-    diagonal, offdiagonal, leaks = _block(grid, v, slice(a, b), sigma)
-    diagonal[0] -= leaks[0]
-    diagonal[-1] -= leaks[1]
-    removed = start = 0
-    while diagonal.size - start > 1:  # f2py refuses an empty off-diagonal
-        *_, info = lapack.dpttrf(diagonal[start:], offdiagonal[start:])
-        if info <= 0:
-            return removed if info == 0 else None
-        removed, start = removed + 1, start + info  # drop the row of the pivot <= 0
-    return removed + int(diagonal.size - start == 1 and diagonal[start] <= 0.0)
-
-
-def _rayleigh_iteration(block, z, mu, tol):
-    """(mu, z) after Rayleigh-quotient iteration on `block` (`_block`) from
+def _rayleigh_iteration(operator: _Operator, block, z, mu, tol):
+    """(mu, z) after Rayleigh-quotient iteration on `block` (`_Operator`) from
     (mu, z) to a full-grid residual of tol and one polishing solve, or None.
 
     A function of its own so that its LU factors are freed before the
@@ -661,7 +702,7 @@ def _rayleigh_iteration(block, z, mu, tol):
             return None
         z, info = lapack.dgttrs(*factors, z, overwrite_b=step > 0)  # the start is the caller's
         z /= math.sqrt(_dot(z, z))
-        mu, squared = _squared_residual(block, z, rayleigh=True)
+        mu, squared = operator.squared_residual(block, z, rayleigh=True)
         if math.sqrt(squared) <= tol:
             break
     else:
@@ -678,7 +719,7 @@ def rayleigh_quotient(params: ModelParams, pair: EigenPair, grid: Grid) -> float
     xi to rounding: the bisection value scatters by a few ulps of the matrix
     norm, and k/h^2 on the first diagonal entry makes that norm large.
     """
-    return _moments(params, grid, pair.vector, params.k / grid.nodes**2)[0]
+    return _Operator(params, grid).moments(pair.vector, params.xi)[0]
 
 
 def derivative_feynman_hellmann(params: ModelParams, pair: EigenPair, grid: Grid) -> float:
@@ -689,7 +730,7 @@ def derivative_feynman_hellmann(params: ModelParams, pair: EigenPair, grid: Grid
     against centered differences of the solved eigenvalue to near machine
     precision.
     """
-    return _moments(params, grid, pair.vector, params.k / grid.nodes**2)[1]
+    return _Operator(params, grid).moments(pair.vector, params.xi)[1]
 
 
 def derivative_boundary_form(params: ModelParams, pair: EigenPair, grid: Grid) -> float:
@@ -707,54 +748,7 @@ def derivative_boundary_form(params: ModelParams, pair: EigenPair, grid: Grid) -
       u(r_1)/h.
     * otherwise: -2 k integral u^2/r^3 dr.
     """
-    return _moments(params, grid, pair.vector, params.k / grid.nodes**2)[2]
-
-
-def _moments(
-    params: ModelParams,
-    grid: Grid,
-    u: np.ndarray,
-    centrifugal: np.ndarray,
-    v: np.ndarray | None = None,
-    window: slice | None = None,
-) -> tuple[float, float, float]:
-    """(`rayleigh_quotient`, `derivative_feynman_hellmann`,
-    `derivative_boundary_form`) of the grid vector u, from one u^2, with
-    centrifugal = k/r^2 on grid.nodes and v, when given, the potential
-    centrifugal + (r - xi)^2 on them (otherwise built on the rows).
-
-    Each is a pairwise sum (numpy's .sum()) over the rows where u is
-    nonzero, so every caller gets the same bits: the rows of `window` when u
-    is nonzero at both its ends (a continued vector is zero outside its
-    window), and otherwise the rows it finds itself.  At (n, m) = (3, 0)
-    the rows are the whole grid, since there the boundary form's integrand
-    has a tail past the vector's support.
-    """
-    if params.n == 3 and params.m == 0:
-        lo, hi = 0, u.size
-    elif window is not None and u[window.start] and u[window.stop - 1]:
-        lo, hi = window.start, window.stop
-    else:
-        nonzero = u != 0.0
-        lo, hi = int(nonzero.argmax()), u.size - int(nonzero[::-1].argmax())
-    h, z, r = grid.h, u[lo:hi], grid.nodes[lo:hi]
-    jumps = np.empty(z.size + 1)  # u is zero past both ends of the rows
-    jumps[0], jumps[-1] = z[0], -z[-1]
-    np.subtract(z[1:], z[:-1], out=jumps[1:-1])
-    square, offset = z * z, r - params.xi
-    # the bits of `potential` on the rows
-    v = centrifugal[lo:hi] + offset * offset if v is None else v[lo:hi]
-    value = (jumps * jumps).sum() / h + h * (v * square).sum()
-    slope = -2.0 * h * (offset * square).sum()
-    if params.n == 3 and params.m == 0:
-        y = square[:3] / r[:3]
-        k_axis = 3.0 * y[0] - 3.0 * y[1] + y[2]
-        boundary = -h * ((square / r - k_axis) / r**2).sum() + k_axis / grid.radius
-    elif params.k == 0.0:
-        boundary = -((u[0] / h) ** 2)
-    else:
-        boundary = -2.0 * h * (square * centrifugal[lo:hi] / r).sum()
-    return float(value), float(slope), float(boundary)
+    return _Operator(params, grid).moments(pair.vector, params.xi)[2]
 
 
 def boundary_exponent(

@@ -273,25 +273,55 @@ def _squares_the_grid_step(node) -> bool:
     return isinstance(node.op, ast.Mult) and is_h(node.left) and is_h(node.right)
 
 
-def test_the_grid_matrix_is_stated_once_in_block():
-    # T's entries (2/h^2 + V, -1/h^2 and the leaks 1/h^2) are solver._block's;
-    # beside it only the ||T||_1 bound and Grid's float-range check square h
+def _methods(tree) -> list[tuple[str, ast.FunctionDef]]:
+    """("Class.method" or "function", node) for every function in `tree`."""
+    named = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            named += [(f"{node.name}.{f.name}", f) for f in node.body
+                      if isinstance(f, ast.FunctionDef)]
+        elif isinstance(node, ast.Module):
+            named += [(f.name, f) for f in node.body if isinstance(f, ast.FunctionDef)]
+    return named
+
+
+def test_the_grid_matrix_is_stated_once_in_its_record():
+    # T's entries (2/h^2 + V, -1/h^2 and the leaks 1/h^2) are the record
+    # solver._Operator's, from its `coupling`; beside it only its ||T||_1
+    # bound and Grid's float-range check square h
     for stated in ("c = 1.0 / grid.h**2", "c = 1.0 / (h * h)"):
         assert any(_squares_the_grid_step(node) for node in ast.walk(ast.parse(stated)))
     tree = ast.parse((PACKAGE / "solver.py").read_text(encoding="utf-8"))
     squaring = sorted(
-        function.name
-        for function in ast.walk(tree)
-        if isinstance(function, ast.FunctionDef)
-        and any(_squares_the_grid_step(node) for node in ast.walk(function))
+        name
+        for name, function in _methods(tree)
+        if any(_squares_the_grid_step(node) for node in ast.walk(function))
     )
-    assert squaring == ["__post_init__", "_block", "_one_norm"]
+    assert squaring == ["Grid.__post_init__", "_Operator.coupling", "_Operator.one_norm"]
+
+
+def test_solver_keeps_no_module_level_cache():
+    # a fiber's arrays live in the record its chain passes (solver._Operator),
+    # never in a cache of the module: no function of solver.py is decorated
+    # with functools.lru_cache or functools.cache
+    def caches(decorator) -> bool:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(target, "id", getattr(target, "attr", None)) in {"lru_cache", "cache"}
+
+    assert caches(ast.parse("@functools.lru_cache(maxsize=2)\ndef f(): pass").body[0]
+                  .decorator_list[0])
+    assert caches(ast.parse("@cache\ndef f(): pass").body[0].decorator_list[0])
+    tree = ast.parse((PACKAGE / "solver.py").read_text(encoding="utf-8"))
+    cached = [name for name, function in _methods(tree)
+              if any(caches(decorator) for decorator in function.decorator_list)]
+    assert cached == []
 
 
 
 def test_the_moments_are_computed_only_where_a_fiber_step_builds_its_record():
-    # solver._moments fills the record in `_follow`; beside it only the three
-    # public moment functions call it, in any module
+    # the record's moments (solver._Operator.moments) fill the fiber record in
+    # `_follow`; beside it only the three public moment functions call them,
+    # in any module
     calling = sorted(
         f"{path.stem}.{function.name}"
         for path in PACKAGE.glob("*.py")
@@ -299,7 +329,7 @@ def test_the_moments_are_computed_only_where_a_fiber_step_builds_its_record():
         if isinstance(function, ast.FunctionDef)
         and any(
             isinstance(node, ast.Call)
-            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_moments"
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "moments"
             for node in ast.walk(function)
         )
     )

@@ -39,6 +39,7 @@ from magband.solver import (
     _bisect_fiber,
     _continue_fiber,
     _follow,
+    _Operator,
     _window,
     rayleigh_quotient,
 )
@@ -238,10 +239,10 @@ def test_a_band_set_with_a_gap_sweeps_the_rows_of_the_full_set():
 
 def test_followed_fibers_keep_no_chain():
     # each fiber keeps the record before it without that record's own before
-    grid = Grid(15.0, 1800)
-    f0 = _follow(ModelParams(5, 1, 0.5), grid, 2, None)
-    f1 = _follow(ModelParams(5, 1, 0.55), grid, 2, f0)
-    f2 = _follow(ModelParams(5, 1, 0.6), grid, 2, f1)
+    operator = _Operator(ModelParams(5, 1, 0.5), Grid(15.0, 1800))
+    f0 = _follow(operator, 0.5, 2, None)
+    f1 = _follow(operator, 0.55, 2, f0)
+    f2 = _follow(operator, 0.6, 2, f1)
     assert f0.before is None and f1.before is not None and f2.before is not None
     refs = weakref.ref(f0), weakref.ref(f1)
     del f0
@@ -250,14 +251,28 @@ def test_followed_fibers_keep_no_chain():
     del f1
     gc.collect()
     assert refs[1]() is None
-    assert f2.before.params.xi == 0.55 and f2.before.before is None
+    assert f2.before.xi == 0.55 and f2.before.before is None
 
 
-def test_follow_evaluates_the_potential_once_per_fiber(monkeypatch):
+def _record_fiber_records(monkeypatch) -> list:
+    """Record the fiber record (`solver._Operator`) of every fiber step the
+    band drivers make from now on."""
+    records = []
+
+    def recorded(operator, *args, _follow=magband.bands._follow):
+        records.append(operator)
+        return _follow(operator, *args)
+
+    monkeypatch.setattr(magband.bands, "_follow", recorded)
+    return records
+
+
+def test_every_fiber_of_a_chain_shares_one_record(monkeypatch):
     # each followed sample builds V once, for its continuation and all three
-    # pairs' moments, from the k/r^2 its chain built once on the grid, the
-    # bits of `potential`; only the first sample's nested solve bisects, and
-    # bisection assembles T through `potential`
+    # pairs' moments, from the one record its chain built, whose k/r^2 is
+    # built once on the grid, the bits of `potential`; only the first
+    # sample's nested solve bisects, and bisection assembles T through
+    # `potential`
     calls = []
     for module in (magband.bands, magband.solver):
         def counted(params, r, _original=module.potential):
@@ -265,17 +280,29 @@ def test_follow_evaluates_the_potential_once_per_fiber(monkeypatch):
             return _original(params, r)
 
         monkeypatch.setattr(module, "potential", counted)
+    records = _record_fiber_records(monkeypatch)
     xi = np.linspace(0.0, 2.0, 21)
     sweep(5, [2], (1, 2, 3), xi, SWEEP_GRID)
     assert calls == [SWEEP_GRID.intervals // 8 - 1]
+    assert len(records) == xi.size and all(record is records[0] for record in records)
+    assert records[0].grid == SWEEP_GRID and records[0].params.k == ModelParams(5, 2, 0.0).k
     monkeypatch.undo()
-    fiber, nodes = None, SWEEP_GRID.nodes
+    # one record per m of a sweep
+    records = _record_fiber_records(monkeypatch)
+    sweep(5, [1, 2], (1, 2, 3), xi, SWEEP_GRID)
+    chains = records[: xi.size], records[xi.size :]
+    assert [len({id(record) for record in chain}) for chain in chains] == [1, 1]
+    assert chains[0][0] is not chains[1][0]
+    # one record per grid of a crossing
+    del records[:]
+    crossing(4, 0, 2, 3.1, step=1.0 / 24.0)  # its grid grows between iterates
+    assert len({id(record) for record in records}) == len({record.grid for record in records}) > 1
+    monkeypatch.undo()
+    operator, fiber, nodes = _Operator(ModelParams(5, 2, 0.0), SWEEP_GRID), None, SWEEP_GRID.nodes
     for x in xi[:3]:
-        params = ModelParams(5, 2, x)
-        chain = fiber
-        fiber = _follow(params, SWEEP_GRID, 3, chain)
-        assert chain is None or fiber.centrifugal is chain.centrifugal
-        assert np.array_equal(fiber.centrifugal + (nodes - x) ** 2, potential(params, nodes))
+        fiber = _follow(operator, x, 3, fiber)
+        assert fiber.operator is operator and fiber.xi == x
+        assert np.array_equal(operator.potential(x), potential(ModelParams(5, 2, x), nodes))
     # and the quotients are the public one's, to the bit
     res = crossing(5, 2, 1, 2.0)
     quotient = rayleigh_quotient(ModelParams(5, 2, res.xi), res.pair, res.grid)
@@ -317,9 +344,9 @@ def _continuation_seed(m: int, grid: Grid):
 def _continue(params: ModelParams, grid: Grid, pairs, shifts):
     """`_continue_fiber` from the vectors of `pairs`, 0.05 away in xi on the
     same grid, on the window the fiber step would take."""
-    vectors = [pair.vector for pair in pairs]
+    vectors, operator = [pair.vector for pair in pairs], _Operator(params, grid)
     return _continue_fiber(
-        grid, vectors, shifts, potential(params, grid.nodes), _window(grid, vectors, 0.05)
+        operator, vectors, shifts, potential(params, grid.nodes), _window(grid, vectors, 0.05)
     )
 
 
@@ -473,9 +500,9 @@ def _record_fiber_solves(monkeypatch) -> tuple[list, dict]:
         log.append(("bisect", grid.intervals))
         return bisect(params, grid, count)
 
-    def continued(grid, *args):
-        log.append(("continue", grid.intervals))
-        return continue_(grid, *args)
+    def continued(operator, *args):
+        log.append(("continue", operator.grid.intervals))
+        return continue_(operator, *args)
 
     def counted(routine, kind, diagonal_arg):
         def call(*args, **kwargs):
@@ -604,9 +631,9 @@ def test_agmon_check_reads_the_crossing_pair(monkeypatch):
     calls = _count_eigensolves(monkeypatch)
     fresh = []
 
-    def follow(params, grid, count, previous, _follow=magband.bands._follow):
+    def follow(operator, xi, count, previous, _follow=magband.bands._follow):
         fresh.append(previous is None)
-        return _follow(params, grid, count, previous)
+        return _follow(operator, xi, count, previous)
 
     monkeypatch.setattr(magband.bands, "_follow", follow)
     monkeypatch.setattr(magband.solver, "_follow", None)

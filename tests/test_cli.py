@@ -322,9 +322,9 @@ def test_asym_defaults_start_two_fibers(monkeypatch, capsys):
         calls.append(1)
         return original(*args, **kwargs)
 
-    def follow(params, grid, count, previous, _follow=magband.bands._follow):
+    def follow(operator, xi, count, previous, _follow=magband.bands._follow):
         fresh.append(previous is None)
-        return _follow(params, grid, count, previous)
+        return _follow(operator, xi, count, previous)
 
     monkeypatch.setattr(magband.solver, "eigh_tridiagonal", counted)
     monkeypatch.setattr(magband.bands, "_follow", follow)

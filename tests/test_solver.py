@@ -31,10 +31,10 @@ from magband.solver import (
     _admit,
     _bisect_fiber,
     _continue_fiber,
-    _count_below,
     _follow,
     _harmonic,
     _negative_lobe,
+    _Operator,
     _reach,
     _residual,
     _significant,
@@ -360,9 +360,9 @@ def _record_continuations(monkeypatch) -> list:
     log = []
     continue_ = magband.solver._continue_fiber
 
-    def recorded(grid, *args):
-        pairs = continue_(grid, *args)
-        log.append((grid.intervals, pairs is not None))
+    def recorded(operator, *args):
+        pairs = continue_(operator, *args)
+        log.append((operator.grid.intervals, pairs is not None))
         return pairs
 
     monkeypatch.setattr(magband.solver, "_continue_fiber", recorded)
@@ -421,7 +421,8 @@ def test_a_closed_form_start_turned_away_still_gives_the_bisection_pairs(monkeyp
     # the well touches the axis, and the Hermite functions' residual exceeds
     # w: the fiber is solved through the nested start instead
     params, grid = ModelParams(5, m, xi), Grid(20.0, 4800)
-    assert _harmonic(grid, 3, potential(params, grid.nodes), _well(params)) is None
+    well = _well(params.k, xi)
+    assert _harmonic(_Operator(params, grid), 3, potential(params, grid.nodes), well) is None
     log = _record_continuations(monkeypatch)
     pairs = solve_fiber(params, grid, 3)
     assert log[-1] == (grid.intervals, True) and len(log) >= 2
@@ -437,17 +438,19 @@ def test_closed_form_start_is_skipped_where_v_has_no_interior_minimum(n, m, xi):
     params, grid = ModelParams(n, m, xi), Grid(12.0, 960)
     with pytest.raises(ModelError):
         potential_minimum(params)
-    assert _harmonic(grid, 3, potential(params, grid.nodes), _well(params)) is None
+    well = _well(params.k, xi)
+    assert _harmonic(_Operator(params, grid), 3, potential(params, grid.nodes), well) is None
     _assert_bisection_pairs(params, grid, solve_fiber(params, grid, 3), True)
 
 
 def test_closed_form_start_is_skipped_when_potential_minimum_fails(monkeypatch):
-    def failing(params):
+    def failing(k, xi):
         raise ConvergenceError("potential_minimum: Newton residual above tolerance")
 
-    monkeypatch.setattr(magband.solver, "potential_minimum", failing)
+    monkeypatch.setattr(magband.solver, "_potential_minimum", failing)
     params, grid = ModelParams(5, 10, 8.0), Grid(20.0, 1200)
-    assert _harmonic(grid, 3, potential(params, grid.nodes), _well(params)) is None
+    well = _well(params.k, params.xi)
+    assert _harmonic(_Operator(params, grid), 3, potential(params, grid.nodes), well) is None
     _assert_bisection_pairs(params, grid, solve_fiber(params, grid, 3), True)
 
 
@@ -457,11 +460,13 @@ def test_a_failed_previous_fiber_start_goes_straight_to_the_nested_solve(monkeyp
     # form, which would pass its gate here, but solves the fiber on 150
     # intervals and continues from that
     grid, params = Grid(20.0, 1200), ModelParams(5, 10, 8.0)
-    previous = _follow(ModelParams(5, 10, 2.0), grid, 3, None)
-    previous = _follow(ModelParams(5, 10, 2.05), grid, 3, previous)
-    assert _harmonic(grid, 3, potential(params, grid.nodes), _well(params)) is not None
+    operator = _Operator(params, grid)
+    previous = _follow(operator, 2.0, 3, None)
+    previous = _follow(operator, 2.05, 3, previous)
+    well = _well(params.k, 8.0)
+    assert _harmonic(operator, 3, potential(params, grid.nodes), well) is not None
     log = _record_continuations(monkeypatch)
-    pairs = _follow(params, grid, 3, previous).pairs
+    pairs = _follow(operator, 8.0, 3, previous).pairs
     assert log[0] == (1200, False) and log[-1] == (1200, True)
     assert all(intervals == 150 for intervals, _ in log[1:-1])
     _assert_bisection_pairs(params, grid, pairs, True)
@@ -472,21 +477,22 @@ def _fiber_from(source: str, monkeypatch):
     the solves the step ran to get it."""
     sizes, log = _record_bisections(monkeypatch), _record_continuations(monkeypatch)
     if source == "bisection":  # below 512 intervals, with no start
-        fiber = _follow(ModelParams(5, 1, 0.0), Grid(12.0, 480), 3, None)
+        fiber = _follow(_Operator(ModelParams(5, 1, 0.0), Grid(12.0, 480)), 0.0, 3, None)
         assert sizes == [479] and log == []
         return fiber
     if source == "nested":
         monkeypatch.setattr(magband.solver, "_harmonic", lambda *args: None)
-        fiber = _follow(ModelParams(5, 0, 2.0), Grid(14.0, 1120), 2, None)
+        fiber = _follow(_Operator(ModelParams(5, 0, 2.0), Grid(14.0, 1120)), 2.0, 2, None)
         assert sizes == [139] and log == [(1120, True)] and fiber.before is None
         return fiber
     grid, steps = Grid(20.0, 1200), ("closed form", "first order", "second order").index(source)
-    fiber = _follow(ModelParams(5, 10, 8.0), grid, 3, None)
+    operator = _Operator(ModelParams(5, 10, 8.0), grid)
+    fiber = _follow(operator, 8.0, 3, None)
     for x in (8.05, 8.1)[:steps]:
         previous = fiber
-        fiber = _follow(ModelParams(5, 10, x), grid, 3, previous)
+        fiber = _follow(operator, x, 3, previous)
         # a record continued from the step before keeps it, without its before
-        assert fiber.before.params.xi == previous.params.xi and fiber.before.before is None
+        assert fiber.before.xi == previous.xi and fiber.before.before is None
         assert fiber.before.pairs is previous.pairs
     assert sizes == [] and log == [(1200, True)] * (steps + 1)
     assert (fiber.before is None) == (source == "closed form")
@@ -500,7 +506,8 @@ def test_a_fiber_record_holds_the_public_moments_of_its_pairs(monkeypatch, sourc
     # the record's arrays are filled when the step builds it, and are the
     # three public moments of its pairs, bit for bit
     fiber = _fiber_from(source, monkeypatch)
-    params, grid = fiber.params, fiber.grid
+    fiber_params, grid = fiber.operator.params, fiber.operator.grid
+    params = ModelParams(fiber_params.n, fiber_params.m, fiber.xi)
     for name, moment in (
         ("values", rayleigh_quotient),
         ("slopes", derivative_feynman_hellmann),
@@ -601,7 +608,7 @@ def test_residual_is_the_full_grid_residual_of_the_zero_padded_vector(start, sto
         padded = np.zeros(v.size)
         padded[rows] = z
         want = _full_residual(diagonal, grid.h, EigenPair(mu, padded))
-        assert abs(_residual(grid, v, rows, z, mu) - want) <= 1e-12 * want
+        assert abs(_residual(_Operator(params, grid), v, rows, z, mu) - want) <= 1e-12 * want
 
 
 M40_CROSSING = 41.003025466444605  # band 1 of m = 40 meets E = 2 here (check 09)
@@ -613,9 +620,9 @@ def test_windowed_continuation_at_m_40(monkeypatch, step, dense):
     windows = []
     continue_ = magband.solver._continue_fiber
 
-    def recorded(grid, vectors, shifts, v, window):
-        windows.append((grid.intervals, window))
-        return continue_(grid, vectors, shifts, v, window)
+    def recorded(operator, vectors, shifts, v, window):
+        windows.append((operator.grid.intervals, window))
+        return continue_(operator, vectors, shifts, v, window)
 
     monkeypatch.setattr(magband.solver, "_continue_fiber", recorded)
     pairs = solve_fiber(params, grid, 2)
@@ -639,7 +646,7 @@ def test_windowed_continuation_at_m_40(monkeypatch, step, dense):
 
 def test_continuation_from_a_vector_off_the_well_is_none_or_right():
     params, grid = ModelParams(5, 40, M40_CROSSING), fixed_step_grid(M40_CROSSING, 2.0, 1 / 24)
-    r = grid.nodes
+    r, operator = grid.nodes, _Operator(params, grid)
     v = potential(params, r)
     (want,) = _bisect_fiber(params, grid, 1)
     tol = 8.0 * np.finfo(float).eps * _grid_matrix(params, grid)[2]
@@ -648,7 +655,8 @@ def test_continuation_from_a_vector_off_the_well_is_none_or_right():
         for width in (0.5, 2.0):
             start = np.exp(-0.5 * ((r - center) / width) ** 2)
             for shift in (want.value, want.value + 0.5, 10.0):
-                got = _continue_fiber(grid, [start], [shift], v, _window(grid, [start], 0.0))
+                window = _window(grid, [start], 0.0)
+                got = _continue_fiber(operator, [start], [shift], v, window)
                 outcomes.add(got is None)
                 if got is not None:
                     assert abs(got[0].value - want.value) <= tol
@@ -667,7 +675,7 @@ def test_continuation_on_a_window_too_narrow_is_none_or_right(cut):
     tol = 8.0 * np.finfo(float).eps * norm
     rows = np.flatnonzero(np.abs(want.vector) > cut * np.max(np.abs(want.vector)))
     window = slice(int(rows[0]), int(rows[-1]) + 1)
-    got = _continue_fiber(grid, [want.vector], [want.value], v, window)
+    got = _continue_fiber(_Operator(params, grid), [want.vector], [want.value], v, window)
     if cut > 1e-10:
         assert got is None
     if got is not None:
@@ -722,24 +730,24 @@ def test_continuation_refuses_a_start_with_a_significant_node():
     params, grid = ModelParams(5, 1, 1.0), Grid(14.0, 1120)
     pairs = _bisect_fiber(params, grid, 2)
     v = potential(params, grid.nodes)
-    window = _window(grid, [pairs[1].vector], 0.0)
+    window, operator = _window(grid, [pairs[1].vector], 0.0), _Operator(params, grid)
     assert _sign_changes_oracle(pairs[1].vector) is None
-    assert _continue_fiber(grid, [pairs[1].vector], [pairs[1].value], v, window) is None
+    assert _continue_fiber(operator, [pairs[1].vector], [pairs[1].value], v, window) is None
     # the same start is certified as the second of two pairs
-    got = _continue_fiber(grid, [p.vector for p in pairs], [p.value for p in pairs], v, window)
+    got = _continue_fiber(operator, [p.vector for p in pairs], [p.value for p in pairs], v, window)
     assert got is not None and [_sign_changes_oracle(p.vector) for p in got] == [False, None]
 
 
 def test_solve_fiber_computes_only_the_quotient_it_admits_on(monkeypatch):
     # neither the nested coarse solve nor `solve_fiber` reads the moments of
-    # its pairs: one `_moments` call, the top pair's `rayleigh_quotient`
-    calls, moments = [], magband.solver._moments
+    # its pairs: one `_Operator.moments` call, the top pair's `rayleigh_quotient`
+    calls, moments = [], magband.solver._Operator.moments
 
-    def counted(params, grid, u, *args):
-        calls.append(grid.intervals)
-        return moments(params, grid, u, *args)
+    def counted(operator, u, *args):
+        calls.append(operator.grid.intervals)
+        return moments(operator, u, *args)
 
-    monkeypatch.setattr(magband.solver, "_moments", counted)
+    monkeypatch.setattr(magband.solver._Operator, "moments", counted)
     params, grid = ModelParams(5, 2, 1.5), Grid(16.0, 4096)
     pairs = solve_fiber(params, grid, 3)
     assert calls == [grid.intervals]
@@ -749,7 +757,7 @@ def test_solve_fiber_computes_only_the_quotient_it_admits_on(monkeypatch):
 
 @pytest.mark.parametrize("grid", [Grid(12.0, 480), Grid(14.0, 1120)])
 def test_the_shared_off_diagonal_cannot_be_written(grid):
-    # `assemble` hands out a view of the grid's one array of couplings: a
+    # `assemble` hands out a view of its record's read-only off-diagonal: a
     # write into it raises, and the next solve on that grid keeps its bits
     params = ModelParams(5, 1, 1.0)
     want = solve_fiber(params, grid, 2)
@@ -790,6 +798,7 @@ def test_windowed_sturm_count_matches_the_dense_count(monkeypatch, n, m, xi, lef
     params = ModelParams(n, m, xi)
     grid = fixed_step_grid(xi, 12.0, 1.0 / 16.0)
     diagonal, v, _ = _grid_matrix(params, grid)
+    operator = _Operator(params, grid)
     values = oracles.dense_fiber_eigenvalues(params.k, xi, grid.radius, grid.intervals, 5)
     for lower, upper in zip(values, values[1:]):
         sigma = 0.5 * (lower + upper)
@@ -798,7 +807,7 @@ def test_windowed_sturm_count_matches_the_dense_count(monkeypatch, n, m, xi, lef
         rows = np.flatnonzero(v < sigma + 40.0)
         window = slice(int(rows[0]), int(rows[-1]) + 1)
         assert np.all(np.delete(v, np.arange(diagonal.size)[window]) >= sigma)
-        assert _count_below(grid, v, sigma, window) == want
+        assert operator.count_below(v, sigma, window) == want
     calls = _record_inertia_passes(monkeypatch)
     for value in values:
         # just above an eigenvalue, on the allowed rows alone: the window
@@ -807,20 +816,20 @@ def test_windowed_sturm_count_matches_the_dense_count(monkeypatch, n, m, xi, lef
         sigma = value + 1e-6
         rows = np.flatnonzero(v < sigma)
         window = slice(int(rows[0]), int(rows[-1]) + 1)
-        assert _count_below(grid, v, sigma, window) >= _dense_count(params, grid, sigma)
+        assert operator.count_below(v, sigma, window) >= _dense_count(params, grid, sigma)
     # there some pivot <= 0 falls on the block's last row or the one before,
     # so that the pass restarts on no row or on one, which LAPACK never sees
     assert left in {size - info for size, info in calls if info > 0}
     for j, value in enumerate(values):
         # just above an eigenvalue on the whole grid: the count is exact
         sigma = value + 1e-6
-        assert _count_below(grid, v, sigma, slice(0, v.size)) == j + 1
+        assert operator.count_below(v, sigma, slice(0, v.size)) == j + 1
         assert _dense_count(params, grid, sigma) == j + 1
     # above the whole spectrum every row is removed, the last one without LAPACK
     top = oracles.dense_fiber_eigenvalues(
         params.k, xi, grid.radius, grid.intervals, grid.intervals - 1
     )[-1]
-    assert _count_below(grid, v, top + 1.0, slice(0, v.size)) == v.size
+    assert operator.count_below(v, top + 1.0, slice(0, v.size)) == v.size
 
 
 def test_sturm_count_with_the_potential_below_sigma_outside_counts_the_full_grid():
@@ -829,6 +838,7 @@ def test_sturm_count_with_the_potential_below_sigma_outside_counts_the_full_grid
     # own matrix has no eigenvalue below sigma
     params, grid = ModelParams(3, 0, 2.0), Grid(12.0, 240)
     diagonal, v, _ = _grid_matrix(params, grid)
+    operator = _Operator(params, grid)
     values = oracles.dense_fiber_eigenvalues(params.k, 2.0, grid.radius, grid.intervals, 3)
     sigma = 0.5 * (values[1] + values[2])
     window = slice(int(np.searchsorted(grid.nodes, 8.0)), diagonal.size)
@@ -837,7 +847,7 @@ def test_sturm_count_with_the_potential_below_sigma_outside_counts_the_full_grid
         np.diag(diagonal[window]) + np.diag(coupling, 1) + np.diag(coupling, -1)
     )
     assert np.count_nonzero(inner < sigma) == 0 and np.min(v[: window.start]) < sigma
-    assert _count_below(grid, v, sigma, window) == 2 == _dense_count(params, grid, sigma)
+    assert operator.count_below(v, sigma, window) == 2 == _dense_count(params, grid, sigma)
 
 
 def test_sturm_count_extends_only_the_side_with_the_potential_below_sigma(monkeypatch):
@@ -845,12 +855,13 @@ def test_sturm_count_extends_only_the_side_with_the_potential_below_sigma(monkey
     # extends to r = 0, while the wall side, where V >= sigma, stays trimmed
     params, grid = ModelParams(3, 0, 2.0), Grid(12.0, 240)
     _, v, _ = _grid_matrix(params, grid)
+    operator = _Operator(params, grid)
     values = oracles.dense_fiber_eigenvalues(params.k, 2.0, grid.radius, grid.intervals, 3)
     sigma = 0.5 * (values[1] + values[2])
     window = slice(int(np.searchsorted(grid.nodes, 1.0)), int(np.searchsorted(grid.nodes, 8.0)))
     assert np.min(v[: window.start]) < sigma <= np.min(v[window.stop :])
     calls = _record_inertia_passes(monkeypatch)
-    assert _count_below(grid, v, sigma, window) == 2 == _dense_count(params, grid, sigma)
+    assert operator.count_below(v, sigma, window) == 2 == _dense_count(params, grid, sigma)
     # the pass starts on rows [0, window.stop) and restarts past each of the
     # two rows it removes
     assert calls[0][0] == window.stop and len(calls) <= 3
