@@ -57,6 +57,9 @@ _NESTED_FACTOR = 8  # a nested solve starts on a grid with 1/8 of the intervals
 _EPS = float(np.finfo(float).eps)
 _MAX_INTERVALS = 2**22  # largest grid; one vector on it takes 32 MiB
 REACH = 14.0  # Agmon lengths from well to wall that a grid must reach; see `_admit`
+# Largest relative miss of nu by the axis recurrence (`_Operator.axis_slope`)
+# that `boundary_exponent` admits: check 06's fits miss by at most 1.0 %.
+_AXIS_BIAS = 0.02
 
 
 @dataclass(frozen=True)
@@ -264,6 +267,21 @@ class _Operator:
                 return removed if info == 0 else None
             removed, start = removed + 1, start + info  # drop the row of the pivot <= 0
         return removed + int(diagonal.size - start == 1 and diagonal[start] <= 0.0)
+
+    def axis_slope(self, nodes: int) -> float:
+        """The log-log slope (`_loglog_slope`) over rows j = 1..nodes of the
+        solution of T's rows where k/r^2 dominates V, the recurrence
+        j^2 (u_{j+1} - 2 u_j + u_{j-1}) = k u_j with u_0 = 0: what a fit of
+        u ~ r^nu there returns in place of nu, for any h.  The solution is
+        carried by the logs of its ratios u_{j+1}/u_j, scaled into the float
+        range for the fit (the slope scales back exactly)."""
+        inverse, logs = 0.0, [0.0]
+        for j in range(1, nodes):
+            ratio = 2.0 - inverse + self.params.k / (j * j)
+            logs.append(logs[-1] + math.log(ratio))
+            inverse = 1.0 / ratio
+        scale = max(1.0, logs[-1] / 600.0)
+        return scale * _loglog_slope(np.arange(1.0, nodes + 1), np.exp(np.array(logs) / scale))[0]
 
     def moments(self, u: np.ndarray, xi: float, v=None, window=None) -> tuple[float, float, float]:
         """(`rayleigh_quotient`, `derivative_feynman_hellmann`,
@@ -762,7 +780,9 @@ def boundary_exponent(
     sign-definite; otherwise the fit is meaningless.  A continued vector is
     exactly zero on rows outside its continuation's window, where it fell
     below _WINDOW of its peak (near the axis at large nu), and there the fit
-    raises SignPatternError.
+    raises SignPatternError.  A window whose nodes cannot resolve r^nu is a
+    ModelError: there T's rows near the axis (`_Operator.axis_slope`) fit a
+    slope more than _AXIS_BIAS off nu = 1/2 + sqrt(1/4 + k), whatever h.
     """
     fit_window = _integer(fit_window, "fit_window nodes", 3, grid.intervals - 1)
     r_minus, _ = turning_points(params, pair.value)
@@ -777,6 +797,12 @@ def boundary_exponent(
         raise SignPatternError(
             "eigenvector is not strictly positive over the fit window; "
             "the boundary exponent fit needs sign-definite data"
+        )
+    nu, fitted = 0.5 + math.sqrt(0.25 + params.k), _Operator(params, grid).axis_slope(fit_window)
+    if not abs(fitted - nu) <= _AXIS_BIAS * nu:
+        raise ModelError(
+            f"{fit_window} fit nodes cannot resolve u ~ r^{nu:g} at the axis: the difference "
+            f"recurrence there fits {fitted:.4g}, more than {_AXIS_BIAS:.0%} off"
         )
     return _loglog_slope(r, u)[0]
 

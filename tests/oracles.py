@@ -38,6 +38,16 @@ def dense_fiber_eigenvalues(k: float, xi: float, radius: float, intervals: int,
     return np.linalg.eigvalsh(mat)[:count]
 
 
+def axis_recurrence_slope(k: float, nodes: int) -> float:
+    """OLS slope of log u_j on log j over j = 1..nodes for the difference
+    recurrence j^2 (u_{j+1} - 2 u_j + u_{j-1}) = k u_j from u_0 = 0, u_1 = 1,
+    run directly on u (so only while u stays in the float range)."""
+    u = [0.0, 1.0]
+    for j in range(1, nodes):
+        u.append(2.0 * u[j] - u[j - 1] + k * u[j] / (j * j))
+    return float(np.polyfit(np.log(np.arange(1, nodes + 1)), np.log(u[1:]), 1)[0])
+
+
 def agmon_reach_reference(xi: float, value: float, radius: float) -> float:
     """Integral of sqrt((r - xi)^2 - value) from r = xi + sqrt(value) to the
     wall at `radius`, by adaptive quadrature: the reach of the grid rule."""

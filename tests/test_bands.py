@@ -309,6 +309,35 @@ def test_every_fiber_of_a_chain_shares_one_record(monkeypatch):
     assert abs(quotient - 2.0) == res.residual
 
 
+@pytest.mark.parametrize("fiber,relabeled", [((5, 0), (3, 1)), ((6, 0), (4, 1)), ((5, 3), (7, 2))],
+                         ids=["k=3/4", "k=2", "k=63/4"])
+def test_any_dimension_is_a_relabeling(monkeypatch, fiber, relabeled):
+    # (n, m) and (n + 2, m - 1) share k, the one way the fiber depends on
+    # them: sweeps and crossings give the same bits from the same number of
+    # fiber steps, nested solves included (a structural identity, not a
+    # value oracle)
+    assert ModelParams(*fiber, 0.0).k == ModelParams(*relabeled, 0.0).k
+    steps = []
+    for module in (magband.bands, magband.solver):
+        def counted(*args, _follow=module._follow, **kwargs):
+            steps.append(1)
+            return _follow(*args, **kwargs)
+
+        monkeypatch.setattr(module, "_follow", counted)
+    xi = np.linspace(-1.0, 4.0, 11)
+    runs = []
+    for n, m in (fiber, relabeled):
+        del steps[:]
+        curves = sweep(n, [m], (1, 2), xi, SWEEP_GRID)
+        res = crossing(n, m, 1, 2.0)
+        runs.append(([(c.values, c.slope_fh, c.slope_bd) for c in curves],
+                     (res.xi, res.slope, res.residual), len(steps)))
+    (curves, found, count), (curves_r, found_r, count_r) = runs
+    for got, want in zip(curves_r, curves):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    assert found_r == found and count_r == count > 0
+
+
 def test_sweep_with_wide_steps_falls_back_to_bisection(monkeypatch):
     # dxi >= 2 leaves the predicted shifts far off: uncertified steps fall
     # back to a nested solve, bisected on its coarse grid, and the bands are

@@ -206,6 +206,45 @@ def test_boundary_exponent_refuses_a_vector_that_vanishes_near_the_axis():
         boundary_exponent(params, pair, grid, 40)
 
 
+@pytest.mark.parametrize("n,m,miss", [(4, 0, 0.0), (5, 1, 0.001), (5, 3, -0.010), (5, 7, -0.050),
+                                      (5, 32, -0.27)])
+def test_axis_slope_is_the_difference_recurrence_fit(n, m, miss):
+    # the slope a log-log fit over nodes 1..40 finds on T's rows near the
+    # axis, against the recurrence run directly, and its miss of nu
+    params = ModelParams(n, m, 0.0)
+    nu = 0.5 * (1.0 + abs(2 * m + n - 3))
+    for grid in (Grid(16.0, 480), Grid(3.0, 8000)):  # the same for any h
+        slope = _Operator(params, grid).axis_slope(40)
+        assert slope == pytest.approx(oracles.axis_recurrence_slope(params.k, 40), rel=1e-12)
+        assert slope / nu - 1.0 == pytest.approx(miss, abs=0.005)
+    # far past the float range of u itself, the slope stays finite and below nu
+    slope = _Operator(ModelParams(5, 400, 0.0), Grid(16.0, 480)).axis_slope(200)
+    assert 0.0 < slope < 401.5
+
+
+def test_boundary_exponent_admits_check_06_fits_with_their_values():
+    # over 40 nodes the axis recurrence misses nu by 0.0 %, 0.1 % and 1.0 %,
+    # inside the 2 % bound: check 06's three fits are admitted, unchanged
+    grid = Grid(16.0, 8000)
+    for n, m, want in [(4, 0, 1.0002996322440043), (5, 1, 2.5025188964023464),
+                       (5, 3, 4.456390421441743)]:
+        params = ModelParams(n, m, 1.5)
+        pair = solve_fiber(params, grid, 1)[0]
+        assert boundary_exponent(params, pair, grid, 40) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("fit_window", [20, 40])
+def test_boundary_exponent_refuses_a_fit_its_nodes_cannot_resolve(fit_window):
+    # (5, 32), nu = 33.5, on Grid(16, 480) at xi = 0: the vector is positive
+    # over the window, but its fit (20.74 over 20 nodes) is the difference
+    # recurrence's (20.78), not nu
+    grid, params = Grid(16.0, 480), ModelParams(5, 32, 0.0)
+    pair = solve_fiber(params, grid, 1)[0]
+    assert np.all(pair.vector[:fit_window] > 0.0)
+    with pytest.raises(ModelError, match=r"cannot resolve u ~ r\^33\.5 at the axis"):
+        boundary_exponent(params, pair, grid, fit_window)
+
+
 def test_boundary_exponent_window_validation():
     grid = Grid(12.0, 600)
     params = ModelParams(5, 1, 1.5)
