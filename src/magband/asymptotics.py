@@ -23,7 +23,7 @@ import numpy as np
 
 from .bands import BandCurve, refined_sweep
 from .errors import ModelError
-from .model import _integer, _interval, _real, coupling_constant
+from .model import _integer, _interval, _real, coupling_constant, landau_level
 from .solver import Grid, _loglog_slope
 
 _MAX_SAMPLES = 2**22  # longest band a comparison samples; 32 MiB per array
@@ -111,7 +111,7 @@ def evaluate_expansion(coeffs: ExpansionCoefficients, xi: float) -> float:
     xi = _real(xi, "expansion point xi", above=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         powers = xi ** -np.arange(1, coeffs.order + 1)
-        value = float(2 * coeffs.p - 1 + coeffs.coupling * (coeffs.alphas @ powers))
+        value = float(landau_level(coeffs.p) + coeffs.coupling * (coeffs.alphas @ powers))
     if not np.isfinite(value):
         raise ModelError(f"the order-{coeffs.order} partial sum at xi={xi!r} is not finite")
     return value
@@ -207,7 +207,9 @@ def exponential_gap_check(
     level closes like xi^{2p-1} e^{-xi^2}; near-constancy of the compensated
     profile over the window is the checkable signature, with p = band.p.  The
     band values must resolve the gap: samples within _NOISE_MARGIN times
-    error_estimate mark the report indeterminate.
+    error_estimate mark the report indeterminate.  Past xi ~ 26.6 the factor
+    e^{xi^2} leaves the float range: the profile there is inf (nan on a zero
+    gap) and its ratio inf, as no such profile can be shown constant.
     """
     if (band.n, band.m) != (4, 0):
         raise ModelError(
@@ -217,14 +219,17 @@ def exponential_gap_check(
     error_estimate = _real(error_estimate, "error_estimate")
     xi, values = _window_samples(band, *_gap_window(xi_window))
     p = band.p
-    gap = values - float(2 * p - 1)
-    profile = np.exp(xi**2) * gap / xi ** (2 * p - 1)
+    gap = values - float(landau_level(p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        profile = np.exp(xi**2) * gap / xi ** (2 * p - 1)
     positive = bool(np.all(gap > 0.0))
     indeterminate = bool(np.min(np.abs(gap)) <= _NOISE_MARGIN * error_estimate)
     if indeterminate:
         ratio = float("nan")
+    elif positive and np.isfinite(profile).all():
+        ratio = float(np.max(profile) / np.min(profile))
     else:
-        ratio = float(np.max(profile) / np.min(profile)) if positive else float("inf")
+        ratio = float("inf")
     return GapProfile(xi, gap, profile, ratio, positive, indeterminate)
 
 

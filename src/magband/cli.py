@@ -13,13 +13,15 @@ the run lists fails (every report subcommand and `acceptance`, one rule in
 
 Every pipeline runs serially in a fixed order.  CSV numbers go through
 17-significant-digit formatting and JSON floats through Python's shortest
-round-trip repr, so repeated runs produce byte-identical files.
+round-trip repr, so repeated runs produce byte-identical files.  Reports
+are strict JSON: every non-finite value in one is written as null (`_plain`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -127,10 +129,6 @@ def _pair(text: str) -> tuple[float, float]:
     return pair
 
 
-def _str(text: str) -> str:
-    return text
-
-
 # ---------------------------------------------------------------- config plumbing
 
 # per-subcommand option tables: name -> (converter, default-as-string-or-None, help)
@@ -142,7 +140,7 @@ _OPTIONS = {
         "xi": (_float_grid, "-1:5:0.05", "momentum samples start:stop:step"),
         "radius": (_float, "20", "grid radius R"),
         "intervals": (_int, "4800", "grid intervals N (step h = R/N)"),
-        "output": (_str, None, "CSV path (default: stdout)"),
+        "output": (str, None, "CSV path (default: stdout)"),
     },
     "scaling": {
         "n": (_int, "5", "ambient dimension"),
@@ -151,8 +149,8 @@ _OPTIONS = {
         "m": (_int_list, "5..40", "angular momenta (m >= 1)"),
         "tolerance": (_float, str(CROSSING_TOLERANCE), "crossing tolerance on |lambda - E|"),
         "step": (_float, str(CROSSING_STEP), "grid step h for the fiber solves"),
-        "output": (_str, None, "CSV path (omit to skip the CSV)"),
-        "summary": (_str, None, "JSON path (default: stdout)"),
+        "output": (str, None, "CSV path (omit to skip the CSV)"),
+        "summary": (str, None, "JSON path (default: stdout)"),
     },
     "asym": {
         "n": (_int, "5", "ambient dimension"),
@@ -163,7 +161,7 @@ _OPTIONS = {
         "samples": (_int, "15", "band samples across the window"),
         "radius": (_float, "30", "grid radius for the band solves"),
         "intervals": (_int, "7200", "coarse grid intervals (Richardson doubles)"),
-        "summary": (_str, None, "JSON path (default: stdout)"),
+        "summary": (str, None, "JSON path (default: stdout)"),
     },
     "classical": {
         "x0": (_float, "1.2", "initial x"),
@@ -175,8 +173,8 @@ _OPTIONS = {
         "t_max": (_float, "200", "integration time"),
         "dt": (_float, "1e-3", "RK4 step"),
         "stride": (_int, "100", "output every k-th sample, k >= 1 (CSV only)"),
-        "output": (_str, None, "trajectory CSV path (omit to skip)"),
-        "summary": (_str, None, "JSON path (default: stdout)"),
+        "output": (str, None, "trajectory CSV path (omit to skip)"),
+        "summary": (str, None, "JSON path (default: stdout)"),
     },
     "current": {
         "n": (_int, "5", "ambient dimension (>= 4)"),
@@ -187,7 +185,7 @@ _OPTIONS = {
         "step": (_float, str(TRANSPORT_STEP),
                  f"grid step of the edge and bulk band solves; the witness uses "
                  f"1/{round(1 / WITNESS_STEP)}"),
-        "summary": (_str, None, "JSON path (default: stdout)"),
+        "summary": (str, None, "JSON path (default: stdout)"),
     },
     "convergence": {
         "n": (_int, "5", "ambient dimension"),
@@ -197,12 +195,12 @@ _OPTIONS = {
         "radius": (_float, "12", "grid radius"),
         "intervals": (_int, "4800", "coarse intervals (the fine grid doubles)"),
         "bound": (_float, "1e-6", "acceptance bound on the error estimate"),
-        "output": (_str, None, "CSV path (omit to skip)"),
-        "summary": (_str, None, "JSON path (default: stdout)"),
+        "output": (str, None, "CSV path (omit to skip)"),
+        "summary": (str, None, "JSON path (default: stdout)"),
     },
     "acceptance": {
-        "only": (_str, None, "comma-separated check name prefixes, e.g. 01,08"),
-        "summary": (_str, None, "JSON path (in addition to the printed lines)"),
+        "only": (str, None, "comma-separated check name prefixes, e.g. 01,08"),
+        "summary": (str, None, "JSON path (in addition to the printed lines)"),
     },
 }
 
@@ -246,10 +244,18 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
 
 
 def _plain(value):
-    """`json.dumps` hook: a numpy array or scalar as Python lists and numbers."""
+    """The one rule that makes a report strict JSON: `value` with each numpy
+    array or scalar as Python lists and numbers, each tuple as a list, and
+    each non-finite float as None (null)."""
     if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {key: _plain(entry) for key, entry in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(entry) for entry in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -261,9 +267,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _check_entry(check: CheckResult) -> dict:
-    """One check as strict JSON: a non-finite value is written as null."""
-    value = check.value if np.isfinite(check.value) else None
-    entry = {"name": check.name, "value": value, "bound": check.bound,
+    """One check as a report entry."""
+    entry = {"name": check.name, "value": check.value, "bound": check.bound,
              "pass": bool(check.passed)}
     if check.detail:
         entry["detail"] = check.detail
@@ -276,10 +281,10 @@ def _status(checks: list[CheckResult]) -> int:
 
 
 def _report(config: dict, results: dict, checks: list[CheckResult], path: str | None) -> int:
-    """Write the JSON report and return the run's exit status."""
+    """Write the JSON report, strict by `_plain`, and return the run's exit status."""
     payload = {"config": config, "results": results,
                "checks": [_check_entry(c) for c in checks]}
-    _emit(json.dumps(payload, indent=2, default=_plain) + "\n", path)
+    _emit(json.dumps(_plain(payload), indent=2, allow_nan=False) + "\n", path)
     return _status(checks)
 
 

@@ -15,7 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -117,12 +117,6 @@ def coupling_constant(n: int, m: int) -> Fraction:
     return Fraction(w * w - 1, 4)
 
 
-@cache
-def _float_coupling(n: int, m: int) -> float:
-    """float(coupling_constant(n, m)), computed once per (n, m)."""
-    return float(coupling_constant(n, m))
-
-
 def landau_level(p: int) -> int:
     """Threshold energy E_p = 2p - 1 of the p-th band, p >= 1."""
     return 2 * _integer(p, "band index p", 1) - 1
@@ -146,8 +140,8 @@ class ModelParams:
 
     @cached_property
     def k(self) -> float:
-        """float(coupling), from a cache per (n, m)."""
-        return _float_coupling(self.n, self.m)
+        """float(coupling), computed once per instance."""
+        return float(self.coupling)
 
 
 @dataclass(frozen=True)

@@ -286,8 +286,7 @@ class _Operator:
     def moments(self, u: np.ndarray, xi: float, v=None, window=None) -> tuple[float, float, float]:
         """(`rayleigh_quotient`, `derivative_feynman_hellmann`,
         `derivative_boundary_form`) of the grid vector u at xi, from one u^2,
-        with v, when given, the potential on grid.nodes (otherwise built on
-        the rows).
+        with v the potential on grid.nodes (by default `potential` at xi).
 
         Each is a pairwise sum (numpy's .sum()) over the rows where u is
         nonzero, so every caller gets the same bits: the rows of `window` when
@@ -309,8 +308,7 @@ class _Operator:
         jumps[0], jumps[-1] = z[0], -z[-1]
         np.subtract(z[1:], z[:-1], out=jumps[1:-1])
         square, offset = z * z, r - xi
-        # the bits of `potential` on the rows
-        v = self.centrifugal[lo:hi] + offset * offset if v is None else v[lo:hi]
+        v = (self.potential(xi) if v is None else v)[lo:hi]
         value = (jumps * jumps).sum() / h + h * (v * square).sum()
         slope = -2.0 * h * (offset * square).sum()
         if k == -0.25:
@@ -355,7 +353,7 @@ class _Fiber:
     """The record of one fiber step (`_follow`): the lowest eigenpairs of the
     fiber `operator` at `xi`, with `moments`, the (3, pairs) array of their
     Rayleigh quotients (`values`), Feynman-Hellmann slopes (`slopes`) and
-    boundary-form slopes (`boundary_slopes`), one `_Operator.moments` per
+    boundary-form slopes (`moments[2]`), one `_Operator.moments` per
     pair, computed when the step builds the record (None when its caller
     reads only the pairs).  `before` is the record this one was continued
     from on the same grid at another xi, with its own `before` dropped so
@@ -374,10 +372,6 @@ class _Fiber:
     @property
     def slopes(self) -> np.ndarray:
         return self.moments[1]
-
-    @property
-    def boundary_slopes(self) -> np.ndarray:
-        return self.moments[2]
 
 
 def _follow(

@@ -66,7 +66,7 @@ class SpectralWindow:
         if q_max >= q_min:
             raise ModelError(
                 f"window [{self.lower}, {self.upper}] touches the Landau level "
-                f"{2 * q_min - 1}; the current bounds require a gap"
+                f"{landau_level(q_min)}; the current bounds require a gap"
             )
 
     def contains(self, value) -> np.ndarray:
@@ -92,11 +92,6 @@ def _lowest_band(win: SpectralWindow) -> int:
             f"no band meets the window ({win.lower}, {win.upper}); there is no current"
         )
     return 1
-
-
-def _check_dimension(n: int) -> None:
-    """Transport assumes n >= 4, where no band attains its threshold."""
-    _integer(n, "dimension n", 4)
 
 
 @dataclass(frozen=True)
@@ -126,7 +121,7 @@ def bands_meeting_window(
     On a decreasing band the preimage of (a, b) is the interval between the
     crossing at b (left end) and the crossing at a (right end).
     """
-    _check_dimension(n)
+    _integer(n, "dimension n", 4)
     win = _as_window(window)
     m_max = _integer(m_max, "m_max", 0)
     return WindowBands(
@@ -180,7 +175,7 @@ def synthesize_state(
     sample; entries share the total norm equally.
     """
     win = _as_window(window)
-    _check_dimension(n)
+    _integer(n, "dimension n", 4)
     try:
         triples = [(m, j, p) for m, j, p in mode_set]
     except (TypeError, ValueError):  # not iterable, or a mode that is not a triple
@@ -336,7 +331,7 @@ def bulk_decay_study(
     k_{M+1} quantifies the 1/sqrt(k) suppression.
     """
     win = _as_window(window)
-    _check_dimension(n)
+    _integer(n, "dimension n", 4)
     cuts = _integers(m_cut_list, "cutoff", 0)
     p = _lowest_band(win)
     coupling = np.array([float(coupling_constant(n, M + 1)) for M in cuts])
@@ -365,7 +360,7 @@ def witness_small_current(n: int, window, epsilon: float) -> tuple[int, float]:
     law guarantees termination for any positive epsilon.
     """
     win = _as_window(window)
-    _check_dimension(n)
+    _integer(n, "dimension n", 4)
     epsilon = _real(epsilon, "epsilon", above=0.0)
     p = _lowest_band(win)
     for m in _WITNESS_MS:
@@ -395,7 +390,7 @@ def edge_current(
     """
     win = _as_window(window)
     p = _lowest_band(win)
-    _check_dimension(n)
+    _integer(n, "dimension n", 4)
     m_max = _integer(m_max, "m_max", 0)
     bumps = [_bump_current(n, win, m, p, step) for m in range(m_max + 1)]
     share = 1.0 / len(bumps)
@@ -439,7 +434,7 @@ def current_dichotomy(
     if len(cuts) < 2:
         raise ModelError(f"the bulk decay slope needs at least two cutoffs, got {cuts}")
     epsilon = _real(epsilon, "epsilon", above=0.0)
-    _check_dimension(n)
+    _integer(n, "dimension n", 4)
     edge, c_minus = edge_current(n, win, _integer(edge_m_max, "edge_m_max", 0), step=step)
     return CurrentDichotomy(
         edge=edge,

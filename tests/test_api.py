@@ -300,10 +300,10 @@ def test_the_grid_matrix_is_stated_once_in_its_record():
     assert squaring == ["Grid.__post_init__", "_Operator.coupling", "_Operator.one_norm"]
 
 
-def test_solver_keeps_no_module_level_cache():
-    # a fiber's arrays live in the record its chain passes (solver._Operator),
-    # never in a cache of the module: no function of solver.py is decorated
-    # with functools.lru_cache or functools.cache
+def test_no_module_keeps_a_module_level_cache():
+    # a fiber's arrays live in the record its chain passes (solver._Operator)
+    # and k in its ModelParams, never in a cache of a module: no function of
+    # the package is decorated with functools.lru_cache or functools.cache
     def caches(decorator) -> bool:
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
         return getattr(target, "id", getattr(target, "attr", None)) in {"lru_cache", "cache"}
@@ -311,9 +311,12 @@ def test_solver_keeps_no_module_level_cache():
     assert caches(ast.parse("@functools.lru_cache(maxsize=2)\ndef f(): pass").body[0]
                   .decorator_list[0])
     assert caches(ast.parse("@cache\ndef f(): pass").body[0].decorator_list[0])
-    tree = ast.parse((PACKAGE / "solver.py").read_text(encoding="utf-8"))
-    cached = [name for name, function in _methods(tree)
-              if any(caches(decorator) for decorator in function.decorator_list)]
+    cached = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, function in _methods(ast.parse(path.read_text(encoding="utf-8")))
+        if any(caches(decorator) for decorator in function.decorator_list)
+    ]
     assert cached == []
 
 

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from magband import (
+    Grid,
     ModelError,
+    band_asymptotics,
     coupling_constant,
     evaluate_expansion,
     expansion_coefficients,
@@ -15,6 +19,7 @@ from magband import (
     landau_level,
     remainder_rate,
 )
+from magband.acceptance import gap_profile_criteria
 from magband.asymptotics import apply_A, apply_s
 from magband.bands import BandCurve
 
@@ -183,6 +188,33 @@ def test_exponential_gap_profile():
 
     noisy = exponential_gap_check(band, (2.5, 3.5), error_estimate=1.0)
     assert noisy.indeterminate
+
+
+def test_exponential_gap_profile_past_the_float_range():
+    # e^{xi^2} overflows past xi ~ 26.6: the profile is inf there (nan on a
+    # zero gap) and no ratio is formed from it, with no RuntimeWarning (the
+    # suite makes one an error)
+    xi = np.array([26.0, 27.0, 28.0])
+    band = BandCurve(4, 0, 1, xi, 1.0 + np.array([1e-9, 1e-9, 0.0]),
+                     np.zeros_like(xi), np.zeros_like(xi))
+    prof = exponential_gap_check(band, (26.0, 28.0))
+    assert np.isfinite(prof.profile[0]) and prof.profile[1] == np.inf
+    assert np.isnan(prof.profile[2]) and prof.indeterminate and np.isnan(prof.ratio)
+    past = replace(band, xi=xi + 1.0, values=np.full(3, 1.0 + 1e-9))
+    positive = exponential_gap_check(past, (27.0, 29.0))
+    assert np.all(positive.profile == np.inf)
+    assert positive.positive and not positive.indeterminate and positive.ratio == np.inf
+
+
+def test_band_asymptotics_past_the_float_range_stays_indeterminate():
+    # the verdict of `magband asym --n 4 --m 0 --order 0 --window 27:28
+    # --samples 3 --radius 40 --intervals 2000`: the gap sits in the noise,
+    # so the ratio is NaN and the profile spread fails
+    report = band_asymptotics(4, 0, 1, 0, (27.0, 28.0), 3, Grid(40.0, 2000)).report
+    assert report.indeterminate and np.isnan(report.ratio)
+    assert report.positive and np.all(report.profile == np.inf)
+    gap_positive, spread = gap_profile_criteria(report)
+    assert gap_positive.passed and not spread.passed
 
 
 def test_exponential_gap_requires_zero_coupling_pair():

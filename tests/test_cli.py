@@ -534,6 +534,31 @@ def test_asym_indeterminate_remainder_fails_as_in_check_04(capsys):
     assert not checks["remainder-slope"]["pass"]
 
 
+@pytest.mark.parametrize("command_line, code, nulls", [
+    # two fit points leave no degrees of freedom for a standard error
+    ("scaling --m 5,6", 0,
+     [("results", "xi_slope_stderr"), ("results", "derivative_slope_stderr")]),
+    ("current --cutoffs 10,20", 0, [("results", "bulk", "slope_stderr")]),
+    # e^{xi^2} overflows past xi ~ 26.6, so the gap profile is inf
+    ("asym --n 4 --m 0 --order 0 --window 27:28 --samples 3 --radius 40 --intervals 2000", 1,
+     [("results", "profile", 0), ("results", "profile", 1), ("results", "profile", 2),
+      ("checks", 1, "value")]),
+], ids=["scaling", "current", "asym"])
+def test_every_report_is_strict_json(command_line, code, nulls, capsys):
+    # every non-finite value in a report, not only a criterion's, is null
+    assert run_cli(*command_line.split()) == code
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    for path in nulls:
+        entry = report
+        for key in path:
+            entry = entry[key]
+        assert entry is None
+
+
 def test_asym_order_1_lists_alpha1(capsys):
     assert run_cli("asym", "--order", "1") == 0
     checks = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]

