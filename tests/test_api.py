@@ -300,7 +300,7 @@ def test_the_grid_matrix_is_stated_once_in_its_record():
     assert squaring == ["Grid.__post_init__", "_Operator.coupling", "_Operator.one_norm"]
 
 
-def test_no_module_keeps_a_module_level_cache():
+def test_solver_keeps_no_module_level_cache():
     # a fiber's arrays live in the record its chain passes (solver._Operator)
     # and k in its ModelParams, never in a cache of a module: no function of
     # the package is decorated with functools.lru_cache or functools.cache
