@@ -152,10 +152,12 @@ def dichotomy_criteria(result: CurrentDichotomy, epsilon: float) -> list[CheckRe
 
 
 def gap_profile_criteria(profile: GapProfile) -> list[CheckResult]:
-    """k_m = 0: positive gap whose xi e^{-xi^2} profile is flat within 2x.  The
-    ratio is NaN, and so fails, when the gap sits in the noise."""
+    """k_m = 0: positive gap whose xi e^{-xi^2} profile is flat within 2x.  On
+    an indeterminate profile, a gap in the discretization noise, the gap and
+    the ratio are NaN, and so both fail."""
+    gap = float("nan") if profile.indeterminate else float(np.min(profile.gap))
     return [
-        _criterion("gap-positive", float(np.min(profile.gap)), ">", 0.0),
+        _criterion("gap-positive", gap, ">", 0.0),
         _criterion("profile-spread", profile.ratio, "<=", 2.0),
     ]
 

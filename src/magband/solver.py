@@ -6,8 +6,10 @@ axis r = 0 and the artificial wall r = R.  The discrete operator T is
 symmetric tridiagonal, stated once, in the record `_Operator` of a fiber's
 coupling k on a grid, built once per followed chain.  `solve_fiber`,
 `fiber_eigenvalues`, band sweeps and crossing iterations all solve it
-through one fiber step (`_follow`) of a record at one xi, which continues at
-most one start per source in the order `_starts` states (the closed-form
+through one fiber step (`_follow`) of a record at one xi for a contiguous
+band range q..p (q = 1 everywhere but in a crossing, which asks for band p
+alone), which continues at most one start per source in the order `_starts`
+states (the closed-form
 Hermite functions of the harmonic well that V turns into near its minimum,
 when they lead; the pairs of the fiber at a nearby xi; the same fiber on a
 grid 8 times coarser, a nested solve: Brandt, Math. Comp. 31, 1977), and
@@ -16,15 +18,18 @@ iteration), so bisection runs almost only on grids below 512 intervals.
 
 A continuation (`_continue_fiber`) is Rayleigh-quotient iteration, one
 tridiagonal LU solve per step, on a window of rows (`_window`), accepted
-only under a certificate of the band indices: the discrete oscillation
-theorem and an inertia count (`_Operator.count_below`) (Parlett, The
-Symmetric Eigenvalue Problem, ch. 4 and 7).  The window holds the rows where
-a start vector exceeds _WINDOW of its peak, widened by |dxi| plus one unit
-of r, since an eigenfunction decays like e^(-d) at Agmon distance d from its
-well; the vectors are zero outside it.  The iteration stops on the residual
-of the zero-padded vector on the full T, so each value is a Rayleigh
-quotient of T within 8 eps ||T||_1 of an eigenvalue.  All of it is
-deterministic for fixed input.
+only under a certificate of the band indices from both sides: the discrete
+oscillation theorem and the exact Sylvester inertia (`_inertia`) of two
+blocks of T (`_Operator.count_below`) whose counts bound T's, from above by
+Haynsworth's inertia additivity at band p and from below by Cauchy
+interlacing at band q (Parlett, The Symmetric Eigenvalue Problem, ch. 3, 4,
+7 and 10), so bands below q are never solved.  The window holds the rows
+where a start vector exceeds _WINDOW of its peak, widened by |dxi| plus one
+unit of r, since an eigenfunction decays like e^(-d) at Agmon distance d
+from its well; the vectors are zero outside it.  The iteration stops on the
+residual of the zero-padded vector on the full T, so each value is a
+Rayleigh quotient of T within 8 eps ||T||_1 of an eigenvalue.  All of it
+is deterministic for fixed input.
 
 A start changes the number of steps, never the certificate, so a value
 depends on its start only at the rounding level.
@@ -230,28 +235,31 @@ class _Operator:
             residual -= np.multiply(z, mu, out=coupled)
         return mu, _dot(residual, residual) + ((leaks[0] * z[0]) ** 2 + (leaks[1] * z[-1]) ** 2)
 
-    def count_below(self, v: np.ndarray, sigma: float, window: slice) -> int | None:
-        """An upper bound of the number of eigenvalues of T below sigma, exact
-        on the full matrix, from v on grid.nodes; None on a LAPACK failure.
+    def count_below(self, v: np.ndarray, sigma: float, window: slice, lower=False) -> int | None:
+        """A bound of the number of eigenvalues of T below sigma, from v on
+        grid.nodes: the count of a block of T, exact by Sylvester's law of
+        inertia (`_inertia`), that bounds T's, from above by default and from
+        below with `lower`; exact on the full matrix (a = 0, b = N); None on a
+        LAPACK failure.  `_continue_fiber` certifies bands q..p with the upper
+        bound at mu_p + 2 tol and, for q > 1, the lower bound at mu_q - 2 tol.
 
-        Each side of `window` = [a, b) (the full T: a = 0, b = N) is decided
-        alone: a side whose outer rows hold some V < sigma extends to the
-        grid's end, and otherwise it is trimmed, with its leak (`block`)
-        subtracted from its end row.  A trimmed outer block of T - sigma is
-        the Dirichlet difference Laplacian plus V - sigma >= 0, so positive
-        definite, and by Haynsworth's inertia additivity T - sigma has as many
-        negative eigenvalues as their Schur complement: the kept block minus
+        Upper (Haynsworth): each side of `window` = [a, b) is decided alone.
+        A side whose outer rows hold some V < sigma extends to the grid's end,
+        and otherwise it is trimmed, with its leak (`block`) subtracted from
+        its end row.  A trimmed outer block of T - sigma is the Dirichlet
+        difference Laplacian plus V - sigma >= 0, so positive definite, and by
+        Haynsworth's inertia additivity T - sigma has as many negative
+        eigenvalues as their Schur complement: the kept block minus
         (1/h^4) (block^-1)_corner at each trimmed end, a corner in (0, h^2),
         as the block dominates the Laplacian, whose corner inverse is
         h^2 k/(k + 1) on k rows.  So subtracting 1/h^2 only adds negatives.
 
-        The count is one LDL^T pass (LAPACK dpttrf) over that block B - sigma:
-        each pivot <= 0 removes its row, and the factorization restarts after
-        it (on one row or none, without LAPACK).  The rest is positive
-        definite, so by Cauchy interlacing B has at most as many eigenvalues
-        <= sigma as rows were removed (Parlett, ch. 10).  The pivots run the
-        Sturm recurrence, backward stable (Kahan, Stanford CS41, 1966).
+        Lower (Cauchy): the plain block T[a:b, a:b] is a principal submatrix
+        of T, so by Cauchy interlacing its i-th eigenvalue is at least T's,
+        and it has at most as many eigenvalues below sigma (Parlett, ch. 10).
         """
+        if lower:
+            return _inertia(*self.block(v, window, sigma)[:2])
         a, b, size = window.start, window.stop, v.size
         if a and v[:a].min() < sigma:
             a = 0
@@ -260,13 +268,7 @@ class _Operator:
         diagonal, offdiagonal, leaks = self.block(v, slice(a, b), sigma)
         diagonal[0] -= leaks[0]
         diagonal[-1] -= leaks[1]
-        removed = start = 0
-        while diagonal.size - start > 1:  # f2py refuses an empty off-diagonal
-            *_, info = lapack.dpttrf(diagonal[start:], offdiagonal[start:])
-            if info <= 0:
-                return removed if info == 0 else None
-            removed, start = removed + 1, start + info  # drop the row of the pivot <= 0
-        return removed + int(diagonal.size - start == 1 and diagonal[start] <= 0.0)
+        return _inertia(diagonal, offdiagonal)
 
     def axis_slope(self, nodes: int) -> float:
         """The log-log slope (`_loglog_slope`) over rows j = 1..nodes of the
@@ -283,10 +285,11 @@ class _Operator:
         scale = max(1.0, logs[-1] / 600.0)
         return scale * _loglog_slope(np.arange(1.0, nodes + 1), np.exp(np.array(logs) / scale))[0]
 
-    def moments(self, u: np.ndarray, xi: float, v=None, window=None) -> tuple[float, float, float]:
-        """(`rayleigh_quotient`, `derivative_feynman_hellmann`,
-        `derivative_boundary_form`) of the grid vector u at xi, from one u^2,
-        with v the potential on grid.nodes (by default `potential` at xi).
+    def moments(self, u: np.ndarray, xi: float, v=None, window=None, count=3) -> tuple:
+        """The `count` leading moments (`rayleigh_quotient`,
+        `derivative_feynman_hellmann`, `derivative_boundary_form`) of the grid
+        vector u at xi, from one u^2, with v the potential on grid.nodes (by
+        default `potential` at xi).
 
         Each is a pairwise sum (numpy's .sum()) over the rows where u is
         nonzero, so every caller gets the same bits: the rows of `window` when
@@ -307,10 +310,14 @@ class _Operator:
         jumps = np.empty(z.size + 1)  # u is zero past both ends of the rows
         jumps[0], jumps[-1] = z[0], -z[-1]
         np.subtract(z[1:], z[:-1], out=jumps[1:-1])
-        square, offset = z * z, r - xi
+        square = z * z
         v = (self.potential(xi) if v is None else v)[lo:hi]
-        value = (jumps * jumps).sum() / h + h * (v * square).sum()
-        slope = -2.0 * h * (offset * square).sum()
+        value = float((jumps * jumps).sum() / h + h * (v * square).sum())
+        if count < 2:
+            return (value,)
+        slope = float(-2.0 * h * ((r - xi) * square).sum())
+        if count < 3:
+            return value, slope
         if k == -0.25:
             y = square[:3] / r[:3]
             k_axis = 3.0 * y[0] - 3.0 * y[1] + y[2]
@@ -319,7 +326,7 @@ class _Operator:
             boundary = -((u[0] / h) ** 2)
         else:
             boundary = -2.0 * h * (square * self.centrifugal[lo:hi] / r).sum()
-        return float(value), float(slope), float(boundary)
+        return value, slope, float(boundary)
 
 
 def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
@@ -333,7 +340,7 @@ def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
     does not admit the top pair's quotient (`rayleigh_quotient`, `_admit`) is
     a ModelError, as in `sweep`; the step computes no other moment.
     """
-    pairs = _follow(_Operator(params, grid), params.xi, count, None, moments=False).pairs
+    pairs = _follow(_Operator(params, grid), params.xi, count, None, moments=0).pairs
     _admit(params, grid, rayleigh_quotient(params, pairs[-1], grid))
     return pairs
 
@@ -343,21 +350,22 @@ def fiber_eigenvalues(params: ModelParams, grid: Grid, count: int) -> np.ndarray
     (`rayleigh_quotient`) of the fiber step's eigenvectors (`_follow`),
     continued from a start of `_starts` or bisected, and admitted by the grid,
     as in `solve_fiber`."""
-    fiber = _follow(_Operator(params, grid), params.xi, count, None)
+    fiber = _follow(_Operator(params, grid), params.xi, count, None, moments=1)
     _admit(params, grid, fiber.values[-1])
     return fiber.values
 
 
 @dataclass(frozen=True)
 class _Fiber:
-    """The record of one fiber step (`_follow`): the lowest eigenpairs of the
-    fiber `operator` at `xi`, with `moments`, the (3, pairs) array of their
+    """The record of one fiber step (`_follow`): the eigenpairs of a band
+    range of the fiber `operator` at `xi`, with `moments`, the (moments,
+    pairs) array of the leading moments its caller reads of each pair, one
+    `_Operator.moments` per pair, computed when the step builds the record:
     Rayleigh quotients (`values`), Feynman-Hellmann slopes (`slopes`) and
-    boundary-form slopes (`moments[2]`), one `_Operator.moments` per
-    pair, computed when the step builds the record (None when its caller
-    reads only the pairs).  `before` is the record this one was continued
-    from on the same grid at another xi, with its own `before` dropped so
-    that no chain of records builds up, and None otherwise."""
+    boundary-form slopes (`moments[2]`); None when the caller reads only the
+    pairs.  `before` is the record this one was continued from on the same
+    grid at another xi, with its own `before` dropped so that no chain of
+    records builds up, and None otherwise."""
 
     operator: _Operator
     xi: float
@@ -375,30 +383,44 @@ class _Fiber:
 
 
 def _follow(
-    operator: _Operator, xi: float, count: int, previous: _Fiber | None, moments: bool = True
+    operator: _Operator,
+    xi: float,
+    count: int,
+    previous: _Fiber | None,
+    moments: int = 3,
+    first: int = 1,
 ) -> _Fiber:
-    """The fiber step: the `count` lowest eigenpairs of `operator` at xi.
+    """The fiber step: the eigenpairs of bands first..count of `operator` at
+    xi (the `count` lowest when first = 1), ascending.
 
     The one place that continues or bisects a fiber.  Each start of `_starts`
     in turn is continued (`_continue_fiber`) on its window of rows; with no
-    start left the grid is bisected (`_bisect_fiber`).  A fiber continued
-    from `previous` on the same grid keeps that record as its `before`, so
-    the next step can start from a second-order extrapolation.  Without
-    `moments` the record holds the pairs only, for a caller that reads
-    nothing else.  An invalid `count` is a ModelError before any solve.
+    start left the grid is bisected (`_bisect_fiber`).  A continuation is
+    accepted only when the exact Sylvester inertia of two blocks of T
+    certifies its band indices from both sides (`_Operator.count_below`):
+    the Haynsworth upper bound at the top band and, for first > 1, the
+    Cauchy lower bound at the first, so bands below `first` are never
+    solved.  A fiber
+    continued from `previous` (same band range) on the same grid keeps that
+    record as its `before`, so the next step can start from a second-order
+    extrapolation.  The record holds the `moments` leading moments of each
+    pair (`_Operator.moments`) that the caller reads: 3 for a sweep, 2 for
+    a crossing (and for any step a later one continues from), 1 for
+    `fiber_eigenvalues`, 0 for the pairs alone.  An invalid `count` is a
+    ModelError before any solve.
     """
     count = _integer(count, "eigenpairs", 1, operator.grid.intervals - 1)
     v = operator.potential(xi)
-    for vectors, shifts, window, before in _starts(operator, xi, count, previous, v):
-        pairs = _continue_fiber(operator, vectors, shifts, v, window)
+    for vectors, shifts, window, before in _starts(operator, xi, count, previous, v, first):
+        pairs = _continue_fiber(operator, vectors, shifts, v, window, first)
         if pairs is not None:
             break
     else:
         params = replace(operator.params, xi=xi)  # names the fiber; V depends on k alone
-        pairs, window, before = _bisect_fiber(params, operator.grid, count), None, None
+        pairs, window, before = _bisect_fiber(params, operator.grid, count, first), None, None
     table = None
     if moments:
-        columns = [operator.moments(pair.vector, xi, v, window) for pair in pairs]
+        columns = [operator.moments(pair.vector, xi, v, window, moments) for pair in pairs]
         table = np.array(list(zip(*columns)))  # one row per moment
     return _Fiber(operator, xi, pairs, table, before)
 
@@ -424,13 +446,16 @@ def _widened(grid: Grid, lo: int, hi: int, dxi: float) -> slice:
     return slice(max(0, lo - margin), min(grid.intervals - 1, hi + margin))
 
 
-def _starts(operator: _Operator, xi: float, count: int, previous: _Fiber | None, v: np.ndarray):
-    """(vectors, shifts, window, before) for `_follow` to continue from at
-    xi, in turn: start vectors on grid.nodes, their shifts, the rows to work
-    on and the `_Fiber.before` of a fiber continued from them (`previous`
-    without its own `before` when both lie on one grid at distinct xi, else
-    None).  v is the potential on the nodes of operator.grid.  Each source
-    is offered at most once, in this order:
+def _starts(
+    operator: _Operator, xi: float, count: int, previous: _Fiber | None, v: np.ndarray, first=1
+):
+    """(vectors, shifts, window, before) for `_follow` to continue bands
+    first..count from at xi, in turn: start vectors on grid.nodes, one per
+    band, their shifts, the rows to work on and the `_Fiber.before` of a
+    fiber continued from them (`previous` without its own `before` when both
+    lie on one grid at distinct xi, else None).  v is the potential on the
+    nodes of operator.grid.  Each source is offered at most once, in this
+    order:
 
     1. the closed-form start of the harmonic well (`_harmonic`), only when it
        leads: with no `previous`, or after a `previous` that keeps no record
@@ -483,7 +508,7 @@ def _starts(operator: _Operator, xi: float, count: int, previous: _Fiber | None,
             well = _well(k, xi) if rival >= 1.0 else None
             if well is not None and rival < well[2]:
                 well = None
-    closed = _harmonic(operator, count, v, well)
+    closed = _harmonic(operator, count, v, well, first)
     if closed is not None:
         yield closed
     if start is not None:
@@ -492,7 +517,7 @@ def _starts(operator: _Operator, xi: float, count: int, previous: _Fiber | None,
     if grid.intervals >= _NESTED_FLOOR and intervals - 1 >= count:
         try:
             coarse = _Operator(operator.params, Grid(grid.radius, intervals))
-            nested = _follow(coarse, xi, count, None, moments=False)
+            nested = _follow(coarse, xi, count, None, moments=0, first=first)
         except ConvergenceError:
             return
         vectors = _onto(grid, coarse.grid, [pair.vector for pair in nested.pairs])
@@ -511,24 +536,26 @@ def _well(k: float, xi: float) -> tuple[float, float, float] | None:
     return r0, v0, math.sqrt(1.0 + 3.0 * k / r0**4)
 
 
-def _harmonic(operator: _Operator, count: int, v: np.ndarray, well):
-    """The closed-form start (vectors, shifts, window, None) from `well`, the
-    (r0, V(r0), w) of `_well`, or None; v is the potential on grid.nodes.
+def _harmonic(operator: _Operator, count: int, v: np.ndarray, well, first=1):
+    """The closed-form start (vectors, shifts, window, None) of bands
+    first..count from `well`, the (r0, V(r0), w) of `_well`, or None; v is
+    the potential on grid.nodes.
 
-    The eigenpairs of the harmonic well are V(r0) + (2j + 1) w
-    with the Hermite functions psi_j(sqrt(w) (r - r0)), j < count, from
-    their three-term recurrence.  They are evaluated only where psi_0's
-    Gaussian exceeds _WINDOW, widened by psi_(count-1)'s turning point,
-    sqrt(2 count - 1) (beyond a turning point x_t a Hermite function falls
-    at least like e^(-(x - x_t)^2 / 2)), and cut on the axis side where the
-    Agmon distance from the well of the top shift, in the true V, exceeds
-    ln(1/_WINDOW): there k/r^2 makes V steeper than its harmonic model, and
-    a Gaussian tail left there would outlive the few Rayleigh steps as noise
-    far above the eigenvector (past r0, V'' falls, V lies below its model
-    and needs no cut).  So the start costs O(window), not O(N).  It is
-    offered only when every vector's residual (`_residual`, the leak at a
-    trimmed end included) is below w, half the oscillator's level spacing;
-    where `_well` finds no well there is no start.
+    The eigenpairs of the harmonic well are V(r0) + (2j + 1) w with the
+    Hermite functions psi_j(sqrt(w) (r - r0)), j < count, from their
+    three-term recurrence; those of j >= first - 1 are returned.  They are
+    evaluated only where psi_0's Gaussian exceeds _WINDOW, widened by
+    psi_(count-1)'s turning point, sqrt(2 count - 1) (beyond a turning point
+    x_t a Hermite function falls at least like e^(-(x - x_t)^2 / 2)), and
+    cut on the axis side where the Agmon distance from the well of the top
+    shift, in the true V, exceeds ln(1/_WINDOW): there k/r^2 makes V steeper
+    than its harmonic model, and a Gaussian tail left there would outlive
+    the few Rayleigh steps as noise far above the eigenvector (past r0, V''
+    falls, V lies below its model and needs no cut).  So the start costs
+    O(window), not O(N).  It is offered only when every returned vector's
+    residual (`_residual`, the leak at a trimmed end included) is below w,
+    half the oscillator's level spacing; where `_well` finds no well there
+    is no start.
     """
     if well is None:
         return None
@@ -549,15 +576,17 @@ def _harmonic(operator: _Operator, count: int, v: np.ndarray, well):
     x -= r0 / h
     x *= math.sqrt(w) * h
     psi = [0.0, np.exp(x * x * -0.5)]  # psi_(-1) = 0 and psi_0
-    for j in range(count):  # the gate turns most starts away at psi_0
+    for j in range(count):  # the gate turns most starts away at its first function
         if j:
             psi.append(math.sqrt(2.0 / j) * x * psi[-1] - math.sqrt((j - 1) / j) * psi[-2])
+        if j + 1 < first:  # a band below the range is only a step of the recurrence
+            continue
         if not _residual(operator, v, slice(lo, hi), psi[-1], shifts[j]) < w:
             return None
-    vectors = [np.zeros(size) for _ in range(count)]
-    for vector, values in zip(vectors, psi[1:]):
+    vectors = [np.zeros(size) for _ in range(first - 1, count)]
+    for vector, values in zip(vectors, psi[first:]):
         vector[lo:hi] = values
-    return vectors, shifts, _widened(operator.grid, lo, hi, 0.0), None
+    return vectors, shifts[first - 1 :], _widened(operator.grid, lo, hi, 0.0), None
 
 
 def _residual(operator: _Operator, v: np.ndarray, rows: slice, z: np.ndarray, mu) -> float:
@@ -580,22 +609,22 @@ def _onto(grid: Grid, source: Grid, vectors: list[np.ndarray]) -> list[np.ndarra
     return [np.interp(grid.nodes, nodes, np.pad(u, 1)) for u in vectors]
 
 
-def _bisect_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
-    """The fiber's pairs by LAPACK bisection and inverse iteration, to a few
-    ulps of ||T||.  A failure names the fiber."""
+def _bisect_fiber(params: ModelParams, grid: Grid, count: int, first=1) -> list[EigenPair]:
+    """The fiber's pairs of bands first..count by LAPACK bisection and
+    inverse iteration, to a few ulps of ||T||.  A failure names the fiber."""
     diagonal, offdiagonal = assemble(params, grid)
     try:
         values, vectors = eigh_tridiagonal(
             diagonal,
             offdiagonal,
             select="i",
-            select_range=(0, count - 1),
+            select_range=(first - 1, count - 1),
             check_finite=False,
         )
     except LinAlgError as exc:
         raise ConvergenceError(
             f"fiber (m={params.m}, xi={params.xi}): tridiagonal eigensolve failed "
-            f"for indices 0..{count - 1}: {exc}"
+            f"for indices {first - 1}..{count - 1}: {exc}"
         ) from exc
     # Sign: positive near the axis.  The first entries can be underflow-level
     # noise for strongly vanishing eigenfunctions, so key on the first
@@ -637,15 +666,42 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i", a, b))
 
 
-def _continue_fiber(
-    operator: _Operator, vectors: list[np.ndarray], shifts, v: np.ndarray, window: slice
-) -> list[EigenPair] | None:
-    """The len(vectors) smallest eigenpairs of `operator`, continued from
-    start vectors on grid.nodes on the rows `window` = [a, b), with v the
-    potential on grid.nodes.
+def _inertia(diagonal: np.ndarray, offdiagonal: np.ndarray) -> int | None:
+    """The number of negative eigenvalues of the symmetric tridiagonal matrix
+    (diagonal, offdiagonal), or None on a LAPACK failure; `diagonal` is
+    overwritten.
 
-    Pair i runs Rayleigh-quotient iteration from vectors[i], starting at
-    shifts[i], on the principal submatrix T[a:b, a:b]: one tridiagonal LU
+    It is the number of pivots d_i <= 0 of the Sturm recurrence
+    d_{i+1} = a_{i+1} - e_i^2/d_i, the D of the LDL^T factorization, exact by
+    Sylvester's law of inertia and backward stable (Kahan, Stanford CS41,
+    1966; Parlett, ch. 3).  LAPACK's dpttrf runs the recurrence until a pivot
+    d_i <= 0; the next pass continues it from a_{i+1} - e_i^2/d_i, a zero
+    pivot taken as -pivmin, as LAPACK's dstebz does, and a last single row is
+    finished without LAPACK.
+    """
+    negatives, start, size = 0, 0, diagonal.size
+    while size - start > 1:  # f2py refuses an empty off-diagonal
+        pivots, _, info = lapack.dpttrf(diagonal[start:], offdiagonal[start:])
+        if info <= 0:
+            return negatives if info == 0 else None
+        negatives, start = negatives + 1, start + info
+        if start < size:
+            pivot = float(pivots[info - 1])
+            if not pivot:  # dstebz's pivmin
+                pivot = -np.finfo(float).tiny * max(1.0, float(np.max(offdiagonal**2)))
+            diagonal[start] -= offdiagonal[start - 1] ** 2 / pivot
+    return negatives + int(size - start == 1 and diagonal[start] <= 0.0)
+
+
+def _continue_fiber(
+    operator: _Operator, vectors: list[np.ndarray], shifts, v: np.ndarray, window: slice, first=1
+) -> list[EigenPair] | None:
+    """The eigenpairs of bands first..first + len(vectors) - 1 of `operator`,
+    continued from start vectors on grid.nodes, one per band, on the rows
+    `window` = [a, b), with v the potential on grid.nodes.
+
+    Each pair runs Rayleigh-quotient iteration from its vector, starting at
+    its shift, on the principal submatrix T[a:b, a:b]: one tridiagonal LU
     solve (LAPACK dgttrf/dgttrs) per step, until the residual of the
     zero-padded vector z on the full T falls to tol = 8 eps ||T||_1.  That
     residual (`_Operator.squared_residual`) is the window's ||T z - mu z||
@@ -654,21 +710,24 @@ def _continue_fiber(
     eigenvalue of T.  One more solve with the last factorization then
     polishes the vector; it stays zero outside the window.
 
-    The result is accepted only when it is certified to be the lowest
-    eigenpairs in order: the values ascend with gaps above 2 tol (so they
-    belong to distinct eigenvalues of T, all below sigma = last value +
-    2 tol), vector i has i sign changes over its significant entries
-    (discrete oscillation theorem; for vector 0, `_negative_lobe`), and the
-    inertia count `_Operator.count_below`, an upper bound of the number of
-    eigenvalues of T below sigma, is len(vectors).  The certified values
-    bound that number from below, so it is exact.  Otherwise, and on any
-    LAPACK failure, it returns None.  Vectors are normalized and sign-fixed
-    as in `solve_fiber`.
+    The result is accepted only when it is certified to be bands q..p
+    (q = first) in order: the values ascend with gaps above 2 tol (so they
+    belong to p - q + 1 distinct eigenvalues of T, all in
+    (mu_q - 2 tol, mu_p + 2 tol)), the vector of band j has j - 1 sign
+    changes over its significant entries (discrete oscillation theorem; for
+    band 1, `_negative_lobe`), and the inertia of two blocks of T, each
+    exact by Sylvester's law (`_Operator.count_below`), brackets T's count:
+    the Haynsworth upper bound at mu_p + 2 tol is p, and for q > 1 the
+    Cauchy lower bound at mu_q - 2 tol is q - 1.  Then T has at most p
+    eigenvalues below mu_p + 2 tol and at least q - 1 below mu_q - 2 tol,
+    so the certified values are exactly its eigenvalues q..p.  Otherwise,
+    and on any LAPACK failure, it returns None.  Vectors are normalized and
+    sign-fixed as in `solve_fiber`.
     """
     tol = 8.0 * _EPS * operator.one_norm(v)
     block = operator.block(v, window)
     pairs = []
-    for u, mu in zip(vectors, shifts):
+    for band, (u, mu) in enumerate(zip(vectors, shifts), first):
         found = _rayleigh_iteration(operator, block, u[window], mu, tol)
         if found is None:
             return None
@@ -677,9 +736,9 @@ def _continue_fiber(
         if not (math.isfinite(norm) and norm > 0.0):  # a non-finite entry makes it so
             return None
         z /= math.sqrt(norm * operator.grid.h)
-        if pairs:
+        if band > 1:
             signs = np.signbit(_significant(z))
-            if np.count_nonzero(signs[1:] != signs[:-1]) != len(pairs):
+            if np.count_nonzero(signs[1:] != signs[:-1]) != band - 1:
                 return None
             negative = signs[0]
         else:
@@ -695,7 +754,9 @@ def _continue_fiber(
     values = [pair.value for pair in pairs]
     if any(upper - lower <= 2.0 * tol for lower, upper in zip(values, values[1:])):
         return None
-    if operator.count_below(v, values[-1] + 2.0 * tol, window) != len(pairs):
+    if operator.count_below(v, values[-1] + 2.0 * tol, window) != first + len(pairs) - 1:
+        return None
+    if first > 1 and operator.count_below(v, values[0] - 2.0 * tol, window, True) != first - 1:
         return None
     return pairs
 
@@ -731,7 +792,7 @@ def rayleigh_quotient(params: ModelParams, pair: EigenPair, grid: Grid) -> float
     xi to rounding: the bisection value scatters by a few ulps of the matrix
     norm, and k/h^2 on the first diagonal entry makes that norm large.
     """
-    return _Operator(params, grid).moments(pair.vector, params.xi)[0]
+    return _Operator(params, grid).moments(pair.vector, params.xi, count=1)[0]
 
 
 def derivative_feynman_hellmann(params: ModelParams, pair: EigenPair, grid: Grid) -> float:
@@ -742,7 +803,7 @@ def derivative_feynman_hellmann(params: ModelParams, pair: EigenPair, grid: Grid
     against centered differences of the solved eigenvalue to near machine
     precision.
     """
-    return _Operator(params, grid).moments(pair.vector, params.xi)[1]
+    return _Operator(params, grid).moments(pair.vector, params.xi, count=2)[1]
 
 
 def derivative_boundary_form(params: ModelParams, pair: EigenPair, grid: Grid) -> float:

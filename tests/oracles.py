@@ -38,6 +38,18 @@ def dense_fiber_eigenvalues(k: float, xi: float, radius: float, intervals: int,
     return np.linalg.eigvalsh(mat)[:count]
 
 
+def dense_window_eigenvalues(k: float, xi: float, radius: float, intervals: int,
+                             start: int, stop: int) -> np.ndarray:
+    """Dense symmetric eigensolve of rows and columns start..stop-1 of the
+    standard FD fiber matrix (a principal submatrix), ascending."""
+    h = radius / intervals
+    r = h * np.arange(1, intervals)[start:stop]
+    mat = np.diag(2.0 / h**2 + k / r**2 + (r - xi) ** 2)
+    off = np.full(r.size - 1, -1.0 / h**2)
+    mat += np.diag(off, 1) + np.diag(off, -1)
+    return np.linalg.eigvalsh(mat)
+
+
 def axis_recurrence_slope(k: float, nodes: int) -> float:
     """OLS slope of log u_j on log j over j = 1..nodes for the difference
     recurrence j^2 (u_{j+1} - 2 u_j + u_{j-1}) = k u_j from u_0 = 0, u_1 = 1,

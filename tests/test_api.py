@@ -342,6 +342,58 @@ def test_the_moments_are_computed_only_where_a_fiber_step_builds_its_record():
         "solver.derivative_feynman_hellmann",
         "solver.rayleigh_quotient",
     ]
+    # each caller asks for the leading moments it reads: the fiber step's
+    # callers through `moments=`, the public functions through `count=`
+    # (the boundary-form slope, the third, only for `sweep`)
+    asked = sorted(
+        (f"{path.stem}.{function.name}", keyword.arg, keyword.value.value)
+        for path in PACKAGE.glob("*.py")
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in {"_follow", "moments"}
+        for keyword in node.keywords
+        if keyword.arg in {"moments", "count"}
+    )
+    assert asked == [
+        ("bands.crossing", "moments", 2),
+        ("bands.sweep", "moments", 3),
+        ("solver._starts", "moments", 0),
+        ("solver.derivative_feynman_hellmann", "count", 2),
+        ("solver.fiber_eigenvalues", "moments", 1),
+        ("solver.rayleigh_quotient", "count", 1),
+        ("solver.solve_fiber", "moments", 0),
+    ]
+    # derivative_boundary_form and `_follow` take every moment by default
+    assert inspect.signature(magband.solver._Operator.moments).parameters["count"].default == 3
+
+
+def test_each_lapack_routine_has_one_call_site():
+    # the bisection, the Rayleigh step's LU factorization and solve, and the
+    # exact inertia count each call LAPACK on the fiber matrix from one place
+    # in the package, so the two-sided count cannot grow a second copy of its
+    # recurrence; the one other call is the Golub-Welsch eigensolve of the
+    # Legendre Jacobi matrix behind the current's quadrature rule
+    routines = {"eigh_tridiagonal", "dgttrf", "dgttrs", "dpttrf", "dstebz", "dsterf",
+                "dgtsv", "dptsv", "eigvalsh_tridiagonal"}
+    sites = sorted(
+        (node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id,
+         f"{path.stem}.{name}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, function in _methods(ast.parse(path.read_text(encoding="utf-8")))
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in routines
+    )
+    assert sites == [
+        ("dgttrf", "solver._rayleigh_iteration"),
+        ("dgttrs", "solver._rayleigh_iteration"),
+        ("dgttrs", "solver._rayleigh_iteration"),
+        ("dpttrf", "solver._inertia"),
+        ("eigh_tridiagonal", "solver._bisect_fiber"),
+        ("eigh_tridiagonal", "transport._bump_quadrature"),
+    ]
 
 
 def test_the_log_log_fit_is_stated_once():

@@ -209,12 +209,13 @@ def test_exponential_gap_profile_past_the_float_range():
 def test_band_asymptotics_past_the_float_range_stays_indeterminate():
     # the verdict of `magband asym --n 4 --m 0 --order 0 --window 27:28
     # --samples 3 --radius 40 --intervals 2000`: the gap sits in the noise,
-    # so the ratio is NaN and the profile spread fails
+    # so the ratio is NaN and the profile spread fails, and so does the
+    # positive gap, which is noise too
     report = band_asymptotics(4, 0, 1, 0, (27.0, 28.0), 3, Grid(40.0, 2000)).report
     assert report.indeterminate and np.isnan(report.ratio)
     assert report.positive and np.all(report.profile == np.inf)
     gap_positive, spread = gap_profile_criteria(report)
-    assert gap_positive.passed and not spread.passed
+    assert not gap_positive.passed and np.isnan(gap_positive.value) and not spread.passed
 
 
 def test_exponential_gap_requires_zero_coupling_pair():

@@ -170,9 +170,9 @@ def test_dense_sweep_takes_one_rayleigh_step_per_sample(monkeypatch):
         factorizations[-1] += 1
         return lapack.dgttrf(*args, **kwargs)
 
-    def sample(*args, _follow=magband.bands._follow):
+    def sample(*args, _follow=magband.bands._follow, **kwargs):
         factorizations.append(0)
-        return _follow(*args)
+        return _follow(*args, **kwargs)
 
     monkeypatch.setattr(magband.solver, "lapack", SimpleNamespace(
         dgttrf=dgttrf, dgttrs=lapack.dgttrs, dpttrf=lapack.dpttrf
@@ -199,9 +199,9 @@ def test_a_dense_one_band_sweep_makes_one_lu_step_per_sample(monkeypatch):
         events.append("bisect")
         return bisect(*args, **kwargs)
 
-    def sample(*args, _follow=magband.bands._follow):
+    def sample(*args, _follow=magband.bands._follow, **kwargs):
         events.append("sample")
-        return _follow(*args)
+        return _follow(*args, **kwargs)
 
     monkeypatch.setattr(magband.solver, "lapack", SimpleNamespace(
         dgttrf=dgttrf, dgttrs=lapack.dgttrs, dpttrf=lapack.dpttrf
@@ -259,9 +259,9 @@ def _record_fiber_records(monkeypatch) -> list:
     band drivers make from now on."""
     records = []
 
-    def recorded(operator, *args, _follow=magband.bands._follow):
+    def recorded(operator, *args, _follow=magband.bands._follow, **kwargs):
         records.append(operator)
-        return _follow(operator, *args)
+        return _follow(operator, *args, **kwargs)
 
     monkeypatch.setattr(magband.bands, "_follow", recorded)
     return records
@@ -450,9 +450,9 @@ def _count_fiber_steps(monkeypatch) -> list:
     from now on; nested solves inside a step are not counted."""
     steps = []
 
-    def counted(*args, _follow=magband.bands._follow):
+    def counted(*args, _follow=magband.bands._follow, **kwargs):
         steps.append(1)
-        return _follow(*args)
+        return _follow(*args, **kwargs)
 
     monkeypatch.setattr(magband.bands, "_follow", counted)
     return steps
@@ -525,9 +525,9 @@ def _record_fiber_solves(monkeypatch) -> tuple[list, dict]:
     bisect, continue_ = magband.solver._bisect_fiber, magband.solver._continue_fiber
     lapack = magband.solver.lapack
 
-    def bisected(params, grid, count):
+    def bisected(params, grid, *args):
         log.append(("bisect", grid.intervals))
-        return bisect(params, grid, count)
+        return bisect(params, grid, *args)
 
     def continued(operator, *args):
         log.append(("continue", operator.grid.intervals))
@@ -644,6 +644,53 @@ def test_crossing_matches_dense_oracle(n, m, p, energy):
     assert abs(quotient - value) <= 1e-8 + 1e-10
 
 
+@pytest.mark.parametrize("m", [1, 5, 20, 40])
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_higher_band_crossing_matches_the_dense_oracle_and_solve_fiber(m, p):
+    # band p solved alone: the dense eigenvalue p at the returned xi meets
+    # the energy, and pair p of the lowest-p solve at that xi is the pair
+    # handed back
+    step, energy = 1.0 / 24.0, 2.0 * p - 1.0 + 1.0
+    res = crossing(5, m, p, energy, step=step)
+    value = oracles.dense_fiber_eigenvalues(
+        res.coupling, res.xi, res.grid.radius + 240 * step, res.grid.intervals + 240, p
+    )[p - 1]
+    assert abs(value - energy) <= 1e-8 + 1e-10
+    u = res.pair.vector
+    signs = np.signbit(u[np.abs(u) > 1e-8 * np.max(np.abs(u))])
+    assert np.count_nonzero(signs[1:] != signs[:-1]) == p - 1
+    params = ModelParams(5, m, res.xi)
+    want = solve_fiber(params, res.grid, p)[p - 1]
+    quotient = rayleigh_quotient(params, res.pair, res.grid)
+    assert abs(quotient - rayleigh_quotient(params, want, res.grid)) <= 1e-10
+    assert abs(quotient - energy) == res.residual <= 1e-8
+    assert np.max(np.abs(u - want.vector)) <= 1e-7 * np.max(np.abs(u))
+
+
+def test_a_band_2_crossing_makes_one_rayleigh_iteration_per_continued_step(monkeypatch):
+    # band 2 alone: every continuation of a crossing iterate runs Rayleigh
+    # iteration on one vector, not on band 1's as well
+    rayleigh, continue_ = magband.solver._rayleigh_iteration, magband.solver._continue_fiber
+    iterations, continuations = [], []
+
+    def counted(*args):
+        iterations.append(1)
+        return rayleigh(*args)
+
+    def continued(operator, vectors, *args):
+        continuations.append(len(vectors))
+        return continue_(operator, vectors, *args)
+
+    monkeypatch.setattr(magband.solver, "_rayleigh_iteration", counted)
+    monkeypatch.setattr(magband.solver, "_continue_fiber", continued)
+    steps = _count_fiber_steps(monkeypatch)
+    for m, energy in ((1, 4.0), (5, 3.7), (20, 4.4), (40, 3.55)):
+        res = crossing(5, m, 2, energy)
+        assert res.residual <= 1e-8
+    assert len(steps) >= 4 and len(continuations) >= len(steps)
+    assert set(continuations) == {1} and len(iterations) == len(continuations)
+
+
 def test_crossing_names_the_fiber_when_its_bisection_fails(monkeypatch):
     def failing(*args, **kwargs):
         raise LinAlgError("eigenvalues failed to converge")
@@ -660,9 +707,9 @@ def test_agmon_check_reads_the_crossing_pair(monkeypatch):
     calls = _count_eigensolves(monkeypatch)
     fresh = []
 
-    def follow(operator, xi, count, previous, _follow=magband.bands._follow):
+    def follow(operator, xi, count, previous, _follow=magband.bands._follow, **kwargs):
         fresh.append(previous is None)
-        return _follow(operator, xi, count, previous)
+        return _follow(operator, xi, count, previous, **kwargs)
 
     monkeypatch.setattr(magband.bands, "_follow", follow)
     monkeypatch.setattr(magband.solver, "_follow", None)

@@ -322,9 +322,9 @@ def test_asym_defaults_start_two_fibers(monkeypatch, capsys):
         calls.append(1)
         return original(*args, **kwargs)
 
-    def follow(operator, xi, count, previous, _follow=magband.bands._follow):
+    def follow(operator, xi, count, previous, _follow=magband.bands._follow, **kwargs):
         fresh.append(previous is None)
-        return _follow(operator, xi, count, previous)
+        return _follow(operator, xi, count, previous, **kwargs)
 
     monkeypatch.setattr(magband.solver, "eigh_tridiagonal", counted)
     monkeypatch.setattr(magband.bands, "_follow", follow)
@@ -557,6 +557,24 @@ def test_every_report_is_strict_json(command_line, code, nulls, capsys):
         for key in path:
             entry = entry[key]
         assert entry is None
+
+
+def test_gap_positive_fails_on_an_indeterminate_profile(capsys):
+    # past xi ~ 26.6 the true gap (~e^{-729}) lies far below the grid's
+    # error, so the report is indeterminate and the computed gap is noise:
+    # gap-positive fails with a null value, as profile-spread does
+    command = "asym --n 4 --m 0 --order 0 --window 27:28 --samples 3 --radius 40 --intervals 2000"
+    assert run_cli(*command.split()) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["indeterminate"] is True
+    checks = {c["name"]: c for c in report["checks"]}
+    failed = {name for name, c in checks.items() if not c["pass"]}
+    assert {"gap-positive", "profile-spread"} <= failed
+    assert checks["gap-positive"]["value"] is None
+    assert checks["gap-positive"]["bound"] == "> 0.0"
+    # check 10's resolved gap keeps its value and verdict
+    check = magband.acceptance.check_exponential_regime()
+    assert check.passed and check.value == 1.0573311124338787
 
 
 def test_asym_order_1_lists_alpha1(capsys):

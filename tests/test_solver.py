@@ -33,6 +33,7 @@ from magband.solver import (
     _continue_fiber,
     _follow,
     _harmonic,
+    _inertia,
     _negative_lobe,
     _Operator,
     _reach,
@@ -683,9 +684,9 @@ def test_windowed_continuation_at_m_40(monkeypatch, step, dense):
     windows = []
     continue_ = magband.solver._continue_fiber
 
-    def recorded(operator, vectors, shifts, v, window):
+    def recorded(operator, vectors, shifts, v, window, *args):
         windows.append((operator.grid.intervals, window))
-        return continue_(operator, vectors, shifts, v, window)
+        return continue_(operator, vectors, shifts, v, window, *args)
 
     monkeypatch.setattr(magband.solver, "_continue_fiber", recorded)
     pairs = solve_fiber(params, grid, 2)
@@ -806,9 +807,9 @@ def test_solve_fiber_computes_only_the_quotient_it_admits_on(monkeypatch):
     # its pairs: one `_Operator.moments` call, the top pair's `rayleigh_quotient`
     calls, moments = [], magband.solver._Operator.moments
 
-    def counted(operator, u, *args):
+    def counted(operator, u, *args, **kwargs):
         calls.append(operator.grid.intervals)
-        return moments(operator, u, *args)
+        return moments(operator, u, *args, **kwargs)
 
     monkeypatch.setattr(magband.solver._Operator, "moments", counted)
     params, grid = ModelParams(5, 2, 1.5), Grid(16.0, 4096)
@@ -929,3 +930,81 @@ def test_sturm_count_extends_only_the_side_with_the_potential_below_sigma(monkey
     # two rows it removes
     assert calls[0][0] == window.stop and len(calls) <= 3
     assert all(size == rows - info for (rows, info), (size, _) in zip(calls, calls[1:]))
+
+
+@pytest.mark.parametrize("n,m,xi", [(5, 10, 6.0), (5, 40, 41.0), (4, 0, 3.0), (3, 0, 2.0)],
+                         ids=["5-10-6.0", "5-40-41.0", "4-0-3.0", "3-0-2.0"])
+def test_exact_inertia_matches_the_dense_count(n, m, xi):
+    # mid-gap and 1e-9 on each side of each of the five lowest eigenvalues:
+    # on the full grid both bounds are the dense count; on a window the plain
+    # block's count is its own dense count, at most T's, and the corrected
+    # (or extended) block's count is at least T's
+    params = ModelParams(n, m, xi)
+    grid = fixed_step_grid(xi, 12.0, 1.0 / 16.0)
+    operator, v = _Operator(params, grid), potential(params, grid.nodes)
+    full = oracles.dense_fiber_eigenvalues(
+        params.k, xi, grid.radius, grid.intervals, grid.intervals - 1
+    )
+    lowest = full[:5]
+    sigmas = [0.5 * (a + b) for a, b in zip(lowest, lowest[1:])]
+    sigmas += [value + side for value in lowest for side in (-1e-9, 1e-9)]
+    for sigma in sigmas:
+        want = int(np.count_nonzero(full < sigma))
+        for lower in (False, True):
+            assert operator.count_below(v, sigma, slice(0, v.size), lower) == want
+        for reach in (0.0, 40.0):
+            rows = np.flatnonzero(v < sigma + reach)
+            window = slice(max(0, int(rows[0]) - 2), min(v.size, int(rows[-1]) + 3))
+            plain = oracles.dense_window_eigenvalues(
+                params.k, xi, grid.radius, grid.intervals, window.start, window.stop
+            )
+            count = operator.count_below(v, sigma, window, True)
+            assert count == np.count_nonzero(plain < sigma) <= want
+            assert operator.count_below(v, sigma, window) >= want
+
+
+def test_exact_inertia_continues_past_a_zero_pivot(monkeypatch):
+    # diagonal 1 and off-diagonal 1 on 7 rows: the pivots run 1, 0, 1 + 1/pivmin,
+    # 1, 0, ...; each zero pivot is taken as -pivmin and counted, and the
+    # recurrence continues past it; the eigenvalues 1 + 2 cos(j pi/8) hold
+    # two negatives
+    calls = _record_inertia_passes(monkeypatch)
+    values = 1.0 + 2.0 * np.cos(np.arange(1, 8) * np.pi / 8)
+    assert _inertia(np.ones(7), np.ones(6)) == np.count_nonzero(values < 0.0) == 2
+    assert calls == [(7, 2), (5, 3), (2, 0)]
+    # a zero pivot on the fiber matrix: sigma is the first diagonal entry, so
+    # the first pivot is exactly 0
+    params, grid = ModelParams(5, 1, 2.0), Grid(8.0, 64)
+    operator, v = _Operator(params, grid), potential(params, grid.nodes)
+    full = slice(0, v.size)
+    sigma = float(assemble(params, grid)[0][0])
+    assert operator.block(v, full, sigma)[0][0] == 0.0
+    values = oracles.dense_fiber_eigenvalues(params.k, 2.0, grid.radius, grid.intervals, 63)
+    assert np.min(np.abs(values - sigma)) > 1e-6
+    del calls[:]
+    assert operator.count_below(v, sigma, full) == np.count_nonzero(values < sigma)
+    assert calls[0] == (v.size, 1)
+
+
+def test_a_band_alone_is_certified_from_both_sides():
+    # band 2 alone: its own pair is accepted, the pairs of bands 1 and 3
+    # offered as band 2 are refused, and each of the two inertia bounds on its
+    # own refuses them
+    params, grid = ModelParams(5, 5, 4.0), Grid(16.0, 1920)
+    operator, v = _Operator(params, grid), potential(params, grid.nodes)
+    pairs = _bisect_fiber(params, grid, 3)
+    window = _window(grid, [pair.vector for pair in pairs], 0.0)
+    (got,) = _continue_fiber(operator, [pairs[1].vector], [pairs[1].value], v, window, 2)
+    assert abs(got.value - pairs[1].value) <= 1e-9
+    assert np.max(np.abs(got.vector - pairs[1].vector)) <= 1e-7
+    for j in (0, 2):
+        offered = _continue_fiber(operator, [pairs[j].vector], [pairs[j].value], v, window, 2)
+        assert offered is None
+    tol = 8.0 * np.finfo(float).eps * operator.one_norm(v)
+    # band 1's value as band 2: fewer than one eigenvalue below it
+    assert operator.count_below(v, pairs[0].value - 2.0 * tol, window, True) == 0
+    # band 3's value as band 2: more than two eigenvalues below it
+    assert operator.count_below(v, pairs[2].value + 2.0 * tol, window) == 3
+    # band 2's own value passes both
+    assert operator.count_below(v, pairs[1].value - 2.0 * tol, window, True) == 1
+    assert operator.count_below(v, pairs[1].value + 2.0 * tol, window) == 2
