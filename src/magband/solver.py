@@ -17,25 +17,28 @@ otherwise bisects (LAPACK's Sturm-sequence bisection plus inverse
 iteration), so bisection runs almost only on grids below 512 intervals.
 
 A continuation (`_continue_fiber`) is Rayleigh-quotient iteration, one
-tridiagonal LU solve per step, on a window of rows (`_window`), accepted
-only under a certificate of the band indices from both sides: the discrete
-oscillation theorem and the exact Sylvester inertia (`_inertia`) of two
-blocks of T (`_Operator.count_below`) whose counts bound T's, from above by
-Haynsworth's inertia additivity at band p and from below by Cauchy
-interlacing at band q (Parlett, The Symmetric Eigenvalue Problem, ch. 3, 4,
-7 and 10), so bands below q are never solved.  The window holds the rows
-where a start vector exceeds _WINDOW of its peak, widened by |dxi| plus one
-unit of r, since an eigenfunction decays like e^(-d) at Agmon distance d
-from its well; the vectors are zero outside it.  The iteration stops on the
-residual of the zero-padded vector on the full T, so each value is a
-Rayleigh quotient of T within 8 eps ||T||_1 of an eigenvalue.  All of it
-is deterministic for fixed input.
+tridiagonal LU solve per step, on a window of rows (`_window`).  The window
+holds the rows where a start vector exceeds _WINDOW of its peak, widened by
+|dxi| plus one unit of r, since an eigenfunction decays like e^(-d) at
+Agmon distance d from its well; the vectors are zero outside it.  The
+iteration stops on the residual of the zero-padded vector on the full T, so
+each value mu_j is a Rayleigh quotient of T within tol = 8 eps ||T||_1 of
+an eigenvalue.  The band indices are certified from both sides by the exact
+Sylvester inertia (`_inertia`) of two blocks of T (`_Operator.count_below`)
+whose counts bound T's, from above by Haynsworth's inertia additivity and
+from below by Cauchy interlacing (Parlett, The Symmetric Eigenvalue
+Problem, ch. 3, 4, 7 and 10), and that certificate is complete: gaps above
+2 tol make the eigenvalues near mu_q..mu_p distinct, and an upper count of
+p at mu_p + 2 tol and, for q > 1, a lower count of q - 1 at mu_q - 2 tol
+make them exactly T's eigenvalues q..p, so bands below q are never solved
+and no sign pattern needs checking.  All of it is deterministic for fixed
+input.
 
 A start changes the number of steps, never the certificate, so a value
 depends on its start only at the rounding level.
 
 Eigenvectors are returned with the continuum normalization h * sum(u^2) = 1
-and sign fixed to be positive near the axis.
+and sign fixed to be positive near the axis (`_negative`).
 """
 
 from __future__ import annotations
@@ -215,7 +218,7 @@ class _Operator:
         two off-diagonal entries, end columns one.  Each diagonal entry is
         >= 1.75/h^2 > 0 (k >= -1/4, r >= h); rounding is monotone, so the
         largest is 2/h^2 + max V, with no full-length temporary."""
-        coupling, lift = self.coupling, 2.0 / self.grid.h**2
+        coupling, lift = self.coupling, 2.0 * self.coupling
         ends = lift + max(float(v[0]), float(v[-1])) + coupling
         return max(lift + float(v[1:-1].max()) + 2.0 * coupling, ends)
 
@@ -626,32 +629,19 @@ def _bisect_fiber(params: ModelParams, grid: Grid, count: int, first=1) -> list[
             f"fiber (m={params.m}, xi={params.xi}): tridiagonal eigensolve failed "
             f"for indices {first - 1}..{count - 1}: {exc}"
         ) from exc
-    # Sign: positive near the axis.  The first entries can be underflow-level
-    # noise for strongly vanishing eigenfunctions, so key on the first
-    # significant entry.
     return [
-        EigenPair(float(value), -u if _significant(u)[0] < 0.0 else u)
+        EigenPair(float(value), -u if _negative(u) else u)
         for value, u in zip(values, (vectors / np.sqrt(grid.h)).T)
     ]
 
 
-def _significant(vector: np.ndarray) -> np.ndarray:
-    """The entries of `vector` above _SIGNIFICANT of its peak, in order."""
-    magnitude = np.abs(vector)
-    return vector[magnitude > _SIGNIFICANT * np.max(magnitude)]
-
-
-def _negative_lobe(vector: np.ndarray) -> bool | None:
-    """Whether the entries of a nonzero `vector` above _SIGNIFICANT of its
-    peak (`_significant`) are all negative (True) or all positive (False),
-    and None when they change sign.  They hold no sign change exactly when
-    the vector's largest and smallest entries are not both significant, so
-    two reductions decide it."""
-    top, bottom = float(vector.max()), -float(vector.min())
-    floor = _SIGNIFICANT * max(top, bottom)
-    if top > floor:
-        return None if bottom > floor else False
-    return True
+def _negative(z: np.ndarray) -> bool:
+    """Whether the first entry of z above _SIGNIFICANT of its peak is
+    negative: the one sign rule, positive near the axis.  The first entries
+    can be underflow-level noise for strongly vanishing eigenfunctions, so
+    it keys on the first significant entry."""
+    magnitude = np.abs(z)
+    return bool(z[int((magnitude > _SIGNIFICANT * magnitude.max()).argmax())] < 0.0)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -711,23 +701,22 @@ def _continue_fiber(
     polishes the vector; it stays zero outside the window.
 
     The result is accepted only when it is certified to be bands q..p
-    (q = first) in order: the values ascend with gaps above 2 tol (so they
-    belong to p - q + 1 distinct eigenvalues of T, all in
-    (mu_q - 2 tol, mu_p + 2 tol)), the vector of band j has j - 1 sign
-    changes over its significant entries (discrete oscillation theorem; for
-    band 1, `_negative_lobe`), and the inertia of two blocks of T, each
-    exact by Sylvester's law (`_Operator.count_below`), brackets T's count:
-    the Haynsworth upper bound at mu_p + 2 tol is p, and for q > 1 the
-    Cauchy lower bound at mu_q - 2 tol is q - 1.  Then T has at most p
-    eigenvalues below mu_p + 2 tol and at least q - 1 below mu_q - 2 tol,
-    so the certified values are exactly its eigenvalues q..p.  Otherwise,
-    and on any LAPACK failure, it returns None.  Vectors are normalized and
-    sign-fixed as in `solve_fiber`.
+    (q = first) in order, and the certificate is complete.  Each mu_j has a
+    full-grid residual <= tol, so T has an eigenvalue within tol of it; the
+    values ascend with gaps above 2 tol, so those eigenvalues are p - q + 1
+    distinct ones, all in (mu_q - 2 tol, mu_p + 2 tol).  The inertia of two
+    blocks of T, each exact by Sylvester's law (`_Operator.count_below`),
+    brackets T's count: the Haynsworth upper bound at mu_p + 2 tol is p,
+    and for q > 1 the Cauchy lower bound at mu_q - 2 tol is q - 1.  Then T
+    has at most p eigenvalues below mu_p + 2 tol and at least q - 1 below
+    mu_q - 2 tol, so the certified values are exactly its eigenvalues q..p.
+    Otherwise, and on any LAPACK failure, it returns None.  Vectors are
+    normalized and sign-fixed by `_negative`, as in `solve_fiber`.
     """
     tol = 8.0 * _EPS * operator.one_norm(v)
     block = operator.block(v, window)
     pairs = []
-    for band, (u, mu) in enumerate(zip(vectors, shifts), first):
+    for u, mu in zip(vectors, shifts):
         found = _rayleigh_iteration(operator, block, u[window], mu, tol)
         if found is None:
             return None
@@ -736,17 +725,8 @@ def _continue_fiber(
         if not (math.isfinite(norm) and norm > 0.0):  # a non-finite entry makes it so
             return None
         z /= math.sqrt(norm * operator.grid.h)
-        if band > 1:
-            signs = np.signbit(_significant(z))
-            if np.count_nonzero(signs[1:] != signs[:-1]) != band - 1:
-                return None
-            negative = signs[0]
-        else:
-            negative = _negative_lobe(z)
-            if negative is None:
-                return None
         vector = np.zeros(v.size)
-        if negative:
+        if _negative(z):
             np.negative(z, out=vector[window])
         else:
             vector[window] = z

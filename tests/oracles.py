@@ -50,6 +50,16 @@ def dense_window_eigenvalues(k: float, xi: float, radius: float, intervals: int,
     return np.linalg.eigvalsh(mat)
 
 
+def sign_pattern(vector: np.ndarray) -> tuple[int, float]:
+    """(sign changes, sign of the first entry) over the entries of `vector`
+    above 1e-8 of its peak magnitude, in order: the discrete oscillation
+    theorem gives band j of a Sturm-Liouville matrix j - 1 sign changes."""
+    vector = np.asarray(vector, dtype=float)
+    magnitude = np.abs(vector)
+    signs = np.sign(vector[magnitude > 1e-8 * np.max(magnitude)])
+    return int(np.count_nonzero(signs[1:] != signs[:-1])), float(signs[0])
+
+
 def axis_recurrence_slope(k: float, nodes: int) -> float:
     """OLS slope of log u_j on log j over j = 1..nodes for the difference
     recurrence j^2 (u_{j+1} - 2 u_j + u_{j-1}) = k u_j from u_0 = 0, u_1 = 1,

@@ -286,9 +286,9 @@ def _methods(tree) -> list[tuple[str, ast.FunctionDef]]:
 
 
 def test_the_grid_matrix_is_stated_once_in_its_record():
-    # T's entries (2/h^2 + V, -1/h^2 and the leaks 1/h^2) are the record
-    # solver._Operator's, from its `coupling`; beside it only its ||T||_1
-    # bound and Grid's float-range check square h
+    # T's entries (2/h^2 + V, -1/h^2 and the leaks 1/h^2) and its ||T||_1
+    # bound are the record solver._Operator's, from its `coupling`; beside it
+    # only Grid's float-range check squares h
     for stated in ("c = 1.0 / grid.h**2", "c = 1.0 / (h * h)"):
         assert any(_squares_the_grid_step(node) for node in ast.walk(ast.parse(stated)))
     tree = ast.parse((PACKAGE / "solver.py").read_text(encoding="utf-8"))
@@ -297,7 +297,7 @@ def test_the_grid_matrix_is_stated_once_in_its_record():
         for name, function in _methods(tree)
         if any(_squares_the_grid_step(node) for node in ast.walk(function))
     )
-    assert squaring == ["Grid.__post_init__", "_Operator.coupling", "_Operator.one_norm"]
+    assert squaring == ["Grid.__post_init__", "_Operator.coupling"]
 
 
 def test_solver_keeps_no_module_level_cache():
@@ -394,6 +394,34 @@ def test_each_lapack_routine_has_one_call_site():
         ("eigh_tridiagonal", "solver._bisect_fiber"),
         ("eigh_tridiagonal", "transport._bump_quadrature"),
     ]
+
+
+def test_one_sign_rule_fixes_every_eigenvector():
+    # every eigenvector, continued or bisected, is sign-fixed by one rule,
+    # solver._negative (its first significant entry is negative), and the
+    # band certificate counts no sign changes: the package names no
+    # np.signbit, _negative_lobe or _significant
+    def named(node):
+        return getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+
+    banned = {"signbit", "_negative_lobe", "_significant"}
+    assert {named(node) for node in ast.walk(ast.parse("np.signbit(_significant(z))"))} >= {
+        "signbit", "_significant"}
+    assert "_negative_lobe" in {named(node) for node in ast.walk(
+        ast.parse("from .solver import _negative_lobe"))}
+    naming, calling = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        naming += sorted({f"{path.stem}.{named(node)}" for node in ast.walk(tree)
+                          if named(node) in banned})
+        calling += [
+            f"{path.stem}.{name}"
+            for name, function in _methods(tree)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and named(node.func) == "_negative"
+        ]
+    assert naming == []
+    assert calling == ["solver._bisect_fiber", "solver._continue_fiber"]
 
 
 def test_the_log_log_fit_is_stated_once():

@@ -638,8 +638,7 @@ def test_crossing_matches_dense_oracle(n, m, p, energy):
     # the eigenpair handed back is the p-th one at xi, on that grid
     u = res.pair.vector
     assert u.size == res.grid.intervals - 1
-    signs = np.signbit(u[np.abs(u) > 1e-8 * np.max(np.abs(u))])
-    assert np.count_nonzero(signs[1:] != signs[:-1]) == p - 1
+    assert oracles.sign_pattern(u) == (p - 1, 1.0)
     quotient = rayleigh_quotient(ModelParams(n, m, res.xi), res.pair, res.grid)
     assert abs(quotient - value) <= 1e-8 + 1e-10
 
@@ -657,8 +656,7 @@ def test_a_higher_band_crossing_matches_the_dense_oracle_and_solve_fiber(m, p):
     )[p - 1]
     assert abs(value - energy) <= 1e-8 + 1e-10
     u = res.pair.vector
-    signs = np.signbit(u[np.abs(u) > 1e-8 * np.max(np.abs(u))])
-    assert np.count_nonzero(signs[1:] != signs[:-1]) == p - 1
+    assert oracles.sign_pattern(u) == (p - 1, 1.0)
     params = ModelParams(5, m, res.xi)
     want = solve_fiber(params, res.grid, p)[p - 1]
     quotient = rayleigh_quotient(params, res.pair, res.grid)

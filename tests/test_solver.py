@@ -34,11 +34,9 @@ from magband.solver import (
     _follow,
     _harmonic,
     _inertia,
-    _negative_lobe,
     _Operator,
     _reach,
     _residual,
-    _significant,
     _well,
     _window,
     assemble,
@@ -347,10 +345,6 @@ def _record_bisections(monkeypatch) -> list:
     return sizes
 
 
-def _first_significant(vector: np.ndarray) -> float:
-    return vector[np.argmax(np.abs(vector) > 1e-8 * np.max(np.abs(vector)))]
-
-
 NESTED_CASES = [
     # (n, m, xi, grid, count, dense oracle affordable)
     (3, 0, 1.0, Grid(12.0, 960), 4, True),  # k = -1/4
@@ -379,7 +373,7 @@ def _assert_bisection_pairs(params: ModelParams, grid: Grid, pairs, dense: bool)
         assert np.all(np.abs(values - ref) <= tol)
     for got, want in zip(pairs, bisected):
         assert np.max(np.abs(got.vector - want.vector)) <= 1e-6 * np.max(np.abs(want.vector))
-        assert _first_significant(got.vector) > 0 and _first_significant(want.vector) > 0
+        assert oracles.sign_pattern(got.vector)[1] > 0 and oracles.sign_pattern(want.vector)[1] > 0
         assert grid.h * np.sum(got.vector**2) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -748,58 +742,100 @@ def test_continuation_on_a_window_too_narrow_is_none_or_right(cut):
 
 
 def _sign_changes_oracle(z: np.ndarray) -> bool | None:
-    """The sign certificate by counting: None when the entries above the
-    significance threshold change sign, else whether the first is negative."""
-    signs = np.signbit(_significant(z))
-    return None if np.count_nonzero(signs[1:] != signs[:-1]) else bool(signs[0])
+    """The sign pattern by counting (`oracles.sign_pattern`): None when the
+    entries above the significance threshold change sign, else whether the
+    first is negative."""
+    changes, first = oracles.sign_pattern(z)
+    return None if changes else first < 0.0
 
 
-def _lobe(sign: float, rng) -> np.ndarray:
-    """One smooth lobe of one sign with peak magnitude 1, and in the zero
-    tails around it noise of both signs below the significance threshold."""
-    z = np.zeros(400)
-    z[100:300] = sign * np.exp(-0.5 * np.linspace(-4.0, 4.0, 200) ** 2)
-    noise = rng.uniform(-1.0, 1.0, 200) * 9e-9  # below 1e-8 of the peak
-    z[:100], z[300:] = noise[:100], noise[100:]
-    return z
+# fibers whose band certificate is tested from both sides, each with a grid
+CERTIFIED_FIBERS = [
+    (ModelParams(5, 1, 1.0), Grid(14.0, 1120)),
+    (ModelParams(5, 5, 4.0), Grid(16.0, 1920)),
+]
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_pair_zero_sign_certificate_matches_the_sign_change_count(sign):
-    # the max/min predicate of pair 0 against the count over `_significant`
-    rng = np.random.default_rng(7)
-    z = _lobe(sign, rng)
-    assert np.any(z > 0.0) and np.any(z < 0.0)
-    cases = [z]  # sub-threshold noise of both signs around the lobe
-    opposite = z.copy()  # and one significant opposite lobe in its tail
-    opposite[30:34] = -sign * np.array([1e-7, 3e-7, 3e-7, 1e-7])
-    cases.append(opposite)
-    threshold = magband.solver._SIGNIFICANT
-    for peak in (1.0, 3.0, 0.7):  # an opposite entry at the threshold ratio, and one ulp past it
-        at = np.zeros(50)
-        at[20] = sign * peak
-        at[40] = -sign * (threshold * peak)
-        past = at.copy()
-        past[40] = -sign * np.nextafter(threshold * peak, np.inf)
-        cases += [at, past]
-    want = [_sign_changes_oracle(case) for case in cases]
-    assert want == [sign < 0, None] + [sign < 0, None] * 3
-    assert [_negative_lobe(case) for case in cases] == want
-    assert all(_negative_lobe(case) is verdict for case, verdict in zip(cases, want))
+def _record_counts(monkeypatch) -> list[tuple[bool, int | None]]:
+    """(lower, count) of each inertia bound (`_Operator.count_below`)."""
+    calls, original = [], magband.solver._Operator.count_below
+
+    def recorded(operator, v, sigma, window, lower=False):
+        count = original(operator, v, sigma, window, lower)
+        calls.append((lower, count))
+        return count
+
+    monkeypatch.setattr(magband.solver._Operator, "count_below", recorded)
+    return calls
 
 
-def test_continuation_refuses_a_start_with_a_significant_node():
-    # one pair continued from the second eigenpair converges to it, and its
-    # node fails the certificate of pair 0
-    params, grid = ModelParams(5, 1, 1.0), Grid(14.0, 1120)
-    pairs = _bisect_fiber(params, grid, 2)
-    v = potential(params, grid.nodes)
-    window, operator = _window(grid, [pairs[1].vector], 0.0), _Operator(params, grid)
-    assert _sign_changes_oracle(pairs[1].vector) is None
-    assert _continue_fiber(operator, [pairs[1].vector], [pairs[1].value], v, window) is None
-    # the same start is certified as the second of two pairs
-    got = _continue_fiber(operator, [p.vector for p in pairs], [p.value for p in pairs], v, window)
-    assert got is not None and [_sign_changes_oracle(p.vector) for p in got] == [False, None]
+def _dense_spectrum(params: ModelParams, grid: Grid, window: slice | None = None) -> np.ndarray:
+    """The dense eigenvalues of T's rows `window` (all of T by default)."""
+    window = slice(0, grid.intervals - 1) if window is None else window
+    return oracles.dense_window_eigenvalues(
+        params.k, params.xi, grid.radius, grid.intervals, window.start, window.stop
+    )
+
+
+def test_continuation_refuses_a_start_with_a_significant_node(monkeypatch):
+    # starts that converge to the wrong bands are refused: the second
+    # eigenpair offered as band 1 alone, and offered as bands 1..2 band 2's
+    # pair twice (by the gap test: one eigenvalue of T lies near both
+    # values), bands (1, 3) and bands (2, 3) (by the upper count: T has three
+    # eigenvalues below the top value + 2 tol); the true pairs are accepted
+    calls = _record_counts(monkeypatch)
+    wrong = [((2,), "upper"), ((2, 2), "gap"), ((1, 3), "upper"), ((2, 3), "upper")]
+    for params, grid in CERTIFIED_FIBERS:
+        operator, v = _Operator(params, grid), potential(params, grid.nodes)
+        tol = 8.0 * np.finfo(float).eps * operator.one_norm(v)
+        pairs = _bisect_fiber(params, grid, 3)
+        dense = _dense_spectrum(params, grid)
+        for bands, refusal in wrong:
+            offered = [pairs[j - 1] for j in bands]
+            vectors = [pair.vector for pair in offered]
+            window = _window(grid, vectors, 0.0)
+            del calls[:]
+            got = _continue_fiber(operator, vectors, [p.value for p in offered], v, window)
+            assert got is None, (params, bands)
+            top = offered[-1].value
+            if refusal == "gap":
+                assert calls == []
+                assert np.count_nonzero(np.abs(dense - top) <= 2.0 * tol) == 1 < len(bands)
+            else:
+                assert calls == [(False, len(bands) + 1)]
+                assert np.count_nonzero(dense < top + 2.0 * tol) == len(bands) + 1
+        assert _sign_changes_oracle(pairs[1].vector) is None
+        # the true pairs of bands 1..2 are certified, with one upper count
+        vectors = [p.vector for p in pairs[:2]]
+        del calls[:]
+        got = _continue_fiber(
+            operator, vectors, [p.value for p in pairs[:2]], v, _window(grid, vectors, 0.0)
+        )
+        assert got is not None and [_sign_changes_oracle(p.vector) for p in got] == [False, None]
+        assert calls == [(False, 2)]
+        assert np.count_nonzero(dense < got[1].value + 2.0 * tol) == 2
+
+
+def test_every_continued_and_bisected_pair_obeys_the_oscillation_theorem():
+    # the certificate counts no sign changes, yet band j of every continued
+    # pair has j - 1 of them and every pair is positive near the axis:
+    # check 02's samples, followed as one chain per m, and bisected
+    grid = Grid(20.0, 4800)
+    xi = -1.0 + 0.05 * np.arange(141)
+    for m in (0, 3, 6):
+        operator, fiber, continued = _Operator(ModelParams(5, m, xi[0]), grid), None, 0
+        for x in xi:
+            fiber = _follow(operator, float(x), 3, fiber)
+            continued += fiber.before is not None
+            assert [oracles.sign_pattern(p.vector) for p in fiber.pairs] == [
+                (0, 1.0), (1, 1.0), (2, 1.0)
+            ], (m, x)
+        assert continued >= xi.size - 10
+        for x in xi[::7]:
+            pairs = _bisect_fiber(ModelParams(5, m, float(x)), grid, 3)
+            assert [oracles.sign_pattern(p.vector) for p in pairs] == [
+                (0, 1.0), (1, 1.0), (2, 1.0)
+            ], (m, x)
 
 
 def test_solve_fiber_computes_only_the_quotient_it_admits_on(monkeypatch):
@@ -989,22 +1025,28 @@ def test_exact_inertia_continues_past_a_zero_pivot(monkeypatch):
 def test_a_band_alone_is_certified_from_both_sides():
     # band 2 alone: its own pair is accepted, the pairs of bands 1 and 3
     # offered as band 2 are refused, and each of the two inertia bounds on its
-    # own refuses them
-    params, grid = ModelParams(5, 5, 4.0), Grid(16.0, 1920)
-    operator, v = _Operator(params, grid), potential(params, grid.nodes)
-    pairs = _bisect_fiber(params, grid, 3)
-    window = _window(grid, [pair.vector for pair in pairs], 0.0)
-    (got,) = _continue_fiber(operator, [pairs[1].vector], [pairs[1].value], v, window, 2)
-    assert abs(got.value - pairs[1].value) <= 1e-9
-    assert np.max(np.abs(got.vector - pairs[1].vector)) <= 1e-7
-    for j in (0, 2):
-        offered = _continue_fiber(operator, [pairs[j].vector], [pairs[j].value], v, window, 2)
-        assert offered is None
-    tol = 8.0 * np.finfo(float).eps * operator.one_norm(v)
-    # band 1's value as band 2: fewer than one eigenvalue below it
-    assert operator.count_below(v, pairs[0].value - 2.0 * tol, window, True) == 0
-    # band 3's value as band 2: more than two eigenvalues below it
-    assert operator.count_below(v, pairs[2].value + 2.0 * tol, window) == 3
-    # band 2's own value passes both
-    assert operator.count_below(v, pairs[1].value - 2.0 * tol, window, True) == 1
-    assert operator.count_below(v, pairs[1].value + 2.0 * tol, window) == 2
+    # own refuses them, as the dense spectra of T and of the window block say
+    for params, grid in CERTIFIED_FIBERS:
+        operator, v = _Operator(params, grid), potential(params, grid.nodes)
+        pairs = _bisect_fiber(params, grid, 3)
+        window = _window(grid, [pair.vector for pair in pairs], 0.0)
+        (got,) = _continue_fiber(operator, [pairs[1].vector], [pairs[1].value], v, window, 2)
+        assert abs(got.value - pairs[1].value) <= 1e-9
+        assert np.max(np.abs(got.vector - pairs[1].vector)) <= 1e-7
+        for j in (0, 2):
+            offered = _continue_fiber(operator, [pairs[j].vector], [pairs[j].value], v, window, 2)
+            assert offered is None
+        tol = 8.0 * np.finfo(float).eps * operator.one_norm(v)
+        dense, plain = _dense_spectrum(params, grid), _dense_spectrum(params, grid, window)
+        lowers = [pairs[j].value - 2.0 * tol for j in (0, 1)]
+        uppers = [pairs[j].value + 2.0 * tol for j in (1, 2)]
+        # band 1's value as band 2: fewer than one eigenvalue below it; band
+        # 2's own value: one
+        for sigma, want in zip(lowers, (0, 1)):
+            assert operator.count_below(v, sigma, window, True) == want
+            assert np.count_nonzero(plain < sigma) == want == np.count_nonzero(dense < sigma)
+        # band 2's own value: two eigenvalues below it + 2 tol; band 3's
+        # value as band 2: more than two
+        for sigma, want in zip(uppers, (2, 3)):
+            assert operator.count_below(v, sigma, window) == want
+            assert np.count_nonzero(dense < sigma) == want
