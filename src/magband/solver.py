@@ -16,22 +16,23 @@ grid 8 times coarser, a nested solve: Brandt, Math. Comp. 31, 1977), and
 otherwise bisects (LAPACK's Sturm-sequence bisection plus inverse
 iteration), so bisection runs almost only on grids below 512 intervals.
 
-A continuation (`_continue_fiber`) is Rayleigh-quotient iteration, one
-tridiagonal LU solve per step, on a window of rows (`_window`).  The window
-holds the rows where a start vector exceeds _WINDOW of its peak, widened by
-|dxi| plus one unit of r, since an eigenfunction decays like e^(-d) at
-Agmon distance d from its well; the vectors are zero outside it.  The
-iteration stops on the residual of the zero-padded vector on the full T, so
-each value mu_j is a Rayleigh quotient of T within tol = 8 eps ||T||_1 of
-an eigenvalue.  The band indices are certified from both sides by the exact
-Sylvester inertia (`_inertia`) of two blocks of T (`_Operator.count_below`)
-whose counts bound T's, from above by Haynsworth's inertia additivity and
-from below by Cauchy interlacing (Parlett, The Symmetric Eigenvalue
-Problem, ch. 3, 4, 7 and 10), and that certificate is complete: gaps above
-2 tol make the eigenvalues near mu_q..mu_p distinct, and an upper count of
-p at mu_p + 2 tol and, for q > 1, a lower count of q - 1 at mu_q - 2 tol
-make them exactly T's eigenvalues q..p, so bands below q are never solved
-and no sign pattern needs checking.  All of it is deterministic for fixed
+A continuation (`_continue_fiber`) is Rayleigh-quotient iteration on a
+window of rows (`_window`), one LDL^T factorization (`_ldl`) and solve per
+step.  The window holds the rows where a start vector exceeds _WINDOW of
+its peak, widened by |dxi| plus one unit of r, since an eigenfunction
+decays like e^(-d) at Agmon distance d from its well; the vectors are zero
+outside it.  The iteration stops on the residual of the zero-padded vector
+on the full T, so each value mu_j is a Rayleigh quotient of T within
+tol = 8 eps ||T||_1 of an eigenvalue.  The band indices are certified from
+both sides by the exact Sylvester inertia of two blocks of T
+(`_Operator.count_below`), counted by the same LDL^T factorization, whose
+counts bound T's, from above by Haynsworth's inertia additivity and from
+below by Cauchy interlacing (Parlett, The Symmetric Eigenvalue Problem,
+ch. 3, 4, 7 and 10), and that certificate is complete: gaps above 2 tol
+make the eigenvalues near mu_q..mu_p distinct, and an upper count of p at
+mu_p + 2 tol and, for q > 1, a lower count of q - 1 at mu_q - 2 tol make
+them exactly T's eigenvalues q..p, so bands below q are never solved and
+no sign pattern needs checking.  All of it is deterministic for fixed
 input.
 
 A start changes the number of steps, never the certificate, so a value
@@ -241,7 +242,7 @@ class _Operator:
     def count_below(self, v: np.ndarray, sigma: float, window: slice, lower=False) -> int | None:
         """A bound of the number of eigenvalues of T below sigma, from v on
         grid.nodes: the count of a block of T, exact by Sylvester's law of
-        inertia (`_inertia`), that bounds T's, from above by default and from
+        inertia (`_ldl`), that bounds T's, from above by default and from
         below with `lower`; exact on the full matrix (a = 0, b = N); None on a
         LAPACK failure.  `_continue_fiber` certifies bands q..p with the upper
         bound at mu_p + 2 tol and, for q > 1, the lower bound at mu_q - 2 tol.
@@ -262,16 +263,18 @@ class _Operator:
         and it has at most as many eigenvalues below sigma (Parlett, ch. 10).
         """
         if lower:
-            return _inertia(*self.block(v, window, sigma)[:2])
-        a, b, size = window.start, window.stop, v.size
-        if a and v[:a].min() < sigma:
-            a = 0
-        if b < size and v[b:].min() < sigma:
-            b = size
-        diagonal, offdiagonal, leaks = self.block(v, slice(a, b), sigma)
-        diagonal[0] -= leaks[0]
-        diagonal[-1] -= leaks[1]
-        return _inertia(diagonal, offdiagonal)
+            diagonal, offdiagonal, _ = self.block(v, window, sigma)
+        else:
+            a, b, size = window.start, window.stop, v.size
+            if a and v[:a].min() < sigma:
+                a = 0
+            if b < size and v[b:].min() < sigma:
+                b = size
+            diagonal, offdiagonal, leaks = self.block(v, slice(a, b), sigma)
+            diagonal[0] -= leaks[0]
+            diagonal[-1] -= leaks[1]
+        factored = _ldl(diagonal, offdiagonal)
+        return None if factored is None else factored[0]
 
     def axis_slope(self, nodes: int) -> float:
         """The log-log slope (`_loglog_slope`) over rows j = 1..nodes of the
@@ -443,8 +446,8 @@ def _window(grid: Grid, vectors: list[np.ndarray], dxi: float) -> slice:
 
 def _widened(grid: Grid, lo: int, hi: int, dxi: float) -> slice:
     """Rows [lo, hi) widened on each side by |dxi| plus one unit of r, as the
-    well moves with xi, and by at least two rows (LAPACK's tridiagonal LU
-    takes three rows or more)."""
+    well moves with xi, and by at least two rows (LAPACK's tridiagonal
+    routines take two rows or more)."""
     margin = max(2, math.ceil((dxi + 1.0) / grid.h))
     return slice(max(0, lo - margin), min(grid.intervals - 1, hi + margin))
 
@@ -656,31 +659,37 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i", a, b))
 
 
-def _inertia(diagonal: np.ndarray, offdiagonal: np.ndarray) -> int | None:
-    """The number of negative eigenvalues of the symmetric tridiagonal matrix
-    (diagonal, offdiagonal), or None on a LAPACK failure; `diagonal` is
-    overwritten.
+def _ldl(diagonal: np.ndarray, offdiagonal: np.ndarray) -> tuple[int, np.ndarray] | None:
+    """(negatives, multipliers) of the LDL^T factorization of the symmetric
+    tridiagonal matrix (diagonal, offdiagonal), or None on a LAPACK failure:
+    the count of negative eigenvalues and L's subdiagonal l_i = e_i/d_i;
+    `diagonal` is overwritten with D, so `lapack.dpttrs` solves with the two.
 
-    It is the number of pivots d_i <= 0 of the Sturm recurrence
-    d_{i+1} = a_{i+1} - e_i^2/d_i, the D of the LDL^T factorization, exact by
-    Sylvester's law of inertia and backward stable (Kahan, Stanford CS41,
-    1966; Parlett, ch. 3).  LAPACK's dpttrf runs the recurrence until a pivot
-    d_i <= 0; the next pass continues it from a_{i+1} - e_i^2/d_i, a zero
-    pivot taken as -pivmin, as LAPACK's dstebz does, and a last single row is
-    finished without LAPACK.
+    The count is the number of pivots d_i <= 0 of the Sturm recurrence
+    d_{i+1} = a_{i+1} - e_i^2/d_i, exact by Sylvester's law of inertia and
+    backward stable (Kahan, Stanford CS41, 1966; Parlett, ch. 3).  LAPACK's
+    dpttrf runs the recurrence in place until a pivot d_i <= 0; the next
+    pass continues it from a_{i+1} - l_i e_i, a zero pivot taken as -pivmin,
+    as LAPACK's dstebz does, and a last single row is finished without
+    LAPACK.  Unpivoted, a solve can grow near a small pivot; the residual
+    test of its caller catches that.
     """
+    multipliers = np.array(offdiagonal)  # writable: dpttrf stores l_i over e_i
     negatives, start, size = 0, 0, diagonal.size
     while size - start > 1:  # f2py refuses an empty off-diagonal
-        pivots, _, info = lapack.dpttrf(diagonal[start:], offdiagonal[start:])
+        *_, info = lapack.dpttrf(
+            diagonal[start:], multipliers[start:], overwrite_d=1, overwrite_e=1
+        )
         if info <= 0:
-            return negatives if info == 0 else None
-        negatives, start = negatives + 1, start + info
+            return (negatives, multipliers) if info == 0 else None
+        negatives, row = negatives + 1, start + info - 1  # the row of the pivot <= 0
+        start = row + 1
         if start < size:
-            pivot = float(pivots[info - 1])
-            if not pivot:  # dstebz's pivmin
-                pivot = -np.finfo(float).tiny * max(1.0, float(np.max(offdiagonal**2)))
-            diagonal[start] -= offdiagonal[start - 1] ** 2 / pivot
-    return negatives + int(size - start == 1 and diagonal[start] <= 0.0)
+            if not diagonal[row]:  # dstebz's pivmin
+                diagonal[row] = -np.finfo(float).tiny * max(1.0, float(np.max(offdiagonal**2)))
+            multipliers[row] = offdiagonal[row] / diagonal[row]
+            diagonal[start] -= multipliers[row] * offdiagonal[row]
+    return negatives + int(size - start == 1 and diagonal[start] <= 0.0), multipliers
 
 
 def _continue_fiber(
@@ -691,8 +700,8 @@ def _continue_fiber(
     `window` = [a, b), with v the potential on grid.nodes.
 
     Each pair runs Rayleigh-quotient iteration from its vector, starting at
-    its shift, on the principal submatrix T[a:b, a:b]: one tridiagonal LU
-    solve (LAPACK dgttrf/dgttrs) per step, until the residual of the
+    its shift, on the principal submatrix T[a:b, a:b]: one LDL^T
+    factorization (`_ldl`) and solve per step, until the residual of the
     zero-padded vector z on the full T falls to tol = 8 eps ||T||_1.  That
     residual (`_Operator.squared_residual`) is the window's ||T z - mu z||
     with the leaks of its end entries added in quadrature, so each value is
@@ -721,10 +730,6 @@ def _continue_fiber(
         if found is None:
             return None
         mu, z = found
-        norm = _dot(z, z)
-        if not (math.isfinite(norm) and norm > 0.0):  # a non-finite entry makes it so
-            return None
-        z /= math.sqrt(norm * operator.grid.h)
         vector = np.zeros(v.size)
         if _negative(z):
             np.negative(z, out=vector[window])
@@ -743,25 +748,35 @@ def _continue_fiber(
 
 def _rayleigh_iteration(operator: _Operator, block, z, mu, tol):
     """(mu, z) after Rayleigh-quotient iteration on `block` (`_Operator`) from
-    (mu, z) to a full-grid residual of tol and one polishing solve, or None.
-
-    A function of its own so that its LU factors are freed before the
-    caller's inertia count, the largest allocation of a continuation.
+    (mu, z) to a full-grid residual of tol and one polishing solve, with
+    h * sum(z^2) = 1, or None: on a failed LDL^T factorization (`_ldl`, one
+    per step) or a solve (LAPACK dpttrs) whose norm is not finite and
+    positive.  A function of its own so that its factors are freed before
+    the caller's inertia count, the largest allocation of a continuation.
     """
     diagonal, offdiagonal, _ = block
     for step in range(_RQI_STEPS):
-        *factors, info = lapack.dgttrf(offdiagonal, diagonal - mu, offdiagonal, overwrite_d=1)
-        if info != 0:
+        pivots = diagonal - mu
+        factored = _ldl(pivots, offdiagonal)
+        if factored is None:
             return None
-        z, info = lapack.dgttrs(*factors, z, overwrite_b=step > 0)  # the start is the caller's
-        z /= math.sqrt(_dot(z, z))
+        # the first solve leaves the caller's start as it is
+        z, info = lapack.dpttrs(pivots, factored[1], z, overwrite_b=step > 0)
+        norm = _dot(z, z)
+        if info or not (math.isfinite(norm) and norm > 0.0):
+            return None
+        z /= math.sqrt(norm)
         mu, squared = operator.squared_residual(block, z, rayleigh=True)
         if math.sqrt(squared) <= tol:
             break
     else:
         return None
-    z, info = lapack.dgttrs(*factors, z, overwrite_b=1)
-    return None if info != 0 else (mu, z)
+    z, info = lapack.dpttrs(pivots, factored[1], z, overwrite_b=1)
+    norm = _dot(z, z)
+    if info or not (math.isfinite(norm) and norm > 0.0):
+        return None
+    z /= math.sqrt(norm * operator.grid.h)
+    return mu, z
 
 
 def rayleigh_quotient(params: ModelParams, pair: EigenPair, grid: Grid) -> float:

@@ -370,12 +370,15 @@ def test_the_moments_are_computed_only_where_a_fiber_step_builds_its_record():
 
 
 def test_each_lapack_routine_has_one_call_site():
-    # the bisection, the Rayleigh step's LU factorization and solve, and the
-    # exact inertia count each call LAPACK on the fiber matrix from one place
-    # in the package, so the two-sided count cannot grow a second copy of its
-    # recurrence; the one other call is the Golub-Welsch eigensolve of the
-    # Legendre Jacobi matrix behind the current's quadrature rule
-    routines = {"eigh_tridiagonal", "dgttrf", "dgttrs", "dpttrf", "dstebz", "dsterf",
+    # the bisection, the one LDL^T factorization (of the exact inertia count
+    # and of the Rayleigh step alike) and the Rayleigh step's solve with its
+    # factors (the step and the polish) each call LAPACK on the fiber matrix
+    # from one place in the package, so neither the two-sided count nor the
+    # solve can grow a second copy of the recurrence, and no LU
+    # factorization comes back; the one other call is the Golub-Welsch
+    # eigensolve of the Legendre Jacobi matrix behind the current's
+    # quadrature rule
+    routines = {"eigh_tridiagonal", "dgttrf", "dgttrs", "dpttrf", "dpttrs", "dstebz", "dsterf",
                 "dgtsv", "dptsv", "eigvalsh_tridiagonal"}
     sites = sorted(
         (node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id,
@@ -387,10 +390,9 @@ def test_each_lapack_routine_has_one_call_site():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) in routines
     )
     assert sites == [
-        ("dgttrf", "solver._rayleigh_iteration"),
-        ("dgttrs", "solver._rayleigh_iteration"),
-        ("dgttrs", "solver._rayleigh_iteration"),
-        ("dpttrf", "solver._inertia"),
+        ("dpttrf", "solver._ldl"),
+        ("dpttrs", "solver._rayleigh_iteration"),
+        ("dpttrs", "solver._rayleigh_iteration"),
         ("eigh_tridiagonal", "solver._bisect_fiber"),
         ("eigh_tridiagonal", "transport._bump_quadrature"),
     ]

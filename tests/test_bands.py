@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import gc
+import sys
 import weakref
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -158,25 +158,35 @@ def _assert_matches_fresh_solves(curve, grid: Grid):
         assert abs(curve.slope_fh[i] - alone.slope_fh[0]) <= 1e-11, x
 
 
+def _on_factorization(monkeypatch, record):
+    """Call record(caller, rows) at each LDL^T factorization (`solver._ldl`),
+    caller "_rayleigh_iteration" for a Rayleigh step and "count_below" for
+    an inertia count."""
+    ldl = magband.solver._ldl
+
+    def factor(diagonal, offdiagonal):
+        record(sys._getframe(1).f_code.co_name, diagonal.size)
+        return ldl(diagonal, offdiagonal)
+
+    monkeypatch.setattr(magband.solver, "_ldl", factor)
+
+
 def test_dense_sweep_takes_one_rayleigh_step_per_sample(monkeypatch):
     # from the third sample on, the start extrapolated from the two samples
-    # before it needs one tridiagonal LU factorization (two at first order)
+    # before it needs one Rayleigh step's LDL^T factorization (two at first
+    # order)
     grid = Grid(15.0, 1800)
     xi = 0.5 + np.arange(201) / 80.0
     factorizations = []
-    lapack = magband.solver.lapack
 
-    def dgttrf(*args, **kwargs):
-        factorizations[-1] += 1
-        return lapack.dgttrf(*args, **kwargs)
+    def factored(caller, rows):
+        factorizations[-1] += caller == "_rayleigh_iteration"
 
     def sample(*args, _follow=magband.bands._follow, **kwargs):
         factorizations.append(0)
         return _follow(*args, **kwargs)
 
-    monkeypatch.setattr(magband.solver, "lapack", SimpleNamespace(
-        dgttrf=dgttrf, dgttrs=lapack.dgttrs, dpttrf=lapack.dpttrf
-    ))
+    _on_factorization(monkeypatch, factored)
     monkeypatch.setattr(magband.bands, "_follow", sample)
     (curve,) = sweep(5, [1], [1], xi, grid)
     assert factorizations[2:] == [1] * (xi.size - 2)
@@ -186,14 +196,15 @@ def test_dense_sweep_takes_one_rayleigh_step_per_sample(monkeypatch):
 
 def test_a_dense_one_band_sweep_makes_one_lu_step_per_sample(monkeypatch):
     # a guard on start quality and window that holds on any machine: (5, 1)
-    # at 80 samples per unit of xi takes at most 1.2 LU factorizations
-    # (dgttrf) per sample, and only the first sample's nested solve bisects
+    # at 80 samples per unit of xi takes at most 1.2 Rayleigh steps' LDL^T
+    # factorizations per sample, and only the first sample's nested solve
+    # bisects
     events = []
-    lapack, bisect = magband.solver.lapack, magband.solver.eigh_tridiagonal
+    bisect = magband.solver.eigh_tridiagonal
 
-    def dgttrf(*args, **kwargs):
-        events.append("lu")
-        return lapack.dgttrf(*args, **kwargs)
+    def factored(caller, rows):
+        if caller == "_rayleigh_iteration":
+            events.append("rayleigh")
 
     def bisected(*args, **kwargs):
         events.append("bisect")
@@ -203,15 +214,13 @@ def test_a_dense_one_band_sweep_makes_one_lu_step_per_sample(monkeypatch):
         events.append("sample")
         return _follow(*args, **kwargs)
 
-    monkeypatch.setattr(magband.solver, "lapack", SimpleNamespace(
-        dgttrf=dgttrf, dgttrs=lapack.dgttrs, dpttrf=lapack.dpttrf
-    ))
+    _on_factorization(monkeypatch, factored)
     monkeypatch.setattr(magband.solver, "eigh_tridiagonal", bisected)
     monkeypatch.setattr(magband.bands, "_follow", sample)
     xi = np.linspace(0.5, 4.5, 320)
     sweep(5, [1], [1], xi, Grid(14.5, 1740))
     assert events.count("sample") == xi.size
-    assert events.count("lu") <= 1.2 * xi.size
+    assert events.count("rayleigh") <= 1.2 * xi.size
     assert "bisect" not in events[events.index("sample", 1):]
 
 
@@ -517,13 +526,13 @@ def test_crossing_flat_band_solve_count(monkeypatch):
 def _record_fiber_solves(monkeypatch) -> tuple[list, dict]:
     """Record ("bisect" | "continue", grid intervals) for each solve of the
     fiber step, nested ones included, and count the rows of the
-    continuations' LU factorizations and the LDL^T factorizations of their
-    inertia counts (through `magband.solver.lapack`): "lu" and "inertia",
-    against "lu_grid" and "inertia_grid", the rows the same calls take on
-    the whole grid."""
-    log, rows = [], dict.fromkeys(("lu", "lu_grid", "inertia", "inertia_grid"), 0)
+    continuations' LDL^T factorizations (`_on_factorization`), those of
+    their Rayleigh steps and those of their inertia counts: "rayleigh" and
+    "inertia", against "rayleigh_grid" and "inertia_grid", the rows the same
+    calls take on the whole grid."""
+    log, rows = [], dict.fromkeys(("rayleigh", "rayleigh_grid", "inertia", "inertia_grid"), 0)
     bisect, continue_ = magband.solver._bisect_fiber, magband.solver._continue_fiber
-    lapack = magband.solver.lapack
+    kinds = {"_rayleigh_iteration": "rayleigh", "count_below": "inertia"}
 
     def bisected(params, grid, *args):
         log.append(("bisect", grid.intervals))
@@ -533,21 +542,13 @@ def _record_fiber_solves(monkeypatch) -> tuple[list, dict]:
         log.append(("continue", operator.grid.intervals))
         return continue_(operator, *args)
 
-    def counted(routine, kind, diagonal_arg):
-        def call(*args, **kwargs):
-            rows[kind] += args[diagonal_arg].size
-            rows[kind + "_grid"] += log[-1][1] - 1  # the continuation running now
-            return routine(*args, **kwargs)
-
-        return call
+    def factored(caller, size):
+        rows[kinds[caller]] += size
+        rows[kinds[caller] + "_grid"] += log[-1][1] - 1  # the continuation running now
 
     monkeypatch.setattr(magband.solver, "_bisect_fiber", bisected)
     monkeypatch.setattr(magband.solver, "_continue_fiber", continued)
-    monkeypatch.setattr(magband.solver, "lapack", SimpleNamespace(
-        dgttrf=counted(lapack.dgttrf, "lu", 1),  # dgttrf(dl, d, du)
-        dgttrs=lapack.dgttrs,
-        dpttrf=counted(lapack.dpttrf, "inertia", 0),  # dpttrf(d, e)
-    ))
+    _on_factorization(monkeypatch, factored)
     return log, rows
 
 
@@ -557,7 +558,7 @@ def test_check_09_continuations_work_on_the_rows_the_mode_occupies(monkeypatch):
     log, rows = _record_fiber_solves(monkeypatch)
     assert magband.acceptance.check_agmon_uniformity().passed
     assert sum(kind == "continue" for kind, _ in log) >= 31
-    assert 0 < rows["lu"] <= 0.6 * rows["lu_grid"]
+    assert 0 < rows["rayleigh"] <= 0.6 * rows["rayleigh_grid"]
     assert 0 < rows["inertia"] <= 0.6 * rows["inertia_grid"]
 
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, lapack
 from scipy.optimize import brentq
 
 import magband.bands
@@ -33,7 +35,8 @@ from magband.solver import (
     _continue_fiber,
     _follow,
     _harmonic,
-    _inertia,
+    _ldl,
+    _rayleigh_iteration,
     _Operator,
     _reach,
     _residual,
@@ -883,8 +886,8 @@ def _record_inertia_passes(monkeypatch) -> list[tuple[int, int]]:
     """(rows, info) of each LDL^T factorization (dpttrf) the count runs."""
     calls, original = [], magband.solver.lapack.dpttrf
 
-    def recorded(diagonal, *args):
-        *factors, info = original(diagonal, *args)
+    def recorded(diagonal, *args, **kwargs):
+        *factors, info = original(diagonal, *args, **kwargs)
         calls.append((diagonal.size, info))
         return (*factors, info)
 
@@ -1006,7 +1009,7 @@ def test_exact_inertia_continues_past_a_zero_pivot(monkeypatch):
     # two negatives
     calls = _record_inertia_passes(monkeypatch)
     values = 1.0 + 2.0 * np.cos(np.arange(1, 8) * np.pi / 8)
-    assert _inertia(np.ones(7), np.ones(6)) == np.count_nonzero(values < 0.0) == 2
+    assert _ldl(np.ones(7), np.ones(6))[0] == np.count_nonzero(values < 0.0) == 2
     assert calls == [(7, 2), (5, 3), (2, 0)]
     # a zero pivot on the fiber matrix: sigma is the first diagonal entry, so
     # the first pivot is exactly 0
@@ -1020,6 +1023,67 @@ def test_exact_inertia_continues_past_a_zero_pivot(monkeypatch):
     del calls[:]
     assert operator.count_below(v, sigma, full) == np.count_nonzero(values < sigma)
     assert calls[0] == (v.size, 1)
+
+
+@pytest.mark.parametrize("size", [2, 3, 7, 40])
+def test_ldl_counts_factors_and_solves_like_the_dense_matrix(size):
+    # a random tridiagonal shifted to each gap of its spectrum has j pivots
+    # <= 0: the count is the dense eigvalsh count, D and L written in place
+    # give L D L^T = A - sigma to rounding, and dpttrs with those factors
+    # solves A - sigma as np.linalg.solve does; the read-only off-diagonal
+    # is copied, never written
+    rng, eps = np.random.default_rng(size), np.finfo(float).eps
+    for _ in range(10):
+        diagonal, offdiagonal = rng.normal(size=size), rng.normal(size=size - 1)
+        offdiagonal.flags.writeable = False
+        dense = np.diag(diagonal) + np.diag(offdiagonal, 1) + np.diag(offdiagonal, -1)
+        values = np.linalg.eigvalsh(dense)
+        for j in range(1, size):
+            sigma = 0.5 * (values[j - 1] + values[j])
+            shifted = dense - sigma * np.eye(size)
+            pivots = diagonal - sigma
+            negatives, multipliers = _ldl(pivots, offdiagonal)
+            assert negatives == np.count_nonzero(values < sigma) == j
+            lower = np.eye(size) + np.diag(multipliers, -1)
+            scale = (np.abs(lower) * np.abs(pivots)) @ np.abs(lower.T)
+            assert np.all(np.abs((lower * pivots) @ lower.T - shifted) <= 8.0 * eps * scale)
+            b = rng.normal(size=size)
+            x, info = lapack.dpttrs(pivots, multipliers, b)
+            want = np.linalg.solve(shifted, b)
+            assert info == 0 and np.allclose(x, want, rtol=1e-9, atol=1e-9 * np.max(np.abs(want)))
+        assert np.all(offdiagonal == np.diag(dense, 1))
+
+
+def test_a_rayleigh_step_at_a_zero_pivot_gives_none_or_a_certified_pair():
+    # mu equal to T's first diagonal entry makes the first pivot exactly 0:
+    # the count takes it as -pivmin, and a Rayleigh iteration from there
+    # either refuses (None) or returns a quotient within tol of T's
+    # spectrum whose vector has a full-grid residual within tol, with no
+    # RuntimeWarning on the way
+    params, grid = ModelParams(5, 1, 2.0), Grid(8.0, 64)
+    operator, v = _Operator(params, grid), potential(params, grid.nodes)
+    diagonal, _, norm = _grid_matrix(params, grid)
+    mu, full = float(diagonal[0]), slice(0, v.size)
+    block = operator.block(v, full)
+    assert block[0][0] - mu == 0.0
+    values = oracles.dense_fiber_eigenvalues(params.k, 2.0, grid.radius, grid.intervals, 63)
+    assert _ldl(block[0] - mu, block[1])[0] == np.count_nonzero(values < mu)
+    tol = 8.0 * np.finfo(float).eps * norm
+    starts = [pair.vector for pair in _bisect_fiber(params, grid, 3)] + [np.ones(v.size)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in starts:
+            found = _rayleigh_iteration(operator, block, z.copy(), mu, tol)
+            if found is not None:
+                value, u = found
+                assert np.min(np.abs(values - value)) <= tol
+                assert _full_residual(diagonal, grid.h, EigenPair(value, u)) <= tol
+                assert abs(grid.h * np.sum(u * u) - 1.0) <= 1e-12
+        # a last pivot of exactly 0 is counted and kept: the solve is not
+        # finite, and the step refuses
+        two_rows = (np.ones(2), np.ones(1), (0.0, 0.0))
+        assert _ldl(np.ones(2), np.ones(1))[0] == 1
+        assert _rayleigh_iteration(operator, two_rows, np.ones(2), 0.0, tol) is None
 
 
 def test_a_band_alone_is_certified_from_both_sides():
