@@ -12,9 +12,10 @@ alone), which continues at most one start per source in the order `_starts`
 states (the closed-form
 Hermite functions of the harmonic well that V turns into near its minimum,
 when they lead; the pairs of the fiber at a nearby xi; the same fiber on a
-grid 8 times coarser, a nested solve: Brandt, Math. Comp. 31, 1977), and
-otherwise bisects (LAPACK's Sturm-sequence bisection plus inverse
-iteration), so bisection runs almost only on grids below 512 intervals.
+grid 8 times coarser, a nested solve: Brandt, Math. Comp. 31, 1977; last,
+the shifts of a Sturm-sequence bisection by exact counts, `_bisection`),
+so every pair it returns is a certified continuation, and it raises
+ConvergenceError when no start is certified.
 
 A continuation (`_continue_fiber`) is Rayleigh-quotient iteration on a
 window of rows (`_window`), one LDL^T factorization (`_ldl`) and solve per
@@ -45,11 +46,12 @@ and sign fixed to be positive near the axis (`_negative`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from bisect import bisect_left
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal, lapack
+from scipy.linalg import eigh_tridiagonal, lapack  # eigh_tridiagonal: perfbench/tracing.py binds it
 
 from .errors import ConvergenceError, ModelError, SignPatternError
 from .model import ModelParams, _integer, _potential_minimum, _real, potential, turning_points
@@ -61,8 +63,9 @@ _SIGNIFICANT = 1e-8  # entries below this fraction of a vector's peak carry no s
 # so a start vector's edge leaks at most 1.5e-4 of tol.
 _WINDOW = 1e-18
 _RQI_STEPS = 8  # Rayleigh-quotient steps before a continuation gives up
-_NESTED_FLOOR = 512  # grids of fewer intervals are bisected directly
+_NESTED_FLOOR = 512  # grids of fewer intervals take no nested solve
 _NESTED_FACTOR = 8  # a nested solve starts on a grid with 1/8 of the intervals
+_BISECTION_WIDTH = 0.01  # a bisection start's bracket of one band is narrower
 _EPS = float(np.finfo(float).eps)
 _MAX_INTERVALS = 2**22  # largest grid; one vector on it takes 32 MiB
 REACH = 14.0  # Agmon lengths from well to wall that a grid must reach; see `_admit`
@@ -165,7 +168,8 @@ class EigenPair:
 
 
 def assemble(params: ModelParams, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of -d^2/dr^2 + V_m(r, xi) on the grid interior."""
+    """Diagonal and off-diagonal of -d^2/dr^2 + V_m(r, xi) on the grid interior.
+    Not called in the package; perfbench/tracing.py binds it."""
     v = potential(params, grid.nodes)
     return _Operator(params, grid).block(v, slice(0, grid.intervals - 1))[:2]
 
@@ -176,7 +180,7 @@ class _Operator:
     the only statement of T's shape: the diagonal 2/h^2 + V, one coupling
     -1/h^2 between neighbouring rows and unit mass.  T depends on params
     only through k and on xi only through V (`potential`); params also
-    names the fiber for bisection (`_bisect_fiber`).  A followed chain
+    names the fiber in the fiber step's ConvergenceError.  A followed chain
     builds one record, so its k/r^2 and off-diagonal are built once."""
 
     params: ModelParams
@@ -342,9 +346,9 @@ def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
     problem), so the pairs are well defined.  They are the fiber step's
     (`_follow`), continued from the first start of `_starts` that is
     certified, each value a Rayleigh quotient within 8 eps ||T||_1 of an
-    eigenvalue, and otherwise bisected (a few ulps of ||T||).  A grid that
-    does not admit the top pair's quotient (`rayleigh_quotient`, `_admit`) is
-    a ModelError, as in `sweep`; the step computes no other moment.
+    eigenvalue; ConvergenceError when none is.  A grid that does not admit
+    the top pair's quotient (`rayleigh_quotient`, `_admit`) is a ModelError,
+    as in `sweep`; the step computes no other moment.
     """
     pairs = _follow(_Operator(params, grid), params.xi, count, None, moments=0).pairs
     _admit(params, grid, rayleigh_quotient(params, pairs[-1], grid))
@@ -354,8 +358,8 @@ def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
 def fiber_eigenvalues(params: ModelParams, grid: Grid, count: int) -> np.ndarray:
     """The `count` smallest eigenvalues, ascending: the Rayleigh quotients
     (`rayleigh_quotient`) of the fiber step's eigenvectors (`_follow`),
-    continued from a start of `_starts` or bisected, and admitted by the grid,
-    as in `solve_fiber`."""
+    continued from a start of `_starts` and admitted by the grid, as in
+    `solve_fiber`."""
     fiber = _follow(_Operator(params, grid), params.xi, count, None, moments=1)
     _admit(params, grid, fiber.values[-1])
     return fiber.values
@@ -399,21 +403,20 @@ def _follow(
     """The fiber step: the eigenpairs of bands first..count of `operator` at
     xi (the `count` lowest when first = 1), ascending.
 
-    The one place that continues or bisects a fiber.  Each start of `_starts`
-    in turn is continued (`_continue_fiber`) on its window of rows; with no
-    start left the grid is bisected (`_bisect_fiber`).  A continuation is
-    accepted only when the exact Sylvester inertia of two blocks of T
-    certifies its band indices from both sides (`_Operator.count_below`):
-    the Haynsworth upper bound at the top band and, for first > 1, the
-    Cauchy lower bound at the first, so bands below `first` are never
-    solved.  A fiber
-    continued from `previous` (same band range) on the same grid keeps that
-    record as its `before`, so the next step can start from a second-order
-    extrapolation.  The record holds the `moments` leading moments of each
-    pair (`_Operator.moments`) that the caller reads: 3 for a sweep, 2 for
-    a crossing (and for any step a later one continues from), 1 for
-    `fiber_eigenvalues`, 0 for the pairs alone.  An invalid `count` is a
-    ModelError before any solve.
+    The one place that solves a fiber.  Each start of `_starts` in turn is
+    continued (`_continue_fiber`) on its window of rows, the bisection start
+    last; when none is certified the step raises ConvergenceError naming
+    the fiber.  A continuation is accepted only when the exact Sylvester
+    inertia of two blocks of T certifies its band indices from both sides
+    (`_Operator.count_below`): the Haynsworth upper bound at the top band
+    and, for first > 1, the Cauchy lower bound at the first, so bands below
+    `first` are never solved.  A fiber continued from `previous` (same band
+    range) on the same grid keeps that record as its `before`, so the next
+    step can start from a second-order extrapolation.  The record holds the
+    `moments` leading moments of each pair (`_Operator.moments`) that the
+    caller reads: 3 for a sweep, 2 for a crossing (and for any step a later
+    one continues from), 1 for `fiber_eigenvalues`, 0 for the pairs alone.
+    An invalid `count` is a ModelError before any solve.
     """
     count = _integer(count, "eigenpairs", 1, operator.grid.intervals - 1)
     v = operator.potential(xi)
@@ -422,8 +425,10 @@ def _follow(
         if pairs is not None:
             break
     else:
-        params = replace(operator.params, xi=xi)  # names the fiber; V depends on k alone
-        pairs, window, before = _bisect_fiber(params, operator.grid, count, first), None, None
+        raise ConvergenceError(
+            f"fiber (m={operator.params.m}, xi={xi}): no start of bands {first}..{count} "
+            f"is certified on {operator.grid}"
+        )
     table = None
     if moments:
         columns = [operator.moments(pair.vector, xi, v, window, moments) for pair in pairs]
@@ -477,7 +482,9 @@ def _starts(
        the same formula at dxi = 0);
     3. on 512 intervals or more, the same fiber on the grid with 1/8 of the
        intervals at its values (a nested solve), solved only when reached
-       and skipped when that fails.
+       and skipped when it raises;
+    4. the bisection start (`_bisection`) on the whole grid, built only when
+       reached.
 
     The well (`_well`) is looked up at most once.
     """
@@ -525,9 +532,13 @@ def _starts(
             coarse = _Operator(operator.params, Grid(grid.radius, intervals))
             nested = _follow(coarse, xi, count, None, moments=0, first=first)
         except ConvergenceError:
-            return
-        vectors = _onto(grid, coarse.grid, [pair.vector for pair in nested.pairs])
-        yield vectors, [pair.value for pair in nested.pairs], _window(grid, vectors, 0.0), None
+            pass
+        else:
+            vectors = _onto(grid, coarse.grid, [pair.vector for pair in nested.pairs])
+            yield vectors, [pair.value for pair in nested.pairs], _window(grid, vectors, 0.0), None
+    bisected = _bisection(operator, count, v, first)
+    if bisected is not None:
+        yield bisected
 
 
 def _well(k: float, xi: float) -> tuple[float, float, float] | None:
@@ -615,27 +626,52 @@ def _onto(grid: Grid, source: Grid, vectors: list[np.ndarray]) -> list[np.ndarra
     return [np.interp(grid.nodes, nodes, np.pad(u, 1)) for u in vectors]
 
 
-def _bisect_fiber(params: ModelParams, grid: Grid, count: int, first=1) -> list[EigenPair]:
-    """The fiber's pairs of bands first..count by LAPACK bisection and
-    inverse iteration, to a few ulps of ||T||.  A failure names the fiber."""
-    diagonal, offdiagonal = assemble(params, grid)
-    try:
-        values, vectors = eigh_tridiagonal(
-            diagonal,
-            offdiagonal,
-            select="i",
-            select_range=(first - 1, count - 1),
-            check_finite=False,
-        )
-    except LinAlgError as exc:
-        raise ConvergenceError(
-            f"fiber (m={params.m}, xi={params.xi}): tridiagonal eigensolve failed "
-            f"for indices {first - 1}..{count - 1}: {exc}"
-        ) from exc
-    return [
-        EigenPair(float(value), -u if _negative(u) else u)
-        for value, u in zip(values, (vectors / np.sqrt(grid.h)).T)
-    ]
+def _bisection(operator: _Operator, count: int, v: np.ndarray, first=1):
+    """The bisection start (vectors, shifts, window, None) of bands
+    first..count on the whole grid, or None; v is the potential on grid.nodes.
+
+    Exact counts below sigma (`_Operator.count_below` on every row) bracket
+    the bands between min V, which no Gershgorin disc of T crosses, and a
+    bound doubled until it lies above them, and bisect the brackets, shared
+    by the bands as in LAPACK's dstebz (Kahan, 1966), until each band's
+    holds it alone and is narrower than _BISECTION_WIDTH, so that the first
+    Rayleigh quotient stays off the other bands.  Its midpoint is the band's
+    shift and e_r its vector, r the row of the least twisted pivot
+    |d+_r + d-_r - (T_rr - shift)| of T - shift factored from both ends
+    (`_ldl`), where the band dominates the diagonal of (T - shift)^-1
+    (Parlett and Dhillon, Lin. Alg. Appl. 267, 1997); a fixed vector is
+    orthogonal to a band on whole curves of fibers.
+    """
+    rows = slice(0, v.size)
+    sigmas, counts = [float(v.min())], [0]  # ascending
+    while counts[-1] < count:
+        sigma = sigmas[0] + 2.0 ** (len(sigmas) - 1)
+        below = operator.count_below(v, sigma, rows)
+        if below is None:
+            return None
+        sigmas.append(sigma)
+        counts.append(below)
+    shifts, vectors = [], []
+    for j in range(first, count + 1):
+        while True:
+            i = bisect_left(counts, j)  # sigmas[i] is the first with j or more below
+            lower, upper = sigmas[i - 1], sigmas[i]
+            if counts[i - 1] == j - 1 and counts[i] == j and upper - lower < _BISECTION_WIDTH:
+                break
+            sigma = 0.5 * (lower + upper)
+            below = operator.count_below(v, sigma, rows)
+            if below is None or not lower < sigma < upper:
+                return None
+            sigmas.insert(i, sigma)
+            counts.insert(i, below)
+        shifts.append(0.5 * (lower + upper))
+        shifted, offdiagonal, _ = operator.block(v, rows, shifts[-1])
+        down, up = shifted.copy(), shifted[::-1].copy()
+        if _ldl(down, offdiagonal) is None or _ldl(up, offdiagonal[::-1]) is None:
+            return None
+        vectors.append(np.zeros(v.size))
+        vectors[-1][int(np.abs(down + up[::-1] - shifted).argmin())] = 1.0
+    return vectors, shifts, rows, None
 
 
 def _negative(z: np.ndarray) -> bool:
@@ -784,8 +820,9 @@ def rayleigh_quotient(params: ModelParams, pair: EigenPair, grid: Grid) -> float
 
     Difference form h * sum((u_{j+1} - u_j)/h)^2 + h * sum V u^2 with
     u_0 = u_N = 0.  It is the same eigenvalue as the solver's, but smooth in
-    xi to rounding: the bisection value scatters by a few ulps of the matrix
-    norm, and k/h^2 on the first diagonal entry makes that norm large.
+    xi to rounding: a pair's value z . T z sums terms of the size of ||T||
+    and scatters by a few ulps of it, and 2/h^2 and k/h^2 make that norm
+    large, where the difference form sums terms of the eigenvalue's size.
     """
     return _Operator(params, grid).moments(pair.vector, params.xi, count=1)[0]
 

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 
 
@@ -36,6 +38,34 @@ def dense_fiber_eigenvalues(k: float, xi: float, radius: float, intervals: int,
     off = np.full(intervals - 2, -1.0 / h**2)
     mat += np.diag(off, 1) + np.diag(off, -1)
     return np.linalg.eigvalsh(mat)[:count]
+
+
+class Pair(NamedTuple):
+    """An eigenpair of the reference solve: value, grid vector."""
+
+    value: float
+    vector: np.ndarray
+
+
+def tridiagonal_fiber_pairs(k: float, xi: float, radius: float, intervals: int,
+                            count: int) -> list[Pair]:
+    """The `count` lowest eigenpairs of the standard FD fiber matrix by scipy's
+    tridiagonal eigensolve (LAPACK bisection and inverse iteration), each
+    vector scaled to h * sum(u^2) = 1 with its first entry above 1e-8 of its
+    peak positive."""
+    h = radius / intervals
+    r = h * np.arange(1, intervals)
+    values, vectors = eigh_tridiagonal(
+        2.0 / h**2 + k / r**2 + (r - xi) ** 2,
+        np.full(intervals - 2, -1.0 / h**2),
+        select="i",
+        select_range=(0, count - 1),
+    )
+    pairs = []
+    for value, u in zip(values, (vectors / np.sqrt(h)).T):
+        _, sign = sign_pattern(u)
+        pairs.append(Pair(float(value), sign * u))
+    return pairs
 
 
 def dense_window_eigenvalues(k: float, xi: float, radius: float, intervals: int,

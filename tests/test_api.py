@@ -370,14 +370,14 @@ def test_the_moments_are_computed_only_where_a_fiber_step_builds_its_record():
 
 
 def test_each_lapack_routine_has_one_call_site():
-    # the bisection, the one LDL^T factorization (of the exact inertia count
-    # and of the Rayleigh step alike) and the Rayleigh step's solve with its
-    # factors (the step and the polish) each call LAPACK on the fiber matrix
-    # from one place in the package, so neither the two-sided count nor the
-    # solve can grow a second copy of the recurrence, and no LU
-    # factorization comes back; the one other call is the Golub-Welsch
-    # eigensolve of the Legendre Jacobi matrix behind the current's
-    # quadrature rule
+    # the one LDL^T factorization (of the exact inertia count, the bisection
+    # start's counts and the Rayleigh step alike) and the Rayleigh step's
+    # solve with its factors (the step and the polish) each call LAPACK on
+    # the fiber matrix from one place in the package, so neither the
+    # two-sided count nor the solve can grow a second copy of the recurrence,
+    # no LU factorization comes back and no LAPACK eigensolve returns an
+    # uncertified pair; the one eigensolve is the Golub-Welsch eigensolve of
+    # the Legendre Jacobi matrix behind the current's quadrature rule
     routines = {"eigh_tridiagonal", "dgttrf", "dgttrs", "dpttrf", "dpttrs", "dstebz", "dsterf",
                 "dgtsv", "dptsv", "eigvalsh_tridiagonal"}
     sites = sorted(
@@ -393,13 +393,15 @@ def test_each_lapack_routine_has_one_call_site():
         ("dpttrf", "solver._ldl"),
         ("dpttrs", "solver._rayleigh_iteration"),
         ("dpttrs", "solver._rayleigh_iteration"),
-        ("eigh_tridiagonal", "solver._bisect_fiber"),
         ("eigh_tridiagonal", "transport._bump_quadrature"),
     ]
+    # and no LAPACK eigensolve failure is left to wrap
+    assert not any("LinAlgError" in path.read_text(encoding="utf-8")
+                   for path in PACKAGE.glob("*.py"))
 
 
 def test_one_sign_rule_fixes_every_eigenvector():
-    # every eigenvector, continued or bisected, is sign-fixed by one rule,
+    # every eigenvector, each one continued, is sign-fixed by one rule,
     # solver._negative (its first significant entry is negative), and the
     # band certificate counts no sign changes: the package names no
     # np.signbit, _negative_lobe or _significant
@@ -423,7 +425,7 @@ def test_one_sign_rule_fixes_every_eigenvector():
             if isinstance(node, ast.Call) and named(node.func) == "_negative"
         ]
     assert naming == []
-    assert calling == ["solver._bisect_fiber", "solver._continue_fiber"]
+    assert calling == ["solver._continue_fiber"]
 
 
 def test_the_log_log_fit_is_stated_once():

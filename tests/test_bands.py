@@ -10,7 +10,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import LinAlgError
 
 import magband.acceptance
 import magband.bands
@@ -36,7 +35,6 @@ from magband import (
 )
 from magband.solver import (
     REACH,
-    _bisect_fiber,
     _continue_fiber,
     _follow,
     _Operator,
@@ -47,6 +45,12 @@ from magband.solver import (
 import oracles
 
 SWEEP_GRID = Grid(16.0, 1200)
+
+
+def _reference(params: ModelParams, grid: Grid, count: int) -> list:
+    """Pairs 1..count of the fiber on `grid` by the oracle's own tridiagonal
+    eigensolve (`oracles.tridiagonal_fiber_pairs`)."""
+    return oracles.tridiagonal_fiber_pairs(params.k, params.xi, grid.radius, grid.intervals, count)
 
 
 def test_sweep_structure_and_monotonicity():
@@ -122,16 +126,17 @@ def test_sweep_high_frequency_regime():
 
 def test_sweep_continuation_matches_bisection_on_check_02(monkeypatch):
     # check 02's sweep: the continued samples agree with a per-sample
-    # bisection solve, and nearly every sample is continued
+    # bisection solve of the oracle's matrix, and nearly every sample is
+    # continued from a sample before it
     grid = Grid(20.0, 4800)
     xi = -1.0 + 0.05 * np.arange(141)
-    calls = _count_eigensolves(monkeypatch)
+    calls = _count_bisections(monkeypatch)
     curves = sweep(5, range(7), (1, 2, 3), xi, grid)
     assert len(calls) <= 50
     for m in range(7):
         for i in range(0, xi.size, 7):
             params = ModelParams(5, m, xi[i])
-            pairs = _bisect_fiber(params, grid, 3)
+            pairs = _reference(params, grid, 3)
             for p in (1, 2, 3):
                 (c,) = [c for c in curves if (c.m, c.p) == (m, p)]
                 pair = pairs[p - 1]
@@ -200,7 +205,7 @@ def test_a_dense_one_band_sweep_makes_one_lu_step_per_sample(monkeypatch):
     # factorizations per sample, and only the first sample's nested solve
     # bisects
     events = []
-    bisect = magband.solver.eigh_tridiagonal
+    bisect = magband.solver._bisection
 
     def factored(caller, rows):
         if caller == "_rayleigh_iteration":
@@ -215,7 +220,7 @@ def test_a_dense_one_band_sweep_makes_one_lu_step_per_sample(monkeypatch):
         return _follow(*args, **kwargs)
 
     _on_factorization(monkeypatch, factored)
-    monkeypatch.setattr(magband.solver, "eigh_tridiagonal", bisected)
+    monkeypatch.setattr(magband.solver, "_bisection", bisected)
     monkeypatch.setattr(magband.bands, "_follow", sample)
     xi = np.linspace(0.5, 4.5, 320)
     sweep(5, [1], [1], xi, Grid(14.5, 1740))
@@ -279,9 +284,9 @@ def _record_fiber_records(monkeypatch) -> list:
 def test_every_fiber_of_a_chain_shares_one_record(monkeypatch):
     # each followed sample builds V once, for its continuation and all three
     # pairs' moments, from the one record its chain built, whose k/r^2 is
-    # built once on the grid, the bits of `potential`; only the first
-    # sample's nested solve bisects, and bisection assembles T through
-    # `potential`
+    # built once on the grid, the bits of `potential`; no fiber step calls
+    # `potential`, not even the first sample's nested solve, whose bisection
+    # start counts on its own record's V
     calls = []
     for module in (magband.bands, magband.solver):
         def counted(params, r, _original=module.potential):
@@ -292,7 +297,7 @@ def test_every_fiber_of_a_chain_shares_one_record(monkeypatch):
     records = _record_fiber_records(monkeypatch)
     xi = np.linspace(0.0, 2.0, 21)
     sweep(5, [2], (1, 2, 3), xi, SWEEP_GRID)
-    assert calls == [SWEEP_GRID.intervals // 8 - 1]
+    assert calls == []
     assert len(records) == xi.size and all(record is records[0] for record in records)
     assert records[0].grid == SWEEP_GRID and records[0].params.k == ModelParams(5, 2, 0.0).k
     monkeypatch.undo()
@@ -350,7 +355,7 @@ def test_any_dimension_is_a_relabeling(monkeypatch, fiber, relabeled):
 def test_sweep_with_wide_steps_falls_back_to_bisection(monkeypatch):
     # dxi >= 2 leaves the predicted shifts far off: uncertified steps fall
     # back to a nested solve, bisected on its coarse grid, and the bands are
-    # still the bisection bands
+    # still the bands of the oracle's bisection
     grid = Grid(30.0, 3600)
     xi = np.arange(-1.0, 12.0, 2.0)
     log, _ = _record_fiber_solves(monkeypatch)
@@ -361,7 +366,7 @@ def test_sweep_with_wide_steps_falls_back_to_bisection(monkeypatch):
         assert log[before] == ("bisect", grid.intervals // 8)
         fallbacks += [kind for kind, _ in log[before:]].count("bisect") - 1
         for i, x in enumerate(xi):
-            pairs = _bisect_fiber(ModelParams(5, m, x), grid, 3)
+            pairs = _reference(ModelParams(5, m, x), grid, 3)
             for c, pair in zip(curves, pairs):
                 assert abs(c.values[i] - pair.value) <= 1e-9
     assert 1 <= fallbacks <= 3 * (xi.size - 1)
@@ -370,7 +375,7 @@ def test_sweep_with_wide_steps_falls_back_to_bisection(monkeypatch):
 def _continuation_seed(m: int, grid: Grid):
     """Eigenpairs 1..4 at xi = 1 with their predicted shifts at xi = 1.05."""
     before = ModelParams(5, m, 1.0)
-    pairs = _bisect_fiber(before, grid, 4)
+    pairs = _reference(before, grid, 4)
     shifts = [
         rayleigh_quotient(before, pair, grid)
         + 0.05 * derivative_feynman_hellmann(before, pair, grid)
@@ -393,7 +398,7 @@ def test_continuation_certifies_a_good_seed():
     params, pairs, shifts = _continuation_seed(2, grid)
     continued = _continue(params, grid, pairs[:3], shifts[:3])
     assert continued is not None
-    for got, want in zip(continued, _bisect_fiber(params, grid, 3)):
+    for got, want in zip(continued, _reference(params, grid, 3)):
         assert abs(got.value - want.value) <= 1e-9
         assert np.max(np.abs(got.vector - want.vector)) <= 1e-6 * np.max(np.abs(want.vector))
 
@@ -406,7 +411,7 @@ def test_continuation_rejects_a_wrong_seed(seed):
     order = {"band 2 for band 1": [1, 1, 2], "bands 1 and 2 swapped": [1, 0, 2]}.get(seed, [0, 1, 2])
     previous, shifts = [pairs[i] for i in order], [shifts[i] for i in order]
     if seed == "shift near lambda_4":
-        shifts[2] = _bisect_fiber(params, grid, 4)[3].value + 1e-7
+        shifts[2] = _reference(params, grid, 4)[3].value + 1e-7
     assert _continue(params, grid, previous, shifts) is None
 
 
@@ -422,7 +427,7 @@ def test_continuation_above_the_blas_threading_size():
     )
     params = ModelParams(5, 128, 150.05)
     (got,) = _continue(params, grid, [pair], [shift])
-    (want,) = _bisect_fiber(params, grid, 1)
+    (want,) = _reference(params, grid, 1)
     value = rayleigh_quotient(params, want, grid)
     assert abs(rayleigh_quotient(params, got, grid) - value) <= 1e-9
     assert abs(got.value - value) <= 1e-9
@@ -435,22 +440,23 @@ def test_crossing_hits_requested_energy():
     assert res.slope < 0
     # independent re-solve at the reported momentum
     grid = Grid(res.xi + 10.0, int((res.xi + 10.0) * 240))
-    val = _bisect_fiber(ModelParams(5, 2, res.xi), grid, 1)[0].value
+    val = _reference(ModelParams(5, 2, res.xi), grid, 1)[0].value
     assert val == pytest.approx(2.0, abs=5e-7)
     # leading-order location sqrt(k/(E - E_1))
     assert res.xi == pytest.approx(np.sqrt(8.75), rel=0.1)
 
 
-def _count_eigensolves(monkeypatch) -> list:
-    """Record every tridiagonal eigensolve the package makes from now on."""
+def _count_bisections(monkeypatch) -> list:
+    """Record every bisection start (`solver._bisection`) the package makes
+    from now on."""
     calls = []
-    original = magband.solver.eigh_tridiagonal
+    original = magband.solver._bisection
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(magband.solver, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(magband.solver, "_bisection", counted)
     return calls
 
 
@@ -524,19 +530,21 @@ def test_crossing_flat_band_solve_count(monkeypatch):
 
 
 def _record_fiber_solves(monkeypatch) -> tuple[list, dict]:
-    """Record ("bisect" | "continue", grid intervals) for each solve of the
-    fiber step, nested ones included, and count the rows of the
-    continuations' LDL^T factorizations (`_on_factorization`), those of
-    their Rayleigh steps and those of their inertia counts: "rayleigh" and
-    "inertia", against "rayleigh_grid" and "inertia_grid", the rows the same
+    """Record ("bisect" | "continue", grid intervals) for each bisection
+    start (`solver._bisection`) and each continuation of the fiber step,
+    nested ones included, and count the rows of the LDL^T factorizations
+    (`_on_factorization`), those of Rayleigh steps, those of inertia counts
+    (a bisection start's included) and those of a bisection start's twisted
+    factorizations: "rayleigh", "inertia" and "twisted", against
+    "rayleigh_grid", "inertia_grid" and "twisted_grid", the rows the same
     calls take on the whole grid."""
-    log, rows = [], dict.fromkeys(("rayleigh", "rayleigh_grid", "inertia", "inertia_grid"), 0)
-    bisect, continue_ = magband.solver._bisect_fiber, magband.solver._continue_fiber
-    kinds = {"_rayleigh_iteration": "rayleigh", "count_below": "inertia"}
+    kinds = {"_rayleigh_iteration": "rayleigh", "count_below": "inertia", "_bisection": "twisted"}
+    log, rows = [], {kind + grid: 0 for kind in kinds.values() for grid in ("", "_grid")}
+    bisect, continue_ = magband.solver._bisection, magband.solver._continue_fiber
 
-    def bisected(params, grid, *args):
-        log.append(("bisect", grid.intervals))
-        return bisect(params, grid, *args)
+    def bisected(operator, *args):
+        log.append(("bisect", operator.grid.intervals))
+        return bisect(operator, *args)
 
     def continued(operator, *args):
         log.append(("continue", operator.grid.intervals))
@@ -544,9 +552,9 @@ def _record_fiber_solves(monkeypatch) -> tuple[list, dict]:
 
     def factored(caller, size):
         rows[kinds[caller]] += size
-        rows[kinds[caller] + "_grid"] += log[-1][1] - 1  # the continuation running now
+        rows[kinds[caller] + "_grid"] += log[-1][1] - 1  # the solve running now
 
-    monkeypatch.setattr(magband.solver, "_bisect_fiber", bisected)
+    monkeypatch.setattr(magband.solver, "_bisection", bisected)
     monkeypatch.setattr(magband.solver, "_continue_fiber", continued)
     _on_factorization(monkeypatch, factored)
     return log, rows
@@ -567,7 +575,7 @@ def test_crossing_bisects_nothing_and_continues(monkeypatch, n, m, p, energy):
     # the first iterate continues from the closed-form start of its harmonic
     # well, and every later one from the iterates before it: no matrix is
     # bisected and no nested solve (a call of solver._follow) runs
-    calls = _count_eigensolves(monkeypatch)
+    calls = _count_bisections(monkeypatch)
     log, _ = _record_fiber_solves(monkeypatch)
     monkeypatch.setattr(magband.solver, "_follow", None)
     res = crossing(n, m, p, energy)
@@ -594,14 +602,22 @@ def test_crossing_continues_across_a_grown_grid(monkeypatch):
 
 @pytest.mark.parametrize("n,m,p,energy", [(5, 20, 1, 2.0), (5, 40, 2, 3.6)])
 def test_crossing_without_continuation_bisects_every_iterate(monkeypatch, n, m, p, energy):
+    # with the bisection start as the only start, each iterate is bisected
+    # and continued from there, to the crossing of the other starts
     continued = crossing(n, m, p, energy)
     log, _ = _record_fiber_solves(monkeypatch)
-    monkeypatch.setattr(magband.solver, "_continue_fiber", lambda *args: None)
+
+    def bisection_only(operator, xi, count, previous, v, first=1):
+        start = magband.solver._bisection(operator, count, v, first)
+        return [] if start is None else [start]
+
+    monkeypatch.setattr(magband.solver, "_starts", bisection_only)
     bisected = crossing(n, m, p, energy)
     assert abs(bisected.xi - continued.xi) <= 1e-12
     assert abs(bisected.residual - continued.residual) <= 1e-12
     assert abs(bisected.slope - continued.slope) <= 1e-9 * abs(bisected.slope)
-    assert len(log) >= 2 and all(kind == "bisect" for kind, _ in log)
+    kinds = [kind for kind, _ in log]
+    assert len(log) >= 4 and kinds == ["bisect", "continue"] * (len(log) // 2)
 
 
 def test_crossing_where_bisection_eigenvalue_scatters():
@@ -690,12 +706,9 @@ def test_a_band_2_crossing_makes_one_rayleigh_iteration_per_continued_step(monke
     assert set(continuations) == {1} and len(iterations) == len(continuations)
 
 
-def test_crossing_names_the_fiber_when_its_bisection_fails(monkeypatch):
-    def failing(*args, **kwargs):
-        raise LinAlgError("eigenvalues failed to converge")
-
-    monkeypatch.setattr(magband.solver, "eigh_tridiagonal", failing)
-    with pytest.raises(ConvergenceError, match=r"\(m=2, xi=[-0-9.e]+\): tridiagonal"):
+def test_crossing_names_the_fiber_when_no_start_is_certified(monkeypatch):
+    monkeypatch.setattr(magband.solver, "_continue_fiber", lambda *args: None)
+    with pytest.raises(ConvergenceError, match=r"\(m=2, xi=[-0-9.e]+\): no start"):
         crossing(5, 2, 1, 2.0)
 
 
@@ -703,7 +716,7 @@ def test_agmon_check_reads_the_crossing_pair(monkeypatch):
     # check 09 starts one fresh fiber for each of its 31 crossings and solves
     # nothing more: no bisection, no nested solve and no second solve of the
     # crossing pair (`solve_fiber` and the nested solve call solver._follow)
-    calls = _count_eigensolves(monkeypatch)
+    calls = _count_bisections(monkeypatch)
     fresh = []
 
     def follow(operator, xi, count, previous, _follow=magband.bands._follow, **kwargs):
@@ -730,8 +743,7 @@ def test_crossing_refuses_an_oversized_grid(monkeypatch, gap):
     # E - E_p this small seeds xi ~ sqrt(k/gap): the grid reaching it would
     # need far more than 2^22 intervals, so the request fails before a solve
     calls = []
-    monkeypatch.setattr(magband.solver, "eigh_tridiagonal",
-                        lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(magband.solver, "_ldl", lambda *a, **k: calls.append(a))
     with pytest.raises(ModelError, match="intervals"):
         crossing(5, 3, 1, 1.0 + gap)
     assert calls == []
@@ -905,7 +917,7 @@ def test_refined_band_is_richardson_of_two_sweeps(monkeypatch):
     # Richardson record
     grid = Grid(20.0, 400)
     xi = 1.0 + 0.5 * np.arange(15)
-    calls = _count_eigensolves(monkeypatch)
+    calls = _count_bisections(monkeypatch)
     refined = refined_sweep(5, [2, 1], [2, 1], xi, grid)
     assert len(calls) == 2 * 2
     assert [(band.m, band.p) for band, _ in refined] == [(1, 1), (1, 2), (2, 1), (2, 2)]

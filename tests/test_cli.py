@@ -204,7 +204,7 @@ def test_current_invalid_input_exits_2_before_solving(flag, message, monkeypatch
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve before the input was checked")
 
-    monkeypatch.setattr("magband.solver.eigh_tridiagonal", no_solve)
+    monkeypatch.setattr("magband.solver._ldl", no_solve)
     assert run_cli("current", flag) == 2
     assert message in capsys.readouterr().err
 
@@ -241,7 +241,7 @@ def test_current_invalid_input_exits_2_before_solving(flag, message, monkeypatch
     # 2/h^2 overflowed (OverflowError) or divided by zero (ZeroDivisionError), exit 1
     ("sweep --m 0 --p 1 --xi 0 --radius 1e308 --intervals 16", "outside the float range"),
     ("sweep --m 0 --p 1 --xi 0 --radius 1e-300 --intervals 16", "outside the float range"),
-    # the wall too close at value 0 (exit 3 from LAPACK's bisection)
+    # the wall too close at value 0 (exit 3 from a failed solve)
     ("sweep --m 0 --p 1 --xi 0 --radius 1e-150 --intervals 16",
      "Agmon lengths past the well of lambda=0, fewer than 14; a radius of 5.2915 is admitted"),
 ])
@@ -249,7 +249,7 @@ def test_bad_grid_input_exits_2_before_solving(command_line, message, monkeypatc
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve before the input was checked")
 
-    monkeypatch.setattr("magband.solver.eigh_tridiagonal", no_solve)
+    monkeypatch.setattr("magband.solver._ldl", no_solve)
     monkeypatch.setattr("magband.solver._follow", no_solve)
     monkeypatch.setattr("magband.bands._follow", no_solve)
     assert run_cli(*command_line.split()) == 2
@@ -263,7 +263,7 @@ def test_convergence_refuses_an_empty_m_range(tmp_path, monkeypatch, capsys):
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve before the input was checked")
 
-    monkeypatch.setattr("magband.solver.eigh_tridiagonal", no_solve)
+    monkeypatch.setattr("magband.solver._ldl", no_solve)
     monkeypatch.setattr("magband.bands._follow", no_solve)
     config = tmp_path / "empty.cfg"
     config.write_text("m=\n", encoding="utf-8")
@@ -286,7 +286,7 @@ def test_inadmissible_grid_exits_2_naming_the_radius(command_line, message, monk
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve before the grid was admitted")
 
-    monkeypatch.setattr("magband.solver.eigh_tridiagonal", no_solve)
+    monkeypatch.setattr("magband.solver._ldl", no_solve)
     monkeypatch.setattr("magband.solver._continue_fiber", no_solve)
     assert run_cli(*command_line.split()) == 2
     err = capsys.readouterr().err
@@ -307,7 +307,7 @@ def test_asym_bad_input_refused_before_solving(command_line, code, message,
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve before the input was checked")
 
-    monkeypatch.setattr("magband.solver.eigh_tridiagonal", no_solve)
+    monkeypatch.setattr("magband.solver._ldl", no_solve)
     assert run_cli(*command_line.split()) == code
     assert message in capsys.readouterr().err
 
@@ -316,7 +316,7 @@ def test_asym_defaults_start_two_fibers(monkeypatch, capsys):
     # one sweep on the grid and one on its refinement, each starting one fresh
     # fiber, from its harmonic well, and bisecting nothing
     calls, fresh = [], []
-    original = magband.solver.eigh_tridiagonal
+    original = magband.solver._bisection
 
     def counted(*args, **kwargs):
         calls.append(1)
@@ -326,7 +326,7 @@ def test_asym_defaults_start_two_fibers(monkeypatch, capsys):
         fresh.append(previous is None)
         return _follow(operator, xi, count, previous, **kwargs)
 
-    monkeypatch.setattr(magband.solver, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(magband.solver, "_bisection", counted)
     monkeypatch.setattr(magband.bands, "_follow", follow)
     assert run_cli("asym") == 0
     capsys.readouterr()
@@ -351,7 +351,7 @@ def test_nan_number_option_exits_2_naming_it(command, name, convert, default,
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve before the input was checked")
 
-    monkeypatch.setattr("magband.solver.eigh_tridiagonal", no_solve)
+    monkeypatch.setattr("magband.solver._ldl", no_solve)
     value = "nan" if convert is _float else "nan:" + default.split(":", 1)[1]
     assert run_cli(command, f"--{name.replace('_', '-')}={value}") == 2
     err = capsys.readouterr().err
@@ -453,7 +453,7 @@ def test_convergence_band_index_below_1_exits_2(bands, monkeypatch, capsys):
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve before the input was checked")
 
-    monkeypatch.setattr("magband.solver.eigh_tridiagonal", no_solve)
+    monkeypatch.setattr("magband.solver._ldl", no_solve)
     message = f"band index p must be an integer >= 1, got {bands.split(',')[0]}"
     for command in ("convergence", "sweep"):
         assert run_cli(command, "--m", "0", f"--p={bands}") == 2

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, lapack
+from scipy.linalg import lapack
 from scipy.optimize import brentq
 
 import magband.bands
@@ -31,7 +31,7 @@ from magband.solver import (
     REACH,
     EigenPair,
     _admit,
-    _bisect_fiber,
+    _bisection,
     _continue_fiber,
     _follow,
     _harmonic,
@@ -336,16 +336,23 @@ def test_fourth_order_error_decay():
 
 
 def _record_bisections(monkeypatch) -> list:
-    """Record the row count of every tridiagonal bisection from now on."""
+    """Record the row count of every bisection start (`solver._bisection`)
+    from now on."""
     sizes = []
-    original = magband.solver.eigh_tridiagonal
+    original = magband.solver._bisection
 
-    def recorded(diagonal, *args, **kwargs):
-        sizes.append(diagonal.size)
-        return original(diagonal, *args, **kwargs)
+    def recorded(operator, count, v, *args):
+        sizes.append(v.size)
+        return original(operator, count, v, *args)
 
-    monkeypatch.setattr(magband.solver, "eigh_tridiagonal", recorded)
+    monkeypatch.setattr(magband.solver, "_bisection", recorded)
     return sizes
+
+
+def _reference(params: ModelParams, grid: Grid, count: int) -> list:
+    """Pairs 1..count of the fiber on `grid` by the oracle's own tridiagonal
+    eigensolve (`oracles.tridiagonal_fiber_pairs`)."""
+    return oracles.tridiagonal_fiber_pairs(params.k, params.xi, grid.radius, grid.intervals, count)
 
 
 NESTED_CASES = [
@@ -359,15 +366,16 @@ NESTED_CASES = [
 
 
 def _assert_bisection_pairs(params: ModelParams, grid: Grid, pairs, dense: bool) -> None:
-    """`pairs` are the bisection's: every value within a few ulps of ||T||_1
-    of the bisection values (and of the dense oracle's, when `dense`), every
-    vector within 1e-6 of the bisection vector, positive near the axis."""
+    """`pairs` are the oracle's bisection pairs (`_reference`): every value
+    within a few ulps of ||T||_1 of its values (and of the dense oracle's,
+    when `dense`), every vector within 1e-6 of its vector, positive near the
+    axis."""
     count = len(pairs)
     h, r = grid.h, grid.nodes
     norm = float(np.max(np.abs(2.0 / h**2 + params.k / r**2 + (r - params.xi) ** 2))) + 2.0 / h**2
     tol = 16.0 * np.finfo(float).eps * norm
     values = np.array([pair.value for pair in pairs])
-    bisected = _bisect_fiber(params, grid, count)
+    bisected = _reference(params, grid, count)
     assert np.all(np.abs(values - [pair.value for pair in bisected]) <= tol)
     if dense:
         ref = oracles.dense_fiber_eigenvalues(
@@ -446,7 +454,7 @@ def test_closed_form_start_carries_the_witness_sweep(monkeypatch, m):
     assert sizes == [] and all(certified for _, certified in log)
     for x, value in zip(xi, curve.values):
         params = ModelParams(5, m, float(x))
-        (want,) = _bisect_fiber(params, grid, 1)
+        (want,) = _reference(params, grid, 1)
         h, r = grid.h, grid.nodes
         norm = float(np.max(np.abs(2.0 / h**2 + params.k / r**2 + (r - x) ** 2))) + 2.0 / h**2
         assert abs(value - want.value) <= 16.0 * np.finfo(float).eps * norm
@@ -513,14 +521,14 @@ def _fiber_from(source: str, monkeypatch):
     """A fiber step's record taken from the start `source`, with a check of
     the solves the step ran to get it."""
     sizes, log = _record_bisections(monkeypatch), _record_continuations(monkeypatch)
-    if source == "bisection":  # below 512 intervals, with no start
+    if source == "bisection":  # below 512 intervals, with no other start
         fiber = _follow(_Operator(ModelParams(5, 1, 0.0), Grid(12.0, 480)), 0.0, 3, None)
-        assert sizes == [479] and log == []
+        assert sizes == [479] and log == [(480, True)]
         return fiber
-    if source == "nested":
+    if source == "nested":  # its coarse grid's bisection start, then the grid's
         monkeypatch.setattr(magband.solver, "_harmonic", lambda *args: None)
         fiber = _follow(_Operator(ModelParams(5, 0, 2.0), Grid(14.0, 1120)), 2.0, 2, None)
-        assert sizes == [139] and log == [(1120, True)] and fiber.before is None
+        assert sizes == [139] and log == [(140, True), (1120, True)] and fiber.before is None
         return fiber
     grid, steps = Grid(20.0, 1200), ("closed form", "first order", "second order").index(source)
     operator = _Operator(ModelParams(5, 10, 8.0), grid)
@@ -564,34 +572,49 @@ def test_a_fiber_record_holds_the_public_moments_of_its_pairs(monkeypatch, sourc
 )
 def test_the_moments_read_the_one_grid_potential(monkeypatch, n, m, xi, grid):
     # given no v, the record's moments slice its own `potential`: for a
-    # continued vector (zero outside its window) and a bisected one, on each
-    # boundary-form branch, the bits of the moments given the public potential
+    # continued vector (zero outside its window) and a vector nonzero on every
+    # row (the oracle's), on each boundary-form branch, the bits of the
+    # moments given the public potential
     log = _record_continuations(monkeypatch)
     params = ModelParams(n, m, xi)
     operator = _Operator(params, grid)
     continued = _follow(operator, xi, 2, None).pairs
-    assert log == [(grid.intervals, True)]
+    assert log[-1] == (grid.intervals, True)
+    assert all(intervals < grid.intervals and certified for intervals, certified in log[:-1])
     assert all((pair.vector == 0.0).any() for pair in continued)
     v = potential(params, grid.nodes)
-    for pair in continued + _bisect_fiber(params, grid, 2):
+    for pair in continued + _reference(params, grid, 2):
         got = np.array(operator.moments(pair.vector, xi))
         assert got.tobytes() == np.array(operator.moments(pair.vector, xi, v)).tobytes()
 
 
-def test_nested_solve_without_continuation_is_the_bisection(monkeypatch):
+def test_a_refused_nested_start_falls_back_to_the_bisection_start(monkeypatch):
+    # every start the grid's step takes on fewer rows than the whole grid is
+    # refused: the nested start comes before the bisection start, which is
+    # continued on the whole grid to the oracle's pairs
     params, grid = ModelParams(5, 2, 1.5), Grid(16.0, 4096)
-    want = _bisect_fiber(params, grid, 3)
-    monkeypatch.setattr(magband.solver, "_continue_fiber", lambda *args: None)
-    got = solve_fiber(params, grid, 3)
-    for a, b in zip(got, want):
-        assert a.value == b.value
-        assert np.array_equal(a.vector, b.vector)
+    continue_, windows = magband.solver._continue_fiber, []
+
+    def whole_grid_only(operator, vectors, shifts, v, window, *args):
+        if operator.grid != grid:
+            return continue_(operator, vectors, shifts, v, window, *args)
+        windows.append((window.start, window.stop))
+        if window != slice(0, v.size):
+            return None
+        return continue_(operator, vectors, shifts, v, window, *args)
+
+    monkeypatch.setattr(magband.solver, "_continue_fiber", whole_grid_only)
+    sizes = _record_bisections(monkeypatch)
+    pairs = solve_fiber(params, grid, 3)
+    assert len(windows) >= 2 and windows[-1] == (0, grid.intervals - 1)
+    assert sizes[-1] == grid.intervals - 1
+    _assert_bisection_pairs(params, grid, pairs, False)
 
 
 @pytest.mark.parametrize("count", [0, 4096, 2.0])
 def test_nested_solve_checks_the_count_before_any_solve(monkeypatch, count):
     calls = []
-    monkeypatch.setattr(magband.solver, "eigh_tridiagonal", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(magband.solver, "_ldl", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(magband.solver, "_continue_fiber", lambda *a: calls.append(a))
     with pytest.raises(ModelError, match=r"at least 1 eigenpairs and at most 4095, got "):
         solve_fiber(ModelParams(5, 2, 1.5), Grid(16.0, 4096), count)
@@ -620,20 +643,88 @@ def test_fiber_eigenvalues_bisect_no_large_matrix(monkeypatch):
 
 
 @pytest.mark.parametrize("solve", [solve_fiber, fiber_eigenvalues])
-def test_failed_bisection_names_its_fiber(monkeypatch, solve):
-    def failing(*args, **kwargs):
-        raise LinAlgError("eigenvalues failed to converge")
-
-    monkeypatch.setattr(magband.solver, "eigh_tridiagonal", failing)
-    for grid in (Grid(12.0, 480), Grid(12.0, 4800)):  # bisected directly, nested
-        with pytest.raises(ConvergenceError, match=r"^fiber \(m=3, xi=1\.5\): tridiagonal"):
+def test_a_refusal_of_every_start_names_its_fiber(monkeypatch, solve):
+    # no start certified, the bisection start's included: the step raises,
+    # naming the fiber, on a grid that takes no nested solve and on one whose
+    # nested solve raises first
+    log = _record_continuations(monkeypatch)
+    monkeypatch.setattr(magband.solver, "_continue_fiber", lambda *args: None)
+    for grid in (Grid(12.0, 480), Grid(12.0, 4800)):
+        with pytest.raises(ConvergenceError, match=r"^fiber \(m=3, xi=1\.5\): no start"):
             solve(ModelParams(5, 3, 1.5), grid, 2)
+    assert log == []
 
 
 def test_small_grid_is_bisected_directly(monkeypatch):
-    sizes = _record_bisections(monkeypatch)
+    # below 512 intervals, with its closed-form start turned away, the fiber
+    # is continued from its bisection start on the whole grid
+    sizes, log = _record_bisections(monkeypatch), _record_continuations(monkeypatch)
     solve_fiber(ModelParams(5, 1, 0.0), Grid(12.0, 480), 3)
-    assert sizes == [479]
+    assert sizes == [479] and log == [(480, True)]
+
+
+def _bisection_only(operator, xi, count, previous, v, first=1):
+    """`solver._starts` with the bisection start alone."""
+    start = magband.solver._bisection(operator, count, v, first)
+    return [] if start is None else [start]
+
+
+BISECTION_FIBERS = [
+    # (n, m, xi, grid, count, dense oracle affordable)
+    (5, 1, 0.0, Grid(12.0, 120), 3, True),
+    (5, 1, 0.0, Grid(12.0, 480), 3, True),
+    (3, 0, 1.0, Grid(12.0, 480), 3, True),  # k = -1/4
+    (4, 0, -1.0, Grid(12.0, 480), 3, True),  # k = 0
+    (5, 40, 45.0, Grid(53.0, 400), 4, True),  # a well far from the axis
+    (5, 10, 6.0, Grid(12.0, 480), 6, True),
+    (5, 3, 2.85, Grid(20.0, 4800), 3, False),  # a seeded random vector misses band 1
+]
+
+
+@pytest.mark.parametrize("n,m,xi,grid,count,dense", BISECTION_FIBERS)
+def test_the_bisection_start_gives_the_dense_pairs(monkeypatch, n, m, xi, grid, count, dense):
+    # the bisection start alone, continued on the whole grid.  Each band's
+    # start vector is the unit vector at the row where the band dominates
+    # (T - shift)^-1, so it has a component along its band, where a flat
+    # vector has none along the odd bands of a well far from the axis
+    # (m = 40) and a fixed pseudo-random one next to none at some fibers;
+    # the brackets are narrow enough that the first Rayleigh quotient does
+    # not leave them for a neighbouring band
+    monkeypatch.setattr(magband.solver, "_starts", _bisection_only)
+    sizes, log = _record_bisections(monkeypatch), _record_continuations(monkeypatch)
+    params = ModelParams(n, m, xi)
+    pairs = _follow(_Operator(params, grid), xi, count, None, moments=0).pairs
+    assert sizes == [grid.intervals - 1] and log == [(grid.intervals, True)]
+    _, _, norm = _grid_matrix(params, grid)
+    if dense:
+        want = oracles.dense_fiber_eigenvalues(params.k, xi, grid.radius, grid.intervals, count)
+    else:
+        want = [pair.value for pair in _reference(params, grid, count)]
+    values = np.array([pair.value for pair in pairs])
+    assert np.all(np.abs(values - want) <= 16.0 * np.finfo(float).eps * norm)
+    assert [oracles.sign_pattern(pair.vector) for pair in pairs] == [
+        (j, 1.0) for j in range(count)
+    ]
+
+
+@pytest.mark.parametrize("first", [1, 2, 3])
+def test_the_bisection_start_of_a_band_range_brackets_those_bands_alone(first):
+    # bands first..3: each shift within half the bracket width of T's
+    # eigenvalue, each vector a unit vector at the row where the diagonal of
+    # (T - shift)^-1 peaks, on the whole grid
+    params, grid = ModelParams(5, 10, 6.0), Grid(12.0, 480)
+    operator = _Operator(params, grid)
+    vectors, shifts, window, before = _bisection(operator, 3, operator.potential(6.0), first)
+    dense = oracles.dense_fiber_eigenvalues(params.k, 6.0, grid.radius, grid.intervals, 3)
+    assert len(shifts) == len(vectors) == 4 - first and before is None
+    assert np.all(np.abs(np.array(shifts) - dense[first - 1:]) < 0.5 * 0.01)
+    assert window == slice(0, grid.intervals - 1)
+    diagonal = _grid_matrix(params, grid)[0]
+    size = diagonal.size
+    matrix = np.diag(diagonal) - (np.eye(size, k=1) + np.eye(size, k=-1)) / grid.h**2
+    for vector, shift in zip(vectors, shifts):
+        peak = np.argmax(np.abs(np.diag(np.linalg.inv(matrix - shift * np.eye(size)))))
+        assert np.flatnonzero(vector).tolist() == [peak] and vector[peak] == 1.0
 
 
 def _grid_matrix(params: ModelParams, grid: Grid):
@@ -693,7 +784,7 @@ def test_windowed_continuation_at_m_40(monkeypatch, step, dense):
     diagonal, _, norm = _grid_matrix(params, grid)
     tol = 8.0 * np.finfo(float).eps * norm
     values = np.array([pair.value for pair in pairs])
-    bisected = [pair.value for pair in _bisect_fiber(params, grid, 2)]
+    bisected = [pair.value for pair in _reference(params, grid, 2)]
     assert np.all(np.abs(values - bisected) <= tol)
     if dense:
         ref = oracles.dense_fiber_eigenvalues(params.k, params.xi, grid.radius, grid.intervals, 2)
@@ -709,7 +800,7 @@ def test_continuation_from_a_vector_off_the_well_is_none_or_right():
     params, grid = ModelParams(5, 40, M40_CROSSING), fixed_step_grid(M40_CROSSING, 2.0, 1 / 24)
     r, operator = grid.nodes, _Operator(params, grid)
     v = potential(params, r)
-    (want,) = _bisect_fiber(params, grid, 1)
+    (want,) = _reference(params, grid, 1)
     tol = 8.0 * np.finfo(float).eps * _grid_matrix(params, grid)[2]
     outcomes = set()
     for center in (3.0, 10.0, 20.0, 30.0, 36.0, 46.5):
@@ -731,7 +822,7 @@ def test_continuation_on_a_window_too_narrow_is_none_or_right(cut):
     # leaks at its ends keep the full-grid residual above tolerance unless
     # the vector has decayed there
     params, grid = ModelParams(5, 40, M40_CROSSING), fixed_step_grid(M40_CROSSING, 2.0, 1 / 24)
-    (want,) = _bisect_fiber(params, grid, 1)
+    (want,) = _reference(params, grid, 1)
     diagonal, v, norm = _grid_matrix(params, grid)
     tol = 8.0 * np.finfo(float).eps * norm
     rows = np.flatnonzero(np.abs(want.vector) > cut * np.max(np.abs(want.vector)))
@@ -791,7 +882,7 @@ def test_continuation_refuses_a_start_with_a_significant_node(monkeypatch):
     for params, grid in CERTIFIED_FIBERS:
         operator, v = _Operator(params, grid), potential(params, grid.nodes)
         tol = 8.0 * np.finfo(float).eps * operator.one_norm(v)
-        pairs = _bisect_fiber(params, grid, 3)
+        pairs = _reference(params, grid, 3)
         dense = _dense_spectrum(params, grid)
         for bands, refusal in wrong:
             offered = [pairs[j - 1] for j in bands]
@@ -819,10 +910,11 @@ def test_continuation_refuses_a_start_with_a_significant_node(monkeypatch):
         assert np.count_nonzero(dense < got[1].value + 2.0 * tol) == 2
 
 
-def test_every_continued_and_bisected_pair_obeys_the_oscillation_theorem():
+def test_every_continued_and_bisected_pair_obeys_the_oscillation_theorem(monkeypatch):
     # the certificate counts no sign changes, yet band j of every continued
     # pair has j - 1 of them and every pair is positive near the axis:
-    # check 02's samples, followed as one chain per m, and bisected
+    # check 02's samples, followed as one chain per m, and continued from
+    # their bisection starts alone
     grid = Grid(20.0, 4800)
     xi = -1.0 + 0.05 * np.arange(141)
     for m in (0, 3, 6):
@@ -834,8 +926,11 @@ def test_every_continued_and_bisected_pair_obeys_the_oscillation_theorem():
                 (0, 1.0), (1, 1.0), (2, 1.0)
             ], (m, x)
         assert continued >= xi.size - 10
+    monkeypatch.setattr(magband.solver, "_starts", _bisection_only)
+    for m in (0, 3, 6):
+        operator = _Operator(ModelParams(5, m, xi[0]), grid)
         for x in xi[::7]:
-            pairs = _bisect_fiber(ModelParams(5, m, float(x)), grid, 3)
+            pairs = _follow(operator, float(x), 3, None).pairs
             assert [oracles.sign_pattern(p.vector) for p in pairs] == [
                 (0, 1.0), (1, 1.0), (2, 1.0)
             ], (m, x)
@@ -1069,7 +1164,7 @@ def test_a_rayleigh_step_at_a_zero_pivot_gives_none_or_a_certified_pair():
     values = oracles.dense_fiber_eigenvalues(params.k, 2.0, grid.radius, grid.intervals, 63)
     assert _ldl(block[0] - mu, block[1])[0] == np.count_nonzero(values < mu)
     tol = 8.0 * np.finfo(float).eps * norm
-    starts = [pair.vector for pair in _bisect_fiber(params, grid, 3)] + [np.ones(v.size)]
+    starts = [pair.vector for pair in _reference(params, grid, 3)] + [np.ones(v.size)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for z in starts:
@@ -1092,7 +1187,7 @@ def test_a_band_alone_is_certified_from_both_sides():
     # own refuses them, as the dense spectra of T and of the window block say
     for params, grid in CERTIFIED_FIBERS:
         operator, v = _Operator(params, grid), potential(params, grid.nodes)
-        pairs = _bisect_fiber(params, grid, 3)
+        pairs = _reference(params, grid, 3)
         window = _window(grid, [pair.vector for pair in pairs], 0.0)
         (got,) = _continue_fiber(operator, [pairs[1].vector], [pairs[1].value], v, window, 2)
         assert abs(got.value - pairs[1].value) <= 1e-9

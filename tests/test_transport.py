@@ -42,16 +42,18 @@ def meeting():
 
 @pytest.fixture(scope="module")
 def check12():
-    """current_dichotomy on check 12's input, and the eigensolves it made."""
+    """current_dichotomy on check 12's input, and the fiber solves it made:
+    its continuations (`solver._continue_fiber`), bisection starts' and
+    nested solves' included."""
     calls = []
-    original = magband.solver.eigh_tridiagonal
+    original = magband.solver._continue_fiber
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(magband.solver, "eigh_tridiagonal", counted)
+        patch.setattr(magband.solver, "_continue_fiber", counted)
         result = current_dichotomy(5, WINDOW, 3, [10, 20, 30], 1e-2)
     return result, len(calls)
 
