@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AgmonOverflowError, BracketError, ConvergenceError, ModelError
+# potential: not called here; perfbench/tracing.py binds it
 from .model import ModelParams, _integers, _real, _reals, landau_level, potential, turning_points
 from .solver import (
     EigenPair,
@@ -347,13 +348,13 @@ def agmon_weight(
     r_minus, r_plus = turning_points(params, energy)  # rejects an empty well
     delta = alpha / np.sqrt(params.k)
 
-    r = grid.nodes
-    g = delta * np.sqrt(np.clip(potential(params, r) - energy, 0.0, None))
+    r = grid.nodes  # ascending: the sides r < r_minus and r > r_plus are slices
+    g = delta * np.sqrt(np.clip(_Operator(params, grid).potential(params.xi) - energy, 0.0, None))
     phi = np.zeros_like(r)
 
-    right, left = r > r_plus, r < r_minus
-    phi[right] = _outward(r[right], g[right], r_plus)
-    phi[left] = _outward(r[left][::-1], g[left][::-1], r_minus)[::-1]
+    left, right = int(np.searchsorted(r, r_minus)), int(np.searchsorted(r, r_plus, "right"))
+    phi[right:] = _outward(r[right:], g[right:], r_plus)
+    phi[:left] = _outward(r[:left][::-1], g[:left][::-1], r_minus)[::-1]
 
     return AgmonWeight(
         delta=float(delta),

@@ -25,7 +25,8 @@ decays like e^(-d) at Agmon distance d from its well; the vectors are zero
 outside it.  The iteration stops on the residual of the zero-padded vector
 on the full T, so each value mu_j is a Rayleigh quotient of T within
 tol = 8 eps ||T||_1 of an eigenvalue.  The band indices are certified from
-both sides by the exact Sylvester inertia of two blocks of T
+both sides by the exact Sylvester inertia of two blocks of T on the well's
+rows |r - xi| < sqrt(sigma) + 1, the only rows where V < sigma can hold
 (`_Operator.count_below`), counted by the same LDL^T factorization, whose
 counts bound T's, from above by Haynsworth's inertia additivity and from
 below by Cauchy interlacing (Parlett, The Symmetric Eigenvalue Problem,
@@ -181,7 +182,8 @@ class _Operator:
     -1/h^2 between neighbouring rows and unit mass.  T depends on params
     only through k and on xi only through V (`potential`); params also
     names the fiber in the fiber step's ConvergenceError.  A followed chain
-    builds one record, so its k/r^2 and off-diagonal are built once."""
+    builds one record, so its k/r^2 and off-diagonal are built once.  Its
+    inertia count (`count_below`) factors the rows of the well at xi."""
 
     params: ModelParams
     grid: Grid
@@ -243,38 +245,45 @@ class _Operator:
             residual -= np.multiply(z, mu, out=coupled)
         return mu, _dot(residual, residual) + ((leaks[0] * z[0]) ** 2 + (leaks[1] * z[-1]) ** 2)
 
-    def count_below(self, v: np.ndarray, sigma: float, window: slice, lower=False) -> int | None:
-        """A bound of the number of eigenvalues of T below sigma, from v on
-        grid.nodes: the count of a block of T, exact by Sylvester's law of
-        inertia (`_ldl`), that bounds T's, from above by default and from
-        below with `lower`; exact on the full matrix (a = 0, b = N); None on a
-        LAPACK failure.  `_continue_fiber` certifies bands q..p with the upper
-        bound at mu_p + 2 tol and, for q > 1, the lower bound at mu_q - 2 tol.
+    def count_below(self, v: np.ndarray, sigma: float, xi: float | None, lower=False) -> int | None:
+        """A bound of the number of eigenvalues of T below sigma, from v, the
+        potential on grid.nodes at xi: the count of a block of T, exact by
+        Sylvester's law of inertia (`_ldl`), that bounds T's, from above by
+        default and from below with `lower`; exact on the full matrix, which
+        xi = None counts (`_bisection`); None on a LAPACK failure.
+        `_continue_fiber` certifies bands q..p with the upper bound at
+        mu_p + 2 tol and, for q > 1, the lower bound at mu_q - 2 tol.
 
-        Upper (Haynsworth): each side of `window` = [a, b) is decided alone.
-        A side whose outer rows hold some V < sigma extends to the grid's end,
-        and otherwise it is trimmed, with its leak (`block`) subtracted from
-        its end row.  A trimmed outer block of T - sigma is the Dirichlet
-        difference Laplacian plus V - sigma >= 0, so positive definite, and by
-        Haynsworth's inertia additivity T - sigma has as many negative
-        eigenvalues as their Schur complement: the kept block minus
-        (1/h^4) (block^-1)_corner at each trimmed end, a corner in (0, h^2),
-        as the block dominates the Laplacian, whose corner inverse is
-        h^2 k/(k + 1) on k rows.  So subtracting 1/h^2 only adds negatives.
+        The block is the well's rows, |r - xi| < sqrt(sigma) + 1, clipped to
+        the grid (one row at least) and taken down to the axis when k < 0, so
+        (n, m) = (3, 0) alone: found from xi with no pass over v, they hold
+        every row where V < sigma, as V >= (r - xi)^2 for k >= 0.  At
+        k = -1/4 the trimmed wall side has r > xi + sqrt(sigma) + 1 > 1
+        whenever T has an eigenvalue below sigma (T >= (r - xi)^2 by the
+        discrete Hardy inequality), so there V >= sigma + 2 sqrt(sigma) + 1
+        - 1/(4 r^2) > sigma too.
 
-        Lower (Cauchy): the plain block T[a:b, a:b] is a principal submatrix
-        of T, so by Cauchy interlacing its i-th eigenvalue is at least T's,
-        and it has at most as many eigenvalues below sigma (Parlett, ch. 10).
+        Upper (Haynsworth): each trimmed side has its leak (`block`)
+        subtracted from its end row.  A trimmed outer block of T - sigma is
+        the Dirichlet difference Laplacian plus V - sigma >= 0, so positive
+        definite, and by Haynsworth's inertia additivity T - sigma has as
+        many negative eigenvalues as their Schur complement: the kept block
+        minus (1/h^4) (block^-1)_corner at each trimmed end, a corner in
+        (0, h^2), as the block dominates the Laplacian, whose corner inverse
+        is h^2 k/(k + 1) on k rows.  So subtracting 1/h^2 only adds negatives.
+
+        Lower (Cauchy): the plain block is a principal submatrix of T, so by
+        Cauchy interlacing its i-th eigenvalue is at least T's, and it has at
+        most as many eigenvalues below sigma (Parlett, ch. 10).
         """
-        if lower:
-            diagonal, offdiagonal, _ = self.block(v, window, sigma)
-        else:
-            a, b, size = window.start, window.stop, v.size
-            if a and v[:a].min() < sigma:
-                a = 0
-            if b < size and v[b:].min() < sigma:
-                b = size
-            diagonal, offdiagonal, leaks = self.block(v, slice(a, b), sigma)
+        a, b = 0, v.size
+        if xi is not None:  # row j holds r = (j + 1) h
+            reach, h = math.sqrt(max(sigma, 0.0)) + 1.0, self.grid.h
+            if self.params.k >= 0.0:
+                a = min(max(0, math.floor((xi - reach) / h)), b - 1)
+            b = max(a + 1, min(b, math.ceil((xi + reach) / h) - 1))
+        diagonal, offdiagonal, leaks = self.block(v, slice(a, b), sigma)
+        if not lower:
             diagonal[0] -= leaks[0]
             diagonal[-1] -= leaks[1]
         factored = _ldl(diagonal, offdiagonal)
@@ -407,21 +416,22 @@ def _follow(
     continued (`_continue_fiber`) on its window of rows, the bisection start
     last; when none is certified the step raises ConvergenceError naming
     the fiber.  A continuation is accepted only when the exact Sylvester
-    inertia of two blocks of T certifies its band indices from both sides
-    (`_Operator.count_below`): the Haynsworth upper bound at the top band
-    and, for first > 1, the Cauchy lower bound at the first, so bands below
-    `first` are never solved.  A fiber continued from `previous` (same band
-    range) on the same grid keeps that record as its `before`, so the next
-    step can start from a second-order extrapolation.  The record holds the
-    `moments` leading moments of each pair (`_Operator.moments`) that the
-    caller reads: 3 for a sweep, 2 for a crossing (and for any step a later
-    one continues from), 1 for `fiber_eigenvalues`, 0 for the pairs alone.
-    An invalid `count` is a ModelError before any solve.
+    inertia of two blocks of T on the well's rows at xi certifies its band
+    indices from both sides (`_Operator.count_below`): the Haynsworth upper
+    bound at the top band and, for first > 1, the Cauchy lower bound at the
+    first, so bands below `first` are never solved.  A fiber continued from
+    `previous` (same band range) on the same grid keeps that record as its
+    `before`, so the next step can start from a second-order extrapolation.
+    The record holds the `moments` leading moments of each pair
+    (`_Operator.moments`) that the caller reads: 3 for a sweep, 2 for a
+    crossing (and for any step a later one continues from), 1 for
+    `fiber_eigenvalues`, 0 for the pairs alone.  An invalid `count` is a
+    ModelError before any solve.
     """
     count = _integer(count, "eigenpairs", 1, operator.grid.intervals - 1)
     v = operator.potential(xi)
     for vectors, shifts, window, before in _starts(operator, xi, count, previous, v, first):
-        pairs = _continue_fiber(operator, vectors, shifts, v, window, first)
+        pairs = _continue_fiber(operator, vectors, shifts, v, window, xi, first)
         if pairs is not None:
             break
     else:
@@ -646,7 +656,7 @@ def _bisection(operator: _Operator, count: int, v: np.ndarray, first=1):
     sigmas, counts = [float(v.min())], [0]  # ascending
     while counts[-1] < count:
         sigma = sigmas[0] + 2.0 ** (len(sigmas) - 1)
-        below = operator.count_below(v, sigma, rows)
+        below = operator.count_below(v, sigma, None)
         if below is None:
             return None
         sigmas.append(sigma)
@@ -659,7 +669,7 @@ def _bisection(operator: _Operator, count: int, v: np.ndarray, first=1):
             if counts[i - 1] == j - 1 and counts[i] == j and upper - lower < _BISECTION_WIDTH:
                 break
             sigma = 0.5 * (lower + upper)
-            below = operator.count_below(v, sigma, rows)
+            below = operator.count_below(v, sigma, None)
             if below is None or not lower < sigma < upper:
                 return None
             sigmas.insert(i, sigma)
@@ -729,11 +739,11 @@ def _ldl(diagonal: np.ndarray, offdiagonal: np.ndarray) -> tuple[int, np.ndarray
 
 
 def _continue_fiber(
-    operator: _Operator, vectors: list[np.ndarray], shifts, v: np.ndarray, window: slice, first=1
+    operator: _Operator, vectors: list, shifts, v: np.ndarray, window: slice, xi: float, first=1
 ) -> list[EigenPair] | None:
     """The eigenpairs of bands first..first + len(vectors) - 1 of `operator`,
     continued from start vectors on grid.nodes, one per band, on the rows
-    `window` = [a, b), with v the potential on grid.nodes.
+    `window` = [a, b), with v the potential on grid.nodes at xi.
 
     Each pair runs Rayleigh-quotient iteration from its vector, starting at
     its shift, on the principal submatrix T[a:b, a:b]: one LDL^T
@@ -749,14 +759,16 @@ def _continue_fiber(
     (q = first) in order, and the certificate is complete.  Each mu_j has a
     full-grid residual <= tol, so T has an eigenvalue within tol of it; the
     values ascend with gaps above 2 tol, so those eigenvalues are p - q + 1
-    distinct ones, all in (mu_q - 2 tol, mu_p + 2 tol).  The inertia of two
-    blocks of T, each exact by Sylvester's law (`_Operator.count_below`),
-    brackets T's count: the Haynsworth upper bound at mu_p + 2 tol is p,
-    and for q > 1 the Cauchy lower bound at mu_q - 2 tol is q - 1.  Then T
-    has at most p eigenvalues below mu_p + 2 tol and at least q - 1 below
-    mu_q - 2 tol, so the certified values are exactly its eigenvalues q..p.
-    Otherwise, and on any LAPACK failure, it returns None.  Vectors are
-    normalized and sign-fixed by `_negative`, as in `solve_fiber`.
+    distinct ones, all in (mu_q - 2 tol, mu_p + 2 tol); a pair closer than
+    that to the one below it is refused as soon as it is found.  The
+    inertia of two blocks of T on the well's rows at xi, each exact by
+    Sylvester's law (`_Operator.count_below`), brackets T's count: the
+    Haynsworth upper bound at mu_p + 2 tol is p, and for q > 1 the Cauchy
+    lower bound at mu_q - 2 tol is q - 1.  Then T has at most p eigenvalues
+    below mu_p + 2 tol and at least q - 1 below mu_q - 2 tol, so the
+    certified values are exactly its eigenvalues q..p.  Otherwise, and on
+    any LAPACK failure, it returns None.  Vectors are normalized and
+    sign-fixed by `_negative`, as in `solve_fiber`.
     """
     tol = 8.0 * _EPS * operator.one_norm(v)
     block = operator.block(v, window)
@@ -766,18 +778,17 @@ def _continue_fiber(
         if found is None:
             return None
         mu, z = found
+        if pairs and mu - pairs[-1].value <= 2.0 * tol:
+            return None
         vector = np.zeros(v.size)
         if _negative(z):
             np.negative(z, out=vector[window])
         else:
             vector[window] = z
         pairs.append(EigenPair(mu, vector))
-    values = [pair.value for pair in pairs]
-    if any(upper - lower <= 2.0 * tol for lower, upper in zip(values, values[1:])):
+    if operator.count_below(v, pairs[-1].value + 2.0 * tol, xi) != first + len(pairs) - 1:
         return None
-    if operator.count_below(v, values[-1] + 2.0 * tol, window) != first + len(pairs) - 1:
-        return None
-    if first > 1 and operator.count_below(v, values[0] - 2.0 * tol, window, True) != first - 1:
+    if first > 1 and operator.count_below(v, pairs[0].value - 2.0 * tol, xi, True) != first - 1:
         return None
     return pairs
 

@@ -80,6 +80,44 @@ def dense_window_eigenvalues(k: float, xi: float, radius: float, intervals: int,
     return np.linalg.eigvalsh(mat)
 
 
+def sturm_counts_below(k, xi, radius, intervals, sigma) -> np.ndarray:
+    """The number of eigenvalues below sigma of the standard FD fiber matrix
+    of (k, xi, radius, intervals), elementwise over arrays of the five: the
+    negative pivots of the Sturm recurrence d_j = a_j - sigma - e^2/d_(j-1)
+    over every row, a zero pivot taken as negative (Wilkinson, The
+    Algebraic Eigenvalue Problem, 1965, ch. 5), all matrices at once."""
+    k, xi, radius, intervals, sigma = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (k, xi, radius, intervals, sigma))
+    )
+    h = radius / intervals
+    counts, pivots = np.zeros(k.shape, dtype=int), np.full(k.shape, np.inf)
+    for j in range(1, int(intervals.max())):
+        r = j * h
+        pivots = 2.0 / h**2 + k / r**2 + (r - xi) ** 2 - sigma - h**-4 / pivots
+        pivots = np.where(pivots == 0.0, -np.finfo(float).tiny, pivots)
+        counts += (pivots < 0.0) & (j < intervals)
+    return counts
+
+
+def agmon_weight_reference(k: float, xi: float, energy: float, radius: float, intervals: int,
+                           delta: float, well: tuple[float, float]) -> np.ndarray:
+    """The cumulative-trapezoid Agmon weight on the grid nodes with boolean
+    masks: delta * sqrt((V - energy)_+) summed outward from each turning
+    point of `well`, its partial cell first, and 0 on the well."""
+    r_minus, r_plus = well
+    r = radius / intervals * np.arange(1, intervals)
+    g = delta * np.sqrt(np.clip(k / r**2 + (r - xi) ** 2 - energy, 0.0, None))
+    phi = np.zeros_like(r)
+    outward = ((r > r_plus, r_plus, slice(None)), (r < r_minus, r_minus, slice(None, None, -1)))
+    for side, turning, order in outward:
+        x, y = r[side][order], g[side][order]
+        cells = np.concatenate(
+            [0.5 * np.abs(x[:1] - turning) * y[:1], 0.5 * np.abs(np.diff(x)) * (y[1:] + y[:-1])]
+        )
+        phi[side] = np.cumsum(cells)[order]
+    return phi
+
+
 def sign_pattern(vector: np.ndarray) -> tuple[int, float]:
     """(sign changes, sign of the first entry) over the entries of `vector`
     above 1e-8 of its peak magnitude, in order: the discrete oscillation

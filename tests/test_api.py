@@ -400,6 +400,18 @@ def test_each_lapack_routine_has_one_call_site():
                    for path in PACKAGE.glob("*.py"))
 
 
+def test_the_inertia_count_reads_no_potential_outside_its_block():
+    # `_Operator.count_below` finds the well's rows from xi and sigma alone:
+    # no scan of V (no .min( or .max( call) decides which rows it factors
+    solver = ast.parse((PACKAGE / "solver.py").read_text(encoding="utf-8"))
+    (body,) = [function for name, function in _methods(solver) if name == "_Operator.count_below"]
+    scans = [ast.unparse(node) for node in ast.walk(body)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in {"min", "max"}]
+    assert scans == []
+    assert [ast.unparse(node) for node in ast.walk(ast.parse("v[:a].min() < sigma"))
+            if isinstance(node, ast.Call) and node.func.attr == "min"] == ["v[:a].min()"]
+
+
 def test_one_sign_rule_fixes_every_eigenvector():
     # every eigenvector, each one continued, is sign-fixed by one rule,
     # solver._negative (its first significant entry is negative), and the

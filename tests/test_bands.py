@@ -388,8 +388,9 @@ def _continue(params: ModelParams, grid: Grid, pairs, shifts):
     """`_continue_fiber` from the vectors of `pairs`, 0.05 away in xi on the
     same grid, on the window the fiber step would take."""
     vectors, operator = [pair.vector for pair in pairs], _Operator(params, grid)
+    window = _window(grid, vectors, 0.05)
     return _continue_fiber(
-        operator, vectors, shifts, potential(params, grid.nodes), _window(grid, vectors, 0.05)
+        operator, vectors, shifts, potential(params, grid.nodes), window, params.xi
     )
 
 
@@ -861,6 +862,22 @@ def test_agmon_weight_validation():
         agmon_weight(ModelParams(4, 0, 2.0), 2.0, grid)  # k = 0
     with pytest.raises(ModelError):
         agmon_weight(params, -5.0, grid)  # below min V
+
+
+@pytest.mark.parametrize("params, energy, grid", [
+    (ModelParams(4, 1, 1.0), 2.0, Grid(40.0, 2000)),
+    (ModelParams(5, 10, 8.0), 2.0, Grid(20.0, 4800)),
+    (ModelParams(5, 10, 8.0), 2.0, Grid(8.5, 850)),  # r_plus past the last node
+    (ModelParams(4, 1, 0.0), 30.0, Grid(20.0, 40)),  # r_minus before the first node
+    (ModelParams(4, 1, 0.0), 30.0, Grid(5.0, 16)),  # both
+], ids=["4-1", "5-10", "5-10-short", "4-1-coarse", "4-1-inside"])
+def test_agmon_weight_is_the_mask_based_reference(params, energy, grid):
+    # each side of the well filled as a slice gives the bits of boolean masks
+    weight = agmon_weight(params, energy, grid, alpha=2.0)
+    want = oracles.agmon_weight_reference(
+        params.k, params.xi, energy, grid.radius, grid.intervals, weight.delta, weight.well
+    )
+    assert np.array_equal(weight.values, want)
 
 
 def test_agmon_norm_matches_direct_sum():

@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import lapack
 from scipy.optimize import brentq
 
+import magband.acceptance
 import magband.bands
 import magband.solver
 from magband import (
@@ -808,7 +809,7 @@ def test_continuation_from_a_vector_off_the_well_is_none_or_right():
             start = np.exp(-0.5 * ((r - center) / width) ** 2)
             for shift in (want.value, want.value + 0.5, 10.0):
                 window = _window(grid, [start], 0.0)
-                got = _continue_fiber(operator, [start], [shift], v, window)
+                got = _continue_fiber(operator, [start], [shift], v, window, params.xi)
                 outcomes.add(got is None)
                 if got is not None:
                     assert abs(got[0].value - want.value) <= tol
@@ -827,7 +828,8 @@ def test_continuation_on_a_window_too_narrow_is_none_or_right(cut):
     tol = 8.0 * np.finfo(float).eps * norm
     rows = np.flatnonzero(np.abs(want.vector) > cut * np.max(np.abs(want.vector)))
     window = slice(int(rows[0]), int(rows[-1]) + 1)
-    got = _continue_fiber(_Operator(params, grid), [want.vector], [want.value], v, window)
+    operator = _Operator(params, grid)
+    got = _continue_fiber(operator, [want.vector], [want.value], v, window, params.xi)
     if cut > 1e-10:
         assert got is None
     if got is not None:
@@ -854,8 +856,8 @@ def _record_counts(monkeypatch) -> list[tuple[bool, int | None]]:
     """(lower, count) of each inertia bound (`_Operator.count_below`)."""
     calls, original = [], magband.solver._Operator.count_below
 
-    def recorded(operator, v, sigma, window, lower=False):
-        count = original(operator, v, sigma, window, lower)
+    def recorded(operator, v, sigma, xi, lower=False):
+        count = original(operator, v, sigma, xi, lower)
         calls.append((lower, count))
         return count
 
@@ -874,11 +876,21 @@ def _dense_spectrum(params: ModelParams, grid: Grid, window: slice | None = None
 def test_continuation_refuses_a_start_with_a_significant_node(monkeypatch):
     # starts that converge to the wrong bands are refused: the second
     # eigenpair offered as band 1 alone, and offered as bands 1..2 band 2's
-    # pair twice (by the gap test: one eigenvalue of T lies near both
-    # values), bands (1, 3) and bands (2, 3) (by the upper count: T has three
-    # eigenvalues below the top value + 2 tol); the true pairs are accepted
+    # pair twice and as bands 1..3 band 2's pair twice before band 3's (by
+    # the gap test: one eigenvalue of T lies near both values), bands (1, 3)
+    # and bands (2, 3) (by the upper count: T has three eigenvalues below
+    # the top value + 2 tol); the true pairs are accepted
     calls = _record_counts(monkeypatch)
-    wrong = [((2,), "upper"), ((2, 2), "gap"), ((1, 3), "upper"), ((2, 3), "upper")]
+    iterations, rayleigh = [], magband.solver._rayleigh_iteration
+
+    def iterated(*args):
+        iterations.append(1)
+        return rayleigh(*args)
+
+    monkeypatch.setattr(magband.solver, "_rayleigh_iteration", iterated)
+    wrong = [
+        ((2,), "upper"), ((2, 2), "gap"), ((2, 2, 3), "gap"), ((1, 3), "upper"), ((2, 3), "upper")
+    ]
     for params, grid in CERTIFIED_FIBERS:
         operator, v = _Operator(params, grid), potential(params, grid.nodes)
         tol = 8.0 * np.finfo(float).eps * operator.one_norm(v)
@@ -888,13 +900,16 @@ def test_continuation_refuses_a_start_with_a_significant_node(monkeypatch):
             offered = [pairs[j - 1] for j in bands]
             vectors = [pair.vector for pair in offered]
             window = _window(grid, vectors, 0.0)
-            del calls[:]
-            got = _continue_fiber(operator, vectors, [p.value for p in offered], v, window)
+            del calls[:], iterations[:]
+            shifts = [p.value for p in offered]
+            got = _continue_fiber(operator, vectors, shifts, v, window, params.xi)
             assert got is None, (params, bands)
             top = offered[-1].value
             if refusal == "gap":
-                assert calls == []
-                assert np.count_nonzero(np.abs(dense - top) <= 2.0 * tol) == 1 < len(bands)
+                # refused at the second pair, which collides with the first:
+                # no later pair is iterated and nothing is counted
+                assert calls == [] and len(iterations) == 2
+                assert np.count_nonzero(np.abs(dense - offered[1].value) <= 2.0 * tol) == 1
             else:
                 assert calls == [(False, len(bands) + 1)]
                 assert np.count_nonzero(dense < top + 2.0 * tol) == len(bands) + 1
@@ -902,9 +917,8 @@ def test_continuation_refuses_a_start_with_a_significant_node(monkeypatch):
         # the true pairs of bands 1..2 are certified, with one upper count
         vectors = [p.vector for p in pairs[:2]]
         del calls[:]
-        got = _continue_fiber(
-            operator, vectors, [p.value for p in pairs[:2]], v, _window(grid, vectors, 0.0)
-        )
+        window, shifts = _window(grid, vectors, 0.0), [p.value for p in pairs[:2]]
+        got = _continue_fiber(operator, vectors, shifts, v, window, params.xi)
         assert got is not None and [_sign_changes_oracle(p.vector) for p in got] == [False, None]
         assert calls == [(False, 2)]
         assert np.count_nonzero(dense < got[1].value + 2.0 * tol) == 2
@@ -990,50 +1004,68 @@ def _record_inertia_passes(monkeypatch) -> list[tuple[int, int]]:
     return calls
 
 
-@pytest.mark.parametrize("n,m,xi,left", [(5, 10, 6.0, 1), (5, 40, 41.0, 1), (4, 0, 3.0, 0)],
+def _record_count_rows(monkeypatch) -> list[slice]:
+    """The rows of each block of T (`_Operator.block`) built from now on."""
+    rows, block = [], magband.solver._Operator.block
+
+    def recorded(operator, v, window, shift=0.0):
+        rows.append(window)
+        return block(operator, v, window, shift)
+
+    monkeypatch.setattr(magband.solver._Operator, "block", recorded)
+    return rows
+
+
+def _well_rows(params: ModelParams, grid: Grid, sigma: float) -> slice:
+    """The rows a well count at sigma factors: |r - xi| < sqrt(sigma) + 1,
+    from the axis when k < 0."""
+    rows = np.flatnonzero(np.abs(grid.nodes - params.xi) < np.sqrt(max(sigma, 0.0)) + 1.0)
+    return slice(0 if params.k < 0 else int(rows[0]), int(rows[-1]) + 1)
+
+
+@pytest.mark.parametrize("n,m,xi", [(5, 10, 6.0), (5, 40, 41.0), (4, 0, 3.0)],
                          ids=["5-10-6.0", "5-40-41.0", "4-0-3.0"])
-def test_windowed_sturm_count_matches_the_dense_count(monkeypatch, n, m, xi, left):
+def test_windowed_sturm_count_matches_the_dense_count(monkeypatch, n, m, xi):
     params = ModelParams(n, m, xi)
     grid = fixed_step_grid(xi, 12.0, 1.0 / 16.0)
-    diagonal, v, _ = _grid_matrix(params, grid)
-    operator = _Operator(params, grid)
+    operator, v = _Operator(params, grid), potential(params, grid.nodes)
     values = oracles.dense_fiber_eigenvalues(params.k, xi, grid.radius, grid.intervals, 5)
+    rows = _record_count_rows(monkeypatch)
     for lower, upper in zip(values, values[1:]):
+        # mid-gap on the well's rows alone, trimmed where V >= sigma: the
+        # count is exact
         sigma = 0.5 * (lower + upper)
-        want = _dense_count(params, grid, sigma)
-        # a window past the classically allowed rows: the count is exact
-        rows = np.flatnonzero(v < sigma + 40.0)
-        window = slice(int(rows[0]), int(rows[-1]) + 1)
-        assert np.all(np.delete(v, np.arange(diagonal.size)[window]) >= sigma)
-        assert operator.count_below(v, sigma, window) == want
+        assert operator.count_below(v, sigma, xi) == _dense_count(params, grid, sigma)
+        assert rows[-1] == _well_rows(params, grid, sigma) != slice(0, v.size)
+        assert np.all(np.delete(v, np.arange(v.size)[rows[-1]]) >= sigma)
     calls = _record_inertia_passes(monkeypatch)
     for value in values:
-        # just above an eigenvalue, on the allowed rows alone: the window
-        # matrix without its end corrections has that eigenvalue above sigma,
-        # and with them the count is still an upper bound
+        # just above an eigenvalue the count is still an upper bound
         sigma = value + 1e-6
-        rows = np.flatnonzero(v < sigma)
-        window = slice(int(rows[0]), int(rows[-1]) + 1)
-        assert operator.count_below(v, sigma, window) >= _dense_count(params, grid, sigma)
-    # there some pivot <= 0 falls on the block's last row or the one before,
-    # so that the pass restarts on no row or on one, which LAPACK never sees
-    assert left in {size - info for size, info in calls if info > 0}
+        assert operator.count_below(v, sigma, xi) >= _dense_count(params, grid, sigma)
+    # there a pivot <= 0 falls on the block's last row, so that the pass
+    # restarts on no row
+    assert 0 in {size - info for size, info in calls if info > 0}
     for j, value in enumerate(values):
         # just above an eigenvalue on the whole grid: the count is exact
         sigma = value + 1e-6
-        assert operator.count_below(v, sigma, slice(0, v.size)) == j + 1
+        assert operator.count_below(v, sigma, None) == j + 1
         assert _dense_count(params, grid, sigma) == j + 1
-    # above the whole spectrum every row is removed, the last one without LAPACK
+    # above the whole spectrum every row is removed: the last pass restarts
+    # on one row, which LAPACK never sees
     top = oracles.dense_fiber_eigenvalues(
         params.k, xi, grid.radius, grid.intervals, grid.intervals - 1
     )[-1]
-    assert operator.count_below(v, top + 1.0, slice(0, v.size)) == v.size
+    del calls[:]
+    assert operator.count_below(v, top + 1.0, None) == v.size
+    assert calls[-1] == (2, 1)
 
 
-def test_sturm_count_with_the_potential_below_sigma_outside_counts_the_full_grid():
-    # (3, 0) has V -> -infinity at the axis, so a window that trims the axis
-    # side leaves V < sigma outside; here the window misses the well, and its
-    # own matrix has no eigenvalue below sigma
+def test_sturm_count_with_the_potential_below_sigma_outside_counts_the_full_grid(monkeypatch):
+    # (3, 0) has V -> -infinity at the axis, so a block that trims the axis
+    # side leaves V < sigma outside; here one that misses the well has no
+    # eigenvalue below sigma of its own, and the well count, which keeps
+    # every row down to the axis when k < 0, counts T's two
     params, grid = ModelParams(3, 0, 2.0), Grid(12.0, 240)
     diagonal, v, _ = _grid_matrix(params, grid)
     operator = _Operator(params, grid)
@@ -1045,24 +1077,26 @@ def test_sturm_count_with_the_potential_below_sigma_outside_counts_the_full_grid
         np.diag(diagonal[window]) + np.diag(coupling, 1) + np.diag(coupling, -1)
     )
     assert np.count_nonzero(inner < sigma) == 0 and np.min(v[: window.start]) < sigma
-    assert operator.count_below(v, sigma, window) == 2 == _dense_count(params, grid, sigma)
+    rows = _record_count_rows(monkeypatch)
+    assert operator.count_below(v, sigma, 2.0) == 2 == _dense_count(params, grid, sigma)
+    assert rows == [_well_rows(params, grid, sigma)] and rows[0].start == 0
 
 
 def test_sturm_count_extends_only_the_side_with_the_potential_below_sigma(monkeypatch):
-    # (3, 0) has V -> -infinity at the axis: the axis side of the window
-    # extends to r = 0, while the wall side, where V >= sigma, stays trimmed
+    # (3, 0) has V -> -infinity at the axis: the axis side of the well count
+    # reaches r = 0, while the wall side, where V >= sigma, stays trimmed
     params, grid = ModelParams(3, 0, 2.0), Grid(12.0, 240)
     _, v, _ = _grid_matrix(params, grid)
     operator = _Operator(params, grid)
     values = oracles.dense_fiber_eigenvalues(params.k, 2.0, grid.radius, grid.intervals, 3)
     sigma = 0.5 * (values[1] + values[2])
-    window = slice(int(np.searchsorted(grid.nodes, 1.0)), int(np.searchsorted(grid.nodes, 8.0)))
-    assert np.min(v[: window.start]) < sigma <= np.min(v[window.stop :])
+    well = _well_rows(params, grid, sigma)
+    assert well.start == 0 and v[0] < sigma <= np.min(v[well.stop :])
     calls = _record_inertia_passes(monkeypatch)
-    assert operator.count_below(v, sigma, window) == 2 == _dense_count(params, grid, sigma)
-    # the pass starts on rows [0, window.stop) and restarts past each of the
+    assert operator.count_below(v, sigma, 2.0) == 2 == _dense_count(params, grid, sigma)
+    # the pass starts on rows [0, well.stop) and restarts past each of the
     # two rows it removes
-    assert calls[0][0] == window.stop and len(calls) <= 3
+    assert calls[0][0] == well.stop and len(calls) <= 3
     assert all(size == rows - info for (rows, info), (size, _) in zip(calls, calls[1:]))
 
 
@@ -1070,9 +1104,9 @@ def test_sturm_count_extends_only_the_side_with_the_potential_below_sigma(monkey
                          ids=["5-10-6.0", "5-40-41.0", "4-0-3.0", "3-0-2.0"])
 def test_exact_inertia_matches_the_dense_count(n, m, xi):
     # mid-gap and 1e-9 on each side of each of the five lowest eigenvalues:
-    # on the full grid both bounds are the dense count; on a window the plain
-    # block's count is its own dense count, at most T's, and the corrected
-    # (or extended) block's count is at least T's
+    # on the full grid both bounds are the dense count; on the well's rows
+    # the plain block's count is its own dense count, at most T's, and the
+    # corrected block's count is at least T's
     params = ModelParams(n, m, xi)
     grid = fixed_step_grid(xi, 12.0, 1.0 / 16.0)
     operator, v = _Operator(params, grid), potential(params, grid.nodes)
@@ -1085,16 +1119,80 @@ def test_exact_inertia_matches_the_dense_count(n, m, xi):
     for sigma in sigmas:
         want = int(np.count_nonzero(full < sigma))
         for lower in (False, True):
-            assert operator.count_below(v, sigma, slice(0, v.size), lower) == want
-        for reach in (0.0, 40.0):
-            rows = np.flatnonzero(v < sigma + reach)
-            window = slice(max(0, int(rows[0]) - 2), min(v.size, int(rows[-1]) + 3))
-            plain = oracles.dense_window_eigenvalues(
-                params.k, xi, grid.radius, grid.intervals, window.start, window.stop
-            )
-            count = operator.count_below(v, sigma, window, True)
-            assert count == np.count_nonzero(plain < sigma) <= want
-            assert operator.count_below(v, sigma, window) >= want
+            assert operator.count_below(v, sigma, None, lower) == want
+        well = _well_rows(params, grid, sigma)
+        plain = oracles.dense_window_eigenvalues(
+            params.k, xi, grid.radius, grid.intervals, well.start, well.stop
+        )
+        count = operator.count_below(v, sigma, xi, True)
+        assert count == np.count_nonzero(plain < sigma) <= want
+        assert operator.count_below(v, sigma, xi) >= want
+
+
+# fibers whose well counts are checked against the dense count, bands 1..6
+WELL_FIBERS = [
+    ModelParams(3, 0, -1.0),
+    ModelParams(3, 0, 0.0),
+    ModelParams(3, 0, 2.0),
+    ModelParams(3, 0, 6.0),  # the well's rows leave the axis, but k < 0 keeps it
+    ModelParams(4, 0, 1.0),
+    ModelParams(5, 1, 2.0),
+    ModelParams(5, 40, M40_CROSSING),
+]
+
+
+@pytest.mark.parametrize("params", WELL_FIBERS, ids=lambda p: f"{p.n}-{p.m}-{p.xi:g}")
+def test_the_well_count_matches_the_dense_count(monkeypatch, params):
+    # mid-gap between bands j and j + 1 both well counts are the dense count
+    # j, and 1e-9 (relative) on each side of band j they bound it; every row
+    # the upper count trims has V >= sigma, and at k = -1/4 the axis side is
+    # kept
+    grid = fixed_step_grid(params.xi, 36.0, 1.0 / 16.0)
+    operator, v = _Operator(params, grid), potential(params, grid.nodes)
+    full = oracles.dense_fiber_eigenvalues(
+        params.k, params.xi, grid.radius, grid.intervals, grid.intervals - 1
+    )
+    rows = _record_count_rows(monkeypatch)
+    for j in range(1, 7):
+        sigma = 0.5 * (full[j - 1] + full[j])
+        assert operator.count_below(v, sigma, params.xi) == j
+        assert operator.count_below(v, sigma, params.xi, True) == j
+        for side in (-1e-9, 1e-9):
+            sigma = full[j - 1] * (1.0 + side)
+            want = int(np.count_nonzero(full < sigma))
+            assert operator.count_below(v, sigma, params.xi, True) <= want
+            assert operator.count_below(v, sigma, params.xi) >= want
+            trimmed = np.delete(v, np.arange(v.size)[rows[-1]])
+            assert np.all(trimmed >= sigma)
+            assert rows[-1].start == 0 or params.k >= 0.0
+    assert rows[0] != slice(0, v.size)
+
+
+def test_every_well_count_of_checks_02_and_09_is_the_oracle_count(monkeypatch):
+    # a census: every count on the well's rows that check 02's sweep and
+    # check 09's crossings make is the Sturm count of the whole grid matrix
+    # (the oracle's, itself the dense count on small grids), so no verdict
+    # of the certificate depends on the trimmed rows
+    census, count_below = [], magband.solver._Operator.count_below
+
+    def recorded(operator, v, sigma, xi, lower=False):
+        count = count_below(operator, v, sigma, xi, lower)
+        if xi is not None:
+            grid = operator.grid
+            census.append((operator.params.k, xi, grid.radius, grid.intervals, sigma, count))
+        return count
+
+    monkeypatch.setattr(magband.solver._Operator, "count_below", recorded)
+    assert magband.acceptance.check_band_structure().passed
+    assert magband.acceptance.check_agmon_uniformity().passed
+    *fibers, counts = map(np.array, zip(*census))
+    assert counts.size >= 1000 and np.max(fibers[3]) > 10000
+    assert np.array_equal(oracles.sturm_counts_below(*fibers), counts)
+    small = fibers[3] < 100  # the nested solves' coarsest grids
+    assert np.any(small)
+    for k, xi, radius, intervals, sigma in zip(*(column[small] for column in fibers)):
+        dense = oracles.dense_fiber_eigenvalues(k, xi, radius, int(intervals), int(intervals) - 1)
+        assert oracles.sturm_counts_below(k, xi, radius, intervals, sigma) == np.sum(dense < sigma)
 
 
 def test_exact_inertia_continues_past_a_zero_pivot(monkeypatch):
@@ -1116,7 +1214,7 @@ def test_exact_inertia_continues_past_a_zero_pivot(monkeypatch):
     values = oracles.dense_fiber_eigenvalues(params.k, 2.0, grid.radius, grid.intervals, 63)
     assert np.min(np.abs(values - sigma)) > 1e-6
     del calls[:]
-    assert operator.count_below(v, sigma, full) == np.count_nonzero(values < sigma)
+    assert operator.count_below(v, sigma, None) == np.count_nonzero(values < sigma)
     assert calls[0] == (v.size, 1)
 
 
@@ -1184,28 +1282,31 @@ def test_a_rayleigh_step_at_a_zero_pivot_gives_none_or_a_certified_pair():
 def test_a_band_alone_is_certified_from_both_sides():
     # band 2 alone: its own pair is accepted, the pairs of bands 1 and 3
     # offered as band 2 are refused, and each of the two inertia bounds on its
-    # own refuses them, as the dense spectra of T and of the window block say
+    # own refuses them, as the dense spectra of T and of the well's block say
     for params, grid in CERTIFIED_FIBERS:
-        operator, v = _Operator(params, grid), potential(params, grid.nodes)
+        operator, v, xi = _Operator(params, grid), potential(params, grid.nodes), params.xi
         pairs = _reference(params, grid, 3)
         window = _window(grid, [pair.vector for pair in pairs], 0.0)
-        (got,) = _continue_fiber(operator, [pairs[1].vector], [pairs[1].value], v, window, 2)
+        (got,) = _continue_fiber(operator, [pairs[1].vector], [pairs[1].value], v, window, xi, 2)
         assert abs(got.value - pairs[1].value) <= 1e-9
         assert np.max(np.abs(got.vector - pairs[1].vector)) <= 1e-7
         for j in (0, 2):
-            offered = _continue_fiber(operator, [pairs[j].vector], [pairs[j].value], v, window, 2)
+            offered = _continue_fiber(
+                operator, [pairs[j].vector], [pairs[j].value], v, window, xi, 2
+            )
             assert offered is None
         tol = 8.0 * np.finfo(float).eps * operator.one_norm(v)
-        dense, plain = _dense_spectrum(params, grid), _dense_spectrum(params, grid, window)
+        dense = _dense_spectrum(params, grid)
         lowers = [pairs[j].value - 2.0 * tol for j in (0, 1)]
         uppers = [pairs[j].value + 2.0 * tol for j in (1, 2)]
         # band 1's value as band 2: fewer than one eigenvalue below it; band
         # 2's own value: one
         for sigma, want in zip(lowers, (0, 1)):
-            assert operator.count_below(v, sigma, window, True) == want
+            plain = _dense_spectrum(params, grid, _well_rows(params, grid, sigma))
+            assert operator.count_below(v, sigma, xi, True) == want
             assert np.count_nonzero(plain < sigma) == want == np.count_nonzero(dense < sigma)
         # band 2's own value: two eigenvalues below it + 2 tol; band 3's
         # value as band 2: more than two
         for sigma, want in zip(uppers, (2, 3)):
-            assert operator.count_below(v, sigma, window) == want
+            assert operator.count_below(v, sigma, xi) == want
             assert np.count_nonzero(dense < sigma) == want
