@@ -395,13 +395,19 @@ def check_agmon_uniformity() -> CheckResult:
 
 
 def check_exponential_regime() -> CheckResult:
-    """10. k=0 gap closes like xi e^{-xi^2}: profile flat within 2x."""
+    """10. k=0 gap closes like xi e^{-xi^2}: profile flat within 2x.  The
+    detail names the profile's range and the limit 2/sqrt(pi) of the p = 1
+    gap law (lambda - 1 ~ (2/sqrt(pi)) xi e^{-xi^2}), which the profile
+    approaches like 1 - O(xi^-2)."""
     report = band_asymptotics(4, 0, 1, 0, (2.5, 3.5), 11, Grid(12.0, 4800)).report
     return _fold(
         "exponential gap regime",
         gap_profile_criteria(report),
         report.ratio if np.isfinite(report.ratio) else float("inf"),
-        f"gap range [{np.min(report.gap):.3e}, {np.max(report.gap):.3e}]",
+        f"gap range [{np.min(report.gap):.3e}, {np.max(report.gap):.3e}]; profile "
+        f"e^(xi^2)(lambda - 1)/xi in [{np.min(report.profile):.4f}, "
+        f"{np.max(report.profile):.4f}], approaching the gap law's limit "
+        f"2/sqrt(pi) = {2.0 / np.sqrt(np.pi):.4f} like 1 - O(xi^-2)",
     )
 
 

@@ -132,7 +132,7 @@ def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
         table = np.empty((3, len(ps), xi.size))  # values, FH and boundary slopes
         operator, fiber = _Operator(params, grid), None
         for i, x in enumerate(xi.tolist()):
-            fiber = _follow(operator, x, ps[-1], fiber, moments=3)
+            fiber = _follow(operator, x, ps[-1], fiber)
             _admit(params, grid, fiber.values[-1], x)
             table[:, :, i] = fiber.moments[:, rows]
         values, fh, bd = table
@@ -178,15 +178,11 @@ def crossing(
     sizes to admit `energy` there (an energy so close to E_p that this grid
     would be too large is a ModelError).  The fiber step (`solver._follow`)
     solves band p alone, the range q..p with q = p: the first iterate
-    afresh, each later one continued from the previous iterate, with its
-    index certified from both sides by the exact Sylvester inertia of two
-    blocks of the grid matrix: at most p eigenvalues below lambda + 2 tol (the
-    Haynsworth upper bound) and, for p > 1, at least p - 1 below
-    lambda - 2 tol (the Cauchy lower bound), so no lower band is solved.  The step
-    computes the value and the slope, the two moments read here: lambda is
-    the Rayleigh quotient of pair p's eigenvector, and the Feynman-Hellmann
-    moment is its exact xi-derivative, so Newton runs on the discrete branch
-    itself.  Signs of
+    afresh, each later one continued from the previous iterate, its index
+    certified from both sides (`solver._continue_fiber`), so no lower band
+    is solved.  Its record's value lambda is the Rayleigh quotient of pair
+    p's eigenvector, and its Feynman-Hellmann slope is lambda's exact
+    xi-derivative, so Newton runs on the discrete branch itself.  Signs of
     lambda - energy keep a bracket; a Newton step that leaves it is replaced
     by bisection, or by a bounded expansion while one side is still open.  An
     iterate the grid does not admit `energy` at rebuilds the grid with the
@@ -212,7 +208,7 @@ def crossing(
         wider = fixed_step_grid(x, energy, step)
         if grid is None or wider.intervals > grid.intervals:
             grid, lo, hi, operator = wider, -np.inf, np.inf, _Operator(probe, wider)
-        fiber = _follow(operator, x, p, fiber, moments=2, first=p)
+        fiber = _follow(operator, x, p, fiber, first=p)
         f = float(fiber.values[0]) - energy
         slope = float(fiber.slopes[0])
         if abs(f) <= tolerance:

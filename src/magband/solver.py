@@ -22,20 +22,9 @@ window of rows (`_window`), one LDL^T factorization (`_ldl`) and solve per
 step.  The window holds the rows where a start vector exceeds _WINDOW of
 its peak, widened by |dxi| plus one unit of r, since an eigenfunction
 decays like e^(-d) at Agmon distance d from its well; the vectors are zero
-outside it.  The iteration stops on the residual of the zero-padded vector
-on the full T, so each value mu_j is a Rayleigh quotient of T within
-tol = 8 eps ||T||_1 of an eigenvalue.  The band indices are certified from
-both sides by the exact Sylvester inertia of two blocks of T on the well's
-rows |r - xi| < sqrt(sigma) + 1, the only rows where V < sigma can hold
-(`_Operator.count_below`), counted by the same LDL^T factorization, whose
-counts bound T's, from above by Haynsworth's inertia additivity and from
-below by Cauchy interlacing (Parlett, The Symmetric Eigenvalue Problem,
-ch. 3, 4, 7 and 10), and that certificate is complete: gaps above 2 tol
-make the eigenvalues near mu_q..mu_p distinct, and an upper count of p at
-mu_p + 2 tol and, for q > 1, a lower count of q - 1 at mu_q - 2 tol make
-them exactly T's eigenvalues q..p, so bands below q are never solved and
-no sign pattern needs checking.  All of it is deterministic for fixed
-input.
+outside it.  Its certificate, stated in `_continue_fiber`, makes each value
+a Rayleigh quotient within 8 eps ||T||_1 of T's eigenvalue of its band.
+All of it is deterministic for fixed input.
 
 A start changes the number of steps, never the certificate, so a value
 depends on its start only at the rounding level.
@@ -304,11 +293,10 @@ class _Operator:
         scale = max(1.0, logs[-1] / 600.0)
         return scale * _loglog_slope(np.arange(1.0, nodes + 1), np.exp(np.array(logs) / scale))[0]
 
-    def moments(self, u: np.ndarray, xi: float, v=None, window=None, count=3) -> tuple:
-        """The `count` leading moments (`rayleigh_quotient`,
-        `derivative_feynman_hellmann`, `derivative_boundary_form`) of the grid
-        vector u at xi, from one u^2, with v the potential on grid.nodes (by
-        default `potential` at xi).
+    def moments(self, u: np.ndarray, xi: float, v=None, window=None) -> tuple:
+        """The three moments (`rayleigh_quotient`, `derivative_feynman_hellmann`,
+        `derivative_boundary_form`) of the grid vector u at xi, from one u^2,
+        with v the potential on grid.nodes (by default `potential` at xi).
 
         Each is a pairwise sum (numpy's .sum()) over the rows where u is
         nonzero, so every caller gets the same bits: the rows of `window` when
@@ -332,11 +320,7 @@ class _Operator:
         square = z * z
         v = (self.potential(xi) if v is None else v)[lo:hi]
         value = float((jumps * jumps).sum() / h + h * (v * square).sum())
-        if count < 2:
-            return (value,)
         slope = float(-2.0 * h * ((r - xi) * square).sum())
-        if count < 3:
-            return value, slope
         if k == -0.25:
             y = square[:3] / r[:3]
             k_axis = 3.0 * y[0] - 3.0 * y[1] + y[2]
@@ -356,40 +340,40 @@ def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
     (`_follow`), continued from the first start of `_starts` that is
     certified, each value a Rayleigh quotient within 8 eps ||T||_1 of an
     eigenvalue; ConvergenceError when none is.  A grid that does not admit
-    the top pair's quotient (`rayleigh_quotient`, `_admit`) is a ModelError,
-    as in `sweep`; the step computes no other moment.
+    the top pair's quotient (`_admitted`) is a ModelError, as in `sweep`.
     """
-    pairs = _follow(_Operator(params, grid), params.xi, count, None, moments=0).pairs
-    _admit(params, grid, rayleigh_quotient(params, pairs[-1], grid))
-    return pairs
+    return _admitted(params, grid, count).pairs
 
 
 def fiber_eigenvalues(params: ModelParams, grid: Grid, count: int) -> np.ndarray:
     """The `count` smallest eigenvalues, ascending: the Rayleigh quotients
-    (`rayleigh_quotient`) of the fiber step's eigenvectors (`_follow`),
-    continued from a start of `_starts` and admitted by the grid, as in
-    `solve_fiber`."""
-    fiber = _follow(_Operator(params, grid), params.xi, count, None, moments=1)
+    (`rayleigh_quotient`) of the eigenvectors of `solve_fiber`'s step."""
+    return _admitted(params, grid, count).values
+
+
+def _admitted(params: ModelParams, grid: Grid, count: int) -> _Fiber:
+    """The fiber step (`_follow`) of params at params.xi on `grid`, afresh,
+    once `grid` admits its top Rayleigh quotient (`_admit`)."""
+    fiber = _follow(_Operator(params, grid), params.xi, count, None)
     _admit(params, grid, fiber.values[-1])
-    return fiber.values
+    return fiber
 
 
 @dataclass(frozen=True)
 class _Fiber:
     """The record of one fiber step (`_follow`): the eigenpairs of a band
-    range of the fiber `operator` at `xi`, with `moments`, the (moments,
-    pairs) array of the leading moments its caller reads of each pair, one
-    `_Operator.moments` per pair, computed when the step builds the record:
-    Rayleigh quotients (`values`), Feynman-Hellmann slopes (`slopes`) and
-    boundary-form slopes (`moments[2]`); None when the caller reads only the
-    pairs.  `before` is the record this one was continued from on the same
-    grid at another xi, with its own `before` dropped so that no chain of
-    records builds up, and None otherwise."""
+    range of the fiber `operator` at `xi`, with `moments`, the (3, pairs)
+    array of their Rayleigh quotients (`values`), Feynman-Hellmann slopes
+    (`slopes`) and boundary-form slopes (`moments[2]`), one
+    `_Operator.moments` per pair, computed when the step builds the record.
+    `before` is the record this one was continued from on the same grid at
+    another xi, with its own `before` dropped so that no chain of records
+    builds up, and None otherwise."""
 
     operator: _Operator
     xi: float
     pairs: list[EigenPair]
-    moments: np.ndarray | None
+    moments: np.ndarray
     before: _Fiber | None
 
     @property
@@ -402,31 +386,19 @@ class _Fiber:
 
 
 def _follow(
-    operator: _Operator,
-    xi: float,
-    count: int,
-    previous: _Fiber | None,
-    moments: int = 3,
-    first: int = 1,
+    operator: _Operator, xi: float, count: int, previous: _Fiber | None, first: int = 1
 ) -> _Fiber:
     """The fiber step: the eigenpairs of bands first..count of `operator` at
     xi (the `count` lowest when first = 1), ascending.
 
     The one place that solves a fiber.  Each start of `_starts` in turn is
-    continued (`_continue_fiber`) on its window of rows, the bisection start
-    last; when none is certified the step raises ConvergenceError naming
-    the fiber.  A continuation is accepted only when the exact Sylvester
-    inertia of two blocks of T on the well's rows at xi certifies its band
-    indices from both sides (`_Operator.count_below`): the Haynsworth upper
-    bound at the top band and, for first > 1, the Cauchy lower bound at the
-    first, so bands below `first` are never solved.  A fiber continued from
+    continued (`_continue_fiber`, which states the certificate) on its
+    window of rows, the bisection start last; when none is certified the
+    step raises ConvergenceError naming the fiber.  A fiber continued from
     `previous` (same band range) on the same grid keeps that record as its
     `before`, so the next step can start from a second-order extrapolation.
-    The record holds the `moments` leading moments of each pair
-    (`_Operator.moments`) that the caller reads: 3 for a sweep, 2 for a
-    crossing (and for any step a later one continues from), 1 for
-    `fiber_eigenvalues`, 0 for the pairs alone.  An invalid `count` is a
-    ModelError before any solve.
+    The record holds the three moments of each pair (`_Operator.moments`).
+    An invalid `count` is a ModelError before any solve.
     """
     count = _integer(count, "eigenpairs", 1, operator.grid.intervals - 1)
     v = operator.potential(xi)
@@ -439,11 +411,8 @@ def _follow(
             f"fiber (m={operator.params.m}, xi={xi}): no start of bands {first}..{count} "
             f"is certified on {operator.grid}"
         )
-    table = None
-    if moments:
-        columns = [operator.moments(pair.vector, xi, v, window, moments) for pair in pairs]
-        table = np.array(list(zip(*columns)))  # one row per moment
-    return _Fiber(operator, xi, pairs, table, before)
+    columns = [operator.moments(pair.vector, xi, v, window) for pair in pairs]
+    return _Fiber(operator, xi, pairs, np.array(list(zip(*columns))), before)  # a row per moment
 
 
 def _window(grid: Grid, vectors: list[np.ndarray], dxi: float) -> slice:
@@ -507,18 +476,14 @@ def _starts(
         if dxi and previous.operator.grid == grid:
             before = _Fiber(previous.operator, previous.xi, previous.pairs, previous.moments, None)
         vectors = [pair.vector for pair in previous.pairs]
-        slopes = previous.slopes.tolist()
-        shifts = [value + slope * dxi for value, slope in zip(previous.values.tolist(), slopes)]
+        shifts = previous.values + previous.slopes * dxi
         back = previous.before
         if back is not None:
             dxi0 = previous.xi - back.xi
             vectors = [
                 u + (u - pair.vector) * (dxi / dxi0) for u, pair in zip(vectors, back.pairs)
             ]
-            shifts = [  # Python floats, in the order of the array expression they replace
-                shift + 0.5 * (slope - slope0) / dxi0 * dxi**2
-                for shift, slope, slope0 in zip(shifts, slopes, back.slopes.tolist())
-            ]
+            shifts = shifts + 0.5 * (previous.slopes - back.slopes) / dxi0 * dxi**2
         vectors = _onto(grid, previous.operator.grid, vectors)
         window = _window(grid, vectors, abs(dxi))
         start, well = (vectors, shifts, window, before), None
@@ -540,7 +505,7 @@ def _starts(
     if grid.intervals >= _NESTED_FLOOR and intervals - 1 >= count:
         try:
             coarse = _Operator(operator.params, Grid(grid.radius, intervals))
-            nested = _follow(coarse, xi, count, None, moments=0, first=first)
+            nested = _follow(coarse, xi, count, None, first=first)
         except ConvergenceError:
             pass
         else:
@@ -762,7 +727,8 @@ def _continue_fiber(
     distinct ones, all in (mu_q - 2 tol, mu_p + 2 tol); a pair closer than
     that to the one below it is refused as soon as it is found.  The
     inertia of two blocks of T on the well's rows at xi, each exact by
-    Sylvester's law (`_Operator.count_below`), brackets T's count: the
+    Sylvester's law (`_Operator.count_below`; Parlett, The Symmetric
+    Eigenvalue Problem, ch. 3 and 10), brackets T's count: the
     Haynsworth upper bound at mu_p + 2 tol is p, and for q > 1 the Cauchy
     lower bound at mu_q - 2 tol is q - 1.  Then T has at most p eigenvalues
     below mu_p + 2 tol and at least q - 1 below mu_q - 2 tol, so the
@@ -835,7 +801,7 @@ def rayleigh_quotient(params: ModelParams, pair: EigenPair, grid: Grid) -> float
     and scatters by a few ulps of it, and 2/h^2 and k/h^2 make that norm
     large, where the difference form sums terms of the eigenvalue's size.
     """
-    return _Operator(params, grid).moments(pair.vector, params.xi, count=1)[0]
+    return _Operator(params, grid).moments(pair.vector, params.xi)[0]
 
 
 def derivative_feynman_hellmann(params: ModelParams, pair: EigenPair, grid: Grid) -> float:
@@ -846,7 +812,7 @@ def derivative_feynman_hellmann(params: ModelParams, pair: EigenPair, grid: Grid
     against centered differences of the solved eigenvalue to near machine
     precision.
     """
-    return _Operator(params, grid).moments(pair.vector, params.xi, count=2)[1]
+    return _Operator(params, grid).moments(pair.vector, params.xi)[1]
 
 
 def derivative_boundary_form(params: ModelParams, pair: EigenPair, grid: Grid) -> float:

@@ -15,12 +15,44 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
+from scipy.special import pbdv
 
 
 def exact_level(n: int, m: int, p: int) -> float:
     """xi=0 eigenvalue of the fiber operator: odd half-line oscillator level."""
     return 4.0 * (p - 1) + abs(2 * m + n - 3) + 2.0
+
+
+def weber_eigenvalues(xi: float, count: int) -> np.ndarray:
+    """The `count` lowest eigenvalues of the k = 0 fiber, (n, m) = (4, 0), at xi.
+
+    The solution of -u'' + (r - xi)^2 u = lambda u that decays at infinity is
+    Weber's parabolic cylinder function D_nu(sqrt(2) (r - xi)) with
+    lambda = 2 nu + 1 (DLMF 12.2), so lambda_p is the p-th root in lambda of
+    D_((lambda - 1)/2)(-sqrt(2) xi) = 0: scanned upward from E_1 = 1 in steps
+    of 0.01 (the levels lie about 2 apart) and refined by Brent's method.
+    Past xi = 5 the gap lambda_1 - 1 ~ (2/sqrt(pi)) xi e^(-xi^2) nears the
+    rounding of 1, so such a xi is refused.
+    """
+    if not xi <= 5.0:
+        raise ValueError(f"xi={xi}: band 1's gap is below what the root can resolve")
+    x = -math.sqrt(2.0) * xi
+
+    def boundary(value: float) -> float:
+        return pbdv(0.5 * (value - 1.0), x)[0]
+
+    roots, lower = [], 1.0
+    below = boundary(lower)
+    while len(roots) < count:
+        upper = lower + 0.01
+        above = boundary(upper)
+        if below == 0.0:
+            roots.append(lower)
+        elif below * above < 0.0:
+            roots.append(brentq(boundary, lower, upper, xtol=1e-15, rtol=4.0 * np.finfo(float).eps))
+        lower, below = upper, above
+    return np.array(roots)
 
 
 def coupling_reference(n: int, m: int) -> Fraction:

@@ -32,6 +32,18 @@ def test_high_frequency_failure_reports_its_variational_floor():
     assert result.detail.endswith("; failed: highest")
 
 
+def test_exponential_regime_explains_its_profile():
+    # the compensated profile e^(xi^2)(lambda - 1)/xi rises toward the p = 1
+    # gap law's limit 2/sqrt(pi), and stays below it over the window
+    result = dict(ALL_CHECKS)["10-exponential-regime"]()
+    assert (result.passed, result.value) == (True, 1.057331112342419)
+    assert result.detail == (
+        "gap range [1.804e-05, 4.918e-03]; profile e^(xi^2)(lambda - 1)/xi in "
+        "[1.0190, 1.0774], approaching the gap law's limit 2/sqrt(pi) = 1.1284 "
+        "like 1 - O(xi^-2)"
+    )
+
+
 def test_agmon_overflow_fails_check_09_with_its_message(monkeypatch):
     def overflow(*args):
         raise AgmonOverflowError("weight overflows")

@@ -342,31 +342,12 @@ def test_the_moments_are_computed_only_where_a_fiber_step_builds_its_record():
         "solver.derivative_feynman_hellmann",
         "solver.rayleigh_quotient",
     ]
-    # each caller asks for the leading moments it reads: the fiber step's
-    # callers through `moments=`, the public functions through `count=`
-    # (the boundary-form slope, the third, only for `sweep`)
-    asked = sorted(
-        (f"{path.stem}.{function.name}", keyword.arg, keyword.value.value)
-        for path in PACKAGE.glob("*.py")
-        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(function, ast.FunctionDef)
-        for node in ast.walk(function)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) in {"_follow", "moments"}
-        for keyword in node.keywords
-        if keyword.arg in {"moments", "count"}
-    )
-    assert asked == [
-        ("bands.crossing", "moments", 2),
-        ("bands.sweep", "moments", 3),
-        ("solver._starts", "moments", 0),
-        ("solver.derivative_feynman_hellmann", "count", 2),
-        ("solver.fiber_eigenvalues", "moments", 1),
-        ("solver.rayleigh_quotient", "count", 1),
-        ("solver.solve_fiber", "moments", 0),
-    ]
-    # derivative_boundary_form and `_follow` take every moment by default
-    assert inspect.signature(magband.solver._Operator.moments).parameters["count"].default == 3
+    # every fiber step builds the same record: no caller chooses which
+    # moments the step or the record's moments compute
+    follow = inspect.signature(magband.solver._follow).parameters
+    moments = inspect.signature(magband.solver._Operator.moments).parameters
+    assert list(follow) == ["operator", "xi", "count", "previous", "first"]
+    assert list(moments) == ["self", "u", "xi", "v", "window"]
 
 
 def test_each_lapack_routine_has_one_call_site():

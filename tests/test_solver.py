@@ -113,12 +113,43 @@ def test_eigenvalues_above_potential_minimum(n, m, xi):
 
 
 def test_eigenvector_normalization_and_sign():
-    grid = Grid(12.0, 800)
-    pairs = solve_fiber(ModelParams(5, 1, 1.0), grid, 3)
+    params, grid = ModelParams(5, 1, 1.0), Grid(12.0, 800)
+    pairs = solve_fiber(params, grid, 3)
     for pair in pairs:
         assert grid.h * np.sum(pair.vector**2) == pytest.approx(1.0, rel=1e-12)
         lead = np.argmax(np.abs(pair.vector) > 1e-8 * np.max(np.abs(pair.vector)))
         assert pair.vector[lead] > 0
+    # both entry points admit the grid on one record's top quotient
+    assert fiber_eigenvalues(params, grid, 3)[-1] == rayleigh_quotient(params, pairs[-1], grid)
+
+
+def test_the_weber_oracle_gives_the_odd_levels_at_xi_zero():
+    assert oracles.weber_eigenvalues(0.0, 3) == pytest.approx([3.0, 7.0, 11.0], abs=1e-12)
+    with pytest.raises(ValueError):
+        oracles.weber_eigenvalues(5.5, 1)
+
+
+@pytest.mark.parametrize("xi", [-2.0, 1.0, 3.0])
+def test_the_k0_fiber_converges_to_weber_at_the_h2_rate(xi):
+    # (n, m) = (4, 0) has k = 0, whose eigenvalues are the roots of Weber's
+    # parabolic cylinder function: the second-order differences miss them by
+    # O(h^2), so halving h divides each error by 4
+    exact = oracles.weber_eigenvalues(xi, 3)
+    radius = 12.0 + max(xi, 0.0)
+    errors = [
+        np.abs(fiber_eigenvalues(ModelParams(4, 0, xi), Grid(radius, intervals), 3) - exact)
+        for intervals in (1200, 2400, 4800)
+    ]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert np.all(np.abs(coarse / fine - 4.0) <= 0.1)
+
+
+@pytest.mark.parametrize("xi", [-2.0, 1.0, 3.0])
+def test_every_refined_k0_value_is_within_its_error_of_weber(xi):
+    exact = oracles.weber_eigenvalues(xi, 3)
+    grid = Grid(12.0 + max(xi, 0.0), 1200)
+    for band, rv in refined_sweep(4, [0], [1, 2, 3], [xi], grid):
+        assert abs(rv.value[0] - exact[band.p - 1]) <= rv.error[0]
 
 
 def test_xi_zero_closed_form_under_refinement():
@@ -694,7 +725,7 @@ def test_the_bisection_start_gives_the_dense_pairs(monkeypatch, n, m, xi, grid, 
     monkeypatch.setattr(magband.solver, "_starts", _bisection_only)
     sizes, log = _record_bisections(monkeypatch), _record_continuations(monkeypatch)
     params = ModelParams(n, m, xi)
-    pairs = _follow(_Operator(params, grid), xi, count, None, moments=0).pairs
+    pairs = _follow(_Operator(params, grid), xi, count, None).pairs
     assert sizes == [grid.intervals - 1] and log == [(grid.intervals, True)]
     _, _, norm = _grid_matrix(params, grid)
     if dense:
@@ -948,23 +979,6 @@ def test_every_continued_and_bisected_pair_obeys_the_oscillation_theorem(monkeyp
             assert [oracles.sign_pattern(p.vector) for p in pairs] == [
                 (0, 1.0), (1, 1.0), (2, 1.0)
             ], (m, x)
-
-
-def test_solve_fiber_computes_only_the_quotient_it_admits_on(monkeypatch):
-    # neither the nested coarse solve nor `solve_fiber` reads the moments of
-    # its pairs: one `_Operator.moments` call, the top pair's `rayleigh_quotient`
-    calls, moments = [], magband.solver._Operator.moments
-
-    def counted(operator, u, *args, **kwargs):
-        calls.append(operator.grid.intervals)
-        return moments(operator, u, *args, **kwargs)
-
-    monkeypatch.setattr(magband.solver._Operator, "moments", counted)
-    params, grid = ModelParams(5, 2, 1.5), Grid(16.0, 4096)
-    pairs = solve_fiber(params, grid, 3)
-    assert calls == [grid.intervals]
-    monkeypatch.undo()
-    assert fiber_eigenvalues(params, grid, 3)[-1] == rayleigh_quotient(params, pairs[-1], grid)
 
 
 @pytest.mark.parametrize("grid", [Grid(12.0, 480), Grid(14.0, 1120)])
