@@ -172,9 +172,28 @@ def potential_minimum(params: ModelParams) -> PotentialProfile:
     The stationarity condition V' = 0 is the quartic r^4 - xi*r^3 - k_m = 0,
     solved by Newton from max(xi, k_m^(1/4)).  From that start the iteration
     is monotone (f is increasing and convex on r > 3*xi/4), so no damping is
-    needed.  Requires k_m > 0, or k_m = 0 with xi > 0 (pure parabola).
+    needed.  Requires k_m > 0, or k_m = 0 with xi > 0 (pure parabola).  The
+    turning points run the same Newton (`_newton`); `_turning_points` says why.
     """
     return PotentialProfile(params, *_potential_minimum(params.k, params.xi))
+
+
+def _newton(f, slope, r: float, scale, what: str) -> float:
+    """The module's one iterative root finder: Newton on f from r, where its
+    iterates are monotone, so no step is damped.  It stops at |f| < 1e-12 or
+    at a step of machine resolution (4 eps |r|), and returns r when
+    |f(r)| <= 1e-12 scale(r); otherwise (NaN too) a ConvergenceError naming `what`."""
+    for _ in range(100):
+        fr = f(r)
+        if abs(fr) < 1e-12:
+            break
+        step = fr / slope(r)
+        if abs(step) <= 4.0 * _EPS * abs(r):
+            break  # at machine resolution; accept if the scaled residual is met
+        r -= step
+    if not abs(f(r)) <= 1e-12 * scale(r):
+        raise ConvergenceError(f"{what}: Newton residual {f(r):.3e} above tolerance")
+    return r
 
 
 def _potential_minimum(k: float, xi: float) -> tuple[float, float]:
@@ -186,83 +205,53 @@ def _potential_minimum(k: float, xi: float) -> tuple[float, float]:
         )
     if k == 0.0:
         return float(xi), 0.0
-
-    def f(r: float) -> float:
-        return r**3 * (r - xi) - k
-
-    r = max(xi, k**0.25)
-    scale = max(1.0, k, r**4)
-    for _ in range(100):
-        fr = f(r)
-        if abs(fr) < 1e-12:
-            break
-        step = fr / (r * r * (4.0 * r - 3.0 * xi))
-        if abs(step) <= 4.0 * _EPS * abs(r):
-            break  # at machine resolution; accept if the scaled residual is met
-        r -= step
-    if abs(f(r)) > 1e-12 * scale:
-        raise ConvergenceError(
-            f"potential_minimum: Newton residual {f(r):.3e} above tolerance "
-            f"for k_m={k}, xi={xi}"
-        )
+    start = max(xi, k**0.25)
+    scale = max(1.0, k, start**4)
+    r = _newton(lambda r: r**3 * (r - xi) - k, lambda r: r * r * (4.0 * r - 3.0 * xi), start,
+                lambda _: scale, f"potential_minimum for k_m={k}, xi={xi}")
     return r, float(_potential_at(k, xi, r))
 
 
 def turning_points(params: ModelParams, energy: float) -> tuple[float, float]:
-    """Solutions r_minus < r_plus of V_m(r) = E bracketing the well.
-
-    Bisection on the two monotone branches on either side of r_min; the well
-    I_m is the interval (r_minus, r_plus).  The bisection evaluates V with
-    `_potential_at`.  A non-finite energy is a ModelError.
+    """Solutions r_minus < r_plus of V_m(r) = E, the ends of the well I_m;
+    `_turning_points` at (k_m, xi) states their Newton.  A non-finite energy,
+    or one not above min V, is a ModelError.
     """
     energy = _real(energy, "energy")
-    profile = potential_minimum(params)
-    if not energy > profile.v_min:
-        raise ModelError(
-            f"empty well: E={energy} is not above min V = {profile.v_min}"
-        )
-    k, xi = params.k, params.xi
+    _, v_min = _potential_minimum(params.k, params.xi)
+    if not energy > v_min:
+        raise ModelError(f"empty well: E={energy} is not above min V = {v_min}")
+    return _turning_points(params.k, params.xi, energy)
+
+
+def _turning_points(k: float, xi: float, energy: float) -> tuple[float, float]:
+    """Roots r_minus < r_plus of V = k/r^2 + (r - xi)^2 = E, k >= 0, E > min V.
+
+    For k > 0, V'' = 6k/r^4 + 2 > 0, so Newton (`_newton`) from a point on
+    either side of the minimum where V > E moves monotonically to that side's
+    root.  From sqrt(k/E), where k/r^2 = E, it rises to r_minus; from
+    xi + sqrt(E), where (r - xi)^2 = E, it falls to r_plus.  V exceeds E at
+    each by the other term, and each lies on its root's side of the minimum,
+    where k/r^2 and (r - xi)^2 are both below E.  A root is accepted at
+    |V - E| <= 1e-12 max(1, E, |r V'(r)|), the size of the terms there, which
+    a root found to rounding meets at any xi and E.  For k = 0,
+    V = (r - xi)^2 gives xi -+ sqrt(E), the inner root only while E < xi^2.
+    """
     if k == 0.0:
-        # V = (r - xi)^2; the inner branch only reaches V(0+) = xi^2.
         if energy >= xi * xi:
-            raise ModelError(
-                f"no inner turning point: E={energy} >= V(0+)={xi * xi} at k_m=0"
-            )
+            raise ModelError(f"no inner turning point: E={energy} >= V(0+)={xi * xi} at k_m=0")
         root = math.sqrt(energy)
         return xi - root, xi + root
 
-    def bisect(lo: float, hi: float, increasing: bool) -> float:
-        tol = 1e-12 * max(1.0, abs(energy))
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            excess = _potential_at(k, xi, mid) - energy
-            if abs(excess) <= tol:
-                return mid
-            if (excess > 0.0) == increasing:
-                hi = mid
-            else:
-                lo = mid
-        mid = 0.5 * (lo + hi)
-        if abs(_potential_at(k, xi, mid) - energy) <= 1e-10 * max(1.0, abs(energy)):
-            return mid
-        raise ConvergenceError(
-            f"turning point bisection stalled at r={mid} for k_m={k}, xi={xi}, E={energy}"
-        )
+    def r_slope(r: float) -> float:  # r V'(r), finite where r^3 underflows
+        return 2.0 * (r * (r - xi) - k / (r * r))
 
-    lo = profile.r_min
-    while _potential_at(k, xi, lo) <= energy:
-        lo *= 0.5
-        if lo < 1e-300:  # unreachable for k > 0: V ~ k/r^2 near 0
-            raise ConvergenceError("failed to bracket the inner turning point")
-    r_minus = bisect(lo, profile.r_min, increasing=False)
+    def root(start: float) -> float:
+        return _newton(lambda r: _potential_at(k, xi, r) - energy, lambda r: r_slope(r) / r, start,
+                       lambda r: max(1.0, energy, abs(r_slope(r))),
+                       f"turning point of k_m={k}, xi={xi}, E={energy}")
 
-    hi = profile.r_min + 1.0
-    while _potential_at(k, xi, hi) <= energy:
-        hi = profile.r_min + 2.0 * (hi - profile.r_min)
-    r_plus = bisect(profile.r_min, hi, increasing=True)
-    return r_minus, r_plus
+    return root(math.sqrt(k / energy)), root(xi + math.sqrt(energy))
 
 
 def harmonic_multiplicity(n: int, m: int) -> int:

@@ -55,6 +55,24 @@ def weber_eigenvalues(xi: float, count: int) -> np.ndarray:
     return np.array(roots)
 
 
+def weber_slopes(xi: float, count: int) -> np.ndarray:
+    """d(lambda_p)/d(xi) of the `count` lowest bands of the k = 0 fiber at xi.
+
+    lambda_p(xi) is a root of F(lambda, xi) = D_((lambda - 1)/2)(-sqrt(2) xi)
+    (`weber_eigenvalues`), so by implicit differentiation the slope is
+    -F_xi / F_lambda, with F_xi = -sqrt(2) dD_nu/dt from `pbdv` and
+    F_lambda = (1/2) dD_nu/dnu by a centred difference of step 1e-5 in nu,
+    where its truncation and its rounding balance near 1e-10.
+    """
+    x, step = -math.sqrt(2.0) * xi, 1e-5
+    slopes = []
+    for value in weber_eigenvalues(xi, count):
+        nu = 0.5 * (value - 1.0)
+        d_nu = (pbdv(nu + step, x)[0] - pbdv(nu - step, x)[0]) / (2.0 * step)
+        slopes.append(math.sqrt(2.0) * pbdv(nu, x)[1] / (0.5 * d_nu))
+    return np.array(slopes)
+
+
 def coupling_reference(n: int, m: int) -> Fraction:
     # second closed form: m(m+n-3) + nu(nu-1) with nu = (n-2)/2
     nu = Fraction(n - 2, 2)
@@ -241,16 +259,31 @@ def dense_alphas(p: int, k: float, order: int, size: int) -> np.ndarray:
 
 
 def turning_points_reference(k: float, xi: float, energy: float) -> tuple[float, float]:
-    """Roots of k/r^2 + (r-xi)^2 = E via the quartic r^4 - 2 xi r^3 + (xi^2-E) r^2 + k."""
+    """Roots of k/r^2 + (r-xi)^2 = E via the quartic r^4 - 2 xi r^3 + (xi^2-E) r^2 + k.
+
+    np.roots finds them to the accuracy of its companion matrix, which is
+    off by 4e-9 in a well 1e-6 above min V at (n, m, xi) = (5, 4096, 100);
+    three Newton steps on the quartic in exact rational arithmetic, each
+    rounded to a float, polish each root to rounding.
+    """
     roots = np.roots([1.0, -2.0 * xi, xi**2 - energy, 0.0, k])
     real = sorted(
         float(z.real) for z in roots if abs(z.imag) < 1e-9 * max(1.0, abs(z)) and z.real > 0
     )
     if len(real) < 2:
         raise AssertionError(f"expected two positive turning points, got {real}")
+    b, c, d = -2 * Fraction(xi), Fraction(xi) ** 2 - Fraction(energy), Fraction(k)
+
+    def polish(root: float) -> float:
+        for _ in range(3):
+            r = Fraction(root)
+            quartic = (((r + b) * r + c) * r) * r + d
+            root = float(r - quartic / (((4 * r + 3 * b) * r + 2 * c) * r))
+        return root
+
     # the classically allowed well is bounded by the middle pair when four
     # real roots occur (k < 0 never happens here for k > 0)
-    return real[-2], real[-1]
+    return polish(real[-2]), polish(real[-1])
 
 
 def hermite_phi(q: int, s: np.ndarray) -> np.ndarray:

@@ -437,6 +437,36 @@ def test_the_log_log_fit_is_stated_once():
     assert fitting == ["classical.effective_velocity", "solver._loglog_slope"]
 
 
+def _loops_and_newton_calls(tree) -> tuple[list[str], list[str]]:
+    """The functions and methods of `tree` holding a for or while statement
+    (a comprehension is none), and those that call `_newton`, a nested
+    function counted in the one that holds it."""
+    looping, calling = [], []
+    for name, function in _methods(tree):
+        nodes = list(ast.walk(function))
+        if any(isinstance(node, (ast.For, ast.While)) for node in nodes):
+            looping.append(name)
+        if any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_newton"
+               for node in nodes):
+            calling.append(name)
+    return looping, calling
+
+
+def test_the_model_has_one_root_finder():
+    # the minimum of V and both turning points are roots of the one monotone
+    # Newton iteration, model._newton; no other loop in the module could
+    # grow a second root finder, such as the bisection it replaced
+    assert _loops_and_newton_calls(ast.parse(
+        "def f(a):\n    return [x for x in a]\n"
+        "def g(a):\n    def h():\n        while a:\n            a = _newton(a)\n    return h\n"
+        "class C:\n    def m(self):\n        for _ in self: pass"
+    )) == (["g", "C.m"], ["g"])
+    model = ast.parse((PACKAGE / "model.py").read_text(encoding="utf-8"))
+    looping, calling = _loops_and_newton_calls(model)
+    assert looping == ["_newton"]
+    assert {"_potential_minimum", "_turning_points"} <= set(calling)
+
+
 def test_the_rk4_step_loop_stores_without_numpy():
     # a numpy row assignment cost about a quarter of each RK4 step; the loop
     # stores each step with one struct write and makes no numpy call

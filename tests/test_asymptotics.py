@@ -206,6 +206,14 @@ def test_exponential_gap_profile_past_the_float_range():
     assert positive.positive and not positive.indeterminate and positive.ratio == np.inf
 
 
+def test_check_10_band_values_are_the_weber_roots():
+    # check 10's fiber has k = 0, whose bands are the roots of Weber's
+    # parabolic cylinder function: its Richardson values match them to 1e-8
+    band = band_asymptotics(4, 0, 1, 0, (2.5, 3.5), 11, Grid(12.0, 4800)).band
+    exact = np.array([oracles.weber_eigenvalues(xi, 1)[0] for xi in band.xi])
+    assert band.values == pytest.approx(exact, rel=1e-8)
+
+
 def test_band_asymptotics_past_the_float_range_stays_indeterminate():
     # the verdict of `magband asym --n 4 --m 0 --order 0 --window 27:28
     # --samples 3 --radius 40 --intervals 2000`: the gap sits in the noise,

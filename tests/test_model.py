@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -161,9 +162,13 @@ def test_potential_minimum_k_zero():
 
 
 @pytest.mark.parametrize("n,m,xi,energy", [(5, 1, 4.0, 6.0), (5, 3, 0.0, 12.0),
-                                           (4, 1, 2.0, 5.0), (3, 1, 5.0, 2.0)])
+                                           (4, 1, 2.0, 5.0), (3, 1, 5.0, 2.0),
+                                           (5, 4096, 0.0, None), (5, 4096, 50.0, None),
+                                           (5, 4096, 100.0, None)])
 def test_turning_points_against_quartic_roots(n, m, xi, energy):
     params = ModelParams(n, m, xi)
+    if energy is None:  # a narrow well, 1e-6 above min V
+        energy = potential_minimum(params).v_min + 1e-6
     r_minus, r_plus = turning_points(params, energy)
     ref_minus, ref_plus = oracles.turning_points_reference(params.k, xi, energy)
     assert r_minus == pytest.approx(ref_minus, abs=1e-9)
@@ -174,44 +179,62 @@ def test_turning_points_against_quartic_roots(n, m, xi, energy):
 
 
 def _turning_points_through_potential(params, energy):
-    """turning_points' brackets and bisection, evaluating V with `potential`."""
+    """turning_points' Newton from its two starts, evaluating V with `potential`."""
+    k, xi = params.k, params.xi
 
-    def bisect(lo, hi, increasing):
-        tol = 1e-12 * max(1.0, abs(energy))
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
+    def newton(r):
+        for _ in range(100):
+            excess = potential(params, r) - energy
+            if abs(excess) < 1e-12:
                 break
-            excess = potential(params, mid) - energy
-            if abs(excess) <= tol:
-                return mid
-            if (excess > 0.0) == increasing:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+            step = excess / (2.0 * (r * (r - xi) - k / (r * r)) / r)
+            if abs(step) <= 4.0 * np.finfo(float).eps * abs(r):
+                break
+            r -= step
+        return r
 
-    r_min = potential_minimum(params).r_min
-    lo, hi = r_min, r_min + 1.0
-    while potential(params, lo) <= energy:
-        lo *= 0.5
-    while potential(params, hi) <= energy:
-        hi = r_min + 2.0 * (hi - r_min)
-    return bisect(lo, r_min, False), bisect(r_min, hi, True)
+    return newton(math.sqrt(k / energy)), newton(xi + math.sqrt(energy))
 
 
 @pytest.mark.parametrize("n,m", [(3, 1), (5, 1), (5, 20), (6, 128)])
 @pytest.mark.parametrize("xi", [-2.0, 3.7, 46.6])
 @pytest.mark.parametrize("gap", [1e-6, 0.4, 25.0])
-def test_turning_points_are_the_bits_of_a_potential_bisection(n, m, xi, gap):
+def test_turning_points_are_the_bits_of_a_potential_newton(n, m, xi, gap):
     # turning_points evaluates V in plain floats; its roots are those of the
-    # same bisection run on `potential`, bit for bit
+    # same Newton run on `potential`, bit for bit
     params = ModelParams(n, m, xi)
     energy = potential_minimum(params).v_min + gap
     roots = turning_points(params, energy)
     assert roots == _turning_points_through_potential(params, energy)
     for root in roots:
         assert abs(potential(params, root) - energy) <= 1e-10 * max(1.0, energy)
+
+
+def _solves_v_equals_e(params, energy, r) -> bool:
+    """|V(r) - E| <= 1e-12 max(1, E, |r V'(r)|) in exact rational arithmetic."""
+    k, xi, r, e = params.coupling, Fraction(params.xi), Fraction(r), Fraction(energy)
+    excess = k / r**2 + (r - xi) ** 2 - e
+    r_slope = -2 * k / r**2 + 2 * r * (r - xi)
+    return abs(excess) <= Fraction(1e-12) * max(1, e, abs(r_slope))
+
+
+@pytest.mark.parametrize("m,xi,energy", [(1, 1.0, 1e120), (1, 1.0, 1e300), (1, 1e8, 1.000000001),
+                                         (4096, 0.0, None), (4096, 50.0, None),
+                                         (4096, 100.0, None)])
+def test_turning_points_of_a_huge_energy_or_momentum_or_a_narrow_well(m, xi, energy):
+    # the bracketed bisection raised ConvergenceError on the first three, whose
+    # roots it could not reach to an absolute 1e-10 max(1, E); in the narrow
+    # wells, 1e-9 above min V, the rounding of V moves a root by up to 4e-9
+    params = ModelParams(5, m, xi)
+    if energy is None:
+        energy = potential_minimum(params).v_min + 1e-9
+    r_minus, r_plus = turning_points(params, energy)
+    assert r_minus < potential_minimum(params).r_min < r_plus
+    assert _solves_v_equals_e(params, energy, r_minus)
+    assert _solves_v_equals_e(params, energy, r_plus)
+    if energy == 1e120:  # and the Agmon weight at that energy is built
+        weight = agmon_weight(params, energy, Grid(20.0, 800))
+        assert weight.well == (r_minus, r_plus) and np.all(weight.values == 0.0)
 
 
 def test_turning_points_empty_well():

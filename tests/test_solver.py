@@ -145,6 +145,23 @@ def test_the_k0_fiber_converges_to_weber_at_the_h2_rate(xi):
 
 
 @pytest.mark.parametrize("xi", [-2.0, 1.0, 3.0])
+def test_the_k0_feynman_hellmann_slope_converges_to_weber_at_the_h2_rate(xi):
+    # the Feynman-Hellmann slope is the exact derivative of the grid
+    # eigenvalue, so it inherits the eigenvalue's O(h^2) error: halving h
+    # divides its distance to the exact slope of the Weber root by 4
+    exact = oracles.weber_slopes(xi, 3)
+    params, radius = ModelParams(4, 0, xi), 12.0 + max(xi, 0.0)
+    errors = []
+    for intervals in (1200, 2400, 4800):
+        grid = Grid(radius, intervals)
+        slopes = [derivative_feynman_hellmann(params, pair, grid)
+                  for pair in solve_fiber(params, grid, 3)]
+        errors.append(np.abs(np.array(slopes) - exact))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert np.all(np.abs(coarse / fine - 4.0) <= 0.1)
+
+
+@pytest.mark.parametrize("xi", [-2.0, 1.0, 3.0])
 def test_every_refined_k0_value_is_within_its_error_of_weber(xi):
     exact = oracles.weber_eigenvalues(xi, 3)
     grid = Grid(12.0 + max(xi, 0.0), 1200)
