@@ -114,8 +114,9 @@ def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
     depends on those samples only at the rounding level.  Samples of
     different m never interact.  A sample whose top band `grid` does not
     admit (`solver._admit`) is a ModelError, and so, before any solve, is a grid
-    that admits no value at the largest xi: every eigenvalue exceeds
-    min V >= 0 when k_m >= 0, and the rule's reach falls as the value grows.
+    that admits no value at the largest xi (every eigenvalue exceeds
+    min V >= 0 when k_m >= 0, and the rule's reach falls as the value grows)
+    or on which the potential at the smallest xi is past the float range.
 
     m_range and p_range count as their distinct entries, each an integer
     (m >= 0, p >= 1); a fractional one is a ModelError before any solve.
@@ -124,8 +125,9 @@ def sweep(n: int, m_range, p_range, xi_samples, grid: Grid) -> list[BandCurve]:
     ms, ps = _integers(m_range, "angular number m", 0), _integers(p_range, "band index p", 1)
     xi = _xi_samples(xi_samples)
     chains = [ModelParams(n, m, float(xi[-1])) for m in ms]
-    for params in chains:  # validates (n, m) and the grid at value 0 once up front
+    for params in chains:  # validates (n, m), and the grid at value 0 at both ends, up front
         _admit(params, grid, 0.0)
+        _admit(params, grid, 0.0, float(xi[0]))
 
     curves, rows = [], np.array(ps) - 1
     for params in chains:

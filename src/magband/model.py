@@ -182,17 +182,22 @@ def _newton(f, slope, r: float, scale, what: str) -> float:
     """The module's one iterative root finder: Newton on f from r, where its
     iterates are monotone, so no step is damped.  It stops at |f| < 1e-12 or
     at a step of machine resolution (4 eps |r|), and returns r when
-    |f(r)| <= 1e-12 scale(r); otherwise (NaN too) a ConvergenceError naming `what`."""
-    for _ in range(100):
-        fr = f(r)
-        if abs(fr) < 1e-12:
-            break
-        step = fr / slope(r)
-        if abs(step) <= 4.0 * _EPS * abs(r):
-            break  # at machine resolution; accept if the scaled residual is met
-        r -= step
-    if not abs(f(r)) <= 1e-12 * scale(r):
-        raise ConvergenceError(f"{what}: Newton residual {f(r):.3e} above tolerance")
+    |f(r)| <= 1e-12 scale(r); otherwise (NaN too), or when a term of f, its
+    slope or scale overflows the float range, a ConvergenceError naming `what`."""
+    try:
+        for _ in range(100):
+            fr = f(r)
+            if abs(fr) < 1e-12:
+                break
+            step = fr / slope(r)
+            if abs(step) <= 4.0 * _EPS * abs(r):
+                break  # at machine resolution; accept if the scaled residual is met
+            r -= step
+        residual, tolerance = f(r), 1e-12 * scale(r)
+    except OverflowError:  # float ** raises where * gives inf
+        raise ConvergenceError(f"{what}: a term overflows the float range") from None
+    if not abs(residual) <= tolerance:
+        raise ConvergenceError(f"{what}: Newton residual {residual:.3e} above tolerance")
     return r
 
 
@@ -206,9 +211,8 @@ def _potential_minimum(k: float, xi: float) -> tuple[float, float]:
     if k == 0.0:
         return float(xi), 0.0
     start = max(xi, k**0.25)
-    scale = max(1.0, k, start**4)
     r = _newton(lambda r: r**3 * (r - xi) - k, lambda r: r * r * (4.0 * r - 3.0 * xi), start,
-                lambda _: scale, f"potential_minimum for k_m={k}, xi={xi}")
+                lambda _: max(1.0, k, start**4), f"potential_minimum for k_m={k}, xi={xi}")
     return r, float(_potential_at(k, xi, r))
 
 
@@ -234,7 +238,10 @@ def _turning_points(k: float, xi: float, energy: float) -> tuple[float, float]:
     each by the other term, and each lies on its root's side of the minimum,
     where k/r^2 and (r - xi)^2 are both below E.  A root is accepted at
     |V - E| <= 1e-12 max(1, E, |r V'(r)|), the size of the terms there, which
-    a root found to rounding meets at any xi and E.  For k = 0,
+    a root found to rounding meets at any xi and E.  Floats carry V - E with
+    an error of eps max(1, E), so a root moves by up to eps max(1, E) /
+    |r V'(r)| of itself; where that bound is above 1e-8 (an inner root where
+    xi^2 rounds to E) the root is not resolved, a ConvergenceError.  For k = 0,
     V = (r - xi)^2 gives xi -+ sqrt(E), the inner root only while E < xi^2.
     """
     if k == 0.0:
@@ -247,9 +254,14 @@ def _turning_points(k: float, xi: float, energy: float) -> tuple[float, float]:
         return 2.0 * (r * (r - xi) - k / (r * r))
 
     def root(start: float) -> float:
-        return _newton(lambda r: _potential_at(k, xi, r) - energy, lambda r: r_slope(r) / r, start,
-                       lambda r: max(1.0, energy, abs(r_slope(r))),
-                       f"turning point of k_m={k}, xi={xi}, E={energy}")
+        what = f"turning point of k_m={k}, xi={xi}, E={energy}"
+        r = _newton(lambda r: _potential_at(k, xi, r) - energy, lambda r: r_slope(r) / r, start,
+                    lambda r: max(1.0, energy, abs(r_slope(r))), what)
+        size = abs(r_slope(r))
+        error = _EPS * max(1.0, energy) / size if size else math.inf
+        if not error <= 1e-8:
+            raise ConvergenceError(f"{what}: floats resolve r={r:.6g} only to {error:.2g} of it")
+        return r
 
     return root(math.sqrt(k / energy)), root(xi + math.sqrt(energy))
 

@@ -101,7 +101,8 @@ def _reach(grid: Grid, xi: float, value: float) -> float:
 
     The integral of sqrt(s^2 - value) from s = sqrt(value) to R - xi, in
     closed form: a lower bound of the Agmon distance from r_plus to R, since
-    V >= (r - xi)^2.  At value 0 it is its limit (R - xi)^2/2.
+    V >= (r - xi)^2.  At value 0 it is its limit (R - xi)^2/2.  It is inf
+    where (R - xi)^2 is past the float range.
     """
     a, x = math.sqrt(value), grid.radius - xi
     if not x > a:  # the wall is inside the well, or value is NaN
@@ -118,7 +119,8 @@ def _admitted_radius(xi: float, energy: float) -> float:
 
 def _admit(params: ModelParams, grid: Grid, value: float, xi: float | None = None) -> None:
     """The one grid rule: raise ModelError unless the wall of `grid` lies at
-    least REACH Agmon lengths (`_reach`) past the well of `value` at xi (params.xi if None).
+    least REACH Agmon lengths (`_reach`) past the well of `value` at xi (params.xi if None),
+    and (r - xi)^2 is a float on the whole grid (at the axis and at the wall).
 
     An eigenfunction decays like e^(-d) at Agmon distance d from its well
     (Agmon, Lectures on Exponential Decay, 1982), so the wall moves `value`
@@ -126,9 +128,18 @@ def _admit(params: ModelParams, grid: Grid, value: float, xi: float | None = Non
     close raises it (Dirichlet domain monotonicity) and so only shortens the
     reach, and up to the O(h^2) of the differences a grid too short cannot
     admit itself.
+
+    The reach falls as `value` grows, so a grid that does not admit value 0
+    admits no eigenvalue, and `_admitted` and `bands.sweep` check value 0
+    before any solve.
     """
     xi = params.xi if xi is None else xi
     reach = _reach(grid, xi, value)
+    if not math.isfinite(max(xi * xi, reach)):
+        raise ModelError(
+            f"fiber (n={params.n}, m={params.m}, xi={xi}): the potential (r - xi)^2 "
+            f"on {grid} is past the float range"
+        )
     if not reach >= REACH:
         raise ModelError(
             f"fiber (n={params.n}, m={params.m}, xi={xi}): the wall of {grid} lies "
@@ -340,7 +351,8 @@ def solve_fiber(params: ModelParams, grid: Grid, count: int) -> list[EigenPair]:
     (`_follow`), continued from the first start of `_starts` that is
     certified, each value a Rayleigh quotient within 8 eps ||T||_1 of an
     eigenvalue; ConvergenceError when none is.  A grid that does not admit
-    the top pair's quotient (`_admitted`) is a ModelError, as in `sweep`.
+    the top pair's quotient, or value 0 before any solve (`_admitted`), is a
+    ModelError, as in `sweep`.
     """
     return _admitted(params, grid, count).pairs
 
@@ -353,7 +365,9 @@ def fiber_eigenvalues(params: ModelParams, grid: Grid, count: int) -> np.ndarray
 
 def _admitted(params: ModelParams, grid: Grid, count: int) -> _Fiber:
     """The fiber step (`_follow`) of params at params.xi on `grid`, afresh,
-    once `grid` admits its top Rayleigh quotient (`_admit`)."""
+    once `grid` admits value 0 (`_admit`), before the solve, and its top
+    Rayleigh quotient."""
+    _admit(params, grid, 0.0)
     fiber = _follow(_Operator(params, grid), params.xi, count, None)
     _admit(params, grid, fiber.values[-1])
     return fiber

@@ -8,7 +8,10 @@ both evaluated by 16-node Gauss-Legendre quadrature of the bump against
 lambda' solved at the nodes (`current` and `edge_bound` take a caller's own
 sweep).
 
-Everything assumes n >= 4, where no band attains its threshold.
+Every entry works in the domain `_domain` states once: n >= 4, where no band
+attains its threshold, and a window between two Landau levels; the
+quadrature pipelines carry band 1 and need a window above E_1
+(`_band_one_domain`).
 """
 
 from __future__ import annotations
@@ -78,20 +81,26 @@ class SpectralWindow:
         return list(range(1, ceil((self.upper + 1.0) / 2.0)))
 
 
-def _as_window(window) -> SpectralWindow:
-    if isinstance(window, SpectralWindow):
-        return window
-    return SpectralWindow(*_interval(window, "window"))
+def _domain(n, window) -> SpectralWindow:
+    """The one statement of the transport domain: a dimension n >= 4, where
+    no band attains its threshold, and a window, given as a SpectralWindow
+    or as the pair of its ends."""
+    if not isinstance(window, SpectralWindow):
+        window = SpectralWindow(*_interval(window, "window"))
+    _integer(n, "dimension n", 4)
+    return window
 
 
-def _lowest_band(win: SpectralWindow) -> int:
-    """min P_I = 1: the bands fall from +inf to E_p, so band 1 meets every
-    window above E_1; a window below E_1 carries no current and is an error."""
+def _band_one_domain(n, window) -> SpectralWindow:
+    """`_domain` for the quadrature pipelines, which carry band 1 = min P_I:
+    the bands fall from +inf to E_p, so band 1 meets every window above E_1;
+    a window below E_1 carries no current and is an error."""
+    win = _domain(n, window)
     if not win.upper > landau_level(1):
         raise ModelError(
             f"no band meets the window ({win.lower}, {win.upper}); there is no current"
         )
-    return 1
+    return win
 
 
 @dataclass(frozen=True)
@@ -121,8 +130,7 @@ def bands_meeting_window(
     On a decreasing band the preimage of (a, b) is the interval between the
     crossing at b (left end) and the crossing at a (right end).
     """
-    _integer(n, "dimension n", 4)
-    win = _as_window(window)
+    win = _domain(n, window)
     m_max = _integer(m_max, "m_max", 0)
     return WindowBands(
         n=n,
@@ -174,8 +182,7 @@ def synthesize_state(
     shrunk slightly inside it, so the support condition holds sample by
     sample; entries share the total norm equally.
     """
-    win = _as_window(window)
-    _integer(n, "dimension n", 4)
+    win = _domain(n, window)
     try:
         triples = [(m, j, p) for m, j, p in mode_set]
     except (TypeError, ValueError):  # not iterable, or a mode that is not a triple
@@ -289,15 +296,15 @@ def edge_bound(packet: WavePacket, bands) -> float:
     return min(bounds)
 
 
-def _bump_current(n: int, win: SpectralWindow, m: int, p: int, step: float) -> tuple[float, float]:
+def _bump_current(n: int, win: SpectralWindow, m: int, step: float) -> tuple[float, float]:
     """Normalized current of the unit `synthesize_state` bump on the window
-    preimage of (m, p), and the least |lambda'| over its Gauss-Legendre nodes
+    preimage of (m, 1), and the least |lambda'| over its Gauss-Legendre nodes
     (one sweep of them) and the crossing slopes at both window edges.
     """
-    ends = _preimage(n, m, p, win, step)
+    ends = _preimage(n, m, 1, win, step)
     lo, hi = (end.xi for end in ends)
     xi = 0.5 * (lo + hi) + _SUPPORT * (hi - lo) * _NODES
-    (curve,) = sweep(n, [m], [p], xi, fixed_step_grid(xi[-1], win.upper, step))
+    (curve,) = sweep(n, [m], [1], xi, fixed_step_grid(xi[-1], win.upper, step))
     floor = np.min(np.abs([*curve.slope_fh, *(end.slope for end in ends)]))
     return float(_WEIGHTS @ curve.slope_fh), float(floor)
 
@@ -326,23 +333,21 @@ def bulk_decay_study(
     """Current of the first band beyond each cutoff M, across the distinct
     integers M >= 0 of m_cut_list in ascending order.
 
-    The mode is (m = M + 1, j = 1, p = min P_I): the lowest bulk band a
+    The mode is (m = M + 1, j = 1, p = 1 = min P_I): the lowest bulk band a
     cutoff at M lets through.  The regression slope of |current| against
     k_{M+1} quantifies the 1/sqrt(k) suppression.
     """
-    win = _as_window(window)
-    _integer(n, "dimension n", 4)
+    win = _band_one_domain(n, window)
     cuts = _integers(m_cut_list, "cutoff", 0)
-    p = _lowest_band(win)
     coupling = np.array([float(coupling_constant(n, M + 1)) for M in cuts])
-    cur = np.array([_bump_current(n, win, M + 1, p, step)[0] for M in cuts])
+    cur = np.array([_bump_current(n, win, M + 1, step)[0] for M in cuts])
     slope, err = (
         _loglog_slope(coupling, np.abs(cur)) if len(cuts) >= 2 else (float("nan"),) * 2
     )
     return BulkDecayStudy(
         n=n,
         window=win,
-        p=p,
+        p=1,
         m_cut=np.array(cuts, dtype=int),
         coupling=coupling,
         normalized_current=cur,
@@ -359,12 +364,10 @@ def witness_small_current(n: int, window, epsilon: float) -> tuple[int, float]:
     current).  Its solves use the grid step WITNESS_STEP.  The 1/sqrt(k_m)
     law guarantees termination for any positive epsilon.
     """
-    win = _as_window(window)
-    _integer(n, "dimension n", 4)
+    win = _band_one_domain(n, window)
     epsilon = _real(epsilon, "epsilon", above=0.0)
-    p = _lowest_band(win)
     for m in _WITNESS_MS:
-        value, _ = _bump_current(n, win, m, p, WITNESS_STEP)
+        value, _ = _bump_current(n, win, m, WITNESS_STEP)
         if abs(value) <= epsilon:
             return m, value
     raise ConvergenceError(
@@ -381,20 +384,18 @@ def edge_current(
 ) -> tuple[CurrentReport, float]:
     """The edge packet's current and its floor C^-, for one window.
 
-    The packet puts one bump on each (m, 1, p), m = 0..m_max, of the lowest
-    band p meeting the window, on its window preimage (no higher band is
+    The packet puts one bump on each (m, 1, 1), m = 0..m_max, of band 1, the
+    lowest band meeting the window, on its window preimage (no higher band is
     solved); its current is the mean of their Gauss-Legendre single-mode
     currents, and C^- the least |lambda'| over the nodes and the crossing
     slopes at both window edges.  Every input is checked before the first
     eigensolve.
     """
-    win = _as_window(window)
-    p = _lowest_band(win)
-    _integer(n, "dimension n", 4)
+    win = _band_one_domain(n, window)
     m_max = _integer(m_max, "m_max", 0)
-    bumps = [_bump_current(n, win, m, p, step) for m in range(m_max + 1)]
+    bumps = [_bump_current(n, win, m, step) for m in range(m_max + 1)]
     share = 1.0 / len(bumps)
-    contributions = {(m, 1, p): share * value for m, (value, _) in enumerate(bumps)}
+    contributions = {(m, 1, 1): share * value for m, (value, _) in enumerate(bumps)}
     edge = CurrentReport(
         total=float(sum(contributions.values())), contributions=contributions, norm_squared=1.0
     )
@@ -428,13 +429,11 @@ def current_dichotomy(
     WITNESS_STEP, has |current| <= epsilon.  Every input is checked before the
     first eigensolve.
     """
-    win = _as_window(window)
-    _lowest_band(win)
+    win = _band_one_domain(n, window)
     cuts = _integers(cutoffs, "cutoff", 0)
     if len(cuts) < 2:
         raise ModelError(f"the bulk decay slope needs at least two cutoffs, got {cuts}")
     epsilon = _real(epsilon, "epsilon", above=0.0)
-    _integer(n, "dimension n", 4)
     edge, c_minus = edge_current(n, win, _integer(edge_m_max, "edge_m_max", 0), step=step)
     return CurrentDichotomy(
         edge=edge,

@@ -467,6 +467,20 @@ def test_the_model_has_one_root_finder():
     assert {"_potential_minimum", "_turning_points"} <= set(calling)
 
 
+def test_the_transport_domain_is_stated_once():
+    # every public entry checked n >= 4 itself, and four passed band 1 as p
+    # into the bump current; the domain is now stated once, and band 1 by name
+    def states_the_rule(node) -> bool:
+        return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_integer"
+                and [ast.unparse(arg) for arg in node.args[1:]] == ["'dimension n'", "4"])
+
+    tree = ast.parse((PACKAGE / "transport.py").read_text(encoding="utf-8"))
+    functions = dict(_methods(tree))
+    assert sum(map(states_the_rule, ast.walk(tree))) == 1
+    assert any(map(states_the_rule, ast.walk(functions["_domain"])))
+    assert [arg.arg for arg in functions["_bump_current"].args.args] == ["n", "win", "m", "step"]
+
+
 def test_the_rk4_step_loop_stores_without_numpy():
     # a numpy row assignment cost about a quarter of each RK4 step; the loop
     # stores each step with one struct write and makes no numpy call

@@ -244,6 +244,9 @@ def test_current_invalid_input_exits_2_before_solving(flag, message, monkeypatch
     # the wall too close at value 0 (exit 3 from a failed solve)
     ("sweep --m 0 --p 1 --xi 0 --radius 1e-150 --intervals 16",
      "Agmon lengths past the well of lambda=0, fewer than 14; a radius of 5.2915 is admitted"),
+    # (R - xi)^2 = 1e400: OverflowError from the bisection start, exit 1
+    ("sweep --m 1 --p 1 --xi=-1e200", "the potential (r - xi)^2 on Grid(radius=20.0, "
+     "intervals=4800) is past the float range"),
 ])
 def test_bad_grid_input_exits_2_before_solving(command_line, message, monkeypatch, capsys):
     def no_solve(*args, **kwargs):
@@ -254,6 +257,14 @@ def test_bad_grid_input_exits_2_before_solving(command_line, message, monkeypatc
     monkeypatch.setattr("magband.bands._follow", no_solve)
     assert run_cli(*command_line.split()) == 2
     assert message in capsys.readouterr().err
+
+
+def test_a_sweep_whose_potential_minimum_overflows_answers(capsys):
+    # potential_minimum's OverflowError escaped the fiber step: exit 1
+    assert run_cli("sweep", "--m", "1", "--p", "1", "--xi=1e78", "--radius", "2e78",
+                   "--intervals", "200") == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[1].startswith("5,1,1,1e+78,")
 
 
 def test_convergence_refuses_an_empty_m_range(tmp_path, monkeypatch, capsys):

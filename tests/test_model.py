@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from magband import (
+    ConvergenceError,
     Grid,
     ModelParams,
     ModelError,
@@ -235,6 +237,42 @@ def test_turning_points_of_a_huge_energy_or_momentum_or_a_narrow_well(m, xi, ene
     if energy == 1e120:  # and the Agmon weight at that energy is built
         weight = agmon_weight(params, energy, Grid(20.0, 800))
         assert weight.well == (r_minus, r_plus) and np.all(weight.values == 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: potential_minimum(ModelParams(5, 1, 1e78)),
+    lambda: turning_points(ModelParams(5, 1, 1e103), 1e206),
+    lambda: agmon_weight(ModelParams(5, 1, 1e103), 1e206, Grid(20.0, 200)),
+], ids=["potential_minimum", "turning_points", "agmon_weight"])
+def test_a_minimum_whose_terms_overflow_is_a_convergence_error(call):
+    # start**4 (xi = 1e78) and r**3 (xi = 1e103) raised a bare OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="a term overflows the float range$"):
+            call()
+
+
+def test_the_largest_minimum_in_range_keeps_its_bits():
+    # xi = 1e77 is the last decade whose start**4 is a float
+    profile = potential_minimum(ModelParams(5, 1, 1e77))
+    assert (profile.r_min, profile.v_min) == (1e77, 3.75e-154)
+
+
+@pytest.mark.parametrize("xi", [1e4, 1e5, 1e6, 3e6, 1e7, 1e8, 1e15])
+def test_an_inner_turning_point_is_resolved_or_refused(xi):
+    # at E = xi^2 the inner root r ~ (k/2xi)^(1/3) carries eps E / |r V'(r)|
+    # of rounding; at xi = 1e15, where that is 4.5, r_minus was 3.88e-7 for a
+    # root at 4.34e-7.  Up to xi = 1e6 the bound is at most 3e-9; from
+    # xi = 3e6 on it is above 1e-8 and the root is refused
+    params, energy = ModelParams(5, 1, xi), xi * xi
+    if xi >= 3e6:
+        with pytest.raises(ConvergenceError, match=r"floats resolve r=.* only to .* of it$"):
+            turning_points(params, energy)
+        return
+    r_minus, r_plus = turning_points(params, energy)
+    ref_minus, ref_plus = oracles.turning_points_reference(params.k, xi, energy)
+    assert r_minus == pytest.approx(ref_minus, rel=1e-8)
+    assert r_plus == pytest.approx(ref_plus, rel=1e-15)
 
 
 def test_turning_points_empty_well():

@@ -213,6 +213,53 @@ def test_single_fiber_solves_refuse_the_grid_sweep_refuses(solve):
         solve(ModelParams(5, 0, 19.0), grid, 3)
 
 
+@pytest.fixture
+def no_continuation(monkeypatch):
+    def continued(*args, **kwargs):
+        raise AssertionError("a fiber was solved before the grid was admitted")
+
+    monkeypatch.setattr(magband.solver, "_continue_fiber", continued)
+
+
+@pytest.mark.parametrize("call", [
+    lambda grid: solve_fiber(ModelParams(5, 1, -1e200), grid, 1),
+    lambda grid: fiber_eigenvalues(ModelParams(5, 1, -1e200), grid, 1),
+    lambda grid: sweep(5, [1], [1], [-1e200], grid),
+    lambda grid: sweep(5, [1], [1], [-1e200, 0.0], grid),  # the smallest xi is checked too
+], ids=["solve_fiber", "fiber_eigenvalues", "sweep", "sweep-two"])
+def test_a_grid_on_which_v_is_not_a_float_is_refused_before_any_solve(no_continuation, call):
+    # (R - xi)^2 = 1e400 made the reach inf, so the grid was admitted, and
+    # the bisection start raised OverflowError from 2.0 ** 1024
+    with pytest.raises(ModelError, match=r"xi=-1e\+200\): the potential \(r - xi\)\^2 on "
+                       r"Grid\(radius=20\.0, intervals=4800\) is past the float range$"):
+        call(Grid(20.0, 4800))
+
+
+@pytest.mark.parametrize("solve", [solve_fiber, fiber_eigenvalues])
+def test_single_fiber_solves_check_value_zero_before_solving(no_continuation, solve):
+    # they solved lambda = 1643.57 and only then refused the grid; sweep
+    # checked value 0 first, and now both run that one check
+    grid = Grid(20.0, 2000)
+    with pytest.raises(ModelError, match=r"lambda=0, fewer than 14; a radius of 65\.2915") as solved:
+        solve(ModelParams(5, 1, 60.0), grid, 1)
+    with pytest.raises(ModelError) as swept:
+        sweep(5, [1], [1], [60.0], grid)
+    assert str(solved.value) == str(swept.value)
+
+
+def test_a_fiber_whose_minimum_overflows_skips_the_closed_form_start():
+    # _well let potential_minimum's OverflowError escape the fiber step
+    params, grid = ModelParams(5, 1, 1e78), Grid(2e78, 200)
+    assert _well(params.k, params.xi) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (pair,) = solve_fiber(params, grid, 1)
+    # h = 1e76 resolves no well: the row at r = xi, of diagonal 2/h^2 + k/xi^2,
+    # holds the pair, as its neighbours' diagonals are about 1e152 and its
+    # couplings 1e-152
+    assert pair.value == pytest.approx(2.0 / grid.h**2 + params.k / 1e156, rel=1e-12)
+
+
 @pytest.mark.parametrize("n,m", [(5, 1), (4, 0), (6, 3)])
 def test_boundary_form_agrees_with_feynman_hellmann(n, m):
     # the two independent derivative formulas must coincide in the continuum;

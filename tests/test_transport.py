@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import magband.bands
 import magband.solver
 import magband.transport
 from magband import (
@@ -132,6 +133,42 @@ def test_bands_meeting_window_requires_transport_dimension():
         bulk_decay_study("5", WINDOW, [10, 20])
 
 
+# Each public entry of transport, called with a dimension n and a window.
+DOMAIN_CALLS = {
+    "bands_meeting_window": lambda n, window: bands_meeting_window(n, window, 1),
+    "synthesize_state": lambda n, window: synthesize_state(n, window, [(0, 1, 1)]),
+    "edge_current": lambda n, window: edge_current(n, window, 1),
+    "bulk_decay_study": lambda n, window: bulk_decay_study(n, window, [10, 20]),
+    "witness_small_current": lambda n, window: witness_small_current(n, window, 1e-2),
+    "current_dichotomy": lambda n, window: current_dichotomy(n, window, 1, [10, 20], 1e-2),
+}
+QUADRATURE_PIPELINES = ["edge_current", "bulk_decay_study", "witness_small_current",
+                        "current_dichotomy"]
+
+
+@pytest.fixture
+def no_fiber_step(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a fiber step ran before the domain was checked")
+
+    monkeypatch.setattr(magband.solver, "_follow", refused)
+    monkeypatch.setattr(magband.bands, "_follow", refused)
+
+
+@pytest.mark.parametrize("call", DOMAIN_CALLS)
+def test_every_entry_refuses_dimension_three_before_any_fiber_step(no_fiber_step, call):
+    with pytest.raises(ModelError, match=r"^dimension n must be an integer >= 4, got 3$"):
+        DOMAIN_CALLS[call](3, WINDOW)
+
+
+@pytest.mark.parametrize("call", QUADRATURE_PIPELINES)
+def test_every_quadrature_pipeline_refuses_a_window_below_band_one(no_fiber_step, call):
+    # (0.2, 0.8) lies below E_1 = 1, where no band reaches
+    refused = r"^no band meets the window \(0\.2, 0\.8\); there is no current$"
+    with pytest.raises(ModelError, match=refused):
+        DOMAIN_CALLS[call](5, (0.2, 0.8))
+
+
 def test_a_band_above_a_high_window_is_refused_in_constant_memory():
     # the refusal built (and printed) the list of the 10^6 bands below the
     # window: 86 MiB at its peak
@@ -140,7 +177,7 @@ def test_a_band_above_a_high_window_is_refused_in_constant_memory():
     try:
         with pytest.raises(ModelError, match=r"band p=1000002 does not meet the window"):
             synthesize_state(5, window, [(0, 1, 1_000_002)])
-        assert magband.transport._lowest_band(window) == 1
+        assert magband.transport._band_one_domain(5, window) is window  # band 1 meets it
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
