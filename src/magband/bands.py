@@ -24,7 +24,9 @@ import numpy as np
 
 from .errors import AgmonOverflowError, BracketError, ConvergenceError, ModelError
 # potential: not called here; perfbench/tracing.py binds it
-from .model import ModelParams, _integers, _real, _reals, landau_level, potential, turning_points
+from .model import (
+    ModelParams, _integers, _real, _reals, _validate_nm, landau_level, potential, turning_points,
+)
 from .solver import (
     EigenPair,
     Grid,
@@ -279,6 +281,7 @@ def scaling_study(
     the energy, which only has to exceed E_p, before its first solve.
     """
     ms = _integers(m_list, "angular number m", 1)
+    _validate_nm(n, ms[-1])  # k_m grows with m: the largest m has the largest coupling
     energy = _real(energy, "energy")
     m_arr = np.array(ms, dtype=int)
     fit = m_arr >= 5

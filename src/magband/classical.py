@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import AxisApproachError, ModelError
 from .model import _real
+from .solver import _line
 
 R_FLOOR = 1e-6
 _MAX_SAMPLES = 2**25  # largest trajectory integrate stores: 1.5 GiB of states
@@ -69,7 +70,9 @@ class TrajectoryResult:
     def sigma(self) -> np.ndarray:
         """Areal velocity x vy - y vx per sample."""
         s = self.states
-        return s[:, 0] * s[:, 4] - s[:, 1] * s[:, 3]
+        sigma = s[:, 0] * s[:, 4]
+        sigma -= s[:, 1] * s[:, 3]
+        return sigma
 
     @cached_property
     def c_invariant(self) -> np.ndarray:
@@ -77,7 +80,8 @@ class TrajectoryResult:
         return self.states[:, 5] - self.radius
 
     def _drift(self, series: np.ndarray, scale: float) -> float:
-        return float(np.max(np.abs(series - series[0])) / max(abs(series[0]), scale))
+        deviation = series - series[0]
+        return float(np.abs(deviation, out=deviation).max() / max(abs(series[0]), scale))
 
     @cached_property
     def energy_drift(self) -> float:
@@ -188,20 +192,15 @@ def radial_period(traj: TrajectoryResult) -> PeriodEstimate:
     orbit (r constant) has none and errors out.
     """
     r = traj.radius
-    interior = np.arange(1, r.size - 1)
-    is_min = (r[interior] < r[interior - 1]) & (r[interior] < r[interior + 1])
-    idx = interior[is_min]
-    times = []
-    for i in idx:
-        denom = r[i - 1] - 2.0 * r[i] + r[i + 1]
-        if denom <= 0.0:
-            continue
-        times.append(traj.times[i] + 0.5 * traj.dt * (r[i - 1] - r[i + 1]) / denom)
-    if len(times) < 3:
+    idx = np.flatnonzero((r[1:-1] < r[:-2]) & (r[1:-1] < r[2:])) + 1
+    before, at, after = r[idx - 1], r[idx], r[idx + 1]
+    denom = before - 2.0 * at + after
+    vertex = denom > 0.0
+    times = traj.times[idx[vertex]] + 0.5 * traj.dt * (before - after)[vertex] / denom[vertex]
+    if times.size < 3:
         raise ModelError(
-            f"found {len(times)} radial minima; period extraction needs at least 3"
+            f"found {times.size} radial minima; period extraction needs at least 3"
         )
-    times = np.asarray(times)
     spacings = np.diff(times)
     return PeriodEstimate(
         value=float(np.mean(spacings)),
@@ -222,7 +221,7 @@ class EffectiveVelocity:
 
 def effective_velocity(traj: TrajectoryResult) -> EffectiveVelocity:
     """Drift velocity v_z two ways: sigma^2 <1/r^3> over whole periods, and
-    the least-squares slope of z(t) over the full window.
+    the least-squares slope of z(t) over the full window (`solver._line`).
 
     The quadrature runs between the first and last detected radial minima so
     it averages an integer number of periods.  The kinematic bound
@@ -236,9 +235,9 @@ def effective_velocity(traj: TrajectoryResult) -> EffectiveVelocity:
     i1 = min(max(i1, i0 + 1), traj.times.size - 1)
     window_t = traj.times[i0 : i1 + 1]
     integral = float(np.trapezoid(traj.radius[i0 : i1 + 1] ** -3.0, window_t))
+    fit, _ = _line(traj.times, traj.states[:, 2])
     sigma0 = float(traj.sigma[0])
     formula = sigma0 * sigma0 * integral / (window_t[-1] - window_t[0])
-    fit = float(np.polyfit(traj.times, traj.states[:, 2], 1)[0])
     e0 = float(traj.energy[0])
     bound = e0**1.5 / abs(sigma0) if sigma0 != 0.0 else float("inf")
     return EffectiveVelocity(formula=formula, fit=fit, bound=bound, period=period)

@@ -102,8 +102,19 @@ def _integers(values, what: str, least: int) -> list[int]:
 
 
 def _validate_nm(n: int, m: int) -> None:
+    """The one rule for a fiber's (n, m): integers n >= 3 and m >= 0 whose
+    coupling k_m = ((2m + n - 3)^2 - 1)/4 is in the float range; otherwise a
+    ModelError."""
     _integer(n, "dimension n", 3)
     _integer(m, "angular number m", 0)
+    w = 2 * m + n - 3
+    try:
+        float(Fraction(w * w - 1, 4))
+    except OverflowError:
+        raise ModelError(
+            f"(n, m) = ({n}, {m}) gives a coupling k_m = ((2m + n - 3)^2 - 1)/4 "
+            "past the float range"
+        ) from None
 
 
 def coupling_constant(n: int, m: int) -> Fraction:

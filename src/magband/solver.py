@@ -290,19 +290,19 @@ class _Operator:
         return None if factored is None else factored[0]
 
     def axis_slope(self, nodes: int) -> float:
-        """The log-log slope (`_loglog_slope`) over rows j = 1..nodes of the
+        """The log-log slope over rows j = 1..nodes of the
         solution of T's rows where k/r^2 dominates V, the recurrence
         j^2 (u_{j+1} - 2 u_j + u_{j-1}) = k u_j with u_0 = 0: what a fit of
         u ~ r^nu there returns in place of nu, for any h.  The solution is
-        carried by the logs of its ratios u_{j+1}/u_j, scaled into the float
-        range for the fit (the slope scales back exactly)."""
+        carried by log u_j, the running sum of the logs of its ratios
+        u_{j+1}/u_j, which `_line` fits against log j directly, so u itself
+        never has to be a float."""
         inverse, logs = 0.0, [0.0]
         for j in range(1, nodes):
             ratio = 2.0 - inverse + self.params.k / (j * j)
             logs.append(logs[-1] + math.log(ratio))
             inverse = 1.0 / ratio
-        scale = max(1.0, logs[-1] / 600.0)
-        return scale * _loglog_slope(np.arange(1.0, nodes + 1), np.exp(np.array(logs) / scale))[0]
+        return _line(np.log(np.arange(1.0, nodes + 1)), np.array(logs))[0]
 
     def moments(self, u: np.ndarray, xi: float, v=None, window=None) -> tuple:
         """The three moments (`rayleigh_quotient`, `derivative_feynman_hellmann`,
@@ -895,17 +895,23 @@ class RefinedValue:
     error: np.ndarray
 
 
+def _line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of y against x and its standard error, from the
+    centered sums of x - mean(x) and y - mean(y) (`_dot`, no BLAS), the two
+    temporaries the fit holds; the second becomes the residuals in place.
+    With two points there is no residual freedom and the error is NaN."""
+    dx, dy = x - x.mean(), y - y.mean()
+    sxx = _dot(dx, dx)
+    slope = _dot(dx, dy) / sxx
+    dx *= slope
+    dy -= dx
+    dof = dy.size - 2
+    return slope, math.sqrt(_dot(dy, dy) / dof / sxx) if dof > 0 else float("nan")
+
+
 def _loglog_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """OLS slope and its standard error for log y against log x."""
-    lx, ly = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    dof = lx.size - 2
-    if dof > 0:
-        stderr = float(np.sqrt(np.sum(resid**2) / dof / np.sum((lx - lx.mean()) ** 2)))
-    else:
-        stderr = float("nan")
-    return float(slope), stderr
+    """OLS slope and its standard error for log y against log x (`_line`)."""
+    return _line(np.log(x), np.log(y))
 
 
 def richardson(a, b) -> RefinedValue:

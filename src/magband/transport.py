@@ -25,7 +25,8 @@ from scipy.linalg import eigh_tridiagonal
 from .bands import CrossingResult, crossing, sweep
 from .errors import ConvergenceError, MissingBandDataError, ModelError
 from .model import (
-    _integer, _integers, _interval, _real, coupling_constant, harmonic_multiplicity, landau_level,
+    _integer, _integers, _interval, _real, _validate_nm, coupling_constant, harmonic_multiplicity,
+    landau_level,
 )
 from .solver import _loglog_slope, fixed_step_grid
 
@@ -433,6 +434,7 @@ def current_dichotomy(
     cuts = _integers(cutoffs, "cutoff", 0)
     if len(cuts) < 2:
         raise ModelError(f"the bulk decay slope needs at least two cutoffs, got {cuts}")
+    _validate_nm(n, cuts[-1] + 1)  # the largest cutoff's mode has the largest coupling
     epsilon = _real(epsilon, "epsilon", above=0.0)
     edge, c_minus = edge_current(n, win, _integer(edge_m_max, "edge_m_max", 0), step=step)
     return CurrentDichotomy(

@@ -188,6 +188,45 @@ def axis_recurrence_slope(k: float, nodes: int) -> float:
     return float(np.polyfit(np.log(np.arange(1, nodes + 1)), np.log(u[1:]), 1)[0])
 
 
+def axis_slope_rescaled(k: float, nodes: int) -> float:
+    """The same slope as an OLS fit of log u_j on log j by np.polyfit, with
+    u_j rebuilt from the logs of its ratios u_{j+1}/u_j as exp(log u_j /
+    scale), scale = max(1, log u_nodes / 600) so that u stays a float, and
+    the slope scaled back by `scale`."""
+    inverse, logs = 0.0, [0.0]
+    for j in range(1, nodes):
+        ratio = 2.0 - inverse + k / (j * j)
+        logs.append(logs[-1] + math.log(ratio))
+        inverse = 1.0 / ratio
+    scale = max(1.0, logs[-1] / 600.0)
+    u = np.exp(np.array(logs) / scale)
+    return scale * float(np.polyfit(np.log(np.arange(1.0, nodes + 1)), np.log(u), 1)[0])
+
+
+def exact_line(x, y) -> tuple[Fraction, Fraction | None]:
+    """OLS slope of y against x and its squared standard error
+    SSR / (N - 2) / sum (x - mean x)^2, in exact rationals over the floats
+    given; the error is None for two points."""
+    xs, ys = [Fraction(float(v)) for v in x], [Fraction(float(v)) for v in y]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxx = sum((a - mx) ** 2 for a in xs)
+    slope = sum((a - mx) * (b - my) for a, b in zip(xs, ys)) / sxx
+    if len(xs) == 2:
+        return slope, None
+    ssr = sum((b - my - slope * (a - mx)) ** 2 for a, b in zip(xs, ys))
+    return slope, ssr / (len(xs) - 2) / sxx
+
+
+def polyfit_line(x, y) -> tuple[float, float]:
+    """np.polyfit's slope of y against x (a Vandermonde least squares by
+    SVD) and its standard error, the root of its scaled covariance's slope
+    entry; the error is NaN for two points, where polyfit cannot scale it."""
+    if len(x) == 2:
+        return float(np.polyfit(x, y, 1)[0]), math.nan
+    coefficients, covariance = np.polyfit(x, y, 1, cov=True)
+    return float(coefficients[0]), math.sqrt(covariance[0, 0])
+
+
 def agmon_reach_reference(xi: float, value: float, radius: float) -> float:
     """Integral of sqrt((r - xi)^2 - value) from r = xi + sqrt(value) to the
     wall at `radius`, by adaptive quadrature: the reach of the grid rule."""

@@ -422,19 +422,30 @@ def test_one_sign_rule_fixes_every_eigenvector():
 
 
 def test_the_log_log_fit_is_stated_once():
-    # every fitted power law (scaling, bulk decay, remainder rate, boundary
-    # exponent) is solver._loglog_slope; the one other fit is z(t), linear
-    fitting = sorted(
-        f"{path.stem}.{function.name}"
-        for path in PACKAGE.glob("*.py")
-        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(function, ast.FunctionDef)
-        and any(
-            isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "polyfit"
+    # every fitted line is solver._line, centered sums without a Vandermonde
+    # matrix or an SVD: the power laws (scaling, bulk decay, remainder rate,
+    # boundary exponent) through _loglog_slope, the axis recurrence's
+    # log-ratios and classical z(t) directly
+    def named(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    banned = {"polyfit", "vander", "lstsq"}
+    assert {named(node) for node in ast.walk(ast.parse(
+        "np.polyfit(x, y, 1); np.vander(x, 2); np.linalg.lstsq(a, b)"))} >= banned
+    naming, calling = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        naming += sorted({f"{path.stem}.{named(node)}" for node in ast.walk(tree)
+                          if named(node) in banned})
+        calling += [
+            f"{path.stem}.{name}"
+            for name, function in _methods(tree)
             for node in ast.walk(function)
-        )
-    )
-    assert fitting == ["classical.effective_velocity", "solver._loglog_slope"]
+            if isinstance(node, ast.Call) and named(node.func) == "_line"
+        ]
+    assert naming == []
+    assert sorted(calling) == [
+        "classical.effective_velocity", "solver._Operator.axis_slope", "solver._loglog_slope"]
 
 
 def _loops_and_newton_calls(tree) -> tuple[list[str], list[str]]:

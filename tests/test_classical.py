@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from math import sqrt
 
 import numpy as np
@@ -16,6 +17,7 @@ from magband import (
     integrate,
     radial_period,
 )
+from magband.classical import TrajectoryResult
 
 import oracles
 
@@ -97,6 +99,65 @@ def test_effective_velocity_consistency():
     assert v.formula == pytest.approx(v.fit, rel=0.02)
     assert abs(v.fit) <= v.bound
     assert v.bound == pytest.approx(traj.energy[0] ** 1.5 / abs(traj.sigma[0]))
+
+
+def _check_11_trajectories():
+    """The five trajectories of acceptance check 11, one at a time."""
+    rng = np.random.default_rng(1618)
+    for _ in range(5):
+        r0 = float(rng.uniform(0.8, 1.6))
+        while True:
+            vx, vy, vz = (float(v) for v in rng.uniform(-0.8, 0.8, size=3))
+            if r0 * abs(vy) >= 0.2:
+                break
+        yield integrate(ClassicalState(r0, 0.0, 0.0, vx, vy, vz), 200.0, 1e-3)
+
+
+def test_the_drift_fit_is_polyfit_on_check_11():
+    # the closed-form line against np.polyfit's Vandermonde least squares
+    for traj in _check_11_trajectories():
+        fit = effective_velocity(traj).fit
+        assert fit == pytest.approx(np.polyfit(traj.times, traj.states[:, 2], 1)[0], rel=1e-12)
+
+
+def test_the_drift_analysis_holds_at_most_four_and_a_half_series():
+    # tracemalloc's peak inside effective_velocity on a fresh trajectory of
+    # `magband classical`'s default length, in series of N floats: three are
+    # the radius, sigma and energy it keeps, and the z(t) line's two
+    # temporaries are gone before sigma and energy are formed
+    traj = integrate(STATE, 200.0, 1e-3)
+    assert traj.times.size == 200_001
+    fresh = TrajectoryResult(traj.times, traj.states, traj.dt)
+    tracemalloc.start()
+    try:
+        effective_velocity(fresh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * traj.times.nbytes
+
+
+def _loop_minima(traj):
+    """The interpolated minima of r(t) by a scalar loop over the samples."""
+    r, times = traj.radius, []
+    for i in range(1, r.size - 1):
+        if r[i] < r[i - 1] and r[i] < r[i + 1]:
+            denom = r[i - 1] - 2.0 * r[i] + r[i + 1]
+            if denom > 0.0:
+                times.append(traj.times[i] + 0.5 * traj.dt * (r[i - 1] - r[i + 1]) / denom)
+    return np.array(times)
+
+
+def test_the_analysis_is_bit_identical_to_scalar_loops():
+    traj = integrate(ClassicalState(0.9, 0.0, 0.0, -0.6, 0.35, 0.7), 30.0, 1e-3)
+    assert np.array_equal(radial_period(traj).minima, _loop_minima(traj))
+    s = traj.states
+    assert np.array_equal(traj.sigma, s[:, 0] * s[:, 4] - s[:, 1] * s[:, 3])
+    series = traj.c_invariant
+    assert traj.c_drift == float(
+        np.max(np.abs(series - series[0]))
+        / max(abs(series[0]), max(traj.radius[0] + sqrt(traj.energy[0]), 1e-12))
+    )
 
 
 def test_axis_guard_at_every_stage():

@@ -244,6 +244,9 @@ def test_current_invalid_input_exits_2_before_solving(flag, message, monkeypatch
     # the wall too close at value 0 (exit 3 from a failed solve)
     ("sweep --m 0 --p 1 --xi 0 --radius 1e-150 --intervals 16",
      "Agmon lengths past the well of lambda=0, fewer than 14; a radius of 5.2915 is admitted"),
+    # k_m = 1e320: OverflowError from float(coupling), exit 1
+    ("sweep --m 1" + "0" * 160 + " --p 1 --xi 0 --radius 20 --intervals 480",
+     "gives a coupling k_m = ((2m + n - 3)^2 - 1)/4 past the float range"),
     # (R - xi)^2 = 1e400: OverflowError from the bisection start, exit 1
     ("sweep --m 1 --p 1 --xi=-1e200", "the potential (r - xi)^2 on Grid(radius=20.0, "
      "intervals=4800) is past the float range"),

@@ -17,10 +17,14 @@ from magband import (
     ModelError,
     agmon_weight,
     coupling_constant,
+    crossing,
+    current_dichotomy,
     harmonic_multiplicity,
     landau_level,
     potential,
     potential_minimum,
+    scaling_study,
+    sweep,
     turning_points,
 )
 
@@ -51,6 +55,36 @@ def test_coupling_sign_boundary():
     assert coupling_constant(3, 0) == Fraction(-1, 4)
     assert coupling_constant(3, 1) > 0
     assert coupling_constant(5, 0) == Fraction(3, 4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ModelParams(5, 10**160, 0.0).k,
+    lambda: ModelParams(10**160, 0, 0.0).k,
+    lambda: coupling_constant(5, 10**160),
+    lambda: crossing(5, 10**160, 1, 2.0),
+    lambda: sweep(5, [10**160], [1], [0.0], Grid(20.0, 480)),
+    lambda: scaling_study(5, 1, 3.0, [5, 6, 10**160]),
+    lambda: current_dichotomy(5, (1.5, 2.5), 3, [10, 10**160], 1e-2),
+])
+def test_a_coupling_past_the_float_range_is_refused_before_any_solve(call, monkeypatch):
+    # float(coupling) raised a bare OverflowError; (n, m) is refused where
+    # it is stated, and the pipelines over many m check the largest first
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve before the input was checked")
+
+    monkeypatch.setattr("magband.solver._follow", no_solve)
+    monkeypatch.setattr("magband.bands._follow", no_solve)
+    with pytest.raises(ModelError, match=r"gives a coupling k_m = .* past the float range$"):
+        call()
+
+
+def test_the_largest_couplings_in_the_float_range_are_admitted():
+    assert ModelParams(5, 10**153, 0.0).k == pytest.approx(1e306, rel=1e-15)
+    # k = ((2m + 2)^2 - 1)/4 rounds to the largest float, or past it
+    m = math.isqrt(4 * int(np.finfo(float).max)) // 2 - 1
+    assert ModelParams(5, m, 0.0).k == np.finfo(float).max
+    with pytest.raises(ModelError, match="past the float range"):
+        ModelParams(5, 2 * m, 0.0)
 
 
 @given(st.integers(min_value=1, max_value=50))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from magband.solver import (
     _follow,
     _harmonic,
     _ldl,
+    _line,
     _rayleigh_iteration,
     _Operator,
     _reach,
@@ -318,6 +321,56 @@ def test_axis_slope_is_the_difference_recurrence_fit(n, m, miss):
     # far past the float range of u itself, the slope stays finite and below nu
     slope = _Operator(ModelParams(5, 400, 0.0), Grid(16.0, 480)).axis_slope(200)
     assert 0.0 < slope < 401.5
+
+
+@pytest.mark.parametrize("nodes", [3, 40, 400, 8000])
+def test_axis_slope_fits_the_log_ratios_as_the_rescaled_expression_did(nodes):
+    # log u_j fitted directly, against exp(log u_j / scale) fitted by
+    # np.polyfit and scaled back, for every m <= 40
+    grid = Grid(16.0, 8000)
+    for n, m in [(3, 0), (4, 0), *((5, m) for m in range(41))]:
+        params = ModelParams(n, m, 0.0)
+        slope = _Operator(params, grid).axis_slope(nodes)
+        assert slope == pytest.approx(oracles.axis_slope_rescaled(params.k, nodes), rel=1e-12)
+
+
+def test_the_line_is_exact_ols_on_data_with_a_known_slope():
+    # residuals of +-1/8 in the pattern +, -, -, + are orthogonal to 1 and to
+    # x, so the least-squares slope is 3/4 exactly
+    x = np.arange(20.0)
+    y = 0.75 * x - 1.5 + 0.125 * np.tile([1.0, -1.0, -1.0, 1.0], 5)
+    slope, variance = oracles.exact_line(x, y)
+    assert slope == Fraction(3, 4) and variance == Fraction(5, 16) / 18 / 665
+    fitted, stderr = _line(x, y)
+    assert fitted == pytest.approx(0.75, rel=1e-15)
+    assert stderr == pytest.approx(math.sqrt(variance), rel=1e-14)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e8])
+def test_the_line_is_exact_ols_and_polyfit_on_random_data(offset):
+    rng = np.random.default_rng(46)
+    x = offset + rng.uniform(0.0, 10.0, 1000)
+    y = -2.5 * (x - offset) + 3.0 + 0.1 * rng.normal(size=1000)
+    slope, stderr = _line(x, y)
+    exact, variance = oracles.exact_line(x, y)
+    assert slope == pytest.approx(float(exact), rel=1e-13)
+    assert stderr == pytest.approx(math.sqrt(variance), rel=1e-12)
+    fitted, error = oracles.polyfit_line(x, y)
+    if offset == 0.0:
+        assert (slope, stderr) == pytest.approx((fitted, error), rel=1e-12)
+    else:
+        # polyfit's scaled Vandermonde columns [x, 1] are nearly parallel at
+        # x ~ 1e8: its slope holds about nine digits and its error none
+        assert slope == pytest.approx(fitted, rel=1e-8)
+
+
+def test_the_line_through_two_points_has_no_error():
+    x, y = np.array([1.0, 3.0]), np.array([2.0, -1.0])
+    slope, stderr = _line(x, y)
+    assert slope == oracles.exact_line(x, y)[0] == -1.5
+    fitted, error = oracles.polyfit_line(x, y)
+    assert slope == pytest.approx(fitted, rel=1e-12)
+    assert math.isnan(stderr) and math.isnan(error)
 
 
 def test_boundary_exponent_admits_check_06_fits_with_their_values():
