@@ -22,10 +22,10 @@ from math import ceil, floor
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .bands import CrossingResult, crossing, sweep
+from .bands import CrossingResult, _seed, crossing, sweep
 from .errors import ConvergenceError, MissingBandDataError, ModelError
 from .model import (
-    _integer, _integers, _interval, _real, _validate_nm, coupling_constant, harmonic_multiplicity,
+    _integer, _integers, _interval, _real, coupling_constant, harmonic_multiplicity,
     landau_level,
 )
 from .solver import _loglog_slope, fixed_step_grid
@@ -297,6 +297,23 @@ def edge_bound(packet: WavePacket, bands) -> float:
     return min(bounds)
 
 
+def _check_largest_mode(n: int, win: SpectralWindow, m: int, step: float) -> None:
+    """Refuse, before any solve, the largest mode m a band-one pipeline
+    reaches: its coupling past the float range (`coupling_constant`), or its
+    lower-edge crossing seeded (`bands._seed`) where `fixed_step_grid` is past
+    `Grid`'s interval limit.  That crossing lies farthest out, since the seed
+    grows with k_m and falls with the energy."""
+    level = landau_level(1)
+    seed = _seed(float(coupling_constant(n, m)), level, win.lower - level)
+    try:
+        fixed_step_grid(seed, win.lower, step)
+    except ModelError as error:
+        raise ModelError(
+            f"mode m={m} crosses the window's lower edge {win.lower} near xi={seed:.6g}, "
+            f"too far out: {error}"
+        ) from None
+
+
 def _bump_current(n: int, win: SpectralWindow, m: int, step: float) -> tuple[float, float]:
     """Normalized current of the unit `synthesize_state` bump on the window
     preimage of (m, 1), and the least |lambda'| over its Gauss-Legendre nodes
@@ -340,6 +357,7 @@ def bulk_decay_study(
     """
     win = _band_one_domain(n, window)
     cuts = _integers(m_cut_list, "cutoff", 0)
+    _check_largest_mode(n, win, cuts[-1] + 1, step)
     coupling = np.array([float(coupling_constant(n, M + 1)) for M in cuts])
     cur = np.array([_bump_current(n, win, M + 1, step)[0] for M in cuts])
     slope, err = (
@@ -390,10 +408,11 @@ def edge_current(
     solved); its current is the mean of their Gauss-Legendre single-mode
     currents, and C^- the least |lambda'| over the nodes and the crossing
     slopes at both window edges.  Every input is checked before the first
-    eigensolve.
+    eigensolve, m_max's mode included (`_check_largest_mode`).
     """
     win = _band_one_domain(n, window)
     m_max = _integer(m_max, "m_max", 0)
+    _check_largest_mode(n, win, m_max, step)
     bumps = [_bump_current(n, win, m, step) for m in range(m_max + 1)]
     share = 1.0 / len(bumps)
     contributions = {(m, 1, 1): share * value for m, (value, _) in enumerate(bumps)}
@@ -434,7 +453,7 @@ def current_dichotomy(
     cuts = _integers(cutoffs, "cutoff", 0)
     if len(cuts) < 2:
         raise ModelError(f"the bulk decay slope needs at least two cutoffs, got {cuts}")
-    _validate_nm(n, cuts[-1] + 1)  # the largest cutoff's mode has the largest coupling
+    _check_largest_mode(n, win, cuts[-1] + 1, step)  # the largest cutoff's mode
     epsilon = _real(epsilon, "epsilon", above=0.0)
     edge, c_minus = edge_current(n, win, _integer(edge_m_max, "edge_m_max", 0), step=step)
     return CurrentDichotomy(

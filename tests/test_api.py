@@ -14,6 +14,8 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -493,12 +495,13 @@ def test_the_transport_domain_is_stated_once():
 
 
 def test_the_rk4_step_loop_stores_without_numpy():
-    # a numpy row assignment cost about a quarter of each RK4 step; the loop
-    # stores each step with one struct write and makes no numpy call
+    # a numpy row assignment cost about a quarter of each RK4 step; the
+    # Python loop (the compiled kernel's reference and fallback) stores each
+    # step with one struct write and makes no numpy call
     tree = ast.parse((PACKAGE / "classical.py").read_text(encoding="utf-8"))
-    integrate = next(node for node in tree.body
-                     if isinstance(node, ast.FunctionDef) and node.name == "integrate")
-    loop = next(node for node in ast.walk(integrate) if isinstance(node, ast.For))
+    python_rk4 = next(node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "_python_rk4")
+    loop = next(node for node in ast.walk(python_rk4) if isinstance(node, ast.For))
 
     def stray(node):
         if isinstance(node, ast.Assign):
@@ -710,3 +713,30 @@ def test_numpy_integers_give_the_same_answers_as_python_ints():
     got = magband.scaling_study(5, np.int64(1), 2.0, np.arange(5, 7), step=step)
     want = magband.scaling_study(5, 1, 2.0, [5, 6], step=step)
     assert np.array_equal(got.xi, want.xi) and np.array_equal(got.slope, want.slope)
+
+
+REPO = Path(__file__).resolve().parent.parent
+PERFBENCH_MODULES = ("bench", "tracing", "workloads", "reference")
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench's `bench` module, imported read-only from the checkout: no
+    bytecode written, and its modules gone from sys.modules afterwards."""
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    for name in PERFBENCH_MODULES:
+        monkeypatch.setitem(sys.modules, name, None)  # so teardown removes it
+        del sys.modules[name]
+    return importlib.import_module("bench")
+
+
+@pytest.mark.parametrize("workload", ["band-sweep", "crossing-scan", "edge-bulk-current",
+                                      "classical-drift"])
+def test_every_benchmark_workload_still_answers_through_the_library(perfbench, workload):
+    # the benchmark calls the public API itself; a library change that breaks
+    # one of its calls fails here, not only in a benchmark run
+    seconds = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
+    spec = perfbench.make_inputs(workload, 1, perfbench.batch_size(workload, seconds))[0]
+    work = perfbench.WORKLOADS[workload]
+    assert work.verify(spec, work.answer(spec)) is None

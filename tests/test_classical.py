@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import shutil
+import stat
 import tracemalloc
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from magband import (
     integrate,
     radial_period,
 )
+from magband import classical
 from magband.classical import TrajectoryResult
 
 import oracles
@@ -160,7 +165,7 @@ def test_the_analysis_is_bit_identical_to_scalar_loops():
     )
 
 
-def test_axis_guard_at_every_stage():
+def test_axis_guard_at_every_stage(rk4_path):
     # one step toward the axis at vx = -1e-3 (no force: vz = 0): stage 2 sits
     # at x0 - dt/2, stage 4 at x0 - dt; from 1.8e-6 only the stage-4 guard
     # sees the floor
@@ -195,16 +200,45 @@ def _generator_rk4(initial, t_max, dt):
     return initial.t + dt * np.arange(steps + 1), out
 
 
-@pytest.mark.parametrize("initial", [
+@pytest.fixture
+def kernel():
+    """The admitted compiled stage loop; wherever a C compiler is found, the
+    loader must admit it."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler: integrate runs the Python loop")
+    kernel = classical._rk4_kernel()
+    assert kernel is not None
+    return kernel
+
+
+@pytest.fixture(params=["compiled", "python"])
+def rk4_path(request, monkeypatch):
+    """Run a test on the compiled kernel, then on the forced fallback."""
+    if request.param == "python":
+        monkeypatch.setattr(classical, "_rk4_kernel", lambda: None)
+        yield request.param
+        return
+    kernel, calls = request.getfixturevalue("kernel"), []
+
+    def counted(out, dt):
+        calls.append(out.shape)
+        return kernel(out, dt)
+
+    monkeypatch.setattr(classical, "_KERNEL", counted)
+    yield request.param
+    assert calls, "integrate never ran the compiled kernel"
+
+
+STATES = [
     ClassicalState(1.2, 0.0, 0.0, 0.1, 0.5, 0.3),
     ClassicalState(0.9, 0.0, 0.0, -0.6, 0.35, 0.7),
     ClassicalState(1.5, 0.0, 0.0, 0.45, -0.2, -0.55, t=3.0),
-])
-def test_integrate_is_bit_identical_to_the_generator_loop(initial):
-    times, states = _generator_rk4(initial, 2.0, 1e-3)
-    traj = integrate(initial, 2.0, 1e-3)
-    assert np.array_equal(traj.times, times)
-    assert np.array_equal(traj.states, states)
+    ClassicalState(1.1, -0.4, 0.25, 0.3, 0.6, -0.45, t=-7.5),
+]
+
+
+@pytest.mark.parametrize("initial", STATES)
+def test_integrate_is_bit_identical_to_the_generator_loop(initial, rk4_path):
     # one step, a t_max that rounds to 2000 steps, and the classical-drift
     # length, so a skipped or misplaced first or last row shows
     for t_max, steps in [(1e-3, 1), (2.0004, 2000), (20.0, 20000)]:
@@ -217,11 +251,102 @@ def test_integrate_is_bit_identical_to_the_generator_loop(initial):
         assert traj.states.flags.c_contiguous and traj.states.flags.writeable
 
 
-def test_axis_crossing_detected():
+@pytest.mark.parametrize("initial", STATES)
+def test_the_kernel_is_bit_identical_to_the_python_loop_at_check_11_length(initial, kernel):
+    compiled, python = np.empty((2, 200_001, 6))
+    compiled[0] = python[0] = (initial.x, initial.y, initial.z, initial.vx, initial.vy, initial.vz)
+    assert kernel(compiled, 1e-3) is None
+    assert classical._python_rk4(python, 1e-3) is None
+    assert np.array_equal(compiled, python)
+
+
+def _flip_one_bit(rk4):
+    def flipped(out, dt):
+        radius = rk4(out, dt)
+        out[17, 3:4].view(np.int64)[0] ^= 1  # the last mantissa bit of one vx
+        return radius
+    return flipped
+
+
+def _resolve(monkeypatch, build):
+    """The loader's answer, resolved afresh with `_compile` replaced by `build`."""
+    monkeypatch.setattr(classical, "_compile", build)
+    monkeypatch.setattr(classical, "_KERNEL", classical._UNRESOLVED)
+    return classical._rk4_kernel()
+
+
+def test_the_self_check_refuses_a_kernel_one_bit_off(kernel, monkeypatch):
+    assert _resolve(monkeypatch, lambda: kernel) is kernel
+    assert _resolve(monkeypatch, lambda: _flip_one_bit(kernel)) is None
+    # refused, the Python loop runs: one bit off never reaches a trajectory
+    _, states = _generator_rk4(STATE, 0.1, 1e-3)
+    assert np.array_equal(integrate(STATE, 0.1, 1e-3).states, states)
+
+
+@pytest.mark.parametrize("failure", [OSError("no such file"), AttributeError("magband_rk4")])
+def test_a_failed_build_or_load_falls_back_to_the_python_loop(monkeypatch, failure):
+    def fails():
+        raise failure
+
+    assert _resolve(monkeypatch, fails) is None
+    _, states = _generator_rk4(STATE, 0.1, 1e-3)
+    assert np.array_equal(integrate(STATE, 0.1, 1e-3).states, states)
+
+
+def test_the_kernel_is_resolved_once_per_process(kernel, monkeypatch):
+    calls = []
+
+    def build():
+        calls.append(1)
+        return kernel
+
+    assert _resolve(monkeypatch, build) is kernel
+    assert classical._rk4_kernel() is kernel
+    integrate(STATE, 0.1, 1e-3)
+    assert calls == [1]
+
+
+def _files(root: Path) -> dict:
+    """Size and modification time of every file under root, .git aside."""
+    found = {}
+    for folder, dirs, names in os.walk(root):
+        dirs[:] = [d for d in dirs if d != ".git"]
+        for name in names:
+            info = os.stat(os.path.join(folder, name))
+            found[os.path.join(folder, name)] = (info.st_size, info.st_mtime_ns)
+    return found
+
+
+def test_a_cold_build_writes_only_into_the_private_cache(kernel, monkeypatch, tmp_path):
+    roots = [Path(classical.__file__).resolve().parent, Path(__file__).resolve().parent.parent]
+    before = [_files(root) for root in roots]
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    cold = _resolve(monkeypatch, classical._compile)
+    assert cold is not None and cold is not kernel
+    assert [_files(root) for root in roots] == before
+    cache = tmp_path / "cache" / "magband"
+    assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+    (library,) = cache.iterdir()  # the temporary name is gone
+    assert library.name.startswith("rk4-") and library.suffix == ".so"
+    _, states = _generator_rk4(STATE, 0.1, 1e-3)
+    assert np.array_equal(integrate(STATE, 0.1, 1e-3).states, states)
+
+
+def test_a_cache_others_can_write_to_is_refused(monkeypatch, tmp_path):
+    shared = tmp_path / "magband"
+    shared.mkdir()
+    shared.chmod(0o770)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert classical._cache_dir() is None
+    assert _resolve(monkeypatch, classical._compile) is None
+    assert list(shared.iterdir()) == []
+
+
+def test_axis_crossing_detected(rk4_path):
     # creep toward the axis slowly enough that a sample must land inside the
     # guard radius (a fast crossing can step over it between samples)
     creeping = ClassicalState(2e-6, 0.0, 0.0, -9e-4, 0.0, 0.0)
-    with pytest.raises(AxisApproachError):
+    with pytest.raises(AxisApproachError, match=r"^trajectory reached r=6\.500e-07 < 1e-06; "):
         integrate(creeping, 0.01, 1e-3)
 
 

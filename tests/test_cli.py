@@ -199,6 +199,9 @@ def test_current_window_below_first_band_exits_2(capsys):
 @pytest.mark.parametrize("flag, message", [
     ("--cutoffs=10", "at least two cutoffs"),  # the bulk decay slope needs two
     ("--epsilon=-1", "epsilon must be positive"),
+    (f"--edge-m-max={10**160}", "past the float range"),  # never ended
+    ("--edge-m-max=100000", "above the limit of 4194304"),  # solved for minutes
+    ("--cutoffs=10,100000", "above the limit of 4194304"),  # after the edge solves
 ])
 def test_current_invalid_input_exits_2_before_solving(flag, message, monkeypatch, capsys):
     def no_solve(*args, **kwargs):

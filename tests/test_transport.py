@@ -169,6 +169,30 @@ def test_every_quadrature_pipeline_refuses_a_window_below_band_one(no_fiber_step
         DOMAIN_CALLS[call](5, (0.2, 0.8))
 
 
+# m = 10^160 has a coupling past the float range; m = 100000 crosses the
+# lower edge 1.5 near xi = 1.4e5, on a grid of 1.7e7 intervals: the edge
+# packet solved mode after mode (or never ended), and the bulk study solved
+# its smaller cutoffs, before the largest mode was refused
+LARGEST_MODE_CALLS = {
+    "edge_current": lambda m: edge_current(5, WINDOW, m),
+    "current_dichotomy-edge_m_max": lambda m: current_dichotomy(5, WINDOW, m, [10, 20], 1e-2),
+    "current_dichotomy-cutoff": lambda m: current_dichotomy(5, WINDOW, 1, [10, m - 1], 1e-2),
+    "bulk_decay_study": lambda m: bulk_decay_study(5, WINDOW, [10, m - 1]),
+}
+
+
+@pytest.mark.parametrize("m, refused", [
+    (10**160, r"gives a coupling k_m = .* past the float range$"),
+    (100_000, r"^mode m=100000 crosses the window's lower edge 1\.5 near xi=141423, too far "
+              r"out: a grid of \d+ intervals is above the limit of 4194304$"),
+], ids=["coupling", "grid"])
+@pytest.mark.parametrize("call", LARGEST_MODE_CALLS)
+def test_an_unsolvable_largest_mode_is_refused_before_any_fiber_step(no_fiber_step, call, m,
+                                                                    refused):
+    with pytest.raises(ModelError, match=refused):
+        LARGEST_MODE_CALLS[call](m)
+
+
 def test_a_band_above_a_high_window_is_refused_in_constant_memory():
     # the refusal built (and printed) the list of the 10^6 bands below the
     # window: 86 MiB at its peak
